@@ -152,6 +152,90 @@ class _Run:
             self.rate_sum += rate[y] - rate[x]
 
 
+_LOCKSTEP_CELLS = 1 << 19
+
+
+def _lockstep_rows(n: int) -> int:
+    """Trajectories per lockstep block; keeps each state array near 2 MB."""
+    return max(1, _LOCKSTEP_CELLS // n)
+
+
+def _lockstep_cluster_sizes(
+    flat: FlatGraph, t: float, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Cluster sizes at time t of tracked initial labels, one row per
+    trajectory, all rows advanced in lockstep.
+
+    ``labels`` has shape (rows, draws); row r is an independent trajectory
+    started from every site occupied and reports the size of the cluster
+    holding each of its labels.  Each iteration gives every live row one
+    ring of its clock at rate r_max * m; on irregular graphs the ring is
+    kept with probability rate(x) / r_max, which is exact for the occupancy
+    process.  A row retires when its next ring would pass t or one cluster
+    is left.  Labels start equal to their slots and are followed through
+    merges and swap-fills, so no union-find is needed.
+    """
+    n = flat.n
+    off = np.asarray(flat.off[:-1], dtype=np.int64)
+    deg = np.asarray(flat.deg, dtype=np.int64)
+    # the pad keeps the pick in range at an isolated x, whose ring is rejected
+    nbr = np.asarray(flat.nbr + [0], dtype=np.int32)
+    keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
+    rows = labels.shape[0]
+    # flat state: cell r * n + k is slot (or site) k of row r
+    loc = np.tile(np.arange(n, dtype=np.int32), rows)  # slot -> site
+    at = loc.copy()  # site -> slot, -1 when empty
+    size = np.ones(rows * n, dtype=np.int32)  # cluster size per slot
+    out = np.ones(labels.shape, dtype=np.int64)
+    # per live row, kept aligned with `live`
+    live = np.arange(rows if flat.r_max > 0 else 0)  # with no edges nothing moves
+    b = live * n
+    m = np.full(live.size, n, dtype=np.int64)
+    clock = np.zeros(live.size)
+    track = labels[live].astype(np.int64)  # slot now holding each label
+    while live.size:
+        clock += rng.standard_exponential(live.size) / (flat.r_max * m)
+        ok = (clock <= t) & (m > 1)
+        if not ok.all():
+            done = ~ok
+            out[live[done]] = size[b[done, None] + track[done]]
+            live, b, m, clock, track = live[ok], b[ok], m[ok], clock[ok], track[ok]
+            if not live.size:
+                break
+        u = rng.random((3, live.size))
+        i = (u[0] * m).astype(np.int64)
+        bi = b + i
+        x = loc[bi]
+        y = nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
+        kept = True
+        if keep is not None:
+            # a rejected ring moves x onto itself, which changes nothing
+            kept = u[2] < keep[x]
+            y = np.where(kept, y, x)
+        by = b + y
+        j = at[by]
+        merge = (j >= 0) & kept
+        k = np.flatnonzero(merge)
+        bk, ik, jk, bik = b[k], i[k], j[k], bi[k]
+        m[k] -= 1
+        last = m[k]
+        size[bk + jk] += size[bik]
+        # slot `last` fills the hole at i (a no-op when i is last)
+        src = bk + last
+        moved = loc[src]
+        loc[bik] = moved
+        size[bik] = size[src]
+        at[bk + moved] = ik
+        tr = track[k]
+        tr = np.where(tr == ik[:, None], jk[:, None], tr)
+        track[k] = np.where(tr == last[:, None], ik[:, None], tr)
+        at[b + x] = -1
+        mv = np.flatnonzero(~merge)
+        loc[bi[mv]] = y[mv]
+        at[by[mv]] = i[mv]
+    return out
+
+
 def _simulate_one(
     flat: FlatGraph,
     draws: BufferedDraws,

@@ -412,7 +412,9 @@ def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[li
         g, max(100, int(500 * scale)), derive_rng(seed, "paper-cm-meet", 0)
     )
     val2 = (2.0 * meet["mean"] / g.n) * alpha["alpha_hat"]
-    rows.append(_row("paper_cm3", "two_meet_over_n_alpha", val2, 0.0, 0.15,
+    sigma2 = float(np.hypot(2.0 * meet["stderr"] / g.n * alpha["alpha_hat"],
+                            2.0 * meet["mean"] / g.n * alpha["stderr"]))
+    rows.append(_row("paper_cm3", "two_meet_over_n_alpha", val2, sigma2, 0.15,
                      0.85 <= val2 <= 1.15))
     predictions.append(
         {"label": "alpha(delta3)", "value": alpha["alpha_hat"],

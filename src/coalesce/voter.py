@@ -4,18 +4,22 @@ cluster sizes to coalescing-walk quantities.
 The forward engine plays every directed-edge ring, so it is exact pathwise
 and is what all duality gap checks run on.  For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
-system instead (equal in law, one union-find query per draw), which is the
-only practical route at thousands of vertices.
+system instead (equal in law), which is the only practical route at
+thousands of vertices.  The ancestral sampler runs blocks of trajectories in
+lockstep, one ring per trajectory per numpy iteration, and follows each
+tracked label's slot through merges instead of keeping a union-find.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from bisect import bisect_right
 
 import numpy as np
 
 from ._flat import FlatGraph
-from .crw import _Run, _simulate_one, flat_graph
+from .crw import _lockstep_cluster_sizes, _lockstep_rows, _simulate_one, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
@@ -124,26 +128,22 @@ def sample_nhat_ancestral(
     size of the coalescing-walk cluster containing a uniformly chosen
     initial particle.  Each trajectory yields ``draws_per_trajectory``
     draws (correlated within a trajectory, exact in law individually).
+    Trajectories run in lockstep blocks whose size depends only on n.
     """
     if trajectories < 1 or draws_per_trajectory < 1:
         raise ParameterOutOfRange("need at least one trajectory and draw")
+    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t >= 0.0):
+        raise ParameterOutOfRange(f"t must be finite and nonnegative, got {t!r}")
     flat = flat_graph(g, convention)
-    draws = BufferedDraws(rng, block=1 << 16)
-    out = np.empty(trajectories * draws_per_trajectory, dtype=np.int64)
-    i = 0
-    n = g.n
-    for _ in range(trajectories):
-        run = _Run(flat, draws, None, False)
-        while True:
-            dt = draws.expo() / run.total_rate()
-            if run.clock + dt > t:
-                break
-            run.clock += dt
-            run.step()
-        for _ in range(draws_per_trajectory):
-            out[i] = run.cluster_size(int(draws.u01() * n))
-            i += 1
-    return out
+    out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)
+    rows = _lockstep_rows(g.n)
+    for start in range(0, trajectories, rows):
+        block = min(rows, trajectories - start)
+        # labels are independent of the dynamics, so drawing them first
+        # gives the same law as picking them at time t
+        labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
+        out[start:start + block] = _lockstep_cluster_sizes(flat, float(t), labels, rng)
+    return out.reshape(-1)
 
 
 def duality_gap(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from coalesce.crw import simulate_crw
+from coalesce.chains import build_generator
+from coalesce.crw import exact_k_particle_law, simulate_crw
 from coalesce.errors import EmptySamples, ParameterOutOfRange
-from coalesce.graphs import cycle_graph, path_graph
+from coalesce.graphs import Graph, cycle_graph, path_graph
 from coalesce.seeding import derive_rng
 from coalesce.stats import ks_distance_two_sample
 from coalesce.voter import (
@@ -88,6 +89,51 @@ class TestAncestralSampler:
         out = sample_nhat_ancestral(C6, 0.5, 100, derive_rng(7, "anc", 0),
                                     draws_per_trajectory=5)
         assert out.shape == (500,)
+
+    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf"), "1.0"])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ParameterOutOfRange):
+            sample_nhat_ancestral(cycle_graph(4), t, 10, derive_rng(7, "anc", 1))
+
+    def test_isolated_vertex_stays_alone(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        out = sample_nhat_ancestral(g, 5.0, 2000, derive_rng(7, "anc", 2),
+                                    draws_per_trajectory=3)
+        assert set(np.unique(out)) == {1, 2}
+
+
+# K4 with a three-edge tail: irregular, so the sampler thins rings
+LOLLIPOP = Graph.from_edges(
+    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
+)
+
+
+class TestAncestralExactMoments:
+    """E[nhat^k] equals n^k P(k+1 uniform walkers coalesced by t)."""
+
+    @pytest.mark.parametrize(
+        "g, convention, t",
+        [(LOLLIPOP, "per_edge_unit", 0.8), (cycle_graph(9), "total_unit", 2.0)],
+        ids=["lollipop", "cycle9_total_unit"],
+    )
+    def test_first_two_moments(self, g, convention, t):
+        reps = 40_000
+        nhat = sample_nhat_ancestral(
+            g, t, reps, derive_rng(12, "anc-moments", 0), convention=convention
+        ).astype(float)
+        c = build_generator(g, convention)
+        for k in (1, 2):
+            x = nhat**k
+            exact = exact_k_particle_law(c, k, t)["e_ntk"]
+            z = (x.mean() - exact) / (x.std(ddof=1) / np.sqrt(reps))
+            assert abs(z) <= 4.5, (k, x.mean(), exact)
+
+    def test_same_seed_same_samples(self):
+        a = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
+                                  draws_per_trajectory=2)
+        b = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
+                                  draws_per_trajectory=2)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSizeBiasIdentity:
