@@ -31,6 +31,8 @@ __all__ = [
     "spectrum",
     "return_integrals",
     "poisson_weights",
+    "uniformize",
+    "jump_kernel",
 ]
 
 _DENSE_CAP = 4096
@@ -182,24 +184,44 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     return poisson.pmf(np.arange(kmax + 1), lam_t)
 
 
+def uniformize(step, x0, lam: float, times, tol: float = 1e-12):
+    """Poisson-weighted powers sum_k Poisson(lam t)(k) step^k(x0) for each t.
+
+    ``step`` applies one jump of the chain uniformized at rate ``lam`` to a
+    state vector or matrix.  Returns the list of sums (one per time), the
+    number of Poisson terms used and the largest Poisson tail mass dropped.
+    """
+    weights = [poisson_weights(lam * t, tol) for t in times]
+    terms = max(len(w) for w in weights)
+    acc = [w[0] * x0 for w in weights]
+    x = x0
+    for k in range(1, terms):
+        x = step(x)
+        for a, w in zip(acc, weights):
+            if k < len(w):
+                a += w[k] * x
+    tail = max(0.0, max(1.0 - float(w.sum()) for w in weights))
+    return acc, terms, tail
+
+
+def jump_kernel(c: MarkovChain) -> tuple[np.ndarray, float]:
+    """Dense jump kernel of the chain uniformized at rate r_max, and r_max."""
+    lam = c.r_max
+    kernel = c.rates / lam
+    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
+    return kernel, lam
+
+
 def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarray:
     """Time-t transition probabilities by uniformization."""
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("dense transition matrix capped at 4096 states")
     if t < 0.0:
         raise ParameterOutOfRange("time must be nonnegative")
-    lam = c.r_max
-    if t == 0.0 or lam == 0.0:
+    if t == 0.0 or c.r_max == 0.0:
         return np.eye(c.n)
-    kernel = c.rates / lam
-    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
-    weights = poisson_weights(lam * t, tol)
-    out = weights[0] * np.eye(c.n)
-    power = np.eye(c.n)
-    for w in weights[1:]:
-        power = power @ kernel
-        out += w * power
-    return out
+    kernel, lam = jump_kernel(c)
+    return uniformize(lambda p: p @ kernel, np.eye(c.n), lam, [t], tol)[0][0]
 
 
 def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from ._flat import check_grid
+from .errors import ConfigError, ParameterOutOfRange
 from .graphs import (
     DegreeDistribution,
     Graph,
@@ -19,7 +20,7 @@ from .graphs import (
 )
 from .seeding import derive_rng
 
-__all__ = ["ExperimentConfig", "load_config", "build_graph"]
+__all__ = ["ExperimentConfig", "load_config", "build_graph", "check_sites"]
 
 _TASK_KINDS = ("density", "tracked_cluster", "occupancy", "tau_coal", "nhat")
 _CONVENTIONS = ("per_edge_unit", "total_unit")
@@ -101,13 +102,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     convention = raw.get("rate_convention", "per_edge_unit")
     if convention not in _CONVENTIONS:
         raise ConfigError("rate_convention", f"unknown convention {convention!r}")
-    times = raw["times"]
-    if not times or any(not isinstance(t, (int, float)) for t in times):
+    if not raw["times"]:
         raise ConfigError("times", "expected a nonempty list of numbers")
-    if any(t < 0 for t in times) or any(
-        b < a for a, b in zip(times, times[1:])
-    ):
-        raise ConfigError("times", "must be sorted and nonnegative")
+    times = _check_times(raw["times"], "times")
     if raw["replicates"] < 1:
         raise ConfigError("replicates", "must be >= 1")
     if not raw["tasks"]:
@@ -117,7 +114,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         graph=raw["graph"],
         rate_convention=convention,
-        times=[float(t) for t in times],
+        times=times,
         replicates=raw["replicates"],
         master_seed=raw["master_seed"],
         outputs=raw["outputs"],
@@ -131,6 +128,8 @@ def _validate_graph(graph: dict):
         raise ConfigError("graph", "need exactly one of family/path/cm")
     if "family" in graph:
         _expect_keys(graph, "graph", {"family": "str", "params": "list"})
+        for i, p in enumerate(graph["params"]):
+            _check_type(p, "int", f"graph.params[{i}]")
     elif "path" in graph:
         _expect_keys(graph, "graph", {"path": "str"})
     else:
@@ -154,6 +153,27 @@ def _validate_task(task: dict, path: str):
         raise ConfigError(f"{path}.task", f"unknown task {task['task']!r}")
     if "replicates" in task and task["replicates"] < 1:
         raise ConfigError(f"{path}.replicates", "must be >= 1")
+    if "times" in task:
+        _check_times(task["times"], f"{path}.times")
+    for i, v in enumerate(task.get("sites", [])):
+        _check_type(v, "int", f"{path}.sites[{i}]")
+
+
+def _check_times(times: list, path: str) -> list:
+    try:
+        return check_grid(times)
+    except ParameterOutOfRange as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def check_sites(tasks: list, n: int) -> None:
+    """Occupancy sites must be vertices of the built graph."""
+    for i, task in enumerate(tasks):
+        for j, v in enumerate(task.get("sites", [])):
+            if not 0 <= v < n:
+                raise ConfigError(
+                    f"tasks[{i}].sites[{j}]", f"site {v} outside 0..{n - 1}"
+                )
 
 
 def load_config(path) -> ExperimentConfig:

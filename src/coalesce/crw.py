@@ -16,11 +16,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._flat import FlatGraph
-from .chains import MarkovChain, poisson_weights
-from .errors import ParameterOutOfRange, SameVertex, TooLargeForExact
-from .graphs import Graph
+from ._flat import FlatGraph, check_grid
+from .chains import MarkovChain, uniformize
+from .errors import NotConnected, ParameterOutOfRange, SameVertex, TooLargeForExact
+from .graphs import Graph, is_connected
 from .seeding import BufferedDraws
+from .stats import jackknife_cov
 
 __all__ = [
     "DensityEstimate",
@@ -46,15 +47,13 @@ def flat_graph(g: Graph, convention: str) -> FlatGraph:
     return FlatGraph(g, convention)
 
 
-def _find(parent: list, i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 class _Run:
-    """One live coalescing-walk trajectory."""
+    """One live coalescing-walk trajectory.
+
+    Slot i holds one cluster: its site loc[i] and its size size[i].  A merge
+    removes the moving slot and fills the hole from the last slot, and the
+    slot ``track`` of one followed cluster (-1 for none) is carried along.
+    """
 
     __slots__ = (
         "flat",
@@ -62,10 +61,9 @@ class _Run:
         "full",
         "m",
         "loc",
-        "slot_root",
         "at_site",
-        "parent",
         "size",
+        "track",
         "rate_sum",
         "clock",
         "events",
@@ -80,18 +78,14 @@ class _Run:
         self.full = full_stream
         self.m = len(sites)
         self.loc = list(sites)
-        self.slot_root = list(sites)
         self.at_site = [-1] * n
         for i, v in enumerate(sites):
             self.at_site[v] = i
-        self.parent = list(range(n))
-        self.size = [1] * n
+        self.size = [1] * self.m
+        self.track = -1
         self.rate_sum = float(sum(flat.rate[v] for v in sites))
         self.clock = 0.0
         self.events = 0
-
-    def cluster_size(self, label: int) -> int:
-        return self.size[_find(self.parent, label)]
 
     def total_rate(self) -> float:
         if self.full:
@@ -129,22 +123,20 @@ class _Run:
         j = self.at_site[y]
         self.at_site[x] = -1
         if j >= 0:
-            ra = _find(self.parent, self.slot_root[i])
-            rb = _find(self.parent, self.slot_root[j])
-            if ra != rb:
-                if self.size[ra] < self.size[rb]:
-                    ra, rb = rb, ra
-                self.parent[rb] = ra
-                self.size[ra] += self.size[rb]
-            self.slot_root[j] = ra
+            size = self.size
+            size[j] += size[i]
+            if self.track == i:
+                self.track = j
             self.m -= 1
             last = self.m
             if i != last:
                 self.loc[i] = self.loc[last]
-                self.slot_root[i] = self.slot_root[last]
+                size[i] = size[last]
                 self.at_site[self.loc[i]] = i
+                if self.track == last:
+                    self.track = i
             self.loc.pop()
-            self.slot_root.pop()
+            size.pop()
             self.rate_sum -= rate[x]
         else:
             self.loc[i] = y
@@ -246,11 +238,10 @@ def _simulate_one(
     full_stream: bool,
 ) -> dict:
     run = _Run(flat, draws, initial_sites, full_stream)
-    tracked = None
     if track == "tracked_cluster":
-        # the tracked label comes first from the replicate stream so density
-        # and cluster observables share one trajectory without bias
-        tracked = run.loc[int(draws.u01() * run.m)]
+        # the tracked particle comes first from the replicate stream so
+        # density and cluster observables share one trajectory without bias
+        run.track = int(draws.u01() * run.m)
     sites = None
     if track == "occupancy":
         sites = (
@@ -259,13 +250,13 @@ def _simulate_one(
 
     ngrid = len(grid)
     xi = np.empty(ngrid, dtype=np.int64)
-    ncol = np.empty(ngrid, dtype=np.int64) if tracked is not None else None
+    ncol = np.empty(ngrid, dtype=np.int64) if run.track >= 0 else None
     occ = np.empty((ngrid, len(sites)), dtype=bool) if sites is not None else None
 
     def record(gi: int):
         xi[gi] = run.m
         if ncol is not None:
-            ncol[gi] = run.cluster_size(tracked)
+            ncol[gi] = run.size[run.track]
         if occ is not None:
             at = run.at_site
             occ[gi] = [at[v] >= 0 for v in sites]
@@ -274,12 +265,13 @@ def _simulate_one(
     # a lone cluster still moves, which matters only for occupancy tracking
     motion_matters = occ is not None
     while gi < ngrid:
-        if run.m == 1 and not motion_matters and not full_stream:
+        rate = run.total_rate()
+        # with no ring left to change the state, it holds for the rest
+        if rate == 0.0 or (run.m == 1 and not motion_matters and not full_stream):
             for rest in range(gi, ngrid):
                 record(rest)
-            gi = ngrid
             break
-        t_next = run.clock + draws.expo() / run.total_rate()
+        t_next = run.clock + draws.expo() / rate
         while gi < ngrid and grid[gi] < t_next:
             record(gi)
             gi += 1
@@ -294,13 +286,6 @@ def _simulate_one(
         out["occ"] = occ
         out["sites"] = sites
     return out
-
-
-def _check_grid(t_grid) -> list:
-    grid = [float(t) for t in t_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0.0):
-        raise ParameterOutOfRange("t_grid must be sorted and nonnegative")
-    return grid
 
 
 def simulate_crw(
@@ -320,9 +305,11 @@ def simulate_crw(
     uniformly chosen initial particle, "occupancy" records indicators for
     ``site_list`` (all sites when None).
     """
-    grid = _check_grid(t_grid)
+    grid = check_grid(t_grid)
     if track not in ("density", "tracked_cluster", "occupancy"):
         raise ParameterOutOfRange(f"unknown track mode {track!r}")
+    if site_list is not None and any(not 0 <= int(v) < g.n for v in site_list):
+        raise ParameterOutOfRange(f"site_list holds a site outside 0..{g.n - 1}")
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1024)
     return _simulate_one(flat, draws, grid, track, site_list, initial_sites, full_stream)
@@ -352,7 +339,7 @@ def estimate_density(
     diagnostic Var(|occupied|) <= E|occupied| checked per grid time."""
     if reps < 2:
         raise ParameterOutOfRange("need at least 2 replicates")
-    grid = _check_grid(t_grid)
+    grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
     s1 = np.zeros(len(grid))
@@ -389,9 +376,26 @@ def estimate_density(
     )
 
 
-def _directed_rates(c: MarkovChain):
+def _ring_kernel(c: MarkovChain, nstates: int, move):
+    """Transposed jump kernel of a process on ``nstates`` states in which a
+    ring of (x, y), uniformized at the total rate, moves every occupant of x
+    to y.  ``move(x, y)`` returns the mask of states with an occupant at x
+    and their targets; the other states stay put.  Returns (kernel^T, rate).
+    """
+    lam = float(c.row_rates.sum())
+    idx = np.arange(nstates, dtype=np.int64)
+    rows, cols, data = [], [], []
     xs, ys = np.nonzero(c.rates)
-    return xs, ys, c.rates[xs, ys]
+    for x, y, r in zip(xs, ys, c.rates[xs, ys]):
+        has, tgt = move(int(x), int(y))
+        rows += [idx[has], idx[~has]]
+        cols += [tgt, idx[~has]]
+        data.append(np.full(nstates, r / lam))
+    kernel = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nstates, nstates),
+    )
+    return kernel.T.tocsr(), lam
 
 
 def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
@@ -406,33 +410,15 @@ def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
     if t < 0.0:
         raise ParameterOutOfRange("t must be nonnegative")
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    nstates = len(masks)
-    lam = float(c.row_rates.sum())
-    rows, cols, data = [], [], []
-    for x, y, r in zip(*_directed_rates(c)):
-        has = (masks >> int(x)) & 1 == 1
-        src = masks[has]
-        tgt = (src & ~(1 << int(x))) | (1 << int(y))
-        rows.append(src - 1)
-        cols.append(tgt - 1)
-        data.append(np.full(len(src), r / lam))
-        src0 = masks[~has]
-        rows.append(src0 - 1)
-        cols.append(src0 - 1)
-        data.append(np.full(len(src0), r / lam))
-    kernel = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nstates, nstates),
-    )
-    kt = kernel.T.tocsr()
-    mu = np.zeros(nstates)
-    mu[nstates - 1] = 1.0  # all sites occupied
-    weights = poisson_weights(lam * t, _SUBSET_TOL)
-    acc = weights[0] * mu
-    for w in weights[1:]:
-        mu = kt @ mu
-        acc += w * mu
-    return acc
+
+    def move(x, y):
+        has = (masks >> x) & 1 == 1
+        return has, ((masks[has] & ~(1 << x)) | (1 << y)) - 1
+
+    kt, lam = _ring_kernel(c, len(masks), move)
+    mu = np.zeros(len(masks))
+    mu[-1] = 1.0  # all sites occupied
+    return uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)[0][0]
 
 
 def exact_occupancy_density(c: MarkovChain, t: float) -> np.ndarray:
@@ -478,28 +464,15 @@ def exact_k_particle_law(
     if start == "distinct" and k + 1 > n:
         raise ParameterOutOfRange("more walkers than vertices for distinct start")
     powers = n ** np.arange(k + 1, dtype=np.int64)
-    idx = np.arange(nstates, dtype=np.int64)
-    coords = (idx[:, None] // powers[None, :]) % n
-    lam = float(c.row_rates.sum())
-    rows, cols, data = [], [], []
-    for x, y, r in zip(*_directed_rates(c)):
-        has = (coords == int(x)).any(axis=1)
-        src = idx[has]
+    coords = (np.arange(nstates, dtype=np.int64)[:, None] // powers[None, :]) % n
+
+    def move(x, y):
+        has = (coords == x).any(axis=1)
         moved = coords[has].copy()
-        moved[moved == int(x)] = int(y)
-        tgt = moved @ powers
-        rows.append(src)
-        cols.append(tgt)
-        data.append(np.full(len(src), r / lam))
-        src0 = idx[~has]
-        rows.append(src0)
-        cols.append(src0)
-        data.append(np.full(len(src0), r / lam))
-    kernel = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nstates, nstates),
-    )
-    kt = kernel.T.tocsr()
+        moved[moved == x] = y
+        return has, moved @ powers
+
+    kt, lam = _ring_kernel(c, nstates, move)
     if start == "pi_tensor":
         mu = np.full(nstates, 1.0 / nstates)
     elif start == "distinct":
@@ -510,17 +483,22 @@ def exact_k_particle_law(
         mu /= mu.sum()
     else:
         raise ParameterOutOfRange(f"unknown start {start!r}")
-    weights = poisson_weights(lam * t, _SUBSET_TOL)
-    acc = weights[0] * mu
-    for w in weights[1:]:
-        mu = kt @ mu
-        acc += w * mu
+    acc, terms, tail = uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)
     diag = (coords == coords[:, :1]).all(axis=1)
-    p = float(acc[diag].sum())
-    out = {"p_coal": p, "start": start, "k": k, "t": t}
+    p = float(acc[0][diag].sum())
+    out = {"p_coal": p, "start": start, "k": k, "t": t, "terms": terms,
+           "tail_mass": tail}
     if start == "pi_tensor":
         out["e_ntk"] = float(n**k) * p
     return out
+
+
+@lru_cache(maxsize=32)
+def _check_connected(g: Graph) -> None:
+    """Coalescence to one cluster needs a connected graph; cached per graph
+    because the runner asks once per replicate."""
+    if not is_connected(g):
+        raise NotConnected("particles on different components never coalesce")
 
 
 def _tau_coal_once(flat: FlatGraph, draws: BufferedDraws) -> float:
@@ -537,6 +515,7 @@ def sample_tau_coal(
     convention: str = "per_edge_unit",
 ) -> float:
     """One draw of the time until a single cluster remains (0 when n = 1)."""
+    _check_connected(g)
     if g.n == 1:
         return 0.0
     return _tau_coal_once(flat_graph(g, convention), BufferedDraws(rng, block=1024))
@@ -549,6 +528,7 @@ def sample_tau_coal_many(
     convention: str = "per_edge_unit",
 ) -> np.ndarray:
     """Batch of coalescence-time draws sharing one buffered stream."""
+    _check_connected(g)
     if g.n == 1:
         return np.zeros(reps)
     flat = flat_graph(g, convention)
@@ -572,7 +552,7 @@ def occupancy_covariances(
             raise SameVertex("covariance needs two distinct vertices")
     sites = sorted({v for p in pairs for v in p})
     pos = {v: i for i, v in enumerate(sites)}
-    grid = _check_grid(t_grid)
+    grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
     ind = np.empty((reps, len(grid), len(sites)), dtype=bool)
@@ -585,18 +565,8 @@ def occupancy_covariances(
         for ti, t in enumerate(grid):
             av = ind[:, ti, pos[a]].astype(float)
             bv = ind[:, ti, pos[b]].astype(float)
-            out[((a, b), t)] = _jackknife_cov(av, bv)
+            out[((a, b), t)] = jackknife_cov(av, bv)
     return out
-
-
-def _jackknife_cov(a: np.ndarray, b: np.ndarray) -> dict:
-    reps = len(a)
-    sa, sb, sab = a.sum(), b.sum(), (a * b).sum()
-    cov = sab / reps - (sa / reps) * (sb / reps)
-    d = reps - 1
-    cov_del = (sab - a * b) / d - (sa - a) * (sb - b) / (d * d)
-    se = float(np.sqrt((d / reps) * np.sum((cov_del - cov_del.mean()) ** 2)))
-    return {"cov_hat": float(cov), "stderr": se}
 
 
 def pair_covariance(

@@ -8,15 +8,14 @@ event by event for graphs beyond the dense caps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._flat import FlatGraph
-from .chains import MarkovChain, poisson_weights, spectrum
+from ._flat import FlatGraph, chain_walk, walk_pair
+from .chains import MarkovChain, jump_kernel, spectrum, uniformize
 from .errors import BadSubset, NotTransitive, ParameterOutOfRange, TooLargeForExact
 from .graphs import Graph
 from .seeding import BufferedDraws
@@ -90,10 +89,8 @@ def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
         raise TooLargeForExact("pair state space capped at 250000")
     sub, off_mask = _pair_system(c)
     b = np.ones(sub.shape[0])
-    if n <= 40:
-        sol = np.linalg.solve(sub.toarray(), b)
-    else:
-        sol = spla.spsolve(sub.tocsc(), b)
+    # the system is symmetric; this ordering fills in far less than COLAMD
+    sol = spla.splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
     residual = float(np.abs(sub @ sol - b).max())
     full = np.zeros(n * n)
     full[off_mask] = sol
@@ -126,46 +123,21 @@ def _killed_pair_survival(c: MarkovChain, mu0: np.ndarray, times, tol=1e-12):
     """P(no meeting by each time) for a pair law mu0 on off-diagonal states.
 
     Uniformizes the product chain in matrix form (state (x,y) at entry
-    [x, y]) with the diagonal absorbing, so memory stays O(n^2).
+    [x, y]) with the diagonal absorbing, so memory stays O(n^2).  Returns
+    the survival values, the term count and the dropped Poisson tail mass.
     """
     q = c.generator()
     lam2 = 2.0 * c.r_max
-    times = np.asarray(times, dtype=float)
-    tmax = float(times.max(initial=0.0))
-    if tmax == 0.0:
-        return np.ones_like(times)
-    weights_max = poisson_weights(lam2 * tmax, tol)
-    kmax = len(weights_max) - 1
-    masses = np.empty(kmax + 1)
-    m = mu0.copy()
-    np.fill_diagonal(m, 0.0)
-    masses[0] = m.sum()
-    for k in range(1, kmax + 1):
+
+    def step(m):
         m = m + (q @ m + m @ q) / lam2
         np.fill_diagonal(m, 0.0)
-        np.clip(m, 0.0, None, out=m)
-        masses[k] = m.sum()
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        w = poisson_weights(lam2 * t, tol)
-        out[i] = float(w @ masses[: len(w)])
-    return out
+        return np.clip(m, 0.0, None, out=m)
 
-
-def _jump_tables(c: MarkovChain):
-    """Per-state jump targets with cumulative rates, for event simulation."""
-    targets = []
-    cums = []
-    for x in range(c.n):
-        nz = np.nonzero(c.rates[x])[0]
-        targets.append(nz.tolist())
-        cums.append(np.cumsum(c.rates[x, nz]).tolist())
-    return targets, cums
-
-
-def _pick_target(targets, cums, x, u):
-    row = cums[x]
-    return targets[x][bisect_right(row, u * row[-1])]
+    m0 = mu0.copy()
+    np.fill_diagonal(m0, 0.0)
+    acc, terms, tail = uniformize(step, m0, lam2, times, tol)
+    return [float(a.sum()) for a in acc], terms, tail
 
 
 def alpha_survival(
@@ -195,19 +167,19 @@ def alpha_survival(
             raise TooLargeForExact("exact alpha capped at 250000 pair states")
         mu0 = np.zeros((c.n, c.n))
         mu0[x, :] = c.rates[x] / rx
-        surv = _killed_pair_survival(c, mu0, [t])[0]
-        return {"value": rx * surv, "stderr": 0.0}
+        surv, terms, tail = _killed_pair_survival(c, mu0, [t])
+        return {"value": rx * surv[0], "stderr": 0.0, "terms": terms,
+                "tail_mass": tail}
     if mode != "mc":
         raise ParameterOutOfRange(f"unknown mode {mode!r}")
     if rng is None:
         raise ParameterOutOfRange("mc mode needs an rng")
-    targets, cums = _jump_tables(c)
-    row_rates = c.row_rates.tolist()
+    rate, neighbor = chain_walk(c)
     draws = BufferedDraws(rng)
     hits = 0
     for _ in range(reps):
-        b = _pick_target(targets, cums, x, draws.u01())
-        if _pair_survives_to(targets, cums, row_rates, x, b, t, draws):
+        b = neighbor(x, draws.u01())
+        if walk_pair(rate, neighbor, x, b, draws, t_max=t)[0] == "time":
             hits += 1
     p = hits / reps
     se = (p * (1.0 - p) / reps) ** 0.5
@@ -216,26 +188,6 @@ def alpha_survival(
         "stderr": rx * se,
         "ci95": (rx * (p - 1.96 * se), rx * (p + 1.96 * se)),
     }
-
-
-def _pair_survives_to(targets, cums, row_rates, a, b, t, draws) -> bool:
-    if a == b:
-        return False
-    clock = 0.0
-    ra, rb = row_rates[a], row_rates[b]
-    while True:
-        total = ra + rb
-        clock += draws.expo() / total
-        if clock > t:
-            return True
-        if draws.u01() * total < ra:
-            a = _pick_target(targets, cums, a, draws.u01())
-            ra = row_rates[a]
-        else:
-            b = _pick_target(targets, cums, b, draws.u01())
-            rb = row_rates[b]
-        if a == b:
-            return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,24 +244,11 @@ def _survival_curve(c: MarkovChain, A, times, tol=1e-12):
     """P_pi(T_A > t) on a time grid by absorbing-set uniformization."""
     mask = np.zeros(c.n, dtype=bool)
     mask[list(A)] = True
-    lam = c.r_max
-    kernel = c.rates / lam
-    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
-    ksub = kernel[~mask][:, ~mask]
+    kernel, lam = jump_kernel(c)
+    ksub_t = kernel[~mask][:, ~mask].T
     v = np.full(int((~mask).sum()), 1.0 / c.n)
-    times = np.asarray(times, dtype=float)
-    tmax = float(times.max(initial=0.0))
-    kmax = len(poisson_weights(lam * tmax, tol)) - 1
-    masses = np.empty(kmax + 1)
-    masses[0] = v.sum()
-    for k in range(1, kmax + 1):
-        v = ksub.T @ v
-        masses[k] = v.sum()
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        w = poisson_weights(lam * t, tol)
-        out[i] = float(w @ masses[: len(w)])
-    return out
+    acc = uniformize(lambda w: ksub_t @ w, v, lam, times, tol)[0]
+    return [float(a.sum()) for a in acc]
 
 
 def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
@@ -382,7 +321,6 @@ def mc_pair_meeting(
         horizon_events = int(50 * g.n / flat.r_min)
     draws = BufferedDraws(rng)
     n = g.n
-    rate = flat.rate
     s1 = 0.0
     s2 = 0.0
     finished = 0
@@ -390,18 +328,10 @@ def mc_pair_meeting(
     for _ in range(reps):
         a = int(draws.u01() * n)
         b = int(draws.u01() * n)
-        clock = 0.0
-        events = 0
-        while a != b and events < horizon_events:
-            ra, rb = rate[a], rate[b]
-            tot = ra + rb
-            clock += draws.expo() / tot
-            if draws.u01() * tot < ra:
-                a = flat.neighbor(a, draws.u01())
-            else:
-                b = flat.neighbor(b, draws.u01())
-            events += 1
-        if a == b:
+        outcome, clock = walk_pair(
+            flat.rate, flat.neighbor, a, b, draws, max_events=horizon_events
+        )
+        if outcome == "meet":
             s1 += clock
             s2 += clock * clock
             finished += 1

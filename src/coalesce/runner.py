@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .config import ExperimentConfig, build_graph, load_config
+from .config import ExperimentConfig, build_graph, check_sites, load_config
 from .errors import TaskError
 from .graphs import Graph
 from .io import sha256_text, write_csv, write_json
@@ -156,6 +156,7 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     out = out_dir if out_dir is not None else config.outputs
     os.makedirs(out, exist_ok=True)
     graph = build_graph(config.graph, config.master_seed)
+    check_sites(config.tasks, graph.n)
     config_digest = sha256_text(json.dumps(config.as_dict(), sort_keys=True))
     results = []
     for i, task in enumerate(config.tasks):

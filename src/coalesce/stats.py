@@ -1,10 +1,10 @@
-"""Small shared statistics helpers: KS distances and compensated sums."""
+"""Small shared statistics helpers: KS distances and the jackknife covariance."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ks_distance_vs_cdf", "ks_distance_two_sample", "kahan_sum"]
+__all__ = ["ks_distance_vs_cdf", "ks_distance_two_sample", "jackknife_cov"]
 
 
 def ks_distance_vs_cdf(samples, cdf) -> float:
@@ -27,13 +27,15 @@ def ks_distance_two_sample(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def kahan_sum(values) -> float:
-    """Compensated summation; order-stable to the last bit."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def jackknife_cov(a, b) -> dict:
+    """Sample covariance of paired samples with its delete-one jackknife
+    standard error."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    reps = len(a)
+    sa, sb, sab = a.sum(), b.sum(), (a * b).sum()
+    cov = sab / reps - (sa / reps) * (sb / reps)
+    d = reps - 1
+    cov_del = (sab - a * b) / d - (sa - a) * (sb - b) / (d * d)
+    se = float(np.sqrt((d / reps) * np.sum((cov_del - cov_del.mean()) ** 2)))
+    return {"cov_hat": float(cov), "stderr": se}

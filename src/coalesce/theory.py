@@ -10,13 +10,13 @@ reversal.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import comb, sqrt, pi, log
 
 import numpy as np
 
+from ._flat import chain_walk, walk_pair
 from .chains import MarkovChain
 from .crw import exact_k_particle_law
 from .errors import (
@@ -128,11 +128,13 @@ def estimate_psi_d(
 
 class _LazyTree:
     """Rooted tree grown on demand: root child count from D, every other
-    vertex's child count from the size-biased law."""
+    vertex's child count from the size-biased law.  A jump to a vertex
+    deeper than ``max_depth`` returns -1, which ends a two-walker run."""
 
-    __slots__ = ("deg", "parent", "depth", "children", "dist", "draws")
+    __slots__ = ("deg", "parent", "depth", "children", "dist", "draws", "max_depth")
 
-    def __init__(self, root_degree, dist_star, draws):
+    def __init__(self, root_degree, dist_star, draws, max_depth):
+        self.max_depth = max_depth
         self.deg = [root_degree]
         self.parent = [-1]
         self.depth = [0]
@@ -163,7 +165,9 @@ class _LazyTree:
             return self._kids(v)[j]
         if j == 0:
             return self.parent[v]
-        return self._kids(v)[j - 1]
+        # the children are grown even on an exit, so the stream stays fixed
+        w = self._kids(v)[j - 1]
+        return w if self.depth[w] <= self.max_depth else -1
 
 
 def _sample_discrete(pairs, u):
@@ -212,30 +216,13 @@ def estimate_alpha_D(
     censored = 0
     for _ in range(reps):
         k_root = _sample_discrete(cum_root, draws.u01())
-        tree = _LazyTree(k_root, cum_star, draws)
-        a = 0
+        tree = _LazyTree(k_root, cum_star, draws, depth)
         b = tree.neighbor(0, draws.u01())
-        clock = 0.0
-        outcome = None  # "meet" | "escape" | "censored"
-        while True:
-            ra, rb = tree.deg[a], tree.deg[b]
-            clock += draws.expo() / (ra + rb)
-            if clock > t_horizon:
-                outcome = "censored"
-                break
-            if draws.u01() * (ra + rb) < ra:
-                a = tree.neighbor(a, draws.u01())
-            else:
-                b = tree.neighbor(b, draws.u01())
-            if a == b:
-                outcome = "meet"
-                break
-            if tree.depth[a] > depth or tree.depth[b] > depth:
-                outcome = "escape"
-                break
-        hi = float(k_root) if outcome in ("escape", "censored") else 0.0
-        lo = float(k_root) if outcome == "escape" else 0.0
-        censored += outcome == "censored"
+        outcome = walk_pair(tree.deg, tree.neighbor, 0, b, draws, t_max=t_horizon)[0]
+        # "killed": a walker left the ball; "time": censored at the horizon
+        hi = float(k_root) if outcome != "meet" else 0.0
+        lo = float(k_root) if outcome == "killed" else 0.0
+        censored += outcome == "time"
         s_hi += hi
         s_hi2 += hi * hi
         s_lo += lo
@@ -276,17 +263,6 @@ def enumerate_patterns(k: int) -> list[list[int]]:
     return [[0, *rest] for rest in product(*(range(max(1, l)) for l in range(1, k + 1)))]
 
 
-def _jump_tables(c: MarkovChain):
-    targets = []
-    cums = []
-    for x in range(c.n):
-        row = c.rates[x]
-        nz = np.nonzero(row)[0]
-        targets.append(nz.tolist())
-        cums.append(np.cumsum(row[nz]).tolist())
-    return targets, cums
-
-
 def branching_integral_mc(
     c: MarkovChain, k: int, t: float, reps: int, rng: np.random.Generator
 ) -> dict:
@@ -306,17 +282,14 @@ def branching_integral_mc(
     if t == 0.0:
         return {"estimate": 0.0, "stderr": 0.0}
     patterns = enumerate_patterns(k)
-    targets, cums = _jump_tables(c)
-    row_rates = c.row_rates.tolist()
+    row_rates, neighbor = chain_walk(c)
     draws = BufferedDraws(rng, block=1 << 16)
     n = c.n
     s1 = s2 = 0.0
     for _ in range(reps):
         ts = sorted(draws.u01() * t for _ in range(k))
         pattern = patterns[int(draws.u01() * len(patterns))]
-        score = _branching_score(
-            n, targets, cums, row_rates, ts, pattern, t, draws
-        )
+        score = _branching_score(n, row_rates, neighbor, ts, pattern, t, draws)
         s1 += score
         s2 += score * score
     mean = s1 / reps
@@ -325,12 +298,7 @@ def branching_integral_mc(
     return {"estimate": scale * mean, "stderr": scale * sqrt(var / reps)}
 
 
-def _jump(targets, cums, x, u):
-    row = cums[x]
-    return targets[x][bisect_right(row, u * row[-1])]
-
-
-def _branching_score(n, targets, cums, row_rates, ts, pattern, t, draws) -> float:
+def _branching_score(n, row_rates, neighbor, ts, pattern, t, draws) -> float:
     pos = [int(draws.u01() * n)]
     weight = 1.0
     clock = 0.0
@@ -345,7 +313,7 @@ def _branching_score(n, targets, cums, row_rates, ts, pattern, t, draws) -> floa
             clock = ts[next_birth]
             parent = pos[pattern[next_birth + 1]]
             weight *= row_rates[parent]
-            born = _jump(targets, cums, parent, draws.u01())
+            born = neighbor(parent, draws.u01())
             if born in pos:
                 return 0.0
             pos.append(born)
@@ -363,7 +331,7 @@ def _branching_score(n, targets, cums, row_rates, ts, pattern, t, draws) -> floa
             acc += row_rates[p]
             if u < acc:
                 break
-        new = _jump(targets, cums, pos[i], draws.u01())
+        new = neighbor(pos[i], draws.u01())
         for j, q in enumerate(pos):
             if j != i and q == new:
                 return 0.0

@@ -43,7 +43,7 @@ from .meeting import (
 )
 from .runner import run_task
 from .seeding import derive_rng
-from .stats import ks_distance_two_sample
+from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (
     bg_prediction,
     estimate_alpha_D,
@@ -52,6 +52,7 @@ from .theory import (
     mean_field_predictions,
     reversal_identity_residual,
 )
+from .voter import duality_statistics
 
 __all__ = ["exact_suite", "statistical_suite", "paper_suite", "SUITE_HEADER"]
 
@@ -266,18 +267,17 @@ def statistical_suite(
     _, crw_rows = run_task(
         g6, "per_edge_unit", {"task": "tracked_cluster"}, [t], reps, seed, threads
     )
-    nhat = np.array([r[2] for r in nhat_rows], dtype=float)
-    ncrw = np.array([r[3] for r in crw_rows], dtype=float)
-    xi = np.array([r[2] for r in crw_rows], dtype=float)
-    ks = ks_distance_two_sample(nhat, ncrw)
+    dual = duality_statistics(
+        np.array([r[2] for r in nhat_rows], dtype=float),
+        np.array([r[3] for r in crw_rows], dtype=float),
+        np.array([r[2] for r in crw_rows], dtype=float),
+        g6.n,
+    )
+    ks = dual["ks_nhat_vs_Nt"]
     thr = ks_threshold(reps, reps)
     rows.append(_row("duality_cycle6", "ks_nhat_vs_N", ks, 0.0, thr, ks <= thr))
-    p_density = xi.mean() / 6.0
-    inv_n = (1.0 / ncrw).mean()
-    se = float(
-        np.sqrt(xi.std(ddof=1) ** 2 / 36.0 / reps + (1.0 / ncrw).std(ddof=1) ** 2 / reps)
-    )
-    z = abs(p_density - inv_n) / se
+    se = dual["se_Pt_vs_invNt"]
+    z = dual["abs_gap_Pt_vs_invNt"] / se
     rows.append(_row("duality_cycle6", "z_Pt_vs_invN", z, se, 4.0, z <= 4.0))
 
     # complete-graph coalescence against the exponential-stage sampler
@@ -308,12 +308,8 @@ def statistical_suite(
     for t_val, ind_rows in by_t.items():
         ind = np.array(ind_rows, dtype=float)
         for a, b in pairs:
-            av, bv = ind[:, a], ind[:, b]
-            cov = (av * bv).mean() - av.mean() * bv.mean()
-            d = reps - 1
-            sa, sb, sab = av.sum(), bv.sum(), (av * bv).sum()
-            cov_del = (sab - av * bv) / d - (sa - av) * (sb - bv) / (d * d)
-            se = float(np.sqrt((d / reps) * np.sum((cov_del - cov_del.mean()) ** 2)))
+            jk = jackknife_cov(ind[:, a], ind[:, b])
+            cov, se = jk["cov_hat"], jk["stderr"]
             z = cov / se if se > 0 else 0.0
             worst = max(worst, z)
             ok = ok and cov <= 3.0 * se

@@ -12,13 +12,11 @@ tracked label's slot through merges instead of keeping a union-find.
 
 from __future__ import annotations
 
-import math
-import numbers
 from bisect import bisect_right
 
 import numpy as np
 
-from ._flat import FlatGraph
+from ._flat import FlatGraph, check_grid
 from .crw import _lockstep_cluster_sizes, _lockstep_rows, _simulate_one, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
@@ -29,6 +27,7 @@ __all__ = [
     "simulate_voter",
     "sample_nhat_ancestral",
     "duality_gap",
+    "duality_statistics",
     "normalized_moments",
     "gamma_ks",
     "gamma22_cdf",
@@ -105,9 +104,7 @@ def simulate_voter(
     of a uniform initial opinion's cluster (0 once extinct), ``survived_0``
     the indicator that opinion 0 is still held somewhere.
     """
-    grid = [float(t) for t in t_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0.0):
-        raise ParameterOutOfRange("t_grid must be sorted and nonnegative")
+    grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     out = _voter_once(flat, BufferedDraws(rng, block=1024), grid)
     out["t"] = np.array(grid)
@@ -132,8 +129,7 @@ def sample_nhat_ancestral(
     """
     if trajectories < 1 or draws_per_trajectory < 1:
         raise ParameterOutOfRange("need at least one trajectory and draw")
-    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t >= 0.0):
-        raise ParameterOutOfRange(f"t must be finite and nonnegative, got {t!r}")
+    (t,) = check_grid([t])
     flat = flat_graph(g, convention)
     out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)
     rows = _lockstep_rows(g.n)
@@ -142,7 +138,7 @@ def sample_nhat_ancestral(
         # labels are independent of the dynamics, so drawing them first
         # gives the same law as picking them at time t
         labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
-        out[start:start + block] = _lockstep_cluster_sizes(flat, float(t), labels, rng)
+        out[start:start + block] = _lockstep_cluster_sizes(flat, t, labels, rng)
     return out.reshape(-1)
 
 
@@ -201,28 +197,34 @@ def duality_gap(
         rec = _simulate_one(flat, occ_draws, grid, "occupancy", [0], None, False)
         occ0[r] = rec["occ"][0, 0]
 
-    ks = ks_distance_two_sample(nhat, ncrw)
     p_surv = survived.mean()
     p_occ = occ0.mean()
-    se_sd = _bernoulli_gap_se(p_surv, p_occ, reps)
-    p_density = xi.mean() / g.n
-    inv_n = (1.0 / ncrw).mean()
-    se_pd = np.sqrt(
-        xi.std(ddof=1) ** 2 / g.n**2 / reps + (1.0 / ncrw).std(ddof=1) ** 2 / reps
-    )
     return {
-        "ks_nhat_vs_Nt": ks,
+        **duality_statistics(nhat, ncrw, xi, g.n),
         "abs_gap_survival_vs_density": abs(p_surv - p_occ),
-        "se_survival_vs_density": se_sd,
-        "abs_gap_Pt_vs_invNt": abs(p_density - inv_n),
-        "se_Pt_vs_invNt": float(se_pd),
+        "se_survival_vs_density": float(
+            np.sqrt((p_surv * (1 - p_surv) + p_occ * (1 - p_occ)) / reps)
+        ),
         "nhat": nhat,
         "N_samples": ncrw,
     }
 
 
-def _bernoulli_gap_se(p1: float, p2: float, reps: int) -> float:
-    return float(np.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / reps))
+def duality_statistics(nhat, ncrw, xi, n: int) -> dict:
+    """Duality checks on independent samples at one time: the two-sample KS
+    distance between the voter cluster size ``nhat`` and the tracked
+    coalescing cluster count ``ncrw``, and the gap between the density
+    E[xi] / n and E[1 / N_t] with its standard error."""
+    ncrw = np.asarray(ncrw)
+    xi = np.asarray(xi)
+    reps = len(ncrw)
+    inv_n = 1.0 / ncrw
+    se = np.sqrt(xi.std(ddof=1) ** 2 / n**2 / reps + inv_n.std(ddof=1) ** 2 / reps)
+    return {
+        "ks_nhat_vs_Nt": ks_distance_two_sample(nhat, ncrw),
+        "abs_gap_Pt_vs_invNt": abs(xi.mean() / n - inv_n.mean()),
+        "se_Pt_vs_invNt": float(se),
+    }
 
 
 def normalized_moments(samples, kmax: int, rng=None, resamples: int = 500) -> dict:

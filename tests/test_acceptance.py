@@ -34,7 +34,13 @@ from coalesce.theory import (
     reversal_identity_residual,
 )
 from coalesce.verify import exact_suite
-from coalesce.voter import gamma_ks, sample_nhat_ancestral, simulate_voter
+from coalesce.voter import (
+    duality_statistics,
+    gamma_ks,
+    sample_nhat_ancestral,
+    simulate_voter,
+    size_bias_histogram,
+)
 from coalesce.crw import simulate_crw
 
 
@@ -96,23 +102,13 @@ def test_c03_duality_cycle6():
         rec = simulate_crw(g, [t], rng_c, track="tracked_cluster")
         ncrw[r] = rec["N"][0]
         xi[r] = rec["xi_size"][0]
-    ks = ks_distance_two_sample(nhat, ncrw)
-    p_hat = xi.mean() / 6.0
-    inv_mean = (1.0 / ncrw).mean()
-    se = np.sqrt(
-        np.var(xi / 6.0, ddof=1) / reps + np.var(1.0 / ncrw, ddof=1) / reps
+    dual = duality_statistics(nhat, ncrw, xi, g.n)
+    ks = dual["ks_nhat_vs_Nt"]
+    z_inv = dual["abs_gap_Pt_vs_invNt"] / dual["se_Pt_vs_invNt"]
+    worst_bin = max(
+        abs(b["diff"]) / b["se"] for b in size_bias_histogram(nhat, n_init, 4)
     )
-    z_inv = abs(p_hat - inv_mean) / se
-    bins_ok = True
-    worst_bin = 0.0
-    for k in range(1, 5):
-        a = (nhat == k).astype(float)
-        b = float(k) * (n_init == k).astype(float)
-        zbin = abs(a.mean() - b.mean()) / np.sqrt(
-            (a.var(ddof=1) + b.var(ddof=1)) / reps
-        )
-        worst_bin = max(worst_bin, zbin)
-        bins_ok = bins_ok and zbin <= 4.0
+    bins_ok = worst_bin <= 4.0
     elapsed = time.monotonic() - t0
     report(
         "C3",

@@ -50,6 +50,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("times", [[True], [float("nan")], [0.5, float("inf")]])
+    def test_bad_times_name_field(self, tmp_path, times):
+        cfg = minimal_config(tmp_path)
+        cfg["times"] = times
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "times"
+        cfg = minimal_config(tmp_path, tasks=[{"task": "occupancy", "times": times}])
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "tasks[0].times"
+
+    def test_float_graph_param_names_field(self, tmp_path):
+        cfg = minimal_config(tmp_path)
+        cfg["graph"]["params"] = [8.5]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "graph.params[0]"
+
+    @pytest.mark.parametrize("site", [99, -1])
+    def test_site_out_of_range_names_field(self, tmp_path, site):
+        cfg = validate_config(
+            minimal_config(tmp_path, tasks=[{"task": "occupancy", "sites": [0, site]}])
+        )
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg)
+        assert err.value.path == "tasks[0].sites[1]"
+
     def test_bad_schema_version(self, tmp_path):
         cfg = minimal_config(tmp_path)
         cfg["schema"] = 2
@@ -193,9 +221,11 @@ class TestFailurePaths:
     def test_task_error_names_task(self, tmp_path):
         from coalesce.errors import TaskError
 
-        cfg = validate_config(
-            minimal_config(tmp_path / "f", tasks=[{"task": "occupancy", "sites": [99]}])
-        )
+        # total-unit rates on an irregular graph fail only once the task runs
+        raw = minimal_config(tmp_path / "f", tasks=[{"task": "occupancy"}])
+        raw["graph"] = {"cm": {"degrees": [[2, 0.5], [3, 0.5]], "n": 20, "seed": 1}}
+        raw["rate_convention"] = "total_unit"
+        cfg = validate_config(raw)
         with pytest.raises(TaskError) as err:
             run_experiment(cfg)
         assert "occupancy" in str(err.value)

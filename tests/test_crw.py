@@ -12,10 +12,14 @@ from coalesce.crw import (
     sample_tau_coal,
     sample_tau_coal_many,
     simulate_crw,
-    _find,
     _Run,
 )
-from coalesce.errors import ParameterOutOfRange, SameVertex, TooLargeForExact
+from coalesce.errors import (
+    NotConnected,
+    ParameterOutOfRange,
+    SameVertex,
+    TooLargeForExact,
+)
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
 from coalesce.meeting import pairwise_meeting_times
 from coalesce.seeding import BufferedDraws, derive_rng
@@ -45,6 +49,27 @@ class TestSimulate:
         with pytest.raises(ParameterOutOfRange):
             simulate_crw(C4, [1.0, 0.5], derive_rng(0, "sim", 0))
 
+    @pytest.mark.parametrize("track", ["density", "tracked_cluster", "occupancy"])
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), True])
+    def test_nonfinite_or_bool_grid_rejected(self, track, t):
+        # a NaN grid time used to hang the occupancy track
+        with pytest.raises(ParameterOutOfRange):
+            simulate_crw(C4, [t], derive_rng(0, "sim", 0), track=track)
+
+    def test_site_out_of_range_rejected(self):
+        for sites in ([4], [-1]):
+            with pytest.raises(ParameterOutOfRange):
+                simulate_crw(C4, [1.0], derive_rng(0, "sim", 0), track="occupancy",
+                             site_list=sites)
+
+    def test_edgeless_graph_holds_state(self):
+        g = Graph.from_edges(3, [])
+        for full in (False, True):
+            rec = simulate_crw(g, [0.0, 1.0, 5.0], derive_rng(0, "sim", 0),
+                               track="occupancy", full_stream=full)
+            assert rec["xi_size"].tolist() == [3, 3, 3]
+            assert rec["occ"].all()
+
     def test_determinism(self):
         a = simulate_crw(cycle_graph(10), [0.5, 1.5], derive_rng(7, "det", 3),
                          track="tracked_cluster")
@@ -62,8 +87,7 @@ class TestSimulate:
                 break
             run.clock += draws.expo() / run.total_rate()
             run.step()
-            total = sum(run.size[_find(run.parent, r)] for r in run.slot_root)
-            assert total == 9
+            assert sum(run.size[:run.m]) == 9
             assert sum(1 for v in run.at_site if v >= 0) == run.m
 
     def test_coupling_monotone_in_initial_set(self):
@@ -86,6 +110,10 @@ class TestDensity:
         est = estimate_density(C4, [0.0], 50, derive_rng(4, "dens", 0))
         assert est.p_hat[0] == 1.0
         assert est.stderr[0] == 0.0
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            estimate_density(C4, [0.5, float("nan")], 50, derive_rng(4, "dens", 0))
 
     def test_two_path_against_oracle(self):
         est = estimate_density(P2, [0.5, 1.0, 2.0], 20_000, derive_rng(5, "dens", 0))
@@ -189,10 +217,25 @@ class TestKParticle:
         with pytest.raises(TooLargeForExact):
             exact_k_particle_law(build_generator(cycle_graph(12)), 3, 1.0)
 
+    def test_reports_truncation(self, cycle4_chain):
+        for k, t in ((1, 0.5), (2, 3.0)):
+            law = exact_k_particle_law(cycle4_chain, k, t)
+            assert law["terms"] > 1
+            assert 0.0 <= law["tail_mass"] <= 1e-10
+
 
 class TestTauCoal:
     def test_single_vertex(self):
         assert sample_tau_coal(Graph.from_edges(1, []), derive_rng(0, "tau", 0)) == 0.0
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(4, [(0, 1), (2, 3)]),
+                                   Graph.from_edges(3, [])])
+    def test_disconnected_rejected(self, g):
+        # two components used to loop forever; no edges divided by zero
+        with pytest.raises(NotConnected):
+            sample_tau_coal(g, derive_rng(0, "tau", 0))
+        with pytest.raises(NotConnected):
+            sample_tau_coal_many(g, 5, derive_rng(0, "tau", 0))
 
     def test_k2_exponential(self):
         taus = sample_tau_coal_many(P2, 20_000, derive_rng(11, "tau", 0))

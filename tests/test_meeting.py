@@ -45,7 +45,7 @@ class TestPairwise:
         assert np.array_equal(np.diag(prof.pairwise), np.zeros(27))
 
     def test_sparse_path_matches_dense(self):
-        # n > 40 routes through the sparse solver
+        # every size goes through the sparse LU; 2450 unknowns here
         c = build_generator(cycle_graph(50))
         prof = pairwise_meeting_times(c)
         assert np.allclose(prof.pairwise, cycle_pair_oracle(50), atol=1e-7)
@@ -96,6 +96,22 @@ class TestAlphaSurvival:
         lo, hi = mc["ci95"]
         assert lo <= mc["value"] <= hi
         assert hi - lo == pytest.approx(2 * 1.96 * mc["stderr"], rel=1e-12)
+
+    def test_exact_vs_mc_irregular_weighted(self):
+        # non-integer rates and unequal row totals exercise the weighted pick
+        rates = np.array([
+            [0.0, 1.5, 0.25, 0.0, 0.0],
+            [1.5, 0.0, 0.7, 2.0, 0.0],
+            [0.25, 0.7, 0.0, 0.0, 1.1],
+            [0.0, 2.0, 0.0, 0.0, 0.4],
+            [0.0, 0.0, 1.1, 0.4, 0.0],
+        ])
+        c = MarkovChain.from_rates(rates)
+        for x, t in ((2, 0.8), (3, 0.3)):
+            exact = alpha_survival(c, x, t)["value"]
+            mc = alpha_survival(c, x, t, mode="mc", reps=40_000,
+                                rng=derive_rng(11, "alpha-irr", x))
+            assert abs(mc["value"] - exact) <= 4.5 * mc["stderr"]
 
     def test_nonincreasing(self, cycle4_chain):
         vals = [alpha_survival(cycle4_chain, 0, t)["value"] for t in (0.0, 0.3, 0.8, 1.5)]

@@ -27,6 +27,12 @@ class TestSimulateVoter:
         assert rec["n_distinct"][0] == 6
         assert rec["survived_0"][0]
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), True])
+    def test_bad_grid_rejected(self, t):
+        # a NaN grid time used to hang the forward engine
+        with pytest.raises(ParameterOutOfRange):
+            simulate_voter(cycle_graph(4), [t], derive_rng(0, "voter", 0))
+
     def test_k2_agreement_probability(self):
         rng = derive_rng(1, "voter", 0)
         t = 0.4
@@ -90,7 +96,7 @@ class TestAncestralSampler:
                                     draws_per_trajectory=5)
         assert out.shape == (500,)
 
-    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf"), "1.0"])
+    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf"), "1.0", True])
     def test_bad_time_rejected(self, t):
         with pytest.raises(ParameterOutOfRange):
             sample_nhat_ancestral(cycle_graph(4), t, 10, derive_rng(7, "anc", 1))
