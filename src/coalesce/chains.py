@@ -9,6 +9,7 @@ nonnegativity and has a computable truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 from scipy.stats import poisson
@@ -32,7 +33,6 @@ __all__ = [
     "return_integrals",
     "poisson_weights",
     "uniformize",
-    "jump_kernel",
 ]
 
 _DENSE_CAP = 4096
@@ -204,14 +204,6 @@ def uniformize(step, x0, lam: float, times, tol: float = 1e-12):
     return acc, terms, tail
 
 
-def jump_kernel(c: MarkovChain) -> tuple[np.ndarray, float]:
-    """Dense jump kernel of the chain uniformized at rate r_max, and r_max."""
-    lam = c.r_max
-    kernel = c.rates / lam
-    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
-    return kernel, lam
-
-
 def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarray:
     """Time-t transition probabilities by uniformization."""
     if c.n > _DENSE_CAP:
@@ -220,7 +212,9 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
         raise ParameterOutOfRange("time must be nonnegative")
     if t == 0.0 or c.r_max == 0.0:
         return np.eye(c.n)
-    kernel, lam = jump_kernel(c)
+    lam = c.r_max
+    kernel = c.rates / lam
+    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
     return uniformize(lambda p: p @ kernel, np.eye(c.n), lam, [t], tol)[0][0]
 
 
@@ -245,19 +239,13 @@ def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | Non
     elif kind == "hypercube":
         d = family[1]
         ks = np.arange(d + 1)
-        ev = np.repeat(2.0 * ks, [_binom(d, k) for k in ks]).astype(float)
+        ev = np.repeat(2.0 * ks, [comb(d, k) for k in ks]).astype(float)
         deg = d
     else:
         return None
     if convention == "total_unit":
         ev = ev / deg
     return np.sort(ev)
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 def spectrum(c: MarkovChain, family_hint: tuple | None = None) -> Spectrum:
@@ -276,64 +264,36 @@ def spectrum(c: MarkovChain, family_hint: tuple | None = None) -> Spectrum:
     return Spectrum(eigenvalues=ev)
 
 
-def _diag_heat(c: MarkovChain):
-    """Factory returning s -> diag(p_s) via one symmetric eigendecomposition."""
+def _return_integral(c: MarkovChain):
+    """Factory returning s -> integral of diag(p_u) du over [0, s], from one
+    symmetric eigendecomposition."""
     lam, vecs = np.linalg.eigh(-c.generator())
     lam = np.where(lam < _EIG_ZERO, 0.0, lam)
     v2 = vecs**2
 
-    def diag_at(s: float) -> np.ndarray:
-        return v2 @ np.exp(-lam * s)
-
     def integral_to(s: float) -> np.ndarray:
-        # entrywise integral of p_u(x,x) du over [0, s]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(lam > 0.0, (1.0 - np.exp(-lam * s)) / lam, s)
         return v2 @ terms
 
-    return diag_at, integral_to
+    return integral_to
 
 
-def _simpson(values: np.ndarray, h: float) -> np.ndarray:
-    weights = np.ones(len(values))
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return (h / 3.0) * np.tensordot(weights, values, axes=(0, 0))
-
-
-def return_integrals(
-    c: MarkovChain, t: float, quad_steps: int = 512, refine_tol: float = 1e-9
-) -> ReturnProfile:
+def return_integrals(c: MarkovChain, t: float) -> ReturnProfile:
     """Extremes of the diagonal heat-kernel integral and its ratio profile.
 
     M_t and m_t are the max / min over states of the integral of p_s(x,x)
-    over [0, t], by composite Simpson with step doubling.  H_t is the grid
-    maximum over s in (t_rel/2, 2t) of the max/min ratio of the same
+    over [0, t], in closed form from the spectral decomposition.  H_t is the
+    grid maximum over s in (t_rel/2, 2t) of the max/min ratio of the same
     integral up to s.
     """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("return integrals need the dense path")
     if t <= 0.0:
         raise ParameterOutOfRange("t must be positive")
-    diag_at, integral_to = _diag_heat(c)
-
-    def simpson_extremes(steps: int):
-        ss = np.linspace(0.0, t, steps + 1)
-        vals = np.stack([diag_at(s) for s in ss])
-        integ = _simpson(vals, t / steps)
-        return float(integ.max()), float(integ.min())
-
-    steps = max(8, quad_steps if quad_steps % 2 == 0 else quad_steps + 1)
-    big, small = simpson_extremes(steps)
-    while True:
-        steps *= 2
-        big2, small2 = simpson_extremes(steps)
-        if abs(big2 - big) < refine_tol and abs(small2 - small) < refine_tol:
-            big, small = big2, small2
-            break
-        big, small = big2, small2
-        if steps > 1 << 16:
-            break
+    integral_to = _return_integral(c)
+    integ = integral_to(t)
+    big, small = float(integ.max()), float(integ.min())
 
     t_rel = spectrum(c).t_rel
     lo, hi = t_rel / 2.0, 2.0 * t

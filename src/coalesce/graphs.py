@@ -419,14 +419,38 @@ def write_graph(g: Graph, path) -> None:
             fh.write(f"{u} {v} {m}\n")
 
 
+def _int_fields(path, lineno: int, fields: list, count: int) -> list[int]:
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        values = None
+    if values is None or len(values) != count:
+        raise ParameterOutOfRange(
+            f"{path}:{lineno}: expected {count} integers, got {' '.join(fields)!r}"
+        )
+    return values
+
+
 def read_graph(path) -> Graph:
+    """Read a file written by write_graph; a malformed file raises
+    ParameterOutOfRange naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "crwgraph" or header[1] != "v1":
             raise ParameterOutOfRange(f"{path}: not a crwgraph v1 file")
-        n, m_lines = int(header[2]), int(header[3])
+        n, m_lines = _int_fields(path, 1, header[2:], 2)
+        if m_lines < 0:
+            raise ParameterOutOfRange(f"{path}:1: negative edge count {m_lines}")
         edges = []
-        for _ in range(m_lines):
-            u, v, m = fh.readline().split()
-            edges.append((int(u), int(v), int(m)))
+        for lineno in range(2, m_lines + 2):
+            line = fh.readline()
+            if not line:
+                raise ParameterOutOfRange(
+                    f"{path}:{lineno}: file ends after {lineno - 2} of {m_lines} edges"
+                )
+            edges.append(tuple(_int_fields(path, lineno, line.split(), 3)))
+        if fh.readline().strip():
+            raise ParameterOutOfRange(
+                f"{path}:{m_lines + 2}: more than the {m_lines} edges in the header"
+            )
     return Graph.from_edges(n, edges)

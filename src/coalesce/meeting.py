@@ -1,9 +1,10 @@
 """Meeting-time and hitting-time functionals.
 
-Exact quantities come from linear solves and uniformization on the two-walker
-product chain, which is handled by index arithmetic over pairs and never
-materialized as a graph.  Monte Carlo fallbacks simulate the pair of walkers
-event by event for graphs beyond the dense caps.
+Exact quantities come from one sparse hitting-time solve and one killed
+uniformization, applied to a single chain or to the two-walker product
+chain (a sparse Kronecker sum on states x * n + y, killed on its diagonal).
+Monte Carlo fallbacks simulate the pair of walkers event by event for graphs
+beyond the dense caps.
 """
 
 from __future__ import annotations
@@ -15,9 +16,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._flat import FlatGraph, chain_walk, walk_pair
-from .chains import MarkovChain, jump_kernel, spectrum, uniformize
-from .errors import BadSubset, NotTransitive, ParameterOutOfRange, TooLargeForExact
-from .graphs import Graph
+from .chains import MarkovChain, spectrum, uniformize
+from .errors import (
+    BadSubset,
+    NotConnected,
+    NotTransitive,
+    ParameterOutOfRange,
+    TooLargeForExact,
+)
+from .graphs import Graph, is_connected
 from .seeding import BufferedDraws
 
 __all__ = [
@@ -46,40 +53,42 @@ class MeetingProfile:
     residual: float
 
 
-def _pair_system(c: MarkovChain):
-    """Sparse linear system for expected diagonal hitting times of the
-    two-walker product chain, restricted to off-diagonal pair states."""
-    n = c.n
-    rows, cols, data = [], [], []
-    xs, ys = np.nonzero(c.rates)
-    vals = c.rates[xs, ys]
-    grid = np.arange(n)
-    for a, b, r in zip(xs, ys, vals):
-        # first coordinate jumps a -> b in states (a, y); target (b, y)
-        y = grid[(grid != a) & (grid != b)]
-        rows.append(a * n + y)
-        cols.append(b * n + y)
-        data.append(np.full(len(y), -r))
-        # second coordinate jumps a -> b in states (x, a); target (x, b)
-        x = grid[(grid != a) & (grid != b)]
-        rows.append(x * n + a)
-        cols.append(x * n + b)
-        data.append(np.full(len(x), -r))
-    rr = c.row_rates
-    diag_states = grid * n + grid
-    p = np.arange(n * n)
-    off_mask = np.ones(n * n, dtype=bool)
-    off_mask[diag_states] = False
-    rows.append(p[off_mask])
-    cols.append(p[off_mask])
-    total = np.add.outer(rr, rr).ravel()
-    data.append(total[off_mask])
-    mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    )
-    sub = mat[off_mask][:, off_mask]
-    return sub, off_mask
+def _pair_generator(c: MarkovChain):
+    """Sparse generator of two independent copies of c, state x * n + y."""
+    q = sp.csr_matrix(c.generator())
+    eye = sp.identity(c.n, format="csr")
+    return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
+
+
+def _hitting_times(q, mask):
+    """Expected hitting times of the states in mask (zero there) for the
+    sparse generator q, and the max residual of the linear solve."""
+    sub = -q[~mask][:, ~mask]
+    b = np.ones(sub.shape[0])
+    # the system is symmetric; this ordering fills in far less than COLAMD
+    sol = spla.splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    h = np.zeros(len(mask))
+    h[~mask] = sol
+    return h, float(np.abs(sub @ sol - b).max())
+
+
+def _survival(q, mask, mu0, times, tol=1e-12):
+    """P(mask not hit by each time) from the law mu0 for the sparse
+    generator q, by uniformizing the chain killed on mask at the largest
+    total rate in q.  Returns the values, the term count and the dropped
+    Poisson tail mass."""
+    lam = float(-q.diagonal().min())
+    kernel = q / lam
+    kernel.setdiag(kernel.diagonal() + 1.0)
+
+    def step(v):
+        # q is symmetric, so kernel @ v moves the law v by one jump
+        v = kernel @ v
+        v[mask] = 0.0
+        return v
+
+    acc, terms, tail = uniformize(step, np.where(mask, 0.0, mu0), lam, times, tol)
+    return [float(a[~mask].sum()) for a in acc], terms, tail
 
 
 def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
@@ -87,14 +96,8 @@ def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
     n = c.n
     if n * n > _PAIR_CAP:
         raise TooLargeForExact("pair state space capped at 250000")
-    sub, off_mask = _pair_system(c)
-    b = np.ones(sub.shape[0])
-    # the system is symmetric; this ordering fills in far less than COLAMD
-    sol = spla.splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    residual = float(np.abs(sub @ sol - b).max())
-    full = np.zeros(n * n)
-    full[off_mask] = sol
-    pairwise = full.reshape(n, n)
+    h, residual = _hitting_times(_pair_generator(c), np.eye(n, dtype=bool).ravel())
+    pairwise = h.reshape(n, n)
     t_pi = float(pairwise.sum() / (n * n))
     t_distinct = float(pairwise.sum() / (n * (n - 1)))
     return MeetingProfile(
@@ -117,27 +120,6 @@ def mean_meeting_time(c: MarkovChain, mode: str = "pi_pi") -> float:
     if mode == "distinct":
         return profile.t_meet_distinct
     raise ParameterOutOfRange(f"unknown mode {mode!r}")
-
-
-def _killed_pair_survival(c: MarkovChain, mu0: np.ndarray, times, tol=1e-12):
-    """P(no meeting by each time) for a pair law mu0 on off-diagonal states.
-
-    Uniformizes the product chain in matrix form (state (x,y) at entry
-    [x, y]) with the diagonal absorbing, so memory stays O(n^2).  Returns
-    the survival values, the term count and the dropped Poisson tail mass.
-    """
-    q = c.generator()
-    lam2 = 2.0 * c.r_max
-
-    def step(m):
-        m = m + (q @ m + m @ q) / lam2
-        np.fill_diagonal(m, 0.0)
-        return np.clip(m, 0.0, None, out=m)
-
-    m0 = mu0.copy()
-    np.fill_diagonal(m0, 0.0)
-    acc, terms, tail = uniformize(step, m0, lam2, times, tol)
-    return [float(a.sum()) for a in acc], terms, tail
 
 
 def alpha_survival(
@@ -166,8 +148,9 @@ def alpha_survival(
         if c.n * c.n > _PAIR_CAP:
             raise TooLargeForExact("exact alpha capped at 250000 pair states")
         mu0 = np.zeros((c.n, c.n))
-        mu0[x, :] = c.rates[x] / rx
-        surv, terms, tail = _killed_pair_survival(c, mu0, [t])
+        mu0[x] = c.rates[x] / rx
+        diag = np.eye(c.n, dtype=bool).ravel()
+        surv, terms, tail = _survival(_pair_generator(c), diag, mu0.ravel(), [t])
         return {"value": rx * surv[0], "stderr": 0.0, "terms": terms,
                 "tail_mass": tail}
     if mode != "mc":
@@ -199,56 +182,35 @@ class ExitMeasure:
 
 def exit_measure(c: MarkovChain, A) -> ExitMeasure:
     """Stationary exit law from A onto its complement, with the exit flow."""
-    A = _check_subset(c.n, A)
-    mask = np.zeros(c.n, dtype=bool)
-    mask[list(A)] = True
+    mask = _subset_mask(c.n, A)
     pi = 1.0 / c.n
     flow = pi * c.rates[mask][:, ~mask].sum()
     weights = np.zeros(c.n)
     weights[~mask] = pi * c.rates[mask][:, ~mask].sum(axis=0) / flow
-    return ExitMeasure(A=tuple(sorted(A)), weights=weights, Q_A=float(flow))
+    A = tuple(int(a) for a in np.flatnonzero(mask))
+    return ExitMeasure(A=A, weights=weights, Q_A=float(flow))
 
 
-def _check_subset(n: int, A):
+def _subset_mask(n: int, A) -> np.ndarray:
     A = set(int(a) for a in A)
     if not A or len(A) >= n:
         raise BadSubset("need a proper nonempty subset")
     if any(a < 0 or a >= n for a in A):
         raise BadSubset("subset contains out-of-range states")
-    return A
-
-
-def _hitting_times(c: MarkovChain, A) -> np.ndarray:
-    """Expected hitting time of A from every state (zero on A)."""
-    mask = np.zeros(c.n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
     mask[list(A)] = True
-    q = c.generator()
-    sub = -q[~mask][:, ~mask]
-    h = np.zeros(c.n)
-    h[~mask] = np.linalg.solve(sub, np.ones(int((~mask).sum())))
-    return h
+    return mask
 
 
 def kac_residual(c: MarkovChain, A) -> float:
     """Defect of the stationary flow identity
     pi(A^c) = Q(A, A^c) * E_{exit law}(T_A); zero for exact arithmetic."""
-    A = _check_subset(c.n, A)
+    mask = _subset_mask(c.n, A)
     em = exit_measure(c, A)
-    h = _hitting_times(c, A)
-    lhs = 1.0 - len(A) / c.n
+    h = _hitting_times(sp.csr_matrix(c.generator()), mask)[0]
+    lhs = 1.0 - mask.sum() / c.n
     rhs = em.Q_A * float(em.weights @ h)
     return abs(lhs - rhs)
-
-
-def _survival_curve(c: MarkovChain, A, times, tol=1e-12):
-    """P_pi(T_A > t) on a time grid by absorbing-set uniformization."""
-    mask = np.zeros(c.n, dtype=bool)
-    mask[list(A)] = True
-    kernel, lam = jump_kernel(c)
-    ksub_t = kernel[~mask][:, ~mask].T
-    v = np.full(int((~mask).sum()), 1.0 / c.n)
-    acc = uniformize(lambda w: ksub_t @ w, v, lam, times, tol)[0]
-    return [float(a.sum()) for a in acc]
 
 
 def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
@@ -256,8 +218,9 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     stationary start: tail bound |P(T_A > t) - exp(-t/E)| <= t_rel/E and the
     density envelope, with the density obtained by central differences of
     the exact survival curve."""
-    A = _check_subset(c.n, A)
-    h = _hitting_times(c, A)
+    mask = _subset_mask(c.n, A)
+    q = sp.csr_matrix(c.generator())
+    h = _hitting_times(q, mask)[0]
     e_pi = float(h.mean())
     t_rel = spectrum(c).t_rel
     t_grid = [float(t) for t in t_grid]
@@ -266,7 +229,7 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
         if t < 0.0:
             raise ParameterOutOfRange("negative time in grid")
         if t == 0.0:
-            s0 = 1.0 - len(A) / c.n
+            s0 = 1.0 - mask.sum() / c.n
             report.append(
                 {
                     "t": 0.0,
@@ -277,7 +240,9 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
             )
             continue
         hstep = min(1e-4, t / 100.0)
-        s_minus, s_mid, s_plus = _survival_curve(c, A, [t - hstep, t, t + hstep])
+        s_minus, s_mid, s_plus = _survival(
+            q, mask, np.full(c.n, 1.0 / c.n), [t - hstep, t, t + hstep]
+        )[0]
         dens = (s_minus - s_plus) / (2.0 * hstep)
         tail_gap = abs(s_mid - np.exp(-t / e_pi))
         upper = (1.0 / e_pi) * (1.0 + t_rel / (2.0 * t))
@@ -316,6 +281,8 @@ def mc_pair_meeting(
     (default 50 n / r_min); censored runs are excluded from the mean and
     counted in the report.
     """
+    if not is_connected(g):
+        raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)
     if horizon_events is None:
         horizon_events = int(50 * g.n / flat.r_min)

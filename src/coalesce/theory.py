@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, sqrt, pi, log
+from math import comb, factorial, sqrt, pi, log
 
 import numpy as np
 
@@ -345,7 +345,7 @@ def reversal_identity_residual(
     Carlo and the exact joint probability that k+1 independent uniform
     walkers start pairwise distinct and coalesce by t, scaled by n^k."""
     mc = branching_integral_mc(c, k, t, reps, rng)
-    fact = _factorial(k + 1)
+    fact = factorial(k + 1)
     lhs = fact * mc["estimate"]
     se = fact * mc["stderr"]
     cond = exact_k_particle_law(c, k, t, start="distinct")["p_coal"]
@@ -360,9 +360,3 @@ def reversal_identity_residual(
         resid = abs(lhs - exact) / se
     return {"residual": resid, "mc": lhs, "exact": exact, "stderr": se}
 
-
-def _factorial(m: int) -> float:
-    out = 1.0
-    for i in range(2, m + 1):
-        out *= i
-    return out

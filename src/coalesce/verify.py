@@ -20,7 +20,7 @@ from .chains import (
     product_chain,
     spectrum,
     transition_matrix,
-    _diag_heat,
+    _return_integral,
 )
 from .crw import exact_occupancy_density
 from .graphs import (
@@ -187,7 +187,7 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
     ]:
         spec = spectrum(c)
         m = pairwise_meeting_times(c).t_meet_pi
-        _, integral_to = _diag_heat(c)
+        integral_to = _return_integral(c)
         ok = True
         worst = 1e18
         for t in (spec.t_rel, 2.0 * spec.t_rel, 5.0):

@@ -62,8 +62,8 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     clock = 0.0
     gi = 0
     while gi < ngrid:
-        dt = draws.expo() / total
-        t_next = clock + dt
+        # with no edges nothing ever rings: the state is frozen
+        t_next = clock + draws.expo() / total if total > 0.0 else float("inf")
         while gi < ngrid and grid[gi] < t_next:
             nhat[gi] = counts[opinion[u_hat]]
             n_init[gi] = counts[u_init]

@@ -216,3 +216,19 @@ class TestGraphFile:
         path.write_text("not a graph\n")
         with pytest.raises(ParameterOutOfRange):
             read_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("crwgraph v1 3 2\n0 1 1\n", 3),  # truncated
+            ("crwgraph v1 3 2\n0 1 1\n1 2\n", 3),  # short edge line
+            ("crwgraph v1 three 2\n0 1 1\n1 2 1\n", 1),  # non-integer header
+            ("crwgraph v1 3 -1\n", 1),  # negative edge count
+            ("crwgraph v1 3 1\n0 1 1\n1 2 1\n", 3),  # more edges than the header
+        ],
+    )
+    def test_malformed_names_path_and_line(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.crwgraph"
+        path.write_text(text)
+        with pytest.raises(ParameterOutOfRange, match=f"bad.crwgraph:{lineno}:"):
+            read_graph(path)

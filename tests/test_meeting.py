@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from coalesce.chains import MarkovChain, build_generator, product_chain, spectrum
-from coalesce.errors import BadSubset, NotTransitive, ParameterOutOfRange
-from coalesce.graphs import cycle_graph, path_graph
+from coalesce.crw import exact_k_particle_law
+from coalesce.errors import BadSubset, NotConnected, NotTransitive, ParameterOutOfRange
+from coalesce.graphs import Graph, cycle_graph, path_graph
 from coalesce.meeting import (
+    _pair_generator,
+    _survival,
     aldous_brown_check,
     alpha_survival,
     eigentime_residual,
@@ -15,6 +18,15 @@ from coalesce.meeting import (
     pairwise_meeting_times,
 )
 from coalesce.seeding import derive_rng
+
+# non-integer rates and unequal row totals
+IRREGULAR_RATES = np.array([
+    [0.0, 1.5, 0.25, 0.0, 0.0],
+    [1.5, 0.0, 0.7, 2.0, 0.0],
+    [0.25, 0.7, 0.0, 0.0, 1.1],
+    [0.0, 2.0, 0.0, 0.0, 0.4],
+    [0.0, 0.0, 1.1, 0.4, 0.0],
+])
 
 
 def cycle_pair_oracle(n):
@@ -98,20 +110,28 @@ class TestAlphaSurvival:
         assert hi - lo == pytest.approx(2 * 1.96 * mc["stderr"], rel=1e-12)
 
     def test_exact_vs_mc_irregular_weighted(self):
-        # non-integer rates and unequal row totals exercise the weighted pick
-        rates = np.array([
-            [0.0, 1.5, 0.25, 0.0, 0.0],
-            [1.5, 0.0, 0.7, 2.0, 0.0],
-            [0.25, 0.7, 0.0, 0.0, 1.1],
-            [0.0, 2.0, 0.0, 0.0, 0.4],
-            [0.0, 0.0, 1.1, 0.4, 0.0],
-        ])
-        c = MarkovChain.from_rates(rates)
+        # the irregular rates exercise the weighted pick
+        c = MarkovChain.from_rates(IRREGULAR_RATES)
         for x, t in ((2, 0.8), (3, 0.3)):
             exact = alpha_survival(c, x, t)["value"]
             mc = alpha_survival(c, x, t, mode="mc", reps=40_000,
                                 rng=derive_rng(11, "alpha-irr", x))
             assert abs(mc["value"] - exact) <= 4.5 * mc["stderr"]
+
+    @pytest.mark.parametrize("name", ["cycle4_chain", "torus33_chain", "irregular"])
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_killed_pair_matches_two_particle_law(self, name, t, request):
+        # uniform law on distinct pairs, killed on the diagonal, against the
+        # independent two-walker coalescence oracle
+        if name == "irregular":
+            c = MarkovChain.from_rates(IRREGULAR_RATES)
+        else:
+            c = request.getfixturevalue(name)
+        diag = np.eye(c.n, dtype=bool).ravel()
+        mu0 = np.where(diag, 0.0, 1.0 / (c.n * (c.n - 1)))
+        surv = _survival(_pair_generator(c), diag, mu0, [t])[0][0]
+        p_coal = exact_k_particle_law(c, 1, t, "distinct")["p_coal"]
+        assert abs(surv - (1.0 - p_coal)) <= 1e-10
 
     def test_nonincreasing(self, cycle4_chain):
         vals = [alpha_survival(cycle4_chain, 0, t)["value"] for t in (0.0, 0.3, 0.8, 1.5)]
@@ -222,18 +242,25 @@ class TestMeetingIntegralEnvelope:
         "chain_name", ["cycle4_chain", "complete4_chain", "torus33_chain"]
     )
     def test_envelope(self, chain_name, request):
-        from coalesce.chains import _diag_heat
+        from coalesce.chains import _return_integral
 
         c = request.getfixturevalue(chain_name)
         m = pairwise_meeting_times(c).t_meet_pi
         t_rel = spectrum(c).t_rel
-        _, integral_to = _diag_heat(c)
+        integral_to = _return_integral(c)
         for t in (t_rel, 2 * t_rel, 5.0):
             val = float(integral_to(2.0 * t)[0]) / 2.0
             assert m / (2 * c.n) - 1e-9 <= val <= (m + t) / c.n + 1e-9
 
 
 class TestMcPairMeeting:
+    @pytest.mark.parametrize("n, edges", [(3, [(0, 1)]), (4, [(0, 1), (2, 3)])])
+    def test_disconnected_rejected(self, n, edges):
+        # an isolated vertex divided by r_min = 0; two components reported a
+        # finite mean from the pairs that happened to start together
+        with pytest.raises(NotConnected):
+            mc_pair_meeting(Graph.from_edges(n, edges), 10, derive_rng(0, "pairmc", 2))
+
     def test_k2_mean(self):
         res = mc_pair_meeting(path_graph(2), 20_000, derive_rng(4, "pairmc", 0))
         assert res["censored"] == 0

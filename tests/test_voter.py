@@ -33,6 +33,15 @@ class TestSimulateVoter:
         with pytest.raises(ParameterOutOfRange):
             simulate_voter(cycle_graph(4), [t], derive_rng(0, "voter", 0))
 
+    def test_edgeless_graph_is_frozen(self):
+        # nothing rings, so every grid time records the initial state
+        rec = simulate_voter(Graph.from_edges(3, []), [0.0, 1.0, 5.0],
+                             derive_rng(0, "voter", 1))
+        assert rec["nhat"].tolist() == [1, 1, 1]
+        assert rec["n_init"].tolist() == [1, 1, 1]
+        assert rec["n_distinct"].tolist() == [3, 3, 3]
+        assert rec["survived_0"].all()
+
     def test_k2_agreement_probability(self):
         rng = derive_rng(1, "voter", 0)
         t = 0.4
