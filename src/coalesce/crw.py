@@ -6,6 +6,8 @@ nothing, so by default the engine thins them away and runs at the total rate
 of the occupied sites, which is exact for the occupancy process and orders of
 magnitude faster at low density.  A full-stream mode keeps every ring so that
 runs started from different initial particle sets share one event stream.
+Many short trajectories run instead on a lockstep kernel that gives every
+trajectory of a block one ring per numpy iteration.
 """
 
 from __future__ import annotations
@@ -152,20 +154,37 @@ def _lockstep_rows(n: int) -> int:
     return max(1, _LOCKSTEP_CELLS // n)
 
 
-def _lockstep_cluster_sizes(
-    flat: FlatGraph, t: float, labels: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Cluster sizes at time t of tracked initial labels, one row per
-    trajectory, all rows advanced in lockstep.
+def _lockstep_crw(
+    flat: FlatGraph,
+    rng: np.random.Generator,
+    rows: int,
+    grid: list,
+    labels: np.ndarray | None = None,
+    sites=None,
+    to_one: bool = False,
+    width: int = 0,
+) -> dict:
+    """``rows`` independent coalescing-walk trajectories from every site
+    occupied, all advanced in lockstep.
 
-    ``labels`` has shape (rows, draws); row r is an independent trajectory
-    started from every site occupied and reports the size of the cluster
-    holding each of its labels.  Each iteration gives every live row one
-    ring of its clock at rate r_max * m; on irregular graphs the ring is
-    kept with probability rate(x) / r_max, which is exact for the occupancy
-    process.  A row retires when its next ring would pass t or one cluster
-    is left.  Labels start equal to their slots and are followed through
-    merges and swap-fills, so no union-find is needed.
+    Each iteration gives every live row one ring of its clock at rate
+    r_max * m; on irregular graphs the ring is kept with probability
+    rate(x) / r_max, which is exact for the occupancy process.  At each
+    grid time the kernel records the cluster count ``xi`` (rows, grid); with
+    ``labels`` of shape (rows, d), the sizes of the clusters holding those
+    initial slots (rows, grid, d); with ``sites``, their occupation
+    indicators (rows, grid, sites).  Labels are followed through merges and
+    swap-fills, so no union-find is needed.  With ``to_one`` the grid is
+    ignored and ``tau`` holds the time one cluster is left; the graph must
+    then be connected.  Also returns
+    the kept rings (``events``) and the rejected ones
+    (``thinning_rejections``).
+
+    With ``width`` 0, each iteration draws its variates for the live rows
+    only, in row order.  Otherwise it draws ``width`` (at least ``rows``) of
+    each and row r takes entry r, so a row's variates do not depend on the
+    other rows: a block holding only the first rows of a wider block
+    reproduces them exactly.
     """
     n = flat.n
     off = np.asarray(flat.off[:-1], dtype=np.int64)
@@ -173,28 +192,71 @@ def _lockstep_cluster_sizes(
     # the pad keeps the pick in range at an isolated x, whose ring is rejected
     nbr = np.asarray(flat.nbr + [0], dtype=np.int32)
     keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
-    rows = labels.shape[0]
+    ngrid = 0 if to_one else len(grid)
+    # the grid padded with a time never reached
+    gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
     # flat state: cell r * n + k is slot (or site) k of row r
     loc = np.tile(np.arange(n, dtype=np.int32), rows)  # slot -> site
     at = loc.copy()  # site -> slot, -1 when empty
     size = np.ones(rows * n, dtype=np.int32)  # cluster size per slot
-    out = np.ones(labels.shape, dtype=np.int64)
-    # per live row, kept aligned with `live`
-    live = np.arange(rows if flat.r_max > 0 else 0)  # with no edges nothing moves
+    out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
+    if labels is not None:
+        out["sizes"] = np.empty((rows, ngrid, labels.shape[1]), dtype=np.int64)
+    if sites is not None:
+        sites = np.asarray(sites, dtype=np.int64)
+        out["occ"] = np.empty((rows, ngrid, sites.size), dtype=bool)
+    if to_one:
+        out["tau"] = np.zeros(rows)
+    # a lone cluster still moves, which matters only for occupancy
+    frozen_at_one = sites is None and not to_one
+    rings = rejected = 0
+    # per live row, kept aligned with `live`; with an empty grid no row runs
+    live = np.arange(rows if to_one or ngrid else 0)
     b = live * n
     m = np.full(live.size, n, dtype=np.int64)
     clock = np.zeros(live.size)
-    track = labels[live].astype(np.int64)  # slot now holding each label
+    g = np.zeros(live.size, dtype=np.int64)  # next grid index
+    t_rec = np.full(live.size, gpad[0])  # next grid time
+    track = None if labels is None else labels[live].astype(np.int64)
     while live.size:
-        clock += rng.standard_exponential(live.size) / (flat.r_max * m)
-        ok = (clock <= t) & (m > 1)
-        if not ok.all():
-            done = ~ok
-            out[live[done]] = size[b[done, None] + track[done]]
-            live, b, m, clock, track = live[ok], b[ok], m[ok], clock[ok], track[ok]
-            if not live.size:
-                break
-        u = rng.random((3, live.size))
+        if flat.r_max == 0.0:
+            # with no edges nothing ever rings: the state is frozen
+            t_next = np.full(live.size, np.inf)
+        else:
+            e = rng.standard_exponential(width or live.size)
+            if width:
+                e = e[live]
+            t_next = clock + e / (flat.r_max * m)
+        if frozen_at_one:
+            t_next[m == 1] = np.inf
+        # record the state at every grid time before the next ring
+        rec = np.flatnonzero(t_rec < t_next)
+        if rec.size or to_one:
+            while rec.size:
+                rr, gr = live[rec], g[rec]
+                out["xi"][rr, gr] = m[rec]
+                if track is not None:
+                    out["sizes"][rr, gr] = size[b[rec, None] + track[rec]]
+                if sites is not None:
+                    out["occ"][rr, gr] = at[b[rec, None] + sites] >= 0
+                g[rec] += 1
+                t_rec[rec] = gpad[g[rec]]
+                rec = rec[t_rec[rec] < t_next[rec]]
+            done = (m == 1) if to_one else (g == ngrid)
+            if done.any():
+                if to_one:
+                    out["tau"][live[done]] = clock[done]
+                ok = ~done
+                live, b, m, g, t_rec, t_next = (
+                    live[ok], b[ok], m[ok], g[ok], t_rec[ok], t_next[ok])
+                if track is not None:
+                    track = track[ok]
+                if not live.size:
+                    break
+        clock = t_next
+        u = rng.random((3, width or live.size))
+        if width:
+            u = u[:, live]
         i = (u[0] * m).astype(np.int64)
         bi = b + i
         x = loc[bi]
@@ -204,6 +266,8 @@ def _lockstep_cluster_sizes(
             # a rejected ring moves x onto itself, which changes nothing
             kept = u[2] < keep[x]
             y = np.where(kept, y, x)
+            rejected += live.size - int(kept.sum())
+        rings += live.size
         by = b + y
         j = at[by]
         merge = (j >= 0) & kept
@@ -218,13 +282,16 @@ def _lockstep_cluster_sizes(
         loc[bik] = moved
         size[bik] = size[src]
         at[bk + moved] = ik
-        tr = track[k]
-        tr = np.where(tr == ik[:, None], jk[:, None], tr)
-        track[k] = np.where(tr == last[:, None], ik[:, None], tr)
+        if track is not None:
+            tr = track[k]
+            tr = np.where(tr == ik[:, None], jk[:, None], tr)
+            track[k] = np.where(tr == last[:, None], ik[:, None], tr)
         at[b + x] = -1
         mv = np.flatnonzero(~merge)
         loc[bi[mv]] = y[mv]
         at[by[mv]] = i[mv]
+    out["events"] = rings - rejected
+    out["thinning_rejections"] = rejected
     return out
 
 
@@ -493,10 +560,8 @@ def exact_k_particle_law(
     return out
 
 
-@lru_cache(maxsize=32)
 def _check_connected(g: Graph) -> None:
-    """Coalescence to one cluster needs a connected graph; cached per graph
-    because the runner asks once per replicate."""
+    """Coalescence to one cluster needs a connected graph."""
     if not is_connected(g):
         raise NotConnected("particles on different components never coalesce")
 

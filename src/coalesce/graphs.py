@@ -448,7 +448,17 @@ def read_graph(path) -> Graph:
                 raise ParameterOutOfRange(
                     f"{path}:{lineno}: file ends after {lineno - 2} of {m_lines} edges"
                 )
-            edges.append(tuple(_int_fields(path, lineno, line.split(), 3)))
+            u, v, mult = _int_fields(path, lineno, line.split(), 3)
+            if not (0 <= u < n and 0 <= v < n):
+                problem = f"edge ({u},{v}) outside vertex range 0..{n - 1}"
+            elif u == v:
+                problem = f"self-loop at vertex {u}"
+            elif mult < 1:
+                problem = f"edge multiplicity {mult} is not positive"
+            else:
+                edges.append((u, v, mult))
+                continue
+            raise ParameterOutOfRange(f"{path}:{lineno}: {problem}")
         if fh.readline().strip():
             raise ParameterOutOfRange(
                 f"{path}:{m_lines + 2}: more than the {m_lines} edges in the header"

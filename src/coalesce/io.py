@@ -14,6 +14,12 @@ __all__ = ["format_cell", "rows_to_csv", "write_csv", "sha256_text", "write_json
 
 
 def format_cell(value) -> str:
+    kind = type(value)
+    # the common cells first; bool and other subclasses take the checks below
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -28,8 +34,7 @@ def format_cell(value) -> str:
 
 def rows_to_csv(header, rows) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -9,6 +9,7 @@ beyond the dense caps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,8 @@ def alpha_survival(
         c = build_generator(c)
     if t < 0.0:
         raise ParameterOutOfRange("t must be nonnegative")
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not 0 <= x < c.n:
+        raise ParameterOutOfRange(f"x must be a vertex in 0..{c.n - 1}, got {x!r}")
     rx = float(c.row_rates[x])
     if mode == "exact":
         if c.n * c.n > _PAIR_CAP:
@@ -224,10 +227,16 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     e_pi = float(h.mean())
     t_rel = spectrum(c).t_rel
     t_grid = [float(t) for t in t_grid]
+    if any(t < 0.0 for t in t_grid):
+        raise ParameterOutOfRange("negative time in grid")
+    # one survival curve at every t - h, t, t + h; uniformization weighs
+    # each time separately, so each value equals its own single-time call
+    hsteps = {t: min(1e-4, t / 100.0) for t in t_grid if t > 0.0}
+    times = [s for t, dt in hsteps.items() for s in (t - dt, t, t + dt)]
+    curve = _survival(q, mask, np.full(c.n, 1.0 / c.n), times)[0] if times else []
+    surv = dict(zip(times, curve))
     report = []
     for t in t_grid:
-        if t < 0.0:
-            raise ParameterOutOfRange("negative time in grid")
         if t == 0.0:
             s0 = 1.0 - mask.sum() / c.n
             report.append(
@@ -239,12 +248,9 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
                 }
             )
             continue
-        hstep = min(1e-4, t / 100.0)
-        s_minus, s_mid, s_plus = _survival(
-            q, mask, np.full(c.n, 1.0 / c.n), [t - hstep, t, t + hstep]
-        )[0]
-        dens = (s_minus - s_plus) / (2.0 * hstep)
-        tail_gap = abs(s_mid - np.exp(-t / e_pi))
+        hstep = hsteps[t]
+        dens = (surv[t - hstep] - surv[t + hstep]) / (2.0 * hstep)
+        tail_gap = abs(surv[t] - np.exp(-t / e_pi))
         upper = (1.0 / e_pi) * (1.0 + t_rel / (2.0 * t))
         lower = (1.0 / e_pi) * (1.0 - (2.0 * t_rel + t) / e_pi)
         report.append(

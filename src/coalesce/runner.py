@@ -1,9 +1,14 @@
-"""Experiment execution: replicate-parallel tasks with derived seed streams.
+"""Experiment execution: block-seeded lockstep replicates.
 
-Each replicate draws from its own generator, derived from
-(master_seed, task label, replicate index), so the output rows are identical
-whatever the worker count and stay fixed when other tasks are added to a
-config.  Rows are assembled replicate-major, time-minor.
+A task's replicates run in fixed-size blocks whose size depends only on the
+vertex count.  Block k draws from one generator derived from
+(master_seed, task label, k), and the lockstep kernels draw each
+iteration's variates at the nominal block size, row r taking entry r.  A
+replicate's row therefore depends only on its index: rows are identical
+whatever the worker count (worker chunks are whole blocks), extending
+``replicates`` keeps the earlier rows, and adding tasks to a config never
+perturbs the streams of existing ones.  Rows are assembled
+replicate-major, time-minor.
 """
 
 from __future__ import annotations
@@ -11,16 +16,33 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__
+from ._flat import check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
+from .crw import _check_connected, _lockstep_crw, _lockstep_rows, flat_graph
 from .errors import TaskError
 from .graphs import Graph
 from .io import sha256_text, write_csv, write_json
 from .seeding import derive_rng
+from .voter import _lockstep_voter
 
-__all__ = ["run_experiment", "run_task", "parallel_chunks", "resolve_threads"]
+__all__ = [
+    "run_experiment", "run_task", "parallel_chunks", "resolve_threads", "block_rows"
+]
+
+# wider blocks buy little speed on small graphs, and every iteration draws
+# the full width, however few replicates a run asks for
+_BLOCK_CAP = 1024
+
+
+def block_rows(n: int) -> int:
+    """Replicates per block on an n-vertex graph; depends only on n."""
+    return min(_BLOCK_CAP, _lockstep_rows(n))
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -43,65 +65,71 @@ def _task_label(task: dict) -> str:
     return "task:" + json.dumps(core, sort_keys=True)
 
 
-def _replicate_rows(graph, convention, task, times, label, master_seed, rep):
-    from .crw import simulate_crw
-    from .voter import simulate_voter
-
-    rng = derive_rng(master_seed, label, rep)
+def _block(flat, task, grid, rng, count, width):
+    """One lockstep block of ``count`` replicates: its values, shaped
+    (replicate, time, column) or one coalescence time per replicate, and
+    the kernel's record."""
     kind = task["task"]
-    if kind == "density":
-        rec = simulate_crw(graph, times, rng, track="density", convention=convention)
-        return [(rep, t, int(x)) for t, x in zip(times, rec["xi_size"])]
-    if kind == "tracked_cluster":
-        rec = simulate_crw(
-            graph, times, rng, track="tracked_cluster", convention=convention
-        )
-        return [
-            (rep, t, int(x), int(nn))
-            for t, x, nn in zip(times, rec["xi_size"], rec["N"])
-        ]
-    if kind == "occupancy":
-        sites = task.get("sites") or list(range(graph.n))
-        rec = simulate_crw(
-            graph,
-            times,
-            rng,
-            track="occupancy",
-            site_list=sites,
-            convention=convention,
-        )
-        return [
-            (rep, t, int(x), *[int(b) for b in occ_row])
-            for t, x, occ_row in zip(times, rec["xi_size"], rec["occ"])
-        ]
     if kind == "tau_coal":
-        from .crw import sample_tau_coal
-
-        return [(rep, sample_tau_coal(graph, rng, convention))]
+        rec = _lockstep_crw(flat, rng, count, [], to_one=True, width=width)
+        return rec["tau"], rec
     if kind == "nhat":
-        rec = simulate_voter(graph, times, rng, convention=convention)
-        return [(rep, t, int(v)) for t, v in zip(times, rec["nhat"])]
-    raise TaskError(kind, "unknown task kind")
+        rec = _lockstep_voter(flat, rng, count, grid, width)
+        vals = rec["nhat"][..., None]
+    else:
+        labels = sites = None
+        if kind == "tracked_cluster":
+            # the tracked particle comes first from the block's stream
+            labels = (rng.random(width)[:count] * flat.n).astype(int)[:, None]
+        elif kind == "occupancy":
+            sites = task.get("sites") or range(flat.n)
+        rec = _lockstep_crw(flat, rng, count, grid, labels, sites, width=width)
+        # xi, then the tracked cluster's size or the occupation indicators
+        extra = [rec[k] for k in ("sizes", "occ") if k in rec]
+        vals = np.concatenate([rec["xi"][..., None], *extra], axis=2)
+    return vals, rec
+
+
+def _rows(start, grid, vals):
+    """A block's CSV rows: (replicate, t, *columns) per replicate and grid
+    time, or (replicate, tau_coal)."""
+    reps = range(start, start + len(vals))
+    if vals.ndim == 1:
+        return list(zip(reps, vals.tolist()))
+    return [
+        (rep, t, *v)
+        for rep, per_t in zip(reps, vals.tolist())
+        for t, v in zip(grid, per_t)
+    ]
 
 
 def _chunk_worker(args):
-    graph, convention, task, times, label, master_seed, start, stop = args
-    rows = []
-    for rep in range(start, stop):
-        rows.extend(
-            _replicate_rows(graph, convention, task, times, label, master_seed, rep)
-        )
-    return start, rows
+    flat, task, grid, label, master_seed, reps, width, first, stop = args
+    blocks = []
+    tally = Counter()
+    for k in range(first, stop):
+        start = k * width
+        rng = derive_rng(master_seed, label, k)
+        vals, rec = _block(flat, task, grid, rng, min(width, reps - start), width)
+        blocks.append((start, vals))
+        tally.update(events=rec["events"], blocks=1,
+                     thinning_rejections=rec["thinning_rejections"])
+    return first, blocks, tally
 
 
 def parallel_chunks(args_list, threads: int):
-    """Run chunk workers and return their row lists in chunk order."""
+    """Run chunk workers; returns their (first replicate, values) blocks in
+    chunk order and their summed counters."""
     if threads <= 1 or len(args_list) <= 1:
         results = [_chunk_worker(a) for a in args_list]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_chunk_worker, args_list))
-    return [rows for _, rows in sorted(results, key=lambda r: r[0])]
+    results.sort(key=lambda r: r[0])
+    tally = Counter(events=0, thinning_rejections=0, blocks=0)
+    for _, _, counts in results:
+        tally.update(counts)
+    return [blocks for _, blocks, _ in results], dict(tally)
 
 
 def task_header(task: dict, graph: Graph) -> list[str]:
@@ -128,20 +156,28 @@ def run_task(
     replicates: int,
     master_seed: int,
     threads: int = 1,
-) -> tuple[list[str], list[tuple]]:
-    """All rows for one task, replicate-major."""
+) -> tuple[list[str], list[tuple], dict]:
+    """All rows for one task, replicate-major, and the kernels' counters:
+    kept rings (``events``), ``thinning_rejections`` and ``blocks``."""
+    header = task_header(task, graph)
     label = _task_label(task)
-    times = task.get("times", times)
+    grid = check_grid(task.get("times", times))
     reps = task.get("replicates", replicates)
-    chunk = max(1, min(reps, (reps + 4 * threads - 1) // (4 * threads)))
+    if task["task"] == "tau_coal":
+        _check_connected(graph)
+    flat = flat_graph(graph, convention)
+    width = block_rows(graph.n)
+    nblocks = -(-reps // width)
+    per_chunk = -(-nblocks // (4 * threads))
     args_list = [
-        (graph, convention, task, times, label, master_seed, start, min(start + chunk, reps))
-        for start in range(0, reps, chunk)
+        (flat, task, grid, label, master_seed, reps, width, first,
+         min(first + per_chunk, nblocks))
+        for first in range(0, nblocks, per_chunk)
     ]
-    rows: list[tuple] = []
-    for chunk_rows in parallel_chunks(args_list, threads):
-        rows.extend(chunk_rows)
-    return task_header(task, graph), rows
+    chunks, tally = parallel_chunks(args_list, threads)
+    rows = [row for blocks in chunks for start, vals in blocks
+            for row in _rows(start, grid, vals)]
+    return header, rows, tally
 
 
 def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
@@ -162,7 +198,7 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     for i, task in enumerate(config.tasks):
         t0 = time.monotonic()
         try:
-            header, rows = run_task(
+            header, rows, tally = run_task(
                 graph,
                 config.rate_convention,
                 task,
@@ -186,6 +222,7 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
                 "rows": len(rows),
                 "sha256": digest,
                 "inputs_digest": config_digest,
+                **tally,
                 "wall_time_s": round(time.monotonic() - t0, 3),
                 "version": __version__,
                 "seed": config.master_seed,

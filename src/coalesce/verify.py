@@ -210,7 +210,7 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
 
 
 def _density_stats(graph, convention, times, reps, seed, threads):
-    header, rows = run_task(
+    _, rows, _ = run_task(
         graph, convention, {"task": "density"}, times, reps, seed, threads
     )
     xi = {}
@@ -263,8 +263,10 @@ def statistical_suite(
     g6 = cycle_graph(6)
     reps = max(1000, int(5000 * scale))
     t = 1.0
-    _, nhat_rows = run_task(g6, "per_edge_unit", {"task": "nhat"}, [t], reps, seed, threads)
-    _, crw_rows = run_task(
+    _, nhat_rows, _ = run_task(
+        g6, "per_edge_unit", {"task": "nhat"}, [t], reps, seed, threads
+    )
+    _, crw_rows, _ = run_task(
         g6, "per_edge_unit", {"task": "tracked_cluster"}, [t], reps, seed, threads
     )
     dual = duality_statistics(
@@ -283,7 +285,9 @@ def statistical_suite(
     # complete-graph coalescence against the exponential-stage sampler
     g8 = complete_graph(8)
     reps = max(2000, int(20000 * scale))
-    _, tau_rows = run_task(g8, "per_edge_unit", {"task": "tau_coal"}, [], reps, seed, threads)
+    _, tau_rows, _ = run_task(
+        g8, "per_edge_unit", {"task": "tau_coal"}, [], reps, seed, threads
+    )
     taus = np.array([r[1] for r in tau_rows], dtype=float)
     mean_exp = 1.0 - 1.0 / 8.0
     se = taus.std(ddof=1) / np.sqrt(reps)
@@ -296,7 +300,7 @@ def statistical_suite(
 
     # negative association of occupation indicators on the 6-cycle
     reps = max(2000, int(20000 * scale))
-    _, occ_rows = run_task(
+    _, occ_rows, _ = run_task(
         g6, "per_edge_unit", {"task": "occupancy"}, [0.5, 1.0], reps, seed, threads
     )
     by_t = {}

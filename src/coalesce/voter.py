@@ -2,7 +2,8 @@
 cluster sizes to coalescing-walk quantities.
 
 The forward engine plays every directed-edge ring, so it is exact pathwise
-and is what all duality gap checks run on.  For large graphs the opinion
+and is what all duality gap checks run on; the experiment runner plays it on
+blocks of replicates in lockstep.  For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
 system instead (equal in law), which is the only practical route at
 thousands of vertices.  The ancestral sampler runs blocks of trajectories in
@@ -17,7 +18,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_grid
-from .crw import _lockstep_cluster_sizes, _lockstep_rows, _simulate_one, flat_graph
+from .crw import _lockstep_crw, _lockstep_rows, _simulate_one, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
@@ -90,6 +91,72 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     }
 
 
+def _lockstep_voter(
+    flat: FlatGraph, rng: np.random.Generator, rows: int, grid: list, width: int
+) -> dict:
+    """``rows`` forward voter trajectories advanced in lockstep, one ring per
+    row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
+    of a uniform vertex's current opinion.
+
+    Every iteration draws ``width`` (at least ``rows``) variates of each kind
+    and row r takes entry r, so a row does not depend on the other rows.
+    The ring source x is picked in proportion to its rate by a search on the
+    cumulative rates, then a neighbor y of x adopts the opinion of x.
+    Also returns the ring count (``events``); no ring is thinned away.
+    """
+    n = flat.n
+    off = np.asarray(flat.off[:-1], dtype=np.int64)
+    deg = np.asarray(flat.deg, dtype=np.int64)
+    nbr = np.asarray(flat.nbr, dtype=np.int64)
+    cum = np.cumsum(flat.rate)
+    total = float(cum[-1])
+    ngrid = len(grid)
+    gpad = np.append(np.asarray(grid, dtype=float), np.inf)
+    nhat = np.empty((rows, ngrid), dtype=np.int64)
+    # cell r * n + v: the opinion of voter v, and the voters holding opinion v
+    opinion = np.tile(np.arange(n, dtype=np.int64), rows)
+    counts = np.ones(rows * n, dtype=np.int64)
+    # per live row, kept aligned with `live`; with an empty grid no row runs
+    u_hat = (rng.random(width)[:rows] * n).astype(np.int64)
+    live = np.arange(rows if ngrid else 0)
+    b = live * n
+    u_hat = b + u_hat[live]
+    clock = np.zeros(live.size)
+    g = np.zeros(live.size, dtype=np.int64)  # next grid index
+    t_rec = np.full(live.size, gpad[0])  # next grid time
+    events = 0
+    while live.size:
+        if total > 0.0:
+            t_next = clock + rng.standard_exponential(width)[live] / total
+        else:
+            # with no edges nothing ever rings: the state is frozen
+            t_next = np.full(live.size, np.inf)
+        # record the state at every grid time before the next ring
+        rec = np.flatnonzero(t_rec < t_next)
+        if rec.size:
+            while rec.size:
+                nhat[live[rec], g[rec]] = counts[b[rec] + opinion[u_hat[rec]]]
+                g[rec] += 1
+                t_rec[rec] = gpad[g[rec]]
+                rec = rec[t_rec[rec] < t_next[rec]]
+            ok = g < ngrid
+            live, b, u_hat, g, t_rec, t_next = (
+                live[ok], b[ok], u_hat[ok], g[ok], t_rec[ok], t_next[ok])
+            if not live.size:
+                break
+        clock = t_next
+        u = rng.random((2, width))[:, live]
+        x = np.searchsorted(cum, u[0] * total, side="right")
+        by = b + nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
+        ox = opinion[b + x]
+        oy = opinion[by]
+        events += live.size
+        counts[b + oy] -= 1
+        counts[b + ox] += 1
+        opinion[by] = ox
+    return {"nhat": nhat, "events": events, "thinning_rejections": 0}
+
+
 def simulate_voter(
     g: Graph,
     t_grid,
@@ -138,7 +205,8 @@ def sample_nhat_ancestral(
         # labels are independent of the dynamics, so drawing them first
         # gives the same law as picking them at time t
         labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
-        out[start:start + block] = _lockstep_cluster_sizes(flat, t, labels, rng)
+        rec = _lockstep_crw(flat, rng, block, [t], labels)
+        out[start:start + block] = rec["sizes"][:, 0]
     return out.reshape(-1)
 
 

@@ -3,11 +3,18 @@ import os
 
 import pytest
 
+from coalesce import runner
 from coalesce.cli import main
 from coalesce.config import load_config, validate_config
-from coalesce.errors import ConfigError
+from coalesce.errors import ConfigError, NotConnected, TaskError
+from coalesce.graphs import Graph, write_graph
 from coalesce.io import format_cell, rows_to_csv
 from coalesce.runner import run_experiment
+
+KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
+LOLLIPOP = Graph.from_edges(
+    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
+)
 
 
 def minimal_config(out_dir, tasks=None):
@@ -162,6 +169,63 @@ class TestRunExperiment:
         assert occ_header == "replicate,t,xi_size,occ_0,occ_3"
         tracked = (tmp_path / "w" / "02_tracked_cluster.csv").read_text().splitlines()
         assert tracked[0] == "replicate,t,xi_size,N_t"
+
+
+class TestBlockStreams:
+    """A replicate's rows depend only on its index.  With 16-row blocks, 40
+    replicates are two full blocks plus a remainder."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(runner, "_BLOCK_CAP", 16)
+
+    @staticmethod
+    def run(tmp_path, name, kind, replicates, threads=1, graph=None):
+        raw = minimal_config(tmp_path / name, tasks=[{"task": kind}])
+        raw["replicates"] = replicates
+        if graph is not None:
+            raw["graph"] = graph
+        manifest = run_experiment(validate_config(raw), threads=threads)
+        lines = (tmp_path / name / f"00_{kind}.csv").read_text().splitlines()
+        return manifest["results"][0], lines
+
+    @staticmethod
+    def graph_file(tmp_path, g):
+        path = tmp_path / "g.crwgraph"
+        write_graph(g, path)
+        return {"path": str(path)}
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["cycle8", "lollipop"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_threads_and_prefix(self, tmp_path, kind, irregular):
+        graph = self.graph_file(tmp_path, LOLLIPOP) if irregular else None
+        res, one = self.run(tmp_path, "t1", kind, 40, 1, graph)
+        _, three = self.run(tmp_path, "t3", kind, 40, 3, graph)
+        _, longer = self.run(tmp_path, "long", kind, 61, 1, graph)
+        assert res["blocks"] == 3
+        assert one == three
+        assert len(longer) > len(one) and longer[: len(one)] == one
+
+    def test_manifest_counters(self, tmp_path):
+        res, _ = self.run(tmp_path, "c", "tau_coal", 40)
+        # every replicate needs n - 1 merges, and regular rates thin nothing
+        assert res["events"] >= 7 * 40 and res["thinning_rejections"] == 0
+        assert res["blocks"] == 3
+        on_disk = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert on_disk["results"][0]["events"] == res["events"]
+        lollipop = self.graph_file(tmp_path, LOLLIPOP)
+        res, _ = self.run(tmp_path, "l", "density", 40, graph=lollipop)
+        assert res["events"] > 0 and res["thinning_rejections"] > 0
+
+    @pytest.mark.parametrize(
+        "g", [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(3, [])],
+        ids=["two_parts", "edgeless"],
+    )
+    def test_disconnected_tau_coal_names_task(self, tmp_path, g):
+        with pytest.raises(TaskError) as err:
+            self.run(tmp_path, "d", "tau_coal", 40, graph=self.graph_file(tmp_path, g))
+        assert "tau_coal" in str(err.value)
+        assert isinstance(err.value.__cause__, NotConnected)
 
 
 class TestCsvFormat:

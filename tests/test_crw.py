@@ -3,6 +3,7 @@ import pytest
 
 from coalesce.chains import build_generator, spectrum
 from coalesce.crw import (
+    _subset_distribution,
     estimate_density,
     exact_k_particle_law,
     exact_occupancy_cov,
@@ -22,6 +23,7 @@ from coalesce.errors import (
 )
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
 from coalesce.meeting import pairwise_meeting_times
+from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
 
 P2 = path_graph(2)
@@ -261,3 +263,76 @@ class TestPairCovariance:
     def test_adjacent_pair_not_positive(self):
         res = pair_covariance(cycle_graph(6), 0, 1, 1.0, 20_000, derive_rng(14, "cov", 0))
         assert res["cov_hat"] <= 3.0 * res["stderr"]
+
+
+# runner tasks on the lockstep kernels
+
+KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
+LOLLIPOP = Graph.from_edges(
+    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
+)
+
+
+def _z(x, reference):
+    x = np.asarray(x, dtype=float)
+    return (x.mean() - reference) / (x.std(ddof=1) / np.sqrt(len(x)))
+
+
+class TestRunnerLaws:
+    """Every task against an exact oracle, |z| <= 4.5: the irregular lollipop
+    takes the thinning path, total-unit cycle(9) the regular one."""
+
+    @pytest.mark.parametrize(
+        "g, convention, times",
+        [(LOLLIPOP, "per_edge_unit", [0.3, 0.8, 2.0]),
+         (cycle_graph(9), "total_unit", [0.5, 2.0, 5.0])],
+        ids=["lollipop", "cycle9_total_unit"],
+    )
+    def test_tasks_against_oracles(self, g, convention, times):
+        reps = 20_000
+        c = build_generator(g, convention)
+        rows = {k: np.array(run_task(g, convention, {"task": k}, times, reps, 21)[1],
+                            dtype=float) for k in KINDS}
+        masks = np.arange(1, 1 << g.n)
+        single = np.array([bin(v).count("1") == 1 for v in masks])
+        for i, t in enumerate(times):
+            occ_exact = exact_occupancy_density(c, t)
+            e_n = exact_k_particle_law(c, 1, t)["e_ntk"]
+            dens, tracked, occ, nhat = (rows[k][i::len(times)] for k in KINDS[:4])
+            assert abs(_z(dens[:, 2], occ_exact.sum())) <= 4.5
+            assert abs(_z(tracked[:, 3], e_n)) <= 4.5
+            assert abs(_z(nhat[:, 2], e_n)) <= 4.5
+            assert (occ[:, 3:].sum(axis=1) == occ[:, 2]).all()
+            for v in range(g.n):
+                assert abs(_z(occ[:, 3 + v], occ_exact[v])) <= 4.5, (t, v)
+            # P(tau_coal <= t) is the subset chain's mass on singletons
+            p_one = _subset_distribution(c, t)[single].sum()
+            hits = rows["tau_coal"][:, 1] <= t
+            assert abs(hits.mean() - p_one) <= 4.5 * np.sqrt(p_one * (1 - p_one) / reps)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_vertex(self, kind):
+        header, rows, tally = run_task(Graph.from_edges(1, []), "per_edge_unit",
+                                       {"task": kind}, [0.0, 1.0], 5, 3)
+        expected = {"density": (1,), "tracked_cluster": (1, 1), "occupancy": (1, 1),
+                    "nhat": (1,), "tau_coal": None}[kind]
+        if expected is None:
+            assert rows == [(r, 0.0) for r in range(5)]
+        else:
+            assert rows == [(r, t, *expected) for r in range(5) for t in (0.0, 1.0)]
+        assert tally["events"] == 0 and tally["blocks"] == 1
+
+    @pytest.mark.parametrize("kind", KINDS[:4])
+    def test_edgeless_graph_holds_state(self, kind):
+        rows = run_task(Graph.from_edges(3, []), "per_edge_unit", {"task": kind},
+                        [0.0, 5.0], 4, 3)[1]
+        expected = {"density": (3,), "tracked_cluster": (3, 1),
+                    "occupancy": (3, 1, 1, 1), "nhat": (1,)}[kind]
+        assert rows == [(r, t, *expected) for r in range(4) for t in (0.0, 5.0)]
+
+    @pytest.mark.parametrize("kind", KINDS[:4])
+    def test_empty_grid_gives_no_rows(self, kind):
+        # nothing to record, so no trajectory may run on without end
+        header, rows, tally = run_task(cycle_graph(8), "per_edge_unit", {"task": kind},
+                                       [], 5, 3)
+        assert rows == [] and tally["events"] == 0

@@ -225,6 +225,10 @@ class TestGraphFile:
             ("crwgraph v1 three 2\n0 1 1\n1 2 1\n", 1),  # non-integer header
             ("crwgraph v1 3 -1\n", 1),  # negative edge count
             ("crwgraph v1 3 1\n0 1 1\n1 2 1\n", 3),  # more edges than the header
+            ("crwgraph v1 3 1\n0 5 1\n", 2),  # endpoint past n - 1
+            ("crwgraph v1 3 2\n0 1 1\n-1 2 1\n", 3),  # negative endpoint
+            ("crwgraph v1 3 2\n0 1 1\n2 2 1\n", 3),  # self-loop
+            ("crwgraph v1 3 1\n0 1 0\n", 2),  # zero multiplicity
         ],
     )
     def test_malformed_names_path_and_line(self, tmp_path, text, lineno):

@@ -137,6 +137,18 @@ class TestAlphaSurvival:
         vals = [alpha_survival(cycle4_chain, 0, t)["value"] for t in (0.0, 0.3, 0.8, 1.5)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("x", [-1, 4, 1.5, True])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_rejects_bad_vertex(self, cycle4_chain, x, mode):
+        # -1 used to return the value for vertex n - 1; n ended in IndexError
+        with pytest.raises(ParameterOutOfRange):
+            alpha_survival(cycle4_chain, x, 0.5, mode=mode, reps=10,
+                           rng=derive_rng(0, "alpha-x", 0))
+
+    def test_accepts_numpy_vertex(self, cycle4_chain):
+        res = alpha_survival(cycle4_chain, np.int64(2), 0.5)["value"]
+        assert res == alpha_survival(cycle4_chain, 2, 0.5)["value"]
+
     def test_accepts_graph_directly(self, cycle4_chain):
         from_chain = alpha_survival(cycle4_chain, 0, 0.5)["value"]
         from_graph = alpha_survival(cycle_graph(4), 0, 0.5)["value"]
@@ -201,6 +213,24 @@ class TestAldousBrown:
             assert row["margin_tail"] >= -1e-6
             assert row["margin_density_upper"] >= -1e-6
             assert row["margin_density_lower"] >= -1e-6
+
+    @pytest.mark.parametrize("name", ["cycle4", "path7", "cycle4_pair"])
+    def test_one_curve_matches_per_time_calls(self, cycle4_chain, name):
+        # the grid shares one uniformization; each margin must equal the
+        # one computed from that time alone, bit for bit
+        if name == "cycle4":
+            c, A = cycle4_chain, [0]
+        elif name == "path7":
+            c, A = build_generator(path_graph(7)), [0, 6]
+        else:
+            c, A = product_chain(cycle4_chain), [x * 4 + x for x in range(4)]
+        grid = [round(0.1 * i, 10) for i in range(21)] + [3.0, 7.5]
+        together = aldous_brown_check(c, A, grid)
+        assert together == [aldous_brown_check(c, A, [t])[0] for t in grid]
+
+    def test_negative_time_rejected(self, cycle4_chain):
+        with pytest.raises(ParameterOutOfRange):
+            aldous_brown_check(cycle4_chain, [0], [0.5, -0.1])
 
     def test_zero_time_tail_bound(self, cycle4_chain):
         pc = product_chain(cycle4_chain)
