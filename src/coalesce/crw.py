@@ -162,7 +162,7 @@ def _lockstep_crw(
     labels: np.ndarray | None = None,
     sites=None,
     to_one: bool = False,
-    width: int = 0,
+    width: int | None = None,
 ) -> dict:
     """``rows`` independent coalescing-walk trajectories from every site
     occupied, all advanced in lockstep.
@@ -180,13 +180,13 @@ def _lockstep_crw(
     the kept rings (``events``) and the rejected ones
     (``thinning_rejections``).
 
-    With ``width`` 0, each iteration draws its variates for the live rows
-    only, in row order.  Otherwise it draws ``width`` (at least ``rows``) of
-    each and row r takes entry r, so a row's variates do not depend on the
-    other rows: a block holding only the first rows of a wider block
-    reproduces them exactly.
+    Each iteration draws ``width`` (``rows`` when None, else at least
+    ``rows``) variates of each kind and row r takes entry r, so a row's
+    variates do not depend on the other rows: a block holding only the
+    first rows of a wider block reproduces them exactly.
     """
     n = flat.n
+    width = rows if width is None else width
     off = np.asarray(flat.off[:-1], dtype=np.int64)
     deg = np.asarray(flat.deg, dtype=np.int64)
     # the pad keeps the pick in range at an isolated x, whose ring is rejected
@@ -223,12 +223,10 @@ def _lockstep_crw(
             # with no edges nothing ever rings: the state is frozen
             t_next = np.full(live.size, np.inf)
         else:
-            e = rng.standard_exponential(width or live.size)
-            if width:
+            e = rng.standard_exponential(width)
+            if live.size < width:
                 e = e[live]
             t_next = clock + e / (flat.r_max * m)
-        if frozen_at_one:
-            t_next[m == 1] = np.inf
         # record the state at every grid time before the next ring
         rec = np.flatnonzero(t_rec < t_next)
         if rec.size or to_one:
@@ -254,9 +252,11 @@ def _lockstep_crw(
                 if not live.size:
                     break
         clock = t_next
-        u = rng.random((3, width or live.size))
-        if width:
-            u = u[:, live]
+        # regular graphs keep every ring, so they need no thinning variate
+        u = rng.random((2 if keep is None else 3, width))
+        if live.size < width:
+            # take() gathers columns several times faster than u[:, live]
+            u = u.take(live, axis=1)
         i = (u[0] * m).astype(np.int64)
         bi = b + i
         x = loc[bi]
@@ -275,6 +275,9 @@ def _lockstep_crw(
         bk, ik, jk, bik = b[k], i[k], j[k], bi[k]
         m[k] -= 1
         last = m[k]
+        if frozen_at_one:
+            # a lone cluster changes nothing any more: its clock stops
+            clock[k[last == 1]] = np.inf
         size[bk + jk] += size[bik]
         # slot `last` fills the hole at i (a no-op when i is last)
         src = bk + last
@@ -566,12 +569,14 @@ def _check_connected(g: Graph) -> None:
         raise NotConnected("particles on different components never coalesce")
 
 
-def _tau_coal_once(flat: FlatGraph, draws: BufferedDraws) -> float:
+def _run_to_one(flat: FlatGraph, draws: BufferedDraws) -> _Run:
+    """One trajectory run until one cluster is left; its clock is then
+    the coalescence time."""
     run = _Run(flat, draws)
     while run.m > 1:
         run.clock += draws.expo() / run.total_rate()
         run.step()
-    return run.clock
+    return run
 
 
 def sample_tau_coal(
@@ -583,7 +588,7 @@ def sample_tau_coal(
     _check_connected(g)
     if g.n == 1:
         return 0.0
-    return _tau_coal_once(flat_graph(g, convention), BufferedDraws(rng, block=1024))
+    return _run_to_one(flat_graph(g, convention), BufferedDraws(rng, block=1024)).clock
 
 
 def sample_tau_coal_many(
@@ -598,7 +603,7 @@ def sample_tau_coal_many(
         return np.zeros(reps)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
-    return np.array([_tau_coal_once(flat, draws) for _ in range(reps)])
+    return np.array([_run_to_one(flat, draws).clock for _ in range(reps)])
 
 
 def occupancy_covariances(

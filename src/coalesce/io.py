@@ -14,12 +14,6 @@ __all__ = ["format_cell", "rows_to_csv", "write_csv", "sha256_text", "write_json
 
 
 def format_cell(value) -> str:
-    kind = type(value)
-    # the common cells first; bool and other subclasses take the checks below
-    if kind is int:
-        return str(value)
-    if kind is float:
-        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -34,7 +28,8 @@ def format_cell(value) -> str:
 
 def rows_to_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(map(format_cell, row)) for row in rows)
+    for row in rows:
+        lines.append(",".join(format_cell(v) for v in row))
     return "\r\n".join(lines) + "\r\n"
 
 

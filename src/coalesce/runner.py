@@ -7,7 +7,10 @@ iteration's variates at the nominal block size, row r taking entry r.  A
 replicate's row therefore depends only on its index: rows are identical
 whatever the worker count (worker chunks are whole blocks), extending
 ``replicates`` keeps the earlier rows, and adding tasks to a config never
-perturbs the streams of existing ones.  Rows are assembled
+perturbs the streams of existing ones.  On large graphs the blocks are too
+narrow for lockstep iterations to pay, and a block's replicates run one
+after another on the scalar engines, drawing in turn from the block's
+stream, which keeps the same guarantees.  Rows are assembled
 replicate-major, time-minor.
 """
 
@@ -24,12 +27,15 @@ import numpy as np
 from . import __version__
 from ._flat import check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
-from .crw import _check_connected, _lockstep_crw, _lockstep_rows, flat_graph
+from .crw import (
+    _check_connected, _lockstep_crw, _lockstep_rows, _run_to_one, _simulate_one,
+    flat_graph,
+)
 from .errors import TaskError
 from .graphs import Graph
 from .io import sha256_text, write_csv, write_json
-from .seeding import derive_rng
-from .voter import _lockstep_voter
+from .seeding import BufferedDraws, derive_rng
+from .voter import _lockstep_voter, _voter_once
 
 __all__ = [
     "run_experiment", "run_task", "parallel_chunks", "resolve_threads", "block_rows"
@@ -38,6 +44,11 @@ __all__ = [
 # wider blocks buy little speed on small graphs, and every iteration draws
 # the full width, however few replicates a run asks for
 _BLOCK_CAP = 1024
+# a block narrower than this runs on the scalar engines: a lockstep
+# iteration costs tens of microseconds whatever its width, and in tau_coal
+# the slowest rows run on alone once the others have coalesced
+_SCALAR_BELOW = {"density": 16, "tracked_cluster": 16, "occupancy": 16,
+                 "nhat": 16, "tau_coal": 64}
 
 
 def block_rows(n: int) -> int:
@@ -66,9 +77,46 @@ def _task_label(task: dict) -> str:
 
 
 def _block(flat, task, grid, rng, count, width):
-    """One lockstep block of ``count`` replicates: its values, shaped
+    """One block of ``count`` replicates: its values, shaped
     (replicate, time, column) or one coalescence time per replicate, and
-    the kernel's record."""
+    the kernels' record."""
+    if width < _SCALAR_BELOW[task["task"]]:
+        return _scalar_block(flat, task, grid, rng, count)
+    return _lockstep_block(flat, task, grid, rng, count, width)
+
+
+def _scalar_block(flat, task, grid, rng, count):
+    """The block's replicates one after another on the scalar engines, all
+    drawing in turn from the block's stream."""
+    kind = task["task"]
+    draws = BufferedDraws(rng, block=4096)
+    vals = []
+    events = 0
+    for _ in range(count):
+        if kind == "tau_coal":
+            run = _run_to_one(flat, draws)
+            vals.append(run.clock)
+            events += run.events
+            continue
+        if kind == "nhat":
+            rec = _voter_once(flat, draws, grid)
+            cols = [rec["nhat"][:, None]]
+        else:
+            rec = _simulate_one(flat, draws, grid, kind, task.get("sites") or None,
+                                None, False)
+            cols = [rec["xi_size"][:, None]]
+            if "N" in rec:
+                cols.append(rec["N"][:, None])
+            if "occ" in rec:
+                cols.append(rec["occ"])
+        vals.append(np.concatenate(cols, axis=1))
+        events += rec["events"]
+    # the scalar engines pick ring sources in proportion to their rates,
+    # so no ring is thinned away
+    return np.array(vals), {"events": events, "thinning_rejections": 0}
+
+
+def _lockstep_block(flat, task, grid, rng, count, width):
     kind = task["task"]
     if kind == "tau_coal":
         rec = _lockstep_crw(flat, rng, count, [], to_one=True, width=width)
@@ -168,7 +216,7 @@ def run_task(
     flat = flat_graph(graph, convention)
     width = block_rows(graph.n)
     nblocks = -(-reps // width)
-    per_chunk = -(-nblocks // (4 * threads))
+    per_chunk = max(1, -(-nblocks // (4 * threads)))
     args_list = [
         (flat, task, grid, label, master_seed, reps, width, first,
          min(first + per_chunk, nblocks))

@@ -42,6 +42,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     Records, at each grid time: the cluster size of the current opinion of
     one uniform vertex, the cluster size of the initial opinion of a second
     independent uniform vertex (0 when extinct), and survival of opinion 0.
+    Also counts the rings played (``events``).
     """
     n = flat.n
     opinion = list(range(n))
@@ -61,6 +62,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     survived = np.empty(ngrid, dtype=bool)
     alive = n
     clock = 0.0
+    events = 0
     gi = 0
     while gi < ngrid:
         # with no edges nothing ever rings: the state is frozen
@@ -74,6 +76,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
         if gi == ngrid:
             break
         clock = t_next
+        events += 1
         x = bisect_right(cum, draws.u01() * total)
         y = flat.neighbor(x, draws.u01())
         ox, oy = opinion[x], opinion[y]
@@ -88,6 +91,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
         "n_init": n_init,
         "n_distinct": n_distinct,
         "survived_0": survived,
+        "events": events,
     }
 
 
@@ -145,7 +149,8 @@ def _lockstep_voter(
             if not live.size:
                 break
         clock = t_next
-        u = rng.random((2, width))[:, live]
+        # take() gathers the live columns several times faster than [:, live]
+        u = rng.random((2, width)).take(live, axis=1)
         x = np.searchsorted(cum, u[0] * total, side="right")
         by = b + nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
         ox = opinion[b + x]

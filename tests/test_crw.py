@@ -23,6 +23,7 @@ from coalesce.errors import (
 )
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
 from coalesce.meeting import pairwise_meeting_times
+from coalesce import runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
 
@@ -278,9 +279,31 @@ def _z(x, reference):
     return (x.mean() - reference) / (x.std(ddof=1) / np.sqrt(len(x)))
 
 
+class TestBlockPath:
+    def test_narrow_blocks_run_scalar(self, monkeypatch):
+        # a block's width, and so its path, depends only on the vertex count
+        monkeypatch.setattr(runner, "_scalar_block", lambda *a: "scalar")
+        monkeypatch.setattr(runner, "_lockstep_block", lambda *a: "lockstep")
+        flat = flat_graph(cycle_graph(8), "per_edge_unit")
+        for kind in KINDS:
+            floor = 64 if kind == "tau_coal" else 16
+            for width, path in [(floor - 1, "scalar"), (floor, "lockstep")]:
+                got = runner._block(flat, {"task": kind}, [1.0], None, 1, width)
+                assert got == path, (kind, width)
+        assert runner.block_rows(1 << 15) == 16 and runner.block_rows(1 << 13) == 64
+
+
 class TestRunnerLaws:
     """Every task against an exact oracle, |z| <= 4.5: the irregular lollipop
-    takes the thinning path, total-unit cycle(9) the regular one."""
+    takes the thinning path, total-unit cycle(9) the regular one.  Small
+    graphs run on the lockstep kernels; the scalar engines, which large
+    graphs run on, are forced for the second pass."""
+
+    @pytest.fixture(autouse=True, params=["lockstep", "scalar"])
+    def path(self, request, monkeypatch):
+        if request.param == "scalar":
+            monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
+        return request.param
 
     @pytest.mark.parametrize(
         "g, convention, times",
@@ -329,6 +352,13 @@ class TestRunnerLaws:
         expected = {"density": (3,), "tracked_cluster": (3, 1),
                     "occupancy": (3, 1, 1, 1), "nhat": (1,)}[kind]
         assert rows == [(r, t, *expected) for r in range(4) for t in (0.0, 5.0)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_replicates(self, kind):
+        header, rows, tally = run_task(cycle_graph(8), "per_edge_unit", {"task": kind},
+                                       [1.0], 0, 3)
+        assert rows == []
+        assert tally == {"events": 0, "thinning_rejections": 0, "blocks": 0}
 
     @pytest.mark.parametrize("kind", KINDS[:4])
     def test_empty_grid_gives_no_rows(self, kind):
