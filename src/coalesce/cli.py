@@ -18,7 +18,7 @@ from .graphs import (
     sample_configuration_model,
     write_graph,
 )
-from .io import write_csv, write_json
+from .io import format_cell, write_csv, write_json
 from .meeting import pairwise_meeting_times
 from .runner import resolve_threads, run_experiment
 from .seeding import derive_rng
@@ -89,7 +89,7 @@ def _cmd_exact(args) -> int:
     else:
         print(",".join(header))
         for row in rows[:50]:
-            print(",".join(str(v) for v in row))
+            print(",".join(format_cell(v) for v in row))
         if len(rows) > 50:
             print(f"... {len(rows) - 50} more rows (use --out)")
     return 0

@@ -2,15 +2,26 @@
 
 Reals are written with 17 significant digits (round-trip exact for float64),
 integers as plain decimals.  Row order is fixed by the callers, so identical
-inputs produce identical bytes regardless of worker count.
+inputs produce identical bytes regardless of worker count.  ``block_csv``
+formats a runner block's value array to the same bytes that ``rows_to_csv``
+gives for its rows, so runner workers can format their own blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
-__all__ = ["format_cell", "rows_to_csv", "write_csv", "sha256_text", "write_json"]
+import numpy as np
+
+__all__ = [
+    "format_cell", "rows_to_csv", "block_csv", "write_csv", "write_csv_chunks",
+    "sha256_text", "write_json",
+]
+
+# the %-conversion that matches format_cell for a numpy dtype kind
+_CELL = {"i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def format_cell(value) -> str:
@@ -26,19 +37,51 @@ def format_cell(value) -> str:
     return text
 
 
+def _lines(rows) -> str:
+    return "".join(",".join(format_cell(v) for v in row) + "\r\n" for row in rows)
+
+
 def rows_to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    return "\r\n".join(lines) + "\r\n"
+    return ",".join(header) + "\r\n" + _lines(rows)
+
+
+def block_csv(first: int, grid, vals) -> str:
+    """The CSV lines of a block of replicates numbered from ``first``:
+    ``rep,t,*vals[r, i]`` for every replicate r and grid time i of a 3-D
+    array, or ``rep,vals[r]`` for a 1-D one.  Equal to the lines that
+    ``rows_to_csv`` writes for those rows, built from one row template."""
+    cell = _CELL[vals.dtype.kind]
+    count = len(vals)
+    reps = np.arange(first, first + count, dtype=object)
+    if vals.ndim == 1:
+        template = "%d," + cell + "\r\n"
+        args = np.empty((count, 2), dtype=object)
+        args[:, 0] = reps
+        args[:, 1] = vals.astype(object)
+    else:
+        cells = ",".join([cell] * vals.shape[2])
+        template = "".join(f"%d,{format_cell(t)},{cells}\r\n" for t in grid)
+        args = np.empty((count, len(grid), 1 + vals.shape[2]), dtype=object)
+        args[:, :, 0] = reps[:, None]
+        args[:, :, 1:] = vals.astype(object)
+    return (template * count) % tuple(args.ravel().tolist())
 
 
 def write_csv(path, header, rows) -> str:
     """Write and return the sha256 digest of the data bytes."""
-    text = rows_to_csv(header, rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return sha256_text(text)
+    return write_csv_chunks(path, header, [_lines(rows)])
+
+
+def write_csv_chunks(path, header, chunks) -> str:
+    """Write the header, then each text chunk in turn (each holding whole
+    CRLF-terminated lines); return the sha256 digest of the bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in chain([",".join(header) + "\r\n"], chunks):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def sha256_text(text: str) -> str:

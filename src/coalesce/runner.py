@@ -11,7 +11,9 @@ perturbs the streams of existing ones.  On large graphs the blocks are too
 narrow for lockstep iterations to pay, and a block's replicates run one
 after another on the scalar engines, drawing in turn from the block's
 stream, which keeps the same guarantees.  Rows are assembled
-replicate-major, time-minor.
+replicate-major, time-minor.  ``run_experiment`` runs every task in one
+worker pool; the workers return their chunks as finished CSV text, which
+the main process writes and hashes in block order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -33,12 +36,12 @@ from .crw import (
 )
 from .errors import TaskError
 from .graphs import Graph
-from .io import sha256_text, write_csv, write_json
+from .io import block_csv, sha256_text, write_csv_chunks, write_json
 from .seeding import BufferedDraws, derive_rng
 from .voter import _lockstep_voter, _voter_once
 
 __all__ = [
-    "run_experiment", "run_task", "parallel_chunks", "resolve_threads", "block_rows"
+    "run_experiment", "run_task", "worker_pool", "resolve_threads", "block_rows"
 ]
 
 # wider blocks buy little speed on small graphs, and every iteration draws
@@ -152,6 +155,7 @@ def _rows(start, grid, vals):
 
 
 def _chunk_worker(args):
+    """A chunk's blocks as (first replicate, values) and its counters."""
     flat, task, grid, label, master_seed, reps, width, first, stop = args
     blocks = []
     tally = Counter()
@@ -162,22 +166,43 @@ def _chunk_worker(args):
         blocks.append((start, vals))
         tally.update(events=rec["events"], blocks=1,
                      thinning_rejections=rec["thinning_rejections"])
-    return first, blocks, tally
+    return blocks, tally
 
 
-def parallel_chunks(args_list, threads: int):
-    """Run chunk workers; returns their (first replicate, values) blocks in
-    chunk order and their summed counters."""
-    if threads <= 1 or len(args_list) <= 1:
-        results = [_chunk_worker(a) for a in args_list]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_chunk_worker, args_list))
-    results.sort(key=lambda r: r[0])
-    tally = Counter(events=0, thinning_rejections=0, blocks=0)
-    for _, _, counts in results:
+def _chunk_text(args):
+    """A chunk's blocks as CSV text, formatted in the worker, and its
+    counters."""
+    blocks, tally = _chunk_worker(args)
+    grid = args[2]
+    return "".join(block_csv(start, grid, vals) for start, vals in blocks), tally
+
+
+def worker_pool(threads: int):
+    """A process pool of ``threads`` workers to share among tasks, or at
+    one thread a context that yields None (run in this process)."""
+    if threads > 1:
+        return ProcessPoolExecutor(max_workers=threads)
+    return nullcontext()
+
+
+def _map_chunks(worker, args_list, pool):
+    """Lazily, ``worker``'s result for each chunk in chunk order: in the
+    pool when there is one and more than one chunk, else here."""
+    if pool is None or len(args_list) <= 1:
+        return map(worker, args_list)
+    return pool.map(worker, args_list)
+
+
+def _tally():
+    return Counter(events=0, thinning_rejections=0, blocks=0)
+
+
+def _counted(results, tally):
+    """The payloads of (payload, counters) chunk results, adding the
+    counters to ``tally`` as they pass."""
+    for payload, counts in results:
         tally.update(counts)
-    return [blocks for _, blocks, _ in results], dict(tally)
+        yield payload
 
 
 def task_header(task: dict, graph: Graph) -> list[str]:
@@ -196,23 +221,18 @@ def task_header(task: dict, graph: Graph) -> list[str]:
     raise TaskError(kind, "unknown task kind")
 
 
-def run_task(
-    graph: Graph,
-    convention: str,
-    task: dict,
-    times: list,
-    replicates: int,
-    master_seed: int,
-    threads: int = 1,
-) -> tuple[list[str], list[tuple], dict]:
-    """All rows for one task, replicate-major, and the kernels' counters:
-    kept rings (``events``), ``thinning_rejections`` and ``blocks``."""
+def _task_chunks(graph, convention, task, times, replicates, master_seed, threads):
+    """A task's header, time grid, row count and chunk arguments: about
+    four chunks of whole blocks per worker."""
     header = task_header(task, graph)
     label = _task_label(task)
     grid = check_grid(task.get("times", times))
     reps = task.get("replicates", replicates)
     if task["task"] == "tau_coal":
         _check_connected(graph)
+        nrows = reps
+    else:
+        nrows = reps * len(grid)
     flat = flat_graph(graph, convention)
     width = block_rows(graph.n)
     nblocks = -(-reps // width)
@@ -222,17 +242,41 @@ def run_task(
          min(first + per_chunk, nblocks))
         for first in range(0, nblocks, per_chunk)
     ]
-    chunks, tally = parallel_chunks(args_list, threads)
-    rows = [row for blocks in chunks for start, vals in blocks
-            for row in _rows(start, grid, vals)]
-    return header, rows, tally
+    return header, grid, nrows, args_list
+
+
+def run_task(
+    graph: Graph,
+    convention: str,
+    task: dict,
+    times: list,
+    replicates: int,
+    master_seed: int,
+    threads: int = 1,
+    pool=None,
+) -> tuple[list[str], list[tuple], dict]:
+    """All rows for one task, replicate-major, and the kernels' counters:
+    kept rings (``events``), ``thinning_rejections`` and ``blocks``.  The
+    chunks run in ``pool`` when one is given (see ``worker_pool``), else in
+    a pool of their own at ``threads > 1``."""
+    header, grid, _, args_list = _task_chunks(
+        graph, convention, task, times, replicates, master_seed, threads
+    )
+    tally = _tally()
+    with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:
+        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool), tally)
+        rows = [row for blocks in chunks for start, vals in blocks
+                for row in _rows(start, grid, vals)]
+    return header, rows, dict(tally)
 
 
 def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     """Run every task in a config; one CSV per task plus a JSON manifest.
 
     ``config`` is a path or an ExperimentConfig.  The manifest embeds the
-    config verbatim, so running the manifest file reproduces the data.
+    config verbatim, so running the manifest file reproduces the data.  One
+    worker pool serves every task; the workers format their blocks' CSV
+    lines, and this process writes and hashes them in block order.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -243,39 +287,42 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     check_sites(config.tasks, graph.n)
     config_digest = sha256_text(json.dumps(config.as_dict(), sort_keys=True))
     results = []
-    for i, task in enumerate(config.tasks):
-        t0 = time.monotonic()
-        try:
-            header, rows, tally = run_task(
-                graph,
-                config.rate_convention,
-                task,
-                config.times,
-                config.replicates,
-                config.master_seed,
-                threads,
+    with worker_pool(threads) as pool:
+        for i, task in enumerate(config.tasks):
+            t0 = time.monotonic()
+            name = f"{i:02d}_{task['task']}"
+            tally = _tally()
+            try:
+                header, _, nrows, args_list = _task_chunks(
+                    graph, config.rate_convention, task, config.times,
+                    config.replicates, config.master_seed, threads,
+                )
+                texts = _counted(_map_chunks(_chunk_text, args_list, pool), tally)
+                path = os.path.join(out, name + ".csv")
+                digest = write_csv_chunks(path, header, texts)
+            except TaskError:
+                raise
+            except Exception as exc:
+                raise TaskError(task["task"], str(exc)) from exc
+            results.append(
+                {
+                    "task": task["task"],
+                    "file": name + ".csv",
+                    "columns": header,
+                    "rows": nrows,
+                    "sha256": digest,
+                    "inputs_digest": config_digest,
+                    **tally,
+                    "wall_time_s": round(time.monotonic() - t0, 3),
+                    "version": __version__,
+                    "seed": config.master_seed,
+                }
             )
-        except TaskError:
-            raise
-        except Exception as exc:
-            raise TaskError(task["task"], str(exc)) from exc
-        name = f"{i:02d}_{task['task']}"
-        path = os.path.join(out, name + ".csv")
-        digest = write_csv(path, header, rows)
-        results.append(
-            {
-                "task": task["task"],
-                "file": name + ".csv",
-                "columns": header,
-                "rows": len(rows),
-                "sha256": digest,
-                "inputs_digest": config_digest,
-                **tally,
-                "wall_time_s": round(time.monotonic() - t0, 3),
-                "version": __version__,
-                "seed": config.master_seed,
-            }
-        )
-    manifest = {"version": __version__, "config": config.as_dict(), "results": results}
+    manifest = {
+        "version": __version__,
+        "threads": threads,
+        "config": config.as_dict(),
+        "results": results,
+    }
     write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest

@@ -41,7 +41,7 @@ from .meeting import (
     mc_pair_meeting,
     pairwise_meeting_times,
 )
-from .runner import run_task
+from .runner import run_task, worker_pool
 from .seeding import derive_rng
 from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (
@@ -209,9 +209,9 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
     return rows, ok
 
 
-def _density_stats(graph, convention, times, reps, seed, threads):
+def _density_stats(graph, convention, times, reps, seed, threads, pool):
     _, rows, _ = run_task(
-        graph, convention, {"task": "density"}, times, reps, seed, threads
+        graph, convention, {"task": "density"}, times, reps, seed, threads, pool
     )
     xi = {}
     for rep, t, x in rows:
@@ -229,6 +229,11 @@ def _density_stats(graph, convention, times, reps, seed, threads):
 def statistical_suite(
     seed: int = 0, threads: int = 1, scale: float = 1.0
 ) -> tuple[list, bool]:
+    with worker_pool(threads) as pool:
+        return _statistical_suite(seed, threads, scale, pool)
+
+
+def _statistical_suite(seed, threads, scale, pool):
     rows = []
 
     def ks_threshold(n, m=None):
@@ -241,7 +246,7 @@ def statistical_suite(
         c = build_generator(g)
         times = [0.5, 1.0, 2.0]
         reps = max(2000, int(20000 * scale))
-        stats = _density_stats(g, "per_edge_unit", times, reps, seed, threads)
+        stats = _density_stats(g, "per_edge_unit", times, reps, seed, threads, pool)
         for t in times:
             exact = float(exact_occupancy_density(c, t)[0])
             p_hat, se = stats[t]
@@ -264,10 +269,10 @@ def statistical_suite(
     reps = max(1000, int(5000 * scale))
     t = 1.0
     _, nhat_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "nhat"}, [t], reps, seed, threads
+        g6, "per_edge_unit", {"task": "nhat"}, [t], reps, seed, threads, pool
     )
     _, crw_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "tracked_cluster"}, [t], reps, seed, threads
+        g6, "per_edge_unit", {"task": "tracked_cluster"}, [t], reps, seed, threads, pool
     )
     dual = duality_statistics(
         np.array([r[2] for r in nhat_rows], dtype=float),
@@ -286,7 +291,7 @@ def statistical_suite(
     g8 = complete_graph(8)
     reps = max(2000, int(20000 * scale))
     _, tau_rows, _ = run_task(
-        g8, "per_edge_unit", {"task": "tau_coal"}, [], reps, seed, threads
+        g8, "per_edge_unit", {"task": "tau_coal"}, [], reps, seed, threads, pool
     )
     taus = np.array([r[1] for r in tau_rows], dtype=float)
     mean_exp = 1.0 - 1.0 / 8.0
@@ -301,7 +306,7 @@ def statistical_suite(
     # negative association of occupation indicators on the 6-cycle
     reps = max(2000, int(20000 * scale))
     _, occ_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "occupancy"}, [0.5, 1.0], reps, seed, threads
+        g6, "per_edge_unit", {"task": "occupancy"}, [0.5, 1.0], reps, seed, threads, pool
     )
     by_t = {}
     for row in occ_rows:
@@ -336,6 +341,11 @@ def statistical_suite(
 def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[list, bool]:
     """Measured t * density against the predictions; ratio bands mirror the
     desk-scale acceptance windows."""
+    with worker_pool(threads) as pool:
+        return _paper_suite(seed, threads, scale, pool)
+
+
+def _paper_suite(seed, threads, scale, pool):
     rows = []
     predictions = []
 
@@ -343,7 +353,7 @@ def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[li
     g = cycle_graph(100_000)
     t = 200.0
     reps = max(4, int(10 * scale))
-    stats = _density_stats(g, "total_unit", [t], reps, seed, threads)
+    stats = _density_stats(g, "total_unit", [t], reps, seed, threads, pool)
     p_hat, se = stats[t]
     pred = bg_prediction(1, t)
     ratio = p_hat / pred
@@ -360,7 +370,7 @@ def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[li
     c = build_generator(g)
     m_eig = spectrum(c).eigentime_sum() / 2.0
     reps = max(40, int(200 * scale))
-    stats = _density_stats(g, "per_edge_unit", [t], reps, seed, threads)
+    stats = _density_stats(g, "per_edge_unit", [t], reps, seed, threads, pool)
     p_hat, se = stats[t]
     alpha_mc = alpha_survival(
         c, 0, t, mode="mc", reps=max(2000, int(20000 * scale)),
@@ -399,7 +409,7 @@ def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[li
     )
     t = 50.0
     reps = max(8, int(24 * scale))
-    stats = _density_stats(g, "per_edge_unit", [t], reps, seed, threads)
+    stats = _density_stats(g, "per_edge_unit", [t], reps, seed, threads, pool)
     p_hat, se = stats[t]
     alpha = estimate_alpha_D(
         dist, 30, 200.0, max(2000, int(10000 * scale)),

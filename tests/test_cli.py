@@ -1,6 +1,10 @@
+import hashlib
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from coalesce import runner
@@ -8,13 +12,28 @@ from coalesce.cli import main
 from coalesce.config import load_config, validate_config
 from coalesce.errors import ConfigError, NotConnected, TaskError
 from coalesce.graphs import Graph, write_graph
-from coalesce.io import format_cell, rows_to_csv
+from coalesce.io import block_csv, format_cell, rows_to_csv
 from coalesce.runner import run_experiment
+from coalesce.verify import statistical_suite
 
 KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
 LOLLIPOP = Graph.from_edges(
     7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
 )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the process pools the runner opens."""
+    made = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Counted)
+    return made
 
 
 def minimal_config(out_dir, tasks=None):
@@ -133,6 +152,21 @@ class TestRunExperiment:
             tmp_path / "rerun" / "00_density.csv"
         ).read_bytes()
 
+    def test_manifest_records_threads(self, tmp_path):
+        manifest = run_experiment(validate_config(minimal_config(tmp_path / "m")), threads=2)
+        on_disk = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["threads"] == on_disk["threads"] == 2
+        rerun_cfg = load_config(tmp_path / "m" / "manifest.json")
+        rerun = run_experiment(rerun_cfg, threads=1, out_dir=tmp_path / "rerun")
+        assert (tmp_path / "m" / "00_density.csv").read_bytes() == (
+            tmp_path / "rerun" / "00_density.csv"
+        ).read_bytes()
+        assert rerun["threads"] == 1
+        for a, b in zip(manifest["results"], rerun["results"]):
+            del a["wall_time_s"], b["wall_time_s"]
+        del manifest["threads"], rerun["threads"]
+        assert manifest == rerun
+
     def test_extending_replicates_keeps_prefix(self, tmp_path):
         base = minimal_config(tmp_path / "p1")
         more = minimal_config(tmp_path / "p2")
@@ -210,6 +244,20 @@ class TestBlockStreams:
         assert one == three
         assert len(longer) > len(one) and longer[: len(one)] == one
 
+    def test_all_tasks_share_one_pool(self, tmp_path, pools):
+        raw = minimal_config(tmp_path, tasks=[{"task": k} for k in KINDS])
+        digests = {}
+        for threads in (1, 2):
+            raw["outputs"] = str(tmp_path / f"w{threads}")
+            manifest = run_experiment(validate_config(raw), threads=threads)
+            digests[threads] = [r["sha256"] for r in manifest["results"]]
+            for rec in manifest["results"]:
+                data = (tmp_path / f"w{threads}" / rec["file"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == rec["sha256"]
+                assert data.count(b"\r\n") == 1 + rec["rows"]
+        assert digests[1] == digests[2]
+        assert len(pools) == 1
+
     def test_manifest_counters(self, tmp_path, path):
         res, _ = self.run(tmp_path, "c", "tau_coal", 40)
         # every replicate needs n - 1 merges, and regular rates thin nothing
@@ -234,6 +282,33 @@ class TestBlockStreams:
         assert "tau_coal" in str(err.value)
         assert isinstance(err.value.__cause__, NotConnected)
 
+    def test_pool_closes_after_task_error(self, tmp_path):
+        # the density task starts the workers; tau_coal then fails
+        raw = minimal_config(tmp_path, tasks=[{"task": "density"}, {"task": "tau_coal"}])
+        raw["graph"] = self.graph_file(tmp_path, Graph.from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(TaskError) as err:
+            run_experiment(validate_config(raw), threads=2)
+        assert isinstance(err.value.__cause__, NotConnected)
+        assert (tmp_path / "00_density.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched block function reaches forked workers only")
+    def test_pool_closes_after_worker_error(self, tmp_path, monkeypatch):
+        block = runner._block
+
+        def failing(flat, task, *args):
+            if task["task"] == "nhat":
+                raise RuntimeError("block failed")
+            return block(flat, task, *args)
+
+        monkeypatch.setattr(runner, "_block", failing)
+        raw = minimal_config(tmp_path, tasks=[{"task": "density"}, {"task": "nhat"}])
+        with pytest.raises(TaskError) as err:
+            run_experiment(validate_config(raw), threads=2)
+        assert "nhat" in str(err.value) and "block failed" in str(err.value)
+        assert multiprocessing.active_children() == []
+
 
 class TestCsvFormat:
     def test_seventeen_digits(self):
@@ -246,6 +321,35 @@ class TestCsvFormat:
     def test_crlf(self):
         assert rows_to_csv(["a"], [(1,)]) == "a\r\n1\r\n"
 
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**53 + 1.0, 0.1, -1e300]
+    BIG = [2**63 - 1, -(2**63), 2**53 + 1, 0, -7]
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, 2.0], [1, 2], [1.0, 2.0], [1 / 3]])
+    @pytest.mark.parametrize("first", [0, 3072])
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    @pytest.mark.parametrize("shape", ["tau_coal", "one_column", "three_columns"])
+    def test_block_csv_matches_rows(self, shape, kind, first, grid):
+        rng = np.random.default_rng(5)
+        pool = np.array(self.BIG if kind == "int64" else self.SPECIAL, dtype=kind)
+        size = {"tau_coal": (17,), "one_column": (17, len(grid), 1),
+                "three_columns": (17, len(grid), 3)}[shape]
+        vals = rng.choice(pool, size=size)
+        if kind == "float64":
+            vals = np.where(rng.random(size) < 0.5, vals, rng.exponential(size=size))
+        header = ["replicate", "t", "v"]
+        expected = rows_to_csv(header, runner._rows(first, grid, vals))
+        assert "replicate,t,v\r\n" + block_csv(first, grid, vals) == expected
+        assert block_csv(first, grid, vals[:0]) == ""
+
+    def test_block_csv_special_cells(self):
+        vals = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**53 + 1.0])
+        assert block_csv(7, [], vals).split("\r\n")[:-1] == [
+            "7,nan", "8,inf", "9,-inf", "10,-0", "11,4.9406564584124654e-324",
+            "12,9007199254740992",
+        ]
+        big = np.array([[[2**63 - 1]]])
+        assert block_csv(0, [2], big) == "0,2,9223372036854775807\r\n"
+
 
 class TestCliCommands:
     def test_gen_and_exact(self, tmp_path, capsys):
@@ -256,6 +360,15 @@ class TestCliCommands:
         lines = open(out).read().splitlines()
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 7
+
+    def test_exact_preview_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        args = ["exact", "transition", "--family", "cycle", "--params", "4", "--t", "0.3"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        preview = capsys.readouterr().out.splitlines()
+        assert preview == out.read_text().splitlines()
 
     def test_gen_cm(self, tmp_path):
         gpath = str(tmp_path / "cm.crwgraph")
@@ -309,6 +422,16 @@ class TestFailurePaths:
             lambda seed: ([("rigged", "q", 1.0, 0.0, 0.0, False)], False),
         )
         assert main(["verify", "exact", "--seed", "0"]) == 1
+
+
+class TestSuitePool:
+    def test_statistical_suite_one_pool(self, pools):
+        one = statistical_suite(11, threads=1, scale=0.01)
+        assert pools == []
+        two = statistical_suite(11, threads=2, scale=0.01)
+        assert len(pools) == 1
+        assert one == two
+        assert multiprocessing.active_children() == []
 
 
 class TestThreadsEnv:
