@@ -64,6 +64,7 @@ from .theory import (  # noqa: F401
     bg_prediction,
     estimate_psi_d,
     estimate_alpha_D,
+    alpha_regular_tree,
     kingman_tau_coal,
     enumerate_patterns,
     branching_integral_mc,

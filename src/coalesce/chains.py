@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import (
     NotConnected,
@@ -177,11 +177,23 @@ def product_chain(c: MarkovChain) -> MarkovChain:
 
 
 def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
-    """Poisson(lam_t) pmf from 0 through the (1 - tol) quantile."""
+    """Poisson(lam_t) pmf from 0 through two past the (1 - tol) quantile.
+
+    The quantile and the pmf are the ``scipy.special`` expressions that
+    ``scipy.stats.poisson`` evaluates, so the weights are the same bits
+    without the slow ``scipy.stats`` import.
+    """
     if lam_t <= 0.0:
         return np.array([1.0])
-    kmax = int(poisson.ppf(1.0 - tol, lam_t)) + 2
-    return poisson.pmf(np.arange(kmax + 1), lam_t)
+    q = 1.0 - tol
+    # smallest k with P(K <= k) >= q: the ceiling of the continuous inverse,
+    # or the integer below it when that already reaches q
+    k = np.ceil(pdtrik(q, lam_t))
+    below = max(k - 1.0, 0.0)
+    if pdtr(below, lam_t) >= q:
+        k = below
+    ks = np.arange(int(k) + 3)
+    return np.exp(xlogy(ks, lam_t) - gammaln(ks + 1) - lam_t)
 
 
 def uniformize(step, x0, lam: float, times, tol: float = 1e-12):

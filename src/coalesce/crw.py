@@ -55,6 +55,8 @@ class _Run:
     Slot i holds one cluster: its site loc[i] and its size size[i].  A merge
     removes the moving slot and fills the hole from the last slot, and the
     slot ``track`` of one followed cluster (-1 for none) is carried along.
+    On irregular graphs a picked source is kept with probability
+    rate / r_max; ``rejections`` counts the picks thrown back.
     """
 
     __slots__ = (
@@ -69,6 +71,7 @@ class _Run:
         "rate_sum",
         "clock",
         "events",
+        "rejections",
     )
 
     def __init__(self, flat: FlatGraph, draws: BufferedDraws, initial_sites=None,
@@ -88,6 +91,7 @@ class _Run:
         self.rate_sum = float(sum(flat.rate[v] for v in sites))
         self.clock = 0.0
         self.events = 0
+        self.rejections = 0
 
     def total_rate(self) -> float:
         if self.full:
@@ -109,6 +113,7 @@ class _Run:
                 x = int(draws.u01() * flat.n)
                 if flat.regular or draws.u01() * flat.r_max <= rate[x]:
                     break
+                self.rejections += 1
             y = flat.neighbor(x, draws.u01())
             i = self.at_site[x]
             if i < 0:
@@ -120,6 +125,7 @@ class _Run:
                 x = self.loc[i]
                 if flat.regular or draws.u01() * flat.r_max <= rate[x]:
                     break
+                self.rejections += 1
             y = flat.neighbor(x, draws.u01())
         self.events += 1
         j = self.at_site[y]
@@ -349,7 +355,8 @@ def _simulate_one(
             break
         run.clock = t_next
         run.step()
-    out = {"t": np.array(grid), "xi_size": xi, "events": run.events}
+    out = {"t": np.array(grid), "xi_size": xi, "events": run.events,
+           "thinning_rejections": run.rejections}
     if ncol is not None:
         out["N"] = ncol
     if occ is not None:

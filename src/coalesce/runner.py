@@ -94,14 +94,16 @@ def _scalar_block(flat, task, grid, rng, count):
     kind = task["task"]
     draws = BufferedDraws(rng, block=4096)
     vals = []
-    events = 0
+    events = rejections = 0
     for _ in range(count):
         if kind == "tau_coal":
             run = _run_to_one(flat, draws)
             vals.append(run.clock)
             events += run.events
+            rejections += run.rejections
             continue
         if kind == "nhat":
+            # the voter picks its source by cumulative rate: nothing thinned
             rec = _voter_once(flat, draws, grid)
             cols = [rec["nhat"][:, None]]
         else:
@@ -112,11 +114,10 @@ def _scalar_block(flat, task, grid, rng, count):
                 cols.append(rec["N"][:, None])
             if "occ" in rec:
                 cols.append(rec["occ"])
+            rejections += rec["thinning_rejections"]
         vals.append(np.concatenate(cols, axis=1))
         events += rec["events"]
-    # the scalar engines pick ring sources in proportion to their rates,
-    # so no ring is thinned away
-    return np.array(vals), {"events": events, "thinning_rejections": 0}
+    return np.array(vals), {"events": events, "thinning_rejections": rejections}
 
 
 def _lockstep_block(flat, task, grid, rng, count, width):

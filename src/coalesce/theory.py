@@ -36,6 +36,7 @@ __all__ = [
     "bg_prediction",
     "estimate_psi_d",
     "estimate_alpha_D",
+    "alpha_regular_tree",
     "kingman_tau_coal",
     "enumerate_patterns",
     "branching_integral_mc",
@@ -237,6 +238,19 @@ def estimate_alpha_D(
         "alpha_high": mean_hi,
         "censored_fraction": censored / reps,
     }
+
+
+def alpha_regular_tree(d: int) -> float:
+    """alpha(delta_d) exactly: d(d - 2)/(d - 1), the limit of
+    ``estimate_alpha_D`` on ``DegreeDistribution.delta(d)``.
+
+    The distance between two walkers on the d-regular tree steps down at
+    rate 2 and up at rate 2(d - 1), so from 1 it ever reaches 0 with
+    probability 1/(d - 1); the root weight d multiplies the rest.
+    """
+    if d != int(d) or d < 3:
+        raise ParameterOutOfRange("the d-regular tree needs an integer d >= 3")
+    return d * (d - 2) / (d - 1)
 
 
 def kingman_tau_coal(

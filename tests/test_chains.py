@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from coalesce.chains import (
     MarkovChain,
     build_generator,
+    poisson_weights,
     product_chain,
     return_integrals,
     spectrum,
@@ -95,6 +97,32 @@ class TestTransitionMatrix:
     def test_too_large(self):
         with pytest.raises(TooLargeForExact):
             transition_matrix(build_generator(cycle_graph(5000)), 1.0)
+
+
+class TestPoissonWeights:
+    """The weights are the bits scipy.stats.poisson gives, length included,
+    so every uniformization oracle keeps its values."""
+
+    @staticmethod
+    def assert_same(lam_t, tol):
+        w = poisson_weights(lam_t, tol)
+        if lam_t <= 0.0:
+            ref = np.array([1.0])
+        else:
+            kmax = int(poisson.ppf(1.0 - tol, lam_t)) + 2
+            ref = poisson.pmf(np.arange(kmax + 1), lam_t)
+        assert w.shape == ref.shape and np.array_equal(w, ref), (lam_t, tol)
+
+    @pytest.mark.parametrize("lam_t", [-1.0, 0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0,
+                                       3.7, 15.0, 60.0, 300.0, 1e4, 3e4])
+    def test_bit_identical(self, lam_t):
+        for tol in [1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16]:
+            self.assert_same(lam_t, tol)
+
+    def test_bit_identical_log_uniform_sweep(self):
+        rng = derive_rng(9, "poisson-weights", 0)
+        for lam_t, tol in zip(10 ** rng.uniform(-6, 4.5, 400), 10 ** rng.uniform(-16, -6, 400)):
+            self.assert_same(float(lam_t), float(tol))
 
 
 def _connected(rates):

@@ -2,18 +2,22 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from coalesce import runner
+import coalesce
+from coalesce import runner, verify
 from coalesce.cli import main
 from coalesce.config import load_config, validate_config
 from coalesce.errors import ConfigError, NotConnected, TaskError
-from coalesce.graphs import Graph, write_graph
+from coalesce.graphs import Graph, cycle_graph, write_graph
 from coalesce.io import block_csv, format_cell, rows_to_csv
 from coalesce.runner import run_experiment
+from coalesce.theory import alpha_regular_tree
 from coalesce.verify import statistical_suite
 
 KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
@@ -265,12 +269,14 @@ class TestBlockStreams:
         assert res["blocks"] == 3
         on_disk = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert on_disk["results"][0]["events"] == res["events"]
+        res, _ = self.run(tmp_path, "r", "density", 40)
+        assert res["events"] > 0 and res["thinning_rejections"] == 0
         lollipop = self.graph_file(tmp_path, LOLLIPOP)
-        res, _ = self.run(tmp_path, "l", "density", 40, graph=lollipop)
-        assert res["events"] > 0
-        # only the lockstep kernel thins rings; the scalar engines pick
-        # sources in proportion to their rates
-        assert (res["thinning_rejections"] > 0) == (path == "lockstep")
+        for kind in ("density", "tau_coal"):
+            res, _ = self.run(tmp_path, "l" + kind, kind, 40, graph=lollipop)
+            assert res["events"] > 0
+            # both paths keep a picked source with probability rate / r_max
+            assert res["thinning_rejections"] > 0
 
     @pytest.mark.parametrize(
         "g", [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(3, [])],
@@ -422,6 +428,55 @@ class TestFailurePaths:
             lambda seed: ([("rigged", "q", 1.0, 0.0, 0.0, False)], False),
         )
         assert main(["verify", "exact", "--seed", "0"]) == 1
+
+
+class TestPaperCensoring:
+    """Censored pair runs are left out of the mean meeting time, which
+    biases it low, so any of them fails the paper row built on it."""
+
+    @pytest.fixture
+    def meeting_row(self, monkeypatch):
+        # only the meeting row is read: every other input is stubbed
+        monkeypatch.setattr(verify, "_density_stats",
+                            lambda g, conv, times, *a: {t: (0.01, 0.001) for t in times})
+        monkeypatch.setattr(verify, "estimate_psi_d", lambda *a: {"psi_hat": 0.66})
+        monkeypatch.setattr(verify, "alpha_survival",
+                            lambda *a, **k: {"value": 3.8, "stderr": 0.01})
+        monkeypatch.setattr(verify, "sample_configuration_model",
+                            lambda *a, **k: cycle_graph(30))
+
+        def run(censored):
+            # a mean meeting time that puts the row at the centre of its band
+            meet = {"mean": 30 / (2 * alpha_regular_tree(3)), "stderr": 0.01,
+                    "censored": censored}
+            monkeypatch.setattr(verify, "mc_pair_meeting", lambda *a: meet)
+            rows, ok, _ = verify.paper_suite(0, threads=1, scale=0.01)
+            [row] = [r for r in rows if r[1].startswith("two_meet_over_n_alpha")]
+            return row
+
+        return run
+
+    def test_censored_run_fails_row(self, meeting_row):
+        clean = meeting_row(0)
+        assert clean[0] == "paper_cm3" and clean[1] == "two_meet_over_n_alpha"
+        assert clean[2] == pytest.approx(1.0) and clean[5]
+        censored = meeting_row(1)
+        assert censored[2] == clean[2] and not censored[5]
+        assert "1 censored" in censored[1]
+
+
+class TestStartup:
+    def test_import_skips_slow_scipy_modules(self):
+        # scipy.stats alone once took about 1 s of every start-up, and
+        # scipy.integrate 0.7 s; a fresh interpreter shows what importing loads
+        code = ("import sys, coalesce, coalesce.cli; print(sorted(m for m in "
+                "('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSuitePool:

@@ -15,6 +15,7 @@ from coalesce.graphs import DegreeDistribution, complete_graph, cycle_graph
 from coalesce.seeding import derive_rng
 from coalesce.stats import ks_distance_two_sample
 from coalesce.theory import (
+    alpha_regular_tree,
     bg_prediction,
     branching_integral_mc,
     enumerate_patterns,
@@ -139,6 +140,20 @@ class TestAlphaD:
     def test_shallow_depth_rejected(self):
         with pytest.raises(DegenerateDepth):
             estimate_alpha_D(D3, 0, 10.0, 100, derive_rng(0, "alphaD", 0))
+
+    def test_regular_tree_closed_form(self):
+        assert alpha_regular_tree(3) == 1.5
+        assert alpha_regular_tree(4) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        for d in (2, 3.5):
+            with pytest.raises(ParameterOutOfRange):
+                alpha_regular_tree(d)
+
+    def test_degree4_tree_oracle(self):
+        # down at rate 2, up at rate 6: never meeting has probability 2/3
+        res = estimate_alpha_D(DegreeDistribution.delta(4), 14, 60.0, 6000,
+                               derive_rng(6, "alphaD", 0))
+        assert abs(res["alpha_hat"] - alpha_regular_tree(4)) <= 4.0 * res["stderr"] + 0.05
+        assert res["censored_fraction"] <= 0.05
 
 
 class TestKingman:
