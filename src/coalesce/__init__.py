@@ -62,6 +62,7 @@ from .theory import (  # noqa: F401
     Prediction,
     mean_field_predictions,
     bg_prediction,
+    psi_d,
     estimate_psi_d,
     estimate_alpha_D,
     alpha_regular_tree,

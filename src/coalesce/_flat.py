@@ -1,11 +1,13 @@
 """Shared pieces of the event engines: flat adjacency arrays, the
-two-walker loop and the time-grid check.
+lockstep two-walker kernel and the time-grid check.
 
 Neighbor lists are expanded by multiplicity so a uniform slot pick realizes
 the jump law r_{x,y} / r(x) for both rate conventions.  A walk is given to
-the two-walker loop as a rate list ``rate[v]`` and a pick ``neighbor(v, u)``
-that maps a uniform variate to a jump target; ``FlatGraph``, weighted chains
-(``chain_walk``) and the lazily grown trees of ``theory`` provide one.
+the two-walker kernel as vectorized ``rate(v)`` and ``pick(v, u)``, the
+latter mapping uniform variates to jump targets; ``graph_pick`` (a
+``FlatGraph``), ``chain_pick`` (a weighted chain) and the forest of lazily
+grown trees in ``theory`` provide one.  ``chain_walk`` is the scalar pick
+of a chain, for the one-walk-at-a-time loops.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import numbers
 import sys
 from bisect import bisect_right
+
+import numpy as np
 
 from .errors import ParameterOutOfRange, TotalUnitOnIrregular
 from .graphs import Graph
@@ -71,40 +75,95 @@ def chain_walk(c):
     return c.row_rates.tolist(), neighbor
 
 
-def walk_pair(rate, neighbor, a, b, draws, t_max=math.inf, max_events=sys.maxsize):
-    """Two independent walkers from a and b until they meet.
+# outcomes of walk_pairs
+MEET, TIME, BUDGET, KILLED = 0, 1, 2, 3
 
-    Returns (outcome, clock): "meet" at the meeting time, "time" once the
-    next jump would pass t_max, "budget" after max_events jumps, "killed"
-    when ``neighbor`` returned -1 for the walker that moved.
+# pairs per walk_pairs call; keeps each per-pair array near 128 KB
+PAIR_BLOCK = 1 << 14
+
+
+def graph_pick(flat: FlatGraph):
+    """Rates and vectorized pick of a flat graph's walk: a uniform slot of
+    the multiplicity-expanded neighbor list."""
+    off = np.asarray(flat.off[:-1], dtype=np.int64)
+    deg = np.asarray(flat.deg, dtype=np.int64)
+    nbr = np.asarray(flat.nbr, dtype=np.int64)
+    rate = np.asarray(flat.rate)
+
+    def pick(v, u):
+        return nbr[off[v] + (u * deg[v]).astype(np.int64)]
+
+    return rate.take, pick
+
+
+def chain_pick(c):
+    """Rates and vectorized pick of a chain's weighted jump law: target y
+    with probability r_{x,y} / r(x), by one searchsorted over the
+    row-concatenated cumulative rates."""
+    rows, cols = c.rates.nonzero()
+    cum = np.cumsum(c.rates[rows, cols])
+    first = np.searchsorted(rows, np.arange(c.n))
+    last = np.searchsorted(rows, np.arange(c.n), side="right") - 1
+    below = np.concatenate(([0.0], cum))[first]
+    rate = c.row_rates
+
+    def pick(v, u):
+        k = np.searchsorted(cum, below[v] + u * rate[v], side="right")
+        # rounding can carry the key past the row's last entry
+        return cols[np.minimum(k, last[v])]
+
+    return rate.take, pick
+
+
+def walk_pairs(rate, pick, a, b, rng, t_max=math.inf, max_events=sys.maxsize):
+    """Pairs of independent walkers from a[i] and b[i], all stepped in
+    lockstep until each pair retires.
+
+    ``rate(v)`` gives the jump rates of the vertices v and ``pick(v, u)``
+    their jump targets for uniform variates u, or -1 to kill the pair.
+    Each iteration gives every live pair one event: an exponential clock
+    at rate r(a) + r(b), a uniform that picks the walker that moves, with
+    probability proportional to its rate, and a uniform for its target.
+    The walkers are exchangeable, so after each event ``a`` holds the one
+    that moved.  Returns (outcome, clock) arrays: MEET at the meeting time
+    (0 for a[i] == b[i]), TIME with the first clock past t_max, KILLED at
+    the killing jump, BUDGET after ``max_events`` events.
     """
-    if a == b:
-        return "meet", 0.0
-    expo = draws.expo
-    u01 = draws.u01
-    ra = rate[a]
-    rb = rate[b]
-    clock = 0.0
-    for _ in range(max_events):
-        total = ra + rb
-        clock += expo() / total
-        if clock > t_max:
-            return "time", clock
-        if u01() * total < ra:
-            a = neighbor(a, u01())
-            if a == b:
-                return "meet", clock
-            if a < 0:
-                return "killed", clock
-            ra = rate[a]
-        else:
-            b = neighbor(b, u01())
-            if a == b:
-                return "meet", clock
-            if b < 0:
-                return "killed", clock
-            rb = rate[b]
-    return "budget", clock
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    outcome = np.full(a.size, MEET, dtype=np.int8)
+    out_clock = np.zeros(a.size)
+    live = np.flatnonzero(a != b)
+    a, b = a[live], b[live]
+    ra, rb = rate(a), rate(b)
+    clock = np.zeros(live.size)
+    events = 0
+    while live.size and events < max_events:
+        events += 1
+        tot = ra + rb
+        clock += rng.standard_exponential(live.size) / tot
+        u = rng.random((2, live.size))
+        moves_a = u[0] * tot < ra
+        stay = np.where(moves_a, b, a)
+        rb = np.where(moves_a, rb, ra)
+        a = pick(a + b - stay, u[1])
+        b = stay
+        ra = rate(a)
+        stop = a == b
+        stop |= a < 0
+        if t_max < math.inf:
+            stop |= clock > t_max
+        if np.count_nonzero(stop):
+            k = np.flatnonzero(stop)
+            ended = np.where(a[k] < 0, KILLED, MEET)
+            ended[clock[k] > t_max] = TIME
+            outcome[live[k]] = ended
+            out_clock[live[k]] = clock[k]
+            go = ~stop
+            live, a, b, ra, rb, clock = live[go], a[go], b[go], ra[go], rb[go], clock[go]
+    outcome[live] = BUDGET
+    out_clock[live] = clock
+    return outcome, out_clock
 
 
 def check_grid(t_grid) -> list:

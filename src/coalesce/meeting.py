@@ -3,8 +3,8 @@
 Exact quantities come from one sparse hitting-time solve and one killed
 uniformization, applied to a single chain or to the two-walker product
 chain (a sparse Kronecker sum on states x * n + y, killed on its diagonal).
-Monte Carlo fallbacks simulate the pair of walkers event by event for graphs
-beyond the dense caps.
+Monte Carlo fallbacks for graphs beyond the dense caps run blocks of walker
+pairs in lockstep on the two-walker kernel ``_flat.walk_pairs``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._flat import FlatGraph, chain_walk, walk_pair
+from ._flat import (
+    MEET,
+    PAIR_BLOCK,
+    TIME,
+    FlatGraph,
+    chain_pick,
+    check_grid,
+    graph_pick,
+    walk_pairs,
+)
 from .chains import MarkovChain, spectrum, uniformize
 from .errors import (
     BadSubset,
@@ -26,7 +35,6 @@ from .errors import (
     TooLargeForExact,
 )
 from .graphs import Graph, is_connected
-from .seeding import BufferedDraws
 
 __all__ = [
     "MeetingProfile",
@@ -135,15 +143,15 @@ def alpha_survival(
     neighbor of x: r(x) * P(no meeting by t).
 
     Accepts a chain or a graph (per-edge-unit rates).  exact mode runs
-    killed-pair uniformization on the n^2 pair states; mc mode simulates the
-    pair event by event and returns a 95% normal interval.
+    killed-pair uniformization on the n^2 pair states; mc mode runs ``reps``
+    pairs on the lockstep two-walker kernel, in blocks of ``PAIR_BLOCK``,
+    and returns a 95% normal interval.
     """
     if isinstance(c, Graph):
         from .chains import build_generator
 
         c = build_generator(c)
-    if t < 0.0:
-        raise ParameterOutOfRange("t must be nonnegative")
+    [t] = check_grid([t])
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not 0 <= x < c.n:
         raise ParameterOutOfRange(f"x must be a vertex in 0..{c.n - 1}, got {x!r}")
     rx = float(c.row_rates[x])
@@ -160,13 +168,14 @@ def alpha_survival(
         raise ParameterOutOfRange(f"unknown mode {mode!r}")
     if rng is None:
         raise ParameterOutOfRange("mc mode needs an rng")
-    rate, neighbor = chain_walk(c)
-    draws = BufferedDraws(rng)
+    _check_reps(reps)
+    rate, pick = chain_pick(c)
     hits = 0
-    for _ in range(reps):
-        b = neighbor(x, draws.u01())
-        if walk_pair(rate, neighbor, x, b, draws, t_max=t)[0] == "time":
-            hits += 1
+    for lo in range(0, reps, PAIR_BLOCK):
+        a = np.full(min(PAIR_BLOCK, reps - lo), x, dtype=np.int64)
+        b = pick(a, rng.random(a.size))
+        outcome = walk_pairs(rate, pick, a, b, rng, t_max=t)[0]
+        hits += int(np.count_nonzero(outcome == TIME))
     p = hits / reps
     se = (p * (1.0 - p) / reps) ** 0.5
     return {
@@ -174,6 +183,11 @@ def alpha_survival(
         "stderr": rx * se,
         "ci95": (rx * (p - 1.96 * se), rx * (p + 1.96 * se)),
     }
+
+
+def _check_reps(reps):
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ParameterOutOfRange(f"reps must be a positive integer, got {reps!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,33 +297,29 @@ def mc_pair_meeting(
 ) -> dict:
     """Monte Carlo mean meeting time from independent uniform starts.
 
-    Simulates the two walkers event by event with a hard event horizon
-    (default 50 n / r_min); censored runs are excluded from the mean and
-    counted in the report.
+    Runs ``reps`` pairs on the lockstep two-walker kernel, in blocks of
+    ``PAIR_BLOCK``, with a hard horizon of ``horizon_events`` events per
+    pair (default 50 n / r_min); censored runs are excluded from the mean
+    and counted in the report.
     """
+    _check_reps(reps)
     if not is_connected(g):
         raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)
     if horizon_events is None:
         horizon_events = int(50 * g.n / flat.r_min)
-    draws = BufferedDraws(rng)
-    n = g.n
+    rate, pick = graph_pick(flat)
     s1 = 0.0
     s2 = 0.0
     finished = 0
-    censored = 0
-    for _ in range(reps):
-        a = int(draws.u01() * n)
-        b = int(draws.u01() * n)
-        outcome, clock = walk_pair(
-            flat.rate, flat.neighbor, a, b, draws, max_events=horizon_events
-        )
-        if outcome == "meet":
-            s1 += clock
-            s2 += clock * clock
-            finished += 1
-        else:
-            censored += 1
+    for lo in range(0, reps, PAIR_BLOCK):
+        a, b = rng.integers(0, g.n, (2, min(PAIR_BLOCK, reps - lo)))
+        outcome, clock = walk_pairs(rate, pick, a, b, rng, max_events=horizon_events)
+        met = clock[outcome == MEET]
+        s1 += float(met.sum())
+        s2 += float(met @ met)
+        finished += met.size
+    censored = reps - finished
     if finished:
         mean = s1 / finished
         var = max(0.0, s2 / finished - mean * mean)

@@ -10,13 +10,14 @@ reversal.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, sqrt, pi, log
 
 import numpy as np
 
-from ._flat import chain_walk, walk_pair
+from ._flat import KILLED, MEET, TIME, chain_walk, check_grid, walk_pairs
 from .chains import MarkovChain
 from .crw import exact_k_particle_law
 from .errors import (
@@ -34,6 +35,7 @@ __all__ = [
     "Prediction",
     "mean_field_predictions",
     "bg_prediction",
+    "psi_d",
     "estimate_psi_d",
     "estimate_alpha_D",
     "alpha_regular_tree",
@@ -92,6 +94,42 @@ def bg_prediction(d: int, t: float, psi_hat: float | None = None) -> float:
     return 1.0 / (psi_hat * t)
 
 
+def psi_d(d: int) -> float:
+    """Escape probability of simple random walk on Z^d, exactly:
+    1 / integral_0^inf e^{-t} I_0(t/d)^d dt (Montroll 1956), the Green
+    function at the origin of the continuous-time walk.  Recurrent
+    dimensions (d = 1, 2) escape with probability 0."""
+    d = _dimension(d)
+    if d < 3:
+        return 0.0
+    # scipy.integrate takes 0.7 s to import: only callers pay for it
+    from scipy.integrate import quad
+    from scipy.special import ive
+
+    green = quad(lambda t: ive(0, t / d) ** d, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
+                 limit=200)[0]
+    return 1.0 / green
+
+
+def _dimension(d) -> int:
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) or d != int(d) or d < 1:
+        raise ParameterOutOfRange(f"dimension must be an integer >= 1, got {d!r}")
+    return int(d)
+
+
+def _check_reps(reps, what):
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
+        raise ParameterOutOfRange(f"reps must be an integer, got {reps!r}")
+    if reps < 1:
+        raise EmptySamples(f"need at least one {what}")
+
+
+# double steps per escape-walk chunk, and cells (walk x double step) per
+# draw: a draw's temporaries take about 20 bytes per cell
+_PSI_CHUNK = 128
+_PSI_CELLS = 1 << 17
+
+
 def estimate_psi_d(
     d: int, horizon_steps: int, reps: int, rng: np.random.Generator
 ) -> dict:
@@ -99,26 +137,61 @@ def estimate_psi_d(
     within the step horizon.  The jump chain suffices: escape probabilities
     are invariant under the continuous-time embedding.  Finite horizons bias
     the estimate upward.
+
+    A walk is back at the origin only after an even number of steps, so the
+    live walks advance by double steps, one of (2d)^2 direction pairs, in
+    chunks of ``_PSI_CHUNK``, drawn ``_PSI_CELLS`` cells at a time.  Each
+    double step adds a fixed pseudo-random 64-bit code of its displacement;
+    a running sum along the chunk equal to minus the walk's code at the
+    chunk start nominates a return, and the exact coordinates confirm it.
+    A chunk is drawn in full and cut at the horizon, so two horizons share
+    their draws up to the shorter one.
     """
-    if d < 1:
-        raise ParameterOutOfRange("dimension must be >= 1")
-    if reps < 1:
-        raise EmptySamples("need at least one walk")
-    pos = np.zeros((reps, d), dtype=np.int32)
-    returned = 0
-    alive = reps
-    for _ in range(horizon_steps):
-        if alive == 0:
-            break
-        moves = rng.integers(0, 2 * d, alive)
-        pos[np.arange(alive), moves >> 1] += (moves & 1) * 2 - 1
-        back = (pos == 0).all(axis=1)
-        nback = int(back.sum())
-        if nback:
-            returned += nback
-            pos = pos[~back]
-            alive -= nback
-    psi = alive / reps
+    d = _dimension(d)
+    if isinstance(horizon_steps, bool) or not isinstance(horizon_steps, numbers.Integral) \
+            or horizon_steps < 0:
+        raise ParameterOutOfRange(
+            f"horizon_steps must be a nonnegative integer, got {horizon_steps!r}")
+    _check_reps(reps, "walk")
+    # direction 2j + s moves axis j by 2s - 1; pair 2d * f + g is f then g
+    unit = np.zeros((2 * d, d), dtype=np.int64)
+    unit[np.arange(2 * d), np.arange(2 * d) >> 1] = np.tile([-1, 1], d)
+    pair = (unit[:, None, :] + unit[None, :, :]).reshape(-1, d)
+    npair = pair.shape[0]
+    weights = np.random.Generator(np.random.PCG64(d)).integers(
+        -(1 << 63), 1 << 63, d, dtype=np.int64)
+    pair_code = pair @ weights  # wraps modulo 2^64, as the sums below do
+    pair_dtype = np.min_scalar_type(npair - 1)
+    pos = np.zeros((reps, d), dtype=np.int64)
+    code = np.zeros(reps, dtype=np.int64)
+    # the pair counts below take npair cells per walk
+    rows = max(1, _PSI_CELLS // max(_PSI_CHUNK, npair))
+    done = 0
+    while done < horizon_steps // 2 and pos.shape[0]:
+        span = min(_PSI_CHUNK, horizon_steps // 2 - done)
+        keep = []
+        for lo in range(0, pos.shape[0], rows):
+            p, c = pos[lo:lo + rows], code[lo:lo + rows]
+            moves = rng.integers(0, npair, (p.shape[0], _PSI_CHUNK), dtype=pair_dtype)
+            run = pair_code[moves]
+            np.cumsum(run, axis=1, out=run)
+            back = np.zeros(p.shape[0], dtype=bool)
+            cand = np.flatnonzero((run[:, :span] == -c[:, None]).any(axis=1))
+            if cand.size:
+                path = p[cand, None, :] + np.cumsum(pair[moves[cand, :span]], axis=1)
+                back[cand] = (path == 0).all(axis=2).any(axis=1)
+            # exact displacement over the whole chunk, from the direction
+            # counts: pair 2d * f + g is one step along f and one along g
+            counts = np.bincount(
+                (moves + npair * np.arange(p.shape[0])[:, None]).ravel(),
+                minlength=npair * p.shape[0]).reshape(-1, 2 * d, 2 * d)
+            p += (counts.sum(axis=2) + counts.sum(axis=1)) @ unit
+            c += run[:, -1]
+            keep.append(~back)
+        keep = np.concatenate(keep)
+        pos, code = pos[keep], code[keep]
+        done += span
+    psi = pos.shape[0] / reps
     return {
         "psi_hat": psi,
         "stderr": sqrt(psi * (1.0 - psi) / reps),
@@ -127,65 +200,86 @@ def estimate_psi_d(
     }
 
 
-class _LazyTree:
-    """Rooted tree grown on demand: root child count from D, every other
-    vertex's child count from the size-biased law.  A jump to a vertex
-    deeper than ``max_depth`` returns -1, which ends a two-walker run."""
+# replicates per forest: each grows about 64 vertices on delta(3) at depth
+# 30, at 16 bytes a vertex, so a forest stays near 4 MB
+_TREE_BLOCK = 1 << 12
 
-    __slots__ = ("deg", "parent", "depth", "children", "dist", "draws", "max_depth")
 
-    def __init__(self, root_degree, dist_star, draws, max_depth):
+class _Forest:
+    """One rooted tree per replicate, as flat arrays grown on demand: a
+    root's child count from D, every other vertex's from the size-biased
+    law.  Vertex v has degree ``deg[v]``, ``parent[v]`` (-1 at a root),
+    ``depth[v]``, and children ``first[v]`` onwards, or ``first[v] = -1``
+    until they are first needed.  A jump to a vertex deeper than
+    ``max_depth`` returns -1, which kills the walker pair; no children are
+    grown for it."""
+
+    def __init__(self, root_degree, offspring, rng, max_depth):
+        n = root_degree.size
+        self.offspring = offspring
+        self.rng = rng
         self.max_depth = max_depth
-        self.deg = [root_degree]
-        self.parent = [-1]
-        self.depth = [0]
-        self.children = [None]
-        self.dist = dist_star
-        self.draws = draws
+        self.size = n
+        cap = 64 * n
+        self.deg = np.empty(cap, dtype=np.int32)
+        self.parent = np.empty(cap, dtype=np.int32)
+        self.depth = np.empty(cap, dtype=np.int32)
+        self.first = np.empty(cap, dtype=np.int32)
+        self.deg[:n] = root_degree
+        self.parent[:n] = -1
+        self.depth[:n] = 0
+        self.first[:n] = -1
 
-    def _kids(self, v):
-        kids = self.children[v]
-        if kids is None:
-            n_kids = self.deg[v] if v == 0 else self.deg[v] - 1
-            kids = []
-            for _ in range(n_kids):
-                w = len(self.deg)
-                # offspring count + parent edge gives the child's degree
-                off = _sample_discrete(self.dist, self.draws.u01())
-                self.deg.append(off + 1)
-                self.parent.append(v)
-                self.depth.append(self.depth[v] + 1)
-                self.children.append(None)
-                kids.append(w)
-            self.children[v] = kids
-        return kids
+    def rate(self, v):
+        return self.deg[v]
 
-    def neighbor(self, v, u):
-        j = int(u * self.deg[v])
-        if v == 0:
-            return self._kids(v)[j]
-        if j == 0:
-            return self.parent[v]
-        # the children are grown even on an exit, so the stream stays fixed
-        w = self._kids(v)[j - 1]
-        return w if self.depth[w] <= self.max_depth else -1
+    def _grow(self, vs):
+        """Children for the distinct vertices vs, none grown yet."""
+        nk = self.deg[vs] - (self.parent[vs] >= 0)
+        total = int(nk.sum())
+        lo, hi = self.size, self.size + total
+        if hi > self.deg.size:
+            cap = max(hi, 2 * self.deg.size)
+            for name in ("deg", "parent", "depth", "first"):
+                old = getattr(self, name)
+                new = np.empty(cap, dtype=np.int32)
+                new[:lo] = old[:lo]
+                setattr(self, name, new)
+        self.first[vs] = lo + np.cumsum(nk) - nk
+        parent = np.repeat(vs, nk)
+        self.parent[lo:hi] = parent
+        self.depth[lo:hi] = self.depth[parent] + 1
+        # offspring count + parent edge gives the child's degree
+        self.deg[lo:hi] = self.offspring(self.rng.random(total)) + 1
+        self.first[lo:hi] = -1
+        self.size = hi
+
+    def pick(self, v, u):
+        j = (u * self.deg[v]).astype(np.int64)
+        below_root = self.parent[v] >= 0
+        # slot 0 of a non-root vertex is its parent, the rest its children
+        up = below_root & (j == 0)
+        w = np.where(up, self.parent[v], -1)
+        down = np.flatnonzero(~up & (self.depth[v] < self.max_depth))
+        if down.size:
+            vd = v[down]
+            bare = vd[self.first[vd] < 0]
+            if bare.size:
+                self._grow(np.unique(bare))
+            w[down] = self.first[vd] + j[down] - below_root[down]
+        return w
 
 
-def _sample_discrete(pairs, u):
-    # pairs = [(value, cumulative probability)]
-    for value, cum in pairs:
-        if u < cum:
-            return value
-    return pairs[-1][0]
+def _sampler(dist: DegreeDistribution):
+    """Draws from a degree law, by inverse CDF of uniform variates."""
+    values = np.array([d for d, _ in dist.support], dtype=np.int64)
+    cum = np.cumsum([p for _, p in dist.support])
 
+    def draw(u):
+        # the clip absorbs a total probability that rounds below 1
+        return values[np.minimum(np.searchsorted(cum, u, side="right"), values.size - 1)]
 
-def _cumulative(dist: DegreeDistribution):
-    acc = 0.0
-    out = []
-    for d, p in dist.support:
-        acc += p
-        out.append((d, acc))
-    return out
+    return draw
 
 
 def estimate_alpha_D(
@@ -203,31 +297,32 @@ def estimate_alpha_D(
     meeting, by transience), or the time horizon.  Horizon-censored pairs
     still inside the ball are scored as surviving in ``alpha_hat`` and as
     meeting in ``alpha_low``; the bracket and censoring fraction are
-    reported.
+    reported.  Replicates run on the lockstep two-walker kernel in blocks
+    of ``_TREE_BLOCK``, each block's trees held in one ``_Forest``.
     """
     if depth < 3:
         raise DegenerateDepth("depth ball must have radius >= 3")
-    if reps < 1:
-        raise EmptySamples("need at least one replicate")
-    cum_root = _cumulative(D)
-    cum_star = _cumulative(size_biased(D))
-    draws = BufferedDraws(rng, block=1 << 16)
+    [t_horizon] = check_grid([t_horizon])
+    _check_reps(reps, "replicate")
+    root_degree = _sampler(D)
+    offspring = _sampler(size_biased(D))
     s_hi = s_hi2 = 0.0
-    s_lo = s_lo2 = 0.0
+    s_lo = 0.0
     censored = 0
-    for _ in range(reps):
-        k_root = _sample_discrete(cum_root, draws.u01())
-        tree = _LazyTree(k_root, cum_star, draws, depth)
-        b = tree.neighbor(0, draws.u01())
-        outcome = walk_pair(tree.deg, tree.neighbor, 0, b, draws, t_max=t_horizon)[0]
-        # "killed": a walker left the ball; "time": censored at the horizon
-        hi = float(k_root) if outcome != "meet" else 0.0
-        lo = float(k_root) if outcome == "killed" else 0.0
-        censored += outcome == "time"
-        s_hi += hi
-        s_hi2 += hi * hi
-        s_lo += lo
-        s_lo2 += lo * lo
+    for lo in range(0, reps, _TREE_BLOCK):
+        size = min(_TREE_BLOCK, reps - lo)
+        k_root = root_degree(rng.random(size))
+        forest = _Forest(k_root, offspring, rng, depth)
+        roots = np.arange(size)
+        b = forest.pick(roots, rng.random(size))
+        outcome = walk_pairs(forest.rate, forest.pick, roots, b, rng, t_max=t_horizon)[0]
+        # KILLED: a walker left the ball; TIME: censored at the horizon
+        weight = k_root.astype(float)
+        hi = weight[outcome != MEET]
+        censored += int(np.count_nonzero(outcome == TIME))
+        s_hi += float(hi.sum())
+        s_hi2 += float(hi @ hi)
+        s_lo += float(weight[outcome == KILLED].sum())
     mean_hi = s_hi / reps
     mean_lo = s_lo / reps
     var_hi = max(0.0, s_hi2 / reps - mean_hi**2)

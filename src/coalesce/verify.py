@@ -47,9 +47,9 @@ from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (
     alpha_regular_tree,
     bg_prediction,
-    estimate_psi_d,
     kingman_tau_coal,
     mean_field_predictions,
+    psi_d,
     reversal_identity_residual,
 )
 from .voter import duality_statistics
@@ -383,10 +383,9 @@ def _paper_suite(seed, threads, scale, pool):
                      0.20, 0.80 <= ratio1 <= 1.20))
     rows.append(_row("paper_torus310", "ratio_A2", ratio2, se / preds["A2"].value,
                      0.20, 0.80 <= ratio2 <= 1.20))
-    psi = estimate_psi_d(3, 10_000, max(4000, int(20000 * scale)),
-                         derive_rng(seed, "paper-psi3", 0))
+    psi3 = psi_d(3)
     # lattice law stated for unit-total-rate walkers; per-edge runs 2d faster
-    bg3 = bg_prediction(3, 2 * 3 * t, psi_hat=psi["psi_hat"])
+    bg3 = bg_prediction(3, 2 * 3 * t, psi_hat=psi3)
     ratio3 = p_hat / bg3
     rows.append(_row("paper_torus310", "ratio_bg3", ratio3, se / bg3, 0.25,
                      0.75 <= ratio3 <= 1.25))
@@ -398,7 +397,7 @@ def _paper_suite(seed, threads, scale, pool):
             {"label": "A2", "value": preds["A2"].value,
              "inputs": {"t": t, "t_meet": m_eig, "n": n}},
             {"label": "BG(3)", "value": bg3,
-             "inputs": {"t": t, "psi_hat": psi["psi_hat"], "rate_scale": 6}},
+             "inputs": {"t": t, "psi_d": psi3, "rate_scale": 6}},
         ]
     )
 
@@ -415,8 +414,12 @@ def _paper_suite(seed, threads, scale, pool):
     val1 = t * p_hat * alpha
     rows.append(_row("paper_cm3", "t_phat_alpha", val1, se * t * alpha,
                      0.20, 0.80 <= val1 <= 1.20))
+    # 800 pairs put sigma near a third of the band.  A pair needs about 4e4
+    # events on average; the default budget of 50 n / r_min (3.3e5 on a graph
+    # with no degree-1 vertex) censored a pair on 2 of 20 fresh seeds
     meet = mc_pair_meeting(
-        g, max(100, int(500 * scale)), derive_rng(seed, "paper-cm-meet", 0)
+        g, max(800, int(500 * scale)), derive_rng(seed, "paper-cm-meet", 0),
+        horizon_events=10**7,
     )
     val2 = (2.0 * meet["mean"] / g.n) * alpha
     # censored runs are left out of the mean, which biases it low

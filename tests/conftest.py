@@ -22,3 +22,13 @@ def complete4_chain():
 @pytest.fixture(scope="session")
 def torus33_chain():
     return build_generator(torus_graph(3, 3))
+
+
+@pytest.fixture(scope="session")
+def lollipop():
+    """K4 with a three-edge tail: seven vertices, degrees 3, 3, 3, 4, 2, 2, 1."""
+    from coalesce.graphs import Graph
+
+    return Graph.from_edges(
+        7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
+    )

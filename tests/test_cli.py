@@ -439,7 +439,7 @@ class TestPaperCensoring:
         # only the meeting row is read: every other input is stubbed
         monkeypatch.setattr(verify, "_density_stats",
                             lambda g, conv, times, *a: {t: (0.01, 0.001) for t in times})
-        monkeypatch.setattr(verify, "estimate_psi_d", lambda *a: {"psi_hat": 0.66})
+        monkeypatch.setattr(verify, "psi_d", lambda d: 0.66)
         monkeypatch.setattr(verify, "alpha_survival",
                             lambda *a, **k: {"value": 3.8, "stderr": 0.01})
         monkeypatch.setattr(verify, "sample_configuration_model",
@@ -449,7 +449,7 @@ class TestPaperCensoring:
             # a mean meeting time that puts the row at the centre of its band
             meet = {"mean": 30 / (2 * alpha_regular_tree(3)), "stderr": 0.01,
                     "censored": censored}
-            monkeypatch.setattr(verify, "mc_pair_meeting", lambda *a: meet)
+            monkeypatch.setattr(verify, "mc_pair_meeting", lambda *a, **k: meet)
             rows, ok, _ = verify.paper_suite(0, threads=1, scale=0.01)
             [row] = [r for r in rows if r[1].startswith("two_meet_over_n_alpha")]
             return row

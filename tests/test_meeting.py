@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from coalesce import _flat
 from coalesce.chains import MarkovChain, build_generator, product_chain, spectrum
 from coalesce.crw import exact_k_particle_law
 from coalesce.errors import BadSubset, NotConnected, NotTransitive, ParameterOutOfRange
-from coalesce.graphs import Graph, cycle_graph, path_graph
+from coalesce.graphs import Graph, cycle_graph, path_graph, torus_graph
 from coalesce.meeting import (
     _pair_generator,
     _survival,
@@ -144,6 +145,28 @@ class TestAlphaSurvival:
         with pytest.raises(ParameterOutOfRange):
             alpha_survival(cycle4_chain, x, 0.5, mode=mode, reps=10,
                            rng=derive_rng(0, "alpha-x", 0))
+
+    def test_mc_zero_time_is_rate(self):
+        # every pair starts apart and its first event comes after t = 0
+        c = MarkovChain.from_rates(IRREGULAR_RATES)
+        res = alpha_survival(c, 1, 0.0, mode="mc", reps=500, rng=derive_rng(0, "alpha-t0", 0))
+        assert res["value"] == pytest.approx(4.2, abs=1e-15)
+        assert res["stderr"] == 0.0
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, "1", True])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_rejects_bad_time(self, cycle4_chain, t, mode):
+        # NaN raised a raw ValueError in exact mode and returned 0.0 in mc mode
+        with pytest.raises(ParameterOutOfRange):
+            alpha_survival(cycle4_chain, 0, t, mode=mode, reps=10,
+                           rng=derive_rng(0, "alpha-t", 0))
+
+    @pytest.mark.parametrize("reps", [0, -3, 2.5, True])
+    def test_rejects_bad_reps(self, cycle4_chain, reps):
+        # reps = 0 raised a raw ZeroDivisionError
+        with pytest.raises(ParameterOutOfRange):
+            alpha_survival(cycle4_chain, 0, 0.5, mode="mc", reps=reps,
+                           rng=derive_rng(0, "alpha-reps", 0))
 
     def test_accepts_numpy_vertex(self, cycle4_chain):
         res = alpha_survival(cycle4_chain, np.int64(2), 0.5)["value"]
@@ -301,3 +324,99 @@ class TestMcPairMeeting:
         exact = mean_meeting_time(build_generator(g), "pi_pi")
         res = mc_pair_meeting(g, 20_000, derive_rng(5, "pairmc", 1))
         assert abs(res["mean"] - exact) <= 4.0 * res["stderr"]
+
+    @pytest.mark.parametrize("reps", [0, -3, 2.5, True])
+    def test_rejects_bad_reps(self, reps):
+        # 0 and -3 returned a NaN mean
+        with pytest.raises(ParameterOutOfRange):
+            mc_pair_meeting(cycle_graph(4), reps, derive_rng(0, "pairmc", 3))
+
+    def test_irregular_mean_matches_solve(self, lollipop):
+        # unequal rates exercise the rate-weighted choice of the walker
+        # that moves; K2 and the cycle cannot tell it from a fair coin
+        exact = mean_meeting_time(build_generator(lollipop), "pi_pi")
+        res = mc_pair_meeting(lollipop, 40_000, derive_rng(6, "pairmc", 0))
+        assert res["censored"] == 0
+        assert abs(res["mean"] - exact) <= 4.5 * res["stderr"]
+
+    def test_one_event_horizon_censors_live_pairs(self):
+        # on K2 every pair starts together or meets at its first event
+        res = mc_pair_meeting(path_graph(2), 2000, derive_rng(7, "pairmc", 0),
+                              horizon_events=1)
+        assert (res["finished"], res["censored"]) == (2000, 0)
+        # on cycle(6) a pair finishes within one event when it starts
+        # together (1/6) or adjacent and the mover steps onto the other (1/6)
+        reps = 30_000
+        res = mc_pair_meeting(cycle_graph(6), reps, derive_rng(7, "pairmc", 1),
+                              horizon_events=1)
+        assert res["finished"] + res["censored"] == reps
+        p = res["finished"] / reps
+        assert abs(p - 1 / 3) <= 4.5 * np.sqrt(2 / 9 / reps)
+
+
+class TestWalkPairs:
+    """The lockstep two-walker kernel and its vectorized picks."""
+
+    def test_one_event_budget(self):
+        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        rng = derive_rng(8, "pairs", 0)
+        n = 20_000
+        # three apart: one jump leaves every pair apart and live
+        out, clock = _flat.walk_pairs(rate, pick, np.zeros(n), np.full(n, 3), rng,
+                                      max_events=1)
+        assert (out == _flat.BUDGET).all() and (clock > 0.0).all()
+        # adjacent: the mover lands on the other walker with probability 1/2
+        out, clock = _flat.walk_pairs(rate, pick, np.zeros(n), np.ones(n), rng,
+                                      max_events=1)
+        assert set(np.unique(out)) == {_flat.MEET, _flat.BUDGET}
+        assert abs((out == _flat.MEET).mean() - 0.5) <= 4.5 * np.sqrt(0.25 / n)
+        # the first event of a pair at total rate 4 comes after Exp(4)
+        assert abs(clock.mean() - 0.25) <= 4.5 * 0.25 / np.sqrt(n)
+
+    def test_same_start_meets_at_zero(self):
+        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        out, clock = _flat.walk_pairs(rate, pick, [2, 2, 0], [2, 5, 5],
+                                      derive_rng(9, "pairs", 0))
+        assert out[0] == _flat.MEET and clock[0] == 0.0
+        assert (out == _flat.MEET).all() and (clock[1:] > 0.0).all()
+
+    def test_time_horizon(self):
+        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        out, clock = _flat.walk_pairs(rate, pick, np.zeros(5000), np.full(5000, 3),
+                                      derive_rng(10, "pairs", 0), t_max=0.4)
+        timed = out == _flat.TIME
+        assert timed.any() and (clock[timed] > 0.4).all()
+        assert (clock[out == _flat.MEET] <= 0.4).all()
+
+    def test_chain_pick_law(self):
+        # pick frequencies against r_{x,y} / r(x), and the row ends
+        c = MarkovChain.from_rates(IRREGULAR_RATES)
+        rate, pick = _flat.chain_pick(c)
+        assert np.array_equal(rate(np.arange(5)), c.row_rates)
+        n = 200_000
+        u = derive_rng(11, "pick", 0).random(n)
+        for x in range(5):
+            y = pick(np.full(n, x), u)
+            p = c.rates[x] / c.row_rates[x]
+            freq = np.bincount(y, minlength=5) / n
+            assert (np.abs(freq - p) <= 4.5 * np.sqrt(p * (1 - p) / n) + 1e-12).all()
+            nz = np.flatnonzero(c.rates[x])
+            ends = pick(np.array([x, x]), np.array([0.0, np.nextafter(1.0, 0.0)]))
+            assert list(ends) == [nz[0], nz[-1]]
+
+    def test_graph_pick_law(self, lollipop):
+        rate, pick = _flat.graph_pick(_flat.FlatGraph(lollipop))
+        assert list(rate(np.arange(7))) == [3.0, 3.0, 3.0, 4.0, 2.0, 2.0, 1.0]
+        u = (np.arange(4) + 0.5) / 4
+        assert sorted(pick(np.full(4, 3), u)) == [0, 1, 2, 4]
+        assert list(pick(np.array([6, 4, 4]), np.array([0.9, 0.1, 0.9]))) == [5, 3, 5]
+
+    def test_same_seed_same_results(self, lollipop):
+        c = build_generator(torus_graph(3, 3))
+        for run in (
+            lambda s: alpha_survival(c, 0, 0.7, mode="mc", reps=3000,
+                                     rng=derive_rng(s, "det", 0)),
+            lambda s: mc_pair_meeting(lollipop, 3000, derive_rng(s, "det", 1)),
+        ):
+            assert run(1) == run(1)
+            assert run(1) != run(2)

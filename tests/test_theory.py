@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from math import comb
+
+from coalesce import theory
 from coalesce.chains import build_generator
 from coalesce.crw import sample_tau_coal_many
 from coalesce.errors import (
@@ -11,7 +14,7 @@ from coalesce.errors import (
     NonpositiveTime,
     ParameterOutOfRange,
 )
-from coalesce.graphs import DegreeDistribution, complete_graph, cycle_graph
+from coalesce.graphs import DegreeDistribution, complete_graph, cycle_graph, size_biased
 from coalesce.seeding import derive_rng
 from coalesce.stats import ks_distance_two_sample
 from coalesce.theory import (
@@ -23,6 +26,7 @@ from coalesce.theory import (
     estimate_psi_d,
     kingman_tau_coal,
     mean_field_predictions,
+    psi_d,
     reversal_identity_residual,
 )
 
@@ -94,7 +98,86 @@ class TestBgPrediction:
             bg_prediction(0, 5.0)
 
 
+def _no_return_by(d, h):
+    """P(simple walk on Z^d avoids the origin at steps 1..h), by evolving
+    its law on the box of radius h with the origin absorbing."""
+    law = np.zeros((2 * h + 3,) * d)
+    origin = (h + 1,) * d
+    law[origin] = 1.0
+    for _ in range(h):
+        law = sum(np.roll(law, s, axis=j) for j in range(d) for s in (-1, 1)) / (2 * d)
+        law[origin] = 0.0
+    return law.sum()
+
+
+class TestPsiExact:
+    def test_watson_closed_form(self):
+        # Watson (1939): 1 - 1/u(3) with u(3) from the Gamma-function form
+        assert abs(psi_d(3) - 0.659462670) <= 1e-9
+
+    @pytest.mark.parametrize("d, p_return", [(4, 0.193202), (5, 0.135179), (6, 0.104715)])
+    def test_polya_return_probabilities(self, d, p_return):
+        assert abs(psi_d(d) - (1.0 - p_return)) <= 1e-5
+
+    def test_recurrent_dimensions(self):
+        assert psi_d(1) == 0.0 and psi_d(2) == 0.0
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True])
+    def test_rejects_bad_dimension(self, d):
+        with pytest.raises(ParameterOutOfRange):
+            psi_d(d)
+
+
 class TestPsiEstimate:
+    @pytest.mark.parametrize("d, h", [(1, 2), (1, 7), (1, 40), (2, 20), (3, 24)])
+    def test_finite_horizon_law(self, d, h):
+        # the estimator's finite-horizon value, not psi_d, is exact here:
+        # C(2m, m) / 4^m in d = 1, the absorbed law's mass otherwise
+        exact = comb(h - h % 2, h // 2) / 2 ** (h - h % 2) if d == 1 else _no_return_by(d, h)
+        if d == 1:
+            assert exact == pytest.approx(_no_return_by(1, h), abs=1e-14)
+        reps = 40_000
+        res = estimate_psi_d(d, h, reps, derive_rng(13, "psi-law", d * 100 + h))
+        assert abs(res["psi_hat"] - exact) <= 4.5 * np.sqrt(exact * (1 - exact) / reps)
+
+    def test_high_dimension_first_double_step(self):
+        # (2d)^2 = 6400 direction pairs; back at step 2 with probability 1/80
+        reps = 40_000
+        res = estimate_psi_d(40, 2, reps, derive_rng(14, "psi40", 0))
+        assert abs(res["psi_hat"] - 79 / 80) <= 4.5 * np.sqrt(79 / 80 ** 2 / reps)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nearby_horizons_share_draws(self, seed):
+        # two steps more can only lose walks; with draws that depended on
+        # the horizon, the two counts would differ by noise of about 30
+        a, b = (estimate_psi_d(3, h, 2000, derive_rng(seed, "psi-nest", 0))["psi_hat"]
+                for h in (200, 202))
+        assert b <= a
+
+    def test_odd_horizon_adds_no_return(self):
+        # returns come at even steps only
+        runs = [estimate_psi_d(3, h, 2000, derive_rng(15, "psi-odd", 0)) for h in (6, 7)]
+        assert runs[0]["psi_hat"] == runs[1]["psi_hat"]
+
+    @pytest.mark.parametrize("h", [-5, -1, 2.5, True])
+    def test_rejects_bad_horizon(self, h):
+        # -5 returned psi_hat 1.0
+        with pytest.raises(ParameterOutOfRange):
+            estimate_psi_d(3, h, 100, derive_rng(0, "psi", 0))
+
+    @pytest.mark.parametrize("estimator", ["psi", "alpha_D"])
+    def test_rejects_fractional_reps(self, estimator):
+        # a raw TypeError from numpy before
+        with pytest.raises(ParameterOutOfRange):
+            if estimator == "psi":
+                estimate_psi_d(3, 10, 2.5, derive_rng(0, "psi", 0))
+            else:
+                estimate_alpha_D(D3, 5, 1.0, 2.5, derive_rng(0, "alphaD", 0))
+
+    def test_same_seed_same_result(self):
+        runs = [estimate_psi_d(3, 300, 3000, derive_rng(s, "psi-det", 0)) for s in (1, 1, 2)]
+        assert runs[0] == runs[1] != runs[2]
+
     def test_d1_decays_with_horizon(self):
         values = [
             estimate_psi_d(1, h, 20_000, derive_rng(0, "psi1", 0))["psi_hat"]
@@ -136,6 +219,36 @@ class TestAlphaD:
         res = estimate_alpha_D(D3, 14, 60.0, 6000, derive_rng(5, "alphaD", 0))
         assert abs(res["alpha_hat"] - 1.5) <= 4.0 * res["stderr"] + 0.05
         assert res["censored_fraction"] <= 0.05
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf"), True])
+    def test_rejects_bad_horizon(self, t):
+        # -1 returned 3.0; NaN silently ignored the horizon
+        with pytest.raises(ParameterOutOfRange):
+            estimate_alpha_D(D3, 8, t, 100, derive_rng(0, "alphaD", 0))
+
+    def test_same_seed_same_result(self):
+        runs = [estimate_alpha_D(D3, 8, 30.0, 500, derive_rng(s, "alphaD-det", 0))
+                for s in (1, 1, 2)]
+        assert runs[0] == runs[1] != runs[2]
+
+    def test_forest_growth_and_depth_exit(self):
+        rng = derive_rng(7, "forest", 0)
+        law = DegreeDistribution.from_pairs([(3, 0.5), (5, 0.5)])
+        f = theory._Forest(np.array([2, 4]), theory._sampler(size_biased(law)), rng, 2)
+        # a root's slots are all children, grown on first use
+        kids = f.pick(np.array([0, 1]), np.array([0.99, 0.0]))
+        assert f.size == 2 + 2 + 4 and list(kids) == [3, 4]
+        assert list(f.parent[2:8]) == [0, 0, 1, 1, 1, 1] and (f.depth[2:8] == 1).all()
+        assert set(f.deg[2:8]) <= {3, 5}
+        # slot 0 of a non-root vertex is its parent; the others its children
+        v = np.array([3, 3])
+        w = f.pick(v, np.array([0.0, 0.99]))
+        assert w[0] == 0 and f.parent[w[1]] == 3 and f.depth[w[1]] == 2
+        # a jump past the depth ball kills the pair and grows nothing
+        size = f.size
+        deep = np.array([w[1], w[1]])
+        out = f.pick(deep, np.array([0.0, 0.99]))
+        assert out[0] == 3 and out[1] == -1 and f.size == size
 
     def test_shallow_depth_rejected(self):
         with pytest.raises(DegenerateDepth):
