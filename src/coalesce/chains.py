@@ -2,8 +2,8 @@
 
 Rates are symmetric with zero diagonal, so every chain here is reversible
 with uniform stationary law.  Transition matrices are computed by
-uniformization (Poisson-weighted powers of the jump kernel), which preserves
-nonnegativity and has a computable truncation error.
+uniformization (Poisson-weighted powers of the sparse jump kernel), which
+preserves nonnegativity and has a computable truncation error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import (
@@ -225,9 +226,10 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     if t == 0.0 or c.r_max == 0.0:
         return np.eye(c.n)
     lam = c.r_max
-    kernel = c.rates / lam
-    np.fill_diagonal(kernel, 1.0 - c.row_rates / lam)
-    return uniformize(lambda p: p @ kernel, np.eye(c.n), lam, [t], tol)[0][0]
+    kernel = sp.csr_matrix(c.rates / lam)
+    kernel.setdiag(1.0 - c.row_rates / lam)
+    # the kernel is symmetric, so kernel @ p is the next power p @ kernel
+    return uniformize(kernel.dot, np.eye(c.n), lam, [t], tol)[0][0]
 
 
 def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | None:

@@ -453,30 +453,47 @@ def estimate_density(
     )
 
 
-def _ring_kernel(c: MarkovChain, nstates: int, move):
-    """Transposed jump kernel of a process on ``nstates`` states in which a
-    ring of (x, y), uniformized at the total rate, moves every occupant of x
-    to y.  ``move(x, y)`` returns the mask of states with an occupant at x
-    and their targets; the other states stay put.  Returns (kernel^T, rate).
+def _ring_kernel(c: MarkovChain, occ: np.ndarray, move):
+    """Transposed jump kernel of a process on the rows of the 0/1 occupancy
+    matrix ``occ`` (states x sites) in which a ring of (x, y) moves every
+    occupant of x to y.
+
+    Every ring from an occupied site changes the state, so a state leaves at
+    the sum of r(x) over its occupied sites; the chain is uniformized at the
+    largest such exit rate, and only the moving entries and one diagonal are
+    stored.  ``move(src, x, y)`` returns the targets of the states ``src``,
+    all occupied at x.  Returns (kernel^T, rate).
     """
-    lam = float(c.row_rates.sum())
+    nstates = occ.shape[0]
+    exit_rate = occ @ c.row_rates
+    lam = float(exit_rate.max())
     idx = np.arange(nstates, dtype=np.int64)
-    rows, cols, data = [], [], []
+    # a chain with no edges never moves: its kernel is the identity
+    rows, cols = [idx], [idx]
+    data = [1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)]
     xs, ys = np.nonzero(c.rates)
     for x, y, r in zip(xs, ys, c.rates[xs, ys]):
-        has, tgt = move(int(x), int(y))
-        rows += [idx[has], idx[~has]]
-        cols += [tgt, idx[~has]]
-        data.append(np.full(nstates, r / lam))
-    kernel = sp.csr_matrix(
+        src = np.flatnonzero(occ[:, x])
+        rows.append(move(src, int(x), int(y)))
+        cols.append(src)
+        data.append(np.full(src.size, r / lam))
+    kernel_t = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nstates, nstates),
     )
-    return kernel.T.tocsr(), lam
+    return kernel_t, lam
+
+
+def _subset_occupancy(n: int) -> np.ndarray:
+    """Occupancy matrix of the 2^n - 1 nonempty subsets; row s - 1 is the
+    subset with bit mask s."""
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
-    """Law of the occupied set at time t over the 2^n - 1 nonempty subsets.
+    """Law of the occupied set at time t over the 2^n - 1 nonempty subsets,
+    indexed as in ``_subset_occupancy``.
 
     The occupied set is itself a Markov chain: a ring of (x, y) maps S to
     (S \\ {x}) | {y} when x is in S.  Solved by uniformization.
@@ -486,14 +503,14 @@ def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
         raise TooLargeForExact("subset-chain oracle capped at 12 vertices")
     if t < 0.0:
         raise ParameterOutOfRange("t must be nonnegative")
-    masks = np.arange(1, 1 << n, dtype=np.int64)
 
-    def move(x, y):
-        has = (masks >> x) & 1 == 1
-        return has, ((masks[has] & ~(1 << x)) | (1 << y)) - 1
+    def move(src, x, y):
+        # row s - 1 holds mask s
+        return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
 
-    kt, lam = _ring_kernel(c, len(masks), move)
-    mu = np.zeros(len(masks))
+    occ = _subset_occupancy(n)
+    kt, lam = _ring_kernel(c, occ, move)
+    mu = np.zeros(occ.shape[0])
     mu[-1] = 1.0  # all sites occupied
     return uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)[0][0]
 
@@ -501,11 +518,7 @@ def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
 def exact_occupancy_density(c: MarkovChain, t: float) -> np.ndarray:
     """Exact per-vertex occupation probability at time t."""
     mu = _subset_distribution(c, t)
-    masks = np.arange(1, 1 << c.n, dtype=np.int64)
-    out = np.empty(c.n)
-    for x in range(c.n):
-        out[x] = mu[((masks >> x) & 1) == 1].sum()
-    return out
+    return _subset_occupancy(c.n).T @ mu
 
 
 def exact_occupancy_cov(c: MarkovChain, x: int, y: int, t: float) -> float:
@@ -513,13 +526,10 @@ def exact_occupancy_cov(c: MarkovChain, x: int, y: int, t: float) -> float:
     if x == y:
         raise SameVertex("need two distinct vertices")
     mu = _subset_distribution(c, t)
-    masks = np.arange(1, 1 << c.n, dtype=np.int64)
-    in_x = ((masks >> x) & 1) == 1
-    in_y = ((masks >> y) & 1) == 1
-    p_x = mu[in_x].sum()
-    p_y = mu[in_y].sum()
-    p_xy = mu[in_x & in_y].sum()
-    return float(p_xy - p_x * p_y)
+    occ = _subset_occupancy(c.n)
+    p = occ.T @ mu
+    p_xy = mu[occ[:, x] & occ[:, y]].sum()
+    return float(p_xy - p[x] * p[y])
 
 
 def exact_k_particle_law(
@@ -542,27 +552,25 @@ def exact_k_particle_law(
         raise ParameterOutOfRange("more walkers than vertices for distinct start")
     powers = n ** np.arange(k + 1, dtype=np.int64)
     coords = (np.arange(nstates, dtype=np.int64)[:, None] // powers[None, :]) % n
+    occ = np.zeros((nstates, n), dtype=bool)
+    occ[np.arange(nstates)[:, None], coords] = True
+    sites = occ.sum(axis=1)  # distinct locations per state
 
-    def move(x, y):
-        has = (coords == x).any(axis=1)
-        moved = coords[has].copy()
+    def move(src, x, y):
+        moved = coords[src]
         moved[moved == x] = y
-        return has, moved @ powers
+        return moved @ powers
 
-    kt, lam = _ring_kernel(c, nstates, move)
+    kt, lam = _ring_kernel(c, occ, move)
     if start == "pi_tensor":
         mu = np.full(nstates, 1.0 / nstates)
     elif start == "distinct":
-        distinct = np.array(
-            [len(set(row)) == k + 1 for row in coords], dtype=bool
-        )
-        mu = np.where(distinct, 1.0, 0.0)
+        mu = np.where(sites == k + 1, 1.0, 0.0)
         mu /= mu.sum()
     else:
         raise ParameterOutOfRange(f"unknown start {start!r}")
     acc, terms, tail = uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)
-    diag = (coords == coords[:, :1]).all(axis=1)
-    p = float(acc[0][diag].sum())
+    p = float(acc[0][sites == 1].sum())
     out = {"p_coal": p, "start": start, "k": k, "t": t, "terms": terms,
            "tail_mass": tail}
     if start == "pi_tensor":

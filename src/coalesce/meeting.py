@@ -1,8 +1,9 @@
 """Meeting-time and hitting-time functionals.
 
-Exact quantities come from one sparse hitting-time solve and one killed
-uniformization, applied to a single chain or to the two-walker product
-chain (a sparse Kronecker sum on states x * n + y, killed on its diagonal).
+Exact quantities come from one hitting-time solve (conjugate gradients on
+the sparse generator) and one killed uniformization, applied to a single
+chain or to the two-walker product chain (a sparse Kronecker sum on states
+x * n + y, killed on its diagonal).
 Monte Carlo fallbacks for graphs beyond the dense caps run blocks of walker
 pairs in lockstep on the two-walker kernel ``_flat.walk_pairs``.
 """
@@ -29,6 +30,7 @@ from ._flat import (
 from .chains import MarkovChain, spectrum, uniformize
 from .errors import (
     BadSubset,
+    CoalesceError,
     NotConnected,
     NotTransitive,
     ParameterOutOfRange,
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 _PAIR_CAP = 250_000
+# relative residual at which conjugate gradients stop
+_CG_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +75,24 @@ def _pair_generator(c: MarkovChain):
 
 def _hitting_times(q, mask):
     """Expected hitting times of the states in mask (zero there) for the
-    sparse generator q, and the max residual of the linear solve."""
+    sparse generator q, and the max residual of the linear solve.
+
+    q is symmetric and irreducible, so -q restricted to the complement of
+    mask is positive definite and conjugate gradients solve it with one
+    sparse product per iteration and no factorization."""
     sub = -q[~mask][:, ~mask]
     b = np.ones(sub.shape[0])
-    # the system is symmetric; this ordering fills in far less than COLAMD
-    sol = spla.splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    # info is 0 on convergence, else the number of iterations run
+    sol, info = spla.cg(sub, b, rtol=_CG_RTOL)
+    residual = float(np.abs(sub @ sol - b).max(initial=0.0))
+    if info != 0:
+        raise CoalesceError(
+            f"conjugate gradients did not converge: {info} iterations, "
+            f"residual {residual:.3g}"
+        )
     h = np.zeros(len(mask))
     h[~mask] = sol
-    return h, float(np.abs(sub @ sol - b).max())
+    return h, residual
 
 
 def _survival(q, mask, mu0, times, tol=1e-12):
@@ -299,7 +313,7 @@ def mc_pair_meeting(
 
     Runs ``reps`` pairs on the lockstep two-walker kernel, in blocks of
     ``PAIR_BLOCK``, with a hard horizon of ``horizon_events`` events per
-    pair (default 50 n / r_min); censored runs are excluded from the mean
+    pair (default 200 n / r_min); censored runs are excluded from the mean
     and counted in the report.
     """
     _check_reps(reps)
@@ -307,7 +321,7 @@ def mc_pair_meeting(
         raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)
     if horizon_events is None:
-        horizon_events = int(50 * g.n / flat.r_min)
+        horizon_events = int(200 * g.n / flat.r_min)
     rate, pick = graph_pick(flat)
     s1 = 0.0
     s2 = 0.0

@@ -415,8 +415,8 @@ def _paper_suite(seed, threads, scale, pool):
     rows.append(_row("paper_cm3", "t_phat_alpha", val1, se * t * alpha,
                      0.20, 0.80 <= val1 <= 1.20))
     # 800 pairs put sigma near a third of the band.  A pair needs about 4e4
-    # events on average; the default budget of 50 n / r_min (3.3e5 on a graph
-    # with no degree-1 vertex) censored a pair on 2 of 20 fresh seeds
+    # events on average; a budget of 50 n / r_min (3.3e5 on a graph with no
+    # degree-1 vertex) censored a pair on 2 of 20 fresh seeds
     meet = mc_pair_meeting(
         g, max(800, int(500 * scale)), derive_rng(seed, "paper-cm-meet", 0),
         horizon_events=10**7,

@@ -18,11 +18,13 @@ from coalesce.errors import (
     TotalUnitOnIrregular,
 )
 from coalesce.graphs import (
+    DegreeDistribution,
     Graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
     path_graph,
+    sample_configuration_model,
     torus_graph,
 )
 from coalesce.seeding import derive_rng
@@ -84,6 +86,19 @@ class TestTransitionMatrix:
             p = transition_matrix(c, float(rng.random() * 2))
             d = np.diag(p)
             assert np.all(p <= (d[:, None] + d[None, :]) / 2 + 1e-12)
+
+    def test_matches_eigendecomposition_irregular(self):
+        # unequal degrees, so the kernel keeps a nonzero diagonal
+        dist = DegreeDistribution.from_pairs([(3, 0.5), (4, 0.3), (5, 0.2)])
+        g = sample_configuration_model(dist, 200, derive_rng(8, "tm-cm", 0),
+                                       require_connected=True)
+        c = build_generator(g)
+        lam, vecs = np.linalg.eigh(c.generator())
+        for t in (0.05, 0.7, 3.0):
+            p = transition_matrix(c, t)
+            exact = (vecs * np.exp(lam * t)) @ vecs.T
+            assert np.abs(p - exact).max() <= 1e-12
+            assert np.abs(p - p.T).max() <= 1e-15
 
     def test_semigroup(self, cycle4_chain):
         tol = 1e-12

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coalesce.chains import build_generator, spectrum
+from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum
 from coalesce.crw import (
     _subset_distribution,
     estimate_density,
@@ -22,7 +24,7 @@ from coalesce.errors import (
     TooLargeForExact,
 )
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
-from coalesce.meeting import pairwise_meeting_times
+from coalesce.meeting import _pair_generator, _survival, pairwise_meeting_times
 from coalesce import runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
@@ -225,6 +227,56 @@ class TestKParticle:
             law = exact_k_particle_law(cycle4_chain, k, t)
             assert law["terms"] > 1
             assert 0.0 <= law["tail_mass"] <= 1e-10
+
+
+    def test_uniformized_at_largest_exit_rate(self, cycle4_chain):
+        # k + 1 walkers occupy at most k + 1 sites, so the chain leaves a
+        # state at rate at most (k + 1) r, not n r
+        for k, t in ((1, 0.5), (2, 3.0)):
+            law = exact_k_particle_law(cycle4_chain, k, t)
+            assert law["terms"] == len(poisson_weights((k + 1) * 2.0 * t, 1e-10))
+
+
+@st.composite
+def small_chains(draw, n_min=2, n_max=4):
+    """Connected chains with non-integer, unequal rates."""
+    n = draw(st.integers(n_min, n_max))
+    rate = st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False)
+    order = draw(st.permutations(range(n)))
+    rates = np.zeros((n, n))
+    # a spanning path keeps the chain connected; other edges are optional
+    for a, b in zip(order, order[1:]):
+        rates[a, b] = rates[b, a] = draw(rate)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rates[a, b] == 0.0 and draw(st.booleans()):
+                rates[a, b] = rates[b, a] = draw(rate)
+    return MarkovChain.from_rates(rates)
+
+
+class TestCrossOracles:
+    """Independent exact oracles for the same probability agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=small_chains(), t=st.floats(0.0, 3.0))
+    def test_two_walker_law_vs_killed_pair_chain(self, c, t):
+        # k-particle ring kernel on V^2 against the pair generator killed on
+        # its diagonal, both from the uniform law on pairs
+        diag = np.eye(c.n, dtype=bool).ravel()
+        uniform = np.full(c.n * c.n, 1.0 / (c.n * c.n))
+        surv = _survival(_pair_generator(c), diag, uniform, [t])[0][0]
+        p_coal = exact_k_particle_law(c, 1, t)["p_coal"]
+        assert abs(p_coal - (1.0 - surv)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=small_chains(3, 3), t=st.floats(0.0, 3.0))
+    def test_three_walkers_vs_subset_chain(self, c, t):
+        # three distinct walkers on three sites start from the full set, so
+        # they have all met exactly when the subset chain is on a singleton
+        single = np.array([bin(s).count("1") == 1 for s in range(1, 8)])
+        p_one = _subset_distribution(c, t)[single].sum()
+        p_coal = exact_k_particle_law(c, 2, t, "distinct")["p_coal"]
+        assert abs(p_coal - p_one) <= 1e-10
 
 
 class TestTauCoal:

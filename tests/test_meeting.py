@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from coalesce import _flat
+from coalesce import _flat, meeting
 from coalesce.chains import MarkovChain, build_generator, product_chain, spectrum
 from coalesce.crw import exact_k_particle_law
-from coalesce.errors import BadSubset, NotConnected, NotTransitive, ParameterOutOfRange
-from coalesce.graphs import Graph, cycle_graph, path_graph, torus_graph
+from coalesce.errors import (
+    BadSubset,
+    CoalesceError,
+    NotConnected,
+    NotTransitive,
+    ParameterOutOfRange,
+)
+from coalesce.graphs import (
+    DegreeDistribution,
+    Graph,
+    cycle_graph,
+    path_graph,
+    sample_configuration_model,
+    torus_graph,
+)
 from coalesce.meeting import (
     _pair_generator,
     _survival,
@@ -58,10 +72,50 @@ class TestPairwise:
         assert np.array_equal(np.diag(prof.pairwise), np.zeros(27))
 
     def test_sparse_path_matches_dense(self):
-        # every size goes through the sparse LU; 2450 unknowns here
+        # every size goes through the conjugate-gradient solve; 2450 unknowns here
         c = build_generator(cycle_graph(50))
         prof = pairwise_meeting_times(c)
         assert np.allclose(prof.pairwise, cycle_pair_oracle(50), atol=1e-7)
+
+
+def barbell(m, path):
+    """Two copies of K_m joined by a path of ``path`` edges."""
+    edges = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    far = m + path - 1
+    edges += [(far + a, far + b) for a in range(m) for b in range(a + 1, m)]
+    edges += [(v, v + 1) for v in range(m - 1, far)]
+    return Graph.from_edges(far + m, edges)
+
+
+def irregular_cm(n, seed):
+    dist = DegreeDistribution.from_pairs([(3, 0.5), (4, 0.2), (6, 0.3)])
+    return sample_configuration_model(dist, n, derive_rng(seed, "cg-cm", 0),
+                                      require_connected=True)
+
+
+class TestHittingSolve:
+    @pytest.mark.parametrize("g", [barbell(12, 8), path_graph(60), irregular_cm(60, 3)],
+                             ids=["barbell", "path60", "cm60"])
+    def test_cg_matches_dense_solve(self, g):
+        # the same restricted system, factorized densely
+        c = build_generator(g)
+        prof = pairwise_meeting_times(c)
+        off = ~np.eye(c.n, dtype=bool).ravel()
+        sub = -_pair_generator(c)[off][:, off].toarray()
+        ref = scipy.linalg.solve(sub, np.ones(sub.shape[0]), assume_a="pos",
+                                 overwrite_a=True)
+        got = prof.pairwise.ravel()[off]
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+        assert prof.residual <= 1e-8
+
+    def test_no_convergence_raises(self, monkeypatch):
+        def stalled(a, b, rtol):
+            # scipy reports an unconverged solve by its iteration count
+            return np.zeros_like(b), 3
+
+        monkeypatch.setattr(meeting.spla, "cg", stalled)
+        with pytest.raises(CoalesceError, match="3 iterations, residual 1"):
+            pairwise_meeting_times(build_generator(cycle_graph(5)))
 
 
 class TestMeanMeetingTime:
@@ -323,6 +377,8 @@ class TestMcPairMeeting:
         g = cycle_graph(12)
         exact = mean_meeting_time(build_generator(g), "pi_pi")
         res = mc_pair_meeting(g, 20_000, derive_rng(5, "pairmc", 1))
+        # a budget of 50 n / r_min censored a pair on 8 of 20 fresh seeds
+        assert res["censored"] == 0
         assert abs(res["mean"] - exact) <= 4.0 * res["stderr"]
 
     @pytest.mark.parametrize("reps", [0, -3, 2.5, True])

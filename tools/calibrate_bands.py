@@ -118,7 +118,7 @@ def checks(cm3_reps, cm3_horizon):
         "alpha_mc_irregular_x2": alpha_check(irregular, 2, 0.8, 40_000, 4.5),
         "alpha_mc_irregular_x3": alpha_check(irregular, 3, 0.3, 40_000, 4.5),
         "pair_k2": pair_check(path_graph(2), 20_000, 4.0, True),
-        "pair_cycle12": pair_check(cycle_graph(12), 20_000, 4.0, False),
+        "pair_cycle12": pair_check(cycle_graph(12), 20_000, 4.0, True),
         "pair_lollipop": pair_check(LOLLIPOP, 40_000, 4.5, True),
         # tests/test_theory.py
         "psi_d3": (psi_check, (lambda v, r, se: abs(v - r) <= 0.01, 0.01, "band"), False),
