@@ -152,12 +152,10 @@ class _Run:
             self.rate_sum += rate[y] - rate[x]
 
 
-_LOCKSTEP_CELLS = 1 << 19
-
-
-def _lockstep_rows(n: int) -> int:
-    """Trajectories per lockstep block; keeps each state array near 2 MB."""
-    return max(1, _LOCKSTEP_CELLS // n)
+def _state_dtype(n: int) -> type:
+    """The narrowest signed integer type holding 0..n, the type of every
+    per-site and per-slot lockstep state array."""
+    return np.int16 if n < 1 << 15 else np.int32
 
 
 def _lockstep_crw(
@@ -190,21 +188,28 @@ def _lockstep_crw(
     ``rows``) variates of each kind and row r takes entry r, so a row's
     variates do not depend on the other rows: a block holding only the
     first rows of a wider block reproduces them exactly.
+
+    The state arrays ``loc``, ``at``, ``size`` and ``nbr`` hold sites, slots
+    and sizes in 0..n, so they are stored as ``_state_dtype(n)`` (int16
+    below 2^15 vertices), which halves the memory traffic of the gathers
+    and scatters; index arithmetic (row offset plus slot or site) is done
+    in int64.  The draws and picks are the same at any state type.
     """
     n = flat.n
     width = rows if width is None else width
+    state = _state_dtype(n)
     off = np.asarray(flat.off[:-1], dtype=np.int64)
     deg = np.asarray(flat.deg, dtype=np.int64)
     # the pad keeps the pick in range at an isolated x, whose ring is rejected
-    nbr = np.asarray(flat.nbr + [0], dtype=np.int32)
+    nbr = np.asarray(flat.nbr + [0], dtype=state)
     keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
     ngrid = 0 if to_one else len(grid)
     # the grid padded with a time never reached
     gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
     # flat state: cell r * n + k is slot (or site) k of row r
-    loc = np.tile(np.arange(n, dtype=np.int32), rows)  # slot -> site
+    loc = np.tile(np.arange(n, dtype=state), rows)  # slot -> site
     at = loc.copy()  # site -> slot, -1 when empty
-    size = np.ones(rows * n, dtype=np.int32)  # cluster size per slot
+    size = np.ones(rows * n, dtype=state)  # cluster size per slot
     out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
     if labels is not None:
         out["sizes"] = np.empty((rows, ngrid, labels.shape[1]), dtype=np.int64)

@@ -30,10 +30,7 @@ import numpy as np
 from . import __version__
 from ._flat import check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
-from .crw import (
-    _check_connected, _lockstep_crw, _lockstep_rows, _run_to_one, _simulate_one,
-    flat_graph,
-)
+from .crw import _check_connected, _lockstep_crw, _run_to_one, _simulate_one, flat_graph
 from .errors import TaskError
 from .graphs import Graph
 from .io import block_csv, sha256_text, write_csv_chunks, write_json
@@ -47,6 +44,8 @@ __all__ = [
 # wider blocks buy little speed on small graphs, and every iteration draws
 # the full width, however few replicates a run asks for
 _BLOCK_CAP = 1024
+# and on large graphs a block holds about this many state cells
+_BLOCK_CELLS = 1 << 19
 # a block narrower than this runs on the scalar engines: a lockstep
 # iteration costs tens of microseconds whatever its width, and in tau_coal
 # the slowest rows run on alone once the others have coalesced
@@ -56,7 +55,7 @@ _SCALAR_BELOW = {"density": 16, "tracked_cluster": 16, "occupancy": 16,
 
 def block_rows(n: int) -> int:
     """Replicates per block on an n-vertex graph; depends only on n."""
-    return min(_BLOCK_CAP, _lockstep_rows(n))
+    return min(_BLOCK_CAP, max(1, _BLOCK_CELLS // n))
 
 
 def resolve_threads(threads: int | None) -> int:

@@ -6,9 +6,12 @@ and is what all duality gap checks run on; the experiment runner plays it on
 blocks of replicates in lockstep.  For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
 system instead (equal in law), which is the only practical route at
-thousands of vertices.  The ancestral sampler runs blocks of trajectories in
-lockstep, one ring per trajectory per numpy iteration, and follows each
-tracked label's slot through merges instead of keeping a union-find.
+thousands of vertices.  The ancestral sampler runs its trajectories in
+lockstep, one ring per trajectory per numpy iteration, in as few equal
+blocks as a byte budget on the kernel's 16-bit (32-bit from 2^15 vertices)
+state allows, and follows each tracked label's slot through merges instead
+of keeping a union-find.  Both lockstep kernels keep their per-site and
+per-slot state in ``crw._state_dtype(n)``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_grid
-from .crw import _lockstep_crw, _lockstep_rows, _simulate_one, flat_graph
+from .crw import _lockstep_crw, _simulate_one, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
@@ -34,6 +37,21 @@ __all__ = [
     "gamma22_cdf",
     "size_bias_histogram",
 ]
+
+# bytes per lockstep state array in an ancestral block: a numpy iteration
+# costs tens of microseconds whatever its width, so wide blocks pay
+_ANCESTRAL_STATE_BYTES = 1 << 22
+
+
+def _ancestral_blocks(n: int, trajectories: int) -> list[int]:
+    """Rows of each ancestral block: as few blocks as keep every state
+    array, and every per-row array, within ``_ANCESTRAL_STATE_BYTES``,
+    with the trajectories split as evenly as they go."""
+    cells = _ANCESTRAL_STATE_BYTES // np.dtype(_state_dtype(n)).itemsize
+    cap = max(1, min(cells // n, _ANCESTRAL_STATE_BYTES // 8))
+    count = -(-trajectories // cap)
+    base, extra = divmod(trajectories, count)
+    return [base + 1] * extra + [base] * (count - extra)
 
 
 def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
@@ -107,19 +125,22 @@ def _lockstep_voter(
     The ring source x is picked in proportion to its rate by a search on the
     cumulative rates, then a neighbor y of x adopts the opinion of x.
     Also returns the ring count (``events``); no ring is thinned away.
+    ``opinion``, ``counts`` and ``nbr`` hold values in 0..n and are stored
+    as ``_state_dtype(n)``, as in ``crw._lockstep_crw``.
     """
     n = flat.n
+    state = _state_dtype(n)
     off = np.asarray(flat.off[:-1], dtype=np.int64)
     deg = np.asarray(flat.deg, dtype=np.int64)
-    nbr = np.asarray(flat.nbr, dtype=np.int64)
+    nbr = np.asarray(flat.nbr, dtype=state)
     cum = np.cumsum(flat.rate)
     total = float(cum[-1])
     ngrid = len(grid)
     gpad = np.append(np.asarray(grid, dtype=float), np.inf)
     nhat = np.empty((rows, ngrid), dtype=np.int64)
     # cell r * n + v: the opinion of voter v, and the voters holding opinion v
-    opinion = np.tile(np.arange(n, dtype=np.int64), rows)
-    counts = np.ones(rows * n, dtype=np.int64)
+    opinion = np.tile(np.arange(n, dtype=state), rows)
+    counts = np.ones(rows * n, dtype=state)
     # per live row, kept aligned with `live`; with an empty grid no row runs
     u_hat = (rng.random(width)[:rows] * n).astype(np.int64)
     live = np.arange(rows if ngrid else 0)
@@ -197,21 +218,23 @@ def sample_nhat_ancestral(
     size of the coalescing-walk cluster containing a uniformly chosen
     initial particle.  Each trajectory yields ``draws_per_trajectory``
     draws (correlated within a trajectory, exact in law individually).
-    Trajectories run in lockstep blocks whose size depends only on n.
+    Trajectories run in lockstep in as few equal blocks as a 4 MB budget
+    per state array allows (``_ancestral_blocks``), so the block layout,
+    and with it the stream, depends on n and on ``trajectories``.
     """
     if trajectories < 1 or draws_per_trajectory < 1:
         raise ParameterOutOfRange("need at least one trajectory and draw")
     (t,) = check_grid([t])
     flat = flat_graph(g, convention)
     out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)
-    rows = _lockstep_rows(g.n)
-    for start in range(0, trajectories, rows):
-        block = min(rows, trajectories - start)
+    start = 0
+    for block in _ancestral_blocks(g.n, trajectories):
         # labels are independent of the dynamics, so drawing them first
         # gives the same law as picking them at time t
         labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
         rec = _lockstep_crw(flat, rng, block, [t], labels)
         out[start:start + block] = rec["sizes"][:, 0]
+        start += block
     return out.reshape(-1)
 
 

@@ -209,6 +209,38 @@ class TestRunExperiment:
         assert tracked[0] == "replicate,t,xi_size,N_t"
 
 
+class TestGoldenDigests:
+    """The runner's CSV bytes, pinned: any change to a kernel's draws,
+    picks or state updates shows here, at one worker and at two."""
+
+    CYCLE8 = {
+        "density": "5f7c4a7567233962ea604aa587c4e34f37ce58782e36460d4bb0d812e842d621",
+        "tracked_cluster": "fbbb52f8711a5dbac5eca7dc69c336a97cee0f0d6b9f181af5ecd4b3053d04e4",
+        "occupancy": "b3460ecefb27f21542afe114b4b8c38f2d3b45aa52393b56fc971b3de3b6dee5",
+        "nhat": "7d1af52d8a4535b5ab072891e9b7770a0dc0bb67f788a1a4170b8bea7bc253cc",
+        "tau_coal": "cb64ea00a68b3fb18d6630bc2a08da335ccdad95997faf667822a7f611fe2bf1",
+    }
+    # one lockstep density block of 30 rows at width 524 on torus(3, 10)
+    TORUS = "c18bee51da844528d2d9d691e3d175ef831e3311e022493e5468b1d31110f865"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cycle8_every_task(self, tmp_path, threads):
+        raw = minimal_config(tmp_path, tasks=[{"task": k} for k in KINDS])
+        # three blocks of 1024 rows, so two workers split them
+        raw["replicates"] = 2500
+        manifest = run_experiment(validate_config(raw), threads=threads)
+        assert {r["task"]: r["sha256"] for r in manifest["results"]} == self.CYCLE8
+        assert [r["blocks"] for r in manifest["results"]] == [3] * 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_torus_density_block(self, tmp_path, threads):
+        raw = minimal_config(tmp_path, tasks=[{"task": "density"}])
+        raw.update(graph={"family": "torus", "params": [3, 10]}, times=[0.5],
+                   replicates=30)
+        manifest = run_experiment(validate_config(raw), threads=threads)
+        assert manifest["results"][0]["sha256"] == self.TORUS
+
+
 class TestBlockStreams:
     """A replicate's rows depend only on its index, on the lockstep kernels
     and on the scalar engines alike.  With 16-row blocks, 40 replicates are

@@ -343,6 +343,7 @@ class TestBlockPath:
                 got = runner._block(flat, {"task": kind}, [1.0], None, 1, width)
                 assert got == path, (kind, width)
         assert runner.block_rows(1 << 15) == 16 and runner.block_rows(1 << 13) == 64
+        assert runner.block_rows(1000) == 524
 
 
 class TestRunnerLaws:

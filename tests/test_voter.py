@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from coalesce.chains import build_generator
-from coalesce.crw import exact_k_particle_law, simulate_crw
+from coalesce import voter
+from coalesce.crw import _state_dtype, exact_k_particle_law, flat_graph, simulate_crw
 from coalesce.errors import EmptySamples, ParameterOutOfRange
 from coalesce.graphs import Graph, cycle_graph, path_graph
 from coalesce.seeding import derive_rng
@@ -90,6 +91,19 @@ class TestDualityGap:
         assert abs(inv.mean() - target) <= 4 * inv.std(ddof=1) / np.sqrt(len(inv))
 
 
+def spy_blocks(monkeypatch):
+    """Records the rows of every kernel call the ancestral sampler makes."""
+    rows = []
+    kernel = voter._lockstep_crw
+
+    def counted(flat, rng, block, grid, labels):
+        rows.append(block)
+        return kernel(flat, rng, block, grid, labels)
+
+    monkeypatch.setattr(voter, "_lockstep_crw", counted)
+    return rows
+
+
 class TestAncestralSampler:
     def test_matches_forward_law(self):
         t = 1.0
@@ -143,12 +157,60 @@ class TestAncestralExactMoments:
             z = (x.mean() - exact) / (x.std(ddof=1) / np.sqrt(reps))
             assert abs(z) <= 4.5, (k, x.mean(), exact)
 
-    def test_same_seed_same_samples(self):
-        a = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
-                                  draws_per_trajectory=2)
-        b = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
-                                  draws_per_trajectory=2)
-        np.testing.assert_array_equal(a, b)
+    def test_same_seed_same_samples(self, monkeypatch):
+        rows = spy_blocks(monkeypatch)
+        # the default budget runs the 700 trajectories as one block;
+        # 2 * 7 * 50 bytes (50 rows of 16-bit state on the lollipop), as 14
+        for budget, blocks in [(None, [700]), (2 * 7 * 50, [50] * 14)]:
+            if budget is not None:
+                monkeypatch.setattr(voter, "_ANCESTRAL_STATE_BYTES", budget)
+            rows.clear()
+            a = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
+                                      draws_per_trajectory=2)
+            b = sample_nhat_ancestral(LOLLIPOP, 0.8, 700, derive_rng(13, "anc", 0),
+                                      draws_per_trajectory=2)
+            assert rows == blocks * 2
+            np.testing.assert_array_equal(a, b)
+
+
+class TestAncestralBlocks:
+    """The sampler runs in as few equal blocks as the state budget allows,
+    on the narrowest state type that holds n."""
+
+    def test_state_dtype(self):
+        assert _state_dtype(1) is np.int16
+        assert _state_dtype((1 << 15) - 1) is np.int16
+        assert _state_dtype(1 << 15) is np.int32
+
+    def test_default_budget(self):
+        # the shape of C7 and of the benchmark on torus(3, 10)
+        assert voter._ancestral_blocks(1000, 1500) == [1500]
+        assert voter._ancestral_blocks(1000, 10_000) == [2000] * 5
+        assert voter._ancestral_blocks(7, 40_000) == [40_000]
+
+    def test_one_over_capacity_splits_in_two(self, monkeypatch):
+        # 2 bytes per cell on cycle(9): 11 rows fit in 198 bytes
+        monkeypatch.setattr(voter, "_ANCESTRAL_STATE_BYTES", 2 * 9 * 11)
+        assert voter._ancestral_blocks(9, 11) == [11]
+        assert voter._ancestral_blocks(9, 13) == [7, 6]
+        rows = spy_blocks(monkeypatch)
+        out = sample_nhat_ancestral(cycle_graph(9), 1.0, 12, derive_rng(14, "anc", 0),
+                                    draws_per_trajectory=3)
+        assert rows == [6, 6]
+        assert out.shape == (36,) and out.min() >= 1 and out.max() <= 9
+
+    def test_past_int16_range(self):
+        # vertex labels above 2^15 - 1 would wrap in 16-bit state
+        n = 40_000
+        out = sample_nhat_ancestral(cycle_graph(n), 0.05, 2, derive_rng(15, "anc", 0),
+                                    draws_per_trajectory=4)
+        assert out.shape == (8,) and out.min() >= 1 and out.max() <= n
+
+    def test_voter_kernel_past_int16_range(self):
+        n = 40_000
+        flat = flat_graph(cycle_graph(n), "per_edge_unit")
+        nhat = voter._lockstep_voter(flat, derive_rng(15, "voter", 0), 2, [0.05], 2)["nhat"]
+        assert nhat.shape == (2, 1) and nhat.min() >= 1 and nhat.max() <= n
 
 
 class TestSizeBiasIdentity:

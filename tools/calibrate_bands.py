@@ -1,7 +1,7 @@
-"""Empirical failure rates of the sigma-band checks on the two-walker and
-escape-walk estimators, over fresh seeds.
+"""Empirical failure rates of the sigma-band checks on the two-walker,
+escape-walk and ancestral-sampler estimators, over fresh seeds.
 
-Each check repeats one band test from the test suite, C8 or ``verify
+Each check repeats one band test from the test suite, C7, C8 or ``verify
 paper`` with its own estimator call, sizes and band, on K master seeds
 that no test uses, and prints how often it failed next to the rate its
 band nominally allows.  It changes no band and no seed anywhere.
@@ -12,7 +12,9 @@ band nominally allows.  It changes no band and no seed anywhere.
 Nominal rates: ``z`` bands allow erfc(z / sqrt 2); bands with an added
 slack allow at most that; for fixed bands it is the mass a normal law at
 the mean estimate with the mean standard error puts outside the band, which
-counts a bias such as the finite horizon's.  The censored column counts
+counts a bias such as the finite horizon's.  C7's KS distance has no
+standard error of its own, so its nominal rate takes the spread of the
+values over the seeds instead.  The censored column counts
 the seeds with any pair censored at its horizon (for alpha(D), more than
 the 5% the test allows); it fails a check only where the test itself
 asserts it.  Only public functions are called, so the script also runs
@@ -25,20 +27,24 @@ from __future__ import annotations
 import argparse
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 
 from coalesce.chains import MarkovChain, build_generator
+from coalesce.crw import exact_k_particle_law
 from coalesce.graphs import (
     DegreeDistribution,
     Graph,
     cycle_graph,
     path_graph,
     sample_configuration_model,
+    torus_graph,
 )
 from coalesce.meeting import alpha_survival, mc_pair_meeting, mean_meeting_time
 from coalesce.seeding import derive_rng
 from coalesce.theory import alpha_regular_tree, estimate_alpha_D, estimate_psi_d
+from coalesce.voter import gamma_ks, sample_nhat_ancestral
 
 # tests/test_meeting.py
 IRREGULAR_RATES = np.array([
@@ -51,6 +57,11 @@ IRREGULAR_RATES = np.array([
 LOLLIPOP = Graph.from_edges(
     7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
 )
+# tests/test_voter.py::TestAncestralExactMoments: graph, convention, t
+ANCESTRAL_CASES = {
+    "lollipop": (LOLLIPOP, "per_edge_unit", 0.8),
+    "cycle9_total_unit": (cycle_graph(9), "total_unit", 2.0),
+}
 FIRST_SEED = 910_000
 
 
@@ -110,6 +121,50 @@ def cm3_check(label, reps, horizon=None):
     return run, (lambda v, r, se: 0.85 <= v <= 1.15, 0.15, "band"), True
 
 
+@lru_cache(maxsize=None)
+def c7_stats(seed):
+    """C7's m2 and m3, each with a standard error, and its Gamma(2, 2) KS
+    distance: 10 000 trajectories of two draws on torus(3, 10) at t = 15."""
+    x = sample_nhat_ancestral(torus_graph(3, 10), 15.0, 10_000, derive_rng(seed, "c7", 0),
+                              draws_per_trajectory=2).astype(float).reshape(-1, 2)
+    mean = x.mean()
+    out = {"ks": (gamma_ks(x.reshape(-1)), math.nan)}
+    for k in (2, 3):
+        raw = (x**k).mean()
+        # the delta method on whole trajectories, whose two draws correlate
+        infl = (x**k).mean(axis=1) / mean**k - k * raw * x.mean(axis=1) / mean ** (k + 1)
+        out[f"m{k}"] = (raw / mean**k, infl.std(ddof=1) / math.sqrt(len(infl)))
+    return out
+
+
+def c7_check(stat, lo, hi):
+    """One of C7's statistics in the fixed band [lo, hi]."""
+    def run(seed):
+        value, se = c7_stats(seed)[stat]
+        return value, (lo + hi) / 2.0, se, 0
+    return run, (lambda v, r, se: lo <= v <= hi, (hi - lo) / 2.0, "band"), False
+
+
+@lru_cache(maxsize=None)
+def ancestral_moments(case, seed):
+    """Mean and standard error of nhat^k, k = 1, 2, over 40 000 draws."""
+    g, convention, t = ANCESTRAL_CASES[case]
+    x = sample_nhat_ancestral(g, t, 40_000, derive_rng(seed, "anc-moments", 0),
+                              convention=convention).astype(float)
+    return {k: ((x**k).mean(), (x**k).std(ddof=1) / math.sqrt(len(x))) for k in (1, 2)}
+
+
+def ancestral_check(case, k):
+    """E[nhat^k] against n^k P(k + 1 uniform walkers coalesced by t)."""
+    g, convention, t = ANCESTRAL_CASES[case]
+    exact = exact_k_particle_law(build_generator(g, convention), k, t)["e_ntk"]
+
+    def run(seed):
+        value, se = ancestral_moments(case, seed)[k]
+        return value, exact, se, 0
+    return run, z_band(4.5), False
+
+
 def checks(cm3_reps, cm3_horizon):
     irregular = MarkovChain.from_rates(IRREGULAR_RATES)
     return {
@@ -127,6 +182,14 @@ def checks(cm3_reps, cm3_horizon):
         # C8 and verify paper's paper_cm3/two_meet_over_n_alpha
         "c8_two_meet": cm3_check("c8", 500),
         "paper_cm3_two_meet": cm3_check("paper-cm", cm3_reps, cm3_horizon),
+        # tests/test_voter.py and C7, on the ancestral sampler
+        "anc_lollipop_k1": ancestral_check("lollipop", 1),
+        "anc_lollipop_k2": ancestral_check("lollipop", 2),
+        "anc_cycle9_k1": ancestral_check("cycle9_total_unit", 1),
+        "anc_cycle9_k2": ancestral_check("cycle9_total_unit", 2),
+        "c7_m2": c7_check("m2", 1.4, 1.6),
+        "c7_m3": c7_check("m3", 2.5, 3.5),
+        "c7_ks": c7_check("ks", 0.0, 0.05),
     }
 
 
@@ -154,6 +217,9 @@ def main(argv=None):
             values.append(value)
             ses.append(se)
         se_bar = float(np.mean(ses))
+        if math.isnan(se_bar):
+            # no standard error per run: the spread over the seeds
+            se_bar = float(np.std(values, ddof=1))
         if kind == "band":
             # a normal law at the mean estimate and the mean standard error
             # leaves the fixed band [ref - nominal, ref + nominal] this often
