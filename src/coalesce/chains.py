@@ -29,6 +29,7 @@ __all__ = [
     "ReturnProfile",
     "build_generator",
     "product_chain",
+    "translation_group",
     "transition_matrix",
     "spectrum",
     "return_integrals",
@@ -175,6 +176,60 @@ def product_chain(c: MarkovChain) -> MarkovChain:
     eye = np.eye(c.n)
     rates2 = np.kron(c.rates, eye) + np.kron(eye, c.rates)
     return MarkovChain(n=c.n * c.n, rates=rates2, convention="custom")
+
+
+def translation_group(c: MarkovChain):
+    """Vertex ids as an abelian group that translates c's rates, or None.
+
+    The tagged families are Cayley graphs: Z_n for ``cycle`` and
+    ``complete``, Z_L^d in the torus's lexicographic labels and Z_2^d on the
+    hypercube's bit masks, with vertex 0 the identity.  Returns vectorized
+    ``(add, neg)`` on integer arrays of vertex ids, but only when
+    ``rates[u, v] == rates[0, v - u]`` for every pair; a chain with no tag,
+    or with rates its tag does not describe, gets None.
+    """
+    family = c.family
+    if family is None:
+        return None
+    kind = family[0]
+    if kind in ("cycle", "complete"):
+        size = family[1]
+
+        def add(a, b):
+            return (a + b) % size
+
+        def neg(a):
+            return -a % size
+    elif kind == "torus":
+        L = family[2]
+        size = L ** family[1]
+        strides = L ** np.arange(family[1], dtype=np.int64)
+
+        # digit-wise mod L: a // s is the digit at stride s plus L times
+        # the higher digits, which vanish mod L
+        def add(a, b):
+            return sum((a // s + b // s) % L * s for s in strides)
+
+        def neg(a):
+            return sum(-(a // s) % L * s for s in strides)
+    elif kind == "hypercube":
+        size = 1 << family[1]
+        add = np.bitwise_xor
+
+        def neg(a):
+            return a
+    else:
+        return None
+    if c.n != size:
+        return None
+    # row u must be row 0 moved by u: equal at u + g for every g in the
+    # support of row 0 (n * deg entries, not n^2), and zero elsewhere
+    gens = np.flatnonzero(c.rates[0])
+    ids = np.arange(size, dtype=np.int64)[:, None]
+    if not (np.all(c.rates[ids, add(ids, gens)] == c.rates[0, gens])
+            and np.all(np.count_nonzero(c.rates, axis=1) == gens.size)):
+        return None
+    return add, neg
 
 
 def poisson_weights(lam_t: float, tol: float) -> np.ndarray:

@@ -19,8 +19,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._flat import FlatGraph, check_grid
-from .chains import MarkovChain, uniformize
-from .errors import NotConnected, ParameterOutOfRange, SameVertex, TooLargeForExact
+from .chains import MarkovChain, translation_group, uniformize
+from .errors import (
+    BadSubset,
+    NotConnected,
+    ParameterOutOfRange,
+    SameVertex,
+    TooLargeForExact,
+)
 from .graphs import Graph, is_connected
 from .seeding import BufferedDraws
 from .stats import jackknife_cov
@@ -496,9 +502,10 @@ def _subset_occupancy(n: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
-def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
+def _subset_distribution(c: MarkovChain, t: float, start=None) -> np.ndarray:
     """Law of the occupied set at time t over the 2^n - 1 nonempty subsets,
-    indexed as in ``_subset_occupancy``.
+    indexed as in ``_subset_occupancy``, started from the nonempty set of
+    sites ``start`` (default: every site).
 
     The occupied set is itself a Markov chain: a ring of (x, y) maps S to
     (S \\ {x}) | {y} when x is in S.  Solved by uniformization.
@@ -508,6 +515,9 @@ def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
         raise TooLargeForExact("subset-chain oracle capped at 12 vertices")
     if t < 0.0:
         raise ParameterOutOfRange("t must be nonnegative")
+    sites = range(n) if start is None else {int(x) for x in start}
+    if not sites or not all(0 <= x < n for x in sites):
+        raise BadSubset(f"start must be a nonempty set of sites in 0..{n - 1}")
 
     def move(src, x, y):
         # row s - 1 holds mask s
@@ -516,7 +526,7 @@ def _subset_distribution(c: MarkovChain, t: float) -> np.ndarray:
     occ = _subset_occupancy(n)
     kt, lam = _ring_kernel(c, occ, move)
     mu = np.zeros(occ.shape[0])
-    mu[-1] = 1.0  # all sites occupied
+    mu[sum(1 << x for x in sites) - 1] = 1.0
     return uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)[0][0]
 
 
@@ -540,23 +550,34 @@ def exact_occupancy_cov(c: MarkovChain, x: int, y: int, t: float) -> float:
 def exact_k_particle_law(
     c: MarkovChain, k: int, t: float, start: str = "pi_tensor"
 ) -> dict:
-    """Coalescence law of k+1 labeled walkers by uniformization on V^{k+1}.
+    """Coalescence law of k+1 labeled walkers by uniformization.
 
     A ring of (x, y) moves every coordinate equal to x to y, so the diagonal
-    is absorbing as a set.  Returns P(all k+1 walkers share one location by
-    t); under independent uniform starts also n^k times that probability,
-    which equals the k-th moment of the tracked-cluster count.
+    is absorbing as a set.  The chain runs on V^{k+1}, or, when
+    ``translation_group`` finds one, on the n^k states with walker 0 pinned
+    at the identity: a ring at the identity carries walker 0 to y, so the
+    configuration is re-centred by -y, and state 0 is the coalesced one.
+    The law is translation invariant and both starts are uniform on
+    translation orbits, so the two chains give the same law.  The states
+    solved are capped at 20000.  Returns P(all k+1 walkers share one
+    location by t); under independent uniform starts also n^k times that
+    probability, which equals the k-th moment of the tracked-cluster count.
     """
     if k < 1:
         raise ParameterOutOfRange("k must be >= 1")
     n = c.n
-    nstates = n ** (k + 1)
+    group = translation_group(c)
+    free = k + 1 if group is None else k  # walkers not pinned
+    nstates = n**free
     if nstates > _KPARTICLE_CAP:
         raise TooLargeForExact("k-particle state space capped at 20000")
     if start == "distinct" and k + 1 > n:
         raise ParameterOutOfRange("more walkers than vertices for distinct start")
-    powers = n ** np.arange(k + 1, dtype=np.int64)
+    powers = n ** np.arange(free, dtype=np.int64)
     coords = (np.arange(nstates, dtype=np.int64)[:, None] // powers[None, :]) % n
+    if group is not None:
+        add, neg = group
+        coords = np.hstack([np.zeros((nstates, 1), dtype=np.int64), coords])
     occ = np.zeros((nstates, n), dtype=bool)
     occ[np.arange(nstates)[:, None], coords] = True
     sites = occ.sum(axis=1)  # distinct locations per state
@@ -564,6 +585,9 @@ def exact_k_particle_law(
     def move(src, x, y):
         moved = coords[src]
         moved[moved == x] = y
+        if group is not None:
+            # a ring at the identity carries walker 0 to y: re-centre by -y
+            moved = add(moved[:, 1:], neg(y)) if x == 0 else moved[:, 1:]
         return moved @ powers
 
     kt, lam = _ring_kernel(c, occ, move)

@@ -384,30 +384,25 @@ def vertex_expansion_exact(g: Graph) -> float:
         raise TooLargeForExact("vertex expansion enumeration capped at n = 20")
     if n < 2:
         raise ParameterOutOfRange("expansion needs n >= 2")
-    nbr_mask = [0] * n
+    nbr_mask = np.zeros(n, dtype=np.int64)
     for u, nbrs in enumerate(g.adjacency):
-        m = 0
         for v, _ in nbrs:
-            m |= 1 << v
-        nbr_mask[u] = m
-    half = n // 2
-    best = float("inf")
-    full = (1 << n) - 1
-    for s in range(1, 1 << n):
-        size = s.bit_count()
-        if size > half:
-            continue
-        reach = 0
-        ss = s
-        while ss:
-            v = (ss & -ss).bit_length() - 1
-            reach |= nbr_mask[v]
-            ss &= ss - 1
-        boundary = (reach & ~s & full).bit_count()
-        ratio = boundary / size
-        if ratio < best:
-            best = ratio
-    return best
+            nbr_mask[u] |= 1 << v
+    # every nonempty subset as a bit mask; reach is the union of the
+    # neighbourhoods of its members
+    s = np.arange(1, 1 << n, dtype=np.int64)
+    size = np.zeros_like(s)
+    reach = np.zeros_like(s)
+    for v in range(n):
+        member = s >> v & 1
+        size += member
+        reach |= nbr_mask[v] * member
+    outside = reach & ~s
+    boundary = np.zeros_like(s)
+    for v in range(n):
+        boundary += outside >> v & 1
+    keep = size <= n // 2
+    return float((boundary[keep] / size[keep]).min())
 
 
 def write_graph(g: Graph, path) -> None:

@@ -2,8 +2,11 @@
 
 Exact quantities come from one hitting-time solve (conjugate gradients on
 the sparse generator) and one killed uniformization, applied to a single
-chain or to the two-walker product chain (a sparse Kronecker sum on states
-x * n + y, killed on its diagonal).
+chain or to a two-walker chain killed where the walkers meet: the product
+chain (a sparse Kronecker sum on states x * n + y, killed on its diagonal)
+or, on a chain whose rates an abelian group translates
+(``chains.translation_group``), the n-state difference walk Y - X killed at
+the identity.
 Monte Carlo fallbacks for graphs beyond the dense caps run blocks of walker
 pairs in lockstep on the two-walker kernel ``_flat.walk_pairs``.
 """
@@ -27,7 +30,7 @@ from ._flat import (
     graph_pick,
     walk_pairs,
 )
-from .chains import MarkovChain, spectrum, uniformize
+from .chains import MarkovChain, spectrum, translation_group, uniformize
 from .errors import (
     BadSubset,
     CoalesceError,
@@ -58,7 +61,12 @@ _CG_RTOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class MeetingProfile:
-    """Expected pairwise meeting times and their stationary averages."""
+    """Expected pairwise meeting times and their stationary averages.
+
+    ``residual`` is the max residual of the hitting-time system solved: the
+    pair chain's n(n - 1) unknowns, or the difference walk's n - 1 on a
+    chain with a translation group.
+    """
 
     pairwise: np.ndarray
     t_meet_pi: float
@@ -71,6 +79,20 @@ def _pair_generator(c: MarkovChain):
     q = sp.csr_matrix(c.generator())
     eye = sp.identity(c.n, format="csr")
     return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
+
+
+def _difference_generator(c: MarkovChain, add):
+    """Sparse generator of Y - X for two independent copies of a chain whose
+    rates are translation invariant: the difference moves by g when Y moves
+    by g or X by -g, at rate r(0, g) + r(0, -g) = 2 r(0, g)."""
+    n = c.n
+    ids = np.arange(n, dtype=np.int64)
+    gens = np.flatnonzero(c.rates[0])
+    rows = np.concatenate([np.repeat(ids, gens.size), ids])
+    cols = np.concatenate([add(np.repeat(ids, gens.size), np.tile(gens, n)), ids])
+    data = np.concatenate([np.tile(2.0 * c.rates[0, gens], n),
+                           np.full(n, -2.0 * c.row_rates[0])])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _hitting_times(q, mask):
@@ -115,12 +137,26 @@ def _survival(q, mask, mu0, times, tol=1e-12):
 
 
 def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
-    """Expected meeting time for every ordered starting pair."""
+    """Expected meeting time for every ordered starting pair.
+
+    One hitting-time solve on the pair chain, or on the difference walk when
+    ``translation_group`` finds one (n - 1 unknowns instead of n(n - 1);
+    ``pairwise[x, y]`` is then the hitting time of the identity from
+    y - x).  Capped at n^2 pair states either way, the size of the matrix
+    returned.
+    """
     n = c.n
     if n * n > _PAIR_CAP:
         raise TooLargeForExact("pair state space capped at 250000")
-    h, residual = _hitting_times(_pair_generator(c), np.eye(n, dtype=bool).ravel())
-    pairwise = h.reshape(n, n)
+    group = translation_group(c)
+    if group is None:
+        h, residual = _hitting_times(_pair_generator(c), np.eye(n, dtype=bool).ravel())
+        pairwise = h.reshape(n, n)
+    else:
+        add, neg = group
+        ids = np.arange(n, dtype=np.int64)
+        h, residual = _hitting_times(_difference_generator(c, add), ids == 0)
+        pairwise = h[add(ids[None, :], neg(ids[:, None]))]
     t_pi = float(pairwise.sum() / (n * n))
     t_distinct = float(pairwise.sum() / (n * (n - 1)))
     return MeetingProfile(
@@ -157,9 +193,11 @@ def alpha_survival(
     neighbor of x: r(x) * P(no meeting by t).
 
     Accepts a chain or a graph (per-edge-unit rates).  exact mode runs
-    killed-pair uniformization on the n^2 pair states; mc mode runs ``reps``
-    pairs on the lockstep two-walker kernel, in blocks of ``PAIR_BLOCK``,
-    and returns a 95% normal interval.
+    killed-pair uniformization on the n^2 pair states, or on the n states of
+    the difference walk when ``translation_group`` finds one (capped at
+    250000 states either way); mc mode runs ``reps`` pairs on the lockstep
+    two-walker kernel, in blocks of ``PAIR_BLOCK``, and returns a 95% normal
+    interval.
     """
     if isinstance(c, Graph):
         from .chains import build_generator
@@ -170,12 +208,21 @@ def alpha_survival(
         raise ParameterOutOfRange(f"x must be a vertex in 0..{c.n - 1}, got {x!r}")
     rx = float(c.row_rates[x])
     if mode == "exact":
-        if c.n * c.n > _PAIR_CAP:
-            raise TooLargeForExact("exact alpha capped at 250000 pair states")
-        mu0 = np.zeros((c.n, c.n))
-        mu0[x] = c.rates[x] / rx
-        diag = np.eye(c.n, dtype=bool).ravel()
-        surv, terms, tail = _survival(_pair_generator(c), diag, mu0.ravel(), [t])
+        group = translation_group(c)
+        if group is None:
+            if c.n * c.n > _PAIR_CAP:
+                raise TooLargeForExact("exact alpha capped at 250000 pair states")
+            mu0 = np.zeros((c.n, c.n))
+            mu0[x] = c.rates[x] / rx
+            diag = np.eye(c.n, dtype=bool).ravel()
+            surv, terms, tail = _survival(_pair_generator(c), diag, mu0.ravel(), [t])
+        else:
+            if c.n > _PAIR_CAP:
+                raise TooLargeForExact("exact alpha capped at 250000 difference states")
+            # the neighbour sits at x + g with probability r(0, g) / r(x)
+            identity = np.arange(c.n) == 0
+            surv, terms, tail = _survival(_difference_generator(c, group[0]), identity,
+                                          c.rates[0] / rx, [t])
         return {"value": rx * surv[0], "stderr": 0.0, "terms": terms,
                 "tail_mass": tail}
     if mode != "mc":

@@ -10,6 +10,7 @@ from coalesce.chains import (
     return_integrals,
     spectrum,
     transition_matrix,
+    translation_group,
 )
 from coalesce.errors import (
     NotConnected,
@@ -233,3 +234,50 @@ class TestProductChain:
         assert spectrum(pc).t_rel == pytest.approx(
             spectrum(cycle4_chain).t_rel, abs=1e-9
         )
+
+
+TAGGED = [cycle_graph(7), torus_graph(2, 4), torus_graph(3, 3), complete_graph(6),
+          hypercube_graph(3)]
+TAGGED_IDS = ["cycle7", "torus24", "torus33", "complete6", "hypercube3"]
+
+
+class TestTranslationGroup:
+    @pytest.mark.parametrize("convention", ["per_edge_unit", "total_unit"])
+    @pytest.mark.parametrize("g", TAGGED, ids=TAGGED_IDS)
+    def test_group_translates_rates(self, g, convention):
+        c = build_generator(g, convention)
+        add, neg = translation_group(c)
+        ids = np.arange(c.n)
+        assert np.array_equal(add(ids, neg(ids)), np.zeros(c.n))
+        assert np.array_equal(add(ids, 0), ids)
+        for shift in ids:
+            assert np.array_equal(add(ids, shift), add(shift, ids))
+            moved = add(ids, shift)
+            assert np.array_equal(np.sort(moved), ids)
+            assert np.array_equal(c.rates[np.ix_(moved, moved)], c.rates)
+
+    def test_torus_adds_coordinates(self):
+        # lexicographic labels on Z_4 x Z_4: (1, 2) + (3, 3) = (0, 1), -(1, 3) = (3, 1)
+        add, neg = translation_group(build_generator(torus_graph(2, 4)))
+        assert add(1 * 4 + 2, 3 * 4 + 3) == 0 * 4 + 1
+        assert neg(1 * 4 + 3) == 3 * 4 + 1
+
+    def test_untagged_chain_has_none(self, cycle4_chain):
+        assert translation_group(MarkovChain.from_rates(cycle4_chain.rates)) is None
+        assert translation_group(build_generator(path_graph(5))) is None
+
+    def test_tag_that_does_not_match_rates(self, cycle4_chain):
+        path = build_generator(path_graph(6)).rates
+        assert translation_group(MarkovChain(6, path, family=("cycle", 6))) is None
+        weighted = cycle4_chain.rates.copy()
+        weighted[0, 1] = weighted[1, 0] = 2.0
+        assert translation_group(MarkovChain(4, weighted, family=("cycle", 4))) is None
+        # every translate of row 0 is present, but rows 1 and 3 have more
+        chord = cycle4_chain.rates.copy()
+        chord[1, 3] = chord[3, 1] = 1.0
+        assert translation_group(MarkovChain(4, chord, family=("cycle", 4))) is None
+        # a tag of the wrong size, and one that names no group
+        assert translation_group(
+            MarkovChain(4, cycle4_chain.rates, family=("cycle", 5))) is None
+        assert translation_group(
+            MarkovChain(4, cycle4_chain.rates, family=("ladder", 4))) is None

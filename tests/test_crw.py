@@ -18,13 +18,20 @@ from coalesce.crw import (
     _Run,
 )
 from coalesce.errors import (
+    BadSubset,
     NotConnected,
     ParameterOutOfRange,
     SameVertex,
     TooLargeForExact,
 )
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
-from coalesce.meeting import _pair_generator, _survival, pairwise_meeting_times
+from coalesce.chains import translation_group
+from coalesce.meeting import (
+    _difference_generator,
+    _pair_generator,
+    _survival,
+    pairwise_meeting_times,
+)
 from coalesce import runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
@@ -219,8 +226,12 @@ class TestKParticle:
             assert abs(e_n - 4 * t / m) <= 4 * ((t / m) ** 2 + t_rel / m) + 1e-12
 
     def test_too_large(self):
+        # the cap counts the states solved: 12^4 labelled states on the
+        # untagged path, 142^2 pinned states on the tagged cycle
         with pytest.raises(TooLargeForExact):
-            exact_k_particle_law(build_generator(cycle_graph(12)), 3, 1.0)
+            exact_k_particle_law(build_generator(path_graph(12)), 3, 1.0)
+        with pytest.raises(TooLargeForExact):
+            exact_k_particle_law(build_generator(cycle_graph(142)), 2, 1.0)
 
     def test_reports_truncation(self, cycle4_chain):
         for k, t in ((1, 0.5), (2, 3.0)):
@@ -277,6 +288,37 @@ class TestCrossOracles:
         p_one = _subset_distribution(c, t)[single].sum()
         p_coal = exact_k_particle_law(c, 2, t, "distinct")["p_coal"]
         assert abs(p_coal - p_one) <= 1e-10
+
+
+class TestSubsetChainFromAnySet:
+    @pytest.mark.parametrize("g", [cycle_graph(6), complete_graph(5)], ids=["cycle6", "complete5"])
+    @pytest.mark.parametrize("t", [0.3, 1.2])
+    def test_pair_meets_as_difference_walk_hits_identity(self, g, t):
+        # two walkers from {a, b} have met by t exactly when the occupied set
+        # is a singleton, and Y - X is the difference walk from b - a
+        c = build_generator(g)
+        add, neg = translation_group(c)
+        single = np.array([bin(s).count("1") == 1 for s in range(1, 1 << c.n)])
+        identity = np.arange(c.n) == 0
+        for a, b in [(0, 1), (1, 3), (4, 2)]:
+            p_one = _subset_distribution(c, t, {a, b})[single].sum()
+            mu0 = np.zeros(c.n)
+            mu0[add(b, neg(a))] = 1.0
+            surv = _survival(_difference_generator(c, add), identity, mu0, [t])[0][0]
+            assert abs(p_one - (1.0 - surv)) <= 1e-10
+
+    def test_default_start_is_every_site(self, cycle4_chain):
+        assert np.array_equal(_subset_distribution(cycle4_chain, 0.6),
+                              _subset_distribution(cycle4_chain, 0.6, range(4)))
+
+    def test_start_is_a_point_mass(self, cycle4_chain):
+        mu = _subset_distribution(cycle4_chain, 0.0, [2, 0])
+        assert mu[0b101 - 1] == 1.0 and mu.sum() == 1.0
+
+    @pytest.mark.parametrize("start", [[], [4], [-1, 2]])
+    def test_rejects_bad_start(self, cycle4_chain, start):
+        with pytest.raises(BadSubset):
+            _subset_distribution(cycle4_chain, 0.5, start)
 
 
 class TestTauCoal:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from coalesce.graphs import (
     hypercube_graph,
     is_connected,
     make_transitive,
+    path_graph,
     read_graph,
     sample_configuration_model,
     sample_ugt,
@@ -199,6 +202,36 @@ class TestVertexExpansion:
     def test_too_large(self):
         with pytest.raises(TooLargeForExact):
             vertex_expansion_exact(cycle_graph(21))
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(4), cycle_graph(7), complete_graph(5), hypercube_graph(3),
+        hypercube_graph(4), torus_graph(2, 3), path_graph(9),
+        Graph.from_edges(7, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+                         + [(3, 4), (4, 5), (5, 6)]),
+        Graph.from_edges(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ], ids=["cycle4", "cycle7", "complete5", "hypercube3", "hypercube4", "torus23",
+            "path9", "lollipop", "multi_edge"])
+    def test_matches_enumeration_of_subsets(self, g):
+        assert vertex_expansion_exact(g) == brute_force_expansion(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_enumeration_on_random_graphs(self, seed):
+        rng = derive_rng(seed, "expansion", 0)
+        n = int(rng.integers(4, 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35]
+        g = Graph.from_edges(n, pairs)
+        assert vertex_expansion_exact(g) == brute_force_expansion(g)
+
+
+def brute_force_expansion(g):
+    """min |boundary(S)| / |S| over every S with 1 <= |S| <= n / 2, by sets."""
+    nbrs = [{v for v, _ in g.adjacency[u]} for u in range(g.n)]
+    best = float("inf")
+    for size in range(1, g.n // 2 + 1):
+        for s in combinations(range(g.n), size):
+            boundary = set().union(*(nbrs[u] for u in s)) - set(s)
+            best = min(best, len(boundary) / size)
+    return best
 
 
 class TestGraphFile:

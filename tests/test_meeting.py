@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coalesce import _flat, meeting
-from coalesce.chains import MarkovChain, build_generator, product_chain, spectrum
+from coalesce import _flat, crw, meeting
+from coalesce.chains import (
+    MarkovChain,
+    build_generator,
+    product_chain,
+    spectrum,
+    translation_group,
+)
 from coalesce.crw import exact_k_particle_law
 from coalesce.errors import (
     BadSubset,
@@ -15,7 +21,9 @@ from coalesce.errors import (
 from coalesce.graphs import (
     DegreeDistribution,
     Graph,
+    complete_graph,
     cycle_graph,
+    hypercube_graph,
     path_graph,
     sample_configuration_model,
     torus_graph,
@@ -230,6 +238,83 @@ class TestAlphaSurvival:
         from_chain = alpha_survival(cycle4_chain, 0, 0.5)["value"]
         from_graph = alpha_survival(cycle_graph(4), 0, 0.5)["value"]
         assert from_graph == pytest.approx(from_chain, abs=1e-12)
+
+
+TAGGED = [cycle_graph(7), torus_graph(2, 4), torus_graph(3, 3), complete_graph(6),
+          hypercube_graph(3)]
+TAGGED_IDS = ["cycle7", "torus24", "torus33", "complete6", "hypercube3"]
+
+
+@pytest.fixture(params=[(g, conv) for g in TAGGED for conv in ("per_edge_unit", "total_unit")],
+                ids=[f"{i}-{conv}" for i in TAGGED_IDS for conv in ("edge", "total")])
+def quotient_pair(request):
+    """A tagged chain, which takes the translation quotient, and an untagged
+    copy of its rates, which takes the generic path."""
+    g, conv = request.param
+    c = build_generator(g, conv)
+    assert translation_group(c) is not None
+    return c, MarkovChain.from_rates(c.rates)
+
+
+class TestTranslationQuotient:
+    """The oracles on the translation quotient against the generic path."""
+
+    def test_pairwise_meeting_times(self, quotient_pair):
+        c, plain = quotient_pair
+        got, ref = pairwise_meeting_times(c), pairwise_meeting_times(plain)
+        assert np.abs(got.pairwise - ref.pairwise).max() <= 1e-10
+        assert abs(got.t_meet_pi - ref.t_meet_pi) <= 1e-10
+        assert abs(got.t_meet_distinct - ref.t_meet_distinct) <= 1e-10
+        assert got.residual <= 1e-10 and ref.residual <= 1e-10
+
+    @pytest.mark.parametrize("x", [0, 5])
+    def test_alpha_exact(self, quotient_pair, x):
+        c, plain = quotient_pair
+        for t in (0.4, 2.0):
+            got, ref = alpha_survival(c, x, t), alpha_survival(plain, x, t)
+            assert abs(got["value"] - ref["value"]) <= 1e-10
+            assert got["terms"] == ref["terms"]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("start", ["pi_tensor", "distinct"])
+    def test_k_particle_law(self, quotient_pair, k, start, monkeypatch):
+        c, plain = quotient_pair
+        ref = exact_k_particle_law(plain, k, 0.8, start)
+        solved = []
+        ring_kernel = crw._ring_kernel
+
+        def spy(chain, occ, move):
+            solved.append(occ.shape[0])
+            return ring_kernel(chain, occ, move)
+
+        monkeypatch.setattr(crw, "_ring_kernel", spy)
+        got = exact_k_particle_law(c, k, 0.8, start)
+        assert solved == [c.n**k]
+        assert abs(got["p_coal"] - ref["p_coal"]) <= 1e-10
+        assert got["terms"] == ref["terms"]
+        if start == "pi_tensor":
+            assert abs(got["e_ntk"] - ref["e_ntk"]) <= 1e-10 * c.n**k
+
+    @pytest.mark.parametrize("rates", ["path", "weighted_cycle", "cycle_with_chord"])
+    def test_tag_that_does_not_match_rates_takes_generic_path(self, rates):
+        # a cycle tag on rates that are not translation invariant
+        if rates == "path":
+            r = build_generator(path_graph(6)).rates
+        else:
+            r = build_generator(cycle_graph(6)).rates
+            if rates == "weighted_cycle":
+                r[2, 3] = r[3, 2] = 0.5
+            else:
+                r[2, 5] = r[5, 2] = 1.0
+        tagged = MarkovChain(6, r, family=("cycle", 6))
+        plain = MarkovChain.from_rates(r)
+        got, ref = pairwise_meeting_times(tagged), pairwise_meeting_times(plain)
+        assert np.array_equal(got.pairwise, ref.pairwise)
+        assert got.residual == ref.residual
+        assert alpha_survival(tagged, 1, 0.7) == alpha_survival(plain, 1, 0.7)
+        for start in ("pi_tensor", "distinct"):
+            assert (exact_k_particle_law(tagged, 2, 0.7, start)
+                    == exact_k_particle_law(plain, 2, 0.7, start))
 
 
 class TestExitMeasure:
