@@ -63,6 +63,7 @@ from .theory import (  # noqa: F401
     mean_field_predictions,
     bg_prediction,
     psi_d,
+    psi_d_horizon,
     estimate_psi_d,
     estimate_alpha_D,
     alpha_regular_tree,

@@ -134,26 +134,44 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, root=None, family=None) -> "Graph":
-        """Build from an iterable of (u, v) or (u, v, multiplicity)."""
-        mult: dict[tuple[int, int], int] = {}
-        for e in edges:
-            u, v = e[0], e[1]
-            m = e[2] if len(e) > 2 else 1
-            if u == v:
-                continue  # self-loops are dropped on normalization
-            if not (0 <= u < n and 0 <= v < n):
+        """Build from (u, v) or (u, v, multiplicity) rows: an iterable of
+        tuples, or an integer array of two or three columns.
+
+        Self-loops are dropped, whatever their endpoint; any other edge
+        must lie inside the vertex range and have a positive multiplicity.
+        The rows go into int64 arrays, repeated edges merge over the packed
+        keys lo * n + hi, and one sort by (vertex, neighbour) lays out every
+        adjacency tuple.
+        """
+        if isinstance(edges, np.ndarray):
+            rows = np.asarray(edges, dtype=np.int64)
+            if rows.shape[1] == 2:
+                rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
+        else:
+            rows = np.array([(e[0], e[1], e[2] if len(e) > 2 else 1) for e in edges],
+                            dtype=np.int64).reshape(-1, 3)
+        lo = rows[:, :2].min(axis=1)
+        hi = rows[:, :2].max(axis=1)
+        edge = lo != hi
+        outside = (lo < 0) | (hi >= n)
+        bad = np.flatnonzero(edge & (outside | (rows[:, 2] < 1)))
+        if bad.size:
+            u, v, _ = rows[bad[0]].tolist()
+            if outside[bad[0]]:
                 raise ParameterOutOfRange(f"edge ({u},{v}) outside vertex range")
-            if m < 1:
-                raise ParameterOutOfRange("edge multiplicity must be positive")
-            key = (u, v) if u < v else (v, u)
-            mult[key] = mult.get(key, 0) + int(m)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), m in mult.items():
-            adj[u].append((v, m))
-            adj[v].append((u, m))
+            raise ParameterOutOfRange("edge multiplicity must be positive")
+        key, inverse = np.unique(lo[edge] * n + hi[edge], return_inverse=True)
+        mult = np.zeros(key.size, dtype=np.int64)
+        np.add.at(mult, inverse, rows[edge, 2])
+        # each edge from both ends, sorted by (vertex, neighbour)
+        src = np.concatenate((key // n, key % n))
+        dst = np.concatenate((key % n, key // n))
+        order = np.lexsort((dst, src))
+        pairs = list(zip(dst[order].tolist(), np.tile(mult, 2)[order].tolist()))
+        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
         return cls(
             n=n,
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
+            adjacency=tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)),
             root=root,
             family=family,
         )
@@ -235,9 +253,11 @@ def sample_configuration_model(
     """Random multigraph by uniform matching of half edges.
 
     Degrees are i.i.d. from D, resampled as a whole sequence until their sum
-    is even.  Self-loops are deleted; parallel edges are kept with
-    multiplicity unless ``collapse_multiedges``.  With ``require_connected``
-    the entire graph is rejection-resampled until connected.
+    is even.  The shuffled stubs, paired in order, go to ``Graph.from_edges``
+    as one array: self-loops are deleted there, and parallel edges kept with
+    multiplicity unless ``collapse_multiedges`` (which keeps one row per
+    distinct pair).  With ``require_connected`` the entire graph is
+    rejection-resampled until ``is_connected``.
     """
     if n < 2:
         raise ParameterOutOfRange("configuration model needs n >= 2")
@@ -262,18 +282,10 @@ def sample_configuration_model(
         degs = draw_even_degrees()
         stubs = np.repeat(np.arange(n, dtype=np.int64), degs)
         rng.shuffle(stubs)
-        us = stubs[0::2]
-        vs = stubs[1::2]
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            mult[key] = mult.get(key, 0) + 1
-        edges = [
-            (u, v, 1 if collapse_multiedges else m) for (u, v), m in mult.items()
-        ]
-        g = Graph.from_edges(n, edges, family=None)
+        pairs = stubs.reshape(-1, 2)
+        if collapse_multiedges:
+            pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+        g = Graph.from_edges(n, pairs)
         if not require_connected or is_connected(g):
             return g
     raise NotConnectedAfterRetries(

@@ -36,6 +36,7 @@ __all__ = [
     "mean_field_predictions",
     "bg_prediction",
     "psi_d",
+    "psi_d_horizon",
     "estimate_psi_d",
     "estimate_alpha_D",
     "alpha_regular_tree",
@@ -111,6 +112,58 @@ def psi_d(d: int) -> float:
     return 1.0 / green
 
 
+def psi_d_horizon(d: int, horizon_steps: int) -> float:
+    """P(simple walk on Z^d does not return to the origin within
+    ``horizon_steps`` steps), exactly, for d = 1 and 3: the value
+    ``estimate_psi_d`` targets.  It decreases to ``psi_d(d)`` as the
+    horizon grows.
+
+    The return probabilities are u_2m = C(2m, m)/4^m in d = 1, times
+    v(m) = a(m)/9^m in d = 3, where a(m) = sum_{j+k+l=m} (m!/(j!k!l!))^2
+    obeys m^2 v(m) = ((10m^2 - 10m + 3) v(m-1) - (m-1)^2 v(m-2)) / 9, run
+    forwards (stable: the other root is 1/9).  With U(x) = sum_m u_2m x^m
+    and F(x) the generating function of the first return at step 2m,
+    1/U = 1 - F, so the answer, 1 - sum_{m <= h/2} f_2m, is the sum of the
+    first floor(h/2) + 1 coefficients of 1/U, found by Newton doubling on
+    FFT products.  h = 10^5 takes a fraction of a second.
+    """
+    d = _dimension(d)
+    if d not in (1, 3):
+        raise ParameterOutOfRange(f"finite-horizon psi is exact in d = 1 and 3, got d = {d}")
+    if isinstance(horizon_steps, bool) or not isinstance(horizon_steps, numbers.Integral) \
+            or horizon_steps < 0:
+        raise ParameterOutOfRange(
+            f"horizon_steps must be a nonnegative integer, got {horizon_steps!r}")
+    size = int(horizon_steps) // 2 + 1
+    m = np.arange(1, size)
+    u = np.concatenate(([1.0], np.cumprod((2 * m - 1) / (2 * m))))
+    if d == 3:
+        v = np.ones(size)
+        for k in range(1, size):
+            v[k] = ((10 * k * k - 10 * k + 3) * v[k - 1]
+                    - (k - 1) ** 2 * (v[k - 2] if k > 1 else 0.0)) / (9 * k * k)
+        u *= v
+    return float(_series_inverse(u).sum())
+
+
+def _series_inverse(u: np.ndarray) -> np.ndarray:
+    """The first len(u) coefficients of 1/U for the power series U with
+    coefficients u (u[0] = 1), by Newton doubling g <- g (2 - U g)."""
+    g = np.ones(1)
+    while g.size < u.size:
+        k, k2 = g.size, min(2 * g.size, u.size)
+        # U g is 1 + O(x^k): only its coefficients k..k2-1 correct g
+        e = _series_product(u[:k2], g, k2)[k:]
+        g = np.concatenate((g, -_series_product(g, e, k2 - k)))
+    return g
+
+
+def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` coefficients of the product of two series."""
+    n = 1 << (a.size + b.size - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
+
+
 def _dimension(d) -> int:
     if isinstance(d, bool) or not isinstance(d, numbers.Real) or d != int(d) or d < 1:
         raise ParameterOutOfRange(f"dimension must be an integer >= 1, got {d!r}")
@@ -125,9 +178,27 @@ def _check_reps(reps, what):
 
 
 # double steps per escape-walk chunk, and cells (walk x double step) per
-# draw: a draw's temporaries take about 20 bytes per cell
+# draw.  ``rows`` below still divides the cells by the (2d)^2 pair count, as
+# when each draw was also counted per pair: it is kept for stream identity,
+# so that a seed gives the same psi_hat as before
 _PSI_CHUNK = 128
 _PSI_CELLS = 1 << 17
+
+
+def _lattice_code(d: int, horizon_steps: int):
+    """Field width and place values of the packed code of a point of Z^d
+    with every coordinate within +-horizon_steps.
+
+    Each coordinate is a signed field of ``bits`` bits, ``63 // bits``
+    fields to an int64 word, so the code of x is the word vector
+    ``place @ x``: exact, free of overflow, and zero only at the origin.
+    """
+    bits = (horizon_steps + 1).bit_length() + 1
+    per_word = 63 // bits
+    j = np.arange(d)
+    place = np.zeros((-(-d // per_word), d), dtype=np.int64)
+    place[j // per_word, j] = np.left_shift(1, bits * (j % per_word), dtype=np.int64)
+    return bits, place
 
 
 def estimate_psi_d(
@@ -136,16 +207,17 @@ def estimate_psi_d(
     """Fraction of discrete simple walks on Z^d with no return to the origin
     within the step horizon.  The jump chain suffices: escape probabilities
     are invariant under the continuous-time embedding.  Finite horizons bias
-    the estimate upward.
+    the estimate upward; ``psi_d_horizon`` gives the exact finite-horizon
+    value in d = 1 and 3.
 
     A walk is back at the origin only after an even number of steps, so the
     live walks advance by double steps, one of (2d)^2 direction pairs, in
-    chunks of ``_PSI_CHUNK``, drawn ``_PSI_CELLS`` cells at a time.  Each
-    double step adds a fixed pseudo-random 64-bit code of its displacement;
-    a running sum along the chunk equal to minus the walk's code at the
-    chunk start nominates a return, and the exact coordinates confirm it.
-    A chunk is drawn in full and cut at the horizon, so two horizons share
-    their draws up to the shorter one.
+    chunks of ``_PSI_CHUNK``, drawn ``_PSI_CELLS`` cells at a time.  A walk
+    is kept as the packed lattice code of its position (``_lattice_code``,
+    one int64 word for d = 3 up to horizons past 10^5), each double step
+    adds the code of its displacement, and the walk is back exactly when
+    every word of the running code is 0.  A chunk is drawn in full and cut
+    at the horizon, so two horizons share their draws up to the shorter one.
     """
     d = _dimension(d)
     if isinstance(horizon_steps, bool) or not isinstance(horizon_steps, numbers.Integral) \
@@ -158,40 +230,28 @@ def estimate_psi_d(
     unit[np.arange(2 * d), np.arange(2 * d) >> 1] = np.tile([-1, 1], d)
     pair = (unit[:, None, :] + unit[None, :, :]).reshape(-1, d)
     npair = pair.shape[0]
-    weights = np.random.Generator(np.random.PCG64(d)).integers(
-        -(1 << 63), 1 << 63, d, dtype=np.int64)
-    pair_code = pair @ weights  # wraps modulo 2^64, as the sums below do
+    pair_code = _lattice_code(d, int(horizon_steps))[1] @ pair.T
     pair_dtype = np.min_scalar_type(npair - 1)
-    pos = np.zeros((reps, d), dtype=np.int64)
-    code = np.zeros(reps, dtype=np.int64)
-    # the pair counts below take npair cells per walk
+    # one column per live walk: the code of its position
+    code = np.zeros((pair_code.shape[0], reps), dtype=np.int64)
     rows = max(1, _PSI_CELLS // max(_PSI_CHUNK, npair))
     done = 0
-    while done < horizon_steps // 2 and pos.shape[0]:
+    while done < horizon_steps // 2 and code.shape[1]:
         span = min(_PSI_CHUNK, horizon_steps // 2 - done)
         keep = []
-        for lo in range(0, pos.shape[0], rows):
-            p, c = pos[lo:lo + rows], code[lo:lo + rows]
-            moves = rng.integers(0, npair, (p.shape[0], _PSI_CHUNK), dtype=pair_dtype)
-            run = pair_code[moves]
-            np.cumsum(run, axis=1, out=run)
-            back = np.zeros(p.shape[0], dtype=bool)
-            cand = np.flatnonzero((run[:, :span] == -c[:, None]).any(axis=1))
-            if cand.size:
-                path = p[cand, None, :] + np.cumsum(pair[moves[cand, :span]], axis=1)
-                back[cand] = (path == 0).all(axis=2).any(axis=1)
-            # exact displacement over the whole chunk, from the direction
-            # counts: pair 2d * f + g is one step along f and one along g
-            counts = np.bincount(
-                (moves + npair * np.arange(p.shape[0])[:, None]).ravel(),
-                minlength=npair * p.shape[0]).reshape(-1, 2 * d, 2 * d)
-            p += (counts.sum(axis=2) + counts.sum(axis=1)) @ unit
-            c += run[:, -1]
+        for lo in range(0, code.shape[1], rows):
+            c = code[:, lo:lo + rows]
+            moves = rng.integers(0, npair, (c.shape[1], _PSI_CHUNK), dtype=pair_dtype)
+            run = pair_code[:, moves]
+            run[:, :, 0] += c
+            # the code of the position after each double step
+            np.cumsum(run, axis=2, out=run)
+            back = (run[:, :, :span] == 0).all(axis=0).any(axis=1)
+            c[:] = run[:, :, -1]
             keep.append(~back)
-        keep = np.concatenate(keep)
-        pos, code = pos[keep], code[keep]
+        code = code[:, np.concatenate(keep)]
         done += span
-    psi = pos.shape[0] / reps
+    psi = code.shape[1] / reps
     return {
         "psi_hat": psi,
         "stderr": sqrt(psi * (1.0 - psi) / reps),

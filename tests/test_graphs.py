@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -118,6 +119,185 @@ class TestConfigurationModel:
         n3 = int((degs == 3).sum())
         band = 3.0 * np.sqrt(10_000 * 0.25)
         assert abs(n3 - 5000) <= band + 20
+
+
+def reference_from_edges(n, edges, root=None, family=None):
+    """Graph.from_edges as a loop over the edges with a dict of
+    multiplicities, the way it was built before the array assembly."""
+    mult = {}
+    for e in edges:
+        u, v = e[0], e[1]
+        m = e[2] if len(e) > 2 else 1
+        if u == v:
+            continue
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterOutOfRange(f"edge ({u},{v}) outside vertex range")
+        if m < 1:
+            raise ParameterOutOfRange("edge multiplicity must be positive")
+        key = (u, v) if u < v else (v, u)
+        mult[key] = mult.get(key, 0) + int(m)
+    adj = [[] for _ in range(n)]
+    for (u, v), m in mult.items():
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), root=root,
+                 family=family)
+
+
+def reference_configuration_model(D, n, rng, require_connected=False, max_retries=200,
+                                  collapse_multiedges=False):
+    """sample_configuration_model with the per-edge dict merge it had before
+    the array assembly, the same draws in the same order, and a record of
+    the events met: "odd" (a degree sum redrawn), "disconnected" (a graph
+    redrawn), "loop" and "multi" (in the returned graph's matching)."""
+    seen = set()
+    for _ in range(max_retries):
+        for _ in range(max_retries):
+            degs = D.sample(n, rng)
+            if int(degs.sum()) % 2 == 0:
+                break
+            seen.add("odd")
+        else:
+            raise InfeasibleDegreeSequence("odd")
+        stubs = np.repeat(np.arange(n, dtype=np.int64), degs)
+        rng.shuffle(stubs)
+        mult = {}
+        for u, v in zip(stubs[0::2].tolist(), stubs[1::2].tolist()):
+            if u == v:
+                seen.add("loop")
+                continue
+            key = (u, v) if u < v else (v, u)
+            mult[key] = mult.get(key, 0) + 1
+        if any(m > 1 for m in mult.values()):
+            seen.add("multi")
+        edges = [(u, v, 1 if collapse_multiedges else m) for (u, v), m in mult.items()]
+        g = reference_from_edges(n, edges)
+        if not require_connected or is_connected(g):
+            return g, seen
+        seen.add("disconnected")
+        seen.discard("loop")
+        seen.discard("multi")
+    raise NotConnectedAfterRetries("disconnected")
+
+
+def raised(build):
+    """The exception type and message a call raises, or its result."""
+    try:
+        return build()
+    except ParameterOutOfRange as exc:
+        return type(exc), str(exc)
+
+
+class TestFromEdgesAssembly:
+    """The array assembly against the dict-loop reference, compared with ==."""
+
+    @pytest.mark.parametrize("edges", [
+        [],
+        [(0, 1), (1, 2), (2, 0)],
+        [(0, 1), (1, 0), (0, 1, 3), (2, 2), (2, 2, 5), (3, 1, 2)],  # multi-edges, loops
+        [(9, 9), (0, 1), (-4, -4, 0)],  # loops outside the range are dropped
+        ((u, (u * 3) % 5) for u in range(5)),  # a generator, with a loop at 0
+        np.array([[0, 1], [1, 0], [4, 4], [3, 2], [2, 3]]),
+        np.array([[0, 1, 2], [1, 0, 1], [4, 2, 7]]),
+    ], ids=["empty", "triangle", "loops_and_multi", "far_loops", "generator",
+            "array2", "array3"])
+    def test_matches_reference(self, edges):
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
+        got = Graph.from_edges(5, rows, root=2, family=("test", 5))
+        assert got == reference_from_edges(5, rows, root=2, family=("test", 5))
+        assert all(type(x) is int for nbrs in got.adjacency for e in nbrs for x in e)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multigraphs(self, seed):
+        rng = derive_rng(seed, "from-edges", 0)
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(0, 4 * n))
+        rows = rng.integers(0, n, (k, 3))
+        rows[:, 2] = rng.integers(1, 4, k)
+        edges = [tuple(r) if r[2] > 1 else tuple(r[:2]) for r in rows.tolist()]
+        assert Graph.from_edges(n, edges) == reference_from_edges(n, edges)
+        assert Graph.from_edges(n, rows) == reference_from_edges(n, rows.tolist())
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 5)],
+        [(0, 1), (-1, 2)],
+        [(0, 1, 0)],
+        [(0, 1), (2, 3, -2)],
+        [(4, 4, 0), (1, 2, 0), (0, 7)],  # the first bad edge decides the message
+        [(0, 7, 0), (1, 2, 0)],  # outside the range comes before the multiplicity
+    ])
+    def test_same_errors(self, edges):
+        expected = raised(lambda: reference_from_edges(5, edges))
+        assert expected[0] is ParameterOutOfRange
+        assert raised(lambda: Graph.from_edges(5, edges)) == expected
+        if len({len(e) for e in edges}) == 1:
+            assert raised(lambda: Graph.from_edges(5, np.array(edges))) == expected
+
+    def test_every_builder(self, monkeypatch):
+        # each builder's own edge rows, through both assemblies
+        calls = []
+        original = Graph.from_edges.__func__
+
+        def spy(cls, n, edges, root=None, family=None):
+            edges = edges if isinstance(edges, np.ndarray) else list(edges)
+            got = original(cls, n, edges, root=root, family=family)
+            calls.append(got == reference_from_edges(n, edges, root=root, family=family))
+            return got
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+        for g in (cycle_graph(7), path_graph(5), complete_graph(6), torus_graph(3, 4),
+                  torus_graph(1, 5), hypercube_graph(4), make_transitive("torus", 2, 3)):
+            assert g.n > 1
+        sample_ugt(D34, 4, derive_rng(0, "ugt-ref", 0))
+        sample_ugt(D3, 0, derive_rng(0, "ugt-ref", 1))
+        sample_configuration_model(D34, 50, derive_rng(0, "cm-ref", 0))
+        assert len(calls) == 10 and all(calls)
+
+
+CM_CASES = [
+    (D3, 20, False, False),
+    (D3, 8, True, False),
+    (D3, 12, False, True),
+    (D34, 9, False, False),
+    (D34, 30, True, True),
+    (DegreeDistribution.uniform([1, 2, 3]), 10, True, False),
+    (DegreeDistribution.uniform([1, 2, 3]), 40, False, True),
+]
+
+
+class TestConfigurationModelAssembly:
+    @pytest.mark.parametrize("case", range(len(CM_CASES)))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, case, seed):
+        D, n, connected, collapse = CM_CASES[case]
+        kwargs = dict(require_connected=connected, collapse_multiedges=collapse,
+                      max_retries=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = sample_configuration_model(D, n, derive_rng(seed, "cm-ref", case), **kwargs)
+            want, _ = reference_configuration_model(D, n, derive_rng(seed, "cm-ref", case),
+                                                    **kwargs)
+        assert got == want
+
+    def test_cases_meet_every_event(self):
+        # the cases above do redraw odd sums and disconnected graphs, and
+        # return graphs built from loops and multi-edges
+        seen = set()
+        for case, (D, n, connected, collapse) in enumerate(CM_CASES):
+            for seed in range(4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    seen |= reference_configuration_model(
+                        D, n, derive_rng(seed, "cm-ref", case), require_connected=connected,
+                        collapse_multiedges=collapse, max_retries=500)[1]
+        assert seen == {"odd", "disconnected", "loop", "multi"}
+
+    @pytest.mark.parametrize("D", [D3, D34], ids=["delta3", "uniform34"])
+    def test_20k_graph(self, D):
+        rng = derive_rng(9, "cm-ref-20k", 0)
+        got = sample_configuration_model(D, 20_000, rng, require_connected=True)
+        rng = derive_rng(9, "cm-ref-20k", 0)
+        assert got == reference_configuration_model(D, 20_000, rng, require_connected=True)[0]
 
 
 class TestUgt:

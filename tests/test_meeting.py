@@ -494,6 +494,21 @@ class TestMcPairMeeting:
         p = res["finished"] / reps
         assert abs(p - 1 / 3) <= 4.5 * np.sqrt(2 / 9 / reps)
 
+    def test_censored_pairs_bound_the_mean_below(self):
+        # one block of pairs: the first 30 events are the same draws at
+        # either horizon, so each censored pair's last clock precedes its
+        # meeting time in the uncensored run, pair by pair
+        g = cycle_graph(12)
+        short = mc_pair_meeting(g, 4000, derive_rng(8, "pairmc", 0), horizon_events=30)
+        full = mc_pair_meeting(g, 4000, derive_rng(8, "pairmc", 0))
+        assert short["censored"] > 400
+        assert short["censored_fraction"] == short["censored"] / 4000
+        assert full["censored"] == 0 and full["censored_fraction"] == 0.0
+        assert full["mean_lower"] == full["mean"]
+        assert short["mean_lower"] < full["mean"]
+        # the finished pairs alone are biased low as well, by more
+        assert short["mean"] < short["mean_lower"]
+
 
 class TestWalkPairs:
     """The lockstep two-walker kernel and its vectorized picks."""

@@ -27,6 +27,7 @@ from coalesce.theory import (
     kingman_tau_coal,
     mean_field_predictions,
     psi_d,
+    psi_d_horizon,
     reversal_identity_residual,
 )
 
@@ -195,6 +196,8 @@ class TestPsiEstimate:
         res = estimate_psi_d(3, 10_000, 30_000, derive_rng(2, "psi3", 0))
         assert res["upper_biased"]
         assert abs(res["psi_hat"] - 0.659) <= 0.01
+        # the value the estimator targets at its horizon, exactly
+        assert abs(res["psi_hat"] - psi_d_horizon(3, 10_000)) <= 4.5 * res["stderr"]
 
     @pytest.mark.slow
     def test_d3_value_full_scale(self):
@@ -204,6 +207,118 @@ class TestPsiEstimate:
     def test_no_reps_rejected(self):
         with pytest.raises(EmptySamples):
             estimate_psi_d(3, 100, 0, derive_rng(0, "psi", 0))
+
+    # estimate_psi_d(d, h, reps, derive_rng(17, "psi-pin", 10_000 d + h)) as
+    # the pseudo-random 64-bit displacement code gave it, before the packed
+    # lattice code; 2047 and 2048 straddle no field width, 2046 and 2047 do
+    @pytest.mark.parametrize("d, h, reps, psi_hat, stderr", [
+        (1, 1600, 2000, 0.017, 0.002890588175441116),
+        (2, 300, 2000, 0.351, 0.010672370870617268),
+        (3, 6, 2000, 0.7755, 0.00933005225065755),
+        (3, 7, 2000, 0.766, 0.00946688966873492),
+        (3, 2000, 2000, 0.6655, 0.010550112558641259),
+        (4, 500, 2000, 0.813, 0.00871868682772813),
+        (40, 2, 2000, 0.9885, 0.0023840878758971907),
+        (3, 2046, 1000, 0.682, 0.014726710426975875),
+        (3, 2047, 1000, 0.671, 0.014857960829131297),
+        (3, 2048, 1000, 0.686, 0.01467664811869522),
+        (7, 61, 3000, 0.915, 0.005091659847240386),
+        (5, 129, 1500, 0.882, 0.00832970587716037),
+    ])
+    def test_pinned_results(self, d, h, reps, psi_hat, stderr):
+        res = estimate_psi_d(d, h, reps, derive_rng(17, "psi-pin", 10_000 * d + h))
+        assert res == {"psi_hat": psi_hat, "stderr": stderr, "upper_biased": True,
+                       "horizon_steps": h}
+
+    @pytest.mark.parametrize("d, h", [(1, 0), (3, 1), (3, 6), (3, 2046), (3, 2047),
+                                      (3, 2048), (3, 100_000), (7, 61), (40, 2),
+                                      (40, 2048)])
+    def test_lattice_code_round_trip(self, d, h):
+        # every point within +-h must come back from its code, field by
+        # field with the sign extended, not only the origin
+        bits, place = theory._lattice_code(d, h)
+        per_word = 63 // bits
+        assert place.shape == (-(-d // per_word), d)
+        rng = derive_rng(18, "psi-code", d)
+        x = np.concatenate([np.full((1, d), h), np.full((1, d), -h),
+                            rng.integers(-h, h + 1, (200, d))])
+        x[2, ::2] = -h
+        code = x @ place.T
+        back = np.zeros_like(x)
+        rest = code.copy()
+        for j in range(d):
+            # the lowest field left in the word, sign-extended, then dropped
+            word = rest[:, j // per_word]
+            field = word & ((1 << bits) - 1)
+            back[:, j] = np.where(field >= 1 << (bits - 1), field - (1 << bits), field)
+            rest[:, j // per_word] = (word - back[:, j]) >> bits
+        assert not rest.any()
+        assert np.array_equal(back, x)
+        assert ((code == 0).all(axis=1) == (x == 0).all(axis=1)).all()
+
+    def test_one_word_to_a_walk_in_d3(self):
+        assert theory._lattice_code(3, 100_000)[1].shape == (1, 3)
+        assert theory._lattice_code(40, 2)[1].shape == (2, 40)
+
+
+def _renewal_no_return(d, h):
+    """P(no return within h steps) from the first-return renewal
+    f_m = u_m - sum_{j<m} f_j u_{m-j}, O(m^2), with u_2m from exact
+    integers: C(2m, m)/4^m in d = 1, times a(m)/9^m in d = 3 with
+    a(m) = sum_k C(m, k)^2 C(2k, k)."""
+    u = [1.0]
+    for m in range(1, h // 2 + 1):
+        u_m = comb(2 * m, m) / 4**m
+        if d == 3:
+            u_m *= sum(comb(m, k) ** 2 * comb(2 * k, k) for k in range(m + 1)) / 9**m
+        u.append(u_m)
+    u = np.array(u)
+    f = np.zeros_like(u)
+    for m in range(1, u.size):
+        f[m] = u[m] - f[1:m] @ u[m - 1:0:-1]
+    return 1.0 - f.sum()
+
+
+class TestPsiHorizon:
+    @pytest.mark.parametrize("d, h", [(1, 0), (1, 1), (1, 2), (1, 9), (1, 40), (3, 0),
+                                      (3, 2), (3, 5), (3, 12), (3, 24)])
+    def test_absorbed_law(self, d, h):
+        assert psi_d_horizon(d, h) == pytest.approx(_no_return_by(d, h), abs=1e-14)
+
+    def test_d1_central_binomial(self):
+        for h in (2, 7, 40, 1000, 10**5):
+            m = h // 2
+            assert psi_d_horizon(1, h) == pytest.approx(comb(2 * m, m) / 4**m, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("h", [2, 3, 64, 257, 1000])
+    def test_renewal_loop(self, d, h):
+        assert abs(psi_d_horizon(d, h) - _renewal_no_return(d, h)) <= 1e-14
+
+    def test_known_values(self):
+        assert psi_d_horizon(3, 2) == pytest.approx(5 / 6, abs=1e-15)
+        assert abs(psi_d_horizon(3, 10_000) - 0.6623322) <= 1e-7
+        assert abs(psi_d_horizon(3, 100_000) - 0.6603701) <= 1e-7
+
+    def test_decreases_to_psi3(self):
+        values = [psi_d_horizon(3, h) for h in (10, 100, 1000, 10_000, 100_000)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > psi_d(3)
+        # the tail of the first-return law is of order h^(-1/2)
+        assert values[-1] - psi_d(3) <= 0.001
+
+    def test_odd_horizon_adds_no_return(self):
+        assert psi_d_horizon(3, 7) == psi_d_horizon(3, 6)
+
+    @pytest.mark.parametrize("d", [2, 4, 40, 0, 2.5, True])
+    def test_other_dimensions_rejected(self, d):
+        with pytest.raises(ParameterOutOfRange):
+            psi_d_horizon(d, 10)
+
+    @pytest.mark.parametrize("h", [-1, 2.5, True])
+    def test_bad_horizon_rejected(self, h):
+        with pytest.raises(ParameterOutOfRange):
+            psi_d_horizon(3, h)
 
 
 class TestAlphaD:

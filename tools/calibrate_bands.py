@@ -91,9 +91,19 @@ def pair_check(g, reps, z, uncensored):
     return run, z_band(z), uncensored
 
 
+@lru_cache(maxsize=None)
 def psi_check(seed):
     res = estimate_psi_d(3, 10_000, 30_000, derive_rng(seed, "psi3-cal", 0))
     return res["psi_hat"], 0.659, res["stderr"], 0
+
+
+def psi_exact_check(seed):
+    """psi_check's runs, against the exact finite-horizon value."""
+    # imported here so that the other checks still run on trees without it
+    from coalesce.theory import psi_d_horizon
+
+    value, _, se, _ = psi_check(seed)
+    return value, psi_d_horizon(3, 10_000), se, 0
 
 
 def alpha_d_check(d):
@@ -177,6 +187,7 @@ def checks(cm3_reps, cm3_horizon):
         "pair_lollipop": pair_check(LOLLIPOP, 40_000, 4.5, True),
         # tests/test_theory.py
         "psi_d3": (psi_check, (lambda v, r, se: abs(v - r) <= 0.01, 0.01, "band"), False),
+        "psi_d3_exact": (psi_exact_check, z_band(4.5), False),
         "alpha_D_delta3": alpha_d_check(3),
         "alpha_D_delta4": alpha_d_check(4),
         # C8 and verify paper's paper_cm3/two_meet_over_n_alpha
