@@ -1,0 +1,181 @@
+"""The lockstep coalescing-walk kernel: its outputs pinned by digest, and a
+row-at-a-time reference replay of its semantics."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from coalesce.crw import _lockstep_crw, flat_graph
+from coalesce.graphs import Graph, cycle_graph, torus_graph
+from coalesce.seeding import derive_rng
+from coalesce.voter import sample_nhat_ancestral
+
+# K4 with a three-edge tail: irregular, so the kernel thins rings
+LOLLIPOP = Graph.from_edges(
+    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
+)
+GRID = [0.1, 0.5, 1.5, 4.0]
+
+
+def digest(out) -> str:
+    """sha256 over an array, or over a kernel's output dict key by key."""
+    h = hashlib.sha256()
+    items = sorted(out.items()) if isinstance(out, dict) else [("", out)]
+    for key, val in items:
+        val = np.asarray(val)
+        h.update(f"{key}:{val.dtype.str}:{val.shape}:".encode())
+        h.update(np.ascontiguousarray(val).tobytes())
+    return h.hexdigest()
+
+
+def lollipop_call(mode: str) -> dict:
+    """37 rows at width 64 on the lollipop in one of the kernel's modes."""
+    flat = flat_graph(LOLLIPOP, "per_edge_unit")
+    rng = derive_rng(41, "lockstep-pin", 0)
+    rows, width = 37, 64
+    if mode == "to_one":
+        return _lockstep_crw(flat, rng, rows, [], to_one=True, width=width)
+    labels = sites = None
+    if mode == "labels":
+        labels = rng.integers(0, LOLLIPOP.n, size=(rows, 3))
+    else:
+        sites = [0, 3, 4, 6]
+    return _lockstep_crw(flat, rng, rows, GRID, labels, sites, width=width)
+
+
+class TestPinnedDigests:
+    """Outputs of the ancestral sampler and of the kernel in each mode, as
+    sha256 digests: a change to any draw, pick or state update shows here.
+    The runner's CSV digests in ``test_cli`` pin the block paths."""
+
+    ANCESTRAL = {
+        "torus36": "4156ef678d572ce6e1502c5282d444bed571857f3ba32aa428d35a4742fcdf7d",
+        "lollipop": "6bc6693a7cf4c5389b26963ddb594d76e402a90c36a3078e0a69311dcc660aac",
+    }
+    KERNEL = {
+        "labels": "a7c0dd0e3dd82cfb32d327707c7003e41fa9fd5eb9c7f7fc4076fdee13d3bf5b",
+        "sites": "2431c1eff1ccb4633b5d20b7d2515574d5a1633b6107354c3e1747017faf034a",
+        "to_one": "83df96372061724f4888b2eb53fce05ba892985dd27476ac3a6a0cdb29603542",
+    }
+
+    @pytest.mark.parametrize("case", ["torus36", "lollipop"])
+    def test_ancestral_sampler(self, case):
+        g, t = (torus_graph(3, 6), 2.0) if case == "torus36" else (LOLLIPOP, 0.8)
+        out = sample_nhat_ancestral(g, t, 300, derive_rng(40, "anc-pin", 0),
+                                    draws_per_trajectory=2)
+        assert digest(out) == self.ANCESTRAL[case]
+
+    @pytest.mark.parametrize("mode", ["labels", "sites", "to_one"])
+    def test_kernel_on_lollipop(self, mode):
+        assert digest(lollipop_call(mode)) == self.KERNEL[mode]
+
+
+class _Stream:
+    """The kernel's draws, made lazily in its call order: iteration k takes
+    one width-wide exponential, then ``kinds`` width-wide uniforms."""
+
+    def __init__(self, rng, width, kinds):
+        self.rng, self.width, self.kinds = rng, width, kinds
+        self.e, self.u = [], []
+
+    def at(self, k):
+        while len(self.e) <= k:
+            self.e.append(self.rng.standard_exponential(self.width))
+            self.u.append(self.rng.random((self.kinds, self.width)))
+        return self.e[k], self.u[k]
+
+
+def replay(flat, rng, rows, grid, labels=None, sites=None, to_one=False, width=None):
+    """``_lockstep_crw`` one row at a time over lists.
+
+    Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
+    site back to its slot.  Row r takes entry r of every draw.  A ring
+    picks a uniform slot, its site x and a neighbour y of x; on an
+    irregular graph it is kept with probability rate(x) / r_max.  If y is
+    occupied the cluster at x joins it, and the last slot fills the hole;
+    each label follows its cluster's slot.  A row with no ring left that
+    changes what it records stops its clock.
+    """
+    width = rows if width is None else width
+    n, r_max = flat.n, flat.r_max
+    stream = _Stream(rng, width, 2 if flat.regular else 3)
+    ngrid = 0 if to_one else len(grid)
+    frozen_at_one = sites is None and not to_one
+    out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
+    if labels is not None:
+        out["sizes"] = np.empty((rows, ngrid, labels.shape[1]), dtype=np.int64)
+    if sites is not None:
+        out["occ"] = np.empty((rows, ngrid, len(sites)), dtype=bool)
+    if to_one:
+        out["tau"] = np.zeros(rows)
+    rings = rejected = 0
+    for r in range(rows if to_one or ngrid else 0):
+        m, loc, at_site, size = n, list(range(n)), list(range(n)), [1] * n
+        track = [] if labels is None else [int(v) for v in labels[r]]
+        clock, g, k = 0.0, 0, 0
+        while True:
+            e, u = stream.at(k)
+            t_next = clock + e[r] / (r_max * m) if r_max > 0.0 else float("inf")
+            while g < ngrid and grid[g] < t_next:
+                out["xi"][r, g] = m
+                if track:
+                    out["sizes"][r, g] = [size[i] for i in track]
+                if sites is not None:
+                    out["occ"][r, g] = [at_site[v] >= 0 for v in sites]
+                g += 1
+            if (m == 1) if to_one else (g == ngrid):
+                if to_one:
+                    out["tau"][r] = clock
+                break
+            clock = t_next
+            k += 1
+            rings += 1
+            i = int(u[0, r] * m)
+            x = loc[i]
+            if not flat.regular and not u[2, r] < flat.rate[x] / r_max:
+                rejected += 1
+                continue
+            y = flat.nbr[flat.off[x] + int(u[1, r] * flat.deg[x])]
+            j = at_site[y]
+            at_site[x] = -1
+            if j < 0:
+                loc[i], at_site[y] = y, i
+                continue
+            size[j] += size[i]
+            m -= 1
+            track = [j if s == i else s for s in track]
+            if i != m:
+                loc[i], size[i] = loc[m], size[m]
+                at_site[loc[i]] = i
+                track = [i if s == m else s for s in track]
+            if frozen_at_one and m == 1:
+                clock = float("inf")
+    out["events"] = rings - rejected
+    out["thinning_rejections"] = rejected
+    return out
+
+
+class TestReferenceReplay:
+    """The kernel equals its row-at-a-time replay in every mode."""
+
+    @pytest.mark.parametrize("g", [cycle_graph(8), torus_graph(3, 3), LOLLIPOP],
+                             ids=["cycle8", "torus33", "lollipop"])
+    @pytest.mark.parametrize("mode", ["xi", "labels", "sites", "to_one"])
+    def test_kernel_equals_replay(self, g, mode):
+        flat = flat_graph(g, "per_edge_unit")
+        rows, width = 25, 40
+        labels = sites = None
+        if mode == "labels":
+            labels = derive_rng(42, "replay-labels", 0).integers(0, g.n, size=(rows, 3))
+        elif mode == "sites":
+            sites = [0, g.n // 2, g.n - 1]
+        args = ([], None, None, True) if mode == "to_one" else (GRID, labels, sites, False)
+        got = _lockstep_crw(flat, derive_rng(42, "replay", 0), rows, *args, width=width)
+        ref = replay(flat, derive_rng(42, "replay", 0), rows, *args, width=width)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            np.testing.assert_array_equal(got[key], ref[key], err_msg=key)
+        assert ref["events"] > 0
+        if g is LOLLIPOP:
+            assert ref["thinning_rejections"] > 0
