@@ -182,24 +182,28 @@ def _lockstep_crw(
     rate(x) / r_max, which is exact for the occupancy process.  At each
     grid time the kernel records the cluster count ``xi`` (rows, grid); with
     ``labels`` of shape (rows, d), the sizes of the clusters holding those
-    initial slots (rows, grid, d); with ``sites``, their occupation
-    indicators (rows, grid, sites).  Labels are followed through merges and
-    swap-fills, so no union-find is needed.  With ``to_one`` the grid is
-    ignored and ``tau`` holds the time one cluster is left; the graph must
-    then be connected.  Also returns
-    the kept rings (``events``) and the rejected ones
-    (``thinning_rejections``).
+    initial sites (rows, grid, d); with ``sites``, their occupation
+    indicators (rows, grid, sites).  With ``to_one`` the grid is ignored and
+    ``tau`` holds the time one cluster is left; the graph must then be
+    connected.  Also returns the kept rings (``events``) and the rejected
+    ones (``thinning_rejections``).
+
+    A row keeps its m clusters as a slot list ``loc`` (slot -> site), from
+    which a ring picks a uniform slot, and their sizes by site in ``size``
+    (0 at an empty site).  A ring from x to y empties x and adds its size to
+    y's; when y was occupied the slot is dropped and the last slot fills
+    its hole.  Labels are followed by site, so no union-find is needed.
 
     Each iteration draws ``width`` (``rows`` when None, else at least
     ``rows``) variates of each kind and row r takes entry r, so a row's
     variates do not depend on the other rows: a block holding only the
     first rows of a wider block reproduces them exactly.
 
-    The state arrays ``loc``, ``at``, ``size`` and ``nbr`` hold sites, slots
-    and sizes in 0..n, so they are stored as ``_state_dtype(n)`` (int16
-    below 2^15 vertices), which halves the memory traffic of the gathers
-    and scatters; index arithmetic (row offset plus slot or site) is done
-    in int64.  The draws and picks are the same at any state type.
+    The state arrays ``loc``, ``size`` and ``nbr`` and the label sites hold
+    values in 0..n, so they are stored as ``_state_dtype(n)`` (int16 below
+    2^15 vertices), which halves the memory traffic of the gathers and
+    scatters; index arithmetic (row offset plus slot or site) is done in
+    int64.  The draws and picks are the same at any state type.
     """
     n = flat.n
     width = rows if width is None else width
@@ -214,8 +218,7 @@ def _lockstep_crw(
     gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
     # flat state: cell r * n + k is slot (or site) k of row r
     loc = np.tile(np.arange(n, dtype=state), rows)  # slot -> site
-    at = loc.copy()  # site -> slot, -1 when empty
-    size = np.ones(rows * n, dtype=state)  # cluster size per slot
+    size = np.ones(rows * n, dtype=state)  # cluster size per site, 0 when empty
     out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
     if labels is not None:
         out["sizes"] = np.empty((rows, ngrid, labels.shape[1]), dtype=np.int64)
@@ -234,7 +237,8 @@ def _lockstep_crw(
     clock = np.zeros(live.size)
     g = np.zeros(live.size, dtype=np.int64)  # next grid index
     t_rec = np.full(live.size, gpad[0])  # next grid time
-    track = None if labels is None else labels[live].astype(np.int64)
+    # the site of each label, label-major: (d, live)
+    tsite = None if labels is None else labels[live].T.astype(state)
     while live.size:
         if flat.r_max == 0.0:
             # with no edges nothing ever rings: the state is frozen
@@ -250,10 +254,10 @@ def _lockstep_crw(
             while rec.size:
                 rr, gr = live[rec], g[rec]
                 out["xi"][rr, gr] = m[rec]
-                if track is not None:
-                    out["sizes"][rr, gr] = size[b[rec, None] + track[rec]]
+                if tsite is not None:
+                    out["sizes"][rr, gr] = size[b[rec] + tsite[:, rec]].T
                 if sites is not None:
-                    out["occ"][rr, gr] = at[b[rec, None] + sites] >= 0
+                    out["occ"][rr, gr] = size[b[rec, None] + sites] > 0
                 g[rec] += 1
                 t_rec[rec] = gpad[g[rec]]
                 rec = rec[t_rec[rec] < t_next[rec]]
@@ -264,8 +268,8 @@ def _lockstep_crw(
                 ok = ~done
                 live, b, m, g, t_rec, t_next = (
                     live[ok], b[ok], m[ok], g[ok], t_rec[ok], t_next[ok])
-                if track is not None:
-                    track = track[ok]
+                if tsite is not None:
+                    tsite = tsite[:, ok]
                 if not live.size:
                     break
         clock = t_next
@@ -274,42 +278,38 @@ def _lockstep_crw(
         if live.size < width:
             # take() gathers columns several times faster than u[:, live]
             u = u.take(live, axis=1)
-        i = (u[0] * m).astype(np.int64)
-        bi = b + i
-        x = loc[bi]
+        bi = b + (u[0] * m).astype(np.int64)
+        xs = loc[bi]
+        # gathers run faster on an intp index than on a 16-bit one
+        x = xs.astype(np.intp)
         y = nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
-        kept = True
-        if keep is not None:
-            # a rejected ring moves x onto itself, which changes nothing
+        bx = b + x
+        sx = size[bx]
+        if keep is None:
+            by = b + y
+            sy = size[by]
+        else:
+            # a rejected ring moves x onto itself: it empties x, then puts
+            # back its own size, and merges nothing
             kept = u[2] < keep[x]
-            y = np.where(kept, y, x)
+            y = np.where(kept, y, xs)
+            by = b + y
+            sy = np.where(kept, size[by], 0)
             rejected += live.size - int(kept.sum())
         rings += live.size
-        by = b + y
-        j = at[by]
-        merge = (j >= 0) & kept
-        k = np.flatnonzero(merge)
-        bk, ik, jk, bik = b[k], i[k], j[k], bi[k]
+        size[bx] = 0
+        size[by] = sx + sy
+        loc[bi] = y
+        # rows whose y was occupied merged: slot m - 1 fills the hole at i
+        k = np.flatnonzero(sy > 0)
         m[k] -= 1
         last = m[k]
+        loc[bi[k]] = loc[b[k] + last]
         if frozen_at_one:
             # a lone cluster changes nothing any more: its clock stops
             clock[k[last == 1]] = np.inf
-        size[bk + jk] += size[bik]
-        # slot `last` fills the hole at i (a no-op when i is last)
-        src = bk + last
-        moved = loc[src]
-        loc[bik] = moved
-        size[bik] = size[src]
-        at[bk + moved] = ik
-        if track is not None:
-            tr = track[k]
-            tr = np.where(tr == ik[:, None], jk[:, None], tr)
-            track[k] = np.where(tr == last[:, None], ik[:, None], tr)
-        at[b + x] = -1
-        mv = np.flatnonzero(~merge)
-        loc[bi[mv]] = y[mv]
-        at[by[mv]] = i[mv]
+        if tsite is not None:
+            np.copyto(tsite, y, where=tsite == xs)
     out["events"] = rings - rejected
     out["thinning_rejections"] = rejected
     return out
@@ -502,10 +502,26 @@ def _subset_occupancy(n: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
-def _subset_distribution(c: MarkovChain, t: float, start=None) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _subset_kernel(c: MarkovChain):
+    """The subset chain's transposed jump kernel and rate, as
+    ``_ring_kernel`` returns them.  Built once per chain object (a
+    ``MarkovChain`` hashes by identity), since repeated oracle calls on one
+    chain would rebuild the same kernel each time."""
+
+    def move(src, x, y):
+        # row s - 1 holds mask s
+        return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
+
+    return _ring_kernel(c, _subset_occupancy(c.n), move)
+
+
+def _subset_distribution(c: MarkovChain, t, start=None) -> np.ndarray:
     """Law of the occupied set at time t over the 2^n - 1 nonempty subsets,
     indexed as in ``_subset_occupancy``, started from the nonempty set of
-    sites ``start`` (default: every site).
+    sites ``start`` (default: every site).  For a list of times, one law
+    per row from one uniformization pass; each row equals the law computed
+    at its time alone, bit for bit.
 
     The occupied set is itself a Markov chain: a ring of (x, y) maps S to
     (S \\ {x}) | {y} when x is in S.  Solved by uniformization.
@@ -513,27 +529,27 @@ def _subset_distribution(c: MarkovChain, t: float, start=None) -> np.ndarray:
     n = c.n
     if n > _SUBSET_CAP:
         raise TooLargeForExact("subset-chain oracle capped at 12 vertices")
-    if t < 0.0:
-        raise ParameterOutOfRange("t must be nonnegative")
+    times = [float(s) for s in np.atleast_1d(t)]
+    if not times or min(times) < 0.0:
+        raise ParameterOutOfRange("t must be one or more nonnegative times")
     sites = range(n) if start is None else {int(x) for x in start}
     if not sites or not all(0 <= x < n for x in sites):
         raise BadSubset(f"start must be a nonempty set of sites in 0..{n - 1}")
-
-    def move(src, x, y):
-        # row s - 1 holds mask s
-        return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
-
-    occ = _subset_occupancy(n)
-    kt, lam = _ring_kernel(c, occ, move)
-    mu = np.zeros(occ.shape[0])
+    kt, lam = _subset_kernel(c)
+    mu = np.zeros(kt.shape[0])
     mu[sum(1 << x for x in sites) - 1] = 1.0
-    return uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)[0][0]
+    laws = uniformize(kt.dot, mu, lam, times, _SUBSET_TOL)[0]
+    return np.array(laws) if np.ndim(t) else laws[0]
 
 
-def exact_occupancy_density(c: MarkovChain, t: float) -> np.ndarray:
-    """Exact per-vertex occupation probability at time t."""
-    mu = _subset_distribution(c, t)
-    return _subset_occupancy(c.n).T @ mu
+def exact_occupancy_density(c: MarkovChain, t) -> np.ndarray:
+    """Exact per-vertex occupation probability at time t, or one row per
+    time for a list of times."""
+    occ_t = _subset_occupancy(c.n).T
+    laws = _subset_distribution(c, t)
+    if laws.ndim == 1:
+        return occ_t @ laws
+    return np.array([occ_t @ mu for mu in laws])
 
 
 def exact_occupancy_cov(c: MarkovChain, x: int, y: int, t: float) -> float:

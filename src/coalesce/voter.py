@@ -9,7 +9,8 @@ system instead (equal in law), which is the only practical route at
 thousands of vertices.  The ancestral sampler runs its trajectories in
 lockstep, one ring per trajectory per numpy iteration, in as few equal
 blocks as a byte budget on the kernel's 16-bit (32-bit from 2^15 vertices)
-state allows, and follows each tracked label's slot through merges instead
+state allows, and follows each tracked label's site through moves and
+merges, reading its cluster size from the kernel's per-site sizes, instead
 of keeping a union-find.  Both lockstep kernels keep their per-site and
 per-slot state in ``crw._state_dtype(n)``.
 """
@@ -39,7 +40,9 @@ __all__ = [
 ]
 
 # bytes per lockstep state array in an ancestral block: a numpy iteration
-# costs tens of microseconds whatever its width, so wide blocks pay
+# costs tens of microseconds whatever its width, so wide blocks pay.  The
+# rule and the block layout are kept fixed: the layout fixes the draws, so
+# changing it would change the ancestral stream
 _ANCESTRAL_STATE_BYTES = 1 << 22
 
 
