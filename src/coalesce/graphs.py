@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InfeasibleDegreeSequence,
@@ -120,17 +122,31 @@ class Graph:
     adjacency[v] is a sorted tuple of (neighbor, multiplicity) pairs with no
     self-loop entries; the pair (u, v, m) appears from both endpoints.
     ``family`` tags deterministic built-ins, e.g. ("cycle", 4), and implies
-    vertex transitivity for the named families.
+    vertex transitivity for the named families.  ``csr`` holds the same
+    adjacency as read-only int64 arrays (row offsets, neighbours,
+    multiplicities); it is derived, so equality and hashing ignore it, and
+    it is built from the tuples when not given.
     """
 
     n: int
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     root: int | None = None
     family: tuple | None = None
+    csr: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterOutOfRange("graph needs at least one vertex")
+        csr = self.csr
+        if csr is None:
+            pairs = [p for nbrs in self.adjacency for p in nbrs]
+            nbr_mult = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            ends = np.cumsum([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+            csr = (np.concatenate(([0], ends)), nbr_mult[:, 0], nbr_mult[:, 1])
+        csr = tuple(np.array(a, dtype=np.int64) for a in csr)
+        for a in csr:
+            a.setflags(write=False)
+        object.__setattr__(self, "csr", csr)
 
     @classmethod
     def from_edges(cls, n, edges, root=None, family=None) -> "Graph":
@@ -167,21 +183,23 @@ class Graph:
         src = np.concatenate((key // n, key % n))
         dst = np.concatenate((key % n, key // n))
         order = np.lexsort((dst, src))
-        pairs = list(zip(dst[order].tolist(), np.tile(mult, 2)[order].tolist()))
-        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+        nbr, nmult = dst[order], np.tile(mult, 2)[order]
+        pairs = list(zip(nbr.tolist(), nmult.tolist()))
+        ends = np.cumsum(np.bincount(src, minlength=n))
+        bounds = [0] + ends.tolist()
         return cls(
             n=n,
-            adjacency=tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends)),
+            adjacency=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
             root=root,
             family=family,
+            csr=(np.concatenate(([0], ends)), nbr, nmult),
         )
 
     @property
     def degrees(self) -> np.ndarray:
         """Per-vertex total degree, counting multiplicities."""
-        return np.array(
-            [sum(m for _, m in nbrs) for nbrs in self.adjacency], dtype=np.int64
-        )
+        off, _, mult = self.csr
+        return np.diff(np.concatenate(([0], np.cumsum(mult)))[off])
 
     @property
     def d_max(self) -> int:
@@ -224,22 +242,10 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
-    if g.n == 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    adj = g.adjacency
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """Whether the graph has one connected component."""
+    off, nbr, _ = g.csr
+    adj = csr_matrix((np.ones(nbr.size, dtype=np.int8), nbr, off), shape=(g.n, g.n))
+    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def sample_configuration_model(

@@ -247,8 +247,8 @@ def _statistical_suite(seed, threads, scale, pool):
         times = [0.5, 1.0, 2.0]
         reps = max(2000, int(20000 * scale))
         stats = _density_stats(g, "per_edge_unit", times, reps, seed, threads, pool)
-        for t in times:
-            exact = float(exact_occupancy_density(c, t)[0])
+        for t, dens in zip(times, exact_occupancy_density(c, times)):
+            exact = float(dens[0])
             p_hat, se = stats[t]
             z = abs(p_hat - exact) / se
             rows.append(_row(f"mc_vs_exact_{name}", f"z_t{t}", z, se, 4.0, z <= 4.0))

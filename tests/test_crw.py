@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum
+from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum, uniformize
 from coalesce.crw import (
     _subset_distribution,
     estimate_density,
@@ -32,7 +32,7 @@ from coalesce.meeting import (
     _survival,
     pairwise_meeting_times,
 )
-from coalesce import runner
+from coalesce import crw, runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
 
@@ -319,6 +319,61 @@ class TestSubsetChainFromAnySet:
     def test_rejects_bad_start(self, cycle4_chain, start):
         with pytest.raises(BadSubset):
             _subset_distribution(cycle4_chain, 0.5, start)
+
+
+class TestSubsetTimesAndCache:
+    """One uniformization pass serves a list of times, and the subset
+    kernel is built once per chain; neither changes a bit of the laws."""
+
+    TIMES = [0.0, 0.3, 1.1, 2.5]
+
+    @staticmethod
+    def uncached(c, t):
+        """The law at one time from a freshly built kernel."""
+        def move(src, x, y):
+            return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
+
+        kt, lam = crw._ring_kernel(c, crw._subset_occupancy(c.n), move)
+        mu = np.zeros(kt.shape[0])
+        mu[-1] = 1.0
+        return uniformize(kt.dot, mu, lam, [t], 1e-10)[0][0]
+
+    @pytest.mark.parametrize("name", ["cycle5", "lollipop"])
+    def test_list_of_times_is_bitwise_each_time(self, name, lollipop):
+        g = cycle_graph(5) if name == "cycle5" else lollipop
+        c = build_generator(g)
+        laws = _subset_distribution(c, self.TIMES)
+        assert laws.shape == (len(self.TIMES), (1 << g.n) - 1)
+        dens = exact_occupancy_density(c, self.TIMES)
+        for i, t in enumerate(self.TIMES):
+            assert np.array_equal(laws[i], self.uncached(c, t))
+            assert np.array_equal(laws[i], _subset_distribution(c, t))
+            assert np.array_equal(dens[i], exact_occupancy_density(c, t))
+
+    def test_kernel_built_once_per_chain(self, monkeypatch):
+        built = []
+        ring_kernel = crw._ring_kernel
+
+        def spy(chain, occ, move):
+            built.append(chain)
+            return ring_kernel(chain, occ, move)
+
+        monkeypatch.setattr(crw, "_ring_kernel", spy)
+        crw._subset_kernel.cache_clear()
+        c, other = build_generator(cycle_graph(6)), build_generator(cycle_graph(6))
+        first = exact_occupancy_density(c, 0.4)
+        for t in (0.4, 0.9):
+            exact_occupancy_density(c, t)
+            exact_occupancy_cov(c, 0, 1, t)
+        assert built == [c]
+        # an equal chain that is another object gets its own kernel
+        assert np.array_equal(exact_occupancy_density(other, 0.4), first)
+        assert built == [c, other]
+
+    @pytest.mark.parametrize("t", [-0.1, [0.5, -1.0], []])
+    def test_rejects_bad_times(self, cycle4_chain, t):
+        with pytest.raises(ParameterOutOfRange):
+            _subset_distribution(cycle4_chain, t)
 
 
 class TestTauCoal:

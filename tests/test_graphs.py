@@ -369,6 +369,79 @@ class TestConnectivity:
         assert is_connected(Graph.from_edges(1, []))
 
 
+def reference_degrees(g):
+    """Graph.degrees as the loop over the adjacency tuples it was."""
+    return np.array([sum(m for _, m in nbrs) for nbrs in g.adjacency], dtype=np.int64)
+
+
+def reference_is_connected(g):
+    """is_connected as the depth-first loop over the adjacency tuples it was."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v, _ in g.adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+class TestArrayDegreesAndConnectivity:
+    """Degrees and connectivity read the CSR arrays; they must equal the
+    loops over the adjacency tuples."""
+
+    CASES = {
+        "two_components": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5, 2)]),
+        "edgeless": Graph.from_edges(4, []),
+        "isolated_last": Graph.from_edges(4, [(0, 1), (1, 2)]),
+        "single_vertex": Graph.from_edges(1, []),
+        "lollipop": Graph.from_edges(
+            7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]),
+        "multi_edge": Graph.from_edges(3, [(0, 1), (0, 1), (1, 2, 3)]),
+    }
+
+    @staticmethod
+    def check(g):
+        deg = g.degrees
+        assert deg.dtype == np.int64
+        np.testing.assert_array_equal(deg, reference_degrees(g))
+        assert is_connected(g) is reference_is_connected(g)
+        # the same graph built from its tuples alone gets the same arrays
+        plain = Graph(n=g.n, adjacency=g.adjacency)
+        for a, b in zip(plain.csr, g.csr):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype == np.int64
+        assert plain == g and hash(plain) == hash(g)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_small_cases(self, name):
+        self.check(self.CASES[name])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_configuration_models(self, seed):
+        rng = derive_rng(seed, "csr-cm", 0)
+        D = [D3, D34, DegreeDistribution.uniform([1, 2, 3])][seed % 3]
+        n = int(rng.integers(2, 300))
+        g = sample_configuration_model(D, n if seed % 3 or n % 2 == 0 else n + 1, rng)
+        self.check(g)
+
+    def test_disconnected_configuration_models_seen(self):
+        # the degree-1 and -2 law leaves many sampled graphs in pieces
+        D = DegreeDistribution.uniform([1, 2])
+        connected = []
+        for seed in range(10):
+            g = sample_configuration_model(D, 40, derive_rng(seed, "csr-cm", 1))
+            self.check(g)
+            connected.append(is_connected(g))
+        assert not all(connected)
+
+    def test_arrays_are_read_only(self):
+        g = cycle_graph(5)
+        for a in g.csr:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
 class TestVertexExpansion:
     def test_complete4(self):
         assert vertex_expansion_exact(complete_graph(4)) == pytest.approx(1.0)
