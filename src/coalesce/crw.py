@@ -513,7 +513,10 @@ def _subset_kernel(c: MarkovChain):
         # row s - 1 holds mask s
         return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
 
-    return _ring_kernel(c, _subset_occupancy(c.n), move)
+    kt, lam = _ring_kernel(c, _subset_occupancy(c.n), move)
+    # a copy made after the build's temporaries are freed: the kept kernel
+    # then does not pin their heap pages (about 8 MB on K12)
+    return kt.copy(), lam
 
 
 def _subset_distribution(c: MarkovChain, t, start=None) -> np.ndarray:

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InfeasibleDegreeSequence,
@@ -185,14 +183,14 @@ class Graph:
         order = np.lexsort((dst, src))
         nbr, nmult = dst[order], np.tile(mult, 2)[order]
         pairs = list(zip(nbr.tolist(), nmult.tolist()))
-        ends = np.cumsum(np.bincount(src, minlength=n))
-        bounds = [0] + ends.tolist()
+        off = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        bounds = off.tolist()
         return cls(
             n=n,
             adjacency=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
             root=root,
             family=family,
-            csr=(np.concatenate(([0], ends)), nbr, nmult),
+            csr=(off, nbr, nmult),
         )
 
     @property
@@ -242,10 +240,29 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether the graph has one connected component."""
+    """Whether the graph has one connected component.
+
+    Every vertex carries the label of a vertex no larger than itself, the
+    root of its tree.  Each round, every edge whose ends carry different
+    labels pulls the larger root down to the smaller label, then labels
+    jump to their roots.  Every component an edge leaves merges with
+    another, so the components at least halve each round.
+    """
     off, nbr, _ = g.csr
-    adj = csr_matrix((np.ones(nbr.size, dtype=np.int8), nbr, off), shape=(g.n, g.n))
-    return connected_components(adj, directed=False, return_labels=False) == 1
+    src = np.repeat(np.arange(g.n), np.diff(off))
+    label = np.arange(g.n)
+    while True:
+        lu, lv = label[src], label[nbr]
+        cross = lu != lv
+        if not cross.any():
+            # vertex 0 is its own root, so one component means all labels 0
+            return not label.any()
+        np.minimum.at(label, lu[cross], lv[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def sample_configuration_model(

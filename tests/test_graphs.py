@@ -398,6 +398,14 @@ class TestArrayDegreesAndConnectivity:
         "lollipop": Graph.from_edges(
             7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]),
         "multi_edge": Graph.from_edges(3, [(0, 1), (0, 1), (1, 2, 3)]),
+        # long chains of labels to jump along
+        "long_path": path_graph(500),
+        "two_long_cycles": Graph.from_edges(
+            600, [(v, (v + 1) % 300) for v in range(300)]
+            + [(300 + v, 300 + (v + 1) % 300) for v in range(300)]),
+        "joined_cycles": Graph.from_edges(
+            600, [(v, (v + 1) % 300) for v in range(300)]
+            + [(300 + v, 300 + (v + 1) % 300) for v in range(300)] + [(599, 0)]),
     }
 
     @staticmethod
