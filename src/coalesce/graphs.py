@@ -121,9 +121,9 @@ class Graph:
     self-loop entries; the pair (u, v, m) appears from both endpoints.
     ``family`` tags deterministic built-ins, e.g. ("cycle", 4), and implies
     vertex transitivity for the named families.  ``csr`` holds the same
-    adjacency as read-only int64 arrays (row offsets, neighbours,
-    multiplicities); it is derived, so equality and hashing ignore it, and
-    it is built from the tuples when not given.
+    adjacency as read-only arrays: row offsets and neighbours (int32),
+    multiplicities (int64); it is derived, so equality and hashing ignore
+    it, and it is built from the tuples when not given.
     """
 
     n: int
@@ -139,9 +139,12 @@ class Graph:
         if csr is None:
             pairs = [p for nbrs in self.adjacency for p in nbrs]
             nbr_mult = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            ends = np.cumsum([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+            ends = np.cumsum([len(nbrs) for nbrs in self.adjacency])
             csr = (np.concatenate(([0], ends)), nbr_mult[:, 0], nbr_mult[:, 1])
-        csr = tuple(np.array(a, dtype=np.int64) for a in csr)
+        off, nbr, mult = csr
+        # offsets and neighbours are bounded by the entry count and n
+        csr = (np.array(off, dtype=np.int32), np.array(nbr, dtype=np.int32),
+               np.array(mult, dtype=np.int64))
         for a in csr:
             a.setflags(write=False)
         object.__setattr__(self, "csr", csr)
@@ -249,8 +252,10 @@ def is_connected(g: Graph) -> bool:
     another, so the components at least halve each round.
     """
     off, nbr, _ = g.csr
-    src = np.repeat(np.arange(g.n), np.diff(off))
+    # gathers run faster on intp indices than on the stored int32
+    nbr = nbr.astype(np.intp)
     label = np.arange(g.n)
+    src = np.repeat(label, np.diff(off))
     while True:
         lu, lv = label[src], label[nbr]
         cross = lu != lv

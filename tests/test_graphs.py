@@ -398,6 +398,7 @@ class TestArrayDegreesAndConnectivity:
         "lollipop": Graph.from_edges(
             7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]),
         "multi_edge": Graph.from_edges(3, [(0, 1), (0, 1), (1, 2, 3)]),
+        "wide_multiplicity": Graph.from_edges(3, [(0, 1, 3 << 31), (1, 2)]),
         # long chains of labels to jump along
         "long_path": path_graph(500),
         "two_long_cycles": Graph.from_edges(
@@ -416,9 +417,9 @@ class TestArrayDegreesAndConnectivity:
         assert is_connected(g) is reference_is_connected(g)
         # the same graph built from its tuples alone gets the same arrays
         plain = Graph(n=g.n, adjacency=g.adjacency)
-        for a, b in zip(plain.csr, g.csr):
+        for a, b, dtype in zip(plain.csr, g.csr, [np.int32, np.int32, np.int64]):
             np.testing.assert_array_equal(a, b)
-            assert a.dtype == b.dtype == np.int64
+            assert a.dtype == b.dtype == dtype
         assert plain == g and hash(plain) == hash(g)
 
     @pytest.mark.parametrize("name", sorted(CASES))
