@@ -143,8 +143,8 @@ class Graph:
             csr = (np.concatenate(([0], ends)), nbr_mult[:, 0], nbr_mult[:, 1])
         off, nbr, mult = csr
         # offsets and neighbours are bounded by the entry count and n
-        csr = (np.array(off, dtype=np.int32), np.array(nbr, dtype=np.int32),
-               np.array(mult, dtype=np.int64))
+        csr = (np.asarray(off, dtype=np.int32), np.asarray(nbr, dtype=np.int32),
+               np.asarray(mult, dtype=np.int64))
         for a in csr:
             a.setflags(write=False)
         object.__setattr__(self, "csr", csr)
@@ -184,10 +184,14 @@ class Graph:
         src = np.concatenate((key // n, key % n))
         dst = np.concatenate((key % n, key // n))
         order = np.lexsort((dst, src))
-        nbr, nmult = dst[order], np.tile(mult, 2)[order]
-        pairs = list(zip(nbr.tolist(), nmult.tolist()))
+        # made in the types Graph keeps, so no copies are added at the peak
+        nbr, nmult = dst[order].astype(np.int32), np.tile(mult, 2)[order]
+        # one shared int object per vertex: the tuples hold n neighbour ints
+        # instead of one per entry, which pays for the arrays kept
+        pairs = list(zip(np.arange(n, dtype=object)[nbr].tolist(), nmult.tolist()))
         off = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         bounds = off.tolist()
+        off = off.astype(np.int32)
         return cls(
             n=n,
             adjacency=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
