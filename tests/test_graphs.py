@@ -370,12 +370,12 @@ class TestConnectivity:
 
 
 def reference_degrees(g):
-    """Graph.degrees as the loop over the adjacency tuples it was."""
+    """Graph.degrees as a loop over the adjacency tuples."""
     return np.array([sum(m for _, m in nbrs) for nbrs in g.adjacency], dtype=np.int64)
 
 
 def reference_is_connected(g):
-    """is_connected as the depth-first loop over the adjacency tuples it was."""
+    """is_connected as a depth-first loop over the adjacency tuples."""
     seen = {0}
     stack = [0]
     while stack:
