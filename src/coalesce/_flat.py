@@ -30,15 +30,12 @@ class FlatGraph:
 
     def __init__(self, g: Graph, convention: str = "per_edge_unit"):
         self.n = g.n
-        off = [0]
-        nbr: list[int] = []
-        for u in range(g.n):
-            for v, m in g.adjacency[u]:
-                nbr.extend([v] * m)
-            off.append(len(nbr))
-        self.off = off
-        self.nbr = nbr
-        self.deg = [off[i + 1] - off[i] for i in range(g.n)]
+        off, nbr, mult = g.csr
+        # slot offsets: each adjacency entry takes ``mult`` slots
+        slots = np.concatenate(([0], np.cumsum(mult)))[off]
+        self.off = slots.tolist()
+        self.nbr = np.repeat(nbr, mult).tolist()
+        self.deg = np.diff(slots).tolist()
         if convention == "per_edge_unit":
             self.rate = [float(d) for d in self.deg]
         elif convention == "total_unit":

@@ -8,6 +8,8 @@ preserves nonnegativity and has a computable truncation error.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 _DENSE_CAP = 4096
+# bytes of one transition_matrix column panel: an L2-sized dense operand
+_PANEL_BYTES = 1 << 19
 _EIG_ZERO = 1e-10
 
 
@@ -273,18 +277,49 @@ def uniformize(step, x0, lam: float, times, tol: float = 1e-12):
 
 
 def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarray:
-    """Time-t transition probabilities by uniformization."""
+    """Time-t transition probabilities by uniformization.
+
+    P_t is computed one column panel at a time: each panel starts from its
+    columns of the identity and runs the same ``uniformize`` call.  A panel
+    is at most ``_PANEL_BYTES`` (65 columns at n = 1000), so the dense
+    operand of every sparse product stays in a core's L2 cache.  The panels
+    run on a thread pool of ``min(panels, usable CPUs)`` threads (scipy's
+    sparse product and numpy's array arithmetic release the GIL); a single
+    panel (n <= 256) runs in the calling thread.  The sparse product treats
+    every column alone, so the bits do not depend on the panel width or the
+    number of threads.
+    """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("dense transition matrix capped at 4096 states")
     if t < 0.0:
         raise ParameterOutOfRange("time must be nonnegative")
-    if t == 0.0 or c.r_max == 0.0:
+    row_rates = c.row_rates
+    lam = float(row_rates.max())
+    if t == 0.0 or lam == 0.0:
         return np.eye(c.n)
-    lam = c.r_max
-    kernel = sp.csr_matrix(c.rates / lam)
-    kernel.setdiag(1.0 - c.row_rates / lam)
-    # the kernel is symmetric, so kernel @ p is the next power p @ kernel
-    return uniformize(kernel.dot, np.eye(c.n), lam, [t], tol)[0][0]
+    n = c.n
+    kernel = sp.csr_matrix(c.rates)
+    kernel.data /= lam
+    kernel.setdiag(1.0 - row_rates / lam)
+    out = np.empty((n, n))
+    width = max(1, _PANEL_BYTES // (8 * n))
+    starts = range(0, n, width)
+
+    def panel(a):
+        b = min(a + width, n)
+        x0 = np.zeros((n, b - a))
+        x0[np.arange(a, b), np.arange(b - a)] = 1.0
+        # the kernel is symmetric, so kernel @ p is the next power p @ kernel
+        out[:, a:b] = uniformize(kernel.dot, x0, lam, [t], tol)[0][0]
+
+    if len(starts) == 1:
+        panel(0)
+    else:
+        workers = min(len(starts), len(os.sched_getaffinity(0)))
+        with ThreadPoolExecutor(workers) as pool:
+            # list() re-raises a panel's exception here
+            list(pool.map(panel, starts))
+    return out
 
 
 def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | None:

@@ -16,6 +16,7 @@ from itertools import product
 from math import comb, factorial, sqrt, pi, log
 
 import numpy as np
+from scipy.special import ive
 
 from ._flat import KILLED, MEET, TIME, chain_walk, check_grid, walk_pairs
 from .chains import MarkovChain
@@ -35,6 +36,7 @@ __all__ = [
     "Prediction",
     "mean_field_predictions",
     "bg_prediction",
+    "exact_density_1d",
     "psi_d",
     "psi_d_horizon",
     "estimate_psi_d",
@@ -95,6 +97,22 @@ def bg_prediction(d: int, t: float, psi_hat: float | None = None) -> float:
     return 1.0 / (psi_hat * t)
 
 
+def exact_density_1d(t: float) -> float:
+    """Exact density of coalescing walkers on Z, each jumping at total rate
+    1, started from every site: e^{-2t} (I_0(2t) + I_1(2t)) (the
+    empty-interval method).  It decays like the d = 1 lattice law
+    1/sqrt(pi t).
+
+    On the cycle Z_n the same walkers see the law of Z only while their
+    spread sqrt(t) is far below n, so it is exact for cycles up to a
+    wrap-around error that needs t << n^2.
+    """
+    if isinstance(t, bool) or not (isinstance(t, numbers.Real) and 0.0 <= t < np.inf):
+        raise ParameterOutOfRange("time must be finite and nonnegative")
+    # ive(v, x) = e^{-x} I_v(x) keeps both terms finite at large t
+    return float(ive(0, 2.0 * t) + ive(1, 2.0 * t))
+
+
 def psi_d(d: int) -> float:
     """Escape probability of simple random walk on Z^d, exactly:
     1 / integral_0^inf e^{-t} I_0(t/d)^d dt (Montroll 1956), the Green
@@ -105,7 +123,6 @@ def psi_d(d: int) -> float:
         return 0.0
     # scipy.integrate takes 0.7 s to import: only callers pay for it
     from scipy.integrate import quad
-    from scipy.special import ive
 
     green = quad(lambda t: ive(0, t / d) ** d, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
                  limit=200)[0]

@@ -47,6 +47,7 @@ from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (
     alpha_regular_tree,
     bg_prediction,
+    exact_density_1d,
     kingman_tau_coal,
     mean_field_predictions,
     psi_d,
@@ -358,6 +359,11 @@ def _paper_suite(seed, threads, scale, pool):
     pred = bg_prediction(1, t)
     ratio = p_hat / pred
     rows.append(_row("paper_cycle1e5_d1", "ratio_bg", ratio, se / pred, 0.10,
+                     0.90 <= ratio <= 1.10))
+    # the density the estimator targets: t = 200 is far below n^2
+    exact = exact_density_1d(t)
+    ratio = p_hat / exact
+    rows.append(_row("paper_cycle1e5_d1", "ratio_exact_1d", ratio, se / exact, 0.10,
                      0.90 <= ratio <= 1.10))
     predictions.append(
         {"label": "BG(1)", "value": pred, "inputs": {"t": t, "n": g.n}}

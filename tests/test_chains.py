@@ -1,7 +1,13 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import poisson
 
+from coalesce import chains
 from coalesce.chains import (
     MarkovChain,
     build_generator,
@@ -11,6 +17,7 @@ from coalesce.chains import (
     spectrum,
     transition_matrix,
     translation_group,
+    uniformize,
 )
 from coalesce.errors import (
     NotConnected,
@@ -113,6 +120,77 @@ class TestTransitionMatrix:
     def test_too_large(self):
         with pytest.raises(TooLargeForExact):
             transition_matrix(build_generator(cycle_graph(5000)), 1.0)
+
+
+def reference_transition_matrix(c, t, tol=1e-12):
+    """transition_matrix as one uniformization of the whole identity."""
+    lam = c.r_max
+    kernel = sp.csr_matrix(c.rates / lam)
+    kernel.setdiag(1.0 - c.row_rates / lam)
+    return uniformize(kernel.dot, np.eye(c.n), lam, [t], tol)[0][0]
+
+
+def cm_chain(n, seed):
+    """Per-edge-unit chain on an irregular configuration model."""
+    dist = DegreeDistribution.from_pairs([(3, 0.5), (4, 0.3), (5, 0.2)])
+    g = sample_configuration_model(dist, n, derive_rng(seed, "tm-panel", n),
+                                   require_connected=True)
+    return build_generator(g)
+
+
+class TestTransitionPanels:
+    """Column panels on a thread pool give the bits of the whole-identity
+    run, whatever the panel count and the number of threads."""
+
+    @staticmethod
+    def width(n):
+        return max(1, chains._PANEL_BYTES // (8 * n))
+
+    # below one panel, exactly one panel, whole panels, panels plus a remainder
+    @pytest.mark.parametrize("n", [40, 256, 512, 1000])
+    @pytest.mark.parametrize("t, tol", [(2.0, 1e-12), (0.35, 1e-9)])
+    def test_matches_whole_identity(self, n, t, tol):
+        c = cm_chain(n, 1)
+        panels = -(-n // self.width(n))
+        assert panels == {40: 1, 256: 1, 512: 4, 1000: 16}[n]
+        assert np.array_equal(transition_matrix(c, t, tol),
+                              reference_transition_matrix(c, t, tol))
+
+    def test_total_unit_torus(self):
+        c = build_generator(torus_graph(3, 7), "total_unit")
+        assert np.array_equal(transition_matrix(c, 1.3),
+                              reference_transition_matrix(c, 1.3))
+
+    def test_same_bits_at_one_and_two_threads(self, monkeypatch):
+        c = cm_chain(600, 2)
+        pools = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(chains, "ThreadPoolExecutor", Spy)
+        out = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            out[cpus] = transition_matrix(c, 1.7)
+        assert pools == [1, 2]
+        assert np.array_equal(out[1], out[2])
+        assert np.array_equal(out[1], reference_transition_matrix(c, 1.7))
+
+    def test_one_panel_starts_no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a single panel needs no pool")
+
+        monkeypatch.setattr(chains, "ThreadPoolExecutor", refuse)
+        c = cm_chain(200, 3)
+        assert np.array_equal(transition_matrix(c, 0.8), reference_transition_matrix(c, 0.8))
+
+    def test_no_thread_left_alive(self):
+        before = set(threading.enumerate())
+        transition_matrix(cm_chain(700, 4), 1.0)
+        assert set(threading.enumerate()) == before
 
 
 class TestPoissonWeights:

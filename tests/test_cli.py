@@ -17,7 +17,7 @@ from coalesce.errors import ConfigError, NotConnected, TaskError
 from coalesce.graphs import Graph, cycle_graph, write_graph
 from coalesce.io import block_csv, format_cell, rows_to_csv
 from coalesce.runner import run_experiment
-from coalesce.theory import alpha_regular_tree
+from coalesce.theory import alpha_regular_tree, exact_density_1d
 from coalesce.verify import statistical_suite
 
 KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
@@ -495,6 +495,29 @@ class TestPaperCensoring:
         censored = meeting_row(1)
         assert censored[2] == clean[2] and not censored[5]
         assert "1 censored" in censored[1]
+
+
+class TestPaperExact1d:
+    def test_row_against_exact_density(self, monkeypatch):
+        # the ring's estimate sits 5% above the exact density, the rest is stubbed
+        exact = exact_density_1d(200.0)
+        monkeypatch.setattr(
+            verify, "_density_stats",
+            lambda g, conv, times, *a: {t: (1.05 * exact if g.n == 100_000 else 0.01, 0.002)
+                                        for t in times})
+        monkeypatch.setattr(verify, "psi_d", lambda d: 0.66)
+        monkeypatch.setattr(verify, "alpha_survival",
+                            lambda *a, **k: {"value": 3.8, "stderr": 0.01})
+        monkeypatch.setattr(verify, "sample_configuration_model",
+                            lambda *a, **k: cycle_graph(30))
+        monkeypatch.setattr(verify, "mc_pair_meeting",
+                            lambda *a, **k: {"mean": 1.0, "stderr": 0.01, "censored": 0})
+        rows, _, _ = verify.paper_suite(0, threads=1, scale=0.01)
+        ring = [r for r in rows if r[0] == "paper_cycle1e5_d1"]
+        assert [r[1] for r in ring] == ["ratio_bg", "ratio_exact_1d"]
+        _, _, value, sigma, threshold, ok = ring[1]
+        assert value == pytest.approx(1.05, rel=1e-12) and ok
+        assert sigma == pytest.approx(0.002 / exact, rel=1e-12) and threshold == 0.10
 
 
 class TestStartup:

@@ -4,11 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from coalesce._flat import FlatGraph
 from coalesce.errors import (
     InfeasibleDegreeSequence,
     NotConnectedAfterRetries,
     ParameterOutOfRange,
     TooLargeForExact,
+    TotalUnitOnIrregular,
 )
 from coalesce.graphs import (
     DegreeDistribution,
@@ -449,6 +451,78 @@ class TestArrayDegreesAndConnectivity:
         for a in g.csr:
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+def reference_flat_graph(g, convention):
+    """FlatGraph's fields as the loop over the adjacency tuples."""
+    off = [0]
+    nbr = []
+    for u in range(g.n):
+        for v, m in g.adjacency[u]:
+            nbr.extend([v] * m)
+        off.append(len(nbr))
+    deg = [off[i + 1] - off[i] for i in range(g.n)]
+    if convention == "per_edge_unit":
+        rate = [float(d) for d in deg]
+    elif len(set(deg)) != 1:
+        raise TotalUnitOnIrregular("total-unit walk needs a regular graph")
+    else:
+        rate = [1.0] * g.n
+    regular = len(set(rate)) == 1
+    return {"n": g.n, "off": off, "nbr": nbr, "deg": deg, "rate": rate,
+            "r_max": max(rate), "r_min": min(rate), "regular": regular,
+            "r0": rate[0] if regular else 0.0}
+
+
+class TestFlatGraphFromCsr:
+    """FlatGraph reads Graph.csr; every field must equal the tuple loop's,
+    as plain lists of Python ints and floats."""
+
+    CASES = {
+        "multi_edge": TestArrayDegreesAndConnectivity.CASES["multi_edge"],
+        "lollipop": TestArrayDegreesAndConnectivity.CASES["lollipop"],
+        "edgeless": Graph.from_edges(4, []),
+        "single_vertex": Graph.from_edges(1, []),
+        "cycle5": cycle_graph(5),
+        "torus33": torus_graph(3, 3),
+    }
+
+    @staticmethod
+    def check(g):
+        for convention in ("per_edge_unit", "total_unit"):
+            try:
+                ref = reference_flat_graph(g, convention)
+            except TotalUnitOnIrregular:
+                with pytest.raises(TotalUnitOnIrregular):
+                    FlatGraph(g, convention)
+                continue
+            flat = FlatGraph(g, convention)
+            for name, value in ref.items():
+                got = getattr(flat, name)
+                assert got == value and type(got) is type(value), name
+                if isinstance(value, list):
+                    assert all(type(a) is type(b) for a, b in zip(got, value)), name
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_small_cases(self, name):
+        self.check(self.CASES[name])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_configuration_models(self, seed):
+        rng = derive_rng(seed, "flat-cm", 0)
+        D = [D3, D34, DegreeDistribution.uniform([1, 2, 3])][seed % 3]
+        n = int(rng.integers(2, 300))
+        self.check(sample_configuration_model(D, n + n % 2, rng))
+
+    def test_regular_configuration_model_both_conventions(self):
+        # a δ(3) draw with no self-loop keeps every degree 3, so the
+        # total-unit convention builds instead of raising
+        for seed in range(20):
+            g = sample_configuration_model(D3, 40, derive_rng(seed, "flat-cm", 1))
+            if g.is_regular():
+                break
+        assert g.is_regular()
+        self.check(g)
 
 
 class TestVertexExpansion:

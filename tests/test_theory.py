@@ -24,6 +24,7 @@ from coalesce.theory import (
     enumerate_patterns,
     estimate_alpha_D,
     estimate_psi_d,
+    exact_density_1d,
     kingman_tau_coal,
     mean_field_predictions,
     psi_d,
@@ -78,6 +79,30 @@ class TestMeanFieldPredictions:
     def test_zero_time_rejected(self):
         with pytest.raises(NonpositiveTime):
             mean_field_predictions(10, 0.0, 1.0, 1.0)
+
+
+class TestExactDensity1d:
+    def test_matches_subset_chain_on_cycle12(self):
+        # t << n^2, so Z's law holds on the cycle up to the uniformization
+        # tolerance of the 4096-state subset chain
+        from coalesce.crw import exact_occupancy_density
+
+        ts = [0.5, 1.0, 2.0, 4.0]
+        c = build_generator(cycle_graph(12), "total_unit")
+        for t, occ in zip(ts, exact_occupancy_density(c, ts)):
+            assert np.abs(occ - exact_density_1d(t)).max() <= 1e-11
+
+    def test_start_and_lattice_law(self):
+        assert exact_density_1d(0.0) == 1.0
+        # the ratio to 1/sqrt(pi t) tends to 1 from below
+        ratios = [exact_density_1d(t) / bg_prediction(1, t) for t in (10.0, 200.0, 1e6)]
+        assert ratios == sorted(ratios) and 0.999 < ratios[1] < ratios[2] < 1.0
+        assert exact_density_1d(200.0) * 1e5 == pytest.approx(3988.18, abs=0.01)
+
+    @pytest.mark.parametrize("t", [-1.0, np.inf, np.nan, True, "1"])
+    def test_bad_time(self, t):
+        with pytest.raises(ParameterOutOfRange):
+            exact_density_1d(t)
 
 
 class TestBgPrediction:
