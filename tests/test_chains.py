@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -161,7 +162,7 @@ class TestTransitionPanels:
         assert np.array_equal(transition_matrix(c, 1.3),
                               reference_transition_matrix(c, 1.3))
 
-    def test_same_bits_at_one_and_two_threads(self, monkeypatch):
+    def test_same_bits_at_any_thread_count(self, monkeypatch):
         c = cm_chain(600, 2)
         pools = []
 
@@ -172,11 +173,19 @@ class TestTransitionPanels:
 
         monkeypatch.setattr(chains, "ThreadPoolExecutor", Spy)
         out = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
-            out[cpus] = transition_matrix(c, 1.7)
-        assert pools == [1, 2]
-        assert np.array_equal(out[1], out[2])
+        switch = sys.getswitchinterval()
+        # more threads than cores, switching often: the panels write
+        # disjoint columns of one array and only read the kernel
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 5):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, k=cpus: set(range(k)))
+                out[cpus] = transition_matrix(c, 1.7)
+        finally:
+            sys.setswitchinterval(switch)
+        assert pools == [1, 2, 5]
+        assert np.array_equal(out[1], out[2]) and np.array_equal(out[1], out[5])
         assert np.array_equal(out[1], reference_transition_matrix(c, 1.7))
 
     def test_one_panel_starts_no_pool(self, monkeypatch):
