@@ -8,7 +8,9 @@ or, on a chain whose rates an abelian group translates
 (``chains.translation_group``), the n-state difference walk Y - X killed at
 the identity.
 Monte Carlo fallbacks for graphs beyond the dense caps run blocks of walker
-pairs in lockstep on the two-walker kernel ``_flat.walk_pairs``.
+pairs on the two-walker kernel ``_flat.walk_pairs``, which uniformizes both
+walkers at the walk's largest rate and reports the events it used and the
+thinned stays among them.
 """
 
 from __future__ import annotations
@@ -195,9 +197,11 @@ def alpha_survival(
     Accepts a chain or a graph (per-edge-unit rates).  exact mode runs
     killed-pair uniformization on the n^2 pair states, or on the n states of
     the difference walk when ``translation_group`` finds one (capped at
-    250000 states either way); mc mode runs ``reps`` pairs on the lockstep
-    two-walker kernel, in blocks of ``PAIR_BLOCK``, and returns a 95% normal
-    interval.
+    250000 states either way); mc mode runs ``reps`` pairs on the
+    two-walker kernel ``_flat.walk_pairs`` with the chain's Walker alias
+    tables, in blocks of ``PAIR_BLOCK``, and returns a 95% normal interval,
+    the uniformized ``events`` the pairs used and the ``thinned`` stays
+    among them (none when every row has the same total rate).
     """
     if isinstance(c, Graph):
         from .chains import build_generator
@@ -230,19 +234,25 @@ def alpha_survival(
     if rng is None:
         raise ParameterOutOfRange("mc mode needs an rng")
     _check_reps(reps)
-    rate, pick = chain_pick(c)
-    hits = 0
+    r_max, pick = chain_pick(c)
+    nbrs = np.flatnonzero(c.rates[x])
+    law = c.rates[x, nbrs] / rx
+    hits = events = thinned = 0
     for lo in range(0, reps, PAIR_BLOCK):
         a = np.full(min(PAIR_BLOCK, reps - lo), x, dtype=np.int64)
-        b = pick(a, rng.random(a.size))
-        outcome = walk_pairs(rate, pick, a, b, rng, t_max=t)[0]
+        b = rng.choice(nbrs, a.size, p=law)
+        outcome, _, used, stays = walk_pairs(r_max, pick, a, b, rng, t_max=t)
         hits += int(np.count_nonzero(outcome == TIME))
+        events += int(used.sum())
+        thinned += int(stays.sum())
     p = hits / reps
     se = (p * (1.0 - p) / reps) ** 0.5
     return {
         "value": rx * p,
         "stderr": rx * se,
         "ci95": (rx * (p - 1.96 * se), rx * (p + 1.96 * se)),
+        "events": events,
+        "thinned": thinned,
     }
 
 
@@ -358,34 +368,52 @@ def mc_pair_meeting(
 ) -> dict:
     """Monte Carlo mean meeting time from independent uniform starts.
 
-    Runs ``reps`` pairs on the lockstep two-walker kernel, in blocks of
-    ``PAIR_BLOCK``, with a hard horizon of ``horizon_events`` events per
-    pair (default 200 n / r_min); censored runs are excluded from ``mean``
-    and ``stderr`` and counted in ``censored`` and ``censored_fraction``.
-    ``mean_lower`` averages over all ``reps`` pairs, each censored one at
-    its last clock: a pair meets after that clock, so ``mean_lower``'s
-    expectation is at most the mean meeting time, whatever the horizon.
-    It equals ``mean`` when nothing is censored.
+    Runs ``reps`` pairs on the two-walker kernel ``_flat.walk_pairs``, in
+    blocks of ``PAIR_BLOCK``.  The walks are uniformized at the largest
+    rate r_max, so ``horizon_events``, a positive integer, is a budget of
+    uniformized events per pair, thinned stays included; the default is
+    200 n r_max / r_min^2.  Each event is a real jump with probability at
+    least r_min / r_max, so the default allows on average at least the
+    200 n / r_min real jumps of a budget counted in jumps, and equals
+    200 n / r on an r-regular graph, where nothing is thinned.  ``events``
+    counts the events the pairs used and ``thinned`` the stays among them.
+
+    Censored runs are excluded from ``mean`` and ``stderr`` and counted in
+    ``censored`` and ``censored_fraction``.  ``mean_lower`` averages over
+    all ``reps`` pairs, each censored one at the clock of its last event:
+    a pair meets after that clock, so ``mean_lower``'s expectation is at
+    most the mean meeting time, whatever the horizon.  It equals ``mean``
+    when nothing is censored.
     """
     _check_reps(reps)
+    if horizon_events is not None and (
+        isinstance(horizon_events, bool)
+        or not isinstance(horizon_events, numbers.Integral)
+        or horizon_events < 1
+    ):
+        raise ParameterOutOfRange(
+            f"horizon_events must be a positive integer, got {horizon_events!r}")
     if not is_connected(g):
         raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)
     if horizon_events is None:
-        horizon_events = int(200 * g.n / flat.r_min)
-    rate, pick = graph_pick(flat)
+        horizon_events = int(200 * g.n * flat.r_max / flat.r_min**2)
+    r_max, pick = graph_pick(flat)
     s1 = 0.0
     s2 = 0.0
     s_cut = 0.0
-    finished = 0
+    finished = events = thinned = 0
     for lo in range(0, reps, PAIR_BLOCK):
         a, b = rng.integers(0, g.n, (2, min(PAIR_BLOCK, reps - lo)))
-        outcome, clock = walk_pairs(rate, pick, a, b, rng, max_events=horizon_events)
+        outcome, clock, used, stays = walk_pairs(r_max, pick, a, b, rng,
+                                                 max_events=horizon_events)
         met = clock[outcome == MEET]
         s1 += float(met.sum())
         s2 += float(met @ met)
         s_cut += float(clock[outcome != MEET].sum())
         finished += met.size
+        events += int(used.sum())
+        thinned += int(stays.sum())
     censored = reps - finished
     if finished:
         mean = s1 / finished
@@ -394,4 +422,5 @@ def mc_pair_meeting(
     else:
         mean, stderr = float("nan"), float("nan")
     return {"mean": mean, "stderr": stderr, "finished": finished, "censored": censored,
-            "censored_fraction": censored / reps, "mean_lower": (s1 + s_cut) / reps}
+            "censored_fraction": censored / reps, "mean_lower": (s1 + s_cut) / reps,
+            "events": events, "thinned": thinned}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import comb, factorial, sqrt, pi, log
 
@@ -277,19 +278,28 @@ def estimate_psi_d(
     }
 
 
-# replicates per forest: each grows about 64 vertices on delta(3) at depth
-# 30, at 16 bytes a vertex, so a forest stays near 4 MB
+# _Forest.base marks: children not grown yet, and none allowed (depth ball);
+# a slot index added to either stays below _BARE and below -1 respectively
+_UNGROWN, _DEEP = -(1 << 30), -(1 << 20)
+_BARE = -(1 << 29)
+
+# replicates per forest: each grows about 75 vertices on delta(3) at depth
+# 30 (the two-walker kernel walks a block's paths past a pair's end), at 16
+# bytes a vertex, so a forest stays near 5 MB; room for 128 a tree is
+# reserved, but a page is resident only once written
 _TREE_BLOCK = 1 << 12
 
 
 class _Forest:
     """One rooted tree per replicate, as flat arrays grown on demand: a
     root's child count from D, every other vertex's from the size-biased
-    law.  Vertex v has degree ``deg[v]``, ``parent[v]`` (-1 at a root),
-    ``depth[v]``, and children ``first[v]`` onwards, or ``first[v] = -1``
-    until they are first needed.  A jump to a vertex deeper than
-    ``max_depth`` returns -1, which kills the walker pair; no children are
-    grown for it."""
+    law.  Vertex v has degree ``deg[v]``, ``parent[v]`` (-1 at a root) and
+    ``depth[v]``; its slot j >= 1 (j >= 0 at a root) holds the vertex
+    ``base[v] + j``, its child.  ``base[v]`` is ``_UNGROWN`` until the
+    children are first needed, and ``_DEEP`` at depth ``max_depth``: a jump
+    deeper returns -1, which kills the walker pair, and grows nothing.
+    ``pick`` is one jump of the walk, ``steps`` the walk uniformized at a
+    rate r_max for ``_flat.walk_pairs``."""
 
     def __init__(self, root_degree, offspring, rng, max_depth):
         n = root_degree.size
@@ -297,54 +307,72 @@ class _Forest:
         self.rng = rng
         self.max_depth = max_depth
         self.size = n
-        cap = 64 * n
+        cap = 128 * n
         self.deg = np.empty(cap, dtype=np.int32)
         self.parent = np.empty(cap, dtype=np.int32)
         self.depth = np.empty(cap, dtype=np.int32)
-        self.first = np.empty(cap, dtype=np.int32)
+        self.base = np.empty(cap, dtype=np.int32)
         self.deg[:n] = root_degree
         self.parent[:n] = -1
         self.depth[:n] = 0
-        self.first[:n] = -1
-
-    def rate(self, v):
-        return self.deg[v]
+        self.base[:n] = _UNGROWN
 
     def _grow(self, vs):
         """Children for the distinct vertices vs, none grown yet."""
-        nk = self.deg[vs] - (self.parent[vs] >= 0)
+        below_root = self.parent[vs] >= 0
+        nk = self.deg[vs] - below_root
         total = int(nk.sum())
         lo, hi = self.size, self.size + total
         if hi > self.deg.size:
             cap = max(hi, 2 * self.deg.size)
-            for name in ("deg", "parent", "depth", "first"):
+            for name in ("deg", "parent", "depth", "base"):
                 old = getattr(self, name)
                 new = np.empty(cap, dtype=np.int32)
                 new[:lo] = old[:lo]
                 setattr(self, name, new)
-        self.first[vs] = lo + np.cumsum(nk) - nk
+        self.base[vs] = lo + np.cumsum(nk) - nk - below_root
         parent = np.repeat(vs, nk)
         self.parent[lo:hi] = parent
-        self.depth[lo:hi] = self.depth[parent] + 1
+        depth = self.depth[parent] + 1
+        self.depth[lo:hi] = depth
         # offspring count + parent edge gives the child's degree
         self.deg[lo:hi] = self.offspring(self.rng.random(total)) + 1
-        self.first[lo:hi] = -1
+        self.base[lo:hi] = np.where(depth < self.max_depth, _UNGROWN, _DEEP)
         self.size = hi
 
-    def pick(self, v, u):
-        j = (u * self.deg[v]).astype(np.int64)
-        below_root = self.parent[v] >= 0
+    def _move(self, v, j):
+        """The vertex in slot j of each vertex v; v itself where j >= deg[v]
+        (a stay) or v = -1 (a killed walker)."""
+        # mode="clip" sends -1 to vertex 0; its entries are discarded below
+        parent = self.parent.take(v, mode="clip")
+        w = self.base.take(v, mode="clip") + j
         # slot 0 of a non-root vertex is its parent, the rest its children
-        up = below_root & (j == 0)
-        w = np.where(up, self.parent[v], -1)
-        down = np.flatnonzero(~up & (self.depth[v] < self.max_depth))
-        if down.size:
-            vd = v[down]
-            bare = vd[self.first[vd] < 0]
-            if bare.size:
-                self._grow(np.unique(bare))
-            w[down] = self.first[vd] + j[down] - below_root[down]
-        return w
+        np.copyto(w, parent, where=(j == 0) & (parent >= 0))
+        np.copyto(w, v, where=(j >= self.deg.take(v, mode="clip")) | (v < 0))
+        bare = np.flatnonzero(w < _BARE)
+        if bare.size:
+            vb = v[bare]
+            # one entry per distinct vertex: the last to write its mark
+            self.base[vb] = np.arange(vb.size)
+            self._grow(vb[self.base[vb] == np.arange(vb.size)])
+            w[bare] = self.base[vb] + j[bare]
+        # a jump from depth max_depth lands below -1
+        return np.maximum(w, -1, out=w)
+
+    def pick(self, v, u):
+        """Neighbor of each vertex v in slot floor(u * deg[v]), or -1 past
+        the depth ball."""
+        return self._move(v, (u * self.deg[v]).astype(np.int64))
+
+    def steps(self, v, u, out, r_max):
+        """Walks from v uniformized at r_max, one step per row of u, into
+        out as in ``_flat.graph_pick``: slot floor(u * r_max), a stay when
+        that is past deg[v]; a killed walker stays at -1."""
+        np.multiply(u, r_max, out=u)
+        np.copyto(out, u, casting="unsafe")
+        for k in range(out.shape[0]):
+            v = out[k] = self._move(v, out[k])
+        return out
 
 
 def _sampler(dist: DegreeDistribution):
@@ -374,8 +402,11 @@ def estimate_alpha_D(
     meeting, by transience), or the time horizon.  Horizon-censored pairs
     still inside the ball are scored as surviving in ``alpha_hat`` and as
     meeting in ``alpha_low``; the bracket and censoring fraction are
-    reported.  Replicates run on the lockstep two-walker kernel in blocks
-    of ``_TREE_BLOCK``, each block's trees held in one ``_Forest``.
+    reported.  Replicates run on the two-walker kernel ``_flat.walk_pairs``
+    in blocks of ``_TREE_BLOCK``, each block's trees held in one
+    ``_Forest``, the walks uniformized at D's largest degree; ``events``
+    counts the uniformized events the pairs used and ``thinned`` the stays
+    among them (none on delta(d)).
     """
     if depth < 3:
         raise DegenerateDepth("depth ball must have radius >= 3")
@@ -383,20 +414,24 @@ def estimate_alpha_D(
     _check_reps(reps, "replicate")
     root_degree = _sampler(D)
     offspring = _sampler(size_biased(D))
+    r_max = D.max_degree
     s_hi = s_hi2 = 0.0
     s_lo = 0.0
-    censored = 0
+    censored = events = thinned = 0
     for lo in range(0, reps, _TREE_BLOCK):
         size = min(_TREE_BLOCK, reps - lo)
         k_root = root_degree(rng.random(size))
         forest = _Forest(k_root, offspring, rng, depth)
         roots = np.arange(size)
         b = forest.pick(roots, rng.random(size))
-        outcome = walk_pairs(forest.rate, forest.pick, roots, b, rng, t_max=t_horizon)[0]
+        outcome, _, used, stays = walk_pairs(
+            r_max, partial(forest.steps, r_max=r_max), roots, b, rng, t_max=t_horizon)
         # KILLED: a walker left the ball; TIME: censored at the horizon
         weight = k_root.astype(float)
         hi = weight[outcome != MEET]
         censored += int(np.count_nonzero(outcome == TIME))
+        events += int(used.sum())
+        thinned += int(stays.sum())
         s_hi += float(hi.sum())
         s_hi2 += float(hi @ hi)
         s_lo += float(weight[outcome == KILLED].sum())
@@ -409,6 +444,8 @@ def estimate_alpha_D(
         "alpha_low": mean_lo,
         "alpha_high": mean_hi,
         "censored_fraction": censored / reps,
+        "events": events,
+        "thinned": thinned,
     }
 
 

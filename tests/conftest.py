@@ -1,5 +1,10 @@
+import math
+import sys
+
+import numpy as np
 import pytest
 
+from coalesce import _flat
 from coalesce.chains import build_generator
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
 
@@ -32,3 +37,118 @@ def lollipop():
     return Graph.from_edges(
         7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
     )
+
+
+class _Recorder:
+    """Generator stand-in that keeps a copy of every draw, in call order."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.log = []
+
+    def _keep(self, name, value, *args):
+        copy = value if isinstance(value, bytes) else np.array(value)
+        self.log.append((name, copy, [np.array(x) for x in args]))
+        return value
+
+    def random(self, size=None, out=None):
+        return self._keep("random", self.rng.random(size, out=out))
+
+    def bytes(self, length):
+        return self._keep("bytes", self.rng.bytes(length))
+
+    def poisson(self, lam, size):
+        return self._keep("poisson", self.rng.poisson(lam, size), lam)
+
+    def standard_exponential(self, size):
+        return self._keep("standard_exponential", self.rng.standard_exponential(size))
+
+    def standard_gamma(self, shape):
+        return self._keep("standard_gamma", self.rng.standard_gamma(shape), shape)
+
+    def beta(self, a, b):
+        return self._keep("beta", self.rng.beta(a, b), a, b)
+
+
+def replay_pairs(r_max, pick, step, a, b, rng, t_max=math.inf, max_events=sys.maxsize):
+    """Run ``_flat.walk_pairs`` and replay its draws, in its order, through a
+    scalar loop that moves one walker per event with ``step(x, u)``; assert
+    that outcomes, event and stay counts and clocks agree exactly, and
+    return the kernel's result."""
+    recorder = _Recorder(rng)
+    result = _flat.walk_pairs(r_max, pick, a, b, recorder, t_max=t_max,
+                              max_events=max_events)
+    draws = iter(recorder.log)
+
+    def take(name, *args):
+        got, value, params = next(draws)
+        assert got == name
+        assert all(np.array_equal(p, x) for p, x in zip(params, args, strict=True))
+        return value
+
+    n = len(a)
+    outcome = np.full(n, _flat.MEET, dtype=np.int8)
+    events = np.zeros(n, dtype=np.int64)
+    thinned = np.zeros(n, dtype=np.int64)
+    at = {i: [int(a[i]), int(b[i])] for i in range(n) if a[i] != b[i]}
+    live = list(at)
+    budget = dict.fromkeys(live, max_events)
+    count = np.zeros(n, dtype=np.int64)
+    if t_max < math.inf:
+        for i, c in zip(live, take("poisson", 2.0 * r_max * t_max)):
+            count[i] = c
+            budget[i] = min(max_events, int(c))
+            outcome[i] = _flat.TIME if c < max_events else _flat.BUDGET
+    else:
+        outcome[live] = _flat.BUDGET
+    live = [i for i in live if budget[i] > 0]
+    while live:
+        size = len(live)
+        steps = _flat.block_steps(size, max(budget[i] - events[i] for i in live))
+        u = [take("random").reshape(steps, size), take("random").reshape(steps, size)]
+        rows = 2 * steps + 1
+        coin = np.unpackbits(np.frombuffer(take("bytes"), dtype=np.uint8),
+                             count=rows * size).reshape(rows, size)
+        still = []
+        for col, i in enumerate(live):
+            x = at[i]
+            made = [0, 0]
+            ended = False
+            for e in range(rows):
+                # a 1 moves walker a; a walker out of steps ends the block
+                w = 0 if coin[e, col] else 1
+                if events[i] == budget[i] or made[w] == steps:
+                    break
+                y = step(x[w], u[w][made[w], col])
+                made[w] += 1
+                events[i] += 1
+                thinned[i] += y == x[w]
+                x[w] = y
+                if y == -1 or x[0] == x[1]:
+                    outcome[i] = _flat.KILLED if y == -1 else _flat.MEET
+                    ended = True
+                    break
+            if not ended and events[i] < budget[i]:
+                still.append(i)
+        live = still
+    out, clock, used, stays = result
+    assert np.array_equal(out, outcome)
+    assert np.array_equal(used, events)
+    assert np.array_equal(stays, thinned)
+    timed = outcome == _flat.TIME
+    assert np.array_equal(clock[timed],
+                          t_max + take("standard_exponential") / (2.0 * r_max))
+    k = np.flatnonzero(~timed & (events > 0))
+    if t_max < math.inf:
+        assert np.array_equal(clock[k], t_max * take("beta", events[k],
+                                                     count[k] - events[k] + 1))
+    else:
+        assert np.array_equal(clock[k], take("standard_gamma", events[k]) / (2.0 * r_max))
+    assert not clock[outcome == _flat.MEET][events[outcome == _flat.MEET] == 0].any()
+    assert next(draws, None) is None
+    return result
+
+
+@pytest.fixture(scope="session")
+def pair_replay():
+    return replay_pairs

@@ -172,8 +172,17 @@ class TestAlphaSurvival:
         assert lo <= mc["value"] <= hi
         assert hi - lo == pytest.approx(2 * 1.96 * mc["stderr"], rel=1e-12)
 
+    def test_mc_reports_events_and_stays(self, torus33_chain):
+        # rows of unequal total rate thin at r_max; a regular chain does not
+        res = alpha_survival(MarkovChain.from_rates(IRREGULAR_RATES), 2, 0.8, mode="mc",
+                             reps=2000, rng=derive_rng(12, "alpha-irr", 0))
+        assert 0 < res["thinned"] < res["events"]
+        res = alpha_survival(torus33_chain, 0, 0.8, mode="mc", reps=2000,
+                             rng=derive_rng(12, "alpha-irr", 1))
+        assert res["events"] > 0 and res["thinned"] == 0
+
     def test_exact_vs_mc_irregular_weighted(self):
-        # the irregular rates exercise the weighted pick
+        # the irregular rates exercise the alias table and its thinned stays
         c = MarkovChain.from_rates(IRREGULAR_RATES)
         for x, t in ((2, 0.8), (3, 0.3)):
             exact = alpha_survival(c, x, t)["value"]
@@ -473,8 +482,8 @@ class TestMcPairMeeting:
             mc_pair_meeting(cycle_graph(4), reps, derive_rng(0, "pairmc", 3))
 
     def test_irregular_mean_matches_solve(self, lollipop):
-        # unequal rates exercise the rate-weighted choice of the walker
-        # that moves; K2 and the cycle cannot tell it from a fair coin
+        # unequal rates exercise the thinned stays at r_max = 4; K2 and the
+        # cycle have none
         exact = mean_meeting_time(build_generator(lollipop), "pi_pi")
         res = mc_pair_meeting(lollipop, 40_000, derive_rng(6, "pairmc", 0))
         assert res["censored"] == 0
@@ -494,10 +503,41 @@ class TestMcPairMeeting:
         p = res["finished"] / reps
         assert abs(p - 1 / 3) <= 4.5 * np.sqrt(2 / 9 / reps)
 
+    @pytest.mark.parametrize("horizon", [-5, 0, float("nan"), 2.5, True, "10"])
+    def test_rejects_bad_horizon(self, horizon):
+        # -5, 0 and nan censored every pair with distinct starts and
+        # returned mean 0.0 from the equal starts alone
+        with pytest.raises(ParameterOutOfRange, match="horizon_events"):
+            mc_pair_meeting(cycle_graph(6), 10, derive_rng(0, "pairmc", 4),
+                            horizon_events=horizon)
+
+    def test_default_budget_counts_uniformized_events(self, lollipop, monkeypatch):
+        # 200 n r_max / r_min^2: 200 * 7 * 4 / 1 on the lollipop, and
+        # 200 n / 2 on the cycle, as before thinning
+        budgets = []
+        run = meeting.walk_pairs
+
+        def spy(*args, **kwargs):
+            budgets.append(kwargs["max_events"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(meeting, "walk_pairs", spy)
+        mc_pair_meeting(lollipop, 10, derive_rng(0, "pairmc", 5))
+        mc_pair_meeting(cycle_graph(12), 10, derive_rng(0, "pairmc", 6))
+        mc_pair_meeting(cycle_graph(12), 10, derive_rng(0, "pairmc", 6),
+                        horizon_events=np.int64(7))
+        assert budgets == [5600, 1200, 7]
+
+    def test_reports_events_and_stays(self, lollipop):
+        # the cycle is regular: no stay; the lollipop thins at r_max = 4
+        res = mc_pair_meeting(cycle_graph(12), 2000, derive_rng(9, "pairmc", 0))
+        assert res["events"] > 0 and res["thinned"] == 0
+        res = mc_pair_meeting(lollipop, 2000, derive_rng(9, "pairmc", 1))
+        assert 0 < res["thinned"] < res["events"]
+
     def test_censored_pairs_bound_the_mean_below(self):
-        # one block of pairs: the first 30 events are the same draws at
-        # either horizon, so each censored pair's last clock precedes its
-        # meeting time in the uncensored run, pair by pair
+        # a censored pair's last clock precedes its meeting time, so the
+        # expectation of mean_lower is at most the mean meeting time
         g = cycle_graph(12)
         short = mc_pair_meeting(g, 4000, derive_rng(8, "pairmc", 0), horizon_events=30)
         full = mc_pair_meeting(g, 4000, derive_rng(8, "pairmc", 0))
@@ -511,61 +551,129 @@ class TestMcPairMeeting:
 
 
 class TestWalkPairs:
-    """The lockstep two-walker kernel and its vectorized picks."""
+    """The uniformized two-walker kernel and its picks."""
 
     def test_one_event_budget(self):
-        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        r_max, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
         rng = derive_rng(8, "pairs", 0)
         n = 20_000
         # three apart: one jump leaves every pair apart and live
-        out, clock = _flat.walk_pairs(rate, pick, np.zeros(n), np.full(n, 3), rng,
-                                      max_events=1)
+        out, clock, events, _ = _flat.walk_pairs(r_max, pick, np.zeros(n), np.full(n, 3),
+                                                 rng, max_events=1)
         assert (out == _flat.BUDGET).all() and (clock > 0.0).all()
+        assert (events == 1).all()
         # adjacent: the mover lands on the other walker with probability 1/2
-        out, clock = _flat.walk_pairs(rate, pick, np.zeros(n), np.ones(n), rng,
-                                      max_events=1)
+        out, clock, _, _ = _flat.walk_pairs(r_max, pick, np.zeros(n), np.ones(n), rng,
+                                            max_events=1)
         assert set(np.unique(out)) == {_flat.MEET, _flat.BUDGET}
         assert abs((out == _flat.MEET).mean() - 0.5) <= 4.5 * np.sqrt(0.25 / n)
         # the first event of a pair at total rate 4 comes after Exp(4)
         assert abs(clock.mean() - 0.25) <= 4.5 * 0.25 / np.sqrt(n)
 
     def test_same_start_meets_at_zero(self):
-        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
-        out, clock = _flat.walk_pairs(rate, pick, [2, 2, 0], [2, 5, 5],
-                                      derive_rng(9, "pairs", 0))
-        assert out[0] == _flat.MEET and clock[0] == 0.0
+        r_max, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        out, clock, events, _ = _flat.walk_pairs(r_max, pick, [2, 2, 0], [2, 5, 5],
+                                                 derive_rng(9, "pairs", 0))
+        assert out[0] == _flat.MEET and clock[0] == 0.0 and events[0] == 0
         assert (out == _flat.MEET).all() and (clock[1:] > 0.0).all()
 
     def test_time_horizon(self):
-        rate, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
-        out, clock = _flat.walk_pairs(rate, pick, np.zeros(5000), np.full(5000, 3),
-                                      derive_rng(10, "pairs", 0), t_max=0.4)
+        r_max, pick = _flat.graph_pick(_flat.FlatGraph(cycle_graph(6)))
+        out, clock, _, _ = _flat.walk_pairs(r_max, pick, np.zeros(5000), np.full(5000, 3),
+                                            derive_rng(10, "pairs", 0), t_max=0.4)
         timed = out == _flat.TIME
         assert timed.any() and (clock[timed] > 0.4).all()
         assert (clock[out == _flat.MEET] <= 0.4).all()
 
     def test_chain_pick_law(self):
-        # pick frequencies against r_{x,y} / r(x), and the row ends
+        # one step from x goes to y with probability r(x, y) / r_max and
+        # stays with 1 - r(x) / r_max: on an evenly spaced grid of variates
+        # the alias table's frequencies are within its spacing of the law
         c = MarkovChain.from_rates(IRREGULAR_RATES)
-        rate, pick = _flat.chain_pick(c)
-        assert np.array_equal(rate(np.arange(5)), c.row_rates)
-        n = 200_000
-        u = derive_rng(11, "pick", 0).random(n)
+        r_max, pick = _flat.chain_pick(c)
+        assert r_max == c.row_rates.max()
+        n = 1 << 20
         for x in range(5):
-            y = pick(np.full(n, x), u)
-            p = c.rates[x] / c.row_rates[x]
+            law = c.rates[x] / r_max
+            law[x] = 1.0 - c.row_rates[x] / r_max
+            u = (np.arange(n) + 0.5) / n
+            y = pick(np.full(n, x), u[None], np.empty((1, n), dtype=np.int64))[0]
             freq = np.bincount(y, minlength=5) / n
-            assert (np.abs(freq - p) <= 4.5 * np.sqrt(p * (1 - p) / n) + 1e-12).all()
-            nz = np.flatnonzero(c.rates[x])
-            ends = pick(np.array([x, x]), np.array([0.0, np.nextafter(1.0, 0.0)]))
-            assert list(ends) == [nz[0], nz[-1]]
+            assert np.abs(freq - law).max() <= 8.0 / n
+        # and random variates agree with it in law
+        u = derive_rng(11, "pick", 0).random((1, 200_000))
+        for x in range(5):
+            law = c.rates[x] / r_max
+            law[x] = 1.0 - c.row_rates[x] / r_max
+            y = pick(np.full(u.shape[1], x), u.copy(), np.empty(u.shape, dtype=np.int64))[0]
+            freq = np.bincount(y, minlength=5) / u.shape[1]
+            assert (np.abs(freq - law) <= 4.5 * np.sqrt(law * (1 - law) / u.shape[1])
+                    + 1e-12).all()
 
     def test_graph_pick_law(self, lollipop):
-        rate, pick = _flat.graph_pick(_flat.FlatGraph(lollipop))
-        assert list(rate(np.arange(7))) == [3.0, 3.0, 3.0, 4.0, 2.0, 2.0, 1.0]
-        u = (np.arange(4) + 0.5) / 4
-        assert sorted(pick(np.full(4, 3), u)) == [0, 1, 2, 4]
-        assert list(pick(np.array([6, 4, 4]), np.array([0.9, 0.1, 0.9]))) == [5, 3, 5]
+        # each of the r_max = 4 slots of a vertex holds a neighbor (with
+        # multiplicity) or, past its degree, the vertex itself
+        r_max, pick = _flat.graph_pick(_flat.FlatGraph(lollipop))
+        assert r_max == 4.0
+        slots = (np.arange(4) + 0.5) / 4
+        c = build_generator(lollipop)
+        for x in range(7):
+            y = pick(np.full(4, x), slots[None].copy(), np.empty((1, 4), dtype=np.int64))[0]
+            law = c.rates[x] / r_max
+            law[x] = 1.0 - c.row_rates[x] / r_max
+            assert np.array_equal(np.bincount(y, minlength=7), 4 * law)
+        assert sorted(pick(np.full(4, 3), slots[None].copy(),
+                           np.empty((1, 4), dtype=np.int64))[0]) == [0, 1, 2, 4]
+        out = pick(np.array([6, 4, 4, 6]), np.array([[0.1, 0.1, 0.6, 0.9]]),
+                   np.empty((1, 4), dtype=np.int64))
+        assert list(out[0]) == [5, 3, 4, 6]
+        # steps chain along the rows of u: 6 -> 5 -> 4 -> 4 (a stay)
+        walk = pick(np.array([6]), np.array([[0.1], [0.1], [0.9]]),
+                    np.empty((3, 1), dtype=np.int64))
+        assert list(walk[:, 0]) == [5, 4, 4]
+        u = derive_rng(12, "pick", 0).random((1, 200_000))
+        for x in (0, 4, 6):
+            law = c.rates[x] / r_max
+            law[x] = 1.0 - c.row_rates[x] / r_max
+            y = pick(np.full(u.shape[1], x), u.copy(), np.empty(u.shape, dtype=np.int64))[0]
+            freq = np.bincount(y, minlength=7) / u.shape[1]
+            assert (np.abs(freq - law) <= 4.5 * np.sqrt(law * (1 - law) / u.shape[1])
+                    + 1e-12).all()
+
+    @pytest.mark.parametrize("graph", ["cycle8", "lollipop"])
+    @pytest.mark.parametrize("size", [1, (1 << 16) + 5])
+    def test_scalar_replay(self, pair_replay, lollipop, graph, size):
+        # the kernel's draws, replayed one event at a time through a scalar
+        # slot pick, give the same outcomes, event and stay counts and
+        # clocks: at one pair (blocks of 256 steps) and past 2^16 pairs
+        # (blocks of 4 steps, then cut to the remaining budget)
+        g = cycle_graph(8) if graph == "cycle8" else lollipop
+        flat = _flat.FlatGraph(g)
+        r_max, pick = _flat.graph_pick(flat)
+        width = max(flat.deg)
+
+        def step(x, u):
+            j = int(u * width)
+            return flat.nbr[flat.off[x] + j] if j < flat.deg[x] else x
+
+        rng = derive_rng(13, "replay-" + graph, size)
+        if size == 1:
+            runs = [(rng.integers(0, g.n, 2), {}) for _ in range(12)]
+            runs.append((np.array([0, 1]), {"max_events": 700}))
+            runs.append((np.array([0, 4]), {"t_max": 40.0}))
+        else:
+            runs = [(rng.integers(0, g.n, (2, size)), {"max_events": 12}),
+                    (rng.integers(0, g.n, (2, size)), {"t_max": 0.5})]
+        seen = set()
+        thinned = 0
+        for (a, b), kw in runs:
+            out, _, _, stays = pair_replay(r_max, pick, step, np.atleast_1d(a),
+                                           np.atleast_1d(b), rng, **kw)
+            seen.update(out.tolist())
+            thinned += int(stays.sum())
+        assert _flat.MEET in seen and (size == 1 or {_flat.BUDGET, _flat.TIME} <= seen)
+        # only the lollipop's vertices of degree below 4 stay
+        assert (thinned > 0) == (graph == "lollipop")
 
     def test_same_seed_same_results(self, lollipop):
         c = build_generator(torus_graph(3, 3))

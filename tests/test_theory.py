@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from math import comb
 
-from coalesce import theory
+from coalesce import _flat, theory
 from coalesce.chains import build_generator
 from coalesce.crw import sample_tau_coal_many
 from coalesce.errors import (
@@ -389,6 +391,56 @@ class TestAlphaD:
         deep = np.array([w[1], w[1]])
         out = f.pick(deep, np.array([0.0, 0.99]))
         assert out[0] == 3 and out[1] == -1 and f.size == size
+
+    @pytest.mark.parametrize("size", [1, (1 << 16) + 5])
+    def test_scalar_replay_with_kills(self, pair_replay, size):
+        # degrees 3 and 5 at r_max = 5: degree-3 vertices thin, and a depth
+        # ball of 3 kills pairs; the kernel's draws replayed one event at a
+        # time through a scalar slot rule on the grown trees agree exactly
+        law = DegreeDistribution.from_pairs([(3, 0.5), (5, 0.5)])
+        rng = derive_rng(14, "forest-replay", size)
+        trees = 12 if size == 1 else 1
+        kinds = set()
+        thinned = 0
+        for _ in range(trees):
+            f = theory._Forest(theory._sampler(law)(rng.random(size)),
+                               theory._sampler(size_biased(law)),
+                               derive_rng(15, "grow", size), 3)
+            roots = np.arange(size)
+            b = f.pick(roots, rng.random(size))
+            kids = {}
+
+            def step(x, u):
+                j = int(u * 5)
+                if j >= f.deg[x]:
+                    return x
+                if f.parent[x] >= 0:
+                    if j == 0:
+                        return int(f.parent[x])
+                    j -= 1
+                if f.depth[x] >= f.max_depth:
+                    return -1
+                if not kids:
+                    # the kernel grew every vertex the replay steps down from
+                    for v in range(f.size):
+                        kids.setdefault(int(f.parent[v]), []).append(v)
+                return kids[x][j]
+
+            out, _, _, stays = pair_replay(5, partial(f.steps, r_max=5), step, roots, b, rng,
+                                           t_max=60.0 if size == 1 else 1.5)
+            kinds.update(out.tolist())
+            thinned += int(stays.sum())
+        assert _flat.KILLED in kinds and thinned > 0
+        if size > 1:
+            assert {_flat.MEET, _flat.TIME} <= kinds
+
+    def test_reports_events_and_stays(self):
+        # delta(3) trees never thin at r_max = 3; degrees {3, 5} do at 5
+        res = estimate_alpha_D(D3, 8, 30.0, 500, derive_rng(8, "alphaD", 0))
+        assert res["events"] > 0 and res["thinned"] == 0
+        law = DegreeDistribution.from_pairs([(3, 0.5), (5, 0.5)])
+        res = estimate_alpha_D(law, 8, 30.0, 500, derive_rng(8, "alphaD", 1))
+        assert 0 < res["thinned"] < res["events"]
 
     def test_shallow_depth_rejected(self):
         with pytest.raises(DegenerateDepth):
