@@ -376,14 +376,22 @@ def walk_pairs(r_max, pick, a, b, rng, t_max=math.inf, max_events=sys.maxsize):
     return outcome, clock, events, thinned
 
 
-def check_grid(t_grid) -> list:
+def check_count(value, least: int = 1, name: str = "reps") -> int:
+    """A count such as a replicate count: an integer, not a boolean, of at
+    least ``least``.  Errors name the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterOutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_grid(t_grid, name: str = "t_grid") -> list:
     """Time grid as floats; entries must be finite, nonnegative, sorted
-    real numbers (not booleans)."""
+    real numbers (not booleans).  Errors name the field ``name``."""
     grid = []
     for t in t_grid:
         if isinstance(t, bool) or not (isinstance(t, numbers.Real) and math.isfinite(t)):
-            raise ParameterOutOfRange(f"grid times must be finite numbers, got {t!r}")
+            raise ParameterOutOfRange(f"{name} must hold finite numbers, got {t!r}")
         grid.append(float(t))
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0.0):
-        raise ParameterOutOfRange("t_grid must be sorted and nonnegative")
+        raise ParameterOutOfRange(f"{name} must be sorted and nonnegative")
     return grid

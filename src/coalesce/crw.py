@@ -8,17 +8,23 @@ magnitude faster at low density.  A full-stream mode keeps every ring so that
 runs started from different initial particle sets share one event stream.
 Many short trajectories run instead on a lockstep kernel that gives every
 trajectory of a block one ring per numpy iteration.
+
+``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run the
+scalar engine; ``sample_tau_coal_many`` and ``occupancy_covariances`` are
+views over the runner's blocks (``runner._block``), drawn in order from the
+caller's generator.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._flat import FlatGraph, check_grid
+from ._flat import FlatGraph, check_count, check_grid
 from .chains import MarkovChain, translation_group, uniformize
 from .errors import (
     BadSubset,
@@ -425,43 +431,26 @@ def estimate_density(
     convention: str = "per_edge_unit",
 ) -> DensityEstimate:
     """Monte Carlo density estimate with the negative-association variance
-    diagnostic Var(|occupied|) <= E|occupied| checked per grid time."""
-    if reps < 2:
-        raise ParameterOutOfRange("need at least 2 replicates")
+    diagnostic Var(|occupied|) <= E|occupied| checked per grid time.  The
+    replicates run one after another on the scalar engine, sharing one
+    buffered stream."""
+    reps = check_count(reps, 2)
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
-    s1 = np.zeros(len(grid))
-    s2 = np.zeros(len(grid))
-    comp1 = np.zeros(len(grid))
-    comp2 = np.zeros(len(grid))
-    for _ in range(reps):
-        xi = _simulate_one(flat, draws, grid, "density", None, None, False)[
-            "xi_size"
-        ].astype(float)
-        # Kahan-compensated accumulation keeps the sums order-stable
-        y1 = xi - comp1
-        t1 = s1 + y1
-        comp1 = (t1 - s1) - y1
-        s1 = t1
-        y2 = xi * xi - comp2
-        t2 = s2 + y2
-        comp2 = (t2 - s2) - y2
-        s2 = t2
-    mean_xi = s1 / reps
-    var_xi = np.maximum(0.0, s2 / reps - mean_xi**2) * reps / (reps - 1)
-    p_hat = mean_xi / g.n
-    stderr = np.sqrt(var_xi) / g.n / np.sqrt(reps)
+    xi = np.array([_simulate_one(flat, draws, grid, "density", None, None, False)["xi_size"]
+                   for _ in range(reps)], dtype=float)
+    mean_xi = xi.mean(axis=0)
+    var_xi = xi.var(axis=0, ddof=1)
     slack = 1.0 + 4.0 * np.sqrt(2.0 / (reps - 1))
-    arratia_ok = var_xi <= mean_xi * slack + 1e-12
     return DensityEstimate(
         t_grid=np.asarray(grid),
-        p_hat=p_hat,
-        stderr=stderr,
+        p_hat=mean_xi / g.n,
+        stderr=np.sqrt(var_xi) / g.n / np.sqrt(reps),
         replicates=reps,
         n=g.n,
         xi_var=var_xi,
-        arratia_ok=arratia_ok,
+        arratia_ok=var_xi <= mean_xi * slack + 1e-12,
     )
 
 
@@ -661,13 +650,13 @@ def sample_tau_coal_many(
     rng: np.random.Generator,
     convention: str = "per_edge_unit",
 ) -> np.ndarray:
-    """Batch of coalescence-time draws sharing one buffered stream."""
+    """``reps`` coalescence-time draws: the runner's ``tau_coal`` blocks,
+    drawn in order from ``rng``."""
+    from .runner import _replicates
+
+    reps = check_count(reps)
     _check_connected(g)
-    if g.n == 1:
-        return np.zeros(reps)
-    flat = flat_graph(g, convention)
-    draws = BufferedDraws(rng, block=1 << 16)
-    return np.array([_run_to_one(flat, draws).clock for _ in range(reps)])
+    return _replicates(flat_graph(g, convention), {"task": "tau_coal"}, [], rng, reps)[0]
 
 
 def occupancy_covariances(
@@ -679,28 +668,32 @@ def occupancy_covariances(
     convention: str = "per_edge_unit",
 ) -> dict:
     """Sample covariance of occupation indicators for several vertex pairs,
-    sharing one batch of trajectories; jackknife standard errors."""
-    pairs = [(int(a), int(b)) for a, b in pairs]
-    for a, b in pairs:
-        if a == b:
+    sharing one batch of trajectories; jackknife standard errors.  The
+    trajectories are the runner's ``occupancy`` blocks on the pairs' sites,
+    drawn in order from ``rng``."""
+    from .runner import _replicates
+
+    reps = check_count(reps, 2)
+    pairs = [(a, b) for a, b in pairs]
+    for i, pair in enumerate(pairs):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               or not 0 <= v < g.n for v in pair):
+            raise ParameterOutOfRange(f"pairs[{i}] = {pair!r} must be vertices of 0..{g.n - 1}")
+        if pair[0] == pair[1]:
             raise SameVertex("covariance needs two distinct vertices")
+    pairs = [(int(a), int(b)) for a, b in pairs]
     sites = sorted({v for p in pairs for v in p})
     pos = {v: i for i, v in enumerate(sites)}
     grid = check_grid(t_grid)
-    flat = flat_graph(g, convention)
-    draws = BufferedDraws(rng, block=1 << 16)
-    ind = np.empty((reps, len(grid), len(sites)), dtype=bool)
-    for r in range(reps):
-        ind[r] = _simulate_one(flat, draws, grid, "occupancy", sites, None, False)[
-            "occ"
-        ]
-    out = {}
-    for a, b in pairs:
-        for ti, t in enumerate(grid):
-            av = ind[:, ti, pos[a]].astype(float)
-            bv = ind[:, ti, pos[b]].astype(float)
-            out[((a, b), t)] = jackknife_cov(av, bv)
-    return out
+    task = {"task": "occupancy", "sites": sites}
+    vals, _ = _replicates(flat_graph(g, convention), task, grid, rng, reps)
+    # the indicators follow the cluster count
+    ind = vals[..., 1:]
+    return {
+        ((a, b), t): jackknife_cov(ind[:, ti, pos[a]], ind[:, ti, pos[b]])
+        for a, b in pairs
+        for ti, t in enumerate(grid)
+    }
 
 
 def pair_covariance(

@@ -28,6 +28,7 @@ from ._flat import (
     TIME,
     FlatGraph,
     chain_pick,
+    check_count,
     check_grid,
     graph_pick,
     walk_pairs,
@@ -207,7 +208,7 @@ def alpha_survival(
         from .chains import build_generator
 
         c = build_generator(c)
-    [t] = check_grid([t])
+    [t] = check_grid([t], "t")
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not 0 <= x < c.n:
         raise ParameterOutOfRange(f"x must be a vertex in 0..{c.n - 1}, got {x!r}")
     rx = float(c.row_rates[x])
@@ -233,7 +234,7 @@ def alpha_survival(
         raise ParameterOutOfRange(f"unknown mode {mode!r}")
     if rng is None:
         raise ParameterOutOfRange("mc mode needs an rng")
-    _check_reps(reps)
+    check_count(reps)
     r_max, pick = chain_pick(c)
     nbrs = np.flatnonzero(c.rates[x])
     law = c.rates[x, nbrs] / rx
@@ -254,11 +255,6 @@ def alpha_survival(
         "events": events,
         "thinned": thinned,
     }
-
-
-def _check_reps(reps):
-    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
-        raise ParameterOutOfRange(f"reps must be a positive integer, got {reps!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,14 +381,9 @@ def mc_pair_meeting(
     most the mean meeting time, whatever the horizon.  It equals ``mean``
     when nothing is censored.
     """
-    _check_reps(reps)
-    if horizon_events is not None and (
-        isinstance(horizon_events, bool)
-        or not isinstance(horizon_events, numbers.Integral)
-        or horizon_events < 1
-    ):
-        raise ParameterOutOfRange(
-            f"horizon_events must be a positive integer, got {horizon_events!r}")
+    check_count(reps)
+    if horizon_events is not None:
+        check_count(horizon_events, 1, "horizon_events")
     if not is_connected(g):
         raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)

@@ -14,6 +14,10 @@ stream, which keeps the same guarantees.  Rows are assembled
 replicate-major, time-minor.  ``run_experiment`` runs every task in one
 worker pool; the workers return their chunks as finished CSV text, which
 the main process writes and hashes in block order.
+
+``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
+run on the same blocks through ``_replicates``, drawn in order from the
+caller's generator.
 """
 
 from __future__ import annotations
@@ -81,7 +85,9 @@ def _task_label(task: dict) -> str:
 def _block(flat, task, grid, rng, count, width):
     """One block of ``count`` replicates: its values, shaped
     (replicate, time, column) or one coalescence time per replicate, and
-    the kernels' record."""
+    the kernels' record.  The columns are the task's CSV columns, except
+    that ``nhat`` also carries the indicator that opinion 0 survives, which
+    its CSV leaves out."""
     if width < _SCALAR_BELOW[task["task"]]:
         return _scalar_block(flat, task, grid, rng, count)
     return _lockstep_block(flat, task, grid, rng, count, width)
@@ -104,17 +110,14 @@ def _scalar_block(flat, task, grid, rng, count):
         if kind == "nhat":
             # the voter picks its source by cumulative rate: nothing thinned
             rec = _voter_once(flat, draws, grid)
-            cols = [rec["nhat"][:, None]]
+            vals.append(np.column_stack([rec["nhat"], rec["survived_0"]]))
         else:
             rec = _simulate_one(flat, draws, grid, kind, task.get("sites") or None,
                                 None, False)
-            cols = [rec["xi_size"][:, None]]
-            if "N" in rec:
-                cols.append(rec["N"][:, None])
-            if "occ" in rec:
-                cols.append(rec["occ"])
+            # xi, then the tracked cluster's size or the occupation indicators
+            extra = [rec[k] for k in ("N", "occ") if k in rec]
+            vals.append(np.column_stack([rec["xi_size"], *extra]))
             rejections += rec["thinning_rejections"]
-        vals.append(np.concatenate(cols, axis=1))
         events += rec["events"]
     return np.array(vals), {"events": events, "thinning_rejections": rejections}
 
@@ -126,7 +129,7 @@ def _lockstep_block(flat, task, grid, rng, count, width):
         return rec["tau"], rec
     if kind == "nhat":
         rec = _lockstep_voter(flat, rng, count, grid, width)
-        vals = rec["nhat"][..., None]
+        vals = np.stack([rec["nhat"], rec["survived_0"]], axis=2)
     else:
         labels = sites = None
         if kind == "tracked_cluster":
@@ -141,9 +144,23 @@ def _lockstep_block(flat, task, grid, rng, count, width):
     return vals, rec
 
 
+def _replicates(flat, task, grid, rng, reps):
+    """``reps`` replicates of ``task`` in blocks of ``block_rows(n)``, all
+    drawn in order from ``rng``: their values stacked as ``_block`` shapes
+    them, and the summed ``events`` and ``thinning_rejections``."""
+    width = block_rows(flat.n)
+    vals = []
+    tally = Counter(events=0, thinning_rejections=0)
+    for start in range(0, reps, width):
+        v, rec = _block(flat, task, grid, rng, min(width, reps - start), width)
+        vals.append(v)
+        tally.update(events=rec["events"], thinning_rejections=rec["thinning_rejections"])
+    return np.concatenate(vals), dict(tally)
+
+
 def _rows(start, grid, vals):
-    """A block's CSV rows: (replicate, t, *columns) per replicate and grid
-    time, or (replicate, tau_coal)."""
+    """CSV rows of replicates numbered from ``start``: (replicate, t,
+    *columns) per replicate and grid time, or (replicate, tau_coal)."""
     reps = range(start, start + len(vals))
     if vals.ndim == 1:
         return list(zip(reps, vals.tolist()))
@@ -163,7 +180,8 @@ def _chunk_worker(args):
         start = k * width
         rng = derive_rng(master_seed, label, k)
         vals, rec = _block(flat, task, grid, rng, min(width, reps - start), width)
-        blocks.append((start, vals))
+        # the voter's opinion-0 survival is not an nhat CSV column
+        blocks.append((start, vals[..., :1] if task["task"] == "nhat" else vals))
         tally.update(events=rec["events"], blocks=1,
                      thinning_rejections=rec["thinning_rejections"])
     return blocks, tally
@@ -245,6 +263,21 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
     return header, grid, nrows, args_list
 
 
+def _task_values(graph, convention, task, times, replicates, master_seed,
+                 threads=1, pool=None):
+    """One task's header, time grid, values (every replicate's, stacked as
+    ``_block`` shapes them, without the columns its CSV leaves out) and
+    counters, as ``run_task`` describes them."""
+    header, grid, _, args_list = _task_chunks(
+        graph, convention, task, times, replicates, master_seed, threads
+    )
+    tally = _tally()
+    with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:
+        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool), tally)
+        vals = [vals for blocks in chunks for _, vals in blocks]
+    return header, grid, np.concatenate(vals) if vals else np.empty(0), dict(tally)
+
+
 def run_task(
     graph: Graph,
     convention: str,
@@ -259,15 +292,10 @@ def run_task(
     kept rings (``events``), ``thinning_rejections`` and ``blocks``.  The
     chunks run in ``pool`` when one is given (see ``worker_pool``), else in
     a pool of their own at ``threads > 1``."""
-    header, grid, _, args_list = _task_chunks(
-        graph, convention, task, times, replicates, master_seed, threads
+    header, grid, vals, tally = _task_values(
+        graph, convention, task, times, replicates, master_seed, threads, pool
     )
-    tally = _tally()
-    with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:
-        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool), tally)
-        rows = [row for blocks in chunks for start, vals in blocks
-                for row in _rows(start, grid, vals)]
-    return header, rows, dict(tally)
+    return header, _rows(0, grid, vals), tally
 
 
 def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:

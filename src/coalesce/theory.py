@@ -19,7 +19,7 @@ from math import comb, factorial, sqrt, pi, log
 import numpy as np
 from scipy.special import ive
 
-from ._flat import KILLED, MEET, TIME, chain_walk, check_grid, walk_pairs
+from ._flat import KILLED, MEET, TIME, chain_walk, check_count, check_grid, walk_pairs
 from .chains import MarkovChain
 from .crw import exact_k_particle_law
 from .errors import (
@@ -148,10 +148,7 @@ def psi_d_horizon(d: int, horizon_steps: int) -> float:
     d = _dimension(d)
     if d not in (1, 3):
         raise ParameterOutOfRange(f"finite-horizon psi is exact in d = 1 and 3, got d = {d}")
-    if isinstance(horizon_steps, bool) or not isinstance(horizon_steps, numbers.Integral) \
-            or horizon_steps < 0:
-        raise ParameterOutOfRange(
-            f"horizon_steps must be a nonnegative integer, got {horizon_steps!r}")
+    check_count(horizon_steps, 0, "horizon_steps")
     size = int(horizon_steps) // 2 + 1
     m = np.arange(1, size)
     u = np.concatenate(([1.0], np.cumprod((2 * m - 1) / (2 * m))))
@@ -189,9 +186,7 @@ def _dimension(d) -> int:
 
 
 def _check_reps(reps, what):
-    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral):
-        raise ParameterOutOfRange(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
+    if check_count(reps, 0) < 1:
         raise EmptySamples(f"need at least one {what}")
 
 
@@ -238,10 +233,7 @@ def estimate_psi_d(
     at the horizon, so two horizons share their draws up to the shorter one.
     """
     d = _dimension(d)
-    if isinstance(horizon_steps, bool) or not isinstance(horizon_steps, numbers.Integral) \
-            or horizon_steps < 0:
-        raise ParameterOutOfRange(
-            f"horizon_steps must be a nonnegative integer, got {horizon_steps!r}")
+    check_count(horizon_steps, 0, "horizon_steps")
     _check_reps(reps, "walk")
     # direction 2j + s moves axis j by 2s - 1; pair 2d * f + g is f then g
     unit = np.zeros((2 * d, d), dtype=np.int64)
@@ -410,7 +402,7 @@ def estimate_alpha_D(
     """
     if depth < 3:
         raise DegenerateDepth("depth ball must have radius >= 3")
-    [t_horizon] = check_grid([t_horizon])
+    [t_horizon] = check_grid([t_horizon], "t_horizon")
     _check_reps(reps, "replicate")
     root_degree = _sampler(D)
     offspring = _sampler(size_biased(D))

@@ -41,7 +41,7 @@ from .meeting import (
     mc_pair_meeting,
     pairwise_meeting_times,
 )
-from .runner import run_task, worker_pool
+from .runner import _task_values, worker_pool
 from .seeding import derive_rng
 from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (
@@ -210,21 +210,22 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
     return rows, ok
 
 
+def _values(graph, task, times, reps, seed, threads, pool,
+            convention="per_edge_unit"):
+    """A runner task's values, as ``runner._task_values`` stacks them."""
+    return _task_values(graph, convention, {"task": task}, times, reps, seed,
+                        threads, pool)[2]
+
+
 def _density_stats(graph, convention, times, reps, seed, threads, pool):
-    _, rows, _ = run_task(
-        graph, convention, {"task": "density"}, times, reps, seed, threads, pool
-    )
-    xi = {}
-    for rep, t, x in rows:
-        xi.setdefault(t, []).append(x)
-    out = {}
-    for t, vals in xi.items():
-        arr = np.array(vals, dtype=float)
-        out[t] = (
-            arr.mean() / graph.n,
-            arr.std(ddof=1) / graph.n / np.sqrt(len(arr)),
-        )
-    return out
+    """Per grid time, the density and its standard error."""
+    vals = _values(graph, "density", times, reps, seed, threads, pool, convention)
+    # a contiguous row per grid time, so each mean and std sums in replicate order
+    xi = vals[..., 0].T.astype(float, order="C")
+    return {
+        t: (x.mean() / graph.n, x.std(ddof=1) / graph.n / np.sqrt(len(x)))
+        for t, x in zip(times, xi)
+    }
 
 
 def statistical_suite(
@@ -269,17 +270,10 @@ def _statistical_suite(seed, threads, scale, pool):
     g6 = cycle_graph(6)
     reps = max(1000, int(5000 * scale))
     t = 1.0
-    _, nhat_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "nhat"}, [t], reps, seed, threads, pool
-    )
-    _, crw_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "tracked_cluster"}, [t], reps, seed, threads, pool
-    )
+    nhat = _values(g6, "nhat", [t], reps, seed, threads, pool)[:, 0, 0]
+    crw = _values(g6, "tracked_cluster", [t], reps, seed, threads, pool)[:, 0]
     dual = duality_statistics(
-        np.array([r[2] for r in nhat_rows], dtype=float),
-        np.array([r[3] for r in crw_rows], dtype=float),
-        np.array([r[2] for r in crw_rows], dtype=float),
-        g6.n,
+        nhat.astype(float), crw[:, 1].astype(float), crw[:, 0].astype(float), g6.n
     )
     ks = dual["ks_nhat_vs_Nt"]
     thr = ks_threshold(reps, reps)
@@ -291,10 +285,7 @@ def _statistical_suite(seed, threads, scale, pool):
     # complete-graph coalescence against the exponential-stage sampler
     g8 = complete_graph(8)
     reps = max(2000, int(20000 * scale))
-    _, tau_rows, _ = run_task(
-        g8, "per_edge_unit", {"task": "tau_coal"}, [], reps, seed, threads, pool
-    )
-    taus = np.array([r[1] for r in tau_rows], dtype=float)
+    taus = _values(g8, "tau_coal", [], reps, seed, threads, pool)
     mean_exp = 1.0 - 1.0 / 8.0
     se = taus.std(ddof=1) / np.sqrt(reps)
     z = abs(taus.mean() - mean_exp) / se
@@ -306,17 +297,14 @@ def _statistical_suite(seed, threads, scale, pool):
 
     # negative association of occupation indicators on the 6-cycle
     reps = max(2000, int(20000 * scale))
-    _, occ_rows, _ = run_task(
-        g6, "per_edge_unit", {"task": "occupancy"}, [0.5, 1.0], reps, seed, threads, pool
-    )
-    by_t = {}
-    for row in occ_rows:
-        by_t.setdefault(row[1], []).append(row[3:])
+    times = [0.5, 1.0]
+    occ = _values(g6, "occupancy", times, reps, seed, threads, pool)
     pairs = [(v, (v + 1) % 6) for v in range(6)] + [(v, (v + 2) % 6) for v in range(6)]
     worst = -1e18
     ok = True
-    for t_val, ind_rows in by_t.items():
-        ind = np.array(ind_rows, dtype=float)
+    for ti in range(len(times)):
+        # the indicators follow the cluster count
+        ind = occ[:, ti, 1:].astype(float)
         for a, b in pairs:
             jk = jackknife_cov(ind[:, a], ind[:, b])
             cov, se = jk["cov_hat"], jk["stderr"]

@@ -2,8 +2,12 @@
 cluster sizes to coalescing-walk quantities.
 
 The forward engine plays every directed-edge ring, so it is exact pathwise
-and is what all duality gap checks run on; the experiment runner plays it on
-blocks of replicates in lockstep.  For large graphs the opinion
+and is what all duality gap checks run on.  ``simulate_voter`` plays one
+trajectory on the scalar engine; the experiment runner plays blocks of
+replicates in lockstep, recording the uniform vertex's cluster size and
+opinion 0's survival, and ``duality_gap`` is a view over the runner's
+blocks (``runner._block``), drawn in order from the caller's generator.
+For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
 system instead (equal in law), which is the only practical route at
 thousands of vertices.  The ancestral sampler runs its trajectories in
@@ -21,8 +25,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ._flat import FlatGraph, check_grid
-from .crw import _lockstep_crw, _simulate_one, _state_dtype, flat_graph
+from ._flat import FlatGraph, check_count, check_grid
+from .crw import _lockstep_crw, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
@@ -121,7 +125,8 @@ def _lockstep_voter(
 ) -> dict:
     """``rows`` forward voter trajectories advanced in lockstep, one ring per
     row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
-    of a uniform vertex's current opinion.
+    of a uniform vertex's current opinion, and ``survived_0`` (rows, grid),
+    the indicator that opinion 0 is still held somewhere.
 
     Every iteration draws ``width`` (at least ``rows``) variates of each kind
     and row r takes entry r, so a row does not depend on the other rows.
@@ -141,6 +146,7 @@ def _lockstep_voter(
     ngrid = len(grid)
     gpad = np.append(np.asarray(grid, dtype=float), np.inf)
     nhat = np.empty((rows, ngrid), dtype=np.int64)
+    survived = np.empty((rows, ngrid), dtype=bool)
     # cell r * n + v: the opinion of voter v, and the voters holding opinion v
     opinion = np.tile(np.arange(n, dtype=state), rows)
     counts = np.ones(rows * n, dtype=state)
@@ -163,7 +169,10 @@ def _lockstep_voter(
         rec = np.flatnonzero(t_rec < t_next)
         if rec.size:
             while rec.size:
-                nhat[live[rec], g[rec]] = counts[b[rec] + opinion[u_hat[rec]]]
+                at, br = (live[rec], g[rec]), b[rec]
+                nhat[at] = counts[br + opinion[u_hat[rec]]]
+                # cell b holds the voters of opinion 0
+                survived[at] = counts[br] > 0
                 g[rec] += 1
                 t_rec[rec] = gpad[g[rec]]
                 rec = rec[t_rec[rec] < t_next[rec]]
@@ -183,7 +192,8 @@ def _lockstep_voter(
         counts[b + oy] -= 1
         counts[b + ox] += 1
         opinion[by] = ox
-    return {"nhat": nhat, "events": events, "thinning_rejections": 0}
+    return {"nhat": nhat, "survived_0": survived, "events": events,
+            "thinning_rejections": 0}
 
 
 def simulate_voter(
@@ -227,7 +237,7 @@ def sample_nhat_ancestral(
     """
     if trajectories < 1 or draws_per_trajectory < 1:
         raise ParameterOutOfRange("need at least one trajectory and draw")
-    (t,) = check_grid([t])
+    (t,) = check_grid([t], "t")
     flat = flat_graph(g, convention)
     out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)
     start = 0
@@ -256,46 +266,28 @@ def duality_gap(
     the tracked coalescing cluster count, the gap between opinion-0 survival
     frequency and the occupation frequency of vertex 0, and the gap between
     density and mean inverse cluster count, each with a standard error.
-    ``swap_streams`` hands the coalescing side the first stream instead;
-    gaps must stay within tolerance either way.
+    The three samples are the runner's ``nhat``, ``tracked_cluster`` and
+    ``occupancy`` (site 0) tasks, in that order, each in blocks of
+    ``runner.block_rows(n)`` replicates drawn in order from ``rng``.
+    ``swap_streams`` runs the coalescing side first instead; gaps must stay
+    within tolerance either way.
     """
-    grid = [float(t)]
+    from .runner import _replicates
+
+    reps = check_count(reps, 2)
+    grid = check_grid([t], "t")
     flat = flat_graph(g, convention)
 
-    def run_voter():
-        draws = BufferedDraws(rng, block=1 << 16)
-        nhat = np.empty(reps, dtype=np.int64)
-        survived = np.empty(reps, dtype=bool)
-        for r in range(reps):
-            rec = _voter_once(flat, draws, grid)
-            nhat[r] = rec["nhat"][0]
-            survived[r] = rec["survived_0"][0]
-        return nhat, survived
+    def run(task):
+        return _replicates(flat, task, grid, rng, reps)[0][:, 0]
 
-    def run_crw():
-        draws = BufferedDraws(rng, block=1 << 16)
-        ncrw = np.empty(reps, dtype=np.int64)
-        xi = np.empty(reps, dtype=np.int64)
-        for r in range(reps):
-            rec = _simulate_one(
-                flat, draws, grid, "tracked_cluster", None, None, False
-            )
-            ncrw[r] = rec["N"][0]
-            xi[r] = rec["xi_size"][0]
-        return ncrw, xi
-
-    if swap_streams:
-        ncrw, xi = run_crw()
-        nhat, survived = run_voter()
-    else:
-        nhat, survived = run_voter()
-        ncrw, xi = run_crw()
-    occ_draws = BufferedDraws(rng, block=1 << 16)
-    occ0 = np.empty(reps, dtype=bool)
-    for r in range(reps):
-        rec = _simulate_one(flat, occ_draws, grid, "occupancy", [0], None, False)
-        occ0[r] = rec["occ"][0, 0]
-
+    kinds = ["nhat", "tracked_cluster"]
+    side = {k: run({"task": k}) for k in (kinds[::-1] if swap_streams else kinds)}
+    occ0 = run({"task": "occupancy", "sites": [0]})[:, 1]
+    # nhat, then opinion 0's survival; the cluster count, then the tracked
+    # cluster's size
+    nhat, survived = side["nhat"].T
+    xi, ncrw = side["tracked_cluster"].T
     p_surv = survived.mean()
     p_occ = occ0.mean()
     return {

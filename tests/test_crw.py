@@ -11,6 +11,7 @@ from coalesce.crw import (
     exact_occupancy_cov,
     exact_occupancy_density,
     flat_graph,
+    occupancy_covariances,
     pair_covariance,
     sample_tau_coal,
     sample_tau_coal_many,
@@ -35,6 +36,8 @@ from coalesce.meeting import (
 from coalesce import crw, runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
+from coalesce.stats import jackknife_cov
+from coalesce.voter import duality_gap
 
 P2 = path_graph(2)
 C4 = cycle_graph(4)
@@ -516,3 +519,128 @@ class TestRunnerLaws:
         header, rows, tally = run_task(cycle_graph(8), "per_edge_unit", {"task": kind},
                                        [], 5, 3)
         assert rows == [] and tally["events"] == 0
+
+
+# graph, convention, grid and replicates (at most one block) per case
+ONE_PATH = {
+    "cycle8": (cycle_graph(8), "per_edge_unit", [0.2, 1.0, 3.0], 300),
+    "lollipop": (LOLLIPOP, "per_edge_unit", [0.2, 1.0, 3.0], 300),
+    "cycle9_total_unit": (cycle_graph(9), "total_unit", [0.5, 2.0, 5.0], 300),
+    # past 2^15 vertices the 13-row blocks run on the scalar engines
+    "cycle40000": (cycle_graph(40_000), "per_edge_unit", [0.02, 0.05], 13),
+}
+
+
+class TestOnePath:
+    """``sample_tau_coal_many``, ``occupancy_covariances`` and
+    ``duality_gap`` are views over ``runner._block``: on the same generator
+    their values equal one block's, bit for bit."""
+
+    @staticmethod
+    def block(case, task, grid, rng):
+        g, convention, _, reps = ONE_PATH[case]
+        return runner._block(flat_graph(g, convention), task, grid, rng, reps,
+                             runner.block_rows(g.n))[0]
+
+    @pytest.mark.parametrize("case", ["cycle8", "lollipop", "cycle9_total_unit"])
+    def test_tau_coal(self, case):
+        g, convention, _, reps = ONE_PATH[case]
+        taus = sample_tau_coal_many(g, reps, derive_rng(61, case, 0), convention)
+        ref = self.block(case, {"task": "tau_coal"}, [], derive_rng(61, case, 0))
+        assert np.array_equal(taus, ref)
+
+    @pytest.mark.parametrize("case", list(ONE_PATH))
+    def test_occupancy(self, case):
+        g, convention, times, reps = ONE_PATH[case]
+        pairs = [(0, 1), (g.n - 1, 2)]
+        res = occupancy_covariances(g, pairs, times, reps, derive_rng(62, case, 0),
+                                    convention)
+        sites = [0, 1, 2, g.n - 1]
+        vals = self.block(case, {"task": "occupancy", "sites": sites}, times,
+                          derive_rng(62, case, 0))
+        # the indicators follow the cluster count, in site order
+        col = {v: 1 + i for i, v in enumerate(sites)}
+        for a, b in pairs:
+            for i, t in enumerate(times):
+                assert res[((a, b), t)] == jackknife_cov(vals[:, i, col[a]],
+                                                         vals[:, i, col[b]])
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["voter_first", "crw_first"])
+    @pytest.mark.parametrize("case", list(ONE_PATH))
+    def test_duality_sides(self, case, swap):
+        g, convention, times, reps = ONE_PATH[case]
+        t = times[-1]
+        res = duality_gap(g, t, reps, derive_rng(63, case, 0), convention,
+                          swap_streams=swap)
+        rng = derive_rng(63, case, 0)
+        kinds = ["tracked_cluster", "nhat"] if swap else ["nhat", "tracked_cluster"]
+        side = {k: self.block(case, {"task": k}, [t], rng)[:, 0] for k in kinds}
+        occ0 = self.block(case, {"task": "occupancy", "sites": [0]}, [t], rng)[:, 0, 1]
+        assert np.array_equal(res["nhat"], side["nhat"][:, 0])
+        assert np.array_equal(res["N_samples"], side["tracked_cluster"][:, 1])
+        # the voter block's second column is opinion 0's survival
+        gap = abs(side["nhat"][:, 1].mean() - occ0.mean())
+        assert res["abs_gap_survival_vs_density"] == gap
+
+    def test_blocks_drawn_in_order(self):
+        # past 2^15 vertices: blocks of 13, 13 and 4 rows on the scalar engines
+        g, convention, times, _ = ONE_PATH["cycle40000"]
+        res = occupancy_covariances(g, [(0, 1)], times, 30, derive_rng(64, "order", 0))
+        rng = derive_rng(64, "order", 0)
+        flat = flat_graph(g, convention)
+        task = {"task": "occupancy", "sites": [0, 1]}
+        vals = np.concatenate([runner._block(flat, task, times, rng, k, 13)[0]
+                               for k in (13, 13, 4)])
+        for i, t in enumerate(times):
+            assert res[((0, 1), t)] == jackknife_cov(vals[:, i, 1], vals[:, i, 2])
+
+    def test_lockstep_blocks_drawn_in_order(self):
+        g = cycle_graph(8)
+        taus = sample_tau_coal_many(g, 1100, derive_rng(64, "order", 1))
+        rng = derive_rng(64, "order", 1)
+        flat = flat_graph(g, "per_edge_unit")
+        ref = [runner._block(flat, {"task": "tau_coal"}, [], rng, k, 1024)[0]
+               for k in (1024, 76)]
+        assert np.array_equal(taus, np.concatenate(ref))
+
+
+C6 = cycle_graph(6)
+# the smallest valid replicate count of each estimator
+LEAST_REPS = {"estimate_density": 2, "sample_tau_coal_many": 1,
+              "occupancy_covariances": 2, "duality_gap": 2}
+
+
+def call_estimator(name, reps):
+    rng = derive_rng(0, "inputs", 0)
+    if name == "estimate_density":
+        return estimate_density(C6, [1.0], reps, rng)
+    if name == "sample_tau_coal_many":
+        return sample_tau_coal_many(C6, reps, rng)
+    if name == "occupancy_covariances":
+        return occupancy_covariances(C6, [(0, 1)], [1.0], reps, rng)
+    return duality_gap(C6, 1.0, reps, rng)
+
+
+class TestEstimatorInputs:
+    """Bad replicate counts and sites fail with ParameterOutOfRange naming
+    the field, not with a raw error or a nan."""
+
+    @pytest.mark.parametrize("reps", [0, 1, -1, 2.5, True, "10"])
+    @pytest.mark.parametrize("name", list(LEAST_REPS))
+    def test_bad_reps(self, name, reps):
+        if reps == LEAST_REPS[name] and not isinstance(reps, bool):
+            call_estimator(name, reps)
+            return
+        with pytest.raises(ParameterOutOfRange, match="^reps must"):
+            call_estimator(name, reps)
+
+    @pytest.mark.parametrize("name", list(LEAST_REPS))
+    def test_numpy_integer_reps(self, name):
+        call_estimator(name, np.int64(LEAST_REPS[name]))
+
+    @pytest.mark.parametrize("pair", [(0, 99), (0, -1), (6, 0), (-7, 1), (0.7, 1),
+                                      (True, 2), ("0", 1)])
+    def test_bad_pair_sites(self, pair):
+        with pytest.raises(ParameterOutOfRange, match=r"^pairs\[1\]"):
+            occupancy_covariances(C6, [(2, 3), pair], [1.0], 100,
+                                  derive_rng(0, "inputs", 1))

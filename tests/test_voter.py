@@ -3,7 +3,13 @@ import pytest
 
 from coalesce.chains import build_generator
 from coalesce import voter
-from coalesce.crw import _state_dtype, exact_k_particle_law, flat_graph, simulate_crw
+from coalesce.crw import (
+    _state_dtype,
+    exact_k_particle_law,
+    exact_occupancy_density,
+    flat_graph,
+    simulate_crw,
+)
 from coalesce.errors import EmptySamples, ParameterOutOfRange
 from coalesce.graphs import Graph, cycle_graph, path_graph
 from coalesce.seeding import derive_rng
@@ -79,6 +85,12 @@ class TestDualityGap:
         res = duality_gap(C6, 0.0, 500, derive_rng(4, "dual", 0))
         assert res["ks_nhat_vs_Nt"] == 0.0
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, True, "1.0"])
+    def test_bad_time_rejected(self, t):
+        # nan and inf used to hang; -1 returned all-zero gaps
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            duality_gap(C6, t, 100, derive_rng(4, "dual", 1))
+
     def test_two_path_hand_identity(self):
         # E(1/nhat) = exp(-2t) + (1 - exp(-2t))/2 = (1 + exp(-2t))/2, the density
         rng = derive_rng(5, "dual", 0)
@@ -89,6 +101,19 @@ class TestDualityGap:
         )
         target = (1 + np.exp(-2 * t)) / 2
         assert abs(inv.mean() - target) <= 4 * inv.std(ddof=1) / np.sqrt(len(inv))
+
+
+class TestLockstepVoterSurvival:
+    def test_cycle6_against_exact_occupancy(self):
+        # by duality, opinion 0 survives to t exactly when site 0 is
+        # occupied at t in the coalescing walk from every site
+        times, rows = [0.3, 1.0, 2.5], 20_000
+        rec = voter._lockstep_voter(flat_graph(C6, "per_edge_unit"),
+                                    derive_rng(65, "survival", 0), rows, times, rows)
+        exact = exact_occupancy_density(build_generator(C6), times)[:, 0]
+        for i, p in enumerate(exact):
+            hat = rec["survived_0"][:, i].mean()
+            assert abs(hat - p) <= 4.5 * np.sqrt(p * (1 - p) / rows), (times[i], hat, p)
 
 
 def spy_blocks(monkeypatch):
