@@ -1,13 +1,16 @@
-"""The lockstep coalescing-walk kernel: its outputs pinned by digest, and a
-row-at-a-time reference replay of its semantics."""
+"""The lockstep coalescing-walk kernel and the runner's scalar blocks: their
+outputs pinned by digest, and a row-at-a-time reference replay of the
+kernel's semantics."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from coalesce import runner
 from coalesce.crw import _lockstep_crw, flat_graph
 from coalesce.graphs import Graph, cycle_graph, torus_graph
+from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
 from coalesce.voter import sample_nhat_ancestral
 
@@ -16,6 +19,12 @@ LOLLIPOP = Graph.from_edges(
     7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
 )
 GRID = [0.1, 0.5, 1.5, 4.0]
+KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
+# regular graphs for the scalar blocks: graph and convention
+SCALAR_CASES = {
+    "cycle9_total_unit": (cycle_graph(9), "total_unit"),
+    "torus33": (torus_graph(3, 3), "per_edge_unit"),
+}
 
 
 def digest(out) -> str:
@@ -59,6 +68,24 @@ class TestPinnedDigests:
         "to_one": "83df96372061724f4888b2eb53fce05ba892985dd27476ac3a6a0cdb29603542",
     }
 
+    # the runner's scalar blocks, 40 replicates on GRID
+    SCALAR = {
+        "cycle9_total_unit": {
+            "density": "46c402731c50846b8fa9ee6852fcc8226c84f7e548d769ffdb9701d38862690f",
+            "tracked_cluster": "9be6b426ce2c0b91910ca5cdc4ea3e824d37c07676f3672f706031cd857503d7",
+            "occupancy": "eaf405e5f165c611ba8cecd0015d015eeb97c5942f9989cfeca78e2a4ebcda24",
+            "nhat": "adda59c0d8b7196dbc49cacbdfbebd02b519aa0e93c2c77bee3e58e58793db68",
+            "tau_coal": "596c7af6b9c7cb36e039a82d7fc7c17fdbae6a0c0fcfc823d531eda599fbb47b",
+        },
+        "torus33": {
+            "density": "30ee662898854f85c6c49774c6d359406e8783e3b183de9bdcfbd0febd78cf37",
+            "tracked_cluster": "bd11ab29d3ccdd147d8954a56ac29d8879f6f71ce4d2a42daad5129ad863196d",
+            "occupancy": "3a7d7547efc1adac54ebb6a26252e34b28f5e460757f3292cabfa86c6390abed",
+            "nhat": "48baa61f93f8fa1d8f4561ec200eb2da4e16f3a5c3ac4d00e52ace2669f60e0f",
+            "tau_coal": "e49415df247f3fe8646faf682738d8903c9dd30c7838300b198a622440139d45",
+        },
+    }
+
     @pytest.mark.parametrize("case", ["torus36", "lollipop"])
     def test_ancestral_sampler(self, case):
         g, t = (torus_graph(3, 6), 2.0) if case == "torus36" else (LOLLIPOP, 0.8)
@@ -69,6 +96,16 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("mode", ["labels", "sites", "to_one"])
     def test_kernel_on_lollipop(self, mode):
         assert digest(lollipop_call(mode)) == self.KERNEL[mode]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", list(SCALAR_CASES))
+    def test_scalar_blocks(self, case, kind, monkeypatch):
+        # every block runs on the scalar engines, as large graphs' do
+        monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
+        g, convention = SCALAR_CASES[case]
+        _, rows, tally = run_task(g, convention, {"task": kind}, GRID, 40, 43)
+        out = {"rows": np.asarray(rows, dtype=float), **tally}
+        assert digest(out) == self.SCALAR[case][kind]
 
 
 class _Stream:

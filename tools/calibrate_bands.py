@@ -24,9 +24,11 @@ error of its own, so its nominal rate takes the spread of the values over
 the seeds instead.  C5 costs about a minute a seed.  The censored column counts
 the seeds with any pair censored at its horizon (for alpha(D), more than
 the 5% the test allows); it fails a check only where the test itself
-asserts it.  Only public functions are called, so the script also runs
-against older trees (``--cm3-reps 100 --cm3-horizon 0`` is the paper row
-before its floor was raised).
+asserts it.  Apart from ``runner._SCALAR_BELOW`` and
+``crw._subset_distribution``, which the scalar-pass check uses as its test
+does, only public functions are called, so the script also runs against
+older trees (``--cm3-reps 100 --cm3-horizon 0`` is the paper row before its
+floor was raised).
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from coalesce import runner
 from coalesce.chains import MarkovChain, build_generator, spectrum
 from coalesce.crw import (
+    _subset_distribution,
     estimate_density,
     exact_k_particle_law,
     exact_occupancy_density,
@@ -56,6 +60,7 @@ from coalesce.graphs import (
     torus_graph,
 )
 from coalesce.meeting import alpha_survival, mc_pair_meeting, mean_meeting_time
+from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
 from coalesce.stats import ks_distance_two_sample
 from coalesce.theory import (
@@ -361,6 +366,48 @@ def dual_z(gap, se, swap=False):
     return max_z_check(zs, 4.0, 1)
 
 
+KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
+
+
+def sample_z(x, reference):
+    x = np.asarray(x, dtype=float)
+    return (x.mean() - reference) / (x.std(ddof=1) / math.sqrt(len(x)))
+
+
+def scalar_laws_zs(g, convention, times):
+    """TestRunnerLaws::test_tasks_against_oracles with every block on the
+    scalar engines: 20 000 replicates of each task, and at each time the z
+    of the density, tracked-cluster, nhat and per-site occupancy means and
+    of P(tau_coal <= t) against the exact oracles."""
+    c = build_generator(g, convention)
+    single = np.array([bin(v).count("1") == 1 for v in range(1, 1 << g.n)])
+    refs = [(exact_occupancy_density(c, t), exact_k_particle_law(c, 1, t)["e_ntk"],
+             _subset_distribution(c, t)[single].sum()) for t in times]
+
+    def zs(seed):
+        reps = 20_000
+        saved = runner._SCALAR_BELOW
+        runner._SCALAR_BELOW = dict.fromkeys(saved, 1 << 20)
+        try:
+            rows = {k: np.array(run_task(g, convention, {"task": k}, times, reps, seed)[1],
+                                dtype=float) for k in KINDS}
+        finally:
+            runner._SCALAR_BELOW = saved
+        out = []
+        for i, (occ_exact, e_n, p_one) in enumerate(refs):
+            dens, tracked, occ, nhat = (rows[k][i::len(times)] for k in KINDS[:4])
+            out += [sample_z(dens[:, 2], occ_exact.sum()), sample_z(tracked[:, 3], e_n),
+                    sample_z(nhat[:, 2], e_n)]
+            # the indicators must sum to the cluster count
+            if not (occ[:, 3:].sum(axis=1) == occ[:, 2]).all():
+                out.append(math.inf)
+            out += [sample_z(occ[:, 3 + v], occ_exact[v]) for v in range(g.n)]
+            hits = rows["tau_coal"][:, 1] <= times[i]
+            out.append((hits.mean() - p_one) / math.sqrt(p_one * (1 - p_one) / reps))
+        return out
+    return zs
+
+
 def checks(cm3_reps, cm3_horizon):
     irregular = MarkovChain.from_rates(IRREGULAR_RATES)
     return {
@@ -406,6 +453,8 @@ def checks(cm3_reps, cm3_horizon):
                        lambda t: float(exact_occupancy_density(
                            build_generator(cycle_graph(4)), t)[0])), 4.0, 3),
         "kparticle_cycle3": cycle3_tau_check(),
+        "runner_scalar_lollipop": max_z_check(
+            scalar_laws_zs(LOLLIPOP, "per_edge_unit", [0.3, 0.8, 2.0]), 4.5, 33),
         # tests/test_theory.py
         "mf310_A1": band_check(lambda s: mf310_ratios(s)["A1"], 1 / 1.2, 1 / 0.8),
         "mf310_A2": band_check(lambda s: mf310_ratios(s)["A2"], 1 / 1.2, 1 / 0.8),
