@@ -29,7 +29,7 @@ from .graphs import Graph
 class FlatGraph:
     """Graph unpacked into plain lists for tight loops."""
 
-    __slots__ = ("n", "off", "nbr", "deg", "rate", "r_max", "r_min", "regular", "r0")
+    __slots__ = ("n", "off", "nbr", "deg", "rate", "r_max", "r_min", "regular")
 
     def __init__(self, g: Graph, convention: str = "per_edge_unit"):
         self.n = g.n
@@ -50,7 +50,6 @@ class FlatGraph:
         self.r_max = max(self.rate)
         self.r_min = min(self.rate)
         self.regular = len(set(self.rate)) == 1
-        self.r0 = self.rate[0] if self.regular else 0.0
 
     def neighbor(self, x: int, u: float) -> int:
         """Neighbor of x picked by a uniform variate u in [0, 1)."""

@@ -1,13 +1,17 @@
 """Coalescing random walk engine and exact small-instance oracles.
 
-The Monte Carlo engine realizes the directed-edge ring representation with
-one global exponential clock.  Rings whose source is unoccupied change
-nothing, so by default the engine thins them away and runs at the total rate
-of the occupied sites, which is exact for the occupancy process and orders of
-magnitude faster at low density.  A full-stream mode keeps every ring so that
-runs started from different initial particle sets share one event stream.
-Many short trajectories run instead on a lockstep kernel that gives every
-trajectory of a block one ring per numpy iteration.
+The Monte Carlo engines realize the directed-edge ring representation from
+every site occupied.  Rings whose source is unoccupied change nothing, so
+each trajectory's clock runs only over its m clusters, and every engine
+thins by one rule: a ring comes at rate r_max * m and picks a uniform
+cluster, at x; on irregular graphs it is kept with probability
+rate(x) / r_max, and a rejected ring changes nothing but the
+``thinning_rejections`` count.  This is exact for the occupancy process and
+orders of magnitude faster at low density.  The scalar engine ``_Run`` runs
+one trajectory at a time; the lockstep kernel ``_lockstep_crw`` gives every
+trajectory of a block one ring per numpy iteration; the two-walker routine
+``_flat.walk_pairs`` runs each walker at r_max the same way, a rejected
+ring being a stay.
 
 ``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run the
 scalar engine; ``sample_tau_coal_many`` and ``occupancy_covariances`` are
@@ -62,83 +66,54 @@ def flat_graph(g: Graph, convention: str) -> FlatGraph:
 
 
 class _Run:
-    """One live coalescing-walk trajectory.
+    """One live coalescing-walk trajectory, started with every site
+    occupied.
 
     Slot i holds one cluster: its site loc[i] and its size size[i].  A merge
     removes the moving slot and fills the hole from the last slot, and the
     slot ``track`` of one followed cluster (-1 for none) is carried along.
-    On irregular graphs a picked source is kept with probability
-    rate / r_max; ``rejections`` counts the picks thrown back.
+    Each ring comes at rate r_max * m and picks a uniform slot; on irregular
+    graphs it is kept with probability rate / r_max, and ``rejections``
+    counts the rings thrown back.
     """
 
     __slots__ = (
         "flat",
         "draws",
-        "full",
         "m",
         "loc",
         "at_site",
         "size",
         "track",
-        "rate_sum",
         "clock",
         "events",
         "rejections",
     )
 
-    def __init__(self, flat: FlatGraph, draws: BufferedDraws, initial_sites=None,
-                 full_stream=False):
+    def __init__(self, flat: FlatGraph, draws: BufferedDraws):
         n = flat.n
-        sites = list(range(n)) if initial_sites is None else sorted(initial_sites)
         self.flat = flat
         self.draws = draws
-        self.full = full_stream
-        self.m = len(sites)
-        self.loc = list(sites)
-        self.at_site = [-1] * n
-        for i, v in enumerate(sites):
-            self.at_site[v] = i
-        self.size = [1] * self.m
+        self.m = n
+        self.loc = list(range(n))
+        self.at_site = list(range(n))
+        self.size = [1] * n
         self.track = -1
-        self.rate_sum = float(sum(flat.rate[v] for v in sites))
         self.clock = 0.0
         self.events = 0
         self.rejections = 0
 
-    def total_rate(self) -> float:
-        if self.full:
-            return self.flat.r0 * self.flat.n if self.flat.regular else sum(
-                self.flat.rate
-            )
-        if self.flat.regular:
-            return self.flat.r0 * self.m
-        return self.rate_sum
-
     def step(self) -> None:
-        """Apply one ring; the caller advances the clock beforehand."""
+        """Apply one ring; the caller advances the clock by Exp(r_max * m)
+        beforehand.  A rejected ring changes nothing."""
         flat = self.flat
         draws = self.draws
-        rate = flat.rate
-        if self.full:
-            # source drawn over every vertex regardless of occupancy
-            while True:
-                x = int(draws.u01() * flat.n)
-                if flat.regular or draws.u01() * flat.r_max <= rate[x]:
-                    break
-                self.rejections += 1
-            y = flat.neighbor(x, draws.u01())
-            i = self.at_site[x]
-            if i < 0:
-                self.events += 1
-                return
-        else:
-            while True:
-                i = int(draws.u01() * self.m)
-                x = self.loc[i]
-                if flat.regular or draws.u01() * flat.r_max <= rate[x]:
-                    break
-                self.rejections += 1
-            y = flat.neighbor(x, draws.u01())
+        i = int(draws.u01() * self.m)
+        x = self.loc[i]
+        if not flat.regular and draws.u01() * flat.r_max >= flat.rate[x]:
+            self.rejections += 1
+            return
+        y = flat.neighbor(x, draws.u01())
         self.events += 1
         j = self.at_site[y]
         self.at_site[x] = -1
@@ -157,11 +132,9 @@ class _Run:
                     self.track = i
             self.loc.pop()
             size.pop()
-            self.rate_sum -= rate[x]
         else:
             self.loc[i] = y
             self.at_site[y] = i
-            self.rate_sum += rate[y] - rate[x]
 
 
 def _state_dtype(n: int) -> type:
@@ -328,10 +301,8 @@ def _simulate_one(
     grid: list,
     track: str,
     site_list,
-    initial_sites,
-    full_stream: bool,
 ) -> dict:
-    run = _Run(flat, draws, initial_sites, full_stream)
+    run = _Run(flat, draws)
     if track == "tracked_cluster":
         # the tracked particle comes first from the replicate stream so
         # density and cluster observables share one trajectory without bias
@@ -359,13 +330,12 @@ def _simulate_one(
     # a lone cluster still moves, which matters only for occupancy tracking
     motion_matters = occ is not None
     while gi < ngrid:
-        rate = run.total_rate()
         # with no ring left to change the state, it holds for the rest
-        if rate == 0.0 or (run.m == 1 and not motion_matters and not full_stream):
+        if flat.r_max == 0.0 or (run.m == 1 and not motion_matters):
             for rest in range(gi, ngrid):
                 record(rest)
             break
-        t_next = run.clock + draws.expo() / rate
+        t_next = run.clock + draws.expo() / (flat.r_max * run.m)
         while gi < ngrid and grid[gi] < t_next:
             record(gi)
             gi += 1
@@ -389,16 +359,16 @@ def simulate_crw(
     rng: np.random.Generator,
     track: str = "density",
     site_list=None,
-    initial_sites=None,
     convention: str = "per_edge_unit",
-    full_stream: bool = False,
 ) -> dict:
-    """One trajectory sampled on a sorted time grid.
+    """One trajectory from every site occupied, sampled on a sorted time
+    grid.
 
     track selects the observables: "density" records the occupied-site
     count, "tracked_cluster" additionally follows the cluster of one
     uniformly chosen initial particle, "occupancy" records indicators for
-    ``site_list`` (all sites when None).
+    ``site_list`` (all sites when None).  Also returns the kept rings
+    (``events``) and the rejected ones (``thinning_rejections``).
     """
     grid = check_grid(t_grid)
     if track not in ("density", "tracked_cluster", "occupancy"):
@@ -407,7 +377,7 @@ def simulate_crw(
         raise ParameterOutOfRange(f"site_list holds a site outside 0..{g.n - 1}")
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1024)
-    return _simulate_one(flat, draws, grid, track, site_list, initial_sites, full_stream)
+    return _simulate_one(flat, draws, grid, track, site_list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +408,7 @@ def estimate_density(
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
-    xi = np.array([_simulate_one(flat, draws, grid, "density", None, None, False)["xi_size"]
+    xi = np.array([_simulate_one(flat, draws, grid, "density", None)["xi_size"]
                    for _ in range(reps)], dtype=float)
     mean_xi = xi.mean(axis=0)
     var_xi = xi.var(axis=0, ddof=1)
@@ -627,7 +597,7 @@ def _run_to_one(flat: FlatGraph, draws: BufferedDraws) -> _Run:
     the coalescence time."""
     run = _Run(flat, draws)
     while run.m > 1:
-        run.clock += draws.expo() / run.total_rate()
+        run.clock += draws.expo() / (flat.r_max * run.m)
         run.step()
     return run
 

@@ -112,8 +112,7 @@ def _scalar_block(flat, task, grid, rng, count):
             rec = _voter_once(flat, draws, grid)
             vals.append(np.column_stack([rec["nhat"], rec["survived_0"]]))
         else:
-            rec = _simulate_one(flat, draws, grid, kind, task.get("sites") or None,
-                                None, False)
+            rec = _simulate_one(flat, draws, grid, kind, task.get("sites") or None)
             # xi, then the tracked cluster's size or the occupation indicators
             extra = [rec[k] for k in ("N", "occ") if k in rec]
             vals.append(np.column_stack([rec["xi_size"], *extra]))

@@ -470,8 +470,7 @@ def reference_flat_graph(g, convention):
         rate = [1.0] * g.n
     regular = len(set(rate)) == 1
     return {"n": g.n, "off": off, "nbr": nbr, "deg": deg, "rate": rate,
-            "r_max": max(rate), "r_min": min(rate), "regular": regular,
-            "r0": rate[0] if regular else 0.0}
+            "r_max": max(rate), "r_min": min(rate), "regular": regular}
 
 
 class TestFlatGraphFromCsr:
