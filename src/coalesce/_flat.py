@@ -383,6 +383,14 @@ def check_count(value, least: int = 1, name: str = "reps") -> int:
     return int(value)
 
 
+def check_vertex(value, n: int, name: str) -> int:
+    """A vertex of an n-vertex graph: an integer, not a boolean, in
+    0..n - 1.  Errors name the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < n:
+        raise ParameterOutOfRange(f"{name} must be a vertex in 0..{n - 1}, got {value!r}")
+    return int(value)
+
+
 def check_grid(t_grid, name: str = "t_grid") -> list:
     """Time grid as floats; entries must be finite, nonnegative, sorted
     real numbers (not booleans).  Errors name the field ``name``."""

@@ -291,8 +291,9 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("dense transition matrix capped at 4096 states")
-    if t < 0.0:
-        raise ParameterOutOfRange("time must be nonnegative")
+    from ._flat import check_grid
+
+    [t] = check_grid([t], "t")
     row_rates = c.row_rates
     lam = float(row_rates.max())
     if t == 0.0 or lam == 0.0:
@@ -393,6 +394,9 @@ def return_integrals(c: MarkovChain, t: float) -> ReturnProfile:
     """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("return integrals need the dense path")
+    from ._flat import check_grid
+
+    [t] = check_grid([t], "t")
     if t <= 0.0:
         raise ParameterOutOfRange("t must be positive")
     integral_to = _return_integral(c)

@@ -21,14 +21,13 @@ caller's generator.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._flat import FlatGraph, check_count, check_grid
+from ._flat import FlatGraph, check_count, check_grid, check_vertex
 from .chains import MarkovChain, translation_group, uniformize
 from .errors import (
     BadSubset,
@@ -373,8 +372,8 @@ def simulate_crw(
     grid = check_grid(t_grid)
     if track not in ("density", "tracked_cluster", "occupancy"):
         raise ParameterOutOfRange(f"unknown track mode {track!r}")
-    if site_list is not None and any(not 0 <= int(v) < g.n for v in site_list):
-        raise ParameterOutOfRange(f"site_list holds a site outside 0..{g.n - 1}")
+    if site_list is not None:
+        site_list = [check_vertex(v, g.n, f"site_list[{j}]") for j, v in enumerate(site_list)]
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1024)
     return _simulate_one(flat, draws, grid, track, site_list)
@@ -492,8 +491,8 @@ def _subset_distribution(c: MarkovChain, t, start=None) -> np.ndarray:
     n = c.n
     if n > _SUBSET_CAP:
         raise TooLargeForExact("subset-chain oracle capped at 12 vertices")
-    times = [float(s) for s in np.atleast_1d(t)]
-    if not times or min(times) < 0.0:
+    times = [check_grid([s], "t")[0] for s in np.atleast_1d(t)]
+    if not times:
         raise ParameterOutOfRange("t must be one or more nonnegative times")
     sites = range(n) if start is None else {int(x) for x in start}
     if not sites or not all(0 <= x < n for x in sites):
@@ -517,6 +516,7 @@ def exact_occupancy_density(c: MarkovChain, t) -> np.ndarray:
 
 def exact_occupancy_cov(c: MarkovChain, x: int, y: int, t: float) -> float:
     """Exact covariance of the occupation indicators of two vertices."""
+    x, y = check_vertex(x, c.n, "x"), check_vertex(y, c.n, "y")
     if x == y:
         raise SameVertex("need two distinct vertices")
     mu = _subset_distribution(c, t)
@@ -542,8 +542,8 @@ def exact_k_particle_law(
     location by t); under independent uniform starts also n^k times that
     probability, which equals the k-th moment of the tracked-cluster count.
     """
-    if k < 1:
-        raise ParameterOutOfRange("k must be >= 1")
+    k = check_count(k, 1, "k")
+    [t] = check_grid([t], "t")
     n = c.n
     group = translation_group(c)
     free = k + 1 if group is None else k  # walkers not pinned
@@ -644,14 +644,10 @@ def occupancy_covariances(
     from .runner import _replicates
 
     reps = check_count(reps, 2)
-    pairs = [(a, b) for a, b in pairs]
-    for i, pair in enumerate(pairs):
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-               or not 0 <= v < g.n for v in pair):
-            raise ParameterOutOfRange(f"pairs[{i}] = {pair!r} must be vertices of 0..{g.n - 1}")
-        if pair[0] == pair[1]:
-            raise SameVertex("covariance needs two distinct vertices")
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    pairs = [(check_vertex(a, g.n, f"pairs[{i}]"), check_vertex(b, g.n, f"pairs[{i}]"))
+             for i, (a, b) in enumerate(pairs)]
+    if any(a == b for a, b in pairs):
+        raise SameVertex("covariance needs two distinct vertices")
     sites = sorted({v for p in pairs for v in p})
     pos = {v: i for i, v in enumerate(sites)}
     grid = check_grid(t_grid)

@@ -15,7 +15,6 @@ thinned stays among them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from ._flat import (
     chain_pick,
     check_count,
     check_grid,
+    check_vertex,
     graph_pick,
     walk_pairs,
 )
@@ -209,8 +209,7 @@ def alpha_survival(
 
         c = build_generator(c)
     [t] = check_grid([t], "t")
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not 0 <= x < c.n:
-        raise ParameterOutOfRange(f"x must be a vertex in 0..{c.n - 1}, got {x!r}")
+    x = check_vertex(x, c.n, "x")
     rx = float(c.row_rates[x])
     if mode == "exact":
         group = translation_group(c)
@@ -307,9 +306,8 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     h = _hitting_times(q, mask)[0]
     e_pi = float(h.mean())
     t_rel = spectrum(c).t_rel
-    t_grid = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in t_grid):
-        raise ParameterOutOfRange("negative time in grid")
+    # any order; check_grid wants its grid sorted, so each time alone
+    t_grid = [check_grid([t], "t_grid")[0] for t in t_grid]
     # one survival curve at every t - h, t, t + h; uniformization weighs
     # each time separately, so each value equals its own single-time call
     hsteps = {t: min(1e-4, t / 100.0) for t in t_grid if t > 0.0}

@@ -89,6 +89,7 @@ def bg_prediction(d: int, t: float, psi_hat: float | None = None) -> float:
         raise ParameterOutOfRange("dimension must be >= 1")
     if t <= 0.0 or (d == 2 and t <= 1.0):
         raise NonpositiveTime("time outside the prediction's domain")
+    [t] = check_grid([t], "t")
     if d == 1:
         return 1.0 / sqrt(pi * t)
     if d == 2:
@@ -460,8 +461,10 @@ def kingman_tau_coal(
     """Samples of M * sum_{k=2..n} tau_k / C(k,2) with tau_k i.i.d. Exp(1),
     the exact complete-graph coalescence law when M is the mean pair meeting
     time from distinct starts; analytic mean 2 M (1 - 1/n)."""
-    if n < 2 or M <= 0.0 or reps < 1:
-        raise ParameterOutOfRange("need n >= 2, M > 0 and reps >= 1")
+    n = check_count(n, 2, "n")
+    reps = check_count(reps)
+    if not 0.0 < M < float("inf"):
+        raise ParameterOutOfRange(f"M must be positive and finite, got {M!r}")
     inv_rates = np.array([1.0 / comb(k, 2) for k in range(2, n + 1)])
     taus = rng.standard_exponential((reps, n - 1))
     return {
@@ -490,10 +493,10 @@ def branching_integral_mc(
     ever share a vertex on their common lifetime.  The estimator is
     t^k * mean(score), unbiased for the pattern-summed integral.
     """
-    if k < 1 or k > 3:
+    if check_count(k, 1, "k") > 3:
         raise KTooLarge("branching Monte Carlo supported for 1 <= k <= 3")
-    if t < 0.0:
-        raise ParameterOutOfRange("t must be nonnegative")
+    [t] = check_grid([t], "t")
+    reps = check_count(reps)
     if t == 0.0:
         return {"estimate": 0.0, "stderr": 0.0}
     patterns = enumerate_patterns(k)
@@ -558,7 +561,9 @@ def reversal_identity_residual(
 ) -> dict:
     """Standardized gap between (k+1)! times the branching-integral Monte
     Carlo and the exact joint probability that k+1 independent uniform
-    walkers start pairwise distinct and coalesce by t, scaled by n^k."""
+    walkers start pairwise distinct and coalesce by t, scaled by n^k.  It
+    needs two replicates for a standard error."""
+    check_count(reps, 2)
     mc = branching_integral_mc(c, k, t, reps, rng)
     fact = factorial(k + 1)
     lhs = fact * mc["estimate"]

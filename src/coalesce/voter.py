@@ -235,8 +235,8 @@ def sample_nhat_ancestral(
     per state array allows (``_ancestral_blocks``), so the block layout,
     and with it the stream, depends on n and on ``trajectories``.
     """
-    if trajectories < 1 or draws_per_trajectory < 1:
-        raise ParameterOutOfRange("need at least one trajectory and draw")
+    trajectories = check_count(trajectories, 1, "trajectories")
+    draws_per_trajectory = check_count(draws_per_trajectory, 1, "draws_per_trajectory")
     (t,) = check_grid([t], "t")
     flat = flat_graph(g, convention)
     out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)

@@ -75,6 +75,11 @@ class TestTransitionMatrix:
     def test_identity_at_zero(self, cycle4_chain):
         assert np.array_equal(transition_matrix(cycle4_chain, 0.0), np.eye(4))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, True])
+    def test_bad_time_rejected(self, cycle4_chain, t):
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            transition_matrix(cycle4_chain, t)
+
     def test_stochastic_symmetric_nonneg(self, torus33_chain):
         p = transition_matrix(torus33_chain, 0.7, tol=1e-12)
         assert np.all(p >= 0.0)
@@ -282,6 +287,12 @@ class TestReturnIntegrals:
         prof = return_integrals(cycle4_chain, 1.0)
         assert prof.M_t == pytest.approx(prof.m_t, abs=1e-9)
         assert prof.H_t == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_time_rejected(self, k2_chain, t):
+        # nan used to give a profile of nans
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            return_integrals(k2_chain, t)
 
     def test_two_path_value(self, k2_chain):
         prof = return_integrals(k2_chain, 1.0)

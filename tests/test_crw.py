@@ -77,6 +77,18 @@ class TestSimulate:
                 simulate_crw(C4, [1.0], derive_rng(0, "sim", 0), track="occupancy",
                              site_list=sites)
 
+    @pytest.mark.parametrize("site", [0.5, 1.0, True, "1"])
+    def test_site_must_be_an_integer(self, site):
+        # a fractional site used to be read as the site below it
+        with pytest.raises(ParameterOutOfRange, match=r"^site_list\[1\] must be a vertex"):
+            simulate_crw(C4, [1.0], derive_rng(0, "sim", 0), track="occupancy",
+                         site_list=[0, site])
+
+    def test_numpy_sites_accepted(self):
+        rec = simulate_crw(C4, [0.0], derive_rng(0, "sim", 0), track="occupancy",
+                           site_list=np.array([3, 1]))
+        assert rec["sites"] == [3, 1] and rec["occ"].all()
+
     def test_edgeless_graph_holds_state(self):
         g = Graph.from_edges(3, [])
         rec = simulate_crw(g, [0.0, 1.0, 5.0], derive_rng(0, "sim", 0), track="occupancy")
@@ -628,3 +640,49 @@ class TestEstimatorInputs:
         with pytest.raises(ParameterOutOfRange, match=r"^pairs\[1\]"):
             occupancy_covariances(C6, [(2, 3), pair], [1.0], 100,
                                   derive_rng(0, "inputs", 1))
+
+
+class TestOracleInputs:
+    """Bad times, walker counts and vertices given to the exact oracles fail
+    with ParameterOutOfRange naming the field, not with a raw error or a
+    silent answer; numpy scalars are still accepted."""
+
+    C = build_generator(C6)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf"), True])
+    def test_k_particle_time(self, t):
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            exact_k_particle_law(self.C, 1, t)
+
+    @pytest.mark.parametrize("k", [1.5, True, 0, "1"])
+    def test_k_particle_walkers(self, k):
+        with pytest.raises(ParameterOutOfRange, match="^k must"):
+            exact_k_particle_law(self.C, k, 1.0)
+
+    def test_k_particle_numpy_scalars(self):
+        law = exact_k_particle_law(self.C, np.int64(1), np.float64(0.5))
+        assert law == exact_k_particle_law(self.C, 1, 0.5)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), [0.5, float("nan")],
+                                   [1.0, float("inf")], -0.5])
+    @pytest.mark.parametrize("oracle", [exact_occupancy_density, _subset_distribution])
+    def test_subset_chain_times(self, oracle, t):
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            oracle(self.C, t)
+
+    @pytest.mark.parametrize("y", [9, 6, -1, 1.0, True])
+    def test_covariance_vertices(self, y):
+        with pytest.raises(ParameterOutOfRange, match="^y must be a vertex"):
+            exact_occupancy_cov(self.C, 0, y, 1.0)
+        with pytest.raises(ParameterOutOfRange, match="^x must be a vertex"):
+            exact_occupancy_cov(self.C, y, 0, 1.0)
+
+    def test_covariance_numpy_vertices(self):
+        got = exact_occupancy_cov(self.C, np.int64(0), np.int64(2), np.float64(1.0))
+        assert got == exact_occupancy_cov(self.C, 0, 2, 1.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_covariance_time(self, t):
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            exact_occupancy_cov(self.C, 0, 1, t)
+

@@ -403,6 +403,12 @@ class TestAldousBrown:
         with pytest.raises(ParameterOutOfRange):
             aldous_brown_check(cycle4_chain, [0], [0.5, -0.1])
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), True])
+    def test_nonfinite_time_rejected(self, cycle4_chain, t):
+        # nan used to fail as a raw KeyError
+        with pytest.raises(ParameterOutOfRange, match="^t_grid must"):
+            aldous_brown_check(cycle4_chain, [0], [0.5, t])
+
     def test_zero_time_tail_bound(self, cycle4_chain):
         pc = product_chain(cycle4_chain)
         diag = [x * 4 + x for x in range(4)]

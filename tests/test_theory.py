@@ -125,6 +125,13 @@ class TestBgPrediction:
         with pytest.raises(ParameterOutOfRange):
             bg_prediction(0, 5.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_nonfinite_time_rejected(self, d, t):
+        # nan used to come back as the prediction
+        with pytest.raises(ParameterOutOfRange, match="^t must"):
+            bg_prediction(d, t, psi_hat=0.66)
+
 
 def _no_return_by(d, h):
     """P(simple walk on Z^d avoids the origin at steps 1..h), by evolving
@@ -485,6 +492,14 @@ class TestKingman:
         with pytest.raises(ParameterOutOfRange):
             kingman_tau_coal(4, 0.0, 10, derive_rng(0, "king", 0))
 
+    @pytest.mark.parametrize("field, args", [
+        ("n", (2.5, 1.0, 10)), ("n", (True, 1.0, 10)), ("reps", (4, 1.0, 0)),
+        ("reps", (4, 1.0, 2.5)), ("M", (4, float("nan"), 10)), ("M", (4, float("inf"), 10)),
+    ])
+    def test_field_named(self, field, args):
+        with pytest.raises(ParameterOutOfRange, match=f"^{field} must"):
+            kingman_tau_coal(*args, derive_rng(0, "king", 0))
+
 
 class TestPatterns:
     def test_k1(self):
@@ -532,6 +547,15 @@ class TestBranchingIntegral:
         with pytest.raises(KTooLarge):
             branching_integral_mc(k2_chain, 4, 1.0, 10, derive_rng(0, "br", 0))
 
+    @pytest.mark.parametrize("field, k, t, reps", [
+        # a nonfinite t used to hang, and no replicates divided by zero
+        ("t", 1, float("nan"), 10), ("t", 1, float("inf"), 10), ("t", 1, -1.0, 10),
+        ("reps", 1, 1.0, 0), ("reps", 1, 1.0, 2.5), ("k", 1.5, 1.0, 10), ("k", 0, 1.0, 10),
+    ])
+    def test_bad_inputs_rejected(self, k2_chain, field, k, t, reps):
+        with pytest.raises(ParameterOutOfRange, match=f"^{field} must"):
+            branching_integral_mc(k2_chain, k, t, reps, derive_rng(0, "br", 0))
+
 
 class TestReversalIdentity:
     @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -547,3 +571,9 @@ class TestReversalIdentity:
     def test_zero_time(self, k2_chain):
         res = reversal_identity_residual(k2_chain, 1, 0.0, 100, derive_rng(0, "rv", 0))
         assert res["residual"] == 0.0
+
+    @pytest.mark.parametrize("reps", [1, 0, 2.5])
+    def test_needs_two_replicates(self, k2_chain, reps):
+        # one replicate has no standard error: the residual used to be inf
+        with pytest.raises(ParameterOutOfRange, match="^reps must"):
+            reversal_identity_residual(k2_chain, 1, 1.0, reps, derive_rng(0, "rv", 0))

@@ -149,6 +149,15 @@ class TestAncestralSampler:
         with pytest.raises(ParameterOutOfRange):
             sample_nhat_ancestral(cycle_graph(4), t, 10, derive_rng(7, "anc", 1))
 
+    @pytest.mark.parametrize("field, trajectories, draws", [
+        ("trajectories", 2.5, 1), ("trajectories", 0, 1), ("trajectories", True, 1),
+        ("draws_per_trajectory", 2, 1.5), ("draws_per_trajectory", 2, 0),
+    ])
+    def test_bad_counts_rejected(self, field, trajectories, draws):
+        with pytest.raises(ParameterOutOfRange, match=f"^{field} must"):
+            sample_nhat_ancestral(C6, 1.0, trajectories, derive_rng(7, "anc", 1),
+                                  draws_per_trajectory=draws)
+
     def test_isolated_vertex_stays_alone(self):
         g = Graph.from_edges(3, [(0, 1)])
         out = sample_nhat_ancestral(g, 5.0, 2000, derive_rng(7, "anc", 2),
