@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from coalesce import runner
-from coalesce.crw import _lockstep_crw, flat_graph
+from coalesce.crw import (
+    _lockstep_crw,
+    estimate_density,
+    flat_graph,
+    sample_tau_coal,
+    simulate_crw,
+)
 from coalesce.graphs import Graph, cycle_graph, torus_graph
 from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
@@ -20,11 +26,16 @@ LOLLIPOP = Graph.from_edges(
 )
 GRID = [0.1, 0.5, 1.5, 4.0]
 KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
-# regular graphs for the scalar blocks: graph and convention
+# graphs for the scalar engines, with their convention: two regular ones,
+# and the lollipop, which takes the thinning path
 SCALAR_CASES = {
     "cycle9_total_unit": (cycle_graph(9), "total_unit"),
     "torus33": (torus_graph(3, 3), "per_edge_unit"),
+    "lollipop": (LOLLIPOP, "per_edge_unit"),
 }
+# the public entry points of the scalar engine
+API_CALLS = ["density", "tracked_cluster", "occupancy", "sample_tau_coal",
+             "estimate_density"]
 
 
 def digest(out) -> str:
@@ -53,10 +64,25 @@ def lollipop_call(mode: str) -> dict:
     return _lockstep_crw(flat, rng, rows, GRID, labels, sites, width=width)
 
 
+def api_call(case: str, call: str) -> dict:
+    """20 trajectories of ``simulate_crw`` on one track, 30 draws of
+    ``sample_tau_coal`` or one 30-replicate ``estimate_density``, all from
+    one generator."""
+    g, convention = SCALAR_CASES[case]
+    rng = derive_rng(44, "scalar-api-pin", 0)
+    if call == "estimate_density":
+        return vars(estimate_density(g, GRID, 30, rng, convention))
+    if call == "sample_tau_coal":
+        return {"tau": [sample_tau_coal(g, rng, convention) for _ in range(30)]}
+    return {f"{j}:{key}": val for j in range(20)
+            for key, val in simulate_crw(g, GRID, rng, call, convention=convention).items()}
+
+
 class TestPinnedDigests:
-    """Outputs of the ancestral sampler and of the kernel in each mode, as
-    sha256 digests: a change to any draw, pick or state update shows here.
-    The runner's CSV digests in ``test_cli`` pin the block paths."""
+    """Outputs of the ancestral sampler, of the kernel in each mode, of the
+    runner's scalar blocks and of the scalar engine's public entry points,
+    as sha256 digests: a change to any draw, pick or state update shows
+    here.  The runner's CSV digests in ``test_cli`` pin the block paths."""
 
     ANCESTRAL = {
         "torus36": "4156ef678d572ce6e1502c5282d444bed571857f3ba32aa428d35a4742fcdf7d",
@@ -84,6 +110,31 @@ class TestPinnedDigests:
             "nhat": "48baa61f93f8fa1d8f4561ec200eb2da4e16f3a5c3ac4d00e52ace2669f60e0f",
             "tau_coal": "e49415df247f3fe8646faf682738d8903c9dd30c7838300b198a622440139d45",
         },
+        "lollipop": {
+            "density": "c72ad02172a353d39747bd735502467144d8a0f399149eef85c5049d835edfa4",
+            "tracked_cluster": "23305e55b9026e0cc1b840477c321b4d7f33f9b238f4c9d7ac0ea1bf119676ae",
+            "occupancy": "c2b3f81b053429fb640cb356935da9154c281add6e87248f2373c36195605cea",
+            "nhat": "77c00762f4007b10db646302762a7f10bdd3f1e3c6224c483777df78f8686da8",
+            "tau_coal": "41e47f48ba8f3df545508b961f6aca7781a3d83769823462255582b9bdf064b6",
+        },
+    }
+
+    # the scalar engine's public entry points, as ``api_call`` runs them
+    API = {
+        "cycle9_total_unit": {
+            "density": "0af190bec0bc597a425d5aa9f190f45bd5453ba653c524d45e576bb1df23ad90",
+            "tracked_cluster": "8c4eb0ac9ae472be5a54aa947b8c10f60037191de3f227587f632ac7bd720261",
+            "occupancy": "ea3334712551c2a89391882fc275d00c8d45dc72ec12f31dfa5360cd1900dae6",
+            "sample_tau_coal": "997c5c7b81ce6753f597979e67f8d131be2d7f87e26c5c07a1719c5c08a73e18",
+            "estimate_density": "d82c77a39768eba7314957c8e44e8021796e4f38957424a4cb9af6b9d8d1c282",
+        },
+        "lollipop": {
+            "density": "79abf7dd3f361541083558f5fa8189b7916a4a24ece977934025a9bbbc0a4fb3",
+            "tracked_cluster": "21149157436ca79133f67ac7752e4f5664e0ad2a2ea15375fb976959d87e3a6f",
+            "occupancy": "c05e609b610db62e69a7915b6bc716f3ccd3cab93058b08c9cd6e190af51c116",
+            "sample_tau_coal": "b260b8b73ed3e828f19a39a5728cb995b78848eff893a8c1ba1c55ce3a18233e",
+            "estimate_density": "d9cd2d963aa95786ed4714f538d6a914a28cdbf0500d76348a1dc1d0274b4c19",
+        },
     }
 
     @pytest.mark.parametrize("case", ["torus36", "lollipop"])
@@ -106,6 +157,11 @@ class TestPinnedDigests:
         _, rows, tally = run_task(g, convention, {"task": kind}, GRID, 40, 43)
         out = {"rows": np.asarray(rows, dtype=float), **tally}
         assert digest(out) == self.SCALAR[case][kind]
+
+    @pytest.mark.parametrize("call", API_CALLS)
+    @pytest.mark.parametrize("case", list(API))
+    def test_scalar_api(self, case, call):
+        assert digest(api_call(case, call)) == self.API[case][call]
 
 
 class _Stream:
