@@ -7,16 +7,17 @@ thins by one rule: a ring comes at rate r_max * m and picks a uniform
 cluster, at x; on irregular graphs it is kept with probability
 rate(x) / r_max, and a rejected ring changes nothing but the
 ``thinning_rejections`` count.  This is exact for the occupancy process and
-orders of magnitude faster at low density.  The scalar engine ``_Run`` runs
-one trajectory at a time; the lockstep kernel ``_lockstep_crw`` gives every
-trajectory of a block one ring per numpy iteration; the two-walker routine
+orders of magnitude faster at low density.  The lockstep kernel
+``_lockstep_crw`` gives every trajectory of a block one ring per numpy
+iteration; the scalar routine ``_scalar_crw`` runs one trajectory in plain
+Python and returns the kernel's record for one row; the two-walker routine
 ``_flat.walk_pairs`` runs each walker at r_max the same way, a rejected
 ring being a stay.
 
-``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run the
-scalar engine; ``sample_tau_coal_many`` and ``occupancy_covariances`` are
-views over the runner's blocks (``runner._block``), drawn in order from the
-caller's generator.
+``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run
+``_scalar_crw``, as do the runner's narrow blocks; ``sample_tau_coal_many``
+and ``occupancy_covariances`` are views over the runner's blocks
+(``runner._block``), drawn in order from the caller's generator.
 """
 
 from __future__ import annotations
@@ -62,78 +63,6 @@ _SUBSET_TOL = 1e-10
 def flat_graph(g: Graph, convention: str) -> FlatGraph:
     """Cached flat adjacency; Graph is frozen so hashing by value is safe."""
     return FlatGraph(g, convention)
-
-
-class _Run:
-    """One live coalescing-walk trajectory, started with every site
-    occupied.
-
-    Slot i holds one cluster: its site loc[i] and its size size[i].  A merge
-    removes the moving slot and fills the hole from the last slot, and the
-    slot ``track`` of one followed cluster (-1 for none) is carried along.
-    Each ring comes at rate r_max * m and picks a uniform slot; on irregular
-    graphs it is kept with probability rate / r_max, and ``rejections``
-    counts the rings thrown back.
-    """
-
-    __slots__ = (
-        "flat",
-        "draws",
-        "m",
-        "loc",
-        "at_site",
-        "size",
-        "track",
-        "clock",
-        "events",
-        "rejections",
-    )
-
-    def __init__(self, flat: FlatGraph, draws: BufferedDraws):
-        n = flat.n
-        self.flat = flat
-        self.draws = draws
-        self.m = n
-        self.loc = list(range(n))
-        self.at_site = list(range(n))
-        self.size = [1] * n
-        self.track = -1
-        self.clock = 0.0
-        self.events = 0
-        self.rejections = 0
-
-    def step(self) -> None:
-        """Apply one ring; the caller advances the clock by Exp(r_max * m)
-        beforehand.  A rejected ring changes nothing."""
-        flat = self.flat
-        draws = self.draws
-        i = int(draws.u01() * self.m)
-        x = self.loc[i]
-        if not flat.regular and draws.u01() * flat.r_max >= flat.rate[x]:
-            self.rejections += 1
-            return
-        y = flat.neighbor(x, draws.u01())
-        self.events += 1
-        j = self.at_site[y]
-        self.at_site[x] = -1
-        if j >= 0:
-            size = self.size
-            size[j] += size[i]
-            if self.track == i:
-                self.track = j
-            self.m -= 1
-            last = self.m
-            if i != last:
-                self.loc[i] = self.loc[last]
-                size[i] = size[last]
-                self.at_site[self.loc[i]] = i
-                if self.track == last:
-                    self.track = i
-            self.loc.pop()
-            size.pop()
-        else:
-            self.loc[i] = y
-            self.at_site[y] = i
 
 
 def _state_dtype(n: int) -> type:
@@ -294,61 +223,111 @@ def _lockstep_crw(
     return out
 
 
-def _simulate_one(
+def _scalar_crw(
     flat: FlatGraph,
     draws: BufferedDraws,
     grid: list,
-    track: str,
-    site_list,
+    labels=None,
+    sites=None,
+    to_one: bool = False,
 ) -> dict:
-    run = _Run(flat, draws)
-    if track == "tracked_cluster":
-        # the tracked particle comes first from the replicate stream so
-        # density and cluster observables share one trajectory without bias
-        run.track = int(draws.u01() * run.m)
-    sites = None
-    if track == "occupancy":
-        sites = (
-            list(range(flat.n)) if site_list is None else [int(v) for v in site_list]
-        )
+    """One coalescing-walk trajectory from every site occupied, drawing from
+    ``draws``: ``_lockstep_crw``'s record for one row.
 
-    ngrid = len(grid)
-    xi = np.empty(ngrid, dtype=np.int64)
-    ncol = np.empty(ngrid, dtype=np.int64) if run.track >= 0 else None
-    occ = np.empty((ngrid, len(sites)), dtype=bool) if sites is not None else None
+    Records at each grid time the cluster count ``xi`` (grid); with
+    ``labels``, a list of initial sites, the sizes of the clusters holding
+    them (grid, labels); with ``sites``, their occupation indicators (grid,
+    sites).  With ``to_one`` the grid is ignored and ``tau`` is the time one
+    cluster is left; the graph must then be connected.  Also returns the
+    kept rings (``events``) and the rejected ones
+    (``thinning_rejections``).
 
-    def record(gi: int):
-        xi[gi] = run.m
-        if ncol is not None:
-            ncol[gi] = run.size[run.track]
-        if occ is not None:
-            at = run.at_site
-            occ[gi] = [at[v] >= 0 for v in sites]
-
+    Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
+    site back to its slot (-1 when empty).  A ring comes after Exp / (r_max
+    * m), picks a uniform slot, its site x, then on an irregular graph is
+    kept with probability rate(x) / r_max, then picks a neighbour y of x.
+    When y is occupied the cluster at x joins it and the last slot fills
+    the hole; each label follows its cluster's slot.
+    """
+    n, r_max, rate = flat.n, flat.r_max, flat.rate
+    off, nbr, deg = flat.off, flat.nbr, flat.deg
+    thin = not flat.regular
+    expo, u01 = draws.expo, draws.u01
+    inf = float("inf")
+    m = n
+    loc = list(range(n))
+    at_site = list(range(n))
+    size = [1] * n
+    ngrid = 0 if to_one else len(grid)
+    # the grid padded with a time never reached
+    gpad = [*grid[:ngrid], inf]
+    out = {"xi": np.empty(ngrid, dtype=np.int64)}
+    xi = out["xi"]
+    # slot k holds site k at the start, so a label's first slot is its site
+    track = None if labels is None else [int(v) for v in labels]
+    if track is not None:
+        sizes = out["sizes"] = np.empty((ngrid, len(track)), dtype=np.int64)
+    if sites is not None:
+        sites = [int(v) for v in sites]
+        occ = out["occ"] = np.empty((ngrid, len(sites)), dtype=bool)
+    if r_max == 0.0 or not (to_one or ngrid):
+        # nothing rings, or nothing is recorded
+        still = n
+    else:
+        # at one cluster the run is over, unless the lone cluster's moves
+        # show in the occupation indicators
+        still = 0 if sites is not None and not to_one else 1
+    clock = 0.0
     gi = 0
-    # a lone cluster still moves, which matters only for occupancy tracking
-    motion_matters = occ is not None
-    while gi < ngrid:
-        # with no ring left to change the state, it holds for the rest
-        if flat.r_max == 0.0 or (run.m == 1 and not motion_matters):
-            for rest in range(gi, ngrid):
-                record(rest)
+    t_rec = gpad[0]
+    events = rejections = 0
+    while True:
+        if m == still:
+            # no ring left changes what is recorded: the state holds
+            t_next = inf
+        else:
+            t_next = clock + expo() / (r_max * m)
+        if t_rec < t_next:
+            while t_rec < t_next:
+                xi[gi] = m
+                if track is not None:
+                    sizes[gi] = [size[s] for s in track]
+                if sites is not None:
+                    occ[gi] = [at_site[v] >= 0 for v in sites]
+                gi += 1
+                t_rec = gpad[gi]
+            if gi == ngrid:
+                break
+        if t_next == inf:
             break
-        t_next = run.clock + draws.expo() / (flat.r_max * run.m)
-        while gi < ngrid and grid[gi] < t_next:
-            record(gi)
-            gi += 1
-        if gi == ngrid:
-            break
-        run.clock = t_next
-        run.step()
-    out = {"t": np.array(grid), "xi_size": xi, "events": run.events,
-           "thinning_rejections": run.rejections}
-    if ncol is not None:
-        out["N"] = ncol
-    if occ is not None:
-        out["occ"] = occ
-        out["sites"] = sites
+        clock = t_next
+        i = int(u01() * m)
+        x = loc[i]
+        if thin and u01() * r_max >= rate[x]:
+            rejections += 1
+            continue
+        y = nbr[off[x] + int(u01() * deg[x])]
+        events += 1
+        j = at_site[y]
+        at_site[x] = -1
+        if j < 0:
+            loc[i] = y
+            at_site[y] = i
+            continue
+        size[j] += size[i]
+        m -= 1
+        if track is not None:
+            track = [j if s == i else s for s in track]
+        if i != m:
+            loc[i] = x = loc[m]
+            size[i] = size[m]
+            at_site[x] = i
+            if track is not None:
+                track = [i if s == m else s for s in track]
+    if to_one:
+        out["tau"] = clock
+    out["events"] = events
+    out["thinning_rejections"] = rejections
     return out
 
 
@@ -376,7 +355,22 @@ def simulate_crw(
         site_list = [check_vertex(v, g.n, f"site_list[{j}]") for j, v in enumerate(site_list)]
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1024)
-    return _simulate_one(flat, draws, grid, track, site_list)
+    labels = sites = None
+    if track == "tracked_cluster":
+        # the tracked particle comes first from the replicate stream so
+        # density and cluster observables share one trajectory without bias
+        labels = [int(draws.u01() * flat.n)]
+    elif track == "occupancy":
+        sites = range(flat.n) if site_list is None else site_list
+    rec = _scalar_crw(flat, draws, grid, labels, sites)
+    out = {"t": np.array(grid), "xi_size": rec["xi"], "events": rec["events"],
+           "thinning_rejections": rec["thinning_rejections"]}
+    if labels is not None:
+        out["N"] = rec["sizes"][:, 0]
+    if sites is not None:
+        out["occ"] = rec["occ"]
+        out["sites"] = list(sites)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,8 +401,8 @@ def estimate_density(
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
     draws = BufferedDraws(rng, block=1 << 16)
-    xi = np.array([_simulate_one(flat, draws, grid, "density", None)["xi_size"]
-                   for _ in range(reps)], dtype=float)
+    xi = np.array([_scalar_crw(flat, draws, grid)["xi"] for _ in range(reps)],
+                  dtype=float)
     mean_xi = xi.mean(axis=0)
     var_xi = xi.var(axis=0, ddof=1)
     slack = 1.0 + 4.0 * np.sqrt(2.0 / (reps - 1))
@@ -592,16 +586,6 @@ def _check_connected(g: Graph) -> None:
         raise NotConnected("particles on different components never coalesce")
 
 
-def _run_to_one(flat: FlatGraph, draws: BufferedDraws) -> _Run:
-    """One trajectory run until one cluster is left; its clock is then
-    the coalescence time."""
-    run = _Run(flat, draws)
-    while run.m > 1:
-        run.clock += draws.expo() / (flat.r_max * run.m)
-        run.step()
-    return run
-
-
 def sample_tau_coal(
     g: Graph,
     rng: np.random.Generator,
@@ -611,7 +595,8 @@ def sample_tau_coal(
     _check_connected(g)
     if g.n == 1:
         return 0.0
-    return _run_to_one(flat_graph(g, convention), BufferedDraws(rng, block=1024)).clock
+    flat = flat_graph(g, convention)
+    return _scalar_crw(flat, BufferedDraws(rng, block=1024), [], to_one=True)["tau"]
 
 
 def sample_tau_coal_many(

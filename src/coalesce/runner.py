@@ -9,11 +9,13 @@ whatever the worker count (worker chunks are whole blocks), extending
 ``replicates`` keeps the earlier rows, and adding tasks to a config never
 perturbs the streams of existing ones.  On large graphs the blocks are too
 narrow for lockstep iterations to pay, and a block's replicates run one
-after another on the scalar engines, drawing in turn from the block's
-stream, which keeps the same guarantees.  Rows are assembled
-replicate-major, time-minor.  ``run_experiment`` runs every task in one
-worker pool; the workers return their chunks as finished CSV text, which
-the main process writes and hashes in block order.
+after another on the scalar routines (``crw._scalar_crw``,
+``voter._voter_once``), drawing in turn from the block's stream, which keeps
+the same guarantees; their records are stacked into the lockstep kernels'
+record, so ``_block`` builds a block's values one way for both paths.  Rows
+are assembled replicate-major, time-minor.  ``run_experiment`` runs every
+task in one worker pool; the workers return their chunks as finished CSV
+text, which the main process writes and hashes in block order.
 
 ``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
 run on the same blocks through ``_replicates``, drawn in order from the
@@ -34,7 +36,7 @@ import numpy as np
 from . import __version__
 from ._flat import check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
-from .crw import _check_connected, _lockstep_crw, _run_to_one, _simulate_one, flat_graph
+from .crw import _check_connected, _lockstep_crw, _scalar_crw, flat_graph
 from .errors import TaskError
 from .graphs import Graph
 from .io import block_csv, sha256_text, write_csv_chunks, write_json
@@ -88,59 +90,46 @@ def _block(flat, task, grid, rng, count, width):
     the kernels' record.  The columns are the task's CSV columns, except
     that ``nhat`` also carries the indicator that opinion 0 survives, which
     its CSV leaves out."""
-    if width < _SCALAR_BELOW[task["task"]]:
-        return _scalar_block(flat, task, grid, rng, count)
-    return _lockstep_block(flat, task, grid, rng, count, width)
-
-
-def _scalar_block(flat, task, grid, rng, count):
-    """The block's replicates one after another on the scalar engines, all
-    drawing in turn from the block's stream."""
     kind = task["task"]
-    draws = BufferedDraws(rng, block=4096)
-    vals = []
-    events = rejections = 0
-    for _ in range(count):
-        if kind == "tau_coal":
-            run = _run_to_one(flat, draws)
-            vals.append(run.clock)
-            events += run.events
-            rejections += run.rejections
-            continue
-        if kind == "nhat":
-            # the voter picks its source by cumulative rate: nothing thinned
-            rec = _voter_once(flat, draws, grid)
-            vals.append(np.column_stack([rec["nhat"], rec["survived_0"]]))
-        else:
-            rec = _simulate_one(flat, draws, grid, kind, task.get("sites") or None)
-            # xi, then the tracked cluster's size or the occupation indicators
-            extra = [rec[k] for k in ("N", "occ") if k in rec]
-            vals.append(np.column_stack([rec["xi_size"], *extra]))
-            rejections += rec["thinning_rejections"]
-        events += rec["events"]
-    return np.array(vals), {"events": events, "thinning_rejections": rejections}
-
-
-def _lockstep_block(flat, task, grid, rng, count, width):
-    kind = task["task"]
+    sites = (task.get("sites") or range(flat.n)) if kind == "occupancy" else None
+    if width < _SCALAR_BELOW[kind]:
+        rec = _scalar_block(flat, kind, grid, sites, rng, count)
+    else:
+        rec = _lockstep_block(flat, kind, grid, sites, rng, count, width)
     if kind == "tau_coal":
-        rec = _lockstep_crw(flat, rng, count, [], to_one=True, width=width)
         return rec["tau"], rec
     if kind == "nhat":
-        rec = _lockstep_voter(flat, rng, count, grid, width)
-        vals = np.stack([rec["nhat"], rec["survived_0"]], axis=2)
-    else:
-        labels = sites = None
-        if kind == "tracked_cluster":
-            # the tracked particle comes first from the block's stream
-            labels = (rng.random(width)[:count] * flat.n).astype(int)[:, None]
-        elif kind == "occupancy":
-            sites = task.get("sites") or range(flat.n)
-        rec = _lockstep_crw(flat, rng, count, grid, labels, sites, width=width)
-        # xi, then the tracked cluster's size or the occupation indicators
-        extra = [rec[k] for k in ("sizes", "occ") if k in rec]
-        vals = np.concatenate([rec["xi"][..., None], *extra], axis=2)
-    return vals, rec
+        return np.stack([rec["nhat"], rec["survived_0"]], axis=2), rec
+    # xi, then the tracked cluster's size or the occupation indicators
+    extra = [rec[k] for k in ("sizes", "occ") if k in rec]
+    return np.concatenate([rec["xi"][..., None], *extra], axis=2), rec
+
+
+def _scalar_block(flat, kind, grid, sites, rng, count):
+    """The block's replicates one after another on the scalar routines, all
+    drawing in turn from the block's stream, stacked into the lockstep
+    kernels' record: arrays key by key, counters summed."""
+    draws = BufferedDraws(rng, block=4096)
+    recs = []
+    for _ in range(count):
+        if kind == "nhat":
+            recs.append(_voter_once(flat, draws, grid))
+            continue
+        # the tracked particle comes first from the replicate's draws
+        labels = [int(draws.u01() * flat.n)] if kind == "tracked_cluster" else None
+        recs.append(_scalar_crw(flat, draws, grid, labels, sites, kind == "tau_coal"))
+    return {key: sum(r[key] for r in recs) if key in ("events", "thinning_rejections")
+            else np.stack([r[key] for r in recs]) for key in recs[0]}
+
+
+def _lockstep_block(flat, kind, grid, sites, rng, count, width):
+    if kind == "nhat":
+        return _lockstep_voter(flat, rng, count, grid, width)
+    labels = None
+    if kind == "tracked_cluster":
+        # the tracked particle comes first from the block's stream
+        labels = (rng.random(width)[:count] * flat.n).astype(int)[:, None]
+    return _lockstep_crw(flat, rng, count, grid, labels, sites, kind == "tau_coal", width)
 
 
 def _replicates(flat, task, grid, rng, reps):

@@ -67,7 +67,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     Records, at each grid time: the cluster size of the current opinion of
     one uniform vertex, the cluster size of the initial opinion of a second
     independent uniform vertex (0 when extinct), and survival of opinion 0.
-    Also counts the rings played (``events``).
+    Also counts the rings played (``events``); no ring is thinned away.
     """
     n = flat.n
     opinion = list(range(n))
@@ -117,6 +117,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
         "n_distinct": n_distinct,
         "survived_0": survived,
         "events": events,
+        "thinning_rejections": 0,
     }
 
 

@@ -16,7 +16,7 @@ from coalesce.crw import (
     sample_tau_coal,
     sample_tau_coal_many,
     simulate_crw,
-    _Run,
+    _scalar_crw,
 )
 from coalesce.errors import (
     BadSubset,
@@ -104,16 +104,16 @@ class TestSimulate:
         assert np.array_equal(a["N"], b["N"])
 
     def test_cluster_size_conservation(self):
+        # every site a label and an occupancy site: the clusters' sizes sum
+        # to n, so the sum over labels of 1 / size counts the clusters
         flat = flat_graph(cycle_graph(9), "per_edge_unit")
         draws = BufferedDraws(derive_rng(2, "cons", 0))
-        run = _Run(flat, draws)
-        for _ in range(40):
-            if run.m == 1:
-                break
-            run.clock += draws.expo() / (flat.r_max * run.m)
-            run.step()
-            assert sum(run.size[:run.m]) == 9
-            assert sum(1 for v in run.at_site if v >= 0) == run.m
+        grid = np.linspace(0.0, 4.0, 40).tolist()
+        rec = _scalar_crw(flat, draws, grid, labels=range(9), sites=range(9))
+        inv = (1.0 / rec["sizes"]).sum(axis=1)
+        np.testing.assert_allclose(inv, rec["xi"], rtol=1e-12)
+        assert (rec["occ"].sum(axis=1) == rec["xi"]).all()
+        assert rec["xi"][-1] < 9
 
 
 class TestDensity:
@@ -430,13 +430,20 @@ def _z(x, reference):
 class TestBlockPath:
     def test_narrow_blocks_run_scalar(self, monkeypatch):
         # a block's width, and so its path, depends only on the vertex count
-        monkeypatch.setattr(runner, "_scalar_block", lambda *a: "scalar")
-        monkeypatch.setattr(runner, "_lockstep_block", lambda *a: "lockstep")
+        def taken(name):
+            def run(*args):
+                raise LookupError(name)
+            return run
+
+        monkeypatch.setattr(runner, "_scalar_block", taken("scalar"))
+        monkeypatch.setattr(runner, "_lockstep_block", taken("lockstep"))
         flat = flat_graph(cycle_graph(8), "per_edge_unit")
         for kind in KINDS:
             floor = 64 if kind == "tau_coal" else 16
             for width, path in [(floor - 1, "scalar"), (floor, "lockstep")]:
-                got = runner._block(flat, {"task": kind}, [1.0], None, 1, width)
+                with pytest.raises(LookupError) as ran:
+                    runner._block(flat, {"task": kind}, [1.0], None, 1, width)
+                got = ran.value.args[0]
                 assert got == path, (kind, width)
         assert runner.block_rows(1 << 15) == 16 and runner.block_rows(1 << 13) == 64
         assert runner.block_rows(1000) == 524
