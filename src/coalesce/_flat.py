@@ -22,7 +22,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, TotalUnitOnIrregular
+from .errors import BadSubset, ParameterOutOfRange, TotalUnitOnIrregular
 from .graphs import Graph
 
 
@@ -389,6 +389,17 @@ def check_vertex(value, n: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < n:
         raise ParameterOutOfRange(f"{name} must be a vertex in 0..{n - 1}, got {value!r}")
     return int(value)
+
+
+def check_subset(values, n: int, name: str) -> set:
+    """The distinct members of ``values``, each an integer, not a boolean,
+    in 0..n - 1.  Errors are ``BadSubset`` naming the input ``name``."""
+    members = set()
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= v < n:
+            raise BadSubset(f"{name} must hold integers in 0..{n - 1}, got {v!r}")
+        members.add(int(v))
+    return members
 
 
 def check_grid(t_grid, name: str = "t_grid") -> list:

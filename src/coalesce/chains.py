@@ -8,6 +8,7 @@ preserves nonnegativity and has a computable truncation error.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -241,8 +242,11 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
 
     The quantile and the pmf are the ``scipy.special`` expressions that
     ``scipy.stats.poisson`` evaluates, so the weights are the same bits
-    without the slow ``scipy.stats`` import.
+    without the slow ``scipy.stats`` import.  Every uniformization takes
+    its weights here, so ``tol`` is checked here: a number in (0, 1).
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
+        raise ParameterOutOfRange(f"tol must be a number in (0, 1), got {tol!r}")
     if lam_t <= 0.0:
         return np.array([1.0])
     q = 1.0 - tol

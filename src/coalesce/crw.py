@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._flat import FlatGraph, check_count, check_grid, check_vertex
+from ._flat import FlatGraph, check_count, check_grid, check_subset, check_vertex
 from .chains import MarkovChain, translation_group, uniformize
 from .errors import (
     BadSubset,
@@ -488,9 +488,9 @@ def _subset_distribution(c: MarkovChain, t, start=None) -> np.ndarray:
     times = [check_grid([s], "t")[0] for s in np.atleast_1d(t)]
     if not times:
         raise ParameterOutOfRange("t must be one or more nonnegative times")
-    sites = range(n) if start is None else {int(x) for x in start}
-    if not sites or not all(0 <= x < n for x in sites):
-        raise BadSubset(f"start must be a nonempty set of sites in 0..{n - 1}")
+    sites = range(n) if start is None else check_subset(start, n, "start")
+    if not sites:
+        raise BadSubset("start must be a nonempty set of sites")
     kt, lam = _subset_kernel(c)
     mu = np.zeros(kt.shape[0])
     mu[sum(1 << x for x in sites) - 1] = 1.0

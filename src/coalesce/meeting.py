@@ -29,6 +29,7 @@ from ._flat import (
     chain_pick,
     check_count,
     check_grid,
+    check_subset,
     check_vertex,
     graph_pick,
     walk_pairs,
@@ -275,11 +276,9 @@ def exit_measure(c: MarkovChain, A) -> ExitMeasure:
 
 
 def _subset_mask(n: int, A) -> np.ndarray:
-    A = set(int(a) for a in A)
+    A = check_subset(A, n, "A")
     if not A or len(A) >= n:
-        raise BadSubset("need a proper nonempty subset")
-    if any(a < 0 or a >= n for a in A):
-        raise BadSubset("subset contains out-of-range states")
+        raise BadSubset("A must be a proper nonempty subset")
     mask = np.zeros(n, dtype=bool)
     mask[list(A)] = True
     return mask

@@ -96,6 +96,9 @@ def bg_prediction(d: int, t: float, psi_hat: float | None = None) -> float:
         return log(t) / (pi * t)
     if psi_hat is None:
         raise MissingPsi("d >= 3 needs an escape-probability estimate")
+    if (isinstance(psi_hat, bool) or not isinstance(psi_hat, numbers.Real)
+            or not 0.0 < psi_hat <= 1.0):
+        raise ParameterOutOfRange(f"psi_hat must be a number in (0, 1], got {psi_hat!r}")
     return 1.0 / (psi_hat * t)
 
 
@@ -109,8 +112,7 @@ def exact_density_1d(t: float) -> float:
     spread sqrt(t) is far below n, so it is exact for cycles up to a
     wrap-around error that needs t << n^2.
     """
-    if isinstance(t, bool) or not (isinstance(t, numbers.Real) and 0.0 <= t < np.inf):
-        raise ParameterOutOfRange("time must be finite and nonnegative")
+    [t] = check_grid([t], "t")
     # ive(v, x) = e^{-x} I_v(x) keeps both terms finite at large t
     return float(ive(0, 2.0 * t) + ive(1, 2.0 * t))
 

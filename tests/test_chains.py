@@ -80,6 +80,13 @@ class TestTransitionMatrix:
         with pytest.raises(ParameterOutOfRange, match="^t must"):
             transition_matrix(cycle4_chain, t)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 2.0, 1.0, True, "1e-9"])
+    def test_bad_tol_rejected(self, cycle4_chain, tol):
+        with pytest.raises(ParameterOutOfRange, match="^tol must"):
+            transition_matrix(cycle4_chain, 0.5, tol)
+        with pytest.raises(ParameterOutOfRange, match="^tol must"):
+            poisson_weights(0.0, tol)
+
     def test_stochastic_symmetric_nonneg(self, torus33_chain):
         p = transition_matrix(torus33_chain, 0.7, tol=1e-12)
         assert np.all(p >= 0.0)

@@ -314,9 +314,10 @@ class TestSubsetChainFromAnySet:
         mu = _subset_distribution(cycle4_chain, 0.0, [2, 0])
         assert mu[0b101 - 1] == 1.0 and mu.sum() == 1.0
 
-    @pytest.mark.parametrize("start", [[], [4], [-1, 2]])
+    @pytest.mark.parametrize("start", [[], [4], [-1, 2], [0.5], [True], [np.True_],
+                                       [2, 1.0], ["1"]])
     def test_rejects_bad_start(self, cycle4_chain, start):
-        with pytest.raises(BadSubset):
+        with pytest.raises(BadSubset, match="^start must"):
             _subset_distribution(cycle4_chain, 0.5, start)
 
 

@@ -351,6 +351,17 @@ class TestExitMeasure:
         with pytest.raises(BadSubset):
             exit_measure(cycle4_chain, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("A", [[0.5], [True], [np.True_], [1, 4], [-1], [1, "2"]])
+    def test_bad_members(self, cycle4_chain, A):
+        # a member is a state: an integer, not a boolean, in range
+        with pytest.raises(BadSubset, match="^A must"):
+            exit_measure(cycle4_chain, A)
+        with pytest.raises(BadSubset, match="^A must"):
+            kac_residual(cycle4_chain, A)
+
+    def test_numpy_members_accepted(self, cycle4_chain):
+        assert exit_measure(cycle4_chain, np.array([2])).A == (2,)
+
 
 class TestKac:
     def test_k2_hand_values(self, k2_chain):

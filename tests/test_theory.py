@@ -125,6 +125,15 @@ class TestBgPrediction:
         with pytest.raises(ParameterOutOfRange):
             bg_prediction(0, 5.0)
 
+    @pytest.mark.parametrize("psi_hat", [float("nan"), 0.0, -1.0, 2.0, float("inf"), True])
+    def test_bad_psi_rejected(self, psi_hat):
+        # an escape probability is a number in (0, 1]
+        with pytest.raises(ParameterOutOfRange, match="^psi_hat must"):
+            bg_prediction(3, 10.0, psi_hat=psi_hat)
+
+    def test_psi_one_accepted(self):
+        assert bg_prediction(3, 10.0, psi_hat=1.0) == pytest.approx(0.1)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_nonfinite_time_rejected(self, d, t):
