@@ -24,7 +24,7 @@ from .errors import (
     TooLargeForExact,
     TotalUnitOnIrregular,
 )
-from .graphs import Graph
+from .graphs import Graph, _connected
 
 __all__ = [
     "MarkovChain",
@@ -72,7 +72,7 @@ class MarkovChain:
         if np.any(r < 0.0):
             raise ParameterOutOfRange("rates must be nonnegative")
         object.__setattr__(self, "rates", r)
-        if not _rate_graph_connected(r):
+        if not _connected(self.n, *np.nonzero(r)):
             raise NotConnected("rate graph is not irreducible")
 
     @property
@@ -129,33 +129,14 @@ class ReturnProfile:
     H_t: float
 
 
-def _rate_graph_connected(r: np.ndarray) -> bool:
-    n = r.shape[0]
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(r[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
-
-
 def build_generator(g: Graph, convention: str = "per_edge_unit") -> MarkovChain:
     """Walk rates from a graph.
 
     per_edge_unit sets r_{x,y} to the edge multiplicity; total_unit rescales
     to unit total rate per vertex, which keeps the rates symmetric only on
-    regular graphs.
+    regular graphs.  A disconnected graph fails the chain's irreducibility
+    check with NotConnected.
     """
-    from .graphs import is_connected
-
-    if not is_connected(g):
-        raise NotConnected("graph must be connected")
     rates = g.rate_matrix()
     if convention == "total_unit":
         if not g.is_regular():
@@ -237,6 +218,11 @@ def translation_group(c: MarkovChain):
     return add, neg
 
 
+def _check_tol(tol) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
+        raise ParameterOutOfRange(f"tol must be a number in (0, 1), got {tol!r}")
+
+
 def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     """Poisson(lam_t) pmf from 0 through two past the (1 - tol) quantile.
 
@@ -245,8 +231,7 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     without the slow ``scipy.stats`` import.  Every uniformization takes
     its weights here, so ``tol`` is checked here: a number in (0, 1).
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
-        raise ParameterOutOfRange(f"tol must be a number in (0, 1), got {tol!r}")
+    _check_tol(tol)
     if lam_t <= 0.0:
         return np.array([1.0])
     q = 1.0 - tol
@@ -298,6 +283,8 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     from ._flat import check_grid
 
     [t] = check_grid([t], "t")
+    # checked here too: the early return below makes no Poisson weights
+    _check_tol(tol)
     row_rates = c.row_rates
     lam = float(row_rates.max())
     if t == 0.0 or lam == 0.0:

@@ -10,7 +10,7 @@ from . import __version__
 from .chains import build_generator, spectrum, transition_matrix
 from .config import validate_config
 from .crw import exact_occupancy_density
-from .errors import CoalesceError, ConfigError
+from .errors import CoalesceError, ConfigError, ParameterOutOfRange
 from .graphs import (
     DegreeDistribution,
     make_transitive,
@@ -25,6 +25,19 @@ from .seeding import derive_rng
 from .verify import SUITE_HEADER, exact_suite, paper_suite, statistical_suite
 
 
+def _flag(flag: str, convert):
+    """An argparse type: a value that ``convert`` cannot read is a
+    ConfigError naming the flag, which ``main`` reports in one line."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except (ValueError, ParameterOutOfRange) as exc:
+            raise ConfigError(flag, f"cannot read {text!r} ({exc})") from None
+
+    return parse
+
+
 def _parse_degrees(text: str) -> DegreeDistribution:
     pairs = []
     for part in text.split(","):
@@ -37,18 +50,17 @@ def _load_cli_graph(args):
     if args.graph:
         return read_graph(args.graph)
     if args.family:
-        return make_transitive(args.family, *[int(p) for p in args.params])
+        return make_transitive(args.family, *args.params)
     raise ConfigError("graph", "pass --graph FILE or --family NAME --params ...")
 
 
 def _cmd_gen(args) -> int:
     if args.family:
-        g = make_transitive(args.family, *[int(p) for p in args.params])
+        g = make_transitive(args.family, *args.params)
     elif args.cm_degrees:
-        dist = _parse_degrees(args.cm_degrees)
         rng = derive_rng(args.seed, "graph_gen", 0)
         g = sample_configuration_model(
-            dist, args.n, rng, require_connected=args.require_connected
+            args.cm_degrees, args.n, rng, require_connected=args.require_connected
         )
     else:
         raise ConfigError("gen", "pass --family or --cm-degrees")
@@ -99,17 +111,17 @@ def _cmd_simulate(args) -> int:
     graph_spec = (
         {"path": args.graph}
         if args.graph
-        else {"family": args.family, "params": [int(p) for p in args.params]}
+        else {"family": args.family, "params": args.params}
     )
     task: dict = {"task": args.task}
     if args.sites:
-        task["sites"] = [int(s) for s in args.sites.split(",")]
+        task["sites"] = args.sites
     config = validate_config(
         {
             "schema": 1,
             "graph": graph_spec,
             "rate_convention": args.convention,
-            "times": [float(t) for t in args.times.split(",")] if args.times else [1.0],
+            "times": args.times or [1.0],
             "replicates": args.reps,
             "master_seed": args.seed,
             "outputs": args.out,
@@ -166,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--family", choices=["cycle", "torus", "complete", "hypercube"])
-    p.add_argument("--params", nargs="*", default=[])
-    p.add_argument("--cm-degrees", help="degree:prob[,degree:prob...]")
+    p.add_argument("--params", nargs="*", default=[], type=_flag("--params", int))
+    p.add_argument("--cm-degrees", help="degree:prob[,degree:prob...]",
+                   type=_flag("--cm-degrees", _parse_degrees))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-connected", action="store_true")
@@ -178,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["spectrum", "meeting", "occupancy", "transition"])
     p.add_argument("--graph")
     p.add_argument("--family", choices=["cycle", "torus", "complete", "hypercube"])
-    p.add_argument("--params", nargs="*", default=[])
+    p.add_argument("--params", nargs="*", default=[], type=_flag("--params", int))
     p.add_argument("--convention", default="per_edge_unit",
                    choices=["per_edge_unit", "total_unit"])
     p.add_argument("--t", type=float, default=1.0)
@@ -190,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["density", "tracked_cluster", "occupancy", "tau_coal", "nhat"])
     p.add_argument("--graph")
     p.add_argument("--family", choices=["cycle", "torus", "complete", "hypercube"])
-    p.add_argument("--params", nargs="*", default=[])
+    p.add_argument("--params", nargs="*", default=[], type=_flag("--params", int))
     p.add_argument("--convention", default="per_edge_unit",
                    choices=["per_edge_unit", "total_unit"])
-    p.add_argument("--times")
-    p.add_argument("--sites")
+    p.add_argument("--times", type=_flag("--times", lambda s: [float(t) for t in s.split(",")]))
+    p.add_argument("--sites", type=_flag("--sites", lambda s: [int(v) for v in s.split(",")]))
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
@@ -218,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: the flag types raise ConfigError while parsing
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

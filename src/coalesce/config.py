@@ -140,6 +140,12 @@ def _validate_graph(graph: dict):
             {"degrees": "list", "n": "int"},
             {"require_connected": "bool", "seed": "int"},
         )
+        for i, pair in enumerate(graph["cm"]["degrees"]):
+            path = f"graph.cm.degrees[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(path, "expected a [degree, probability] pair")
+            _check_type(pair[0], "int", path)
+            _check_type(pair[1], "number", path)
 
 
 def _validate_task(task: dict, path: str):
@@ -194,7 +200,7 @@ def build_graph(cfg_graph: dict, master_seed: int) -> Graph:
     if "path" in cfg_graph:
         return read_graph(cfg_graph["path"])
     cm = cfg_graph["cm"]
-    dist = DegreeDistribution.from_pairs([(d, p) for d, p in cm["degrees"]])
+    dist = DegreeDistribution.from_pairs(cm["degrees"])
     rng = derive_rng(cm.get("seed", master_seed), "graph_gen", 0)
     return sample_configuration_model(
         dist, cm["n"], rng, require_connected=cm.get("require_connected", False)

@@ -61,7 +61,8 @@ _SUBSET_TOL = 1e-10
 
 @lru_cache(maxsize=32)
 def flat_graph(g: Graph, convention: str) -> FlatGraph:
-    """Cached flat adjacency; Graph is frozen so hashing by value is safe."""
+    """Cached flat adjacency.  Graph is frozen and compares by value; its
+    hash reads only n, the entry count, root and family, not the arrays."""
     return FlatGraph(g, convention)
 
 

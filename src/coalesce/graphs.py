@@ -1,14 +1,17 @@
 """Graph construction: configuration model, truncated unimodular trees,
 and deterministic transitive families.
 
-All graphs are finite undirected multigraphs in compressed adjacency form.
-Multiplicities are kept explicitly; a multi-edge of multiplicity m acts as
-jump rate m for the walk built on top of the graph.  Self-loops produced by
-half-edge matching are deleted (a loop ring moves nothing).
+All graphs are finite undirected multigraphs, stored only as CSR
+(compressed sparse row) arrays: row offsets, neighbours and multiplicities,
+with no per-vertex Python objects.  Multiplicities are kept explicitly; a
+multi-edge of multiplicity m acts as jump rate m for the walk built on top
+of the graph.  Self-loops produced by half-edge matching are deleted (a loop
+ring moves nothing).
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,22 +56,16 @@ class DegreeDistribution:
     def __post_init__(self):
         if not self.support:
             raise ParameterOutOfRange("empty degree support")
-        total = 0.0
-        for deg, p in self.support:
-            if deg < 1:
-                raise ParameterOutOfRange(f"supported degree {deg} < 1")
-            if p < 0.0 or p > 1.0:
-                raise ParameterOutOfRange(f"probability {p} outside [0, 1]")
-            total += p
+        support = tuple(_support_entry(d, p) for d, p in self.support)
+        total = sum(p for _, p in support)
         if abs(total - 1.0) > _PROB_TOL:
             raise ParameterOutOfRange(f"probabilities sum to {total}, not 1")
-        object.__setattr__(
-            self, "mean", float(sum(d * p for d, p in self.support))
-        )
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "mean", float(sum(d * p for d, p in support)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DegreeDistribution":
-        return cls(tuple((int(d), float(p)) for d, p in sorted(pairs)))
+        return cls(tuple(sorted(_support_entry(d, p) for d, p in pairs)))
 
     @classmethod
     def delta(cls, degree: int) -> "DegreeDistribution":
@@ -101,6 +98,18 @@ class DegreeDistribution:
         return rng.choice(degs, size=n, p=probs)
 
 
+def _support_entry(d, p) -> tuple[int, float]:
+    """One support entry as (int, float): the degree an integer >= 1 that
+    is not a bool, the probability a finite number in [0, 1]."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ParameterOutOfRange(
+            f"degree entry ({d!r}, {p!r}): degree must be an integer >= 1")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ParameterOutOfRange(
+            f"degree entry ({d!r}, {p!r}): probability must be a number in [0, 1]")
+    return int(d), float(p)
+
+
 def size_biased(dist: DegreeDistribution) -> DegreeDistribution:
     """Size-biased offspring law: D*(k) = (k+1) D(k+1) / mean(D)."""
     if dist.mean <= 0.0:
@@ -113,41 +122,45 @@ def size_biased(dist: DegreeDistribution) -> DegreeDistribution:
     return DegreeDistribution.from_pairs(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Finite multigraph in compressed adjacency form.
+    """Finite multigraph as read-only CSR (compressed sparse row) arrays.
 
-    adjacency[v] is a sorted tuple of (neighbor, multiplicity) pairs with no
-    self-loop entries; the pair (u, v, m) appears from both endpoints.
-    ``family`` tags deterministic built-ins, e.g. ("cycle", 4), and implies
-    vertex transitivity for the named families.  ``csr`` holds the same
-    adjacency as read-only arrays: row offsets and neighbours (int32),
-    multiplicities (int64); it is derived, so equality and hashing ignore
-    it, and it is built from the tuples when not given.
+    ``csr`` is ``(off, nbr, mult)``: vertex v's entries are ``off[v]`` to
+    ``off[v + 1]``, sorted by neighbour, with ``nbr`` the neighbours and
+    ``mult`` the edge multiplicities; offsets and neighbours are int32,
+    multiplicities int64.  No entry is a self-loop, and an edge (u, v, m)
+    appears from both endpoints.  ``family`` tags deterministic built-ins,
+    e.g. ("cycle", 4), and implies vertex transitivity for the named
+    families.  Graphs compare by value (``n``, ``root``, ``family`` and the
+    three arrays); the hash reads only ``n``, the entry count, ``root`` and
+    ``family``, so it costs nothing per entry.
     """
 
     n: int
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    csr: tuple
     root: int | None = None
     family: tuple | None = None
-    csr: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterOutOfRange("graph needs at least one vertex")
-        csr = self.csr
-        if csr is None:
-            pairs = [p for nbrs in self.adjacency for p in nbrs]
-            nbr_mult = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            ends = np.cumsum([len(nbrs) for nbrs in self.adjacency])
-            csr = (np.concatenate(([0], ends)), nbr_mult[:, 0], nbr_mult[:, 1])
-        off, nbr, mult = csr
+        off, nbr, mult = self.csr
         # offsets and neighbours are bounded by the entry count and n
         csr = (np.asarray(off, dtype=np.int32), np.asarray(nbr, dtype=np.int32),
                np.asarray(mult, dtype=np.int64))
         for a in csr:
             a.setflags(write=False)
         object.__setattr__(self, "csr", csr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return ((self.n, self.root, self.family) == (other.n, other.root, other.family)
+                and all(np.array_equal(a, b) for a, b in zip(self.csr, other.csr)))
+
+    def __hash__(self):
+        return hash((self.n, len(self.csr[1]), self.root, self.family))
 
     @classmethod
     def from_edges(cls, n, edges, root=None, family=None) -> "Graph":
@@ -157,8 +170,8 @@ class Graph:
         Self-loops are dropped, whatever their endpoint; any other edge
         must lie inside the vertex range and have a positive multiplicity.
         The rows go into int64 arrays, repeated edges merge over the packed
-        keys lo * n + hi, and one sort by (vertex, neighbour) lays out every
-        adjacency tuple.
+        keys lo * n + hi, and one sort by (vertex, neighbour) lays out the
+        CSR arrays.
         """
         if isinstance(edges, np.ndarray):
             rows = np.asarray(edges, dtype=np.int64)
@@ -184,21 +197,14 @@ class Graph:
         src = np.concatenate((key // n, key % n))
         dst = np.concatenate((key % n, key // n))
         order = np.lexsort((dst, src))
-        # made in the types Graph keeps, so no copies are added at the peak
-        nbr, nmult = dst[order].astype(np.int32), np.tile(mult, 2)[order]
-        # one shared int object per vertex: the tuples hold n neighbour ints
-        # instead of one per entry, which pays for the arrays kept
-        pairs = list(zip(np.arange(n, dtype=object)[nbr].tolist(), nmult.tolist()))
         off = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        bounds = off.tolist()
-        off = off.astype(np.int32)
-        return cls(
-            n=n,
-            adjacency=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
-            root=root,
-            family=family,
-            csr=(off, nbr, nmult),
-        )
+        # made in the types Graph keeps, so no copies are added at the peak
+        csr = (off.astype(np.int32), dst[order].astype(np.int32), np.tile(mult, 2)[order])
+        return cls(n=n, csr=csr, root=root, family=family)
+
+    def _entry_rows(self) -> np.ndarray:
+        """The vertex each CSR entry belongs to."""
+        return np.repeat(np.arange(self.n), np.diff(self.csr[0]))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -217,21 +223,14 @@ class Graph:
 
     @property
     def transitive(self) -> bool:
-        return self.family is not None and self.family[0] in (
-            "cycle",
-            "torus",
-            "complete",
-            "hypercube",
-        )
+        return self.family is not None and self.family[0] in _TRANSITIVE
 
     def edge_list(self) -> list[tuple[int, int, int]]:
-        """Undirected edges as (u, v, mult) with u < v, sorted."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v, m in nbrs:
-                if u < v:
-                    out.append((u, v, m))
-        return sorted(out)
+        """Undirected edges as (u, v, mult) of Python ints with u < v, sorted."""
+        _, nbr, mult = self.csr
+        u = self._entry_rows()
+        up = u < nbr
+        return sorted(zip(u[up].tolist(), nbr[up].tolist(), mult[up].tolist()))
 
     def is_regular(self) -> bool:
         degs = self.degrees
@@ -239,15 +238,21 @@ class Graph:
 
     def rate_matrix(self) -> np.ndarray:
         """Dense symmetric matrix of edge multiplicities (zero diagonal)."""
+        _, nbr, mult = self.csr
         r = np.zeros((self.n, self.n))
-        for u, nbrs in enumerate(self.adjacency):
-            for v, m in nbrs:
-                r[u, v] = m
+        r[self._entry_rows(), nbr] = mult
         return r
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether the graph has one connected component.
+    """Whether the graph has one connected component."""
+    # gathers run faster on intp indices than on the stored int32
+    return _connected(g.n, g._entry_rows(), g.csr[1].astype(np.intp))
+
+
+def _connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the n vertices and the edges src[i] -- dst[i], as intp
+    arrays, form one component.
 
     Every vertex carries the label of a vertex no larger than itself, the
     root of its tree.  Each round, every edge whose ends carry different
@@ -255,13 +260,9 @@ def is_connected(g: Graph) -> bool:
     jump to their roots.  Every component an edge leaves merges with
     another, so the components at least halve each round.
     """
-    off, nbr, _ = g.csr
-    # gathers run faster on intp indices than on the stored int32
-    nbr = nbr.astype(np.intp)
-    label = np.arange(g.n)
-    src = np.repeat(label, np.diff(off))
+    label = np.arange(n)
     while True:
-        lu, lv = label[src], label[nbr]
+        lu, lv = label[src], label[dst]
         cross = lu != lv
         if not cross.any():
             # vertex 0 is its own root, so one component means all labels 0
@@ -378,22 +379,10 @@ def torus_graph(d: int, L: int) -> Graph:
     if d < 1 or L < 3:
         raise ParameterOutOfRange("torus needs d >= 1 and L >= 3")
     n = L**d
-    strides = [L ** (d - 1 - j) for j in range(d)]
-
-    def idx(coords):
-        return sum(c * s for c, s in zip(coords, strides))
-
-    edges = []
-    for v in range(n):
-        coords = []
-        rem = v
-        for s in strides:
-            coords.append(rem // s)
-            rem %= s
-        for j in range(d):
-            up = list(coords)
-            up[j] = (up[j] + 1) % L
-            edges.append((v, idx(up)))
+    v = np.arange(n)
+    # each vertex to its neighbour one step up along the axis of stride s
+    up = [v + ((v // s + 1) % L - v // s % L) * s for s in L ** np.arange(d)]
+    edges = np.column_stack((np.tile(v, d), np.concatenate(up)))
     return Graph.from_edges(n, edges, family=("torus", d, L))
 
 
@@ -407,17 +396,20 @@ def hypercube_graph(d: int) -> Graph:
     return Graph.from_edges(n, edges, family=("hypercube", d))
 
 
+# the vertex-transitive families: builder and parameter count
+_TRANSITIVE = {"cycle": (cycle_graph, 1), "torus": (torus_graph, 2),
+               "complete": (complete_graph, 1), "hypercube": (hypercube_graph, 1)}
+
+
 def make_transitive(family: str, *params: int) -> Graph:
     """Dispatch on family name: cycle(n), torus(d, L), complete(n), hypercube(d)."""
-    builders = {
-        "cycle": cycle_graph,
-        "torus": torus_graph,
-        "complete": complete_graph,
-        "hypercube": hypercube_graph,
-    }
-    if family not in builders:
+    if family not in _TRANSITIVE:
         raise ParameterOutOfRange(f"unknown transitive family {family!r}")
-    return builders[family](*params)
+    build, count = _TRANSITIVE[family]
+    if len(params) != count:
+        raise ParameterOutOfRange(
+            f"family {family!r} takes {count} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 def vertex_expansion_exact(g: Graph) -> float:
@@ -429,9 +421,7 @@ def vertex_expansion_exact(g: Graph) -> float:
     if n < 2:
         raise ParameterOutOfRange("expansion needs n >= 2")
     nbr_mask = np.zeros(n, dtype=np.int64)
-    for u, nbrs in enumerate(g.adjacency):
-        for v, _ in nbrs:
-            nbr_mask[u] |= 1 << v
+    np.bitwise_or.at(nbr_mask, g._entry_rows(), np.left_shift(1, g.csr[1], dtype=np.int64))
     # every nonempty subset as a bit mask; reach is the union of the
     # neighbourhoods of its members
     s = np.arange(1, 1 << n, dtype=np.int64)

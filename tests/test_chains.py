@@ -39,6 +39,30 @@ from coalesce.graphs import (
 from coalesce.seeding import derive_rng
 
 
+def reference_rate_graph_connected(r):
+    """Irreducibility as a depth-first search over the dense rows."""
+    n = r.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for v in np.nonzero(r[stack.pop()])[0]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
+def random_symmetric_rates(seed):
+    """Sparse random symmetric rates on 1 to 39 states: some connected,
+    some in pieces."""
+    rng = derive_rng(seed, "chain-connected", 0)
+    n = int(rng.integers(1, 40))
+    edge = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.2), 1)
+    rates = np.where(edge, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+    return rates + rates.T
+
+
 class TestBuildGenerator:
     def test_two_path(self, k2_chain):
         assert np.array_equal(k2_chain.generator(), [[-1.0, 1.0], [1.0, -1.0]])
@@ -60,6 +84,20 @@ class TestBuildGenerator:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(NotConnected):
             build_generator(g)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_irreducibility_matches_depth_first_search(self, seed):
+        rates = random_symmetric_rates(seed)
+        if reference_rate_graph_connected(rates):
+            assert MarkovChain.from_rates(rates).n == len(rates)
+        else:
+            with pytest.raises(NotConnected):
+                MarkovChain.from_rates(rates)
+
+    def test_irreducibility_cases_seen(self):
+        connected = [reference_rate_graph_connected(random_symmetric_rates(seed))
+                     for seed in range(12)]
+        assert any(connected) and not all(connected)
 
     def test_asymmetric_rates_rejected(self):
         rates = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -86,6 +124,12 @@ class TestTransitionMatrix:
             transition_matrix(cycle4_chain, 0.5, tol)
         with pytest.raises(ParameterOutOfRange, match="^tol must"):
             poisson_weights(0.0, tol)
+        # t = 0 and a chain with no jumps return before any uniformization
+        with pytest.raises(ParameterOutOfRange, match="^tol must"):
+            transition_matrix(cycle4_chain, 0.0, tol)
+        one_state = MarkovChain.from_rates(np.zeros((1, 1)))
+        with pytest.raises(ParameterOutOfRange, match="^tol must"):
+            transition_matrix(one_state, 1.0, tol)
 
     def test_stochastic_symmetric_nonneg(self, torus33_chain):
         p = transition_matrix(torus33_chain, 0.7, tol=1e-12)

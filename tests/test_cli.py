@@ -13,7 +13,7 @@ import coalesce
 from coalesce import runner, verify
 from coalesce.cli import main
 from coalesce.config import load_config, validate_config
-from coalesce.errors import ConfigError, NotConnected, TaskError
+from coalesce.errors import ConfigError, NotConnected, ParameterOutOfRange, TaskError
 from coalesce.graphs import Graph, cycle_graph, write_graph
 from coalesce.io import block_csv, format_cell, rows_to_csv
 from coalesce.runner import run_experiment
@@ -107,6 +107,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             run_experiment(cfg)
         assert err.value.path == "tasks[0].sites[1]"
+
+    @pytest.mark.parametrize("degrees,path", [
+        ([[3]], "graph.cm.degrees[0]"),
+        ([[3, 0.5], ["a", 0.5]], "graph.cm.degrees[1]"),
+        ([[3, 0.5], [4, "x"]], "graph.cm.degrees[1]"),
+        ([3], "graph.cm.degrees[0]"),
+        ([[3.5, 1.0]], "graph.cm.degrees[0]"),
+    ])
+    def test_bad_cm_degrees_name_field(self, tmp_path, degrees, path):
+        cfg = minimal_config(tmp_path)
+        cfg["graph"] = {"cm": {"degrees": degrees, "n": 20}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("params", [[3], [3, 4, 5]])
+    def test_family_parameter_count(self, tmp_path, params):
+        cfg = minimal_config(tmp_path)
+        cfg["graph"] = {"family": "torus", "params": params}
+        with pytest.raises(ParameterOutOfRange, match="'torus' takes 2 parameter"):
+            run_experiment(validate_config(cfg))
 
     def test_bad_schema_version(self, tmp_path):
         cfg = minimal_config(tmp_path)
@@ -432,6 +453,23 @@ class TestCliCommands:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"schema": 1}))
         assert main(["experiment", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("args,flag", [
+        (["gen", "--cm-degrees", "3", "--n", "10"], "--cm-degrees"),
+        (["gen", "--cm-degrees", "3:x", "--n", "10"], "--cm-degrees"),
+        (["gen", "--cm-degrees", "3:0.5", "--n", "10"], "--cm-degrees"),
+        (["gen", "--family", "cycle", "--params", "x"], "--params"),
+        (["simulate", "--task", "density", "--family", "cycle", "--params", "8",
+          "--times", "a,b"], "--times"),
+        (["simulate", "--task", "occupancy", "--family", "cycle", "--params", "8",
+          "--sites", "0,x"], "--sites"),
+        (["exact", "spectrum", "--family", "cycle", "--params", "4.5"], "--params"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, args, flag):
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_verify_exact_passes(self, tmp_path):
         out = str(tmp_path / "ver")

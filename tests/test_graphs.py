@@ -42,6 +42,27 @@ class TestDegreeDistribution:
         with pytest.raises(ParameterOutOfRange):
             DegreeDistribution(((0, 1.0),))
 
+    @pytest.mark.parametrize("pairs,entry", [
+        ([(3.7, 1.0)], "(3.7, 1.0)"),
+        ([(True, 1.0)], "(True, 1.0)"),
+        ([("3", 1.0)], "('3', 1.0)"),
+        ([(0, 1.0)], "(0, 1.0)"),
+        ([(3, 0.5), (4, float("nan"))], "(4, nan)"),
+        ([(3, float("inf"))], "(3, inf)"),
+        ([(3, 1.5), (4, -0.5)], "(3, 1.5)"),
+        ([(3, True)], "(3, True)"),
+    ])
+    def test_bad_entry_named(self, pairs, entry):
+        with pytest.raises(ParameterOutOfRange) as err:
+            DegreeDistribution.from_pairs(pairs)
+        assert f"degree entry {entry}" in str(err.value)
+
+    def test_numpy_numbers_accepted(self):
+        dist = DegreeDistribution.from_pairs(
+            [(np.int64(4), np.float64(0.5)), (np.int32(3), 0.5)])
+        assert dist.support == ((3, 0.5), (4, 0.5))
+        assert all(type(d) is int and type(p) is float for d, p in dist.support)
+
     def test_mean(self):
         assert D34.mean == pytest.approx(3.5)
         assert D3.cm_safe and not DegreeDistribution.uniform([2, 3]).cm_safe
@@ -123,9 +144,10 @@ class TestConfigurationModel:
         assert abs(n3 - 5000) <= band + 20
 
 
-def reference_from_edges(n, edges, root=None, family=None):
-    """Graph.from_edges as a loop over the edges with a dict of
-    multiplicities, the way it was built before the array assembly."""
+def reference_edges(n, edges):
+    """Graph.from_edges's merged edges as a loop over the rows with a dict
+    of multiplicities, the way it was built before the array assembly:
+    sorted (u, v, m) with u < v."""
     mult = {}
     for e in edges:
         u, v = e[0], e[1]
@@ -138,12 +160,32 @@ def reference_from_edges(n, edges, root=None, family=None):
             raise ParameterOutOfRange("edge multiplicity must be positive")
         key = (u, v) if u < v else (v, u)
         mult[key] = mult.get(key, 0) + int(m)
+    return sorted((u, v, m) for (u, v), m in mult.items())
+
+
+def reference_from_edges(n, edges, root=None, family=None):
+    """Graph.from_edges with its CSR arrays laid out by a loop over the
+    reference edges."""
     adj = [[] for _ in range(n)]
-    for (u, v), m in mult.items():
+    for u, v, m in reference_edges(n, edges):
         adj[u].append((v, m))
         adj[v].append((u, m))
-    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), root=root,
-                 family=family)
+    off, nbr, mults = [0], [], []
+    for a in adj:
+        for v, m in sorted(a):
+            nbr.append(v)
+            mults.append(m)
+        off.append(len(nbr))
+    csr = tuple(np.array(x, dtype=np.int64) for x in (off, nbr, mults))
+    return Graph(n=n, csr=csr, root=root, family=family)
+
+
+def reference_rate_matrix(g):
+    """Graph.rate_matrix as a loop over the edge list."""
+    r = np.zeros((g.n, g.n))
+    for u, v, m in g.edge_list():
+        r[u, v] = r[v, u] = m
+    return r
 
 
 def reference_configuration_model(D, n, rng, require_connected=False, max_retries=200,
@@ -207,7 +249,9 @@ class TestFromEdgesAssembly:
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
         got = Graph.from_edges(5, rows, root=2, family=("test", 5))
         assert got == reference_from_edges(5, rows, root=2, family=("test", 5))
-        assert all(type(x) is int for nbrs in got.adjacency for e in nbrs for x in e)
+        assert got.edge_list() == reference_edges(5, rows)
+        assert all(type(x) is int for e in got.edge_list() for x in e)
+        assert np.array_equal(got.rate_matrix(), reference_rate_matrix(got))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multigraphs(self, seed):
@@ -217,7 +261,10 @@ class TestFromEdgesAssembly:
         rows = rng.integers(0, n, (k, 3))
         rows[:, 2] = rng.integers(1, 4, k)
         edges = [tuple(r) if r[2] > 1 else tuple(r[:2]) for r in rows.tolist()]
-        assert Graph.from_edges(n, edges) == reference_from_edges(n, edges)
+        got = Graph.from_edges(n, edges)
+        assert got == reference_from_edges(n, edges)
+        assert got.edge_list() == reference_edges(n, edges)
+        assert np.array_equal(got.rate_matrix(), reference_rate_matrix(got))
         assert Graph.from_edges(n, rows) == reference_from_edges(n, rows.tolist())
 
     @pytest.mark.parametrize("edges", [
@@ -315,7 +362,7 @@ class TestUgt:
 
     def test_root_degree_law(self):
         rng = derive_rng(2, "ugt", 0)
-        root_degs = [len(sample_ugt(D34, 1, rng).adjacency[0]) for _ in range(300)]
+        root_degs = [sample_ugt(D34, 1, rng).degrees[0] for _ in range(300)]
         assert set(root_degs) <= {3, 4}
         frac = np.mean([d == 3 for d in root_degs])
         assert abs(frac - 0.5) <= 4 * np.sqrt(0.25 / 300)
@@ -371,17 +418,29 @@ class TestConnectivity:
         assert is_connected(Graph.from_edges(1, []))
 
 
+def reference_adjacency(g):
+    """Per vertex, the sorted (neighbour, multiplicity) pairs, by a loop
+    over g.edge_list()."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, m in g.edge_list():
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    return [sorted(a) for a in adj]
+
+
 def reference_degrees(g):
-    """Graph.degrees as a loop over the adjacency tuples."""
-    return np.array([sum(m for _, m in nbrs) for nbrs in g.adjacency], dtype=np.int64)
+    """Graph.degrees as a loop over the edge list."""
+    return np.array([sum(m for _, m in nbrs) for nbrs in reference_adjacency(g)],
+                    dtype=np.int64)
 
 
 def reference_is_connected(g):
-    """is_connected as a depth-first loop over the adjacency tuples."""
+    """is_connected as a depth-first loop over the edge list."""
+    adj = reference_adjacency(g)
     seen = {0}
     stack = [0]
     while stack:
-        for v, _ in g.adjacency[stack.pop()]:
+        for v, _ in adj[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -390,7 +449,7 @@ def reference_is_connected(g):
 
 class TestArrayDegreesAndConnectivity:
     """Degrees and connectivity read the CSR arrays; they must equal the
-    loops over the adjacency tuples."""
+    loops over the edge list."""
 
     CASES = {
         "two_components": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5, 2)]),
@@ -417,8 +476,9 @@ class TestArrayDegreesAndConnectivity:
         assert deg.dtype == np.int64
         np.testing.assert_array_equal(deg, reference_degrees(g))
         assert is_connected(g) is reference_is_connected(g)
-        # the same graph built from its tuples alone gets the same arrays
-        plain = Graph(n=g.n, adjacency=g.adjacency)
+        # the same graph rebuilt from int64 copies of its arrays gets the
+        # stored types back, and compares and hashes equal
+        plain = Graph(n=g.n, csr=tuple(a.astype(np.int64) for a in g.csr))
         for a, b, dtype in zip(plain.csr, g.csr, [np.int32, np.int32, np.int64]):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype == dtype
@@ -446,6 +506,18 @@ class TestArrayDegreesAndConnectivity:
             connected.append(is_connected(g))
         assert not all(connected)
 
+    def test_equality_reads_every_field(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert g == Graph.from_edges(4, [(2, 3), (1, 0)])
+        # the same n, entry count, root and family: equal hashes, unequal graphs
+        other = Graph.from_edges(4, [(0, 2), (1, 3)])
+        assert hash(other) == hash(g) and other != g
+        assert g != Graph.from_edges(4, [(0, 1, 2), (2, 3)])
+        assert g != Graph.from_edges(4, [(0, 1), (2, 3)], root=0)
+        assert g != Graph.from_edges(4, [(0, 1), (2, 3)], family=("test", 4))
+        assert g != Graph.from_edges(5, [(0, 1), (2, 3)])
+        assert g.__eq__(g.csr) is NotImplemented
+
     def test_arrays_are_read_only(self):
         g = cycle_graph(5)
         for a in g.csr:
@@ -454,11 +526,12 @@ class TestArrayDegreesAndConnectivity:
 
 
 def reference_flat_graph(g, convention):
-    """FlatGraph's fields as the loop over the adjacency tuples."""
+    """FlatGraph's fields as the loop over the edge list."""
+    adj = reference_adjacency(g)
     off = [0]
     nbr = []
     for u in range(g.n):
-        for v, m in g.adjacency[u]:
+        for v, m in adj[u]:
             nbr.extend([v] * m)
         off.append(len(nbr))
     deg = [off[i + 1] - off[i] for i in range(g.n)]
@@ -474,7 +547,7 @@ def reference_flat_graph(g, convention):
 
 
 class TestFlatGraphFromCsr:
-    """FlatGraph reads Graph.csr; every field must equal the tuple loop's,
+    """FlatGraph reads Graph.csr; every field must equal the edge loop's,
     as plain lists of Python ints and floats."""
 
     CASES = {
@@ -560,7 +633,7 @@ class TestVertexExpansion:
 
 def brute_force_expansion(g):
     """min |boundary(S)| / |S| over every S with 1 <= |S| <= n / 2, by sets."""
-    nbrs = [{v for v, _ in g.adjacency[u]} for u in range(g.n)]
+    nbrs = [{v for v, _ in a} for a in reference_adjacency(g)]
     best = float("inf")
     for size in range(1, g.n // 2 + 1):
         for s in combinations(range(g.n), size):

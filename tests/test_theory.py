@@ -45,9 +45,10 @@ class TestMeanFieldPredictions:
         assert preds["A1"].value == pytest.approx(preds["A2"].value, rel=1e-12)
 
     def test_full_pipeline_torus310(self):
-        # the window t_rel << t << t_meet needs the 10-side torus; the pair
-        # state space is beyond the exact-survival cap there, so alpha comes
-        # from the Monte Carlo mode
+        # the window t_rel << t << t_meet needs the 10-side torus.  The exact
+        # alpha_15 is available there on the difference walk, but it does not
+        # mend the A1 half, which sits about 15% above the density (ROADMAP
+        # item 4), so the Monte Carlo alpha this check was calibrated on is kept
         from coalesce.graphs import torus_graph
         from coalesce.chains import spectrum
         from coalesce.meeting import alpha_survival
