@@ -60,12 +60,9 @@ class FlatGraph:
 def chain_walk(c):
     """Rate list and neighbor pick of a chain's weighted jump law: target y
     with probability r_{x,y} / r(x), by bisection on cumulative rates."""
-    targets = []
-    cums = []
-    for row in c.rates:
-        nz = row.nonzero()[0]
-        targets.append(nz.tolist())
-        cums.append(row[nz].cumsum().tolist())
+    indptr, cols, data = c.csr
+    targets = [row.tolist() for row in np.split(cols, indptr[1:-1])]
+    cums = [row.cumsum().tolist() for row in np.split(data, indptr[1:-1])]
 
     def neighbor(x, u):
         row = cums[x]
@@ -177,16 +174,16 @@ def chain_pick(c):
     part and keeps it or takes its alias by its fraction.
     """
     n = c.n
-    r_max = float(c.row_rates.max())
-    rows, cols = c.rates.nonzero()
-    nnz = np.bincount(rows, minlength=n)
+    r_max = c.r_max
+    rows, cols, rates = c.entries()
+    indptr = c.csr[0]
     stay = np.maximum(0.0, 1.0 - c.row_rates / r_max)
-    width = int(nnz.max()) + int((stay > 0.0).any())
+    width = int(np.diff(indptr).max()) + int((stay > 0.0).any())
     target = np.repeat(np.arange(n, dtype=np.int64), width).reshape(n, width)
     weight = np.zeros((n, width))
-    slot = np.arange(rows.size) - (np.cumsum(nnz) - nnz)[rows]
+    slot = np.arange(rows.size) - indptr[rows]
     target[rows, slot] = cols
-    weight[rows, slot] = c.rates[rows, cols] / r_max
+    weight[rows, slot] = rates / r_max
     weight[:, -1] += stay
     keep, alias = _alias_columns(weight)
     # entry 2 * (x * width + j) holds column j's target and the next entry

@@ -1,4 +1,4 @@
-"""Exact continuous-time Markov-chain functionals on small chains.
+"""Exact continuous-time Markov-chain functionals.
 
 Rates are symmetric with zero diagonal, so every chain here is reversible
 with uniform stationary law.  Transition matrices are computed by
@@ -12,19 +12,21 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
+from ._flat import check_grid
 from .errors import (
     NotConnected,
     ParameterOutOfRange,
     TooLargeForExact,
     TotalUnitOnIrregular,
 )
-from .graphs import Graph, _connected
+from .graphs import Graph, _connected, _entry_rows
 
 __all__ = [
     "MarkovChain",
@@ -48,37 +50,60 @@ _EIG_ZERO = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Dense symmetric rate matrix with zero diagonal.
+    """Symmetric jump rates with zero diagonal, as read-only CSR arrays.
 
-    convention is "per_edge_unit" (rate = edge multiplicity),
-    "total_unit" (each row rescaled to total rate 1; regular graphs only),
-    or "custom" for explicitly supplied rates.
+    ``csr`` is ``(indptr, indices, data)`` in ``Graph.csr``'s layout, with
+    the positive rates r(x, y) as data; ``row_rates`` holds each r(x),
+    summed once in stored order.  convention is "per_edge_unit" (rate =
+    edge multiplicity), "total_unit" (each row rescaled to total rate 1;
+    regular graphs only), or "custom".
     """
 
     n: int
-    rates: np.ndarray
+    csr: tuple
     convention: str = "per_edge_unit"
     family: tuple | None = None
     transitive: bool = False
+    row_rates: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
-        if r.shape != (self.n, self.n):
-            raise ParameterOutOfRange("rate matrix shape mismatch")
-        if not np.array_equal(r, r.T):
+        n = self.n
+        csr = tuple(np.asarray(a, dtype=t)
+                    for a, t in zip(self.csr, (np.int32, np.int32, float)))
+        indptr, cols, data = csr
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != cols.size
+                or data.shape != cols.shape or np.any(np.diff(indptr) < 0)):
+            raise ParameterOutOfRange("rate arrays do not describe an n x n matrix")
+        rows = _entry_rows(indptr)
+        # row-major keys (int64, as rows is) rise strictly when each row's
+        # columns are sorted and unique
+        key = rows * n + cols
+        if np.any((cols < 0) | (cols >= n) | (rows == cols)) or np.any(np.diff(key) <= 0):
+            raise ParameterOutOfRange(
+                "rate columns must be in range, off the diagonal, sorted and unique")
+        if not np.all(data > 0.0):
+            raise ParameterOutOfRange("stored rates must be positive")
+        # the transposed entries, sorted by (row, column), are the entries
+        order = np.lexsort((rows, cols))
+        if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)
+                and np.array_equal(data[order], data)):
             raise ParameterOutOfRange("rates must be exactly symmetric")
-        if np.any(np.diag(r) != 0.0):
-            raise ParameterOutOfRange("rates must have zero diagonal")
-        if np.any(r < 0.0):
-            raise ParameterOutOfRange("rates must be nonnegative")
-        object.__setattr__(self, "rates", r)
-        if not _connected(self.n, *np.nonzero(r)):
+        if not _connected(n, rows, cols.astype(np.intp)):
             raise NotConnected("rate graph is not irreducible")
+        row_rates = np.bincount(rows, weights=data, minlength=n)
+        for a in (*csr, row_rates):
+            a.setflags(write=False)
+        object.__setattr__(self, "csr", csr)
+        object.__setattr__(self, "row_rates", row_rates)
 
-    @property
-    def row_rates(self) -> np.ndarray:
-        """Total jump rate r(x) per state."""
-        return self.rates.sum(axis=1)
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and rates of the stored entries, in row-major order."""
+        return _entry_rows(self.csr[0]), *self.csr[1:]
+
+    def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The states y with r(x, y) > 0, in increasing order, and those rates."""
+        indptr, cols, data = self.csr
+        return cols[indptr[x]:indptr[x + 1]], data[indptr[x]:indptr[x + 1]]
 
     @property
     def r_max(self) -> float:
@@ -88,17 +113,26 @@ class MarkovChain:
     def r_min(self) -> float:
         return float(self.row_rates.min())
 
-    def generator(self) -> np.ndarray:
-        q = self.rates.copy()
-        np.fill_diagonal(q, -self.row_rates)
-        return q
+    def generator(self) -> sp.csr_matrix:
+        """Sparse generator Q, the rates off the diagonal and -r(x) on it: a
+        copy of the one built on first use."""
+        return self._generator.copy()
+
+    @cached_property
+    def _generator(self) -> sp.csr_matrix:
+        # scipy takes the arrays as (data, indices, indptr)
+        rates = sp.csr_matrix(self.csr[::-1], shape=(self.n, self.n))
+        return rates - sp.diags(self.row_rates)
 
     @classmethod
     def from_rates(cls, rates, transitive=False) -> "MarkovChain":
-        rates = np.asarray(rates, dtype=float)
-        return cls(
-            n=rates.shape[0], rates=rates, convention="custom", transitive=transitive
-        )
+        """A "custom" chain from the nonzero entries of a dense rate matrix."""
+        r = np.asarray(rates, dtype=float)
+        if r.ndim != 2:
+            raise ParameterOutOfRange("rate matrix shape mismatch")
+        m = sp.csr_matrix(r)
+        # a matrix that is not square fails the offset count
+        return cls(m.shape[1], (m.indptr, m.indices, m.data), "custom", transitive=transitive)
 
 
 @dataclass(frozen=True)
@@ -137,31 +171,35 @@ def build_generator(g: Graph, convention: str = "per_edge_unit") -> MarkovChain:
     regular graphs.  A disconnected graph fails the chain's irreducibility
     check with NotConnected.
     """
-    rates = g.rate_matrix()
+    off, nbr, mult = g.csr
+    rates = mult.astype(float)
     if convention == "total_unit":
         if not g.is_regular():
             raise TotalUnitOnIrregular(
                 "total-unit rates on an irregular graph are not symmetric"
             )
-        rates = rates / float(g.degrees[0])
+        rates /= float(g.degrees[0])
     elif convention != "per_edge_unit":
         raise ParameterOutOfRange(f"unknown rate convention {convention!r}")
-    return MarkovChain(
-        n=g.n,
-        rates=rates,
-        convention=convention,
-        family=g.family,
-        transitive=g.transitive,
-    )
+    return MarkovChain(g.n, (off, nbr, rates), convention, g.family, g.transitive)
+
+
+def _pair_generator(c: MarkovChain) -> sp.csr_matrix:
+    """Sparse generator of two independent copies of c, state x * n + y."""
+    q = c.generator()
+    eye = sp.identity(c.n, format="csr")
+    return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
 
 
 def product_chain(c: MarkovChain) -> MarkovChain:
-    """Two independent copies as one chain on pairs, state index x*n + y."""
+    """Two independent copies as one chain on pairs, state index x*n + y:
+    the rates off the diagonal of the Kronecker sum of c's generator."""
     if c.n * c.n > _DENSE_CAP:
         raise TooLargeForExact("materialized product chain capped at 4096 states")
-    eye = np.eye(c.n)
-    rates2 = np.kron(c.rates, eye) + np.kron(eye, c.rates)
-    return MarkovChain(n=c.n * c.n, rates=rates2, convention="custom")
+    k = _pair_generator(c)
+    k.setdiag(0.0)
+    k.eliminate_zeros()
+    return MarkovChain(c.n * c.n, (k.indptr, k.indices, k.data), "custom")
 
 
 def translation_group(c: MarkovChain):
@@ -171,7 +209,7 @@ def translation_group(c: MarkovChain):
     ``complete``, Z_L^d in the torus's lexicographic labels and Z_2^d on the
     hypercube's bit masks, with vertex 0 the identity.  Returns vectorized
     ``(add, neg)`` on integer arrays of vertex ids, but only when
-    ``rates[u, v] == rates[0, v - u]`` for every pair; a chain with no tag,
+    r(u, v) == r(0, v - u) for every pair; a chain with no tag,
     or with rates its tag does not describe, gets None.
     """
     family = c.family
@@ -208,14 +246,15 @@ def translation_group(c: MarkovChain):
         return None
     if c.n != size:
         return None
-    # row u must be row 0 moved by u: equal at u + g for every g in the
-    # support of row 0 (n * deg entries, not n^2), and zero elsewhere
-    gens = np.flatnonzero(c.rates[0])
-    ids = np.arange(size, dtype=np.int64)[:, None]
-    if not (np.all(c.rates[ids, add(ids, gens)] == c.rates[0, gens])
-            and np.all(np.count_nonzero(c.rates, axis=1) == gens.size)):
-        return None
-    return add, neg
+    # row u must be row 0 moved by u: as many entries, at u + g for every
+    # g in the support of row 0, with row 0's rate at g
+    gens, base = c.row(0)
+    moved = add(np.arange(size, dtype=np.int64)[:, None], gens)
+    order = np.argsort(moved, axis=1)
+    same = (np.all(np.diff(c.csr[0]) == gens.size)
+            and np.array_equal(np.take_along_axis(moved, order, axis=1).ravel(), c.csr[1])
+            and np.array_equal(base[order].ravel(), c.csr[2]))
+    return (add, neg) if same else None
 
 
 def _check_tol(tol) -> None:
@@ -280,19 +319,17 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("dense transition matrix capped at 4096 states")
-    from ._flat import check_grid
-
     [t] = check_grid([t], "t")
     # checked here too: the early return below makes no Poisson weights
     _check_tol(tol)
-    row_rates = c.row_rates
-    lam = float(row_rates.max())
+    lam = c.r_max
     if t == 0.0 or lam == 0.0:
         return np.eye(c.n)
     n = c.n
-    kernel = sp.csr_matrix(c.rates)
+    # I + Q / lam, dividing each entry (scipy's Q / lam multiplies by 1 / lam)
+    kernel = c.generator()
     kernel.data /= lam
-    kernel.setdiag(1.0 - row_rates / lam)
+    kernel.setdiag(kernel.diagonal() + 1.0)
     out = np.empty((n, n))
     width = max(1, _PANEL_BYTES // (8 * n))
     starts = range(0, n, width)
@@ -356,14 +393,14 @@ def spectrum(c: MarkovChain, family_hint: tuple | None = None) -> Spectrum:
         raise TooLargeForExact(
             "dense eigendecomposition capped at 4096 states; pass a family hint"
         )
-    ev = np.linalg.eigvalsh(-c.generator())
+    ev = np.linalg.eigvalsh(-c.generator().toarray())
     return Spectrum(eigenvalues=ev)
 
 
 def _return_integral(c: MarkovChain):
     """Factory returning s -> integral of diag(p_u) du over [0, s], from one
-    symmetric eigendecomposition."""
-    lam, vecs = np.linalg.eigh(-c.generator())
+    symmetric eigendecomposition of the densified generator."""
+    lam, vecs = np.linalg.eigh(-c.generator().toarray())
     lam = np.where(lam < _EIG_ZERO, 0.0, lam)
     v2 = vecs**2
 
@@ -385,8 +422,6 @@ def return_integrals(c: MarkovChain, t: float) -> ReturnProfile:
     """
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("return integrals need the dense path")
-    from ._flat import check_grid
-
     [t] = check_grid([t], "t")
     if t <= 0.0:
         raise ParameterOutOfRange("t must be positive")

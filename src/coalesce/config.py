@@ -146,6 +146,10 @@ def _validate_graph(graph: dict):
                 raise ConfigError(path, "expected a [degree, probability] pair")
             _check_type(pair[0], "int", path)
             _check_type(pair[1], "number", path)
+        try:
+            DegreeDistribution.from_pairs(graph["cm"]["degrees"])
+        except ParameterOutOfRange as exc:
+            raise ConfigError("graph.cm.degrees", str(exc)) from exc
 
 
 def _validate_task(task: dict, path: str):

@@ -436,8 +436,7 @@ def _ring_kernel(c: MarkovChain, occ: np.ndarray, move):
     # a chain with no edges never moves: its kernel is the identity
     rows, cols = [idx], [idx]
     data = [1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)]
-    xs, ys = np.nonzero(c.rates)
-    for x, y, r in zip(xs, ys, c.rates[xs, ys]):
+    for x, y, r in zip(*c.entries()):
         src = np.flatnonzero(occ[:, x])
         rows.append(move(src, int(x), int(y)))
         cols.append(src)

@@ -70,13 +70,14 @@ class DegreeDistribution:
     @classmethod
     def delta(cls, degree: int) -> "DegreeDistribution":
         """Point mass at one degree."""
-        return cls(((int(degree), 1.0),))
+        return cls(((degree, 1.0),))
 
     @classmethod
     def uniform(cls, degrees) -> "DegreeDistribution":
-        degs = sorted(set(int(d) for d in degrees))
+        """Equal mass on each distinct degree."""
+        degs = list(dict.fromkeys(degrees))
         p = 1.0 / len(degs)
-        return cls(tuple((d, p) for d in degs))
+        return cls.from_pairs((d, p) for d in degs)
 
     @property
     def min_degree(self) -> int:
@@ -202,10 +203,6 @@ class Graph:
         csr = (off.astype(np.int32), dst[order].astype(np.int32), np.tile(mult, 2)[order])
         return cls(n=n, csr=csr, root=root, family=family)
 
-    def _entry_rows(self) -> np.ndarray:
-        """The vertex each CSR entry belongs to."""
-        return np.repeat(np.arange(self.n), np.diff(self.csr[0]))
-
     @property
     def degrees(self) -> np.ndarray:
         """Per-vertex total degree, counting multiplicities."""
@@ -228,7 +225,7 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int, int]]:
         """Undirected edges as (u, v, mult) of Python ints with u < v, sorted."""
         _, nbr, mult = self.csr
-        u = self._entry_rows()
+        u = _entry_rows(self.csr[0])
         up = u < nbr
         return sorted(zip(u[up].tolist(), nbr[up].tolist(), mult[up].tolist()))
 
@@ -236,18 +233,16 @@ class Graph:
         degs = self.degrees
         return bool((degs == degs[0]).all())
 
-    def rate_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix of edge multiplicities (zero diagonal)."""
-        _, nbr, mult = self.csr
-        r = np.zeros((self.n, self.n))
-        r[self._entry_rows(), nbr] = mult
-        return r
-
 
 def is_connected(g: Graph) -> bool:
     """Whether the graph has one connected component."""
     # gathers run faster on intp indices than on the stored int32
-    return _connected(g.n, g._entry_rows(), g.csr[1].astype(np.intp))
+    return _connected(g.n, _entry_rows(g.csr[0]), g.csr[1].astype(np.intp))
+
+
+def _entry_rows(off: np.ndarray) -> np.ndarray:
+    """The row each entry of CSR arrays with offsets off belongs to."""
+    return np.repeat(np.arange(len(off) - 1), np.diff(off))
 
 
 def _connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -421,7 +416,8 @@ def vertex_expansion_exact(g: Graph) -> float:
     if n < 2:
         raise ParameterOutOfRange("expansion needs n >= 2")
     nbr_mask = np.zeros(n, dtype=np.int64)
-    np.bitwise_or.at(nbr_mask, g._entry_rows(), np.left_shift(1, g.csr[1], dtype=np.int64))
+    np.bitwise_or.at(nbr_mask, _entry_rows(g.csr[0]),
+                     np.left_shift(1, g.csr[1], dtype=np.int64))
     # every nonempty subset as a bit mask; reach is the union of the
     # neighbourhoods of its members
     s = np.arange(1, 1 << n, dtype=np.int64)

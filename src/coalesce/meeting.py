@@ -3,11 +3,11 @@
 Exact quantities come from one hitting-time solve (conjugate gradients on
 the sparse generator) and one killed uniformization, applied to a single
 chain or to a two-walker chain killed where the walkers meet: the product
-chain (a sparse Kronecker sum on states x * n + y, killed on its diagonal)
-or, on a chain whose rates an abelian group translates
-(``chains.translation_group``), the n-state difference walk Y - X killed at
-the identity.
-Monte Carlo fallbacks for graphs beyond the dense caps run blocks of walker
+chain (a sparse Kronecker sum of ``MarkovChain.generator()`` on states
+x * n + y, killed on its diagonal) or, on a chain whose rates an abelian
+group translates (``chains.translation_group``), the n-state difference
+walk Y - X killed at the identity.  Nothing reads a dense rate matrix.
+Monte Carlo fallbacks for graphs beyond the exact caps run blocks of walker
 pairs on the two-walker kernel ``_flat.walk_pairs``, which uniformizes both
 walkers at the walk's largest rate and reports the events it used and the
 thinned stays among them.
@@ -34,7 +34,8 @@ from ._flat import (
     graph_pick,
     walk_pairs,
 )
-from .chains import MarkovChain, spectrum, translation_group, uniformize
+from .chains import (MarkovChain, _pair_generator, build_generator, spectrum,
+                     translation_group, uniformize)
 from .errors import (
     BadSubset,
     CoalesceError,
@@ -78,24 +79,16 @@ class MeetingProfile:
     residual: float
 
 
-def _pair_generator(c: MarkovChain):
-    """Sparse generator of two independent copies of c, state x * n + y."""
-    q = sp.csr_matrix(c.generator())
-    eye = sp.identity(c.n, format="csr")
-    return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
-
-
 def _difference_generator(c: MarkovChain, add):
     """Sparse generator of Y - X for two independent copies of a chain whose
     rates are translation invariant: the difference moves by g when Y moves
     by g or X by -g, at rate r(0, g) + r(0, -g) = 2 r(0, g)."""
     n = c.n
     ids = np.arange(n, dtype=np.int64)
-    gens = np.flatnonzero(c.rates[0])
+    gens, base = c.row(0)
     rows = np.concatenate([np.repeat(ids, gens.size), ids])
     cols = np.concatenate([add(np.repeat(ids, gens.size), np.tile(gens, n)), ids])
-    data = np.concatenate([np.tile(2.0 * c.rates[0, gens], n),
-                           np.full(n, -2.0 * c.row_rates[0])])
+    data = np.concatenate([np.tile(2.0 * base, n), np.full(n, -2.0 * c.row_rates[0])])
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -206,28 +199,27 @@ def alpha_survival(
     among them (none when every row has the same total rate).
     """
     if isinstance(c, Graph):
-        from .chains import build_generator
-
         c = build_generator(c)
     [t] = check_grid([t], "t")
     x = check_vertex(x, c.n, "x")
     rx = float(c.row_rates[x])
+    nbrs, rates = c.row(x)
     if mode == "exact":
         group = translation_group(c)
         if group is None:
             if c.n * c.n > _PAIR_CAP:
                 raise TooLargeForExact("exact alpha capped at 250000 pair states")
             mu0 = np.zeros((c.n, c.n))
-            mu0[x] = c.rates[x] / rx
+            mu0[x, nbrs] = rates / rx
             diag = np.eye(c.n, dtype=bool).ravel()
             surv, terms, tail = _survival(_pair_generator(c), diag, mu0.ravel(), [t])
         else:
             if c.n > _PAIR_CAP:
                 raise TooLargeForExact("exact alpha capped at 250000 difference states")
             # the neighbour sits at x + g with probability r(0, g) / r(x)
-            identity = np.arange(c.n) == 0
-            surv, terms, tail = _survival(_difference_generator(c, group[0]), identity,
-                                          c.rates[0] / rx, [t])
+            mu0 = np.bincount(*c.row(0), c.n) / rx
+            surv, terms, tail = _survival(_difference_generator(c, group[0]),
+                                          np.arange(c.n) == 0, mu0, [t])
         return {"value": rx * surv[0], "stderr": 0.0, "terms": terms,
                 "tail_mass": tail}
     if mode != "mc":
@@ -236,8 +228,7 @@ def alpha_survival(
         raise ParameterOutOfRange("mc mode needs an rng")
     check_count(reps)
     r_max, pick = chain_pick(c)
-    nbrs = np.flatnonzero(c.rates[x])
-    law = c.rates[x, nbrs] / rx
+    law = rates / rx
     hits = events = thinned = 0
     for lo in range(0, reps, PAIR_BLOCK):
         a = np.full(min(PAIR_BLOCK, reps - lo), x, dtype=np.int64)
@@ -268,9 +259,11 @@ def exit_measure(c: MarkovChain, A) -> ExitMeasure:
     """Stationary exit law from A onto its complement, with the exit flow."""
     mask = _subset_mask(c.n, A)
     pi = 1.0 / c.n
-    flow = pi * c.rates[mask][:, ~mask].sum()
-    weights = np.zeros(c.n)
-    weights[~mask] = pi * c.rates[mask][:, ~mask].sum(axis=0) / flow
+    rows, cols, rates = c.entries()
+    out = mask[rows] & ~mask[cols]
+    flow = pi * rates[out].sum()
+    # the rate into each state of the complement, summed in row order
+    weights = pi * np.bincount(cols[out], rates[out], c.n) / flow
     A = tuple(int(a) for a in np.flatnonzero(mask))
     return ExitMeasure(A=A, weights=weights, Q_A=float(flow))
 
@@ -289,7 +282,7 @@ def kac_residual(c: MarkovChain, A) -> float:
     pi(A^c) = Q(A, A^c) * E_{exit law}(T_A); zero for exact arithmetic."""
     mask = _subset_mask(c.n, A)
     em = exit_measure(c, A)
-    h = _hitting_times(sp.csr_matrix(c.generator()), mask)[0]
+    h = _hitting_times(c.generator(), mask)[0]
     lhs = 1.0 - mask.sum() / c.n
     rhs = em.Q_A * float(em.weights @ h)
     return abs(lhs - rhs)
@@ -301,7 +294,7 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     density envelope, with the density obtained by central differences of
     the exact survival curve."""
     mask = _subset_mask(c.n, A)
-    q = sp.csr_matrix(c.generator())
+    q = c.generator()
     h = _hitting_times(q, mask)[0]
     e_pi = float(h.mean())
     t_rel = spectrum(c).t_rel
@@ -317,28 +310,16 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     for t in t_grid:
         if t == 0.0:
             s0 = 1.0 - mask.sum() / c.n
-            report.append(
-                {
-                    "t": 0.0,
-                    "margin_tail": t_rel / e_pi - abs(s0 - 1.0),
-                    "margin_density_upper": float("inf"),
-                    "margin_density_lower": float("inf"),
-                }
-            )
-            continue
-        hstep = hsteps[t]
-        dens = (surv[t - hstep] - surv[t + hstep]) / (2.0 * hstep)
-        tail_gap = abs(surv[t] - np.exp(-t / e_pi))
-        upper = (1.0 / e_pi) * (1.0 + t_rel / (2.0 * t))
-        lower = (1.0 / e_pi) * (1.0 - (2.0 * t_rel + t) / e_pi)
-        report.append(
-            {
-                "t": t,
-                "margin_tail": t_rel / e_pi - tail_gap,
-                "margin_density_upper": upper - dens,
-                "margin_density_lower": dens - lower,
-            }
-        )
+            # reported as t = 0.0, also for an entry -0.0
+            t, gap, above, below = 0.0, abs(s0 - 1.0), float("inf"), float("inf")
+        else:
+            hstep = hsteps[t]
+            dens = (surv[t - hstep] - surv[t + hstep]) / (2.0 * hstep)
+            gap = abs(surv[t] - np.exp(-t / e_pi))
+            above = (1.0 / e_pi) * (1.0 + t_rel / (2.0 * t)) - dens
+            below = dens - (1.0 / e_pi) * (1.0 - (2.0 * t_rel + t) / e_pi)
+        report.append({"t": t, "margin_tail": t_rel / e_pi - gap,
+                       "margin_density_upper": above, "margin_density_lower": below})
     return report
 
 

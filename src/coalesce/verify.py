@@ -80,15 +80,13 @@ def _random_chain(rng) -> MarkovChain:
     return MarkovChain.from_rates(rates)
 
 
-def _builtin_chains():
-    return [
-        ("path2", build_generator(path_graph(2))),
-        ("cycle4", build_generator(cycle_graph(4))),
-        ("cycle6", build_generator(cycle_graph(6))),
-        ("complete4", build_generator(complete_graph(4))),
-        ("torus33", build_generator(torus_graph(3, 3))),
-        ("hypercube3", build_generator(hypercube_graph(3))),
-    ]
+def _builtin_chains(*names):
+    """Per-edge-unit chains on the named built-in graphs, all six when none
+    is named."""
+    graphs = {"path2": lambda: path_graph(2), "cycle4": lambda: cycle_graph(4),
+              "cycle6": lambda: cycle_graph(6), "complete4": lambda: complete_graph(4),
+              "torus33": lambda: torus_graph(3, 3), "hypercube3": lambda: hypercube_graph(3)}
+    return [(name, build_generator(graphs[name]())) for name in names or graphs]
 
 
 def exact_suite(seed: int = 0) -> tuple[list, bool]:
@@ -104,12 +102,7 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
         worst = max(worst, kac_residual(c, A))
     rows.append(_row("kac_random", "max_residual_20", worst, 0.0, 1e-9, worst <= 1e-9))
 
-    for name, c in [
-        ("path2", build_generator(path_graph(2))),
-        ("cycle4", build_generator(cycle_graph(4))),
-        ("complete4", build_generator(complete_graph(4))),
-        ("torus33", build_generator(torus_graph(3, 3))),
-    ]:
+    for name, c in _builtin_chains("path2", "cycle4", "complete4", "torus33"):
         r = eigentime_residual(c, assume_transitive=True)
         rows.append(_row("eigentime", name, r, 0.0, 1e-8, r <= 1e-8))
 
@@ -173,19 +166,14 @@ def exact_suite(seed: int = 0) -> tuple[list, bool]:
         rows.append(_row("rate_bounds", name, lam_n, 0.0, 2.0 * c.r_max, ok))
 
     # semigroup property of the uniformized kernel
-    for name, c in [("cycle6", build_generator(cycle_graph(6))),
-                    ("torus33", build_generator(torus_graph(3, 3)))]:
+    for name, c in _builtin_chains("cycle6", "torus33"):
         gap = np.abs(
             transition_matrix(c, 1.5) - transition_matrix(c, 0.9) @ transition_matrix(c, 0.6)
         ).max()
         rows.append(_row("semigroup", name, gap, 0.0, 1e-10, gap <= 1e-10))
 
     # trace-integral envelope around the mean meeting time, transitive chains
-    for name, c in [
-        ("cycle4", build_generator(cycle_graph(4))),
-        ("complete4", build_generator(complete_graph(4))),
-        ("torus33", build_generator(torus_graph(3, 3))),
-    ]:
+    for name, c in _builtin_chains("cycle4", "complete4", "torus33"):
         spec = spectrum(c)
         m = pairwise_meeting_times(c).t_meet_pi
         integral_to = _return_integral(c)

@@ -3,10 +3,50 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coalesce import _flat
 from coalesce.chains import build_generator
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
+
+
+def dense(csr, n):
+    """The n x n matrix that CSR arrays (offsets, columns, values) describe,
+    for comparisons with dense references."""
+    off, cols, vals = csr
+    m = np.zeros((n, n))
+    m[np.repeat(np.arange(n), np.diff(off)), cols] = vals
+    return m
+
+
+class DenseBuilt:
+    """A chain's inputs built from a dense rate matrix, the way a dense
+    ``MarkovChain.rates`` gave them: row totals by numpy's row sums, the
+    generator made sparse from its dense form, entries and rows in
+    ``np.nonzero`` order.  The oracles read a chain only through these, so
+    on this stand-in they compute what they computed from dense rates."""
+
+    def __init__(self, rates, family=None, convention="custom"):
+        self._r = np.asarray(rates, dtype=float)
+        self.n = len(self._r)
+        self.family, self.convention, self.transitive = family, convention, False
+        self.row_rates = self._r.sum(axis=1)
+        self.r_max, self.r_min = float(self.row_rates.max()), float(self.row_rates.min())
+        m = sp.csr_matrix(self._r)
+        self.csr = (m.indptr, m.indices, m.data)
+
+    def generator(self):
+        q = self._r.copy()
+        np.fill_diagonal(q, -self.row_rates)
+        return sp.csr_matrix(q)
+
+    def entries(self):
+        rows, cols = np.nonzero(self._r)
+        return rows, cols, self._r[rows, cols]
+
+    def row(self, x):
+        cols = np.flatnonzero(self._r[x])
+        return cols, self._r[x, cols]
 
 
 @pytest.fixture(scope="session")

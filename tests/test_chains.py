@@ -1,11 +1,13 @@
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import dense
 from scipy.stats import poisson
 
 from coalesce import chains
@@ -36,6 +38,7 @@ from coalesce.graphs import (
     sample_configuration_model,
     torus_graph,
 )
+from coalesce.meeting import pairwise_meeting_times
 from coalesce.seeding import derive_rng
 
 
@@ -65,14 +68,14 @@ def random_symmetric_rates(seed):
 
 class TestBuildGenerator:
     def test_two_path(self, k2_chain):
-        assert np.array_equal(k2_chain.generator(), [[-1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(k2_chain.generator().toarray(), [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_cycle4_diagonal(self, cycle4_chain):
-        assert np.array_equal(np.diag(cycle4_chain.generator()), [-2.0] * 4)
+        assert np.array_equal(cycle4_chain.generator().diagonal(), [-2.0] * 4)
 
     def test_total_unit_complete4(self):
         c = build_generator(complete_graph(4), "total_unit")
-        off = c.rates[0, 1]
+        off = dense(c.csr, c.n)[0, 1]
         assert off == pytest.approx(1 / 3)
         assert np.allclose(c.row_rates, 1.0, atol=1e-12)
 
@@ -101,6 +104,12 @@ class TestBuildGenerator:
 
     def test_asymmetric_rates_rejected(self):
         rates = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ParameterOutOfRange):
+            MarkovChain.from_rates(rates)
+
+    @pytest.mark.parametrize("rates", [[0.0], [[[0.0]]], 3.0, np.zeros((2, 3))],
+                             ids=["1d", "3d", "scalar", "2x3"])
+    def test_non_square_rates_rejected(self, rates):
         with pytest.raises(ParameterOutOfRange):
             MarkovChain.from_rates(rates)
 
@@ -158,7 +167,7 @@ class TestTransitionMatrix:
         g = sample_configuration_model(dist, 200, derive_rng(8, "tm-cm", 0),
                                        require_connected=True)
         c = build_generator(g)
-        lam, vecs = np.linalg.eigh(c.generator())
+        lam, vecs = np.linalg.eigh(c.generator().toarray())
         for t in (0.05, 0.7, 3.0):
             p = transition_matrix(c, t)
             exact = (vecs * np.exp(lam * t)) @ vecs.T
@@ -182,7 +191,7 @@ class TestTransitionMatrix:
 def reference_transition_matrix(c, t, tol=1e-12):
     """transition_matrix as one uniformization of the whole identity."""
     lam = c.r_max
-    kernel = sp.csr_matrix(c.rates / lam)
+    kernel = sp.csr_matrix(dense(c.csr, c.n) / lam)
     kernel.setdiag(1.0 - c.row_rates / lam)
     return uniformize(kernel.dot, np.eye(c.n), lam, [t], tol)[0][0]
 
@@ -320,8 +329,8 @@ class TestSpectrum:
     def test_closed_form_matches_dense(self, graph):
         c = build_generator(graph)
         closed = spectrum(c).eigenvalues
-        dense = np.sort(np.linalg.eigvalsh(-c.generator()))
-        assert np.allclose(closed, dense, atol=1e-9)
+        full = np.sort(np.linalg.eigvalsh(-c.generator().toarray()))
+        assert np.allclose(closed, full, atol=1e-9)
 
     def test_total_unit_scaling(self):
         per_edge = spectrum(build_generator(cycle_graph(8)))
@@ -384,6 +393,112 @@ class TestProductChain:
             spectrum(cycle4_chain).t_rel, abs=1e-9
         )
 
+    def test_kronecker_sum_of_rates(self, cycle4_chain):
+        pc = product_chain(cycle4_chain)
+        r = dense(cycle4_chain.csr, 4)
+        eye = np.eye(4)
+        assert np.array_equal(dense(pc.csr, 16), np.kron(r, eye) + np.kron(eye, r))
+        assert np.array_equal(pc.row_rates, np.full(16, 4.0))
+
+
+def cm20k():
+    """The 20 000-vertex delta(3) configuration model of the paper suite."""
+    return sample_configuration_model(DegreeDistribution.delta(3), 20_000,
+                                      derive_rng(0, "csr-cm", 0), require_connected=True)
+
+
+class TestCsrRates:
+    """Rates are read-only CSR arrays; nothing n x n is built for them."""
+
+    @pytest.mark.parametrize("g", [torus_graph(3, 10), torus_graph(3, 5), torus_graph(3, 3),
+                                   torus_graph(2, 6), cycle_graph(9), complete_graph(8),
+                                   hypercube_graph(5)],
+                             ids=["torus3_10", "torus3_5", "torus3_3", "torus2_6", "cycle9",
+                                  "complete8", "hypercube5"])
+    def test_total_unit_rows_share_one_rate(self, g):
+        # dense pairwise row sums gave 794 of the 1000 rows of the
+        # total-unit torus(3, 10) the rate 1 - 1.1e-16 and the rest 1
+        c = build_generator(g, "total_unit")
+        assert c.r_min == c.r_max
+        assert c.r_max == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("build", [lambda: torus_graph(3, 16), cm20k],
+                             ids=["torus3_16", "cm20k"])
+    def test_read_only_entries_of_the_graph(self, build):
+        g = build()
+        c = build_generator(g)
+        off, cols, data = c.csr
+        assert np.array_equal(off, g.csr[0]) and np.array_equal(cols, g.csr[1])
+        assert np.array_equal(data, g.csr[2])
+        # one entry per neighbour and end, multiplicities as rates
+        assert data.sum() == 2 * g.edge_total
+        if g.family is not None:
+            assert cols.size == 2 * g.edge_total
+        for a in (off, cols, data, c.row_rates):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_torus_chain_keeps_under_one_megabyte(self):
+        # a dense rate matrix on torus(3, 16) took 134 MB
+        g = torus_graph(3, 16)
+        tracemalloc.start()
+        try:
+            c = build_generator(g)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert c.n == 4096 and kept < 1 << 20
+
+    def test_pair_cap_before_any_n_squared(self):
+        c = build_generator(cm20k())
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeForExact):
+                pairwise_meeting_times(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_states_past_int32_keys(self):
+        # n * n passes 2**31 - 1 here, so packed (row, column) keys must
+        # not be computed in the stored int32
+        c = build_generator(cycle_graph(50_000))
+        assert c.n * c.n > 2**31 and c.r_min == c.r_max == 2.0
+        off, cols, data = (np.array(a) for a in c.csr)
+        data[0] = 3.0
+        with pytest.raises(ParameterOutOfRange, match="symmetric"):
+            MarkovChain(c.n, (off, cols, data))
+
+    def test_from_rates_copies_dense_input(self):
+        r = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]])
+        c = MarkovChain.from_rates(r)
+        r[0, 1] = 7.0
+        assert np.array_equal(dense(c.csr, 3)[0], [0.0, 1.0, 2.0])
+        assert not np.shares_memory(c.csr[2], r)
+
+    @pytest.mark.parametrize("csr,match", [
+        (([0, 1, 2], [1, 0], [1.0, 1.0, 1.0]), "do not describe"),
+        (([0, 1, 2, 3], [1, 0], [1.0, 1.0]), "do not describe"),
+        (([0, 2, 1], [1, 0], [1.0, 1.0]), "do not describe"),
+        (([0, 1, 2], [1, 2], [1.0, 1.0]), "in range"),
+        (([0, 1, 2], [1, -1], [1.0, 1.0]), "in range"),
+        (([0, 2, 3], [1, 1, 0], [1.0] * 3), "unique"),
+        (([0, 2, 3], [0, 1, 0], [1.0] * 3), "off the diagonal"),
+        (([0, 1, 2], [1, 0], [1.0, -1.0]), "positive"),
+        (([0, 1, 2], [1, 0], [0.0, 0.0]), "positive"),
+        (([0, 1, 2], [1, 0], [1.0, float("nan")]), "positive"),
+        (([0, 1, 2], [1, 0], [1.0, 2.0]), "symmetric"),
+        (([0, 1, 1], [1], [1.0]), "symmetric"),
+    ])
+    def test_bad_arrays_rejected(self, csr, match):
+        with pytest.raises(ParameterOutOfRange, match=match):
+            MarkovChain(2, csr)
+
+    def test_unsorted_row_rejected(self):
+        with pytest.raises(ParameterOutOfRange, match="sorted"):
+            MarkovChain(3, ([0, 2, 3, 4], [2, 1, 0, 0], [1.0] * 4))
+
 
 TAGGED = [cycle_graph(7), torus_graph(2, 4), torus_graph(3, 3), complete_graph(6),
           hypercube_graph(3)]
@@ -403,7 +518,8 @@ class TestTranslationGroup:
             assert np.array_equal(add(ids, shift), add(shift, ids))
             moved = add(ids, shift)
             assert np.array_equal(np.sort(moved), ids)
-            assert np.array_equal(c.rates[np.ix_(moved, moved)], c.rates)
+            rates = dense(c.csr, c.n)
+            assert np.array_equal(rates[np.ix_(moved, moved)], rates)
 
     def test_torus_adds_coordinates(self):
         # lexicographic labels on Z_4 x Z_4: (1, 2) + (3, 3) = (0, 1), -(1, 3) = (3, 1)
@@ -412,21 +528,24 @@ class TestTranslationGroup:
         assert neg(1 * 4 + 3) == 3 * 4 + 1
 
     def test_untagged_chain_has_none(self, cycle4_chain):
-        assert translation_group(MarkovChain.from_rates(cycle4_chain.rates)) is None
+        assert translation_group(MarkovChain.from_rates(dense(cycle4_chain.csr, 4))) is None
         assert translation_group(build_generator(path_graph(5))) is None
 
     def test_tag_that_does_not_match_rates(self, cycle4_chain):
-        path = build_generator(path_graph(6)).rates
-        assert translation_group(MarkovChain(6, path, family=("cycle", 6))) is None
-        weighted = cycle4_chain.rates.copy()
+        def tagged(rates, family):
+            return MarkovChain(len(rates), MarkovChain.from_rates(rates).csr, family=family)
+
+        path = dense(build_generator(path_graph(6)).csr, 6)
+        assert translation_group(tagged(path, ("cycle", 6))) is None
+        weighted = dense(cycle4_chain.csr, 4)
         weighted[0, 1] = weighted[1, 0] = 2.0
-        assert translation_group(MarkovChain(4, weighted, family=("cycle", 4))) is None
+        assert translation_group(tagged(weighted, ("cycle", 4))) is None
         # every translate of row 0 is present, but rows 1 and 3 have more
-        chord = cycle4_chain.rates.copy()
+        chord = dense(cycle4_chain.csr, 4)
         chord[1, 3] = chord[3, 1] = 1.0
-        assert translation_group(MarkovChain(4, chord, family=("cycle", 4))) is None
+        assert translation_group(tagged(chord, ("cycle", 4))) is None
         # a tag of the wrong size, and one that names no group
         assert translation_group(
-            MarkovChain(4, cycle4_chain.rates, family=("cycle", 5))) is None
+            MarkovChain(4, cycle4_chain.csr, family=("cycle", 5))) is None
         assert translation_group(
-            MarkovChain(4, cycle4_chain.rates, family=("ladder", 4))) is None
+            MarkovChain(4, cycle4_chain.csr, family=("ladder", 4))) is None

@@ -114,6 +114,9 @@ class TestConfigValidation:
         ([[3, 0.5], [4, "x"]], "graph.cm.degrees[1]"),
         ([3], "graph.cm.degrees[0]"),
         ([[3.5, 1.0]], "graph.cm.degrees[0]"),
+        ([[3, 0.5]], "graph.cm.degrees"),
+        ([[3, 0.5], [4, 0.75]], "graph.cm.degrees"),
+        ([], "graph.cm.degrees"),
     ])
     def test_bad_cm_degrees_name_field(self, tmp_path, degrees, path):
         cfg = minimal_config(tmp_path)
@@ -453,6 +456,17 @@ class TestCliCommands:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"schema": 1}))
         assert main(["experiment", str(cfg_path)]) == 2
+
+    def test_degree_law_not_summing_to_one_is_config_error(self, tmp_path, capsys):
+        # used to pass validation and exit 1 from the graph build
+        cfg = minimal_config(tmp_path / "out")
+        cfg["graph"] = {"cm": {"degrees": [[3, 0.5]], "n": 20}}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: graph.cm.degrees: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args,flag", [
         (["gen", "--cm-degrees", "3", "--n", "10"], "--cm-degrees"),

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from coalesce._flat import FlatGraph
 from coalesce.errors import (
@@ -55,6 +56,17 @@ class TestDegreeDistribution:
     def test_bad_entry_named(self, pairs, entry):
         with pytest.raises(ParameterOutOfRange) as err:
             DegreeDistribution.from_pairs(pairs)
+        assert f"degree entry {entry}" in str(err.value)
+
+    @pytest.mark.parametrize("build,entry", [
+        (lambda: DegreeDistribution.delta(3.7), "(3.7, 1.0)"),
+        (lambda: DegreeDistribution.delta(True), "(True, 1.0)"),
+        (lambda: DegreeDistribution.uniform([3.5, 4.2]), "(3.5, 0.5)"),
+    ], ids=["delta_fraction", "delta_bool", "uniform_fractions"])
+    def test_bad_degree_named_by_delta_and_uniform(self, build, entry):
+        # these laws used to become delta(3), delta(1) and uniform on {3, 4}
+        with pytest.raises(ParameterOutOfRange) as err:
+            build()
         assert f"degree entry {entry}" in str(err.value)
 
     def test_numpy_numbers_accepted(self):
@@ -180,8 +192,8 @@ def reference_from_edges(n, edges, root=None, family=None):
     return Graph(n=n, csr=csr, root=root, family=family)
 
 
-def reference_rate_matrix(g):
-    """Graph.rate_matrix as a loop over the edge list."""
+def reference_multiplicities(g):
+    """The dense multiplicity matrix as a loop over the edge list."""
     r = np.zeros((g.n, g.n))
     for u, v, m in g.edge_list():
         r[u, v] = r[v, u] = m
@@ -251,7 +263,7 @@ class TestFromEdgesAssembly:
         assert got == reference_from_edges(5, rows, root=2, family=("test", 5))
         assert got.edge_list() == reference_edges(5, rows)
         assert all(type(x) is int for e in got.edge_list() for x in e)
-        assert np.array_equal(got.rate_matrix(), reference_rate_matrix(got))
+        assert np.array_equal(dense(got.csr, got.n), reference_multiplicities(got))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multigraphs(self, seed):
@@ -264,7 +276,7 @@ class TestFromEdgesAssembly:
         got = Graph.from_edges(n, edges)
         assert got == reference_from_edges(n, edges)
         assert got.edge_list() == reference_edges(n, edges)
-        assert np.array_equal(got.rate_matrix(), reference_rate_matrix(got))
+        assert np.array_equal(dense(got.csr, got.n), reference_multiplicities(got))
         assert Graph.from_edges(n, rows) == reference_from_edges(n, rows.tolist())
 
     @pytest.mark.parametrize("edges", [
@@ -400,7 +412,7 @@ class TestTransitiveFamilies:
         ],
     )
     def test_shift_invariance(self, g, perm):
-        r = g.rate_matrix()
+        r = dense(g.csr, g.n)
         p = np.array([perm(v) for v in range(g.n)])
         assert np.array_equal(r[np.ix_(p, p)], r)
         assert (g.degrees == g.degrees[0]).all()

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import DenseBuilt, dense
 
 from coalesce import _flat, crw, meeting
 from coalesce.chains import (
@@ -8,9 +11,10 @@ from coalesce.chains import (
     build_generator,
     product_chain,
     spectrum,
+    transition_matrix,
     translation_group,
 )
-from coalesce.crw import exact_k_particle_law
+from coalesce.crw import exact_k_particle_law, exact_occupancy_density
 from coalesce.errors import (
     BadSubset,
     CoalesceError,
@@ -262,7 +266,7 @@ def quotient_pair(request):
     g, conv = request.param
     c = build_generator(g, conv)
     assert translation_group(c) is not None
-    return c, MarkovChain.from_rates(c.rates)
+    return c, MarkovChain.from_rates(dense(c.csr, c.n))
 
 
 class TestTranslationQuotient:
@@ -308,14 +312,14 @@ class TestTranslationQuotient:
     def test_tag_that_does_not_match_rates_takes_generic_path(self, rates):
         # a cycle tag on rates that are not translation invariant
         if rates == "path":
-            r = build_generator(path_graph(6)).rates
+            r = dense(build_generator(path_graph(6)).csr, 6)
         else:
-            r = build_generator(cycle_graph(6)).rates
+            r = dense(build_generator(cycle_graph(6)).csr, 6)
             if rates == "weighted_cycle":
                 r[2, 3] = r[3, 2] = 0.5
             else:
                 r[2, 5] = r[5, 2] = 1.0
-        tagged = MarkovChain(6, r, family=("cycle", 6))
+        tagged = MarkovChain(6, MarkovChain.from_rates(r).csr, family=("cycle", 6))
         plain = MarkovChain.from_rates(r)
         got, ref = pairwise_meeting_times(tagged), pairwise_meeting_times(plain)
         assert np.array_equal(got.pairwise, ref.pairwise)
@@ -326,10 +330,167 @@ class TestTranslationQuotient:
                     == exact_k_particle_law(plain, 2, 0.7, start))
 
 
+def edge_rates(g):
+    """A graph's per-edge-unit rates as a dense loop over its edge list."""
+    r = np.zeros((g.n, g.n))
+    for u, v, m in g.edge_list():
+        r[u, v] = r[v, u] = m
+    return r
+
+
+def _csr_cases():
+    """(chain, its dense rates) on per-edge-unit and custom chains, tagged
+    and untagged, regular and not."""
+    graphs = {"cycle8": cycle_graph(8), "torus34": torus_graph(3, 4),
+              "complete6": complete_graph(6), "path5": path_graph(5),
+              "lollipop": Graph.from_edges(7, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+                                           + [(3, 4), (4, 5), (5, 6)]),
+              "cm60": irregular_cm(60, 4)}
+    cases = {name: (build_generator(g), edge_rates(g)) for name, g in graphs.items()}
+    int9 = np.triu(derive_rng(5, "int9", 0).integers(0, 3, (9, 9)).astype(float), 1)
+    int9[0, 1:] = 1.0
+    for name, r in [("irregular5", IRREGULAR_RATES), ("int9", int9 + int9.T)]:
+        cases[name] = (MarkovChain.from_rates(r), r)
+    r4 = edge_rates(cycle_graph(4))
+    eye = np.eye(4)
+    cases["cycle4_pair"] = (product_chain(build_generator(cycle_graph(4))),
+                            np.kron(r4, eye) + np.kron(eye, r4))
+    return cases
+
+
+CSR_CASES = _csr_cases()
+
+
+@pytest.fixture(params=list(CSR_CASES), scope="module")
+def csr_case(request):
+    """A chain and its stand-in built from dense rates."""
+    c, r = CSR_CASES[request.param]
+    return c, DenseBuilt(r, family=c.family, convention=c.convention)
+
+
+class TestCsrRatesMatchDense:
+    """Every oracle gives the same bits on the CSR rates as on the inputs
+    dense rates gave (``conftest.DenseBuilt``)."""
+
+    def test_operators(self, csr_case):
+        c, ref = csr_case
+        for got, want in zip(c.csr, ref.csr):
+            assert np.array_equal(got, want)
+        assert np.array_equal(c.row_rates, ref.row_rates)
+        q, q_ref = c.generator(), ref.generator()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(q, part), getattr(q_ref, part))
+
+    def test_pairwise_and_alpha(self, csr_case):
+        c, ref = csr_case
+        got, want = pairwise_meeting_times(c), pairwise_meeting_times(ref)
+        assert np.array_equal(got.pairwise, want.pairwise)
+        assert (got.t_meet_pi, got.residual) == (want.t_meet_pi, want.residual)
+        for x in (0, c.n - 1):
+            assert alpha_survival(c, x, 0.7) == alpha_survival(ref, x, 0.7)
+            assert (alpha_survival(c, x, 0.7, "mc", 3000, derive_rng(3, "csr", x))
+                    == alpha_survival(ref, x, 0.7, "mc", 3000, derive_rng(3, "csr", x)))
+
+    def test_transition_and_subset_oracles(self, csr_case):
+        c, ref = csr_case
+        assert np.array_equal(transition_matrix(c, 0.9), transition_matrix(ref, 0.9))
+        A = [0, 1]
+        assert kac_residual(c, A) == kac_residual(ref, A)
+        assert (aldous_brown_check(c, A, [0.0, 0.3, 1.2])
+                == aldous_brown_check(ref, A, [0.0, 0.3, 1.2]))
+
+    def test_particle_oracles(self, csr_case):
+        c, ref = csr_case
+        if c.n <= 12:
+            assert np.array_equal(exact_occupancy_density(c, [0.2, 0.8]),
+                                  exact_occupancy_density(ref, [0.2, 0.8]))
+        k = 2 if c.n <= 16 else 1
+        for start in ("pi_tensor", "distinct"):
+            assert (exact_k_particle_law(c, k, 0.6, start)
+                    == exact_k_particle_law(ref, k, 0.6, start))
+
+
+def parent_exit_measure(r, A):
+    """Exit flow and law from A as computed from a dense rate matrix."""
+    mask = np.zeros(len(r), dtype=bool)
+    mask[list(A)] = True
+    pi = 1.0 / len(r)
+    flow = pi * r[mask][:, ~mask].sum()
+    weights = np.zeros(len(r))
+    weights[~mask] = pi * r[mask][:, ~mask].sum(axis=0) / flow
+    return flow, weights
+
+
+def parent_pick_table(r):
+    """``chain_pick``'s rate and (target, weight) table as built from a
+    dense rate matrix."""
+    n = len(r)
+    row_rates = r.sum(axis=1)
+    r_max = float(row_rates.max())
+    rows, cols = r.nonzero()
+    nnz = np.bincount(rows, minlength=n)
+    stay = np.maximum(0.0, 1.0 - row_rates / r_max)
+    width = int(nnz.max()) + int((stay > 0.0).any())
+    target = np.repeat(np.arange(n, dtype=np.int64), width).reshape(n, width)
+    weight = np.zeros((n, width))
+    slot = np.arange(rows.size) - (np.cumsum(nnz) - nnz)[rows]
+    target[rows, slot] = cols
+    weight[rows, slot] = r[rows, cols] / r_max
+    weight[:, -1] += stay
+    return r_max, target, weight
+
+
+class TestDenseReferences:
+    """Exit laws and jump tables against the dense formulas they replace."""
+
+    @pytest.mark.parametrize("name", ["int9", "cycle4_pair", "lollipop", "irregular5"])
+    def test_exit_measure(self, name):
+        c, r = CSR_CASES[name]
+        for size in range(1, c.n):
+            for A in itertools.islice(itertools.combinations(range(c.n), size), 40):
+                em = exit_measure(c, A)
+                flow, weights = parent_exit_measure(r, A)
+                if name == "irregular5":
+                    # the flow adds the stored rates in row order, the dense
+                    # block sum in numpy's order: non-integer rates can move
+                    # by an ulp (2 of the 30 subsets here)
+                    assert em.Q_A == pytest.approx(flow, rel=1e-15, abs=0.0)
+                    assert np.allclose(em.weights, weights, rtol=1e-15, atol=0.0)
+                else:
+                    assert em.Q_A == flow and np.array_equal(em.weights, weights)
+
+    @pytest.mark.parametrize("name", list(CSR_CASES))
+    def test_chain_pick_table(self, name, monkeypatch):
+        c, r = CSR_CASES[name]
+        r_max, target, weight = parent_pick_table(r)
+        keep, alias = _flat._alias_columns(weight)
+        width = target.shape[1]
+        # the weights chain_pick hands to the alias builder
+        seen = []
+        build = _flat._alias_columns
+
+        def spy(w):
+            seen.append(w.copy())
+            return build(w)
+
+        monkeypatch.setattr(_flat, "_alias_columns", spy)
+        # one step from every state at a grid of variates, through the
+        # alias rule: keep column j below j + keep[x, j], else its alias
+        u = np.tile((np.arange(997) + 0.5) / 997, c.n)
+        v = np.repeat(np.arange(c.n, dtype=np.int64), 997)
+        scaled = u * width
+        j = scaled.astype(np.int64)
+        want = np.where(scaled < j + keep[v, j], target[v, j], target[v, alias[v, j]])
+        got_rate, pick = _flat.chain_pick(c)
+        assert got_rate == r_max and np.array_equal(seen[0], weight)
+        got = pick(v, u[None].copy(), np.empty((1, v.size), dtype=np.int64))[0]
+        assert np.array_equal(got, want)
+
+
 class TestExitMeasure:
     def test_singleton_is_jump_law(self, cycle4_chain):
         em = exit_measure(cycle4_chain, [2])
-        expected = cycle4_chain.rates[2] / cycle4_chain.row_rates[2]
+        expected = dense(cycle4_chain.csr, 4)[2] / cycle4_chain.row_rates[2]
         assert np.allclose(em.weights, expected, atol=1e-12)
 
     def test_k2(self, k2_chain):
@@ -413,6 +574,11 @@ class TestAldousBrown:
     def test_negative_time_rejected(self, cycle4_chain):
         with pytest.raises(ParameterOutOfRange):
             aldous_brown_check(cycle4_chain, [0], [0.5, -0.1])
+
+    def test_negative_zero_reported_as_zero(self, cycle4_chain):
+        [row] = aldous_brown_check(cycle4_chain, [0], [-0.0])
+        assert row == aldous_brown_check(cycle4_chain, [0], [0.0])[0]
+        assert not np.signbit(row["t"])
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), True])
     def test_nonfinite_time_rejected(self, cycle4_chain, t):
@@ -611,7 +777,7 @@ class TestWalkPairs:
         assert r_max == c.row_rates.max()
         n = 1 << 20
         for x in range(5):
-            law = c.rates[x] / r_max
+            law = dense(c.csr, c.n)[x] / r_max
             law[x] = 1.0 - c.row_rates[x] / r_max
             u = (np.arange(n) + 0.5) / n
             y = pick(np.full(n, x), u[None], np.empty((1, n), dtype=np.int64))[0]
@@ -620,7 +786,7 @@ class TestWalkPairs:
         # and random variates agree with it in law
         u = derive_rng(11, "pick", 0).random((1, 200_000))
         for x in range(5):
-            law = c.rates[x] / r_max
+            law = dense(c.csr, c.n)[x] / r_max
             law[x] = 1.0 - c.row_rates[x] / r_max
             y = pick(np.full(u.shape[1], x), u.copy(), np.empty(u.shape, dtype=np.int64))[0]
             freq = np.bincount(y, minlength=5) / u.shape[1]
@@ -636,7 +802,7 @@ class TestWalkPairs:
         c = build_generator(lollipop)
         for x in range(7):
             y = pick(np.full(4, x), slots[None].copy(), np.empty((1, 4), dtype=np.int64))[0]
-            law = c.rates[x] / r_max
+            law = dense(c.csr, c.n)[x] / r_max
             law[x] = 1.0 - c.row_rates[x] / r_max
             assert np.array_equal(np.bincount(y, minlength=7), 4 * law)
         assert sorted(pick(np.full(4, 3), slots[None].copy(),
@@ -650,7 +816,7 @@ class TestWalkPairs:
         assert list(walk[:, 0]) == [5, 4, 4]
         u = derive_rng(12, "pick", 0).random((1, 200_000))
         for x in (0, 4, 6):
-            law = c.rates[x] / r_max
+            law = dense(c.csr, c.n)[x] / r_max
             law[x] = 1.0 - c.row_rates[x] / r_max
             y = pick(np.full(u.shape[1], x), u.copy(), np.empty(u.shape, dtype=np.int64))[0]
             freq = np.bincount(y, minlength=7) / u.shape[1]
