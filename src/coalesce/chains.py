@@ -90,7 +90,8 @@ class MarkovChain:
             raise ParameterOutOfRange("rates must be exactly symmetric")
         if not _connected(n, rows, cols.astype(np.intp)):
             raise NotConnected("rate graph is not irreducible")
-        row_rates = np.bincount(rows, weights=data, minlength=n)
+        # float64 also with no entries, where bincount returns int64
+        row_rates = np.bincount(rows, weights=data, minlength=n).astype(float)
         for a in (*csr, row_rates):
             a.setflags(write=False)
         object.__setattr__(self, "csr", csr)
@@ -184,21 +185,14 @@ def build_generator(g: Graph, convention: str = "per_edge_unit") -> MarkovChain:
     return MarkovChain(g.n, (off, nbr, rates), convention, g.family, g.transitive)
 
 
-def _pair_generator(c: MarkovChain) -> sp.csr_matrix:
-    """Sparse generator of two independent copies of c, state x * n + y."""
-    q = c.generator()
-    eye = sp.identity(c.n, format="csr")
-    return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
-
-
 def product_chain(c: MarkovChain) -> MarkovChain:
     """Two independent copies as one chain on pairs, state index x*n + y:
-    the rates off the diagonal of the Kronecker sum of c's generator."""
+    the Kronecker sum of c's rates, which has no diagonal."""
     if c.n * c.n > _DENSE_CAP:
         raise TooLargeForExact("materialized product chain capped at 4096 states")
-    k = _pair_generator(c)
-    k.setdiag(0.0)
-    k.eliminate_zeros()
+    rates = sp.csr_matrix(c.csr[::-1], shape=(c.n, c.n))
+    eye = sp.identity(c.n, format="csr")
+    k = sp.kron(rates, eye, format="csr") + sp.kron(eye, rates, format="csr")
     return MarkovChain(c.n * c.n, (k.indptr, k.indices, k.data), "custom")
 
 
@@ -304,6 +298,15 @@ def uniformize(step, x0, lam: float, times, tol: float = 1e-12):
     return acc, terms, tail
 
 
+def _jump_kernel(q: sp.csr_matrix, lam: float) -> sp.csr_matrix:
+    """I + Q / lam, the one-jump kernel of the generator q uniformized at
+    rate lam, dividing each entry by lam: the one form every oracle uses."""
+    kernel = q.copy()
+    kernel.data /= lam
+    kernel.setdiag(kernel.diagonal() + 1.0)
+    return kernel
+
+
 def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarray:
     """Time-t transition probabilities by uniformization.
 
@@ -326,10 +329,7 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     if t == 0.0 or lam == 0.0:
         return np.eye(c.n)
     n = c.n
-    # I + Q / lam, dividing each entry (scipy's Q / lam multiplies by 1 / lam)
-    kernel = c.generator()
-    kernel.data /= lam
-    kernel.setdiag(kernel.diagonal() + 1.0)
+    kernel = _jump_kernel(c.generator(), lam)
     out = np.empty((n, n))
     width = max(1, _PANEL_BYTES // (8 * n))
     starts = range(0, n, width)

@@ -1,16 +1,17 @@
 """Meeting-time and hitting-time functionals.
 
-Exact quantities come from one hitting-time solve (conjugate gradients on
-the sparse generator) and one killed uniformization, applied to a single
-chain or to a two-walker chain killed where the walkers meet: the product
-chain (a sparse Kronecker sum of ``MarkovChain.generator()`` on states
-x * n + y, killed on its diagonal) or, on a chain whose rates an abelian
-group translates (``chains.translation_group``), the n-state difference
-walk Y - X killed at the identity.  Nothing reads a dense rate matrix.
-Monte Carlo fallbacks for graphs beyond the exact caps run blocks of walker
-pairs on the two-walker kernel ``_flat.walk_pairs``, which uniformizes both
-walkers at the walk's largest rate and reports the events it used and the
-thinned stays among them.
+Exact quantities come from one hitting-time solve (conjugate gradients) and
+one killed uniformization, each taking the chain as operators built from
+its sparse generator Q and the one jump kernel K = I + Q / r_max of
+``chains._jump_kernel``.  Two walkers killed where they meet run on the
+same Q and K (``_two_walkers``): as the pair chain, acting on n x n arrays
+of pair states, or, on a chain whose rates an abelian group translates
+(``chains.translation_group``), as the difference walk Y - X, which is the
+chain itself at double speed.  Nothing builds a Kronecker product or reads
+a dense rate matrix.  Monte Carlo fallbacks for graphs beyond the exact
+caps run blocks of walker pairs on the two-walker kernel
+``_flat.walk_pairs``, which uniformizes both walkers at the walk's largest
+rate and reports the events it used and the thinned stays among them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._flat import (
@@ -34,7 +34,7 @@ from ._flat import (
     graph_pick,
     walk_pairs,
 )
-from .chains import (MarkovChain, _pair_generator, build_generator, spectrum,
+from .chains import (MarkovChain, _jump_kernel, build_generator, spectrum,
                      translation_group, uniformize)
 from .errors import (
     BadSubset,
@@ -59,109 +59,122 @@ __all__ = [
     "mc_pair_meeting",
 ]
 
-_PAIR_CAP = 250_000
+# states of the killed two-walker chain: 32 MiB a vector, n <= 2048 for pairs
+_STATE_CAP = 1 << 22
 # relative residual at which conjugate gradients stop
 _CG_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
 class MeetingProfile:
-    """Expected pairwise meeting times and their stationary averages.
-
-    ``residual`` is the max residual of the hitting-time system solved: the
-    pair chain's n(n - 1) unknowns, or the difference walk's n - 1 on a
-    chain with a translation group.
-    """
+    """Expected pairwise meeting times and their stationary averages, with
+    the size ``unknowns`` of the hitting-time system solved (n(n - 1) on the
+    pair chain, n - 1 on the difference walk), its max ``residual`` and its
+    conjugate-gradient ``iterations``."""
 
     pairwise: np.ndarray
     t_meet_pi: float
     t_meet_distinct: float
     residual: float
+    unknowns: int
+    iterations: int
 
 
-def _difference_generator(c: MarkovChain, add):
-    """Sparse generator of Y - X for two independent copies of a chain whose
-    rates are translation invariant: the difference moves by g when Y moves
-    by g or X by -g, at rate r(0, g) + r(0, -g) = 2 r(0, g)."""
-    n = c.n
-    ids = np.arange(n, dtype=np.int64)
-    gens, base = c.row(0)
-    rows = np.concatenate([np.repeat(ids, gens.size), ids])
-    cols = np.concatenate([add(np.repeat(ids, gens.size), np.tile(gens, n)), ids])
-    data = np.concatenate([np.tile(2.0 * base, n), np.full(n, -2.0 * c.row_rates[0])])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def _hitting_times(q, mask):
+def _hitting_times(apply, mask):
     """Expected hitting times of the states in mask (zero there) for the
-    sparse generator q, and the max residual of the linear solve.
+    generator that ``apply`` applies to a vector on every state, with the
+    solve's max residual and iteration count.  The generator is symmetric
+    and irreducible, so minus its restriction off mask is positive definite
+    and conjugate gradients solve it with no factorization; the masked
+    states enter each application as zeros."""
+    off = ~mask
+    full = np.zeros(mask.size)
 
-    q is symmetric and irreducible, so -q restricted to the complement of
-    mask is positive definite and conjugate gradients solve it with one
-    sparse product per iteration and no factorization."""
-    sub = -q[~mask][:, ~mask]
-    b = np.ones(sub.shape[0])
+    def matvec(v):
+        full[off] = v.ravel()
+        return -apply(full)[off]
+
+    size = int(off.sum())
+    b = np.ones(size)
+    steps = []
     # info is 0 on convergence, else the number of iterations run
-    sol, info = spla.cg(sub, b, rtol=_CG_RTOL)
-    residual = float(np.abs(sub @ sol - b).max(initial=0.0))
+    sol, info = spla.cg(spla.LinearOperator((size, size), matvec, dtype=float), b,
+                        rtol=_CG_RTOL, callback=lambda _: steps.append(None))
+    residual = float(np.abs(matvec(sol) - b).max(initial=0.0))
     if info != 0:
-        raise CoalesceError(
-            f"conjugate gradients did not converge: {info} iterations, "
-            f"residual {residual:.3g}"
-        )
-    h = np.zeros(len(mask))
-    h[~mask] = sol
-    return h, residual
+        raise CoalesceError(f"conjugate gradients did not converge: {info} iterations, "
+                            f"residual {residual:.3g}")
+    full[off] = sol
+    return full, residual, len(steps)
 
 
-def _survival(q, mask, mu0, times, tol=1e-12):
-    """P(mask not hit by each time) from the law mu0 for the sparse
-    generator q, by uniformizing the chain killed on mask at the largest
-    total rate in q.  Returns the values, the term count and the dropped
-    Poisson tail mass."""
-    lam = float(-q.diagonal().min())
-    kernel = q / lam
-    kernel.setdiag(kernel.diagonal() + 1.0)
+def _survival(step, lam, mask, mu0, times, tol=1e-12):
+    """P(mask not hit by each time) from the law mu0, for the chain whose
+    one jump at uniformization rate lam ``step`` applies to a law on every
+    state, killed on mask.  Returns the values, the term count and the
+    dropped Poisson tail mass."""
 
-    def step(v):
-        # q is symmetric, so kernel @ v moves the law v by one jump
-        v = kernel @ v
+    def killed(v):
+        v = step(v)
         v[mask] = 0.0
         return v
 
-    acc, terms, tail = uniformize(step, np.where(mask, 0.0, mu0), lam, times, tol)
+    acc, terms, tail = uniformize(killed, np.where(mask, 0.0, mu0), lam, times, tol)
     return [float(a[~mask].sum()) for a in acc], terms, tail
 
 
-def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
-    """Expected meeting time for every ordered starting pair.
-
-    One hitting-time solve on the pair chain, or on the difference walk when
-    ``translation_group`` finds one (n - 1 unknowns instead of n(n - 1);
-    ``pairwise[x, y]`` is then the hitting time of the identity from
-    y - x).  Capped at n^2 pair states either way, the size of the matrix
-    returned.
+def _two_walkers(c: MarkovChain, table: bool):
+    """Two independent copies of c killed where they meet, on c's generator
+    Q and jump kernel K = I + Q / r_max: ``(apply, step, lam, mask,
+    state)``, the generator and the jump at rate lam applied to a vector on
+    every state, the killed states and ``state(x, y)``, the state of
+    walkers at x and y.  With a translation group the state is y - x:
+    Y - X moves by g at rate 2 r(0, g), so it is c at double speed, killed
+    at the identity.  Otherwise it is x * n + y, an n x n array H on which
+    the generator acts as QH + HQ and the jump as (KH + HK) / 2, killed on
+    the diagonal.  The states are capped at ``_STATE_CAP``, and so is the
+    n x n ``table``.
     """
     n = c.n
-    if n * n > _PAIR_CAP:
-        raise TooLargeForExact("pair state space capped at 250000")
     group = translation_group(c)
-    if group is None:
-        h, residual = _hitting_times(_pair_generator(c), np.eye(n, dtype=bool).ravel())
-        pairwise = h.reshape(n, n)
-    else:
+    if (n * n if group is None or table else n) > _STATE_CAP:
+        raise TooLargeForExact(f"two-walker chain capped at {_STATE_CAP} states")
+    q = c.generator()
+    kernel = _jump_kernel(q, c.r_max)
+    lam = 2.0 * c.r_max
+    if group is not None:
         add, neg = group
-        ids = np.arange(n, dtype=np.int64)
-        h, residual = _hitting_times(_difference_generator(c, add), ids == 0)
-        pairwise = h[add(ids[None, :], neg(ids[:, None]))]
-    t_pi = float(pairwise.sum() / (n * n))
-    t_distinct = float(pairwise.sum() / (n * (n - 1)))
-    return MeetingProfile(
-        pairwise=pairwise,
-        t_meet_pi=t_pi,
-        t_meet_distinct=t_distinct,
-        residual=residual,
-    )
+        return (lambda v: 2.0 * q.dot(v), kernel.dot, lam, np.arange(n) == 0,
+                lambda x, y: add(y, neg(x)))
+
+    ht = np.empty((n, n))
+
+    def both(m, v):
+        # m moves either walker; it is symmetric, so H m = (m H^T)^T.  ht
+        # holds H^T, then H m, so that one fresh product is alive at a time
+        h = v.reshape(n, n)
+        np.copyto(ht, h.T)
+        np.copyto(ht, (m @ ht).T)
+        out = m @ h
+        out += ht
+        return out.ravel()
+
+    return (lambda v: both(q, v), lambda v: both(kernel, v) / 2.0, lam,
+            np.eye(n, dtype=bool).ravel(), lambda x, y: x * n + y)
+
+
+def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
+    """Expected meeting time for every ordered starting pair, from one
+    hitting-time solve on ``_two_walkers``' chain; on the difference walk
+    ``pairwise[x, y]`` is the hitting time of the identity from y - x."""
+    n = c.n
+    apply, _, _, mask, state = _two_walkers(c, table=True)
+    h, residual, iterations = _hitting_times(apply, mask)
+    ids = np.arange(n, dtype=np.int64)
+    pairwise = h[state(ids[:, None], ids[None, :])]
+    total = pairwise.sum()
+    return MeetingProfile(pairwise, float(total / (n * n)), float(total / (n * (n - 1))),
+                          residual, int(mask.size - mask.sum()), iterations)
 
 
 def mean_meeting_time(c: MarkovChain, mode: str = "pi_pi") -> float:
@@ -170,12 +183,10 @@ def mean_meeting_time(c: MarkovChain, mode: str = "pi_pi") -> float:
     pi_pi averages over all ordered pairs including the zero diagonal;
     distinct conditions on unequal starts.
     """
+    if mode not in ("pi_pi", "distinct"):
+        raise ParameterOutOfRange(f"unknown mode {mode!r}")
     profile = pairwise_meeting_times(c)
-    if mode == "pi_pi":
-        return profile.t_meet_pi
-    if mode == "distinct":
-        return profile.t_meet_distinct
-    raise ParameterOutOfRange(f"unknown mode {mode!r}")
+    return profile.t_meet_pi if mode == "pi_pi" else profile.t_meet_distinct
 
 
 def alpha_survival(
@@ -189,37 +200,27 @@ def alpha_survival(
     """Rate-weighted no-meeting probability for walkers from x and a random
     neighbor of x: r(x) * P(no meeting by t).
 
-    Accepts a chain or a graph (per-edge-unit rates).  exact mode runs
-    killed-pair uniformization on the n^2 pair states, or on the n states of
-    the difference walk when ``translation_group`` finds one (capped at
-    250000 states either way); mc mode runs ``reps`` pairs on the
-    two-walker kernel ``_flat.walk_pairs`` with the chain's Walker alias
-    tables, in blocks of ``PAIR_BLOCK``, and returns a 95% normal interval,
-    the uniformized ``events`` the pairs used and the ``thinned`` stays
-    among them (none when every row has the same total rate).
+    Accepts a chain or a graph (per-edge-unit rates).  exact mode
+    uniformizes the killed chain of ``_two_walkers``; mc mode runs ``reps``
+    pairs on the two-walker kernel ``_flat.walk_pairs`` with the chain's
+    Walker alias tables, in blocks of ``PAIR_BLOCK``, and returns a 95%
+    normal interval, the uniformized ``events`` the pairs used and the
+    ``thinned`` stays among them (none when every row has the same total
+    rate).
     """
     if isinstance(c, Graph):
         c = build_generator(c)
     [t] = check_grid([t], "t")
     x = check_vertex(x, c.n, "x")
     rx = float(c.row_rates[x])
+    if rx == 0.0:
+        raise ParameterOutOfRange(f"x = {x} has no neighbours: nothing to meet")
     nbrs, rates = c.row(x)
     if mode == "exact":
-        group = translation_group(c)
-        if group is None:
-            if c.n * c.n > _PAIR_CAP:
-                raise TooLargeForExact("exact alpha capped at 250000 pair states")
-            mu0 = np.zeros((c.n, c.n))
-            mu0[x, nbrs] = rates / rx
-            diag = np.eye(c.n, dtype=bool).ravel()
-            surv, terms, tail = _survival(_pair_generator(c), diag, mu0.ravel(), [t])
-        else:
-            if c.n > _PAIR_CAP:
-                raise TooLargeForExact("exact alpha capped at 250000 difference states")
-            # the neighbour sits at x + g with probability r(0, g) / r(x)
-            mu0 = np.bincount(*c.row(0), c.n) / rx
-            surv, terms, tail = _survival(_difference_generator(c, group[0]),
-                                          np.arange(c.n) == 0, mu0, [t])
+        _, step, lam, mask, state = _two_walkers(c, table=False)
+        mu0 = np.zeros(mask.size)
+        mu0[state(x, nbrs)] = rates / rx
+        surv, terms, tail = _survival(step, lam, mask, mu0, [t])
         return {"value": rx * surv[0], "stderr": 0.0, "terms": terms,
                 "tail_mass": tail}
     if mode != "mc":
@@ -239,13 +240,9 @@ def alpha_survival(
         thinned += int(stays.sum())
     p = hits / reps
     se = (p * (1.0 - p) / reps) ** 0.5
-    return {
-        "value": rx * p,
-        "stderr": rx * se,
-        "ci95": (rx * (p - 1.96 * se), rx * (p + 1.96 * se)),
-        "events": events,
-        "thinned": thinned,
-    }
+    return {"value": rx * p, "stderr": rx * se,
+            "ci95": (rx * (p - 1.96 * se), rx * (p + 1.96 * se)),
+            "events": events, "thinned": thinned}
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +279,7 @@ def kac_residual(c: MarkovChain, A) -> float:
     pi(A^c) = Q(A, A^c) * E_{exit law}(T_A); zero for exact arithmetic."""
     mask = _subset_mask(c.n, A)
     em = exit_measure(c, A)
-    h = _hitting_times(c.generator(), mask)[0]
+    h = _hitting_times(c.generator().dot, mask)[0]
     lhs = 1.0 - mask.sum() / c.n
     rhs = em.Q_A * float(em.weights @ h)
     return abs(lhs - rhs)
@@ -295,7 +292,7 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     the exact survival curve."""
     mask = _subset_mask(c.n, A)
     q = c.generator()
-    h = _hitting_times(q, mask)[0]
+    h = _hitting_times(q.dot, mask)[0]
     e_pi = float(h.mean())
     t_rel = spectrum(c).t_rel
     # any order; check_grid wants its grid sorted, so each time alone
@@ -304,7 +301,8 @@ def aldous_brown_check(c: MarkovChain, A, t_grid) -> list[dict]:
     # each time separately, so each value equals its own single-time call
     hsteps = {t: min(1e-4, t / 100.0) for t in t_grid if t > 0.0}
     times = [s for t, dt in hsteps.items() for s in (t - dt, t, t + dt)]
-    curve = _survival(q, mask, np.full(c.n, 1.0 / c.n), times)[0] if times else []
+    step = _jump_kernel(q, c.r_max).dot
+    curve = _survival(step, c.r_max, mask, np.full(c.n, 1.0 / c.n), times)[0] if times else []
     surv = dict(zip(times, curve))
     report = []
     for t in t_grid:

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from coalesce import _flat
-from coalesce.chains import build_generator
+from coalesce.chains import _jump_kernel, build_generator
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
+from coalesce.meeting import _survival
 
 
 def dense(csr, n):
@@ -47,6 +49,44 @@ class DenseBuilt:
     def row(self, x):
         cols = np.flatnonzero(self._r[x])
         return cols, self._r[x, cols]
+
+
+def pair_generator(c):
+    """Reference: the sparse n^2-state generator of two independent copies
+    of c, state x * n + y, as a Kronecker sum."""
+    q = c.generator()
+    eye = sp.identity(c.n, format="csr")
+    return sp.kron(q, eye, format="csr") + sp.kron(eye, q, format="csr")
+
+
+def difference_generator(c, add):
+    """Reference: the sparse generator of Y - X for two independent copies
+    of a chain whose rates are translation invariant, built entry by entry:
+    the difference moves by g at rate r(0, g) + r(0, -g) = 2 r(0, g)."""
+    n = c.n
+    ids = np.arange(n, dtype=np.int64)
+    gens, base = c.row(0)
+    rows = np.concatenate([np.repeat(ids, gens.size), ids])
+    cols = np.concatenate([add(np.repeat(ids, gens.size), np.tile(gens, n)), ids])
+    data = np.concatenate([np.tile(2.0 * base, n), np.full(n, -2.0 * c.row_rates[0])])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def generator_survival(q, mask, mu0, t):
+    """P(mask not hit by t) from the law mu0 for the sparse generator q,
+    uniformized at its largest total rate."""
+    lam = float(-q.diagonal().min())
+    return _survival(_jump_kernel(q, lam).dot, lam, mask, mu0, [t])[0][0]
+
+
+def kron_pairwise(c):
+    """Reference: expected meeting times of every ordered pair, by conjugate
+    gradients on the Kronecker pair generator restricted off its diagonal."""
+    off = ~np.eye(c.n, dtype=bool).ravel()
+    h = np.zeros(c.n * c.n)
+    h[off], info = spla.cg(-pair_generator(c)[off][:, off], np.ones(off.sum()), rtol=1e-13)
+    assert info == 0
+    return h.reshape(c.n, c.n)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -469,6 +470,16 @@ class TestCsrRates:
         data[0] = 3.0
         with pytest.raises(ParameterOutOfRange, match="symmetric"):
             MarkovChain(c.n, (off, cols, data))
+
+    def test_one_state_chain_rates_are_float(self):
+        # bincount of no entries is int64, and the generator then warned
+        # that scipy would keep the integer type
+        c = MarkovChain.from_rates(np.zeros((1, 1)))
+        assert c.row_rates.dtype == np.float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = c.generator()
+        assert q.dtype == np.float64 and q.toarray().tolist() == [[0.0]]
 
     def test_from_rates_copies_dense_input(self):
         r = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import difference_generator, generator_survival, pair_generator
 
 from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum, uniformize
 from coalesce.crw import (
@@ -27,12 +28,7 @@ from coalesce.errors import (
 )
 from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
 from coalesce.chains import translation_group
-from coalesce.meeting import (
-    _difference_generator,
-    _pair_generator,
-    _survival,
-    pairwise_meeting_times,
-)
+from coalesce.meeting import pairwise_meeting_times
 from coalesce import crw, runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
@@ -274,7 +270,7 @@ class TestCrossOracles:
         # its diagonal, both from the uniform law on pairs
         diag = np.eye(c.n, dtype=bool).ravel()
         uniform = np.full(c.n * c.n, 1.0 / (c.n * c.n))
-        surv = _survival(_pair_generator(c), diag, uniform, [t])[0][0]
+        surv = generator_survival(pair_generator(c), diag, uniform, t)
         p_coal = exact_k_particle_law(c, 1, t)["p_coal"]
         assert abs(p_coal - (1.0 - surv)) <= 1e-10
 
@@ -303,7 +299,7 @@ class TestSubsetChainFromAnySet:
             p_one = _subset_distribution(c, t, {a, b})[single].sum()
             mu0 = np.zeros(c.n)
             mu0[add(b, neg(a))] = 1.0
-            surv = _survival(_difference_generator(c, add), identity, mu0, [t])[0][0]
+            surv = generator_survival(difference_generator(c, add), identity, mu0, t)
             assert abs(p_one - (1.0 - surv)) <= 1e-10
 
     def test_default_start_is_every_site(self, cycle4_chain):

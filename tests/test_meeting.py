@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import DenseBuilt, dense
+import scipy.sparse.linalg
+from conftest import (DenseBuilt, dense, difference_generator, generator_survival,
+                      kron_pairwise, pair_generator)
 
 from coalesce import _flat, crw, meeting
 from coalesce.chains import (
@@ -21,6 +23,7 @@ from coalesce.errors import (
     NotConnected,
     NotTransitive,
     ParameterOutOfRange,
+    TooLargeForExact,
 )
 from coalesce.graphs import (
     DegreeDistribution,
@@ -33,8 +36,6 @@ from coalesce.graphs import (
     torus_graph,
 )
 from coalesce.meeting import (
-    _pair_generator,
-    _survival,
     aldous_brown_check,
     alpha_survival,
     eigentime_residual,
@@ -113,7 +114,7 @@ class TestHittingSolve:
         c = build_generator(g)
         prof = pairwise_meeting_times(c)
         off = ~np.eye(c.n, dtype=bool).ravel()
-        sub = -_pair_generator(c)[off][:, off].toarray()
+        sub = -pair_generator(c)[off][:, off].toarray()
         ref = scipy.linalg.solve(sub, np.ones(sub.shape[0]), assume_a="pos",
                                  overwrite_a=True)
         got = prof.pairwise.ravel()[off]
@@ -121,13 +122,33 @@ class TestHittingSolve:
         assert prof.residual <= 1e-8
 
     def test_no_convergence_raises(self, monkeypatch):
-        def stalled(a, b, rtol):
+        def stalled(a, b, rtol, callback):
             # scipy reports an unconverged solve by its iteration count
             return np.zeros_like(b), 3
 
         monkeypatch.setattr(meeting.spla, "cg", stalled)
         with pytest.raises(CoalesceError, match="3 iterations, residual 1"):
             pairwise_meeting_times(build_generator(cycle_graph(5)))
+
+
+    def test_profile_reports_the_system_solved(self, lollipop, torus33_chain):
+        # the pair chain off its diagonal, or the difference walk off the
+        # identity, and the conjugate-gradient iterations on it
+        prof = pairwise_meeting_times(build_generator(lollipop))
+        assert prof.unknowns == 7 * 6 and 0 < prof.iterations <= 7 * 6
+        prof = pairwise_meeting_times(torus33_chain)
+        assert prof.unknowns == 26 and 0 < prof.iterations <= 26
+
+    def test_iterations_are_the_callback_count(self, monkeypatch):
+        calls = []
+        cg = meeting.spla.cg
+
+        def spy(a, b, rtol, callback):
+            return cg(a, b, rtol=rtol, callback=lambda x: calls.append(callback(x)))
+
+        monkeypatch.setattr(meeting.spla, "cg", spy)
+        prof = pairwise_meeting_times(build_generator(path_graph(9)))
+        assert prof.iterations == len(calls) > 0
 
 
 class TestMeanMeetingTime:
@@ -150,6 +171,14 @@ class TestMeanMeetingTime:
     def test_unknown_mode(self, k2_chain):
         with pytest.raises(ParameterOutOfRange):
             mean_meeting_time(k2_chain, "nope")
+
+    def test_unknown_mode_before_any_solve(self, monkeypatch):
+        def solve(c):
+            raise AssertionError("solved before the mode was checked")
+
+        monkeypatch.setattr(meeting, "pairwise_meeting_times", solve)
+        with pytest.raises(ParameterOutOfRange, match="unknown mode 'pi-pi'"):
+            mean_meeting_time(build_generator(cycle_graph(5)), "pi-pi")
 
 
 class TestAlphaSurvival:
@@ -205,7 +234,7 @@ class TestAlphaSurvival:
             c = request.getfixturevalue(name)
         diag = np.eye(c.n, dtype=bool).ravel()
         mu0 = np.where(diag, 0.0, 1.0 / (c.n * (c.n - 1)))
-        surv = _survival(_pair_generator(c), diag, mu0, [t])[0][0]
+        surv = generator_survival(pair_generator(c), diag, mu0, t)
         p_coal = exact_k_particle_law(c, 1, t, "distinct")["p_coal"]
         assert abs(surv - (1.0 - p_coal)) <= 1e-10
 
@@ -220,6 +249,24 @@ class TestAlphaSurvival:
         with pytest.raises(ParameterOutOfRange):
             alpha_survival(cycle4_chain, x, 0.5, mode=mode, reps=10,
                            rng=derive_rng(0, "alpha-x", 0))
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_state_with_no_neighbours(self, mode):
+        # the one-state chain: exact mode raised ZeroDivisionError, mc mode
+        # IndexError
+        one = MarkovChain.from_rates(np.zeros((1, 1)))
+        with pytest.raises(ParameterOutOfRange, match="^x = 0 has no neighbours"):
+            alpha_survival(one, 0, 0.5, mode=mode, reps=10, rng=derive_rng(0, "alpha-one", 0))
+
+    def test_one_cap_on_states_and_table(self):
+        # 2049 states on the difference walk; 2049^2 pair states and a
+        # 2049 x 2049 table pass the cap
+        c = build_generator(cycle_graph(2049))
+        assert 0.0 < alpha_survival(c, 3, 0.5)["value"] < 2.0
+        with pytest.raises(TooLargeForExact):
+            pairwise_meeting_times(c)
+        with pytest.raises(TooLargeForExact):
+            alpha_survival(path_graph(2049), 3, 0.5)
 
     def test_mc_zero_time_is_rate(self):
         # every pair starts apart and its first event comes after t = 0
@@ -287,6 +334,23 @@ class TestTranslationQuotient:
             got, ref = alpha_survival(c, x, t), alpha_survival(plain, x, t)
             assert abs(got["value"] - ref["value"]) <= 1e-10
             assert got["terms"] == ref["terms"]
+
+    def test_difference_walk_is_the_chain_at_double_speed(self, quotient_pair):
+        # the same bits as the difference generator built entry by entry
+        c, _ = quotient_pair
+        add, neg = translation_group(c)
+        d, off = difference_generator(c, add), np.arange(c.n) != 0
+        h = np.zeros(c.n)
+        h[off] = scipy.sparse.linalg.cg(-d[off][:, off], np.ones(c.n - 1), rtol=1e-13)[0]
+        ids = np.arange(c.n)
+        assert np.array_equal(pairwise_meeting_times(c).pairwise,
+                              h[add(ids[None, :], neg(ids[:, None]))])
+        for x, t in ((0, 0.4), (5, 2.0)):
+            nbrs, rates = c.row(x)
+            mu0 = np.zeros(c.n)
+            mu0[add(nbrs, neg(x))] = rates / c.row_rates[x]
+            assert (alpha_survival(c, x, t)["value"]
+                    == c.row_rates[x] * generator_survival(d, ~off, mu0, t))
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("start", ["pi_tensor", "distinct"])
@@ -359,6 +423,51 @@ def _csr_cases():
 
 
 CSR_CASES = _csr_cases()
+
+
+KRON_CASES = {"barbell": build_generator(barbell(12, 8)),
+              "path60": build_generator(path_graph(60)),
+              "cm60": build_generator(irregular_cm(60, 3)),
+              **{name: CSR_CASES[name][0]
+                 for name in ("lollipop", "irregular5", "int9", "cycle4_pair")}}
+
+
+def kron_alpha(c, x, t):
+    """r(x) P(no meeting by t) on the Kronecker pair generator."""
+    nbrs, rates = c.row(x)
+    rx = float(c.row_rates[x])
+    mu0 = np.zeros((c.n, c.n))
+    mu0[x, nbrs] = rates / rx
+    return rx * generator_survival(pair_generator(c), np.eye(c.n, dtype=bool).ravel(),
+                                   mu0.ravel(), t)
+
+
+class TestPairChainMatchesKronecker:
+    """The pair chain applied as QH + HQ against the Kronecker-sum
+    reference, on chains with no translation group."""
+
+    @staticmethod
+    def check(c, xs, ts):
+        assert translation_group(c) is None
+        got, want = pairwise_meeting_times(c).pairwise, kron_pairwise(c)
+        assert np.array_equal(got == 0.0, np.eye(c.n, dtype=bool))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        for x in xs:
+            for t in ts:
+                ref = kron_alpha(c, x, t)
+                assert abs(alpha_survival(c, x, t)["value"] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("name", list(KRON_CASES))
+    def test_pairwise_and_alpha(self, name):
+        c = KRON_CASES[name]
+        self.check(c, (0, c.n - 1), (0.4, 2.0))
+
+    def test_past_the_old_cap(self):
+        # 360 000 pair states; the Kronecker build stopped at 250 000
+        dist = DegreeDistribution.from_pairs([(3, 0.5), (4, 0.5)])
+        c = build_generator(sample_configuration_model(dist, 600, derive_rng(1, "kron-cm", 0),
+                                                       require_connected=True))
+        self.check(c, (0,), (1.0,))
 
 
 @pytest.fixture(params=list(CSR_CASES), scope="module")

@@ -28,7 +28,8 @@ asserts it.  Apart from ``runner._SCALAR_BELOW`` and
 ``crw._subset_distribution``, which the scalar-pass check uses as its test
 does, only public functions are called, so the script also runs against
 older trees (``--cm3-reps 100 --cm3-horizon 0`` is the paper row before its
-floor was raised).
+floor was raised; the ``cm1000`` checks need exact pair oracles past
+250 000 pair states).
 """
 
 from __future__ import annotations
@@ -99,21 +100,22 @@ def z_band(z):
 
 
 def alpha_check(c, x, t, reps, z):
-    exact = alpha_survival(c, x, t)["value"]
+    # the exact value on first use, so that --only skips the others' solves
+    exact = lru_cache(maxsize=None)(lambda: alpha_survival(c, x, t)["value"])
 
     def run(seed):
         res = alpha_survival(c, x, t, mode="mc", reps=reps, rng=derive_rng(seed, "alpha-cal", x))
-        return res["value"], exact, res["stderr"], 0
+        return res["value"], exact(), res["stderr"], 0
     return run, z_band(z), False
 
 
 def pair_check(g, reps, z, uncensored):
     """``uncensored``: the test also fails on a censored pair."""
-    exact = mean_meeting_time(build_generator(g), "pi_pi")
+    exact = lru_cache(maxsize=None)(lambda: mean_meeting_time(build_generator(g), "pi_pi"))
 
     def run(seed):
         res = mc_pair_meeting(g, reps, derive_rng(seed, "pairmc-cal", g.n))
-        return res["mean"], exact, res["stderr"], res["censored"]
+        return res["mean"], exact(), res["stderr"], res["censored"]
     return run, z_band(z), uncensored
 
 
@@ -410,6 +412,11 @@ def scalar_laws_zs(g, convention, times):
 
 def checks(cm3_reps, cm3_horizon):
     irregular = MarkovChain.from_rates(IRREGULAR_RATES)
+    # a mixed-degree configuration model: 10^6 pair states, solved exactly
+    # by the pair chain applied in matrix form
+    cm1000 = sample_configuration_model(DegreeDistribution.from_pairs([(3, 0.5), (4, 0.5)]),
+                                        1000, derive_rng(0, "cm1000-cal", 0),
+                                        require_connected=True)
     return {
         # tests/test_meeting.py
         "alpha_mc_cycle4": alpha_check(build_generator(cycle_graph(4)), 0, 0.25, 100_000, 3.0),
@@ -418,6 +425,9 @@ def checks(cm3_reps, cm3_horizon):
         "pair_k2": pair_check(path_graph(2), 20_000, 4.0, True),
         "pair_cycle12": pair_check(cycle_graph(12), 20_000, 4.0, True),
         "pair_lollipop": pair_check(LOLLIPOP, 40_000, 4.5, True),
+        # Monte Carlo two-walker estimators against the exact pair chain
+        "pair_cm1000": pair_check(cm1000, 4000, 4.0, True),
+        "alpha_mc_cm1000": alpha_check(build_generator(cm1000), 0, 2.0, 20_000, 4.0),
         # tests/test_theory.py
         "psi_d3": (psi_check, (lambda v, r, se: abs(v - r) <= 0.01, 0.01, "band"), False),
         "psi_d3_exact": (psi_exact_check, z_band(4.5), False),
