@@ -26,7 +26,7 @@ from .errors import (
     TooLargeForExact,
     TotalUnitOnIrregular,
 )
-from .graphs import Graph, _connected, _entry_rows
+from .graphs import Graph, _connected, _entry_rows, make_transitive
 
 __all__ = [
     "MarkovChain",
@@ -125,6 +125,15 @@ class MarkovChain:
         rates = sp.csr_matrix(self.csr[::-1], shape=(self.n, self.n))
         return rates - sp.diags(self.row_rates)
 
+    @cached_property
+    def _group(self):
+        return _translation_group(self)
+
+    def __getstate__(self):
+        # the group's add and neg are closures, which do not pickle; an
+        # unpickled chain finds its group again on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_group"}
+
     @classmethod
     def from_rates(cls, rates, transitive=False) -> "MarkovChain":
         """A "custom" chain from the nonzero entries of a dense rate matrix."""
@@ -204,8 +213,14 @@ def translation_group(c: MarkovChain):
     hypercube's bit masks, with vertex 0 the identity.  Returns vectorized
     ``(add, neg)`` on integer arrays of vertex ids, but only when
     r(u, v) == r(0, v - u) for every pair; a chain with no tag,
-    or with rates its tag does not describe, gets None.
+    or with rates its tag does not describe, gets None.  Found once per
+    chain object and kept with it, as its generator is.
     """
+    return c._group
+
+
+def _translation_group(c: MarkovChain):
+    """``translation_group``, found afresh."""
     family = c.family
     if family is None:
         return None
@@ -351,8 +366,9 @@ def transition_matrix(c: MarkovChain, t: float, tol: float = 1e-12) -> np.ndarra
     return out
 
 
-def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | None:
-    """Spectra of -Q for the named transitive families, per-edge rates."""
+def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray:
+    """Spectra of -Q for the named transitive families under either
+    convention."""
     kind = family[0]
     if kind == "cycle":
         n = family[1]
@@ -369,30 +385,38 @@ def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray | Non
         n = family[1]
         ev = np.concatenate([[0.0], np.full(n - 1, float(n))])
         deg = n - 1
-    elif kind == "hypercube":
+    else:  # hypercube
         d = family[1]
         ks = np.arange(d + 1)
         ev = np.repeat(2.0 * ks, [comb(d, k) for k in ks]).astype(float)
         deg = d
-    else:
-        return None
     if convention == "total_unit":
         ev = ev / deg
     return np.sort(ev)
 
 
-def spectrum(c: MarkovChain, family_hint: tuple | None = None) -> Spectrum:
-    """Full eigenvalue list of -Q; closed forms for the named families,
-    dense symmetric factorization otherwise."""
-    family = family_hint if family_hint is not None else c.family
-    if family is not None:
-        ev = _closed_form_eigenvalues(family, c.convention)
-        if ev is not None:
-            return Spectrum(eigenvalues=ev)
+def _has_family_rates(c: MarkovChain) -> bool:
+    """Whether c's rates are those of its tagged family under its
+    convention: a chain that its tag's group translates, with the CSR
+    arrays of ``build_generator`` on the family's own graph."""
+    if translation_group(c) is None or c.convention == "custom":
+        return False
+    try:
+        own = build_generator(make_transitive(*c.family), c.convention)
+    except ParameterOutOfRange:
+        # a tag the builders reject, such as a cycle of two vertices
+        return False
+    return all(np.array_equal(a, b) for a, b in zip(c.csr, own.csr))
+
+
+def spectrum(c: MarkovChain) -> Spectrum:
+    """Full eigenvalue list of -Q; closed forms when the rates are the
+    tagged family's own (``_has_family_rates``), dense symmetric
+    factorization otherwise."""
+    if _has_family_rates(c):
+        return Spectrum(eigenvalues=_closed_form_eigenvalues(c.family, c.convention))
     if c.n > _DENSE_CAP:
-        raise TooLargeForExact(
-            "dense eigendecomposition capped at 4096 states; pass a family hint"
-        )
+        raise TooLargeForExact("dense eigendecomposition capped at 4096 states")
     ev = np.linalg.eigvalsh(-c.generator().toarray())
     return Spectrum(eigenvalues=ev)
 

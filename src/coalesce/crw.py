@@ -18,6 +18,9 @@ ring being a stay.
 ``_scalar_crw``, as do the runner's narrow blocks; ``sample_tau_coal_many``
 and ``occupancy_covariances`` are views over the runner's blocks
 (``runner._block``), drawn in order from the caller's generator.
+
+The exact subset and (k+1)-walker oracles step with one sparse kernel,
+``_ring_kernel``, built with no loop from (state, occupied site) pairs.
 """
 
 from __future__ import annotations
@@ -418,34 +421,32 @@ def estimate_density(
     )
 
 
-def _ring_kernel(c: MarkovChain, occ: np.ndarray, move):
-    """Transposed jump kernel of a process on the rows of the 0/1 occupancy
-    matrix ``occ`` (states x sites) in which a ring of (x, y) moves every
-    occupant of x to y.
-
-    Every ring from an occupied site changes the state, so a state leaves at
-    the sum of r(x) over its occupied sites; the chain is uniformized at the
-    largest such exit rate, and only the moving entries and one diagonal are
-    stored.  ``move(src, x, y)`` returns the targets of the states ``src``,
-    all occupied at x.  Returns (kernel^T, rate).
+def _ring_kernel(c: MarkovChain, src: np.ndarray, x: np.ndarray, move):
+    """Transposed jump kernel and rate of a process in which a ring of (x, y)
+    moves every occupant of x to y, from the pairs (``src[i]``, ``x[i]``),
+    state-major, of a state and one of its occupied sites; every state has
+    one, so the states are 0..src.max().  A state leaves at the sum of r(x)
+    over its occupied sites, and the chain is uniformized at the largest
+    such rate; only the moving entries and one diagonal are stored.  Each
+    pair is expanded by its site's row of rates, and ``move(src, x, y)``
+    gives the targets of those rings as one array.
     """
-    nstates = occ.shape[0]
-    exit_rate = occ @ c.row_rates
+    nstates = int(src.max()) + 1
+    indptr, nbrs, rates = c.csr
+    exit_rate = np.bincount(src, weights=c.row_rates[x], minlength=nstates)
     lam = float(exit_rate.max())
+    # entry e of the expanded pairs is entry at[e] of the CSR rates
+    count = np.diff(indptr)[x]
+    at = np.arange(int(count.sum())) + np.repeat(indptr[x] - np.cumsum(count) + count, count)
+    src, x = np.repeat(src, count), np.repeat(x, count)
     idx = np.arange(nstates, dtype=np.int64)
     # a chain with no edges never moves: its kernel is the identity
-    rows, cols = [idx], [idx]
-    data = [1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)]
-    for x, y, r in zip(*c.entries()):
-        src = np.flatnonzero(occ[:, x])
-        rows.append(move(src, int(x), int(y)))
-        cols.append(src)
-        data.append(np.full(src.size, r / lam))
-    kernel_t = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+    diag = 1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)
+    return sp.csr_matrix(
+        (np.concatenate([diag, rates[at] / lam]),
+         (np.concatenate([idx, move(src, x, nbrs[at])]), np.concatenate([idx, src]))),
         shape=(nstates, nstates),
-    )
-    return kernel_t, lam
+    ), lam
 
 
 def _subset_occupancy(n: int) -> np.ndarray:
@@ -466,7 +467,7 @@ def _subset_kernel(c: MarkovChain):
         # row s - 1 holds mask s
         return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
 
-    kt, lam = _ring_kernel(c, _subset_occupancy(c.n), move)
+    kt, lam = _ring_kernel(c, *np.nonzero(_subset_occupancy(c.n)), move)
     # a copy made after the build's temporaries are freed: the kept kernel
     # then does not pin their heap pages (about 8 MB on K12)
     return kt.copy(), lam
@@ -538,6 +539,8 @@ def exact_k_particle_law(
     """
     k = check_count(k, 1, "k")
     [t] = check_grid([t], "t")
+    if start not in ("pi_tensor", "distinct"):
+        raise ParameterOutOfRange(f"unknown start {start!r}")
     n = c.n
     group = translation_group(c)
     free = k + 1 if group is None else k  # walkers not pinned
@@ -551,26 +554,23 @@ def exact_k_particle_law(
     if group is not None:
         add, neg = group
         coords = np.hstack([np.zeros((nstates, 1), dtype=np.int64), coords])
-    occ = np.zeros((nstates, n), dtype=bool)
-    occ[np.arange(nstates)[:, None], coords] = True
-    sites = occ.sum(axis=1)  # distinct locations per state
+    # the occupied sites: the first walker at each site, in sorted order
+    srt = np.sort(coords, axis=1)
+    src, j = np.nonzero(np.diff(srt, axis=1, prepend=-1))
+    sites = np.bincount(src, minlength=nstates)  # distinct locations per state
 
     def move(src, x, y):
-        moved = coords[src]
-        moved[moved == x] = y
+        moved = np.where(coords[src] == x[:, None], y[:, None], coords[src])
         if group is not None:
             # a ring at the identity carries walker 0 to y: re-centre by -y
-            moved = add(moved[:, 1:], neg(y)) if x == 0 else moved[:, 1:]
+            moved, at0 = moved[:, 1:], x == 0
+            moved[at0] = add(moved[at0], neg(y[at0])[:, None])
         return moved @ powers
 
-    kt, lam = _ring_kernel(c, occ, move)
-    if start == "pi_tensor":
-        mu = np.full(nstates, 1.0 / nstates)
-    elif start == "distinct":
-        mu = np.where(sites == k + 1, 1.0, 0.0)
-        mu /= mu.sum()
-    else:
-        raise ParameterOutOfRange(f"unknown start {start!r}")
+    kt, lam = _ring_kernel(c, src, srt[src, j], move)
+    # uniform on every state, or on those with k + 1 distinct sites
+    mu = np.ones(nstates) if start == "pi_tensor" else np.where(sites == k + 1, 1.0, 0.0)
+    mu /= mu.sum()
     acc, terms, tail = uniformize(kt.dot, mu, lam, [t], _SUBSET_TOL)
     p = float(acc[0][sites == 1].sum())
     out = {"p_coal": p, "start": start, "k": k, "t": t, "terms": terms,

@@ -70,7 +70,8 @@ class MeetingProfile:
     """Expected pairwise meeting times and their stationary averages, with
     the size ``unknowns`` of the hitting-time system solved (n(n - 1) on the
     pair chain, n - 1 on the difference walk), its max ``residual`` and its
-    conjugate-gradient ``iterations``."""
+    conjugate-gradient ``iterations``.  ``t_meet_distinct`` is nan on a
+    one-state chain, which has no distinct pair."""
 
     pairwise: np.ndarray
     t_meet_pi: float
@@ -173,7 +174,9 @@ def pairwise_meeting_times(c: MarkovChain) -> MeetingProfile:
     ids = np.arange(n, dtype=np.int64)
     pairwise = h[state(ids[:, None], ids[None, :])]
     total = pairwise.sum()
-    return MeetingProfile(pairwise, float(total / (n * n)), float(total / (n * (n - 1))),
+    # one state has no distinct pair to average over
+    distinct = float(total / (n * (n - 1))) if n > 1 else float("nan")
+    return MeetingProfile(pairwise, float(total / (n * n)), distinct,
                           residual, int(mask.size - mask.sum()), iterations)
 
 
@@ -185,6 +188,8 @@ def mean_meeting_time(c: MarkovChain, mode: str = "pi_pi") -> float:
     """
     if mode not in ("pi_pi", "distinct"):
         raise ParameterOutOfRange(f"unknown mode {mode!r}")
+    if mode == "distinct" and c.n < 2:
+        raise ParameterOutOfRange("distinct starts need two states")
     profile = pairwise_meeting_times(c)
     return profile.t_meet_pi if mode == "pi_pi" else profile.t_meet_distinct
 

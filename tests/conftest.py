@@ -1,15 +1,25 @@
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from coalesce import _flat
-from coalesce.chains import _jump_kernel, build_generator
+from coalesce import _flat, chains
+from coalesce.chains import _jump_kernel, build_generator, uniformize
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
 from coalesce.meeting import _survival
+
+# non-integer rates and unequal row totals
+IRREGULAR_RATES = np.array([
+    [0.0, 1.5, 0.25, 0.0, 0.0],
+    [1.5, 0.0, 0.7, 2.0, 0.0],
+    [0.25, 0.7, 0.0, 0.0, 1.1],
+    [0.0, 2.0, 0.0, 0.0, 0.4],
+    [0.0, 0.0, 1.1, 0.4, 0.0],
+])
 
 
 def dense(csr, n):
@@ -49,6 +59,85 @@ class DenseBuilt:
     def row(self, x):
         cols = np.flatnonzero(self._r[x])
         return cols, self._r[x, cols]
+
+    @cached_property
+    def _group(self):
+        return chains._translation_group(self)
+
+
+def per_ring_kernel(c, occ, move):
+    """Reference: the transposed jump kernel of a process on the rows of the
+    0/1 occupancy matrix ``occ`` (states x sites) in which a ring of (x, y)
+    moves every occupant of x to y, built one ring at a time; ``move(src,
+    x, y)`` returns the targets of the states ``src``, all occupied at x.
+    Returns (kernel^T, rate)."""
+    nstates = occ.shape[0]
+    exit_rate = occ @ c.row_rates
+    lam = float(exit_rate.max())
+    idx = np.arange(nstates, dtype=np.int64)
+    rows, cols = [idx], [idx]
+    data = [1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)]
+    for x, y, r in zip(*c.entries()):
+        src = np.flatnonzero(occ[:, x])
+        rows.append(move(src, int(x), int(y)))
+        cols.append(src)
+        data.append(np.full(src.size, r / lam))
+    kernel_t = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nstates, nstates),
+    )
+    return kernel_t, lam
+
+
+def subset_kernel_reference(c):
+    """Reference: the subset chain's transposed kernel and rate by
+    ``per_ring_kernel`` on the occupancy matrix of the nonempty subsets."""
+    masks = np.arange(1, 1 << c.n, dtype=np.int64)
+    occ = ((masks[:, None] >> np.arange(c.n)) & 1).astype(bool)
+
+    def move(src, x, y):
+        return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
+
+    return per_ring_kernel(c, occ, move)
+
+
+def k_particle_reference(c, k, t, start, pinned):
+    """Reference: the coalescence law of k+1 labeled walkers on the
+    occupancy matrix of the listed states, by ``per_ring_kernel``; on V^{k+1},
+    or with ``pinned`` on the n^k states with walker 0 at the identity of
+    ``translation_group``.  Returns (law as ``exact_k_particle_law`` gives
+    it, kernel^T, rate)."""
+    n = c.n
+    free = k if pinned else k + 1
+    nstates = n**free
+    powers = n ** np.arange(free, dtype=np.int64)
+    coords = (np.arange(nstates, dtype=np.int64)[:, None] // powers[None, :]) % n
+    if pinned:
+        add, neg = chains.translation_group(c)
+        coords = np.hstack([np.zeros((nstates, 1), dtype=np.int64), coords])
+    occ = np.zeros((nstates, n), dtype=bool)
+    occ[np.arange(nstates)[:, None], coords] = True
+    sites = occ.sum(axis=1)
+
+    def move(src, x, y):
+        moved = coords[src]
+        moved[moved == x] = y
+        if pinned:
+            moved = add(moved[:, 1:], neg(y)) if x == 0 else moved[:, 1:]
+        return moved @ powers
+
+    kt, lam = per_ring_kernel(c, occ, move)
+    if start == "pi_tensor":
+        mu = np.full(nstates, 1.0 / nstates)
+    else:
+        mu = np.where(sites == k + 1, 1.0, 0.0)
+        mu /= mu.sum()
+    acc, terms, tail = uniformize(kt.dot, mu, lam, [t], 1e-10)
+    p = float(acc[0][sites == 1].sum())
+    out = {"p_coal": p, "start": start, "k": k, "t": t, "terms": terms, "tail_mass": tail}
+    if start == "pi_tensor":
+        out["e_ntk"] = float(n**k) * p
+    return out, kt, lam
 
 
 def pair_generator(c):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -307,6 +308,11 @@ def _connected(rates):
     return len(seen) == n
 
 
+TAGGED = [cycle_graph(7), torus_graph(2, 4), torus_graph(3, 3), complete_graph(6),
+          hypercube_graph(3)]
+TAGGED_IDS = ["cycle7", "torus24", "torus33", "complete6", "hypercube3"]
+
+
 class TestSpectrum:
     def test_cycle4(self, cycle4_chain):
         s = spectrum(cycle4_chain)
@@ -337,6 +343,38 @@ class TestSpectrum:
         per_edge = spectrum(build_generator(cycle_graph(8)))
         total = spectrum(build_generator(cycle_graph(8), "total_unit"))
         assert np.allclose(per_edge.eigenvalues / 2.0, total.eigenvalues, atol=1e-12)
+
+    @staticmethod
+    def dense_eigenvalues(c):
+        return np.sort(np.linalg.eigvalsh(-c.generator().toarray()))
+
+    @pytest.mark.parametrize("rates", ["weighted", "doubled", "chord"])
+    def test_tag_that_does_not_match_rates(self, rates):
+        # a cycle tag on other rates: the closed form does not apply
+        r = dense(build_generator(cycle_graph(6)).csr, 6)
+        if rates == "weighted":
+            r[2, 3] = r[3, 2] = 0.5
+        elif rates == "doubled":
+            r *= 2.0
+        else:
+            r[2, 5] = r[5, 2] = 1.0
+        c = MarkovChain(6, MarkovChain.from_rates(r).csr, family=("cycle", 6))
+        got = spectrum(c).eigenvalues
+        assert np.all(np.abs(got - self.dense_eigenvalues(c)) <= 1e-10)
+        if rates == "weighted":
+            assert np.allclose(got, [0, 0.753, 1, 2.445, 3, 3.802], atol=1e-3)
+
+    @pytest.mark.parametrize("convention", ["per_edge_unit", "total_unit"])
+    @pytest.mark.parametrize("g", TAGGED, ids=TAGGED_IDS)
+    def test_closed_form_on_tagged_built_ins(self, g, convention):
+        c = build_generator(g, convention)
+        closed = chains._closed_form_eigenvalues(g.family, convention)
+        assert np.array_equal(spectrum(c).eigenvalues, chains.Spectrum(closed).eigenvalues)
+        # the same rates as a custom chain take the dense path
+        custom = MarkovChain(c.n, c.csr, "custom", family=g.family)
+        assert np.array_equal(spectrum(custom).eigenvalues, chains.Spectrum(
+            np.linalg.eigvalsh(-custom.generator().toarray())).eigenvalues)
+        assert np.all(np.abs(spectrum(custom).eigenvalues - closed) <= 1e-10)
 
     def test_spectrum_edge_bound(self, torus33_chain):
         s = spectrum(torus33_chain)
@@ -511,11 +549,6 @@ class TestCsrRates:
             MarkovChain(3, ([0, 2, 3, 4], [2, 1, 0, 0], [1.0] * 4))
 
 
-TAGGED = [cycle_graph(7), torus_graph(2, 4), torus_graph(3, 3), complete_graph(6),
-          hypercube_graph(3)]
-TAGGED_IDS = ["cycle7", "torus24", "torus33", "complete6", "hypercube3"]
-
-
 class TestTranslationGroup:
     @pytest.mark.parametrize("convention", ["per_edge_unit", "total_unit"])
     @pytest.mark.parametrize("g", TAGGED, ids=TAGGED_IDS)
@@ -531,6 +564,15 @@ class TestTranslationGroup:
             assert np.array_equal(np.sort(moved), ids)
             rates = dense(c.csr, c.n)
             assert np.array_equal(rates[np.ix_(moved, moved)], rates)
+
+    def test_chain_with_its_group_found_pickles(self):
+        # the group is kept with the chain but not pickled with it
+        c = build_generator(torus_graph(2, 4))
+        add, _ = translation_group(c)
+        back = pickle.loads(pickle.dumps(c))
+        ids = np.arange(c.n)
+        assert np.array_equal(translation_group(back)[0](ids, 5), add(ids, 5))
+        assert all(np.array_equal(a, b) for a, b in zip(back.csr, c.csr))
 
     def test_torus_adds_coordinates(self):
         # lexicographic labels on Z_4 x Z_4: (1, 2) + (3, 3) = (0, 1), -(1, 3) = (3, 1)

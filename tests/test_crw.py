@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import difference_generator, generator_survival, pair_generator
+from conftest import (IRREGULAR_RATES, difference_generator, generator_survival,
+                      k_particle_reference, pair_generator, subset_kernel_reference)
 
 from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum, uniformize
 from coalesce.crw import (
@@ -26,9 +29,10 @@ from coalesce.errors import (
     SameVertex,
     TooLargeForExact,
 )
-from coalesce.graphs import Graph, complete_graph, cycle_graph, path_graph
+from coalesce.graphs import (Graph, complete_graph, cycle_graph, hypercube_graph, path_graph,
+                             torus_graph)
 from coalesce.chains import translation_group
-from coalesce.meeting import pairwise_meeting_times
+from coalesce.meeting import _survival, _two_walkers, pairwise_meeting_times
 from coalesce import crw, runner
 from coalesce.runner import run_task
 from coalesce.seeding import BufferedDraws, derive_rng
@@ -326,10 +330,7 @@ class TestSubsetTimesAndCache:
     @staticmethod
     def uncached(c, t):
         """The law at one time from a freshly built kernel."""
-        def move(src, x, y):
-            return (((src + 1) & ~(1 << x)) | (1 << y)) - 1
-
-        kt, lam = crw._ring_kernel(c, crw._subset_occupancy(c.n), move)
+        kt, lam = crw._subset_kernel.__wrapped__(c)
         mu = np.zeros(kt.shape[0])
         mu[-1] = 1.0
         return uniformize(kt.dot, mu, lam, [t], 1e-10)[0][0]
@@ -350,9 +351,9 @@ class TestSubsetTimesAndCache:
         built = []
         ring_kernel = crw._ring_kernel
 
-        def spy(chain, occ, move):
+        def spy(chain, src, x, move):
             built.append(chain)
-            return ring_kernel(chain, occ, move)
+            return ring_kernel(chain, src, x, move)
 
         monkeypatch.setattr(crw, "_ring_kernel", spy)
         crw._subset_kernel.cache_clear()
@@ -663,6 +664,14 @@ class TestOracleInputs:
         with pytest.raises(ParameterOutOfRange, match="^k must"):
             exact_k_particle_law(self.C, k, 1.0)
 
+    def test_k_particle_start_before_any_build(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("kernel built before the start was checked")
+
+        monkeypatch.setattr(crw, "_ring_kernel", build)
+        with pytest.raises(ParameterOutOfRange, match="unknown start 'pi-tensor'"):
+            exact_k_particle_law(self.C, 1, 1.0, "pi-tensor")
+
     def test_k_particle_numpy_scalars(self):
         law = exact_k_particle_law(self.C, np.int64(1), np.float64(0.5))
         assert law == exact_k_particle_law(self.C, 1, 0.5)
@@ -690,3 +699,104 @@ class TestOracleInputs:
         with pytest.raises(ParameterOutOfRange, match="^t must"):
             exact_occupancy_cov(self.C, 0, 1, t)
 
+
+def same_kernel(got, want):
+    """Two transposed kernels and rates as ``_ring_kernel`` returns them:
+    the same stored entries, each within 1e-12 relative."""
+    (kt, lam), (ref, ref_lam) = got, want
+    assert abs(lam - ref_lam) <= 1e-12 * ref_lam
+    kt, ref = kt.tocsr(copy=True), ref.tocsr(copy=True)
+    kt.sum_duplicates()
+    ref.sum_duplicates()
+    assert np.array_equal(kt.indptr, ref.indptr) and np.array_equal(kt.indices, ref.indices)
+    assert np.all(np.abs(kt.data - ref.data) <= 1e-12 * np.abs(ref.data))
+
+
+def same_law(got, want):
+    assert got.keys() == want.keys()
+    for key in ("p_coal", "e_ntk"):
+        if key in want:
+            assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+    assert got["terms"] == want["terms"]
+    assert abs(got["tail_mass"] - want["tail_mass"]) <= 1e-12
+
+
+REFERENCE_CHAINS = {
+    "cycle5": build_generator(cycle_graph(5)),
+    "cycle9": build_generator(cycle_graph(9)),
+    "K12": build_generator(complete_graph(12)),
+    "lollipop": build_generator(LOLLIPOP),
+    "torus33": build_generator(torus_graph(3, 3)),
+    "hypercube3": build_generator(hypercube_graph(3)),
+    "path7": build_generator(path_graph(7)),
+    "irregular5": MarkovChain.from_rates(IRREGULAR_RATES),
+}
+
+
+def _k_particle_cases():
+    """(chain, pinned, k) for k = 1, 2, 3 wherever the states fit under the
+    cap; pinned only where a translation group pins walker 0."""
+    for name, c in REFERENCE_CHAINS.items():
+        for pinned in (True, False):
+            if pinned and translation_group(c) is None:
+                continue
+            for k in (1, 2, 3):
+                if c.n ** (k if pinned else k + 1) <= crw._KPARTICLE_CAP:
+                    yield pytest.param(name, pinned, k,
+                                       id=f"{name}-{'pinned' if pinned else 'unpinned'}-k{k}")
+
+
+class TestRingKernelMatchesPerRingReference:
+    """The loop-free ring kernel against the per-ring build on a states x
+    sites occupancy matrix (``conftest.per_ring_kernel``)."""
+
+    @pytest.mark.parametrize("name", [name for name, c in REFERENCE_CHAINS.items()
+                                      if c.n <= crw._SUBSET_CAP])
+    def test_subset_kernel_and_laws(self, name):
+        c = REFERENCE_CHAINS[name]
+        kt, lam = subset_kernel_reference(c)
+        same_kernel(crw._subset_kernel.__wrapped__(c), (kt, lam))
+        for start in (range(c.n), [0, c.n - 1]):
+            mu = np.zeros(kt.shape[0])
+            mu[sum(1 << x for x in start) - 1] = 1.0
+            for t in (0.3, 1.7):
+                want = uniformize(kt.dot, mu, lam, [t], 1e-10)[0][0]
+                got = _subset_distribution(c, t, start)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("name,pinned,k", list(_k_particle_cases()))
+    def test_k_particle_kernel_and_laws(self, name, pinned, k, monkeypatch):
+        c = REFERENCE_CHAINS[name]
+        if not pinned:
+            # the same rates with no tag: the chain on V^{k+1}
+            c = MarkovChain(c.n, c.csr, c.convention)
+        built = []
+        ring_kernel = crw._ring_kernel
+
+        def spy(*args):
+            built.append(ring_kernel(*args))
+            return built[-1]
+
+        monkeypatch.setattr(crw, "_ring_kernel", spy)
+        for start in ("pi_tensor", "distinct"):
+            for t in (0.3, 1.7):
+                want, kt, lam = k_particle_reference(c, k, t, start, pinned)
+                same_law(exact_k_particle_law(c, k, t, start), want)
+                same_kernel(built[-1], (kt, lam))
+
+    def test_cap_scale_cycle_against_difference_walk(self):
+        # 5000 pinned states: walker 1 relative to walker 0 is the difference
+        # walk, which _two_walkers runs killed at the identity.  Both chains
+        # are uniformized at rate 4 and sum the same Poisson terms, so the
+        # coalesced mass is the summed weight less the survival.
+        c, t = build_generator(cycle_graph(5000)), 40.0
+        tracemalloc.start()
+        law = exact_k_particle_law(c, 1, t)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 << 20
+        _, step, lam, mask, _ = _two_walkers(c, table=False)
+        surv, terms, tail = _survival(step, lam, mask, np.full(c.n, 1.0 / c.n), [t], 1e-10)
+        assert (terms, tail) == (law["terms"], law["tail_mass"])
+        want = (1.0 - tail) - surv[0]
+        assert abs(law["p_coal"] - want) <= 1e-12 * want

@@ -1,13 +1,14 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from conftest import (DenseBuilt, dense, difference_generator, generator_survival,
-                      kron_pairwise, pair_generator)
+from conftest import (IRREGULAR_RATES, DenseBuilt, dense, difference_generator,
+                      generator_survival, kron_pairwise, pair_generator)
 
-from coalesce import _flat, crw, meeting
+from coalesce import _flat, chains, crw, meeting
 from coalesce.chains import (
     MarkovChain,
     build_generator,
@@ -46,16 +47,6 @@ from coalesce.meeting import (
     pairwise_meeting_times,
 )
 from coalesce.seeding import derive_rng
-
-# non-integer rates and unequal row totals
-IRREGULAR_RATES = np.array([
-    [0.0, 1.5, 0.25, 0.0, 0.0],
-    [1.5, 0.0, 0.7, 2.0, 0.0],
-    [0.25, 0.7, 0.0, 0.0, 1.1],
-    [0.0, 2.0, 0.0, 0.0, 0.4],
-    [0.0, 0.0, 1.1, 0.4, 0.0],
-])
-
 
 def cycle_pair_oracle(n):
     """Expected meeting time on the n-cycle at graph distance k: k(n-k)/4."""
@@ -179,6 +170,17 @@ class TestMeanMeetingTime:
         monkeypatch.setattr(meeting, "pairwise_meeting_times", solve)
         with pytest.raises(ParameterOutOfRange, match="unknown mode 'pi-pi'"):
             mean_meeting_time(build_generator(cycle_graph(5)), "pi-pi")
+
+    def test_one_state_chain(self):
+        # no distinct pair: the distinct mean is refused, and nothing warns
+        one = MarkovChain.from_rates(np.zeros((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = pairwise_meeting_times(one)
+            assert prof.t_meet_pi == 0.0 and np.isnan(prof.t_meet_distinct)
+            assert mean_meeting_time(one) == 0.0
+            with pytest.raises(ParameterOutOfRange, match="^distinct starts need two"):
+                mean_meeting_time(one, "distinct")
 
 
 class TestAlphaSurvival:
@@ -360,9 +362,9 @@ class TestTranslationQuotient:
         solved = []
         ring_kernel = crw._ring_kernel
 
-        def spy(chain, occ, move):
-            solved.append(occ.shape[0])
-            return ring_kernel(chain, occ, move)
+        def spy(chain, src, x, move):
+            solved.append(int(src.max()) + 1)
+            return ring_kernel(chain, src, x, move)
 
         monkeypatch.setattr(crw, "_ring_kernel", spy)
         got = exact_k_particle_law(c, k, 0.8, start)
@@ -371,6 +373,36 @@ class TestTranslationQuotient:
         assert got["terms"] == ref["terms"]
         if start == "pi_tensor":
             assert abs(got["e_ntk"] - ref["e_ntk"]) <= 1e-10 * c.n**k
+
+    def test_group_found_once_per_chain(self, monkeypatch):
+        # the oracles on one chain share one group, and give the outputs
+        # they give on chains that each find their own
+        g = torus_graph(2, 4)
+
+        def outputs(chain=None):
+            """Each oracle's output on ``chain``, or on a fresh chain each."""
+            def on():
+                return build_generator(g) if chain is None else chain
+
+            prof = pairwise_meeting_times(on())
+            return [prof.pairwise.tolist(), prof.t_meet_pi, prof.residual,
+                    alpha_survival(on(), 1, 0.7), exact_k_particle_law(on(), 2, 0.7),
+                    spectrum(on()).eigenvalues.tolist()]
+
+        want = outputs()
+        found = []
+        find = chains._translation_group
+
+        def spy(chain):
+            found.append(chain)
+            return find(chain)
+
+        monkeypatch.setattr(chains, "_translation_group", spy)
+        c, other = build_generator(g), build_generator(g)
+        assert outputs(c) == want and outputs(c) == want
+        assert found == [c]
+        assert outputs(other) == want
+        assert found == [c, other]
 
     @pytest.mark.parametrize("rates", ["path", "weighted_cycle", "cycle_with_chord"])
     def test_tag_that_does_not_match_rates_takes_generic_path(self, rates):
