@@ -26,7 +26,7 @@ from .errors import (
     TooLargeForExact,
     TotalUnitOnIrregular,
 )
-from .graphs import Graph, _connected, _entry_rows, make_transitive
+from .graphs import _TRANSITIVE, Graph, _connected, _entry_rows, make_transitive
 
 __all__ = [
     "MarkovChain",
@@ -67,6 +67,7 @@ class MarkovChain:
     row_rates: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_family(self.family)
         n = self.n
         csr = tuple(np.asarray(a, dtype=t)
                     for a, t in zip(self.csr, (np.int32, np.int32, float)))
@@ -129,6 +130,10 @@ class MarkovChain:
     def _group(self):
         return _translation_group(self)
 
+    @cached_property
+    def _family_rates(self) -> bool:
+        return _has_family_rates(self)
+
     def __getstate__(self):
         # the group's add and neg are closures, which do not pickle; an
         # unpickled chain finds its group again on first use
@@ -143,6 +148,21 @@ class MarkovChain:
         m = sp.csr_matrix(r)
         # a matrix that is not square fails the offset count
         return cls(m.shape[1], (m.indptr, m.indices, m.data), "custom", transitive=transitive)
+
+
+def _check_family(family) -> None:
+    """A tag naming a family of ``graphs._TRANSITIVE`` carries that family's
+    count of positive integer parameters, which ``translation_group`` and
+    ``spectrum`` read; other tags are not read."""
+    if not family or family[0] not in _TRANSITIVE:
+        return
+    params = family[1:]
+    count = _TRANSITIVE[family[0]][1]
+    if len(params) != count or not all(
+            isinstance(p, numbers.Integral) and not isinstance(p, bool) and p > 0
+            for p in params):
+        raise ParameterOutOfRange(
+            f"family {family!r}: {family[0]!r} takes {count} positive integer parameter(s)")
 
 
 @dataclass(frozen=True)
@@ -398,7 +418,8 @@ def _closed_form_eigenvalues(family: tuple, convention: str) -> np.ndarray:
 def _has_family_rates(c: MarkovChain) -> bool:
     """Whether c's rates are those of its tagged family under its
     convention: a chain that its tag's group translates, with the CSR
-    arrays of ``build_generator`` on the family's own graph."""
+    arrays of ``build_generator`` on the family's own graph.  Found once
+    per chain object and kept with it (``MarkovChain._family_rates``)."""
     if translation_group(c) is None or c.convention == "custom":
         return False
     try:
@@ -411,9 +432,9 @@ def _has_family_rates(c: MarkovChain) -> bool:
 
 def spectrum(c: MarkovChain) -> Spectrum:
     """Full eigenvalue list of -Q; closed forms when the rates are the
-    tagged family's own (``_has_family_rates``), dense symmetric
-    factorization otherwise."""
-    if _has_family_rates(c):
+    tagged family's own (``_has_family_rates``, checked once per chain),
+    dense symmetric factorization otherwise."""
+    if c._family_rates:
         return Spectrum(eigenvalues=_closed_form_eigenvalues(c.family, c.convention))
     if c.n > _DENSE_CAP:
         raise TooLargeForExact("dense eigendecomposition capped at 4096 states")

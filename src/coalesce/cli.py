@@ -38,6 +38,17 @@ def _flag(flag: str, convert):
     return parse
 
 
+def _threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise ValueError("must be at least 1")
+    return threads
+
+
+_THREADS_HELP = ("processes to run on: this one and N - 1 pool workers "
+                 "(default: COALESCE_THREADS, else 1)")
+
+
 def _parse_degrees(text: str) -> DegreeDistribution:
     pairs = []
     for part in text.split(","):
@@ -210,19 +221,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=_flag("--sites", lambda s: [int(v) for v in s.split(",")]))
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_flag("--threads", _threads), metavar="N",
+                   help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a JSON experiment config")
     p.add_argument("config")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_flag("--threads", _threads), metavar="N",
+                   help=_THREADS_HELP)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["exact", "statistical", "paper"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_flag("--threads", _threads), metavar="N",
+                   help=_THREADS_HELP)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

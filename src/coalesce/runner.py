@@ -13,9 +13,14 @@ after another on the scalar routines (``crw._scalar_crw``,
 ``voter._voter_once``), drawing in turn from the block's stream, which keeps
 the same guarantees; their records are stacked into the lockstep kernels'
 record, so ``_block`` builds a block's values one way for both paths.  Rows
-are assembled replicate-major, time-minor.  ``run_experiment`` runs every
-task in one worker pool; the workers return their chunks as finished CSV
-text, which the main process writes and hashes in block order.
+are assembled replicate-major, time-minor.
+
+``threads`` counts the calling process: at ``threads`` > 1 a pool of
+``threads - 1`` workers, one pool for every task of ``run_experiment``,
+runs all but the last of each group of ``threads`` consecutive chunks
+(counted back from a task's last chunk), and the calling process runs the
+last.  The chunks return as finished CSV text, which the calling process
+writes and hashes in block order.
 
 ``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
 run on the same blocks through ``_replicates``, drawn in order from the
@@ -184,19 +189,40 @@ def _chunk_text(args):
 
 
 def worker_pool(threads: int):
-    """A process pool of ``threads`` workers to share among tasks, or at
-    one thread a context that yields None (run in this process)."""
+    """A process pool of ``threads - 1`` workers to share among tasks,
+    which with the calling process makes ``threads`` processes; at one
+    thread a context that yields None (run in this process)."""
     if threads > 1:
-        return ProcessPoolExecutor(max_workers=threads)
+        return ProcessPoolExecutor(max_workers=threads - 1)
     return nullcontext()
 
 
-def _map_chunks(worker, args_list, pool):
-    """Lazily, ``worker``'s result for each chunk in chunk order: in the
-    pool when there is one and more than one chunk, else here."""
-    if pool is None or len(args_list) <= 1:
-        return map(worker, args_list)
-    return pool.map(worker, args_list)
+def _map_chunks(worker, args_list, pool, threads):
+    """Lazily, ``worker``'s result for each chunk in chunk order.  The
+    chunks go in groups of ``threads`` consecutive chunks, counted back from
+    the last, so that only the first group may be short: ``pool``'s
+    ``threads - 1`` workers run all but the last chunk of each group while
+    this process runs the last.  Without a pool every chunk runs here."""
+    if pool is None:
+        yield from map(worker, args_list)
+        return
+    # counted back from the end, this process starts on chunk 0 at once and
+    # the workers' last chunks run beside its own; all the pool's chunks are
+    # queued at once, so no worker waits for this process's chunk of a group
+    ends = range(len(args_list), 0, -threads)[::-1]
+    groups = [args_list[max(0, end - threads):end] for end in ends]
+    futures = [[pool.submit(worker, args) for args in group[:-1]] for group in groups]
+    try:
+        for group, queued in zip(groups, futures):
+            last = worker(group[-1])
+            for future in queued:
+                yield future.result()
+            yield last
+    finally:
+        # after an error, the chunks not yet started are dropped
+        for queued in futures:
+            for future in queued:
+                future.cancel()
 
 
 def _tally():
@@ -229,7 +255,7 @@ def task_header(task: dict, graph: Graph) -> list[str]:
 
 def _task_chunks(graph, convention, task, times, replicates, master_seed, threads):
     """A task's header, time grid, row count and chunk arguments: about
-    four chunks of whole blocks per worker."""
+    four chunks of whole blocks per process."""
     header = task_header(task, graph)
     label = _task_label(task)
     grid = check_grid(task.get("times", times))
@@ -261,7 +287,7 @@ def _task_values(graph, convention, task, times, replicates, master_seed,
     )
     tally = _tally()
     with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:
-        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool), tally)
+        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool, threads), tally)
         vals = [vals for blocks in chunks for _, vals in blocks]
     return header, grid, np.concatenate(vals) if vals else np.empty(0), dict(tally)
 
@@ -278,8 +304,11 @@ def run_task(
 ) -> tuple[list[str], list[tuple], dict]:
     """All rows for one task, replicate-major, and the kernels' counters:
     kept rings (``events``), ``thinning_rejections`` and ``blocks``.  The
-    chunks run in ``pool`` when one is given (see ``worker_pool``), else in
-    a pool of their own at ``threads > 1``."""
+    chunks run on ``threads`` processes, this one and ``threads - 1``
+    workers: those of ``pool`` when one is given, else of a pool of their
+    own.  A given ``pool`` must come from ``worker_pool(threads)`` with the
+    same ``threads``: the chunks are grouped by ``threads`` alone, so at one
+    thread the pool goes unused."""
     header, grid, vals, tally = _task_values(
         graph, convention, task, times, replicates, master_seed, threads, pool
     )
@@ -291,8 +320,9 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
 
     ``config`` is a path or an ExperimentConfig.  The manifest embeds the
     config verbatim, so running the manifest file reproduces the data.  One
-    worker pool serves every task; the workers format their blocks' CSV
-    lines, and this process writes and hashes them in block order.
+    pool of ``threads - 1`` workers serves every task, and this process
+    runs its share of the chunks; each chunk is formatted as CSV lines
+    where it runs, and this process writes and hashes them in block order.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -313,7 +343,7 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
                     graph, config.rate_convention, task, config.times,
                     config.replicates, config.master_seed, threads,
                 )
-                texts = _counted(_map_chunks(_chunk_text, args_list, pool), tally)
+                texts = _counted(_map_chunks(_chunk_text, args_list, pool, threads), tally)
                 path = os.path.join(out, name + ".csv")
                 digest = write_csv_chunks(path, header, texts)
             except TaskError:

@@ -64,6 +64,10 @@ class DenseBuilt:
     def _group(self):
         return chains._translation_group(self)
 
+    @cached_property
+    def _family_rates(self):
+        return chains._has_family_rates(self)
+
 
 def per_ring_kernel(c, occ, move):
     """Reference: the transposed jump kernel of a process on the rows of the

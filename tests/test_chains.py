@@ -376,6 +376,27 @@ class TestSpectrum:
             np.linalg.eigvalsh(-custom.generator().toarray())).eigenvalues)
         assert np.all(np.abs(spectrum(custom).eigenvalues - closed) <= 1e-10)
 
+    def test_family_rates_checked_once_per_chain(self, monkeypatch):
+        # each chain builds its family's generator once, however often
+        # spectrum is called, and the spectra equal a fresh chain's
+        fresh = [build_generator(g, "total_unit") for g in TAGGED]
+        cases = [build_generator(g, "total_unit") for g in TAGGED]
+        built = []
+        original = chains.build_generator
+
+        def spy(g, convention="per_edge_unit"):
+            built.append(g.family)
+            return original(g, convention)
+
+        monkeypatch.setattr(chains, "build_generator", spy)
+        for _ in range(3):
+            for c in cases:
+                assert np.array_equal(spectrum(c).eigenvalues, chains.Spectrum(
+                    chains._closed_form_eigenvalues(c.family, c.convention)).eigenvalues)
+        assert built == [g.family for g in TAGGED]
+        for c, ref in zip(cases, fresh):
+            assert np.array_equal(spectrum(c).eigenvalues, spectrum(ref).eigenvalues)
+
     def test_spectrum_edge_bound(self, torus33_chain):
         s = spectrum(torus33_chain)
         assert s.eigenvalues[-1] <= 2.0 * torus33_chain.r_max + 1e-9
@@ -602,3 +623,14 @@ class TestTranslationGroup:
             MarkovChain(4, cycle4_chain.csr, family=("cycle", 5))) is None
         assert translation_group(
             MarkovChain(4, cycle4_chain.csr, family=("ladder", 4))) is None
+
+    @pytest.mark.parametrize("family", [
+        ("torus", 2), ("cycle",), ("hypercube", -1), ("torus", 2, 3.0), ("cycle", True),
+    ])
+    def test_malformed_family_tag_rejected(self, family):
+        g = torus_graph(2, 3)
+        with pytest.raises(ParameterOutOfRange, match="family"):
+            MarkovChain(g.n, build_generator(g).csr, family=family)
+        tagged = Graph(n=g.n, csr=g.csr, family=family)
+        with pytest.raises(ParameterOutOfRange, match="family"):
+            build_generator(tagged)

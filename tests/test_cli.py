@@ -161,13 +161,34 @@ class TestRunExperiment:
         assert a == b
 
     def test_threads_do_not_change_rows(self, tmp_path):
-        cfg1 = validate_config(minimal_config(tmp_path / "t1"))
-        cfg3 = validate_config(minimal_config(tmp_path / "t3"))
-        run_experiment(cfg1, threads=1)
-        run_experiment(cfg3, threads=3)
-        assert (tmp_path / "t1" / "00_density.csv").read_bytes() == (
-            tmp_path / "t3" / "00_density.csv"
-        ).read_bytes()
+        # 20 blocks of 1024 rows: 7 chunks at two threads, 10 at three, so
+        # the first group of chunks is short
+        data = {}
+        for threads in (1, 2, 3):
+            raw = minimal_config(tmp_path / f"t{threads}")
+            raw["replicates"] = 20000
+            run_experiment(validate_config(raw), threads=threads)
+            data[threads] = (tmp_path / f"t{threads}" / "00_density.csv").read_bytes()
+        assert data[1] == data[2] == data[3]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_count_the_calling_process(self, tmp_path, monkeypatch, threads):
+        # --threads N runs on this process and N - 1 pool workers
+        block = runner._block
+        here = os.getpid()
+        children = []
+
+        def counting(*args):
+            if os.getpid() == here:
+                children.append(len(multiprocessing.active_children()))
+            return block(*args)
+
+        monkeypatch.setattr(runner, "_block", counting)
+        raw = minimal_config(tmp_path)
+        raw["replicates"] = 20000
+        run_experiment(validate_config(raw), threads=threads)
+        assert children and set(children) == {threads - 1}
+        assert multiprocessing.active_children() == []
 
     def test_manifest_reruns_identically(self, tmp_path):
         cfg = validate_config(minimal_config(tmp_path / "orig"))
@@ -357,19 +378,27 @@ class TestBlockStreams:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched block function reaches forked workers only")
     def test_pool_closes_after_worker_error(self, tmp_path, monkeypatch):
+        # with this class's 16-row blocks, the nhat task's 40 replicates are
+        # three blocks, so three one-block chunks at two threads: chunks 0
+        # and 2 run in the calling process and chunk 1 in the pool's worker.
+        # Its blocks fail in one of the two, after the density task has
+        # started the pool, and the message names the failing process
         block = runner._block
+        here = os.getpid()
+        for where in ("worker", "caller"):
+            def failing(flat, task, *args, where=where):
+                if task["task"] == "nhat" and (os.getpid() == here) == (where == "caller"):
+                    raise RuntimeError(f"block failed in pid {os.getpid()}")
+                return block(flat, task, *args)
 
-        def failing(flat, task, *args):
-            if task["task"] == "nhat":
-                raise RuntimeError("block failed")
-            return block(flat, task, *args)
-
-        monkeypatch.setattr(runner, "_block", failing)
-        raw = minimal_config(tmp_path, tasks=[{"task": "density"}, {"task": "nhat"}])
-        with pytest.raises(TaskError) as err:
-            run_experiment(validate_config(raw), threads=2)
-        assert "nhat" in str(err.value) and "block failed" in str(err.value)
-        assert multiprocessing.active_children() == []
+            monkeypatch.setattr(runner, "_block", failing)
+            raw = minimal_config(tmp_path / where,
+                                 tasks=[{"task": "density"}, {"task": "nhat"}])
+            with pytest.raises(TaskError) as err:
+                run_experiment(validate_config(raw), threads=2)
+            assert "nhat" in str(err.value) and "block failed" in str(err.value)
+            assert (f"pid {here}" in str(err.value)) == (where == "caller")
+            assert multiprocessing.active_children() == []
 
 
 class TestCsvFormat:
@@ -478,6 +507,12 @@ class TestCliCommands:
         (["simulate", "--task", "occupancy", "--family", "cycle", "--params", "8",
           "--sites", "0,x"], "--sites"),
         (["exact", "spectrum", "--family", "cycle", "--params", "4.5"], "--params"),
+        (["verify", "exact", "--threads", "0"], "--threads"),
+        (["verify", "statistical", "--threads", "-3"], "--threads"),
+        (["simulate", "--task", "density", "--family", "cycle", "--params", "8",
+          "--threads", "0"], "--threads"),
+        # experiment takes no --out: the bad value stops parsing first
+        (["experiment", "config.json", "--threads", "-1"], "--threads"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, args, flag):
         assert main(args + ["--out", str(tmp_path / "out")]) == 2
