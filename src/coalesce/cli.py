@@ -167,7 +167,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError("verify", f"unknown suite {args.suite!r}")
     for check, quantity, value, sigma, threshold, row_ok in rows:
         status = "pass" if row_ok else "FAIL"
-        print(f"{status}  {check:28s} {quantity:22s} value={value:.6g} thr={threshold:g}")
+        print(f"{status}  {check:28s} {quantity:22s} value={value:.6g} sigma={sigma:.3g} "
+              f"thr={threshold:g}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.suite}.csv")

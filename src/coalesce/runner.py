@@ -39,7 +39,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__
-from ._flat import check_grid
+from ._flat import check_count, check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
 from .crw import _check_connected, _lockstep_crw, _scalar_crw, flat_graph
 from .errors import TaskError
@@ -282,6 +282,7 @@ def _task_values(graph, convention, task, times, replicates, master_seed,
     """One task's header, time grid, values (every replicate's, stacked as
     ``_block`` shapes them, without the columns its CSV leaves out) and
     counters, as ``run_task`` describes them."""
+    check_count(threads, 1, "threads")
     header, grid, _, args_list = _task_chunks(
         graph, convention, task, times, replicates, master_seed, threads
     )

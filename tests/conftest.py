@@ -7,19 +7,23 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from coalesce import _flat, chains
+from coalesce import _checks, _flat, chains, verify
+from coalesce._checks import _KINDS as KINDS, IRREGULAR_RATES, _lollipop, run_checks  # noqa: F401
 from coalesce.chains import _jump_kernel, build_generator, uniformize
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
 from coalesce.meeting import _survival
 
-# non-integer rates and unequal row totals
-IRREGULAR_RATES = np.array([
-    [0.0, 1.5, 0.25, 0.0, 0.0],
-    [1.5, 0.0, 0.7, 2.0, 0.0],
-    [0.25, 0.7, 0.0, 0.0, 1.1],
-    [0.0, 2.0, 0.0, 0.0, 0.4],
-    [0.0, 0.0, 1.1, 0.4, 0.0],
-])
+# K4 with a three-edge tail: irregular, so the kernels thin rings
+LOLLIPOP = _lollipop()
+
+
+def checks_pass(seed, *names):
+    """Run the named checks of the shared table at ``seed`` and assert that
+    each passes."""
+    out = run_checks(names, seed)
+    for name, o in out.items():
+        assert o.ok, (name, o)
+    return out
 
 
 def dense(csr, n):
@@ -197,6 +201,21 @@ def complete4_chain():
     return build_generator(complete_graph(4))
 
 
+def stubbed_paper_suite(monkeypatch, density=lambda g: 0.01, se=0.001, meet=(1.0, 0)):
+    """verify paper's rows and predictions with every input but the spectrum
+    stubbed: each density estimate is ``density(graph)`` with standard error
+    ``se``, the configuration model is cycle(30), alpha_t is 3.8, psi_3 is
+    0.66, and the pairs' mean meeting time and censored count are ``meet``."""
+    monkeypatch.setattr(_checks, "_density_stats",
+                        lambda g, conv, times, *a: {t: (density(g), se) for t in times})
+    monkeypatch.setattr(_checks, "psi_d", lambda d: 0.66)
+    monkeypatch.setattr(_checks, "alpha_survival", lambda *a, **k: {"value": 3.8, "stderr": 0.01})
+    monkeypatch.setattr(_checks, "sample_configuration_model", lambda *a, **k: cycle_graph(30))
+    monkeypatch.setattr(_checks, "mc_pair_meeting", lambda *a, **k: {
+        "mean": meet[0], "stderr": 0.01, "censored": meet[1]})
+    return verify.paper_suite(0, threads=1, scale=0.01)
+
+
 @pytest.fixture(scope="session")
 def torus33_chain():
     return build_generator(torus_graph(3, 3))
@@ -204,12 +223,7 @@ def torus33_chain():
 
 @pytest.fixture(scope="session")
 def lollipop():
-    """K4 with a three-edge tail: seven vertices, degrees 3, 3, 3, 4, 2, 2, 1."""
-    from coalesce.graphs import Graph
-
-    return Graph.from_edges(
-        7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
-    )
+    return LOLLIPOP
 
 
 class _Recorder:

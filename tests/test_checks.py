@@ -1,0 +1,78 @@
+"""The shared table of banded checks: its names, the verify suites built
+from it, the tests that read it, and the calibration tool that runs it."""
+
+import ast
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import stubbed_paper_suite
+
+import coalesce
+from coalesce import verify
+from coalesce._checks import CHECKS, TABLE
+
+TESTS = Path(__file__).parent
+
+
+def suite_names(suite):
+    return [check.name for check in TABLE if check.suite == suite]
+
+
+def test_names_unique():
+    assert len(CHECKS) == len(TABLE)
+
+
+def test_statistical_rows_are_its_checks():
+    rows, _ = verify.statistical_suite(3, scale=0.01)
+    assert [f"{r[0]}/{r[1]}" for r in rows] == suite_names("statistical")
+
+
+def test_paper_rows_are_its_checks(monkeypatch):
+    rows, _, predictions = stubbed_paper_suite(monkeypatch)
+    assert [f"{r[0]}/{r[1]}" for r in rows] == suite_names("paper")
+    assert [p["label"] for p in predictions] == ["BG(1)", "A1", "A2", "BG(3)", "alpha(delta3)"]
+
+
+def test_tests_name_existing_checks():
+    # every literal name a test reads, so that a renamed check fails here
+    names = set()
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "checks_pass":
+                args = node.args[1:]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_checks"
+                  and isinstance(node.args[0], ast.List)):
+                args = node.args[0].elts
+            else:
+                continue
+            names |= {a.value for a in args if isinstance(a, ast.Constant)}
+    assert len(names) >= 30 and names <= set(CHECKS), names - set(CHECKS)
+
+
+def test_table_builds_no_graph_or_chain_at_import():
+    code = ("import coalesce.chains as c, coalesce.graphs as g\n"
+            "made = []\n"
+            "for cls in (g.Graph, c.MarkovChain):\n"
+            "    cls.__init__ = lambda self, *a, _i=cls.__init__, **k: (made.append(1), "
+            "_i(self, *a, **k))[1]\n"
+            "import coalesce._checks\n"
+            "print(len(made))")
+    src = os.path.dirname(os.path.dirname(coalesce.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_calibration_prints_one_row(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_bands", TESTS.parent / "tools" / "calibrate_bands.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main(["--seeds", "2", "--only", "pair_k2"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[0] == "check"
+    assert [row.split()[:2] for row in rows] == [["pair_k2", "0/2"]]

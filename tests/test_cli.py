@@ -2,12 +2,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import KINDS, LOLLIPOP, stubbed_paper_suite
 
 import coalesce
 from coalesce import runner, verify
@@ -16,14 +18,9 @@ from coalesce.config import load_config, validate_config
 from coalesce.errors import ConfigError, NotConnected, ParameterOutOfRange, TaskError
 from coalesce.graphs import Graph, cycle_graph, write_graph
 from coalesce.io import block_csv, format_cell, rows_to_csv
-from coalesce.runner import run_experiment
+from coalesce.runner import run_experiment, run_task
 from coalesce.theory import alpha_regular_tree, exact_density_1d
 from coalesce.verify import statistical_suite
-
-KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
-LOLLIPOP = Graph.from_edges(
-    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
-)
 
 
 @pytest.fixture
@@ -520,10 +517,13 @@ class TestCliCommands:
         assert err.startswith(f"config error: {flag}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_verify_exact_passes(self, tmp_path):
+    def test_verify_exact_passes(self, tmp_path, capsys):
         out = str(tmp_path / "ver")
         assert main(["verify", "exact", "--seed", "3", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "exact.csv"))
+        # each row's sigma stands beside its value and threshold
+        assert re.search(r"^pass  t_rel_cycle4 +abs_err +value=\S+ sigma=0 thr=1e-08$",
+                         capsys.readouterr().out, re.M)
 
 
 class TestFailurePaths:
@@ -555,21 +555,11 @@ class TestPaperCensoring:
 
     @pytest.fixture
     def meeting_row(self, monkeypatch):
-        # only the meeting row is read: every other input is stubbed
-        monkeypatch.setattr(verify, "_density_stats",
-                            lambda g, conv, times, *a: {t: (0.01, 0.001) for t in times})
-        monkeypatch.setattr(verify, "psi_d", lambda d: 0.66)
-        monkeypatch.setattr(verify, "alpha_survival",
-                            lambda *a, **k: {"value": 3.8, "stderr": 0.01})
-        monkeypatch.setattr(verify, "sample_configuration_model",
-                            lambda *a, **k: cycle_graph(30))
-
+        # only the meeting row is read
         def run(censored):
             # a mean meeting time that puts the row at the centre of its band
-            meet = {"mean": 30 / (2 * alpha_regular_tree(3)), "stderr": 0.01,
-                    "censored": censored}
-            monkeypatch.setattr(verify, "mc_pair_meeting", lambda *a, **k: meet)
-            rows, ok, _ = verify.paper_suite(0, threads=1, scale=0.01)
+            meet = (30 / (2 * alpha_regular_tree(3)), censored)
+            rows, _, _ = stubbed_paper_suite(monkeypatch, meet=meet)
             [row] = [r for r in rows if r[1].startswith("two_meet_over_n_alpha")]
             return row
 
@@ -586,20 +576,10 @@ class TestPaperCensoring:
 
 class TestPaperExact1d:
     def test_row_against_exact_density(self, monkeypatch):
-        # the ring's estimate sits 5% above the exact density, the rest is stubbed
+        # the ring's estimate sits 5% above the exact density
         exact = exact_density_1d(200.0)
-        monkeypatch.setattr(
-            verify, "_density_stats",
-            lambda g, conv, times, *a: {t: (1.05 * exact if g.n == 100_000 else 0.01, 0.002)
-                                        for t in times})
-        monkeypatch.setattr(verify, "psi_d", lambda d: 0.66)
-        monkeypatch.setattr(verify, "alpha_survival",
-                            lambda *a, **k: {"value": 3.8, "stderr": 0.01})
-        monkeypatch.setattr(verify, "sample_configuration_model",
-                            lambda *a, **k: cycle_graph(30))
-        monkeypatch.setattr(verify, "mc_pair_meeting",
-                            lambda *a, **k: {"mean": 1.0, "stderr": 0.01, "censored": 0})
-        rows, _, _ = verify.paper_suite(0, threads=1, scale=0.01)
+        rows, _, _ = stubbed_paper_suite(
+            monkeypatch, density=lambda g: 1.05 * exact if g.n == 100_000 else 0.01, se=0.002)
         ring = [r for r in rows if r[0] == "paper_cycle1e5_d1"]
         assert [r[1] for r in ring] == ["ratio_bg", "ratio_exact_1d"]
         _, _, value, sigma, threshold, ok = ring[1]
@@ -629,6 +609,19 @@ class TestSuitePool:
         assert len(pools) == 1
         assert one == two
         assert multiprocessing.active_children() == []
+
+
+class TestThreadsChecked:
+    @pytest.mark.parametrize("threads", [0, -1, True, 1.5])
+    @pytest.mark.parametrize("entry", ["run_task", "statistical_suite", "paper_suite"])
+    def test_bad_threads_rejected(self, entry, threads):
+        # 0 divided by zero in the runner's chunking; -1 ran on one process
+        with pytest.raises(ParameterOutOfRange, match="^threads must"):
+            if entry == "run_task":
+                run_task(cycle_graph(8), "per_edge_unit", {"task": "density"}, [1.0], 40, 1,
+                         threads=threads)
+            else:
+                getattr(verify, entry)(1, threads=threads)
 
 
 class TestThreadsEnv:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import (IRREGULAR_RATES, difference_generator, generator_survival,
-                      k_particle_reference, pair_generator, subset_kernel_reference)
+from conftest import (IRREGULAR_RATES, KINDS, LOLLIPOP, checks_pass, difference_generator,
+                      generator_survival, k_particle_reference, pair_generator,
+                      subset_kernel_reference)
 
 from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum, uniformize
 from coalesce.crw import (
@@ -127,9 +128,7 @@ class TestDensity:
             estimate_density(C4, [0.5, float("nan")], 50, derive_rng(4, "dens", 0))
 
     def test_two_path_against_oracle(self):
-        est = estimate_density(P2, [0.5, 1.0, 2.0], 20_000, derive_rng(5, "dens", 0))
-        for t, p, se in zip(est.t_grid, est.p_hat, est.stderr):
-            assert abs(p - two_path_density(t)) <= 4.0 * se
+        checks_pass(5, "density_two_path")
 
     def test_single_survivor_regime(self):
         est = estimate_density(complete_graph(8), [50.0], 500, derive_rng(6, "dens", 0))
@@ -140,11 +139,7 @@ class TestDensity:
         assert est.arratia_ok.all()
 
     def test_p_hat_nonincreasing_within_noise(self):
-        grid = [0.0, 0.3, 0.8, 1.5, 3.0]
-        est = estimate_density(cycle_graph(6), grid, 5000, derive_rng(8, "mono", 0))
-        for i in range(len(grid) - 1):
-            band = 4.0 * np.hypot(est.stderr[i], est.stderr[i + 1])
-            assert est.p_hat[i + 1] <= est.p_hat[i] + band
+        checks_pass(8, "density_monotone")
 
 
 class TestExactOccupancy:
@@ -161,11 +156,8 @@ class TestExactOccupancy:
         dens = exact_occupancy_density(cycle4_chain, t)
         assert (dens >= 1.0 / (1.0 + 2.0 * t)).all()
 
-    def test_mc_agrees(self, cycle4_chain):
-        est = estimate_density(C4, [0.5, 1.0, 2.0], 20_000, derive_rng(8, "occ", 0))
-        for t, p, se in zip(est.t_grid, est.p_hat, est.stderr):
-            exact = exact_occupancy_density(cycle4_chain, t)[0]
-            assert abs(p - exact) <= 4.0 * se
+    def test_mc_agrees(self):
+        checks_pass(8, "occupancy_mc_agrees")
 
     def test_too_large(self):
         with pytest.raises(TooLargeForExact):
@@ -195,13 +187,7 @@ class TestKParticle:
     def test_cycle3_k2_vs_mc(self):
         # distinct 3-walker start on the 3-cycle is the full initial condition,
         # so the coalescence law equals the law of tau_coal
-        g = cycle_graph(3)
-        c = build_generator(g)
-        exact = exact_k_particle_law(c, 2, 0.5, "distinct")["p_coal"]
-        taus = sample_tau_coal_many(g, 20_000, derive_rng(9, "kp", 0))
-        p_hat = float((taus <= 0.5).mean())
-        se = np.sqrt(p_hat * (1 - p_hat) / len(taus))
-        assert abs(p_hat - exact) <= 3.0 * se
+        checks_pass(9, "kparticle_cycle3")
 
     def test_moment_identity_against_tracked_cluster(self, cycle4_chain):
         # mean tracked-cluster count equals n * P(two uniform walkers coalesce)
@@ -414,16 +400,6 @@ class TestPairCovariance:
 
 # runner tasks on the lockstep kernels
 
-KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
-LOLLIPOP = Graph.from_edges(
-    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
-)
-
-
-def _z(x, reference):
-    x = np.asarray(x, dtype=float)
-    return (x.mean() - reference) / (x.std(ddof=1) / np.sqrt(len(x)))
-
 
 class TestBlockPath:
     def test_narrow_blocks_run_scalar(self, monkeypatch):
@@ -459,33 +435,9 @@ class TestRunnerLaws:
             monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
         return request.param
 
-    @pytest.mark.parametrize(
-        "g, convention, times",
-        [(LOLLIPOP, "per_edge_unit", [0.3, 0.8, 2.0]),
-         (cycle_graph(9), "total_unit", [0.5, 2.0, 5.0])],
-        ids=["lollipop", "cycle9_total_unit"],
-    )
-    def test_tasks_against_oracles(self, g, convention, times):
-        reps = 20_000
-        c = build_generator(g, convention)
-        rows = {k: np.array(run_task(g, convention, {"task": k}, times, reps, 21)[1],
-                            dtype=float) for k in KINDS}
-        masks = np.arange(1, 1 << g.n)
-        single = np.array([bin(v).count("1") == 1 for v in masks])
-        for i, t in enumerate(times):
-            occ_exact = exact_occupancy_density(c, t)
-            e_n = exact_k_particle_law(c, 1, t)["e_ntk"]
-            dens, tracked, occ, nhat = (rows[k][i::len(times)] for k in KINDS[:4])
-            assert abs(_z(dens[:, 2], occ_exact.sum())) <= 4.5
-            assert abs(_z(tracked[:, 3], e_n)) <= 4.5
-            assert abs(_z(nhat[:, 2], e_n)) <= 4.5
-            assert (occ[:, 3:].sum(axis=1) == occ[:, 2]).all()
-            for v in range(g.n):
-                assert abs(_z(occ[:, 3 + v], occ_exact[v])) <= 4.5, (t, v)
-            # P(tau_coal <= t) is the subset chain's mass on singletons
-            p_one = _subset_distribution(c, t)[single].sum()
-            hits = rows["tau_coal"][:, 1] <= t
-            assert abs(hits.mean() - p_one) <= 4.5 * np.sqrt(p_one * (1 - p_one) / reps)
+    @pytest.mark.parametrize("case", ["lollipop", "cycle9_total_unit"])
+    def test_tasks_against_oracles(self, path, case):
+        checks_pass(21, f"runner_{path}_{case}")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_single_vertex(self, kind):

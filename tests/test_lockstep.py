@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import KINDS, LOLLIPOP
 
 from coalesce import runner
 from coalesce.crw import (
@@ -15,17 +16,12 @@ from coalesce.crw import (
     sample_tau_coal,
     simulate_crw,
 )
-from coalesce.graphs import Graph, cycle_graph, torus_graph
+from coalesce.graphs import cycle_graph, torus_graph
 from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
 from coalesce.voter import sample_nhat_ancestral
 
-# K4 with a three-edge tail: irregular, so the kernel thins rings
-LOLLIPOP = Graph.from_edges(
-    7, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4), (4, 5), (5, 6)]
-)
 GRID = [0.1, 0.5, 1.5, 4.0]
-KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
 # graphs for the scalar engines, with their convention: two regular ones,
 # and the lollipop, which takes the thinning path
 SCALAR_CASES = {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from conftest import (IRREGULAR_RATES, DenseBuilt, dense, difference_generator,
+from conftest import (IRREGULAR_RATES, DenseBuilt, checks_pass, dense, difference_generator,
                       generator_survival, kron_pairwise, pair_generator)
 
 from coalesce import _flat, chains, crw, meeting
@@ -192,38 +192,25 @@ class TestAlphaSurvival:
         res = alpha_survival(k2_chain, 0, 0.5)
         assert res["value"] == pytest.approx(np.exp(-1), abs=1e-9)
 
-    def test_exact_vs_mc(self, cycle4_chain):
-        exact = alpha_survival(cycle4_chain, 0, 0.25)["value"]
-        mc = alpha_survival(
-            cycle4_chain,
-            0,
-            0.25,
-            mode="mc",
-            reps=100_000,
-            rng=derive_rng(9, "alpha-mc", 0),
-        )
-        assert abs(mc["value"] - exact) <= 3.0 * mc["stderr"]
-        lo, hi = mc["ci95"]
-        assert lo <= mc["value"] <= hi
-        assert hi - lo == pytest.approx(2 * 1.96 * mc["stderr"], rel=1e-12)
+    def test_exact_vs_mc(self):
+        checks_pass((9, "alpha-mc", 0), "alpha_mc_cycle4")
 
     def test_mc_reports_events_and_stays(self, torus33_chain):
         # rows of unequal total rate thin at r_max; a regular chain does not
         res = alpha_survival(MarkovChain.from_rates(IRREGULAR_RATES), 2, 0.8, mode="mc",
                              reps=2000, rng=derive_rng(12, "alpha-irr", 0))
         assert 0 < res["thinned"] < res["events"]
+        lo, hi = res["ci95"]
+        assert lo <= res["value"] <= hi
+        assert hi - lo == pytest.approx(2 * 1.96 * res["stderr"], rel=1e-12)
         res = alpha_survival(torus33_chain, 0, 0.8, mode="mc", reps=2000,
                              rng=derive_rng(12, "alpha-irr", 1))
         assert res["events"] > 0 and res["thinned"] == 0
 
     def test_exact_vs_mc_irregular_weighted(self):
         # the irregular rates exercise the alias table and its thinned stays
-        c = MarkovChain.from_rates(IRREGULAR_RATES)
-        for x, t in ((2, 0.8), (3, 0.3)):
-            exact = alpha_survival(c, x, t)["value"]
-            mc = alpha_survival(c, x, t, mode="mc", reps=40_000,
-                                rng=derive_rng(11, "alpha-irr", x))
-            assert abs(mc["value"] - exact) <= 4.5 * mc["stderr"]
+        checks_pass((11, "alpha-irr", 2), "alpha_mc_irregular_x2")
+        checks_pass((11, "alpha-irr", 3), "alpha_mc_irregular_x3")
 
     @pytest.mark.parametrize("name", ["cycle4_chain", "torus33_chain", "irregular"])
     @pytest.mark.parametrize("t", [0.3, 1.0])
@@ -787,17 +774,11 @@ class TestMcPairMeeting:
             mc_pair_meeting(Graph.from_edges(n, edges), 10, derive_rng(0, "pairmc", 2))
 
     def test_k2_mean(self):
-        res = mc_pair_meeting(path_graph(2), 20_000, derive_rng(4, "pairmc", 0))
-        assert res["censored"] == 0
-        assert abs(res["mean"] - 0.25) <= 4.0 * res["stderr"]
+        checks_pass((4, "pairmc", 0), "pair_k2")
 
     def test_cycle_mean_matches_solve(self):
-        g = cycle_graph(12)
-        exact = mean_meeting_time(build_generator(g), "pi_pi")
-        res = mc_pair_meeting(g, 20_000, derive_rng(5, "pairmc", 1))
         # a budget of 50 n / r_min censored a pair on 8 of 20 fresh seeds
-        assert res["censored"] == 0
-        assert abs(res["mean"] - exact) <= 4.0 * res["stderr"]
+        checks_pass((5, "pairmc", 1), "pair_cycle12")
 
     @pytest.mark.parametrize("reps", [0, -3, 2.5, True])
     def test_rejects_bad_reps(self, reps):
@@ -805,13 +786,10 @@ class TestMcPairMeeting:
         with pytest.raises(ParameterOutOfRange):
             mc_pair_meeting(cycle_graph(4), reps, derive_rng(0, "pairmc", 3))
 
-    def test_irregular_mean_matches_solve(self, lollipop):
+    def test_irregular_mean_matches_solve(self):
         # unequal rates exercise the thinned stays at r_max = 4; K2 and the
         # cycle have none
-        exact = mean_meeting_time(build_generator(lollipop), "pi_pi")
-        res = mc_pair_meeting(lollipop, 40_000, derive_rng(6, "pairmc", 0))
-        assert res["censored"] == 0
-        assert abs(res["mean"] - exact) <= 4.5 * res["stderr"]
+        checks_pass((6, "pairmc", 0), "pair_lollipop")
 
     def test_one_event_horizon_censors_live_pairs(self):
         # on K2 every pair starts together or meets at its first event
