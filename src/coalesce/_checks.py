@@ -432,6 +432,15 @@ def _mf310(seed, *_):
             for k in ("A1", "A2")}
 
 
+def _mf36(*_):
+    """test_consistency_exact_alpha_torus36 and C6: the two mean-field forms
+    agree through 2 t_meet alpha_2 / n near 1 on torus(3, 6), with the
+    spectrum's meeting time and the exact alpha.  No Monte Carlo: sigma 0."""
+    c = build_generator(torus_graph(3, 6))
+    m = spectrum(c).eigentime_sum() / 2.0
+    return Sample(2.0 * m * alpha_survival(c, 0, 2.0)["value"] / 216.0, 0.0)
+
+
 def _duality_checks(swap):
     """TestDualityGap on cycle(4) at t = 1, 20 000 replicates a side."""
     tag = "dual_swap" if swap else "dual"
@@ -529,7 +538,7 @@ def _duality(seed, scale, threads, pool):
         nhat.astype(float), crw[:, 1].astype(float), crw[:, 0].astype(float), g6.n
     )
     se = dual["se_Pt_vs_invNt"]
-    return {"duality_cycle6/ks_nhat_vs_N": Sample(dual["ks_nhat_vs_Nt"], 0.0),
+    return {"duality_cycle6/ks_nhat_vs_N": Sample(dual["ks_nhat_vs_Nt"], math.nan),
             "duality_cycle6/z_Pt_vs_invN": Sample(dual["abs_gap_Pt_vs_invNt"] / se, se)}
 
 
@@ -540,7 +549,7 @@ def _kingman_k8(seed, scale, threads, pool):
     ref = kingman_tau_coal(8, 0.5, reps, derive_rng(seed, "verify-kingman-ref", 0))
     z, se, ks = _kingman(taus, ref["samples"], 8)
     return {"kingman_K8/z_mean": Sample(z, float(se)),
-            "kingman_K8/ks_two_sample": Sample(ks, 0.0)}
+            "kingman_K8/ks_two_sample": Sample(ks, math.nan)}
 
 
 def _arratia(seed, scale, threads, pool):
@@ -555,7 +564,7 @@ def _arratia(seed, scale, threads, pool):
             jk = jackknife_cov(ind[:, a], ind[:, b])
             cov, se = jk["cov_hat"], jk["stderr"]
             worst = max(worst, cov / se if se > 0 else 0.0)
-    return Sample(worst, 0.0)
+    return Sample(worst, 1.0)
 
 
 def _reversal(seed, scale, threads, pool):
@@ -675,6 +684,7 @@ TABLE = [
     # tests/test_theory.py
     Check("mf310_A1", _mf310, _MF310, _MF310_CENTRE),
     Check("mf310_A2", _mf310, _MF310, _MF310_CENTRE),
+    Check("mf36_exact_alpha", _mf36, _RATIO_20, 1.0),
     Check("complete4_ks", _complete4, Band("ks", 0.02, sizes=(50_000, 50_000))),
     # tests/test_voter.py::TestDualityGap
     *_duality_checks(False),

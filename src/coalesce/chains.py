@@ -16,8 +16,6 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from ._flat import check_grid
 from .errors import (
@@ -122,6 +120,8 @@ class MarkovChain:
 
     @cached_property
     def _generator(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         # scipy takes the arrays as (data, indices, indptr)
         rates = sp.csr_matrix(self.csr[::-1], shape=(self.n, self.n))
         return rates - sp.diags(self.row_rates)
@@ -145,6 +145,8 @@ class MarkovChain:
         r = np.asarray(rates, dtype=float)
         if r.ndim != 2:
             raise ParameterOutOfRange("rate matrix shape mismatch")
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(r)
         # a matrix that is not square fails the offset count
         return cls(m.shape[1], (m.indptr, m.indices, m.data), "custom", transitive=transitive)
@@ -219,6 +221,8 @@ def product_chain(c: MarkovChain) -> MarkovChain:
     the Kronecker sum of c's rates, which has no diagonal."""
     if c.n * c.n > _DENSE_CAP:
         raise TooLargeForExact("materialized product chain capped at 4096 states")
+    import scipy.sparse as sp
+
     rates = sp.csr_matrix(c.csr[::-1], shape=(c.n, c.n))
     eye = sp.identity(c.n, format="csr")
     k = sp.kron(rates, eye, format="csr") + sp.kron(eye, rates, format="csr")
@@ -302,6 +306,8 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     _check_tol(tol)
     if lam_t <= 0.0:
         return np.array([1.0])
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
     q = 1.0 - tol
     # smallest k with P(K <= k) >= q: the ceiling of the continuous inverse,
     # or the integer below it when that already reaches q

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._flat import FlatGraph, check_count, check_grid, check_subset, check_vertex
 from .chains import MarkovChain, translation_group, uniformize
@@ -442,6 +441,8 @@ def _ring_kernel(c: MarkovChain, src: np.ndarray, x: np.ndarray, move):
     idx = np.arange(nstates, dtype=np.int64)
     # a chain with no edges never moves: its kernel is the identity
     diag = 1.0 - exit_rate / lam if lam > 0.0 else np.ones(nstates)
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (np.concatenate([diag, rates[at] / lam]),
          (np.concatenate([idx, move(src, x, nbrs[at])]), np.concatenate([idx, src]))),

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from ._flat import (
     MEET,
@@ -88,6 +87,8 @@ def _hitting_times(apply, mask):
     and irreducible, so minus its restriction off mask is positive definite
     and conjugate gradients solve it with no factorization; the masked
     states enter each application as zeros."""
+    import scipy.sparse.linalg as spla
+
     off = ~mask
     full = np.zeros(mask.size)
 

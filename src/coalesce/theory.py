@@ -17,7 +17,6 @@ from itertools import product
 from math import comb, factorial, sqrt, pi, log
 
 import numpy as np
-from scipy.special import ive
 
 from ._flat import KILLED, MEET, TIME, chain_walk, check_count, check_grid, walk_pairs
 from .chains import MarkovChain
@@ -113,6 +112,8 @@ def exact_density_1d(t: float) -> float:
     wrap-around error that needs t << n^2.
     """
     [t] = check_grid([t], "t")
+    from scipy.special import ive
+
     # ive(v, x) = e^{-x} I_v(x) keeps both terms finite at large t
     return float(ive(0, 2.0 * t) + ive(1, 2.0 * t))
 
@@ -127,6 +128,7 @@ def psi_d(d: int) -> float:
         return 0.0
     # scipy.integrate takes 0.7 s to import: only callers pay for it
     from scipy.integrate import quad
+    from scipy.special import ive
 
     green = quad(lambda t: ive(0, t / d) ** d, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
                  limit=200)[0]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import stubbed_paper_suite
 
 import coalesce
@@ -67,12 +68,26 @@ def test_table_builds_no_graph_or_chain_at_import():
     assert proc.stdout.strip() == "0"
 
 
-def test_calibration_prints_one_row(capsys):
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location(
         "calibrate_bands", TESTS.parent / "tools" / "calibrate_bands.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_prints_one_row(tool, capsys):
     tool.main(["--seeds", "2", "--only", "pair_k2"])
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "check"
     assert [row.split()[:2] for row in rows] == [["pair_k2", "0/2"]]
+
+
+def test_calibration_exact_value(tool, capsys):
+    # sigma 0 is an exact value: it fails on every seed or on none
+    tool.main(["--seeds", "2", "--only", "mf36_exact_alpha"])
+    [row] = capsys.readouterr().out.splitlines()[1:]
+    assert row.split()[:4] == ["mf36_exact_alpha", "0/2", "0.000", "0.0e+00"]
+    band = CHECKS["mf36_exact_alpha"].band
+    assert tool.nominal(band, 1.0, [1.3, 1.3], 0.0) == "1.0e+00"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -525,6 +526,17 @@ class TestCliCommands:
         assert re.search(r"^pass  t_rel_cycle4 +abs_err +value=\S+ sigma=0 thr=1e-08$",
                          capsys.readouterr().out, re.M)
 
+    def test_verify_statistical_sigma_units(self, capsys):
+        # the largest of the arratia z values is in z units, and a KS
+        # distance has no standard error
+        main(["verify", "statistical", "--seed", "3", "--scale", "0.01"])
+        rows = re.findall(r"^\w+  (\S+) +(\S+) +value=\S+ sigma=(\S+) thr=\S+$",
+                          capsys.readouterr().out, re.M)
+        sigma = {f"{check}/{quantity}": s for check, quantity, s in rows}
+        assert sigma["arratia_cycle6/max_z"] == "1"
+        assert sigma["duality_cycle6/ks_nhat_vs_N"] == "nan"
+        assert sigma["kingman_K8/ks_two_sample"] == "nan"
+
 
 class TestFailurePaths:
     def test_task_error_names_task(self, tmp_path):
@@ -587,18 +599,78 @@ class TestPaperExact1d:
         assert sigma == pytest.approx(0.002 / exact, rel=1e-12) and threshold == 0.10
 
 
+def run_fresh(code, cwd=None):
+    """Run ``code`` in a fresh interpreter on this package and return its
+    standard output."""
+    src = os.path.dirname(os.path.dirname(coalesce.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=cwd, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# run here and in a fresh interpreter, which loads scipy for them
+EXACT_ORACLES = """
+from coalesce import (build_generator, exact_occupancy_density, pairwise_meeting_times,
+                      transition_matrix)
+from coalesce.graphs import cycle_graph, torus_graph
+from coalesce.theory import exact_density_1d
+
+meeting = pairwise_meeting_times(build_generator(torus_graph(3, 3)))
+oracles = {
+    "occupancy": exact_occupancy_density(build_generator(cycle_graph(6)), [0.5, 1.0]),
+    "transition": transition_matrix(build_generator(torus_graph(2, 4)), 0.7),
+    "density_1d": exact_density_1d(2.5),
+    **{f"meeting.{k}": v for k, v in vars(meeting).items()},
+}
+"""
+
+# the Monte Carlo paths, then the exact oracles, pickled to oracles.pkl
+MONTE_CARLO_THEN_EXACT = """
+import pickle, sys
+from coalesce import (build_generator, mean_field_predictions, run_experiment,
+                      sample_nhat_ancestral, spectrum)
+from coalesce.config import validate_config
+from coalesce.graphs import torus_graph
+from coalesce.seeding import derive_rng
+
+for threads in (1, 2):
+    run_experiment(validate_config(dict({cfg!r}, outputs=f"out{{threads}}")), threads)
+g = torus_graph(3, 3)
+spec = spectrum(build_generator(g))
+mean_field_predictions(g.n, 2.0, spec.eigentime_sum() / 2.0, 0.5)
+sample_nhat_ancestral(g, 1.0, 50, derive_rng(1, "fresh", 0))
+print([m for m in ("scipy.sparse", "scipy.special") if m in sys.modules])
+{oracles}
+with open("oracles.pkl", "wb") as f:
+    pickle.dump(oracles, f)
+"""
+
+
 class TestStartup:
     def test_import_skips_slow_scipy_modules(self):
         # scipy.stats alone once took about 1 s of every start-up, and
-        # scipy.integrate 0.7 s; a fresh interpreter shows what importing loads
-        code = ("import sys, coalesce, coalesce.cli; print(sorted(m for m in "
-                "('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-        src = os.path.dirname(os.path.dirname(coalesce.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # scipy.sparse with scipy.special 0.3 s; only the exact oracles load
+        # scipy, on first call.  A fresh interpreter shows what importing loads
+        out = run_fresh("import sys, coalesce, coalesce.cli; "
+                        "print([m for m in sys.modules if m.startswith('scipy')])")
+        assert out.strip() == "[]"
+
+    def test_monte_carlo_paths_load_no_scipy(self, tmp_path):
+        cfg = minimal_config("out", tasks=[{"task": k} for k in KINDS])
+        code = MONTE_CARLO_THEN_EXACT.format(cfg=cfg, oracles=EXACT_ORACLES)
+        assert run_fresh(code, tmp_path).strip() == "[]"
+        for i, kind in enumerate(KINDS):
+            one, two = ((tmp_path / d / f"{i:02d}_{kind}.csv").read_bytes()
+                        for d in ("out1", "out2"))
+            assert one == two
+        # the oracles' bits do not depend on when scipy was loaded
+        fresh = pickle.loads((tmp_path / "oracles.pkl").read_bytes())
+        here = {}
+        exec(EXACT_ORACLES, here)
+        assert here["oracles"].keys() == fresh.keys()
+        for key, value in here["oracles"].items():
+            assert np.all(np.asarray(value) == np.asarray(fresh[key])), key
 
 
 class TestSuitePool:

@@ -117,7 +117,7 @@ class TestHittingSolve:
             # scipy reports an unconverged solve by its iteration count
             return np.zeros_like(b), 3
 
-        monkeypatch.setattr(meeting.spla, "cg", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled)
         with pytest.raises(CoalesceError, match="3 iterations, residual 1"):
             pairwise_meeting_times(build_generator(cycle_graph(5)))
 
@@ -132,12 +132,12 @@ class TestHittingSolve:
 
     def test_iterations_are_the_callback_count(self, monkeypatch):
         calls = []
-        cg = meeting.spla.cg
+        cg = scipy.sparse.linalg.cg
 
         def spy(a, b, rtol, callback):
             return cg(a, b, rtol=rtol, callback=lambda x: calls.append(callback(x)))
 
-        monkeypatch.setattr(meeting.spla, "cg", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", spy)
         prof = pairwise_meeting_times(build_generator(path_graph(9)))
         assert prof.iterations == len(calls) > 0
 

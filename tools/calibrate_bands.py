@@ -13,15 +13,16 @@ no seed anywhere.
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 10 --only c5_density
 
 Nominal rates: ``z`` bands allow erfc(z / sqrt 2), and a test that takes
-the largest of k such z values at most k times that; one-sided bounds on
-a quantity whose true value lies inside them allow at most half of it;
-bands with an added slack allow at most that.  A two-sample KS bound
-allows at most the Kolmogorov tail at its scaled threshold (less on
+the largest of k such z values at most k times that; one-sided bounds on a
+quantity whose true value lies inside them allow at most half of it; bands
+with an added slack allow at most that.  A value with standard error 0 is
+exact, so its band allows 0 if it holds and 1 if not.  A two-sample KS
+bound allows at most the Kolmogorov tail at its scaled threshold (less on
 discrete laws).  For fixed bands it is the mass a normal law at the mean
-estimate with the mean standard error puts outside the band, which counts
-a bias such as the finite horizon's.  C7's KS distance has no standard
-error of its own, so its nominal rate takes the spread of the values over
-the seeds instead.  C5 costs about a minute a seed.  The censored column counts
+estimate with the mean standard error puts outside the band, which counts a
+bias such as the finite horizon's.  C7's KS distance has no standard error
+of its own, so its nominal rate takes the spread of the values over the
+seeds instead.  C5 costs about a minute a seed.  The censored column counts
 the seeds with any pair censored at its horizon (for alpha(D), more than
 the 5% the test allows); it fails a check only where the test itself
 asserts it.
@@ -48,6 +49,9 @@ def kolmogorov_tail(lam):
 
 def nominal(band, reference, values, se_bar):
     """The failure rate ``band`` nominally allows, as printed."""
+    if se_bar == 0.0:
+        # an exact value: it fails on every seed or on none
+        return f"{0.0 if band.passes(float(np.mean(values)), reference, 0.0) else 1.0:.1e}"
     if band.kind == "band":
         # a normal law at the mean estimate and the mean standard error
         # leaves the fixed band [reference - width, reference + width] this often
