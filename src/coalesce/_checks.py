@@ -6,9 +6,12 @@ count of censored runs from it, and judges the value against a reference
 with a band.  The acceptance and unit tests run their checks at their fixed
 seeds, ``verify statistical`` and ``verify paper`` make a row of each check
 of their suite, named ``<check>/<quantity>``, and
-``tools/calibrate_bands.py`` runs any check on fresh seeds.  Where a test
-and a ``verify`` row share a statistic but sample differently, the
-statistic and its band are written once and the two samplers are two checks.
+``tools/calibrate_bands.py`` runs any check on fresh seeds.  The acceptance
+tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
+rows at scale 1 on one thread.  Only the torus A1 pair still samples
+twice: P_hat over A1 on torus(3, 10) is ``mf310_A1`` (the unit test's Monte
+Carlo alpha) and ``paper_torus310/ratio_A1`` (the exact alpha), with two
+bands.
 
 Checks that read one sample share a draw, run once per seed.  A one-stream
 draw takes a master seed, from which it derives its calibration stream, or
@@ -28,7 +31,8 @@ import numpy as np
 from . import runner
 from .chains import MarkovChain, build_generator, spectrum
 from .crw import (_subset_distribution, estimate_density, exact_k_particle_law,
-                  exact_occupancy_density, occupancy_covariances, sample_tau_coal_many)
+                  exact_occupancy_density, occupancy_covariances, sample_tau_coal_many,
+                  simulate_crw)
 from .graphs import (DegreeDistribution, Graph, complete_graph, cycle_graph, path_graph,
                      sample_configuration_model, torus_graph)
 from .meeting import alpha_survival, mc_pair_meeting, mean_meeting_time
@@ -37,7 +41,8 @@ from .stats import jackknife_cov, ks_distance_two_sample
 from .theory import (alpha_regular_tree, bg_prediction, estimate_alpha_D, estimate_psi_d,
                      exact_density_1d, kingman_tau_coal, mean_field_predictions, psi_d,
                      psi_d_horizon, reversal_identity_residual)
-from .voter import duality_gap, duality_statistics, gamma_ks, sample_nhat_ancestral
+from .voter import (duality_gap, duality_statistics, gamma_ks, sample_nhat_ancestral,
+                    simulate_voter, size_bias_histogram)
 
 # non-integer rates and unequal row totals
 IRREGULAR_RATES = np.array([
@@ -203,20 +208,6 @@ def _ratio(p_hat, se, prediction):
     return Sample(p_hat / prediction, se / prediction)
 
 
-def _t_phat_alpha(t, p_hat, se):
-    """t P_hat alpha on the 3-regular configuration model, near 1."""
-    alpha = alpha_regular_tree(3)
-    return Sample(t * p_hat * alpha, se * t * alpha)
-
-
-def _two_meet_alpha(meet, n):
-    """2 t_meet alpha / n on the 3-regular configuration model, near 1.
-    Censored runs are left out of the mean, which biases it low."""
-    alpha = alpha_regular_tree(3)
-    return Sample((2.0 * meet["mean"] / n) * alpha, 2.0 * meet["stderr"] / n * alpha,
-                  meet["censored"])
-
-
 def _subset_density(graph, times):
     """The density at each time, from the subset chain."""
     return exact_occupancy_density(build_generator(graph), times)[:, 0]
@@ -293,12 +284,6 @@ def _alpha_d_check(d):
                  alpha_regular_tree(d), uncensored=True)
 
 
-def _cm3_graph(seed, label):
-    return sample_configuration_model(DegreeDistribution.delta(3), 20_000,
-                                      derive_rng(seed, label + "-graph", 0),
-                                      require_connected=True)
-
-
 # -- the ancestral sampler (tests/test_voter.py, C7) -----------------------
 
 def _ancestral_checks(case, graph, convention, t):
@@ -347,6 +332,24 @@ def _density_z(reps, *cases):
     return draw
 
 
+def _c3(seed, *_):
+    """C3: duality on cycle(6) at t = 1 from 20 000 voter runs and 20 000
+    tracked CRW runs: the KS distance of nhat against N_t, the z of P_t
+    against E[1 / N_t], and the largest z of the four size-bias bins."""
+    g, t, reps = cycle_graph(6), 1.0, 20_000
+    rng = derive_rng(seed, "c3-voter", 0)
+    voter = [simulate_voter(g, [t], rng) for _ in range(reps)]
+    rng = derive_rng(seed, "c3-crw", 0)
+    crw = [simulate_crw(g, [t], rng, track="tracked_cluster") for _ in range(reps)]
+    nhat, n_init = (np.array([rec[k][0] for rec in voter], dtype=int) for k in ("nhat", "n_init"))
+    ncrw, xi = (np.array([rec[k][0] for rec in crw], dtype=int) for k in ("N", "xi_size"))
+    dual = duality_statistics(nhat, ncrw, xi, g.n)
+    bins = max(abs(b["diff"]) / b["se"] for b in size_bias_histogram(nhat, n_init, 4))
+    return {"c3_ks": Sample(dual["ks_nhat_vs_Nt"], math.nan),
+            "c3_invN": Sample(dual["abs_gap_Pt_vs_invNt"] / dual["se_Pt_vs_invNt"], 1.0),
+            "c3_bins": Sample(bins, 1.0)}
+
+
 def _c4(seed, *_):
     """C4: 100 000 coalescence times on K8 against the Kingman stage sampler."""
     taus = sample_tau_coal_many(complete_graph(8), 100_000, derive_rng(seed, "c4", 0))
@@ -356,35 +359,19 @@ def _c4(seed, *_):
             "c4_ks": Sample(ks, math.nan)}
 
 
-def _c5(seed, *_):
-    """C5: sqrt(pi t) P_hat on cycle(10^5), total-unit, 10 trajectories."""
-    t = 200.0
-    est = estimate_density(cycle_graph(100_000), [t], 10, derive_rng(seed, "c5", 0),
-                           convention="total_unit")
-    p_hat, se = est.p_hat[0], est.stderr[0]
-    # reported beside the band: the density the estimator targets
-    z_exact = (p_hat - exact_density_1d(t)) / se
-    return _ratio(p_hat, se, bg_prediction(1, t))._replace(notes={"z_exact": z_exact})
-
-
-def _c6(seed, *_):
-    """C6: n t P_hat / (2 M) on torus(3, 10) at t = 15, 200 replicates."""
-    g, _, m = _torus310()
-    t = 15.0
-    est = estimate_density(g, [t], 200, derive_rng(seed, "c6", 0))
-    # mean_field_predictions' A2 = 2 t_meet / (t n), which needs no alpha
-    return _ratio(est.p_hat[0], est.stderr[0], 2.0 * m / (t * g.n))
-
-
-def _c8(seed, *_):
-    """C8 on a fresh 20k 3-regular configuration model: the density at
-    t = 50 over 24 replicates, and the mean meeting time over 500 pairs."""
-    g = _cm3_graph(seed, "c8")
-    t = 50.0
-    est = estimate_density(g, [t], 24, derive_rng(seed, "c8-density", 0))
-    meet = mc_pair_meeting(g, 500, derive_rng(seed, "c8-meet", 0))
-    return {"c8_density": _t_phat_alpha(t, est.p_hat[0], est.stderr[0]),
-            "c8_two_meet": _two_meet_alpha(meet, g.n)}
+def _c9(seed, *_):
+    """C9: the largest standardized reversal-identity residual, 100 000
+    replicates each, on K2 at k = 1 and the 3-cycle at k = 1 and 2, at
+    t = 0.5 and 1."""
+    worst = 0.0
+    for name, g, k in (("K2", path_graph(2), 1), ("cycle3", cycle_graph(3), 1),
+                       ("cycle3", cycle_graph(3), 2)):
+        c = build_generator(g)
+        for t in (0.5, 1.0):
+            res = reversal_identity_residual(c, k, t, 100_000,
+                                             derive_rng(seed, f"c9-{name}-{k}-{t}", 0))
+            worst = max(worst, res["residual"])
+    return Sample(worst, 1.0)
 
 
 def _c10(seed, *_):
@@ -617,8 +604,11 @@ def _paper_torus(seed, scale, threads, pool):
 
 
 def _paper_cm3(seed, scale, threads, pool):
-    """Configuration model with constant degree three."""
-    g, t = _cm3_graph(seed, "paper-cm"), 50.0
+    """Configuration model with constant degree three: t P_hat alpha and
+    2 t_meet alpha / n, each near 1, on a fresh 20k graph."""
+    g = sample_configuration_model(DegreeDistribution.delta(3), 20_000,
+                                   derive_rng(seed, "paper-cm-graph", 0), require_connected=True)
+    t, alpha = 50.0, alpha_regular_tree(3)
     p_hat, se = _density_stats(g, "per_edge_unit", [t], max(8, int(24 * scale)), seed,
                                threads, pool)[t]
     # 800 pairs put sigma near a third of the band.  A pair needs about 4e4
@@ -626,10 +616,12 @@ def _paper_cm3(seed, scale, threads, pool):
     # degree-1 vertex) censored a pair on 2 of 20 fresh seeds
     meet = mc_pair_meeting(g, max(800, int(500 * scale)), derive_rng(seed, "paper-cm-meet", 0),
                            horizon_events=10**7)
-    return {"paper_cm3/t_phat_alpha": _t_phat_alpha(t, p_hat, se),
-            "paper_cm3/two_meet_over_n_alpha": _two_meet_alpha(meet, g.n),
-            "predictions": [{"label": "alpha(delta3)", "value": alpha_regular_tree(3),
-                             "inputs": {"d": 3}}]}
+    # censored pairs are left out of the mean, which biases it low
+    two_meet = Sample((2.0 * meet["mean"] / g.n) * alpha, 2.0 * meet["stderr"] / g.n * alpha,
+                      meet["censored"])
+    return {"paper_cm3/t_phat_alpha": Sample(t * p_hat * alpha, se * t * alpha),
+            "paper_cm3/two_meet_over_n_alpha": two_meet,
+            "predictions": [{"label": "alpha(delta3)", "value": alpha, "inputs": {"d": 3}}]}
 
 
 TABLE = [
@@ -650,23 +642,22 @@ TABLE = [
     Check("psi_d3_exact", _psi3, Band("z", 4.5), cache(lambda: psi_d_horizon(3, 10_000))),
     _alpha_d_check(3),
     _alpha_d_check(4),
-    # C8, whose meeting half verify paper's paper_cm3 row repeats at 800 pairs
-    Check("c8_two_meet", _c8, Band("band", 0.15), 1.0, uncensored=True),
     # tests/test_voter.py and C7, on the ancestral sampler
     *_ancestral_checks("lollipop", _lollipop, "per_edge_unit", 0.8),
     *_ancestral_checks("cycle9", _cycle9, "total_unit", 2.0),
     Check("c7_m2", _c7, Band("band", 0.1), 1.5),
     Check("c7_m3", _c7, Band("band", 0.5), 3.0),
     Check("c7_ks", _c7, Band("band", 0.025), 0.025),
-    # tests/test_acceptance.py on the density, tau_coal and occupancy
-    # estimators; C2 takes both graphs' density against the subset chain
+    # tests/test_acceptance.py; C2 takes both graphs' density against the
+    # subset chain, and C5, C6 and C8 read verify paper's rows
     Check("c2_density", _density_z(100_000, ("c2-path2", _path2, None),
                                    ("c2-cycle4", _cycle4, None)), Band("<=", 4.0, count=6)),
+    Check("c3_ks", _c3, Band("ks", 0.02, sizes=(20_000, 20_000))),
+    Check("c3_invN", _c3, Band("<=", 4.0)),
+    Check("c3_bins", _c3, Band("<=", 4.0, count=4)),
     Check("c4_mean", _c4, Band("<=", 4.0)),
     Check("c4_ks", _c4, Band("ks", 0.02, sizes=(100_000, 100_000))),
-    Check("c5_density", _c5, _RATIO_10, 1.0),
-    Check("c6_density", _c6, _RATIO_20, 1.0),
-    Check("c8_density", _c8, _RATIO_20, 1.0),
+    Check("c9_reversal", _c9, Band("<=", 3.0, count=6)),
     Check("c10_cov", _c10, _ARRATIA),
     # tests/test_crw.py
     Check("density_two_path", _density_z(20_000, ("dens", _path2, _TWO_PATH)),

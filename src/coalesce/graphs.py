@@ -270,22 +270,23 @@ def _connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
             label = up
 
 
+_CM_MAX_RETRIES = 200
+
+
 def sample_configuration_model(
     D: DegreeDistribution,
     n: int,
     rng: np.random.Generator,
     require_connected: bool = False,
-    max_retries: int = 200,
-    collapse_multiedges: bool = False,
 ) -> Graph:
     """Random multigraph by uniform matching of half edges.
 
     Degrees are i.i.d. from D, resampled as a whole sequence until their sum
     is even.  The shuffled stubs, paired in order, go to ``Graph.from_edges``
     as one array: self-loops are deleted there, and parallel edges kept with
-    multiplicity unless ``collapse_multiedges`` (which keeps one row per
-    distinct pair).  With ``require_connected`` the entire graph is
-    rejection-resampled until ``is_connected``.
+    multiplicity.  With ``require_connected`` the entire graph is
+    rejection-resampled until ``is_connected``.  Each of the two redraws
+    gives up after ``_CM_MAX_RETRIES`` tries.
     """
     if n < 2:
         raise ParameterOutOfRange("configuration model needs n >= 2")
@@ -298,26 +299,23 @@ def sample_configuration_model(
         )
 
     def draw_even_degrees():
-        for _ in range(max_retries):
+        for _ in range(_CM_MAX_RETRIES):
             degs = D.sample(n, rng)
             if int(degs.sum()) % 2 == 0:
                 return degs
         raise InfeasibleDegreeSequence(
-            f"no even degree sum within {max_retries} draws"
+            f"no even degree sum within {_CM_MAX_RETRIES} draws"
         )
 
-    for _ in range(max_retries):
+    for _ in range(_CM_MAX_RETRIES):
         degs = draw_even_degrees()
         stubs = np.repeat(np.arange(n, dtype=np.int64), degs)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if collapse_multiedges:
-            pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-        g = Graph.from_edges(n, pairs)
+        g = Graph.from_edges(n, stubs.reshape(-1, 2))
         if not require_connected or is_connected(g):
             return g
     raise NotConnectedAfterRetries(
-        f"no connected sample within {max_retries} attempts"
+        f"no connected sample within {_CM_MAX_RETRIES} attempts"
     )
 
 

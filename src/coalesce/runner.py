@@ -70,9 +70,10 @@ def block_rows(n: int) -> int:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit value, else the COALESCE_THREADS variable, else 1."""
-    if threads is not None and threads >= 1:
-        return threads
+    """An explicit value, which must be an integer >= 1, else the
+    COALESCE_THREADS variable, else 1."""
+    if threads is not None:
+        return check_count(threads, 1, "threads")
     env = os.environ.get("COALESCE_THREADS", "")
     if env.strip():
         try:

@@ -685,13 +685,18 @@ class TestSuitePool:
 
 class TestThreadsChecked:
     @pytest.mark.parametrize("threads", [0, -1, True, 1.5])
-    @pytest.mark.parametrize("entry", ["run_task", "statistical_suite", "paper_suite"])
-    def test_bad_threads_rejected(self, entry, threads):
-        # 0 divided by zero in the runner's chunking; -1 ran on one process
+    @pytest.mark.parametrize("entry", ["run_task", "statistical_suite", "paper_suite",
+                                       "run_experiment"])
+    def test_bad_threads_rejected(self, entry, threads, tmp_path):
+        # 0 divided by zero in the runner's chunking; -1 ran on one process;
+        # run_experiment ran 0 and -1 on one process and died on 1.5
         with pytest.raises(ParameterOutOfRange, match="^threads must"):
             if entry == "run_task":
                 run_task(cycle_graph(8), "per_edge_unit", {"task": "density"}, [1.0], 40, 1,
                          threads=threads)
+            elif entry == "run_experiment":
+                run_experiment(validate_config(minimal_config(tmp_path / "out")),
+                               threads=threads)
             else:
                 getattr(verify, entry)(1, threads=threads)
 

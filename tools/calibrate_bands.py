@@ -9,8 +9,10 @@ failed next to the rate its band nominally allows.  It changes no band and
 no seed anywhere.
 
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 20
-    PYTHONPATH=src python tools/calibrate_bands.py --seeds 20 --only psi_d3,c8_two_meet
-    PYTHONPATH=src python tools/calibrate_bands.py --seeds 10 --only c5_density
+    PYTHONPATH=src python tools/calibrate_bands.py --seeds 20 --only psi_d3,paper_cm3/two_meet_over_n_alpha
+    PYTHONPATH=src python tools/calibrate_bands.py --seeds 10 --only paper_cycle1e5_d1/ratio_bg
+
+The last, C5's cycle(10^5) row, costs about 35 s a seed.
 
 Nominal rates: ``z`` bands allow erfc(z / sqrt 2), and a test that takes
 the largest of k such z values at most k times that; one-sided bounds on a
@@ -22,10 +24,9 @@ discrete laws).  For fixed bands it is the mass a normal law at the mean
 estimate with the mean standard error puts outside the band, which counts a
 bias such as the finite horizon's.  C7's KS distance has no standard error
 of its own, so its nominal rate takes the spread of the values over the
-seeds instead.  C5 costs about a minute a seed.  The censored column counts
-the seeds with any pair censored at its horizon (for alpha(D), more than
-the 5% the test allows); it fails a check only where the test itself
-asserts it.
+seeds instead.  The censored column counts the seeds with any pair
+censored at its horizon (for alpha(D), more than the 5% the test allows);
+it fails a check only where the test itself asserts it.
 """
 
 from __future__ import annotations
