@@ -8,16 +8,16 @@ cluster, at x; on irregular graphs it is kept with probability
 rate(x) / r_max, and a rejected ring changes nothing but the
 ``thinning_rejections`` count.  This is exact for the occupancy process and
 orders of magnitude faster at low density.  The lockstep kernel
-``_lockstep_crw`` gives every trajectory of a block one ring per numpy
-iteration; the scalar routine ``_scalar_crw`` runs one trajectory in plain
-Python and returns the kernel's record for one row; the two-walker routine
-``_flat.walk_pairs`` runs each walker at r_max the same way, a rejected
-ring being a stay.
+``_lockstep_crw`` gives every trajectory of a pass of blocks, each block
+drawing from its own generator, one ring per numpy iteration; the scalar
+routine ``_scalar_crw`` runs one trajectory in plain Python and returns the
+kernel's record for one row; the two-walker routine ``_flat.walk_pairs``
+runs each walker at r_max the same way, a rejected ring being a stay.
 
 ``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run
 ``_scalar_crw``, as do the runner's narrow blocks; ``sample_tau_coal_many``
 and ``occupancy_covariances`` are views over the runner's blocks
-(``runner._block``), drawn in order from the caller's generator.
+(``runner._pass``), drawn in order from the caller's generator.
 
 The exact subset and (k+1)-walker oracles step with one sparse kernel,
 ``_ring_kernel``, built with no loop from (state, occupied site) pairs.
@@ -74,9 +74,56 @@ def _state_dtype(n: int) -> type:
     return np.int16 if n < 1 << 15 else np.int32
 
 
+def _leading_uniforms(rngs: list, width: int, rows: int) -> np.ndarray:
+    """``width`` uniforms from each block's generator, laid end to end and
+    cut to ``rows``: row j takes entry j, as in ``_BlockDraws``."""
+    return np.concatenate([rng.random(width) for rng in rngs])[:rows]
+
+
+class _BlockDraws:
+    """A lockstep iteration's variates for rows in blocks of ``width``,
+    block k drawing from ``rngs[k]``: one exponential and ``kinds``
+    uniforms per row.  Each block draws ``width`` variates of each kind in
+    turn into its slice of that kind's buffer, so row j = k * width + r
+    takes entry j of each buffer: the variate that block k's draw of
+    ``width`` puts at entry r.  Only the blocks that hold a live row draw."""
+
+    def __init__(self, rngs: list, width: int, kinds: int):
+        self.rngs = rngs
+        self.e = np.empty(len(rngs) * width)
+        self.u = np.empty((kinds, len(rngs) * width))
+        cuts = [slice(k * width, (k + 1) * width) for k in range(len(rngs))]
+        self.e_parts = [self.e[cut] for cut in cuts]
+        # a draw of (kinds, width) fills one kind after another, so a lone
+        # block fills the whole buffer in one call
+        self.u_parts = [[self.u]] if len(rngs) == 1 else [list(self.u[:, cut]) for cut in cuts]
+        self.starts = np.arange(len(rngs) + 1) * width
+        self.active = range(len(rngs))
+
+    def keep(self, live: np.ndarray) -> None:
+        """From now on only the blocks holding a row of ``live``, which is
+        sorted, draw."""
+        if len(self.rngs) > 1:
+            self.active = np.flatnonzero(np.diff(np.searchsorted(live, self.starts))).tolist()
+
+    def expo(self, live: np.ndarray) -> np.ndarray:
+        """The live rows' exponentials, aligned with ``live``."""
+        for k in self.active:
+            self.rngs[k].standard_exponential(out=self.e_parts[k])
+        return self.e if live.size == self.e.size else self.e[live]
+
+    def uniforms(self, live: np.ndarray) -> np.ndarray:
+        """The live rows' uniforms, (kinds, live)."""
+        for k in self.active:
+            for part in self.u_parts[k]:
+                self.rngs[k].random(out=part)
+        # take() gathers columns several times faster than u[:, live]
+        return self.u if live.size == self.u.shape[1] else self.u.take(live, axis=1)
+
+
 def _lockstep_crw(
     flat: FlatGraph,
-    rng: np.random.Generator,
+    rngs: list,
     rows: int,
     grid: list,
     labels: np.ndarray | None = None,
@@ -104,10 +151,16 @@ def _lockstep_crw(
     y's; when y was occupied the slot is dropped and the last slot fills
     its hole.  Labels are followed by site, so no union-find is needed.
 
-    Each iteration draws ``width`` (``rows`` when None, else at least
-    ``rows``) variates of each kind and row r takes entry r, so a row's
-    variates do not depend on the other rows: a block holding only the
-    first rows of a wider block reproduces them exactly.
+    The rows run in blocks of ``width`` rows (``rows`` when None), one
+    generator of ``rngs`` per block, and only the last block may be short:
+    row j = k * width + r belongs to block k.  On each iteration every block
+    that still has live rows draws ``width`` variates of each kind from its
+    own generator, and row j takes entry j of the blocks' draws laid end to
+    end, that is entry r of its block's draws.  A row's variates therefore
+    depend neither on the other rows nor on the other blocks: a block
+    holding only the first rows of a wider block reproduces them exactly,
+    and a pass of several blocks gives each block's rows and counters as a
+    call on that block alone would.
 
     The state arrays ``loc``, ``size`` and ``nbr`` and the label sites hold
     values in 0..n, so they are stored as ``_state_dtype(n)`` (int16 below
@@ -123,6 +176,8 @@ def _lockstep_crw(
     # the pad keeps the pick in range at an isolated x, whose ring is rejected
     nbr = np.asarray(flat.nbr + [0], dtype=state)
     keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
+    # regular graphs keep every ring, so they need no thinning variate
+    draws = _BlockDraws(rngs, width, 2 if keep is None else 3)
     ngrid = 0 if to_one else len(grid)
     # the grid padded with a time never reached
     gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
@@ -155,10 +210,7 @@ def _lockstep_crw(
             # with no edges nothing ever rings: the state is frozen
             t_next = np.full(live.size, np.inf)
         else:
-            e = rng.standard_exponential(width)
-            if live.size < width:
-                e = e[live]
-            t_next = clock + e / (flat.r_max * m)
+            t_next = clock + draws.expo(live) / (flat.r_max * m)
         # record the state at every grid time before the next ring
         rec = np.flatnonzero(t_rec < t_next)
         if rec.size or to_one:
@@ -183,12 +235,9 @@ def _lockstep_crw(
                     tsite = tsite[:, ok]
                 if not live.size:
                     break
+                draws.keep(live)
         clock = t_next
-        # regular graphs keep every ring, so they need no thinning variate
-        u = rng.random((2 if keep is None else 3, width))
-        if live.size < width:
-            # take() gathers columns several times faster than u[:, live]
-            u = u.take(live, axis=1)
+        u = draws.uniforms(live)
         bi = b + (u[0] * m).astype(np.int64)
         xs = loc[bi]
         # gathers run faster on an intp index than on a 16-bit one

@@ -3,23 +3,28 @@
 A task's replicates run in fixed-size blocks whose size depends only on the
 vertex count.  Block k draws from one generator derived from
 (master_seed, task label, k), and the lockstep kernels draw each
-iteration's variates at the nominal block size, row r taking entry r.  A
-replicate's row therefore depends only on its index: rows are identical
-whatever the worker count (worker chunks are whole blocks), extending
-``replicates`` keeps the earlier rows, and adding tasks to a config never
-perturbs the streams of existing ones.  On large graphs the blocks are too
-narrow for lockstep iterations to pay, and a block's replicates run one
-after another on the scalar routines (``crw._scalar_crw``,
-``voter._voter_once``), drawing in turn from the block's stream, which keeps
-the same guarantees; their records are stacked into the lockstep kernels'
-record, so ``_block`` builds a block's values one way for both paths.  Rows
-are assembled replicate-major, time-minor.
+iteration's variates at the nominal block size, row r of a block taking
+entry r.  A chunk's blocks run together as one lockstep pass, one
+generator per block, in passes of at most ``_BLOCK_CELLS`` state cells, so
+on graphs of 512 vertices or more a pass holds one block.  A replicate's
+row therefore depends only on its index: rows are identical whatever the
+worker count (worker chunks are whole blocks), extending ``replicates``
+keeps the earlier rows, and adding tasks to a config never perturbs the
+streams of existing ones.  On large graphs the blocks are too narrow for
+lockstep iterations to pay, and a block's replicates run one after another
+on the scalar routines (``crw._scalar_crw``, ``voter._voter_once``),
+drawing in turn from the block's stream, which keeps the same guarantees;
+their records are stacked into the lockstep kernels' record, so ``_pass``
+builds a pass's values one way for both paths.  Rows are assembled
+replicate-major, time-minor.
 
-``threads`` counts the calling process: at ``threads`` > 1 a pool of
-``threads - 1`` workers, one pool for every task of ``run_experiment``,
-runs all but the last of each group of ``threads`` consecutive chunks
-(counted back from a task's last chunk), and the calling process runs the
-last.  The chunks return as finished CSV text, which the calling process
+``threads`` counts the calling process: a task's blocks are cut into about
+two chunks per process, and at ``threads`` > 1 a pool of ``threads - 1``
+workers, one pool for every task of ``run_experiment``, runs all but the
+last of each group of ``threads`` consecutive chunks (counted back from a
+task's last chunk), and the calling process runs the last.  The next
+task's chunks are queued before the calling process runs a task's last
+chunk.  The chunks return as finished CSV text, which the calling process
 writes and hashes in block order.
 
 ``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
@@ -34,14 +39,14 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
 from . import __version__
 from ._flat import check_count, check_grid
 from .config import ExperimentConfig, build_graph, check_sites, load_config
-from .crw import _check_connected, _lockstep_crw, _scalar_crw, flat_graph
+from .crw import _check_connected, _leading_uniforms, _lockstep_crw, _scalar_crw, flat_graph
 from .errors import TaskError
 from .graphs import Graph
 from .io import block_csv, sha256_text, write_csv_chunks, write_json
@@ -55,7 +60,8 @@ __all__ = [
 # wider blocks buy little speed on small graphs, and every iteration draws
 # the full width, however few replicates a run asks for
 _BLOCK_CAP = 1024
-# and on large graphs a block holds about this many state cells
+# and on large graphs a block holds about this many state cells, the most
+# a lockstep pass of several blocks holds on small ones
 _BLOCK_CELLS = 1 << 19
 # a block narrower than this runs on the scalar engines: a lockstep
 # iteration costs tens of microseconds whatever its width, and in tau_coal
@@ -90,18 +96,20 @@ def _task_label(task: dict) -> str:
     return "task:" + json.dumps(core, sort_keys=True)
 
 
-def _block(flat, task, grid, rng, count, width):
-    """One block of ``count`` replicates: its values, shaped
+def _pass(flat, task, grid, rngs, count, width):
+    """``count`` replicates in blocks of ``width``, block k drawing from
+    ``rngs[k]`` and only the last block short: their values, shaped
     (replicate, time, column) or one coalescence time per replicate, and
-    the kernels' record.  The columns are the task's CSV columns, except
-    that ``nhat`` also carries the indicator that opinion 0 survives, which
-    its CSV leaves out."""
+    the kernels' record, its counters summed over the blocks.  Each
+    block's rows are those of a pass over that block alone.  The columns
+    are the task's CSV columns, except that ``nhat`` also carries the
+    indicator that opinion 0 survives, which its CSV leaves out."""
     kind = task["task"]
     sites = (task.get("sites") or range(flat.n)) if kind == "occupancy" else None
     if width < _SCALAR_BELOW[kind]:
-        rec = _scalar_block(flat, kind, grid, sites, rng, count)
+        rec = _scalar_block(flat, kind, grid, sites, rngs, count, width)
     else:
-        rec = _lockstep_block(flat, kind, grid, sites, rng, count, width)
+        rec = _lockstep_block(flat, kind, grid, sites, rngs, count, width)
     if kind == "tau_coal":
         return rec["tau"], rec
     if kind == "nhat":
@@ -111,42 +119,43 @@ def _block(flat, task, grid, rng, count, width):
     return np.concatenate([rec["xi"][..., None], *extra], axis=2), rec
 
 
-def _scalar_block(flat, kind, grid, sites, rng, count):
-    """The block's replicates one after another on the scalar routines, all
-    drawing in turn from the block's stream, stacked into the lockstep
+def _scalar_block(flat, kind, grid, sites, rngs, count, width):
+    """The blocks' replicates one after another on the scalar routines, a
+    block's drawing in turn from its stream, stacked into the lockstep
     kernels' record: arrays key by key, counters summed."""
-    draws = BufferedDraws(rng, block=4096)
     recs = []
-    for _ in range(count):
-        if kind == "nhat":
-            recs.append(_voter_once(flat, draws, grid))
-            continue
-        # the tracked particle comes first from the replicate's draws
-        labels = [int(draws.u01() * flat.n)] if kind == "tracked_cluster" else None
-        recs.append(_scalar_crw(flat, draws, grid, labels, sites, kind == "tau_coal"))
+    for start, rng in zip(range(0, count, width), rngs):
+        draws = BufferedDraws(rng, block=4096)
+        for _ in range(min(width, count - start)):
+            if kind == "nhat":
+                recs.append(_voter_once(flat, draws, grid))
+                continue
+            # the tracked particle comes first from the replicate's draws
+            labels = [int(draws.u01() * flat.n)] if kind == "tracked_cluster" else None
+            recs.append(_scalar_crw(flat, draws, grid, labels, sites, kind == "tau_coal"))
     return {key: sum(r[key] for r in recs) if key in ("events", "thinning_rejections")
             else np.stack([r[key] for r in recs]) for key in recs[0]}
 
 
-def _lockstep_block(flat, kind, grid, sites, rng, count, width):
+def _lockstep_block(flat, kind, grid, sites, rngs, count, width):
     if kind == "nhat":
-        return _lockstep_voter(flat, rng, count, grid, width)
+        return _lockstep_voter(flat, rngs, count, grid, width)
     labels = None
     if kind == "tracked_cluster":
-        # the tracked particle comes first from the block's stream
-        labels = (rng.random(width)[:count] * flat.n).astype(int)[:, None]
-    return _lockstep_crw(flat, rng, count, grid, labels, sites, kind == "tau_coal", width)
+        # the tracked particle comes first from each block's stream
+        labels = (_leading_uniforms(rngs, width, count) * flat.n).astype(int)[:, None]
+    return _lockstep_crw(flat, rngs, count, grid, labels, sites, kind == "tau_coal", width)
 
 
 def _replicates(flat, task, grid, rng, reps):
     """``reps`` replicates of ``task`` in blocks of ``block_rows(n)``, all
-    drawn in order from ``rng``: their values stacked as ``_block`` shapes
+    drawn in order from ``rng``: their values stacked as ``_pass`` shapes
     them, and the summed ``events`` and ``thinning_rejections``."""
     width = block_rows(flat.n)
     vals = []
     tally = Counter(events=0, thinning_rejections=0)
     for start in range(0, reps, width):
-        v, rec = _block(flat, task, grid, rng, min(width, reps - start), width)
+        v, rec = _pass(flat, task, grid, [rng], min(width, reps - start), width)
         vals.append(v)
         tally.update(events=rec["events"], thinning_rejections=rec["thinning_rejections"])
     return np.concatenate(vals), dict(tally)
@@ -166,17 +175,23 @@ def _rows(start, grid, vals):
 
 
 def _chunk_worker(args):
-    """A chunk's blocks as (first replicate, values) and its counters."""
+    """A chunk's blocks as (first replicate, values) and its counters.  The
+    blocks run together in passes of at most ``_BLOCK_CELLS`` state cells,
+    one generator per block, so a pass holds one block where a block alone
+    fills that budget."""
     flat, task, grid, label, master_seed, reps, width, first, stop = args
+    per_pass = max(1, _BLOCK_CELLS // (width * flat.n))
     blocks = []
     tally = Counter()
-    for k in range(first, stop):
-        start = k * width
-        rng = derive_rng(master_seed, label, k)
-        vals, rec = _block(flat, task, grid, rng, min(width, reps - start), width)
+    for lo in range(first, stop, per_pass):
+        hi = min(lo + per_pass, stop)
+        rngs = [derive_rng(master_seed, label, k) for k in range(lo, hi)]
+        start = lo * width
+        vals, rec = _pass(flat, task, grid, rngs, min(hi * width, reps) - start, width)
         # the voter's opinion-0 survival is not an nhat CSV column
-        blocks.append((start, vals[..., :1] if task["task"] == "nhat" else vals))
-        tally.update(events=rec["events"], blocks=1,
+        vals = vals[..., :1] if task["task"] == "nhat" else vals
+        blocks.extend((start + i, vals[i:i + width]) for i in range(0, len(vals), width))
+        tally.update(events=rec["events"], blocks=hi - lo,
                      thinning_rejections=rec["thinning_rejections"])
     return blocks, tally
 
@@ -198,32 +213,45 @@ def worker_pool(threads: int):
     return nullcontext()
 
 
-def _map_chunks(worker, args_list, pool, threads):
-    """Lazily, ``worker``'s result for each chunk in chunk order.  The
-    chunks go in groups of ``threads`` consecutive chunks, counted back from
-    the last, so that only the first group may be short: ``pool``'s
+def _queue(worker, args_list, pool, threads):
+    """A task's chunks, queued: (this process's chunk, the futures of the
+    pool's chunks) per group of ``threads`` consecutive chunks, counted back
+    from the last, so that only the first group may be short.  ``pool``'s
     ``threads - 1`` workers run all but the last chunk of each group while
-    this process runs the last.  Without a pool every chunk runs here."""
+    this process runs the last.  Without a pool every chunk is a group of
+    its own, run here."""
     if pool is None:
-        yield from map(worker, args_list)
-        return
+        return [(args, []) for args in args_list]
     # counted back from the end, this process starts on chunk 0 at once and
     # the workers' last chunks run beside its own; all the pool's chunks are
     # queued at once, so no worker waits for this process's chunk of a group
     ends = range(len(args_list), 0, -threads)[::-1]
     groups = [args_list[max(0, end - threads):end] for end in ends]
-    futures = [[pool.submit(worker, args) for args in group[:-1]] for group in groups]
+    return [(group[-1], [pool.submit(worker, args) for args in group[:-1]])
+            for group in groups]
+
+
+def _cancel(queued):
+    """Drop the queued chunks not yet started."""
+    for _, futures in queued:
+        for future in futures:
+            future.cancel()
+
+
+def _results(worker, queued, before_last=None):
+    """Lazily, ``worker``'s result for each queued chunk in chunk order.
+    ``before_last`` is called just before this process runs its last
+    chunk.  After an error, the chunks not yet started are dropped."""
     try:
-        for group, queued in zip(groups, futures):
-            last = worker(group[-1])
-            for future in queued:
+        for i, (args, futures) in enumerate(queued):
+            if before_last is not None and i == len(queued) - 1:
+                before_last()
+            last = worker(args)
+            for future in futures:
                 yield future.result()
             yield last
     finally:
-        # after an error, the chunks not yet started are dropped
-        for queued in futures:
-            for future in queued:
-                future.cancel()
+        _cancel(queued)
 
 
 def _tally():
@@ -256,7 +284,7 @@ def task_header(task: dict, graph: Graph) -> list[str]:
 
 def _task_chunks(graph, convention, task, times, replicates, master_seed, threads):
     """A task's header, time grid, row count and chunk arguments: about
-    four chunks of whole blocks per process."""
+    two chunks of whole blocks per process."""
     header = task_header(task, graph)
     label = _task_label(task)
     grid = check_grid(task.get("times", times))
@@ -269,7 +297,7 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
     flat = flat_graph(graph, convention)
     width = block_rows(graph.n)
     nblocks = -(-reps // width)
-    per_chunk = max(1, -(-nblocks // (4 * threads)))
+    per_chunk = max(1, -(-nblocks // (2 * threads)))
     args_list = [
         (flat, task, grid, label, master_seed, reps, width, first,
          min(first + per_chunk, nblocks))
@@ -281,7 +309,7 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
 def _task_values(graph, convention, task, times, replicates, master_seed,
                  threads=1, pool=None):
     """One task's header, time grid, values (every replicate's, stacked as
-    ``_block`` shapes them, without the columns its CSV leaves out) and
+    ``_pass`` shapes them, without the columns its CSV leaves out) and
     counters, as ``run_task`` describes them."""
     check_count(threads, 1, "threads")
     header, grid, _, args_list = _task_chunks(
@@ -289,7 +317,8 @@ def _task_values(graph, convention, task, times, replicates, master_seed,
     )
     tally = _tally()
     with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:
-        chunks = _counted(_map_chunks(_chunk_worker, args_list, pool, threads), tally)
+        queued = _queue(_chunk_worker, args_list, pool, threads)
+        chunks = _counted(_results(_chunk_worker, queued), tally)
         vals = [vals for blocks in chunks for _, vals in blocks]
     return header, grid, np.concatenate(vals) if vals else np.empty(0), dict(tally)
 
@@ -325,6 +354,8 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     pool of ``threads - 1`` workers serves every task, and this process
     runs its share of the chunks; each chunk is formatted as CSV lines
     where it runs, and this process writes and hashes them in block order.
+    A task's chunks are queued just before this process runs the previous
+    task's last chunk, so the workers go on to them at once.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -335,37 +366,58 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
     check_sites(config.tasks, graph.n)
     config_digest = sha256_text(json.dumps(config.as_dict(), sort_keys=True))
     results = []
+    # the header, row count and queued chunks of tasks queued ahead of their turn
+    ahead = {}
     with worker_pool(threads) as pool:
-        for i, task in enumerate(config.tasks):
-            t0 = time.monotonic()
-            name = f"{i:02d}_{task['task']}"
-            tally = _tally()
-            try:
-                header, _, nrows, args_list = _task_chunks(
-                    graph, config.rate_convention, task, config.times,
-                    config.replicates, config.master_seed, threads,
-                )
-                texts = _counted(_map_chunks(_chunk_text, args_list, pool, threads), tally)
-                path = os.path.join(out, name + ".csv")
-                digest = write_csv_chunks(path, header, texts)
-            except TaskError:
-                raise
-            except Exception as exc:
-                raise TaskError(task["task"], str(exc)) from exc
-            results.append(
-                {
-                    "task": task["task"],
-                    "file": name + ".csv",
-                    "columns": header,
-                    "rows": nrows,
-                    "sha256": digest,
-                    "inputs_digest": config_digest,
-                    **tally,
-                    "wall_time_s": round(time.monotonic() - t0, 3),
-                    "version": __version__,
-                    "seed": config.master_seed,
-                }
+
+        def queue(i):
+            header, _, nrows, args_list = _task_chunks(
+                graph, config.rate_convention, config.tasks[i], config.times,
+                config.replicates, config.master_seed, threads,
             )
+            ahead[i] = header, nrows, _queue(_chunk_text, args_list, pool, threads)
+
+        def queue_next(i):
+            # a task that cannot be planned yet raises when planned in its turn
+            if i < len(config.tasks):
+                with suppress(Exception):
+                    queue(i)
+
+        try:
+            for i, task in enumerate(config.tasks):
+                t0 = time.monotonic()
+                name = f"{i:02d}_{task['task']}"
+                tally = _tally()
+                try:
+                    if i not in ahead:
+                        queue(i)
+                    header, nrows, queued = ahead.pop(i)
+                    texts = _counted(
+                        _results(_chunk_text, queued, lambda: queue_next(i + 1)), tally)
+                    path = os.path.join(out, name + ".csv")
+                    digest = write_csv_chunks(path, header, texts)
+                except TaskError:
+                    raise
+                except Exception as exc:
+                    raise TaskError(task["task"], str(exc)) from exc
+                results.append(
+                    {
+                        "task": task["task"],
+                        "file": name + ".csv",
+                        "columns": header,
+                        "rows": nrows,
+                        "sha256": digest,
+                        "inputs_digest": config_digest,
+                        **tally,
+                        "wall_time_s": round(time.monotonic() - t0, 3),
+                        "version": __version__,
+                        "seed": config.master_seed,
+                    }
+                )
+        finally:
+            # after an error, the next task's queued chunks are dropped too
+            for _, _, queued in ahead.values():
+                _cancel(queued)
     manifest = {
         "version": __version__,
         "threads": threads,

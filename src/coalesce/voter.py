@@ -6,7 +6,7 @@ and is what all duality gap checks run on.  ``simulate_voter`` plays one
 trajectory on the scalar engine; the experiment runner plays blocks of
 replicates in lockstep, recording the uniform vertex's cluster size and
 opinion 0's survival, and ``duality_gap`` is a view over the runner's
-blocks (``runner._block``), drawn in order from the caller's generator.
+blocks (``runner._pass``), drawn in order from the caller's generator.
 For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
 system instead (equal in law), which is the only practical route at
@@ -26,7 +26,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_count, check_grid
-from .crw import _lockstep_crw, _state_dtype, flat_graph
+from .crw import _BlockDraws, _leading_uniforms, _lockstep_crw, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
@@ -121,16 +121,20 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     }
 
 
-def _lockstep_voter(
-    flat: FlatGraph, rng: np.random.Generator, rows: int, grid: list, width: int
-) -> dict:
+def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: int) -> dict:
     """``rows`` forward voter trajectories advanced in lockstep, one ring per
     row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
     of a uniform vertex's current opinion, and ``survived_0`` (rows, grid),
     the indicator that opinion 0 is still held somewhere.
 
-    Every iteration draws ``width`` (at least ``rows``) variates of each kind
-    and row r takes entry r, so a row does not depend on the other rows.
+    The rows run in blocks of ``width`` rows, one generator of ``rngs`` per
+    block, only the last block short.  The uniform vertex of row j = k *
+    width + r is entry r of ``width`` uniforms drawn first from block k's
+    generator.  On each iteration every block that still has live rows draws
+    ``width`` variates of each kind from its own generator, and row j takes
+    entry r of its block's draws, so a row depends neither on the other rows
+    nor on the other blocks, as in ``crw._lockstep_crw``.
+
     The ring source x is picked in proportion to its rate by a search on the
     cumulative rates, then a neighbor y of x adopts the opinion of x.
     Also returns the ring count (``events``); no ring is thinned away.
@@ -152,7 +156,8 @@ def _lockstep_voter(
     opinion = np.tile(np.arange(n, dtype=state), rows)
     counts = np.ones(rows * n, dtype=state)
     # per live row, kept aligned with `live`; with an empty grid no row runs
-    u_hat = (rng.random(width)[:rows] * n).astype(np.int64)
+    u_hat = (_leading_uniforms(rngs, width, rows) * n).astype(np.int64)
+    draws = _BlockDraws(rngs, width, 2)
     live = np.arange(rows if ngrid else 0)
     b = live * n
     u_hat = b + u_hat[live]
@@ -162,7 +167,7 @@ def _lockstep_voter(
     events = 0
     while live.size:
         if total > 0.0:
-            t_next = clock + rng.standard_exponential(width)[live] / total
+            t_next = clock + draws.expo(live) / total
         else:
             # with no edges nothing ever rings: the state is frozen
             t_next = np.full(live.size, np.inf)
@@ -182,9 +187,9 @@ def _lockstep_voter(
                 live[ok], b[ok], u_hat[ok], g[ok], t_rec[ok], t_next[ok])
             if not live.size:
                 break
+            draws.keep(live)
         clock = t_next
-        # take() gathers the live columns several times faster than [:, live]
-        u = rng.random((2, width)).take(live, axis=1)
+        u = draws.uniforms(live)
         x = np.searchsorted(cum, u[0] * total, side="right")
         by = b + nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
         ox = opinion[b + x]
@@ -246,7 +251,7 @@ def sample_nhat_ancestral(
         # labels are independent of the dynamics, so drawing them first
         # gives the same law as picking them at time t
         labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
-        rec = _lockstep_crw(flat, rng, block, [t], labels)
+        rec = _lockstep_crw(flat, [rng], block, [t], labels)
         out[start:start + block] = rec["sizes"][:, 0]
         start += block
     return out.reshape(-1)

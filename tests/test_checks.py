@@ -3,6 +3,7 @@ from it, the tests that read it, and the calibration tool that runs it."""
 
 import ast
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from conftest import stubbed_paper_suite
 
 import coalesce
 from coalesce import verify
-from coalesce._checks import CHECKS, TABLE
+from coalesce._checks import CHECKS, TABLE, run_checks
 
 TESTS = Path(__file__).parent
 
@@ -29,6 +30,15 @@ def test_names_unique():
 def test_statistical_rows_are_its_checks():
     rows, _ = verify.statistical_suite(3, scale=0.01)
     assert [f"{r[0]}/{r[1]}" for r in rows] == suite_names("statistical")
+
+
+def test_statistical_z_rows_carry_sigma_one():
+    # a "<=" band bounds a value in z units, whose sigma is 1, or a KS
+    # distance, which has none
+    outcomes = run_checks(suite_names("statistical"), 3, scale=0.01)
+    sigma = {name: out.sigma for name, out in outcomes.items() if out.band.kind == "<="}
+    assert len(sigma) == 10
+    assert all(s == 1.0 or math.isnan(s) for s in sigma.values()), sigma
 
 
 def test_paper_rows_are_its_checks(monkeypatch):

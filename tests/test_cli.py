@@ -159,8 +159,8 @@ class TestRunExperiment:
         assert a == b
 
     def test_threads_do_not_change_rows(self, tmp_path):
-        # 20 blocks of 1024 rows: 7 chunks at two threads, 10 at three, so
-        # the first group of chunks is short
+        # 20 blocks of 1024 rows: 4 chunks at two threads, 5 at three, so
+        # at three the first group of chunks is short
         data = {}
         for threads in (1, 2, 3):
             raw = minimal_config(tmp_path / f"t{threads}")
@@ -172,16 +172,16 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [2, 3])
     def test_threads_count_the_calling_process(self, tmp_path, monkeypatch, threads):
         # --threads N runs on this process and N - 1 pool workers
-        block = runner._block
+        run_pass = runner._pass
         here = os.getpid()
         children = []
 
         def counting(*args):
             if os.getpid() == here:
                 children.append(len(multiprocessing.active_children()))
-            return block(*args)
+            return run_pass(*args)
 
-        monkeypatch.setattr(runner, "_block", counting)
+        monkeypatch.setattr(runner, "_pass", counting)
         raw = minimal_config(tmp_path)
         raw["replicates"] = 20000
         run_experiment(validate_config(raw), threads=threads)
@@ -374,22 +374,22 @@ class TestBlockStreams:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched block function reaches forked workers only")
+                        reason="the patched pass function reaches forked workers only")
     def test_pool_closes_after_worker_error(self, tmp_path, monkeypatch):
         # with this class's 16-row blocks, the nhat task's 40 replicates are
         # three blocks, so three one-block chunks at two threads: chunks 0
         # and 2 run in the calling process and chunk 1 in the pool's worker.
-        # Its blocks fail in one of the two, after the density task has
+        # Its passes fail in one of the two, after the density task has
         # started the pool, and the message names the failing process
-        block = runner._block
+        run_pass = runner._pass
         here = os.getpid()
         for where in ("worker", "caller"):
             def failing(flat, task, *args, where=where):
                 if task["task"] == "nhat" and (os.getpid() == here) == (where == "caller"):
                     raise RuntimeError(f"block failed in pid {os.getpid()}")
-                return block(flat, task, *args)
+                return run_pass(flat, task, *args)
 
-            monkeypatch.setattr(runner, "_block", failing)
+            monkeypatch.setattr(runner, "_pass", failing)
             raw = minimal_config(tmp_path / where,
                                  tasks=[{"task": "density"}, {"task": "nhat"}])
             with pytest.raises(TaskError) as err:
@@ -397,6 +397,32 @@ class TestBlockStreams:
             assert "nhat" in str(err.value) and "block failed" in str(err.value)
             assert (f"pid {here}" in str(err.value)) == (where == "caller")
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched pass function reaches forked workers only")
+    def test_next_task_queued_before_last_chunk(self, tmp_path, monkeypatch):
+        # three one-block chunks per task at two threads, of which this
+        # process runs chunks 0 and 2: the nhat task's chunks are queued
+        # before it runs the density task's chunk 2
+        run_pass, queue = runner._pass, runner._queue
+        here = os.getpid()
+        events = []
+
+        def passing(flat, task, *args):
+            if os.getpid() == here:
+                events.append(("pass", task["task"]))
+            return run_pass(flat, task, *args)
+
+        def queuing(worker, args_list, *args):
+            events.append(("queue", args_list[0][1]["task"]))
+            return queue(worker, args_list, *args)
+
+        monkeypatch.setattr(runner, "_pass", passing)
+        monkeypatch.setattr(runner, "_queue", queuing)
+        raw = minimal_config(tmp_path, tasks=[{"task": "density"}, {"task": "nhat"}])
+        run_experiment(validate_config(raw), threads=2)
+        assert events == [("queue", "density"), ("pass", "density"), ("queue", "nhat"),
+                          ("pass", "density"), ("pass", "nhat"), ("pass", "nhat")]
 
 
 class TestCsvFormat:

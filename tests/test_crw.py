@@ -416,7 +416,7 @@ class TestBlockPath:
             floor = 64 if kind == "tau_coal" else 16
             for width, path in [(floor - 1, "scalar"), (floor, "lockstep")]:
                 with pytest.raises(LookupError) as ran:
-                    runner._block(flat, {"task": kind}, [1.0], None, 1, width)
+                    runner._pass(flat, {"task": kind}, [1.0], [None], 1, width)
                 got = ran.value.args[0]
                 assert got == path, (kind, width)
         assert runner.block_rows(1 << 15) == 16 and runner.block_rows(1 << 13) == 64
@@ -486,14 +486,14 @@ ONE_PATH = {
 
 class TestOnePath:
     """``sample_tau_coal_many``, ``occupancy_covariances`` and
-    ``duality_gap`` are views over ``runner._block``: on the same generator
+    ``duality_gap`` are views over ``runner._pass``: on the same generator
     their values equal one block's, bit for bit."""
 
     @staticmethod
     def block(case, task, grid, rng):
         g, convention, _, reps = ONE_PATH[case]
-        return runner._block(flat_graph(g, convention), task, grid, rng, reps,
-                             runner.block_rows(g.n))[0]
+        return runner._pass(flat_graph(g, convention), task, grid, [rng], reps,
+                            runner.block_rows(g.n))[0]
 
     @pytest.mark.parametrize("case", ["cycle8", "lollipop", "cycle9_total_unit"])
     def test_tau_coal(self, case):
@@ -542,7 +542,7 @@ class TestOnePath:
         rng = derive_rng(64, "order", 0)
         flat = flat_graph(g, convention)
         task = {"task": "occupancy", "sites": [0, 1]}
-        vals = np.concatenate([runner._block(flat, task, times, rng, k, 13)[0]
+        vals = np.concatenate([runner._pass(flat, task, times, [rng], k, 13)[0]
                                for k in (13, 13, 4)])
         for i, t in enumerate(times):
             assert res[((0, 1), t)] == jackknife_cov(vals[:, i, 1], vals[:, i, 2])
@@ -552,7 +552,7 @@ class TestOnePath:
         taus = sample_tau_coal_many(g, 1100, derive_rng(64, "order", 1))
         rng = derive_rng(64, "order", 1)
         flat = flat_graph(g, "per_edge_unit")
-        ref = [runner._block(flat, {"task": "tau_coal"}, [], rng, k, 1024)[0]
+        ref = [runner._pass(flat, {"task": "tau_coal"}, [], [rng], k, 1024)[0]
                for k in (1024, 76)]
         assert np.array_equal(taus, np.concatenate(ref))
 

@@ -51,13 +51,13 @@ def lollipop_call(mode: str) -> dict:
     rng = derive_rng(41, "lockstep-pin", 0)
     rows, width = 37, 64
     if mode == "to_one":
-        return _lockstep_crw(flat, rng, rows, [], to_one=True, width=width)
+        return _lockstep_crw(flat, [rng], rows, [], to_one=True, width=width)
     labels = sites = None
     if mode == "labels":
         labels = rng.integers(0, LOLLIPOP.n, size=(rows, 3))
     else:
         sites = [0, 3, 4, 6]
-    return _lockstep_crw(flat, rng, rows, GRID, labels, sites, width=width)
+    return _lockstep_crw(flat, [rng], rows, GRID, labels, sites, width=width)
 
 
 def api_call(case: str, call: str) -> dict:
@@ -175,20 +175,21 @@ class _Stream:
         return self.e[k], self.u[k]
 
 
-def replay(flat, rng, rows, grid, labels=None, sites=None, to_one=False, width=None):
+def replay(flat, rngs, rows, grid, labels=None, sites=None, to_one=False, width=None):
     """``_lockstep_crw`` one row at a time over lists.
 
     Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
-    site back to its slot.  Row r takes entry r of every draw.  A ring
-    picks a uniform slot, its site x and a neighbour y of x; on an
-    irregular graph it is kept with probability rate(x) / r_max.  If y is
-    occupied the cluster at x joins it, and the last slot fills the hole;
-    each label follows its cluster's slot.  A row with no ring left that
-    changes what it records stops its clock.
+    site back to its slot.  Row k * width + r takes entry r of every draw
+    of block k, from ``rngs[k]``.  A ring picks a uniform slot, its site x
+    and a neighbour y of x; on an irregular graph it is kept with
+    probability rate(x) / r_max.  If y is occupied the cluster at x joins
+    it, and the last slot fills the hole; each label follows its cluster's
+    slot.  A row with no ring left that changes what it records stops its
+    clock.
     """
     width = rows if width is None else width
     n, r_max = flat.n, flat.r_max
-    stream = _Stream(rng, width, 2 if flat.regular else 3)
+    streams = [_Stream(rng, width, 2 if flat.regular else 3) for rng in rngs]
     ngrid = 0 if to_one else len(grid)
     frozen_at_one = sites is None and not to_one
     out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
@@ -199,23 +200,24 @@ def replay(flat, rng, rows, grid, labels=None, sites=None, to_one=False, width=N
     if to_one:
         out["tau"] = np.zeros(rows)
     rings = rejected = 0
-    for r in range(rows if to_one or ngrid else 0):
+    for row in range(rows if to_one or ngrid else 0):
+        stream, r = streams[row // width], row % width
         m, loc, at_site, size = n, list(range(n)), list(range(n)), [1] * n
-        track = [] if labels is None else [int(v) for v in labels[r]]
+        track = [] if labels is None else [int(v) for v in labels[row]]
         clock, g, k = 0.0, 0, 0
         while True:
             e, u = stream.at(k)
             t_next = clock + e[r] / (r_max * m) if r_max > 0.0 else float("inf")
             while g < ngrid and grid[g] < t_next:
-                out["xi"][r, g] = m
+                out["xi"][row, g] = m
                 if track:
-                    out["sizes"][r, g] = [size[i] for i in track]
+                    out["sizes"][row, g] = [size[i] for i in track]
                 if sites is not None:
-                    out["occ"][r, g] = [at_site[v] >= 0 for v in sites]
+                    out["occ"][row, g] = [at_site[v] >= 0 for v in sites]
                 g += 1
             if (m == 1) if to_one else (g == ngrid):
                 if to_one:
-                    out["tau"][r] = clock
+                    out["tau"][row] = clock
                 break
             clock = t_next
             k += 1
@@ -246,25 +248,121 @@ def replay(flat, rng, rows, grid, labels=None, sites=None, to_one=False, width=N
 
 
 class TestReferenceReplay:
-    """The kernel equals its row-at-a-time replay in every mode."""
+    """The kernel equals its row-at-a-time replay in every mode, on one
+    block and on a pass of three blocks, the last one short."""
 
-    @pytest.mark.parametrize("g", [cycle_graph(8), torus_graph(3, 3), LOLLIPOP],
-                             ids=["cycle8", "torus33", "lollipop"])
-    @pytest.mark.parametrize("mode", ["xi", "labels", "sites", "to_one"])
-    def test_kernel_equals_replay(self, g, mode):
+    GRAPHS = pytest.mark.parametrize("g", [cycle_graph(8), torus_graph(3, 3), LOLLIPOP],
+                                     ids=["cycle8", "torus33", "lollipop"])
+    MODES = pytest.mark.parametrize("mode", ["xi", "labels", "sites", "to_one"])
+
+    @staticmethod
+    def compare(g, mode, rows, width, blocks):
         flat = flat_graph(g, "per_edge_unit")
-        rows, width = 25, 40
         labels = sites = None
         if mode == "labels":
             labels = derive_rng(42, "replay-labels", 0).integers(0, g.n, size=(rows, 3))
         elif mode == "sites":
             sites = [0, g.n // 2, g.n - 1]
         args = ([], None, None, True) if mode == "to_one" else (GRID, labels, sites, False)
-        got = _lockstep_crw(flat, derive_rng(42, "replay", 0), rows, *args, width=width)
-        ref = replay(flat, derive_rng(42, "replay", 0), rows, *args, width=width)
+
+        def rngs():
+            return [derive_rng(42, "replay", k) for k in range(blocks)]
+
+        gens = rngs()
+        got = _lockstep_crw(flat, gens, rows, *args, width=width)
+        ref = replay(flat, rngs(), rows, *args, width=width)
         assert got.keys() == ref.keys()
         for key in ref:
             np.testing.assert_array_equal(got[key], ref[key], err_msg=key)
         assert ref["events"] > 0
         if g is LOLLIPOP:
             assert ref["thinning_rejections"] > 0
+        # each block alone gives its rows and counters, and leaves its
+        # generator where the pass did: a block whose rows are done stops
+        # drawing
+        counts = {"events": 0, "thinning_rejections": 0}
+        for k, gen in enumerate(gens):
+            part = slice(k * width, min(k * width + width, rows))
+            alone = derive_rng(42, "replay", k)
+            block_args = args if labels is None else (GRID, labels[part], sites, False)
+            one = _lockstep_crw(flat, [alone], part.stop - part.start, *block_args,
+                                width=width)
+            for key in one:
+                if key in counts:
+                    counts[key] += one[key]
+                else:
+                    np.testing.assert_array_equal(got[key][part], one[key], err_msg=key)
+            assert alone.bit_generator.state == gen.bit_generator.state
+        assert counts == {key: got[key] for key in counts}
+
+    @GRAPHS
+    @MODES
+    def test_kernel_equals_replay(self, g, mode):
+        self.compare(g, mode, 25, 40, 1)
+
+    @GRAPHS
+    @MODES
+    def test_pass_equals_replay(self, g, mode):
+        # blocks of 12, 12 and 6 rows, each on its own generator
+        self.compare(g, mode, 30, 12, 3)
+
+
+class TestGroupedPass:
+    """The runner runs a chunk's blocks as one pass, one generator per
+    block: each block's values and counters are those of the block run
+    alone."""
+
+    @staticmethod
+    def spied_chunk(monkeypatch, g, convention, task, grid, reps):
+        """``_chunk_worker`` on the first three blocks of a
+        ``reps``-replicate task, with the blocks of each ``_pass`` call it
+        makes."""
+        args = runner._task_chunks(g, convention, task, grid, reps, 45, 1)[3][0]
+        args = args[:-2] + (0, 3)
+        run_pass, passes = runner._pass, []
+
+        def spy(flat, task, grid, rngs, count, width):
+            passes.append(len(rngs))
+            return run_pass(flat, task, grid, rngs, count, width)
+
+        monkeypatch.setattr(runner, "_pass", spy)
+        return args, runner._chunk_worker(args), passes
+
+    @pytest.mark.parametrize("path", ["lockstep", "scalar"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", list(SCALAR_CASES))
+    def test_chunk_equals_blocks(self, case, kind, path, monkeypatch):
+        # 16-row blocks: 40 replicates are blocks of 16, 16 and 8 rows
+        monkeypatch.setattr(runner, "_BLOCK_CAP", 16)
+        floor = 16 if path == "lockstep" else 17
+        monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, floor))
+        run_pass = runner._pass
+        g, convention = SCALAR_CASES[case]
+        args, (blocks, tally), passes = self.spied_chunk(
+            monkeypatch, g, convention, {"task": kind}, GRID, 40)
+        assert passes == [3]
+        flat, task, grid, label, seed = args[:5]
+        ref = {"events": 0, "thinning_rejections": 0, "blocks": 3}
+        assert [start for start, _ in blocks] == [0, 16, 32]
+        for k, (_, got) in enumerate(blocks):
+            vals, rec = run_pass(flat, task, grid, [derive_rng(seed, label, k)],
+                                 8 if k == 2 else 16, 16)
+            np.testing.assert_array_equal(got, vals[..., :1] if kind == "nhat" else vals)
+            ref["events"] += rec["events"]
+            ref["thinning_rejections"] += rec["thinning_rejections"]
+        assert tally == ref and ref["events"] > 0
+        if case == "lollipop" and kind != "nhat":
+            # the voter plays every ring; the walks thin on the lollipop
+            assert ref["thinning_rejections"] > 0
+
+    @pytest.mark.parametrize("n, passes", [(256, [2, 1]), (512, [1, 1, 1])])
+    def test_pass_holds_block_cells(self, n, passes, monkeypatch):
+        # a pass holds at most _BLOCK_CELLS state cells: one 1024-row block
+        # from 512 vertices
+        width = runner.block_rows(n)
+        assert width == 1024
+        _, (blocks, tally), got = self.spied_chunk(
+            monkeypatch, cycle_graph(n), "per_edge_unit", {"task": "density"}, [0.05],
+            3 * width)
+        assert got == passes and tally["blocks"] == 3
+        assert [start for start, _ in blocks] == [0, width, 2 * width]

@@ -102,7 +102,7 @@ class TestLockstepVoterSurvival:
         # occupied at t in the coalescing walk from every site
         times, rows = [0.3, 1.0, 2.5], 20_000
         rec = voter._lockstep_voter(flat_graph(C6, "per_edge_unit"),
-                                    derive_rng(65, "survival", 0), rows, times, rows)
+                                    [derive_rng(65, "survival", 0)], rows, times, rows)
         exact = exact_occupancy_density(build_generator(C6), times)[:, 0]
         for i, p in enumerate(exact):
             hat = rec["survived_0"][:, i].mean()
@@ -114,9 +114,9 @@ def spy_blocks(monkeypatch):
     rows = []
     kernel = voter._lockstep_crw
 
-    def counted(flat, rng, block, grid, labels):
+    def counted(flat, rngs, block, grid, labels):
         rows.append(block)
-        return kernel(flat, rng, block, grid, labels)
+        return kernel(flat, rngs, block, grid, labels)
 
     monkeypatch.setattr(voter, "_lockstep_crw", counted)
     return rows
@@ -217,7 +217,7 @@ class TestAncestralBlocks:
     def test_voter_kernel_past_int16_range(self):
         n = 40_000
         flat = flat_graph(cycle_graph(n), "per_edge_unit")
-        nhat = voter._lockstep_voter(flat, derive_rng(15, "voter", 0), 2, [0.05], 2)["nhat"]
+        nhat = voter._lockstep_voter(flat, [derive_rng(15, "voter", 0)], 2, [0.05], 2)["nhat"]
         assert nhat.shape == (2, 1) and nhat.min() >= 1 and nhat.max() <= n
 
 
