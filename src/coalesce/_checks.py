@@ -8,10 +8,13 @@ seeds, ``verify statistical`` and ``verify paper`` make a row of each check
 of their suite, named ``<check>/<quantity>``, and
 ``tools/calibrate_bands.py`` runs any check on fresh seeds.  The acceptance
 tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
-rows at scale 1 on one thread.  Only the torus A1 pair still samples
-twice: P_hat over A1 on torus(3, 10) is ``mf310_A1`` (the unit test's Monte
-Carlo alpha) and ``paper_torus310/ratio_A1`` (the exact alpha), with two
-bands.
+rows at scale 1 on one thread, and C3 reads the ``duality_cycle6`` sampler
+of ``verify statistical`` at 20 000 replicates.  ``_values`` and the views
+in ``crw`` and ``voter`` read the runner's derived blocks; of the runner's
+tasks, only the density has a loop of its own, ``estimate_density``.  Only
+the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10) is
+``mf310_A1`` (the unit test's Monte Carlo alpha) and
+``paper_torus310/ratio_A1`` (the exact alpha), with two bands.
 
 Checks that read one sample share a draw, run once per seed.  A one-stream
 draw takes a master seed, from which it derives its calibration stream, or
@@ -29,10 +32,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import runner
+from .config import _TASK_KINDS
 from .chains import MarkovChain, build_generator, spectrum
 from .crw import (_subset_distribution, estimate_density, exact_k_particle_law,
-                  exact_occupancy_density, occupancy_covariances, sample_tau_coal_many,
-                  simulate_crw)
+                  exact_occupancy_density, occupancy_covariances, sample_tau_coal_many)
 from .graphs import (DegreeDistribution, Graph, complete_graph, cycle_graph, path_graph,
                      sample_configuration_model, torus_graph)
 from .meeting import alpha_survival, mc_pair_meeting, mean_meeting_time
@@ -42,7 +45,7 @@ from .theory import (alpha_regular_tree, bg_prediction, estimate_alpha_D, estima
                      exact_density_1d, kingman_tau_coal, mean_field_predictions, psi_d,
                      psi_d_horizon, reversal_identity_residual)
 from .voter import (duality_gap, duality_statistics, gamma_ks, sample_nhat_ancestral,
-                    simulate_voter, size_bias_histogram)
+                    size_bias_histogram)
 
 # non-integer rates and unequal row totals
 IRREGULAR_RATES = np.array([
@@ -332,24 +335,6 @@ def _density_z(reps, *cases):
     return draw
 
 
-def _c3(seed, *_):
-    """C3: duality on cycle(6) at t = 1 from 20 000 voter runs and 20 000
-    tracked CRW runs: the KS distance of nhat against N_t, the z of P_t
-    against E[1 / N_t], and the largest z of the four size-bias bins."""
-    g, t, reps = cycle_graph(6), 1.0, 20_000
-    rng = derive_rng(seed, "c3-voter", 0)
-    voter = [simulate_voter(g, [t], rng) for _ in range(reps)]
-    rng = derive_rng(seed, "c3-crw", 0)
-    crw = [simulate_crw(g, [t], rng, track="tracked_cluster") for _ in range(reps)]
-    nhat, n_init = (np.array([rec[k][0] for rec in voter], dtype=int) for k in ("nhat", "n_init"))
-    ncrw, xi = (np.array([rec[k][0] for rec in crw], dtype=int) for k in ("N", "xi_size"))
-    dual = duality_statistics(nhat, ncrw, xi, g.n)
-    bins = max(abs(b["diff"]) / b["se"] for b in size_bias_histogram(nhat, n_init, 4))
-    return {"c3_ks": Sample(dual["ks_nhat_vs_Nt"], math.nan),
-            "c3_invN": Sample(dual["abs_gap_Pt_vs_invNt"] / dual["se_Pt_vs_invNt"], 1.0),
-            "c3_bins": Sample(bins, 1.0)}
-
-
 def _c4(seed, *_):
     """C4: 100 000 coalescence times on K8 against the Kingman stage sampler."""
     taus = sample_tau_coal_many(complete_graph(8), 100_000, derive_rng(seed, "c4", 0))
@@ -428,24 +413,13 @@ def _mf36(*_):
     return Sample(2.0 * m * alpha_survival(c, 0, 2.0)["value"] / 216.0, 0.0)
 
 
-def _duality_checks(swap):
+def _dual_cycle4(seed, *_):
     """TestDualityGap on cycle(4) at t = 1, 20 000 replicates a side."""
-    tag = "dual_swap" if swap else "dual"
-
-    def draw(seed, *_):
-        res = duality_gap(cycle_graph(4), 1.0, 20_000, derive_rng(seed, "dual", int(swap)),
-                          swap_streams=swap)
-        return {f"{tag}_ks": Sample(res["ks_nhat_vs_Nt"], math.nan),
-                f"{tag}_survival": Sample(res["abs_gap_survival_vs_density"]
-                                          / res["se_survival_vs_density"], 1.0),
-                f"{tag}_invN": Sample(res["abs_gap_Pt_vs_invNt"] / res["se_Pt_vs_invNt"], 1.0)}
-    quantities = ("ks", "invN") if swap else ("ks", "survival", "invN")
-    return [Check(f"{tag}_{q}", draw,
-                  Band("ks", 0.02, sizes=(20_000, 20_000)) if q == "ks" else Band("<=", 4.0))
-            for q in quantities]
-
-
-_KINDS = ["density", "tracked_cluster", "occupancy", "nhat", "tau_coal"]
+    res = duality_gap(cycle_graph(4), 1.0, 20_000, derive_rng(seed, "dual", 0))
+    return {"dual_ks": Sample(res["ks_nhat_vs_Nt"], math.nan),
+            "dual_survival": Sample(res["abs_gap_survival_vs_density"]
+                                    / res["se_survival_vs_density"], 1.0),
+            "dual_invN": Sample(res["abs_gap_Pt_vs_invNt"] / res["se_Pt_vs_invNt"], 1.0)}
 
 
 def _runner_laws(case, graph, n, convention, times, scalar):
@@ -469,20 +443,22 @@ def _runner_laws(case, graph, n, convention, times, scalar):
             # every block is narrower than this, so every block runs scalar
             runner._SCALAR_BELOW = dict.fromkeys(saved, 1 << 20)
         try:
-            rows = {k: np.array(runner.run_task(g, convention, {"task": k}, times, reps,
-                                                seed)[1], dtype=float) for k in _KINDS}
+            vals = {k: _values(g, k, times, reps, seed, 1, None, convention)
+                    for k in _TASK_KINDS}
         finally:
             runner._SCALAR_BELOW = saved
         zs = []
         for i, (occ_exact, e_n, p_one) in enumerate(refs()):
-            dens, tracked, occ, nhat = (rows[k][i::len(times)] for k in _KINDS[:4])
-            zs += [_z(dens[:, 2], occ_exact.sum()), _z(tracked[:, 3], e_n),
-                   _z(nhat[:, 2], e_n)]
+            # each replicate's values at times[i]: the cluster count first
+            dens, tracked, occ, nhat = (vals[k][:, i] for k in
+                                        ("density", "tracked_cluster", "occupancy", "nhat"))
+            zs += [_z(dens[:, 0], occ_exact.sum()), _z(tracked[:, 1], e_n),
+                   _z(nhat[:, 0], e_n)]
             # the indicators must sum to the cluster count
-            if not (occ[:, 3:].sum(axis=1) == occ[:, 2]).all():
+            if not (occ[:, 1:].sum(axis=1) == occ[:, 0]).all():
                 zs.append(math.inf)
-            zs += [_z(occ[:, 3 + v], occ_exact[v]) for v in range(g.n)]
-            hits = rows["tau_coal"][:, 1] <= times[i]
+            zs += [_z(occ[:, 1 + v], occ_exact[v]) for v in range(g.n)]
+            hits = vals["tau_coal"] <= times[i]
             zs.append((hits.mean() - p_one) / math.sqrt(p_one * (1 - p_one) / reps))
         return Sample(float(np.abs(zs).max()), 1.0)
     return Check(f"runner_{'scalar' if scalar else 'lockstep'}_{case}", draw,
@@ -514,19 +490,31 @@ def _occupancy_vs_exact(name, graph):
 _DUALITY_REPS = _reps(1000, 5000)
 
 
-def _duality(seed, scale, threads, pool):
-    """Duality on the 6-cycle at t = 1: the runner's nhat and tracked-cluster
-    blocks."""
-    g6, t = cycle_graph(6), 1.0
-    reps = _DUALITY_REPS(scale)
-    nhat = _values(g6, "nhat", [t], reps, seed, threads, pool)[:, 0, 0]
-    crw = _values(g6, "tracked_cluster", [t], reps, seed, threads, pool)[:, 0]
-    dual = duality_statistics(
-        nhat.astype(float), crw[:, 1].astype(float), crw[:, 0].astype(float), g6.n
-    )
-    z = dual["abs_gap_Pt_vs_invNt"] / dual["se_Pt_vs_invNt"]
-    return {"duality_cycle6/ks_nhat_vs_N": Sample(dual["ks_nhat_vs_Nt"], math.nan),
-            "duality_cycle6/z_Pt_vs_invN": Sample(z, 1.0)}
+def _duality(reps, names):
+    """Duality on the 6-cycle at t = 1 from ``reps(scale)`` replicates of
+    the runner's nhat and tracked-cluster blocks, under the first of
+    ``names``: the KS distance of nhat against N_t, the z of P_t against
+    E[1 / N_t] and the largest z of the four size-bias bins.  These compare
+    P(nhat = k) with k P(|C_0| = k), where |C_0| is opinion 0's cluster size
+    in the same runs: on the transitive cycle it has the law of a uniform
+    opinion's cluster size."""
+    def draw(seed, scale, threads, pool):
+        g6, t = cycle_graph(6), 1.0
+        nhat, n_0 = _values(g6, "nhat", [t], reps(scale), seed, threads, pool)[:, 0].T
+        crw = _values(g6, "tracked_cluster", [t], reps(scale), seed, threads, pool)[:, 0]
+        dual = duality_statistics(
+            nhat.astype(float), crw[:, 1].astype(float), crw[:, 0].astype(float), g6.n
+        )
+        z = dual["abs_gap_Pt_vs_invNt"] / dual["se_Pt_vs_invNt"]
+        bins = max(abs(b["diff"]) / b["se"] for b in size_bias_histogram(nhat, n_0, 4))
+        return dict(zip(names, (Sample(dual["ks_nhat_vs_Nt"], math.nan), Sample(z, 1.0),
+                                Sample(bins, 1.0))))
+    return draw
+
+
+_C3 = _duality(lambda scale: 20_000, ("c3_ks", "c3_invN", "c3_bins"))
+_DUALITY_CYCLE6 = _duality(_DUALITY_REPS, ("duality_cycle6/ks_nhat_vs_N",
+                                           "duality_cycle6/z_Pt_vs_invN"))
 
 
 def _kingman_k8(seed, scale, threads, pool):
@@ -652,9 +640,9 @@ TABLE = [
     # subset chain, and C5, C6 and C8 read verify paper's rows
     Check("c2_density", _density_z(100_000, ("c2-path2", _path2, None),
                                    ("c2-cycle4", _cycle4, None)), Band("<=", 4.0, count=6)),
-    Check("c3_ks", _c3, Band("ks", 0.02, sizes=(20_000, 20_000))),
-    Check("c3_invN", _c3, Band("<=", 4.0)),
-    Check("c3_bins", _c3, Band("<=", 4.0, count=4)),
+    Check("c3_ks", _C3, Band("ks", 0.02, sizes=(20_000, 20_000))),
+    Check("c3_invN", _C3, Band("<=", 4.0)),
+    Check("c3_bins", _C3, Band("<=", 4.0, count=4)),
     Check("c4_mean", _c4, Band("<=", 4.0)),
     Check("c4_ks", _c4, Band("ks", 0.02, sizes=(100_000, 100_000))),
     Check("c9_reversal", _c9, Band("<=", 3.0, count=6)),
@@ -678,14 +666,15 @@ TABLE = [
     Check("mf36_exact_alpha", _mf36, _RATIO_20, 1.0),
     Check("complete4_ks", _complete4, Band("ks", 0.02, sizes=(50_000, 50_000))),
     # tests/test_voter.py::TestDualityGap
-    *_duality_checks(False),
-    *_duality_checks(True),
+    Check("dual_ks", _dual_cycle4, Band("ks", 0.02, sizes=(20_000, 20_000))),
+    Check("dual_survival", _dual_cycle4, Band("<=", 4.0)),
+    Check("dual_invN", _dual_cycle4, Band("<=", 4.0)),
     # verify statistical, in row order
     *_occupancy_vs_exact("path2", _path2),
     *_occupancy_vs_exact("cycle4", _cycle4),
-    Check("duality_cycle6/ks_nhat_vs_N", _duality, _ks_band(_DUALITY_REPS),
+    Check("duality_cycle6/ks_nhat_vs_N", _DUALITY_CYCLE6, _ks_band(_DUALITY_REPS),
           suite="statistical"),
-    Check("duality_cycle6/z_Pt_vs_invN", _duality, _DENSITY_Z, suite="statistical"),
+    Check("duality_cycle6/z_Pt_vs_invN", _DUALITY_CYCLE6, _DENSITY_Z, suite="statistical"),
     Check("kingman_K8/z_mean", _kingman_k8, _DENSITY_Z, suite="statistical"),
     Check("kingman_K8/ks_two_sample", _kingman_k8, _ks_band(_REPS_20K), suite="statistical"),
     Check("arratia_cycle6/max_z", _arratia, _ARRATIA, suite="statistical"),

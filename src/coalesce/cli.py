@@ -8,7 +8,7 @@ import sys
 
 from . import __version__
 from .chains import build_generator, spectrum, transition_matrix
-from .config import validate_config
+from .config import _TASK_KINDS, validate_config
 from .crw import exact_occupancy_density
 from .errors import CoalesceError, ConfigError, ParameterOutOfRange
 from .graphs import (
@@ -211,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("simulate", help="Monte Carlo tasks to CSV")
-    p.add_argument("--task", required=True,
-                   choices=["density", "tracked_cluster", "occupancy", "tau_coal", "nhat"])
+    p.add_argument("--task", required=True, choices=_TASK_KINDS)
     p.add_argument("--graph")
     p.add_argument("--family", choices=["cycle", "torus", "complete", "hypercube"])
     p.add_argument("--params", nargs="*", default=[], type=_flag("--params", int))

@@ -18,11 +18,13 @@ from .graphs import (
     read_graph,
     sample_configuration_model,
 )
+from .io import read_text
 from .seeding import derive_rng
 
 __all__ = ["ExperimentConfig", "load_config", "build_graph", "check_sites"]
 
-_TASK_KINDS = ("density", "tracked_cluster", "occupancy", "tau_coal", "nhat")
+# the one list of task kinds, which the CLI, the runner and the checks read
+_TASK_KINDS = ("density", "tracked_cluster", "occupancy", "nhat", "tau_coal")
 _CONVENTIONS = ("per_edge_unit", "total_unit")
 
 
@@ -187,11 +189,13 @@ def check_sites(tasks: list, n: int) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+    """A config, or the manifest that embeds one, read from ``path``."""
+    try:
+        raw = json.loads(read_text(path))
+    except ParameterOutOfRange as exc:
+        raise ConfigError("<file>", str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<file>", f"{path}: invalid JSON: {exc}") from exc
     # a manifest embeds its config verbatim; accept it for exact re-runs
     if isinstance(raw, dict) and "config" in raw and "schema" not in raw:
         raw = raw["config"]
@@ -202,7 +206,10 @@ def build_graph(cfg_graph: dict, master_seed: int) -> Graph:
     if "family" in cfg_graph:
         return make_transitive(cfg_graph["family"], *cfg_graph["params"])
     if "path" in cfg_graph:
-        return read_graph(cfg_graph["path"])
+        try:
+            return read_graph(cfg_graph["path"])
+        except ParameterOutOfRange as exc:
+            raise ConfigError("graph.path", str(exc)) from None
     cm = cfg_graph["cm"]
     dist = DegreeDistribution.from_pairs(cm["degrees"])
     rng = derive_rng(cm.get("seed", master_seed), "graph_gen", 0)

@@ -16,8 +16,9 @@ runs each walker at r_max the same way, a rejected ring being a stay.
 
 ``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run
 ``_scalar_crw``, as do the runner's narrow blocks; ``sample_tau_coal_many``
-and ``occupancy_covariances`` are views over the runner's blocks
-(``runner._pass``), drawn in order from the caller's generator.
+and ``occupancy_covariances`` are views over the runner's derived blocks
+(``runner._task_values`` at one thread), at a master seed drawn from the
+caller's generator.
 
 The exact subset and (k+1)-walker oracles step with one sparse kernel,
 ``_ring_kernel``, built with no loop from (state, occupied site) pairs.
@@ -655,13 +656,13 @@ def sample_tau_coal_many(
     rng: np.random.Generator,
     convention: str = "per_edge_unit",
 ) -> np.ndarray:
-    """``reps`` coalescence-time draws: the runner's ``tau_coal`` blocks,
-    drawn in order from ``rng``."""
-    from .runner import _replicates
+    """``reps`` coalescence-time draws: the runner's ``tau_coal`` blocks at
+    a master seed drawn from ``rng``."""
+    from .runner import _task_values
 
     reps = check_count(reps)
-    _check_connected(g)
-    return _replicates(flat_graph(g, convention), {"task": "tau_coal"}, [], rng, reps)[0]
+    seed = int(rng.integers(1 << 63))
+    return _task_values(g, convention, {"task": "tau_coal"}, [], reps, seed)[2]
 
 
 def occupancy_covariances(
@@ -675,8 +676,8 @@ def occupancy_covariances(
     """Sample covariance of occupation indicators for several vertex pairs,
     sharing one batch of trajectories; jackknife standard errors.  The
     trajectories are the runner's ``occupancy`` blocks on the pairs' sites,
-    drawn in order from ``rng``."""
-    from .runner import _replicates
+    at a master seed drawn from ``rng``."""
+    from .runner import _task_values
 
     reps = check_count(reps, 2)
     pairs = [(check_vertex(a, g.n, f"pairs[{i}]"), check_vertex(b, g.n, f"pairs[{i}]"))
@@ -687,7 +688,7 @@ def occupancy_covariances(
     pos = {v: i for i, v in enumerate(sites)}
     grid = check_grid(t_grid)
     task = {"task": "occupancy", "sites": sites}
-    vals, _ = _replicates(flat_graph(g, convention), task, grid, rng, reps)
+    vals = _task_values(g, convention, task, grid, reps, int(rng.integers(1 << 63)))[2]
     # the indicators follow the cluster count
     ind = vals[..., 1:]
     return {

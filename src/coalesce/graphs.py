@@ -14,6 +14,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from io import StringIO
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     TooLargeForExact,
     ZeroMean,
 )
+from .io import read_text
 
 __all__ = [
     "DegreeDistribution",
@@ -455,9 +457,9 @@ def _int_fields(path, lineno: int, fields: list, count: int) -> list[int]:
 
 
 def read_graph(path) -> Graph:
-    """Read a file written by write_graph; a malformed file raises
-    ParameterOutOfRange naming the path and line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a file written by write_graph; an unreadable or malformed file
+    raises ParameterOutOfRange naming the path (and the line)."""
+    with StringIO(read_text(path)) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "crwgraph" or header[1] != "v1":
             raise ParameterOutOfRange(f"{path}: not a crwgraph v1 file")

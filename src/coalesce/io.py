@@ -1,4 +1,4 @@
-"""CSV and JSON output with byte-stable formatting.
+"""CSV and JSON output with byte-stable formatting, and UTF-8 text input.
 
 Reals are written with 17 significant digits (round-trip exact for float64),
 integers as plain decimals.  Row order is fixed by the callers, so identical
@@ -15,9 +15,11 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
+
 __all__ = [
     "format_cell", "rows_to_csv", "block_csv", "write_csv", "write_csv_chunks",
-    "sha256_text", "write_json",
+    "sha256_text", "write_json", "read_text",
 ]
 
 # the %-conversion that matches format_cell for a numpy dtype kind
@@ -86,6 +88,17 @@ def write_csv_chunks(path, header, chunks) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``.  A file that is missing, cannot be
+    opened or is not UTF-8 raises ParameterOutOfRange naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParameterOutOfRange(f"{path}: cannot read: {reason}") from None
 
 
 def write_json(path, payload) -> None:

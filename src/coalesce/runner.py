@@ -28,8 +28,8 @@ chunk.  The chunks return as finished CSV text, which the calling process
 writes and hashes in block order.
 
 ``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
-run on the same blocks through ``_replicates``, drawn in order from the
-caller's generator.
+read the same blocks through ``_task_values`` at one thread, at a master
+seed they draw from the caller's generator.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from ._flat import check_count, check_grid
-from .config import ExperimentConfig, build_graph, check_sites, load_config
+from .config import _TASK_KINDS, ExperimentConfig, build_graph, check_sites, load_config
 from .crw import _check_connected, _leading_uniforms, _lockstep_crw, _scalar_crw, flat_graph
 from .errors import TaskError
 from .graphs import Graph
@@ -66,8 +66,7 @@ _BLOCK_CELLS = 1 << 19
 # a block narrower than this runs on the scalar engines: a lockstep
 # iteration costs tens of microseconds whatever its width, and in tau_coal
 # the slowest rows run on alone once the others have coalesced
-_SCALAR_BELOW = {"density": 16, "tracked_cluster": 16, "occupancy": 16,
-                 "nhat": 16, "tau_coal": 64}
+_SCALAR_BELOW = {kind: 64 if kind == "tau_coal" else 16 for kind in _TASK_KINDS}
 
 
 def block_rows(n: int) -> int:
@@ -102,8 +101,8 @@ def _pass(flat, task, grid, rngs, count, width):
     (replicate, time, column) or one coalescence time per replicate, and
     the kernels' record, its counters summed over the blocks.  Each
     block's rows are those of a pass over that block alone.  The columns
-    are the task's CSV columns, except that ``nhat`` also carries the
-    indicator that opinion 0 survives, which its CSV leaves out."""
+    are the task's CSV columns, except that ``nhat`` also carries opinion
+    0's cluster size, which its CSV leaves out."""
     kind = task["task"]
     sites = (task.get("sites") or range(flat.n)) if kind == "occupancy" else None
     if width < _SCALAR_BELOW[kind]:
@@ -113,7 +112,7 @@ def _pass(flat, task, grid, rngs, count, width):
     if kind == "tau_coal":
         return rec["tau"], rec
     if kind == "nhat":
-        return np.stack([rec["nhat"], rec["survived_0"]], axis=2), rec
+        return np.stack([rec["nhat"], rec["n_0"]], axis=2), rec
     # xi, then the tracked cluster's size or the occupation indicators
     extra = [rec[k] for k in ("sizes", "occ") if k in rec]
     return np.concatenate([rec["xi"][..., None], *extra], axis=2), rec
@@ -147,18 +146,10 @@ def _lockstep_block(flat, kind, grid, sites, rngs, count, width):
     return _lockstep_crw(flat, rngs, count, grid, labels, sites, kind == "tau_coal", width)
 
 
-def _replicates(flat, task, grid, rng, reps):
-    """``reps`` replicates of ``task`` in blocks of ``block_rows(n)``, all
-    drawn in order from ``rng``: their values stacked as ``_pass`` shapes
-    them, and the summed ``events`` and ``thinning_rejections``."""
-    width = block_rows(flat.n)
-    vals = []
-    tally = Counter(events=0, thinning_rejections=0)
-    for start in range(0, reps, width):
-        v, rec = _pass(flat, task, grid, [rng], min(width, reps - start), width)
-        vals.append(v)
-        tally.update(events=rec["events"], thinning_rejections=rec["thinning_rejections"])
-    return np.concatenate(vals), dict(tally)
+def _csv_values(task, vals):
+    """A task's values without the columns its CSV leaves out: the voter's
+    opinion-0 cluster size."""
+    return vals[..., :1] if task["task"] == "nhat" else vals
 
 
 def _rows(start, grid, vals):
@@ -188,8 +179,6 @@ def _chunk_worker(args):
         rngs = [derive_rng(master_seed, label, k) for k in range(lo, hi)]
         start = lo * width
         vals, rec = _pass(flat, task, grid, rngs, min(hi * width, reps) - start, width)
-        # the voter's opinion-0 survival is not an nhat CSV column
-        vals = vals[..., :1] if task["task"] == "nhat" else vals
         blocks.extend((start + i, vals[i:i + width]) for i in range(0, len(vals), width))
         tally.update(events=rec["events"], blocks=hi - lo,
                      thinning_rejections=rec["thinning_rejections"])
@@ -200,8 +189,9 @@ def _chunk_text(args):
     """A chunk's blocks as CSV text, formatted in the worker, and its
     counters."""
     blocks, tally = _chunk_worker(args)
-    grid = args[2]
-    return "".join(block_csv(start, grid, vals) for start, vals in blocks), tally
+    task, grid = args[1:3]
+    return "".join(block_csv(start, grid, _csv_values(task, vals))
+                   for start, vals in blocks), tally
 
 
 def worker_pool(threads: int):
@@ -309,8 +299,7 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
 def _task_values(graph, convention, task, times, replicates, master_seed,
                  threads=1, pool=None):
     """One task's header, time grid, values (every replicate's, stacked as
-    ``_pass`` shapes them, without the columns its CSV leaves out) and
-    counters, as ``run_task`` describes them."""
+    ``_pass`` shapes them) and counters, as ``run_task`` describes them."""
     check_count(threads, 1, "threads")
     header, grid, _, args_list = _task_chunks(
         graph, convention, task, times, replicates, master_seed, threads
@@ -343,7 +332,7 @@ def run_task(
     header, grid, vals, tally = _task_values(
         graph, convention, task, times, replicates, master_seed, threads, pool
     )
-    return header, _rows(0, grid, vals), tally
+    return header, _rows(0, grid, _csv_values(task, vals)), tally
 
 
 def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:

@@ -5,9 +5,9 @@ The forward engine plays every directed-edge ring, so it is exact pathwise
 and is what all duality gap checks run on.  ``simulate_voter`` plays one
 trajectory on the scalar engine; the experiment runner plays blocks of
 replicates in lockstep, recording the uniform vertex's cluster size and
-opinion 0's survival, and ``duality_gap`` is a view over the runner's
-blocks (``runner._pass``), drawn in order from the caller's generator.
-For large graphs the opinion
+opinion 0's cluster size, and ``duality_gap`` is a view over the runner's
+derived blocks (``runner._task_values`` at one thread), at a master seed
+drawn from the caller's generator.  For large graphs the opinion
 cluster of a uniform vertex can be sampled through the ancestral coalescing
 system instead (equal in law), which is the only practical route at
 thousands of vertices.  The ancestral sampler runs its trajectories in
@@ -62,12 +62,13 @@ def _ancestral_blocks(n: int, trajectories: int) -> list[int]:
 
 
 def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
-    """Forward voter run; returns per-grid cluster sizes and survival flags.
+    """Forward voter run; returns per-grid cluster sizes.
 
-    Records, at each grid time: the cluster size of the current opinion of
-    one uniform vertex, the cluster size of the initial opinion of a second
-    independent uniform vertex (0 when extinct), and survival of opinion 0.
-    Also counts the rings played (``events``); no ring is thinned away.
+    Records, at each grid time: the cluster sizes of one uniform vertex's
+    current opinion, of a second independent uniform vertex's initial
+    opinion and of opinion 0 (``n_0``; 0 when extinct), and the number of
+    opinions left.  Also counts the rings played (``events``); no ring is
+    thinned away.
     """
     n = flat.n
     opinion = list(range(n))
@@ -84,7 +85,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     nhat = np.empty(ngrid, dtype=np.int64)
     n_init = np.empty(ngrid, dtype=np.int64)
     n_distinct = np.empty(ngrid, dtype=np.int64)
-    survived = np.empty(ngrid, dtype=bool)
+    n_0 = np.empty(ngrid, dtype=np.int64)
     alive = n
     clock = 0.0
     events = 0
@@ -96,7 +97,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
             nhat[gi] = counts[opinion[u_hat]]
             n_init[gi] = counts[u_init]
             n_distinct[gi] = alive
-            survived[gi] = counts[0] > 0
+            n_0[gi] = counts[0]
             gi += 1
         if gi == ngrid:
             break
@@ -115,7 +116,7 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
         "nhat": nhat,
         "n_init": n_init,
         "n_distinct": n_distinct,
-        "survived_0": survived,
+        "n_0": n_0,
         "events": events,
         "thinning_rejections": 0,
     }
@@ -124,8 +125,8 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
 def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: int) -> dict:
     """``rows`` forward voter trajectories advanced in lockstep, one ring per
     row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
-    of a uniform vertex's current opinion, and ``survived_0`` (rows, grid),
-    the indicator that opinion 0 is still held somewhere.
+    of a uniform vertex's current opinion, and ``n_0`` (rows, grid), opinion
+    0's cluster size, as ``_voter_once`` does.
 
     The rows run in blocks of ``width`` rows, one generator of ``rngs`` per
     block, only the last block short.  The uniform vertex of row j = k *
@@ -151,7 +152,7 @@ def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: i
     ngrid = len(grid)
     gpad = np.append(np.asarray(grid, dtype=float), np.inf)
     nhat = np.empty((rows, ngrid), dtype=np.int64)
-    survived = np.empty((rows, ngrid), dtype=bool)
+    n_0 = np.empty((rows, ngrid), dtype=np.int64)
     # cell r * n + v: the opinion of voter v, and the voters holding opinion v
     opinion = np.tile(np.arange(n, dtype=state), rows)
     counts = np.ones(rows * n, dtype=state)
@@ -178,7 +179,7 @@ def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: i
                 at, br = (live[rec], g[rec]), b[rec]
                 nhat[at] = counts[br + opinion[u_hat[rec]]]
                 # cell b holds the voters of opinion 0
-                survived[at] = counts[br] > 0
+                n_0[at] = counts[br]
                 g[rec] += 1
                 t_rec[rec] = gpad[g[rec]]
                 rec = rec[t_rec[rec] < t_next[rec]]
@@ -198,7 +199,7 @@ def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: i
         counts[b + oy] -= 1
         counts[b + ox] += 1
         opinion[by] = ox
-    return {"nhat": nhat, "survived_0": survived, "events": events,
+    return {"nhat": nhat, "n_0": n_0, "events": events,
             "thinning_rejections": 0}
 
 
@@ -213,8 +214,8 @@ def simulate_voter(
     Every vertex starts with its own opinion; a ring of (x, y) makes y adopt
     the opinion of x.  Returned arrays match the grid: ``nhat`` is the
     cluster size of a uniform vertex's current opinion, ``n_init`` the size
-    of a uniform initial opinion's cluster (0 once extinct), ``survived_0``
-    the indicator that opinion 0 is still held somewhere.
+    of a uniform initial opinion's cluster (0 once extinct), ``n_distinct``
+    the number of opinions left and ``n_0`` opinion 0's cluster size.
     """
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
@@ -263,7 +264,6 @@ def duality_gap(
     reps: int,
     rng: np.random.Generator,
     convention: str = "per_edge_unit",
-    swap_streams: bool = False,
 ) -> dict:
     """Distributional duality checks at one time, voter side versus
     coalescing side run on independent streams.
@@ -273,28 +273,24 @@ def duality_gap(
     frequency and the occupation frequency of vertex 0, and the gap between
     density and mean inverse cluster count, each with a standard error.
     The three samples are the runner's ``nhat``, ``tracked_cluster`` and
-    ``occupancy`` (site 0) tasks, in that order, each in blocks of
-    ``runner.block_rows(n)`` replicates drawn in order from ``rng``.
-    ``swap_streams`` runs the coalescing side first instead; gaps must stay
-    within tolerance either way.
+    ``occupancy`` (site 0) tasks at one master seed drawn from ``rng``;
+    each task's stream depends only on that seed and the task.
     """
-    from .runner import _replicates
+    from .runner import _task_values
 
     reps = check_count(reps, 2)
     grid = check_grid([t], "t")
-    flat = flat_graph(g, convention)
+    seed = int(rng.integers(1 << 63))
 
     def run(task):
-        return _replicates(flat, task, grid, rng, reps)[0][:, 0]
+        return _task_values(g, convention, task, grid, reps, seed)[2][:, 0]
 
-    kinds = ["nhat", "tracked_cluster"]
-    side = {k: run({"task": k}) for k in (kinds[::-1] if swap_streams else kinds)}
+    # nhat, then opinion 0's cluster size; the cluster count, then the
+    # tracked cluster's size
+    nhat, n_0 = run({"task": "nhat"}).T
+    xi, ncrw = run({"task": "tracked_cluster"}).T
     occ0 = run({"task": "occupancy", "sites": [0]})[:, 1]
-    # nhat, then opinion 0's survival; the cluster count, then the tracked
-    # cluster's size
-    nhat, survived = side["nhat"].T
-    xi, ncrw = side["tracked_cluster"].T
-    p_surv = survived.mean()
+    p_surv = (n_0 > 0).mean()
     p_occ = occ0.mean()
     return {
         **duality_statistics(nhat, ncrw, xi, g.n),
@@ -367,7 +363,9 @@ def size_bias_histogram(nhat_samples, n_init_samples, kmax: int) -> list[dict]:
     """Per-bin comparison of P(nhat = k) with k * P(n_init = k).
 
     The two laws satisfy this identity exactly; the report carries the
-    per-bin difference and its standard error from independent replicates.
+    per-bin difference and its standard error.  The samples are paired by
+    replicate, as when both come from the same runs, and the standard error
+    is that of the per-replicate differences.
     """
     nh = np.asarray(nhat_samples)
     ni = np.asarray(n_init_samples)
@@ -377,6 +375,6 @@ def size_bias_histogram(nhat_samples, n_init_samples, kmax: int) -> list[dict]:
         a = (nh == k).astype(float)
         b = float(k) * (ni == k).astype(float)
         diff = a.mean() - b.mean()
-        se = float(np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / reps))
+        se = float((a - b).std(ddof=1) / np.sqrt(reps))
         out.append({"k": k, "diff": float(diff), "se": se})
     return out

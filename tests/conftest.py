@@ -8,7 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from coalesce import _checks, _flat, chains, verify
-from coalesce._checks import _KINDS as KINDS, IRREGULAR_RATES, _lollipop, run_checks  # noqa: F401
+from coalesce._checks import IRREGULAR_RATES, _lollipop, run_checks  # noqa: F401
+from coalesce.config import _TASK_KINDS as KINDS  # noqa: F401
 from coalesce.chains import _jump_kernel, build_generator, uniformize
 from coalesce.graphs import complete_graph, cycle_graph, path_graph, torus_graph
 from coalesce.meeting import _survival

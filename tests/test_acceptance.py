@@ -2,7 +2,8 @@
 tolerances.  Each test prints a single pass/fail line (run pytest with -s to
 see them inline).  The Monte Carlo statistics and bands of C2-C10 are checks
 of the shared table in ``coalesce._checks``; C5, C6 and C8 read ``verify
-paper``'s own rows."""
+paper``'s own rows, and C3 reads ``verify statistical``'s ``duality_cycle6``
+sampler, the runner's derived blocks, at 20 000 replicates."""
 
 import subprocess
 import sys

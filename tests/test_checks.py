@@ -41,6 +41,16 @@ def test_statistical_z_rows_carry_sigma_one():
     assert all(s == 1.0 or math.isnan(s) for s in sigma.values()), sigma
 
 
+def test_c3_reads_the_duality_rows():
+    # C3 is verify statistical's duality_cycle6 draw at 20 000 replicates,
+    # its scale-4 size, with the size-bias bins beside it
+    c3 = run_checks(["c3_ks", "c3_invN"], 2025)
+    rows = run_checks(["duality_cycle6/ks_nhat_vs_N", "duality_cycle6/z_Pt_vs_invN"], 2025,
+                      scale=4.0)
+    assert c3["c3_ks"].value == rows["duality_cycle6/ks_nhat_vs_N"].value
+    assert c3["c3_invN"].value == rows["duality_cycle6/z_Pt_vs_invN"].value
+
+
 def test_paper_rows_are_its_checks(monkeypatch):
     rows, _, predictions = stubbed_paper_suite(monkeypatch)
     assert [f"{r[0]}/{r[1]}" for r in rows] == suite_names("paper")

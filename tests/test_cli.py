@@ -564,6 +564,65 @@ class TestCliCommands:
         assert sigma["kingman_K8/ks_two_sample"] == "nan"
 
 
+# an input path that cannot be read as UTF-8 text, made under tmp_path
+UNREADABLE = {
+    "missing": lambda tmp: tmp / "absent.json",
+    "directory": lambda tmp: tmp,
+    "not_utf8": lambda tmp: (tmp / "latin1.json", (tmp / "latin1.json").write_bytes(
+        b'{"schema": 1, "outputs": "caf\xe9"}'))[0],
+}
+
+
+class TestUnreadableInputs:
+    """A config or graph file that is missing, a directory or not UTF-8
+    fails with one line naming its path (and ``graph.path`` for a config's
+    graph), not with a raw traceback."""
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_experiment_config(self, tmp_path, capsys, case):
+        path = UNREADABLE[case](tmp_path)
+        assert main(["experiment", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: <file>: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_config_graph_path(self, tmp_path, capsys, case):
+        path = UNREADABLE[case](tmp_path / "in" if case == "directory" else tmp_path)
+        if case == "directory":
+            path.mkdir()
+        cfg = minimal_config(tmp_path / "out")
+        cfg["graph"] = {"path": str(path)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: graph.path: {path}: ") and err.count("\n") == 1
+        with pytest.raises(ConfigError, match="^graph.path: "):
+            run_experiment(validate_config(cfg))
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_exact_graph(self, tmp_path, capsys, case):
+        path = UNREADABLE[case](tmp_path)
+        assert main(["exact", "spectrum", "--graph", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_load_config(self, tmp_path, case):
+        path = UNREADABLE[case](tmp_path)
+        with pytest.raises(ConfigError, match=f"^<file>: {re.escape(str(path))}: "):
+            load_config(path)
+
+
+def test_one_list_of_task_kinds():
+    # the CLI's --task choices and the runner's paths read the config's kinds
+    from coalesce.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    task = next(a for a in sub.choices["simulate"]._actions if a.dest == "task")
+    assert tuple(task.choices) == KINDS == tuple(runner._SCALAR_BELOW)
+
+
 class TestFailurePaths:
     def test_task_error_names_task(self, tmp_path):
         from coalesce.errors import TaskError

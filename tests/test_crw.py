@@ -474,43 +474,55 @@ class TestRunnerLaws:
         assert rows == [] and tally["events"] == 0
 
 
-# graph, convention, grid and replicates (at most one block) per case
+# graph, convention, grid and replicates per case
 ONE_PATH = {
-    "cycle8": (cycle_graph(8), "per_edge_unit", [0.2, 1.0, 3.0], 300),
+    # 2500 replicates are three blocks, run as one lockstep pass
+    "cycle8": (cycle_graph(8), "per_edge_unit", [0.2, 1.0, 3.0], 2500),
     "lollipop": (LOLLIPOP, "per_edge_unit", [0.2, 1.0, 3.0], 300),
     "cycle9_total_unit": (cycle_graph(9), "total_unit", [0.5, 2.0, 5.0], 300),
-    # past 2^15 vertices the 13-row blocks run on the scalar engines
-    "cycle40000": (cycle_graph(40_000), "per_edge_unit", [0.02, 0.05], 13),
+    # past 2^15 vertices blocks of 13, 13 and 4 rows run on the scalar engines
+    "cycle40000": (cycle_graph(40_000), "per_edge_unit", [0.02, 0.05], 30),
 }
 
 
 class TestOnePath:
     """``sample_tau_coal_many``, ``occupancy_covariances`` and
-    ``duality_gap`` are views over ``runner._pass``: on the same generator
-    their values equal one block's, bit for bit."""
+    ``duality_gap`` are views over the runner's derived blocks: each draws
+    one master seed from the caller's generator, and its values equal
+    ``runner._task_values``' at that seed, bit for bit."""
 
     @staticmethod
-    def block(case, task, grid, rng):
-        g, convention, _, reps = ONE_PATH[case]
-        return runner._pass(flat_graph(g, convention), task, grid, [rng], reps,
-                            runner.block_rows(g.n))[0]
+    def master(seed, case):
+        """The master seed a view draws from ``derive_rng(seed, case, 0)``,
+        and that generator's state after the draw."""
+        rng = derive_rng(seed, case, 0)
+        return int(rng.integers(1 << 63)), rng.bit_generator.state
 
+    @staticmethod
+    def values(case, task, grid, master):
+        g, convention, _, reps = ONE_PATH[case]
+        return runner._task_values(g, convention, task, grid, reps, master)[2]
+
+    # coalescence on cycle(40000) takes of order n^2 time
     @pytest.mark.parametrize("case", ["cycle8", "lollipop", "cycle9_total_unit"])
     def test_tau_coal(self, case):
         g, convention, _, reps = ONE_PATH[case]
-        taus = sample_tau_coal_many(g, reps, derive_rng(61, case, 0), convention)
-        ref = self.block(case, {"task": "tau_coal"}, [], derive_rng(61, case, 0))
-        assert np.array_equal(taus, ref)
+        rng = derive_rng(61, case, 0)
+        taus = sample_tau_coal_many(g, reps, rng, convention)
+        master, state = self.master(61, case)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(taus, self.values(case, {"task": "tau_coal"}, [], master))
 
     @pytest.mark.parametrize("case", list(ONE_PATH))
     def test_occupancy(self, case):
         g, convention, times, reps = ONE_PATH[case]
         pairs = [(0, 1), (g.n - 1, 2)]
-        res = occupancy_covariances(g, pairs, times, reps, derive_rng(62, case, 0),
-                                    convention)
+        rng = derive_rng(62, case, 0)
+        res = occupancy_covariances(g, pairs, times, reps, rng, convention)
+        master, state = self.master(62, case)
+        assert rng.bit_generator.state == state
         sites = [0, 1, 2, g.n - 1]
-        vals = self.block(case, {"task": "occupancy", "sites": sites}, times,
-                          derive_rng(62, case, 0))
+        vals = self.values(case, {"task": "occupancy", "sites": sites}, times, master)
         # the indicators follow the cluster count, in site order
         col = {v: 1 + i for i, v in enumerate(sites)}
         for a, b in pairs:
@@ -518,43 +530,42 @@ class TestOnePath:
                 assert res[((a, b), t)] == jackknife_cov(vals[:, i, col[a]],
                                                          vals[:, i, col[b]])
 
-    @pytest.mark.parametrize("swap", [False, True], ids=["voter_first", "crw_first"])
     @pytest.mark.parametrize("case", list(ONE_PATH))
-    def test_duality_sides(self, case, swap):
+    def test_duality_sides(self, case):
         g, convention, times, reps = ONE_PATH[case]
         t = times[-1]
-        res = duality_gap(g, t, reps, derive_rng(63, case, 0), convention,
-                          swap_streams=swap)
         rng = derive_rng(63, case, 0)
-        kinds = ["tracked_cluster", "nhat"] if swap else ["nhat", "tracked_cluster"]
-        side = {k: self.block(case, {"task": k}, [t], rng)[:, 0] for k in kinds}
-        occ0 = self.block(case, {"task": "occupancy", "sites": [0]}, [t], rng)[:, 0, 1]
-        assert np.array_equal(res["nhat"], side["nhat"][:, 0])
-        assert np.array_equal(res["N_samples"], side["tracked_cluster"][:, 1])
-        # the voter block's second column is opinion 0's survival
-        gap = abs(side["nhat"][:, 1].mean() - occ0.mean())
-        assert res["abs_gap_survival_vs_density"] == gap
+        res = duality_gap(g, t, reps, rng, convention)
+        master, state = self.master(63, case)
+        assert rng.bit_generator.state == state
+        # the three tasks share the master seed; their labels part the streams
+        nhat, n_0 = self.values(case, {"task": "nhat"}, [t], master)[:, 0].T
+        crw = self.values(case, {"task": "tracked_cluster"}, [t], master)[:, 0]
+        occ0 = self.values(case, {"task": "occupancy", "sites": [0]}, [t], master)[:, 0, 1]
+        assert np.array_equal(res["nhat"], nhat)
+        assert np.array_equal(res["N_samples"], crw[:, 1])
+        # opinion 0 survives while its cluster is not empty
+        assert res["abs_gap_survival_vs_density"] == abs((n_0 > 0).mean() - occ0.mean())
 
-    def test_blocks_drawn_in_order(self):
-        # past 2^15 vertices: blocks of 13, 13 and 4 rows on the scalar engines
-        g, convention, times, _ = ONE_PATH["cycle40000"]
-        res = occupancy_covariances(g, [(0, 1)], times, 30, derive_rng(64, "order", 0))
-        rng = derive_rng(64, "order", 0)
-        flat = flat_graph(g, convention)
+    @pytest.mark.parametrize("case", ["cycle8", "cycle40000"])
+    def test_blocks_derived_from_master_seed(self, case):
+        # block k draws from (master seed, task label, k) whatever came
+        # before it, on a pass of lockstep blocks or on scalar blocks
+        g, convention, times, reps = ONE_PATH[case]
         task = {"task": "occupancy", "sites": [0, 1]}
-        vals = np.concatenate([runner._pass(flat, task, times, [rng], k, 13)[0]
-                               for k in (13, 13, 4)])
+        res = occupancy_covariances(g, [(0, 1)], times, reps, derive_rng(64, case, 0),
+                                    convention)
+        master, _ = self.master(64, case)
+        flat, width = flat_graph(g, convention), runner.block_rows(g.n)
+        label = runner._task_label(task)
+        vals = np.concatenate([
+            runner._pass(flat, task, times, [derive_rng(master, label, k)],
+                         min(width, reps - start), width)[0]
+            for k, start in enumerate(range(0, reps, width))
+        ])
+        assert len(vals) == reps and reps > 2 * width
         for i, t in enumerate(times):
             assert res[((0, 1), t)] == jackknife_cov(vals[:, i, 1], vals[:, i, 2])
-
-    def test_lockstep_blocks_drawn_in_order(self):
-        g = cycle_graph(8)
-        taus = sample_tau_coal_many(g, 1100, derive_rng(64, "order", 1))
-        rng = derive_rng(64, "order", 1)
-        flat = flat_graph(g, "per_edge_unit")
-        ref = [runner._pass(flat, {"task": "tau_coal"}, [], [rng], k, 1024)[0]
-               for k in (1024, 76)]
-        assert np.array_equal(taus, np.concatenate(ref))
 
 
 C6 = cycle_graph(6)

@@ -347,7 +347,7 @@ class TestGroupedPass:
         for k, (_, got) in enumerate(blocks):
             vals, rec = run_pass(flat, task, grid, [derive_rng(seed, label, k)],
                                  8 if k == 2 else 16, 16)
-            np.testing.assert_array_equal(got, vals[..., :1] if kind == "nhat" else vals)
+            np.testing.assert_array_equal(got, vals)
             ref["events"] += rec["events"]
             ref["thinning_rejections"] += rec["thinning_rejections"]
         assert tally == ref and ref["events"] > 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import checks_pass
+from conftest import KINDS, checks_pass
 
 from coalesce.chains import build_generator
-from coalesce import voter
+from coalesce import runner, voter
 from coalesce.crw import (
     _state_dtype,
     exact_occupancy_density,
@@ -32,7 +32,7 @@ class TestSimulateVoter:
         rec = simulate_voter(C6, [0.0], derive_rng(0, "voter", 0))
         assert rec["nhat"][0] == 1
         assert rec["n_distinct"][0] == 6
-        assert rec["survived_0"][0]
+        assert rec["n_0"][0] == 1
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), True])
     def test_bad_grid_rejected(self, t):
@@ -47,7 +47,7 @@ class TestSimulateVoter:
         assert rec["nhat"].tolist() == [1, 1, 1]
         assert rec["n_init"].tolist() == [1, 1, 1]
         assert rec["n_distinct"].tolist() == [3, 3, 3]
-        assert rec["survived_0"].all()
+        assert rec["n_0"].tolist() == [1, 1, 1]
 
     def test_k2_agreement_probability(self):
         rng = derive_rng(1, "voter", 0)
@@ -70,9 +70,6 @@ class TestSimulateVoter:
 class TestDualityGap:
     def test_cycle4_within_bands(self):
         checks_pass(3, "dual_ks", "dual_survival", "dual_invN")
-
-    def test_seed_swap(self):
-        checks_pass(3, "dual_swap_ks", "dual_swap_invN")
 
     def test_time_zero_ks(self):
         res = duality_gap(C6, 0.0, 500, derive_rng(4, "dual", 0))
@@ -105,8 +102,47 @@ class TestLockstepVoterSurvival:
                                     [derive_rng(65, "survival", 0)], rows, times, rows)
         exact = exact_occupancy_density(build_generator(C6), times)[:, 0]
         for i, p in enumerate(exact):
-            hat = rec["survived_0"][:, i].mean()
+            hat = (rec["n_0"][:, i] > 0).mean()
             assert abs(hat - p) <= 4.5 * np.sqrt(p * (1 - p) / rows), (times[i], hat, p)
+
+
+class TestOpinionZeroColumn:
+    """The runner's nhat values carry, beside the CSV's nhat, opinion 0's
+    cluster size, on the lockstep and the scalar paths alike."""
+
+    @pytest.fixture(autouse=True, params=["lockstep", "scalar"])
+    def path(self, request, monkeypatch):
+        if request.param == "scalar":
+            monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
+
+    @staticmethod
+    def values(g, times, reps, seed):
+        """nhat and opinion 0's cluster size, (replicate, time) each."""
+        vals = runner._task_values(g, "per_edge_unit", {"task": "nhat"}, times, reps,
+                                   seed)[2]
+        return vals[..., 0], vals[..., 1]
+
+    def test_k2_pathwise_and_law(self):
+        # on K2 the voters disagree (nhat 1, opinion 0 held once) until the
+        # first ring, which leaves opinion 0 held twice or not at all, each
+        # with probability (1 - e^{-2t}) / 2
+        reps, t = 20_000, 0.4
+        nhat, n_0 = self.values(path_graph(2), [0.0, t], reps, 66)
+        assert (n_0[:, 0] == 1).all()
+        assert ((n_0 == 1) == (nhat == 1)).all() and set(np.unique(n_0)) <= {0, 1, 2}
+        p = (1 - np.exp(-2 * t)) / 2
+        for k, pk in ((0, p), (1, 1 - 2 * p), (2, p)):
+            hat = (n_0[:, 1] == k).mean()
+            assert abs(hat - pk) <= 4.5 * np.sqrt(pk * (1 - pk) / reps), (k, hat, pk)
+
+    def test_cycle6_martingale(self):
+        # with symmetric rates opinion 0's cluster size is a martingale
+        # from 1; at consensus it is 0 or n
+        nhat, n_0 = self.values(C6, [0.0, 1.0, 3.0], 5000, 67)
+        assert (n_0[:, 0] == 1).all()
+        assert np.isin(n_0[nhat == 6], [0, 6]).all() and (n_0 <= 6).all()
+        for col in n_0[:, 1:].T:
+            assert abs(col.mean() - 1.0) <= 4.5 * col.std(ddof=1) / np.sqrt(len(col))
 
 
 def spy_blocks(monkeypatch):
