@@ -10,8 +10,10 @@ of their suite, named ``<check>/<quantity>``, and
 tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
 rows at scale 1 on one thread, and C3 reads the ``duality_cycle6`` sampler
 of ``verify statistical`` at 20 000 replicates.  ``_values`` and the views
-in ``crw`` and ``voter`` read the runner's derived blocks; of the runner's
-tasks, only the density has a loop of its own, ``estimate_density``.  Only
+in ``crw`` and ``voter`` read the runner's derived blocks, which read their
+variates in one stream layout whichever engine runs them, so a runner law
+is checked once, on the lockstep kernels (``runner_lockstep_*``); of the
+runner's tasks, only the density has a loop of its own, ``estimate_density``.  Only
 the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10) is
 ``mf310_A1`` (the unit test's Monte Carlo alpha) and
 ``paper_torus310/ratio_A1`` (the exact alpha), with two bands.
@@ -422,11 +424,11 @@ def _dual_cycle4(seed, *_):
             "dual_invN": Sample(res["abs_gap_Pt_vs_invNt"] / res["se_Pt_vs_invNt"], 1.0)}
 
 
-def _runner_laws(case, graph, n, convention, times, scalar):
+def _runner_laws(case, graph, n, convention, times):
     """TestRunnerLaws: 20 000 replicates of each task, and at each time the
     z of the density, tracked-cluster, nhat and per-site occupancy means and
-    of P(tau_coal <= t) against the exact oracles.  ``scalar`` runs every
-    block on the scalar engines, which large graphs run on."""
+    of P(tau_coal <= t) against the exact oracles.  The blocks run on the
+    lockstep kernels; the scalar engines give the same rows."""
     @cache
     def refs():
         g = graph()
@@ -438,15 +440,7 @@ def _runner_laws(case, graph, n, convention, times, scalar):
 
     def draw(seed, *_):
         g, reps = graph(), 20_000
-        saved = runner._SCALAR_BELOW
-        if scalar:
-            # every block is narrower than this, so every block runs scalar
-            runner._SCALAR_BELOW = dict.fromkeys(saved, 1 << 20)
-        try:
-            vals = {k: _values(g, k, times, reps, seed, 1, None, convention)
-                    for k in _TASK_KINDS}
-        finally:
-            runner._SCALAR_BELOW = saved
+        vals = {k: _values(g, k, times, reps, seed, 1, None, convention) for k in _TASK_KINDS}
         zs = []
         for i, (occ_exact, e_n, p_one) in enumerate(refs()):
             # each replicate's values at times[i]: the cluster count first
@@ -461,8 +455,7 @@ def _runner_laws(case, graph, n, convention, times, scalar):
             hits = vals["tau_coal"] <= times[i]
             zs.append((hits.mean() - p_one) / math.sqrt(p_one * (1 - p_one) / reps))
         return Sample(float(np.abs(zs).max()), 1.0)
-    return Check(f"runner_{'scalar' if scalar else 'lockstep'}_{case}", draw,
-                 Band("<=", 4.5, count=len(times) * (n + 4)))
+    return Check(f"runner_lockstep_{case}", draw, Band("<=", 4.5, count=len(times) * (n + 4)))
 
 
 # -- verify statistical ----------------------------------------------------
@@ -656,10 +649,8 @@ TABLE = [
     Check("kparticle_cycle3", _cycle3_tau, Band("z", 3.0),
           cache(lambda: exact_k_particle_law(build_generator(cycle_graph(3)), 2, 0.5,
                                              "distinct")["p_coal"])),
-    *(_runner_laws("lollipop", _lollipop, 7, "per_edge_unit", [0.3, 0.8, 2.0], scalar)
-      for scalar in (False, True)),
-    *(_runner_laws("cycle9_total_unit", _cycle9, 9, "total_unit", [0.5, 2.0, 5.0], scalar)
-      for scalar in (False, True)),
+    _runner_laws("lollipop", _lollipop, 7, "per_edge_unit", [0.3, 0.8, 2.0]),
+    _runner_laws("cycle9_total_unit", _cycle9, 9, "total_unit", [0.5, 2.0, 5.0]),
     # tests/test_theory.py
     Check("mf310_A1", _mf310, _MF310, _MF310_CENTRE),
     Check("mf310_A2", _mf310, _MF310, _MF310_CENTRE),

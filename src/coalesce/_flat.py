@@ -51,11 +51,6 @@ class FlatGraph:
         self.r_min = min(self.rate)
         self.regular = len(set(self.rate)) == 1
 
-    def neighbor(self, x: int, u: float) -> int:
-        """Neighbor of x picked by a uniform variate u in [0, 1)."""
-        base = self.off[x]
-        return self.nbr[base + int(u * (self.off[x + 1] - base))]
-
 
 def chain_walk(c):
     """Rate list and neighbor pick of a chain's weighted jump law: target y

@@ -18,7 +18,7 @@ from .graphs import (
     sample_configuration_model,
     write_graph,
 )
-from .io import format_cell, write_csv, write_json
+from .io import format_cell, make_dir, write_csv, write_json
 from .meeting import pairwise_meeting_times
 from .runner import resolve_threads, run_experiment
 from .seeding import derive_rng
@@ -155,6 +155,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     threads = resolve_threads(args.threads)
+    if args.out:
+        # before the suite runs, so a bad path fails at once
+        make_dir(args.out)
     if args.suite == "exact":
         rows, ok = exact_suite(args.seed)
         predictions = None
@@ -170,7 +173,6 @@ def _cmd_verify(args) -> int:
         print(f"{status}  {check:28s} {quantity:22s} value={value:.6g} sigma={sigma:.3g} "
               f"thr={threshold:g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.suite}.csv")
         write_csv(path, SUITE_HEADER, rows)
         print(f"wrote {path}")

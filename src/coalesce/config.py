@@ -7,7 +7,7 @@ loudly instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._flat import check_grid
 from .errors import ConfigError, ParameterOutOfRange
@@ -40,16 +40,7 @@ class ExperimentConfig:
     schema: int = 1
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "graph": self.graph,
-            "rate_convention": self.rate_convention,
-            "times": self.times,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "outputs": self.outputs,
-            "tasks": self.tasks,
-        }
+        return asdict(self)
 
 
 def _expect_keys(obj: dict, path: str, required: dict, optional: dict | None = None):
@@ -59,28 +50,24 @@ def _expect_keys(obj: dict, path: str, required: dict, optional: dict | None = N
     for key in obj:
         if key not in required and key not in optional:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
-    for key, kind in required.items():
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing field")
-        _check_type(obj[key], kind, f"{path}.{key}" if path else key)
-    for key, kind in optional.items():
+    for key, kind in {**required, **optional}.items():
+        at = f"{path}.{key}" if path else key
         if key in obj:
-            _check_type(obj[key], kind, f"{path}.{key}" if path else key)
+            _check_type(obj[key], kind, at)
+        elif key in required:
+            raise ConfigError(at, "missing field")
+
+
+# the Python types and the name of each field kind; an integer is no bool
+_KINDS = {"int": (int, "an integer"), "number": ((int, float), "a number"),
+          "str": (str, "a string"), "list": (list, "a list"), "dict": (dict, "an object"),
+          "bool": (bool, "a boolean")}
 
 
 def _check_type(value, kind, path):
-    if kind == "int" and not (isinstance(value, int) and not isinstance(value, bool)):
-        raise ConfigError(path, "expected an integer")
-    if kind == "number" and not isinstance(value, (int, float)):
-        raise ConfigError(path, "expected a number")
-    if kind == "str" and not isinstance(value, str):
-        raise ConfigError(path, "expected a string")
-    if kind == "list" and not isinstance(value, list):
-        raise ConfigError(path, "expected a list")
-    if kind == "dict" and not isinstance(value, dict):
-        raise ConfigError(path, "expected an object")
-    if kind == "bool" and not isinstance(value, bool):
-        raise ConfigError(path, "expected a boolean")
+    types, name = _KINDS[kind]
+    if not isinstance(value, types) or (kind == "int" and isinstance(value, bool)):
+        raise ConfigError(path, f"expected {name}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

@@ -4,21 +4,20 @@ The Monte Carlo engines realize the directed-edge ring representation from
 every site occupied.  Rings whose source is unoccupied change nothing, so
 each trajectory's clock runs only over its m clusters, and every engine
 thins by one rule: a ring comes at rate r_max * m and picks a uniform
-cluster, at x; on irregular graphs it is kept with probability
+cluster, at x; on irregular graphs it is kept when a uniform u <
 rate(x) / r_max, and a rejected ring changes nothing but the
 ``thinning_rejections`` count.  This is exact for the occupancy process and
 orders of magnitude faster at low density.  The lockstep kernel
-``_lockstep_crw`` gives every trajectory of a pass of blocks, each block
-drawing from its own generator, one ring per numpy iteration; the scalar
-routine ``_scalar_crw`` runs one trajectory in plain Python and returns the
-kernel's record for one row; the two-walker routine ``_flat.walk_pairs``
-runs each walker at r_max the same way, a rejected ring being a stay.
-
+``_lockstep_crw`` gives every trajectory of a pass of blocks one ring per
+numpy iteration; the scalar routine ``_scalar_crw`` runs one trajectory in
+plain Python; the two-walker routine ``_flat.walk_pairs`` runs each walker
+at r_max the same way, a rejected ring being a stay.  A runner block's
+rows read one stream per variate kind in one layout (``_kind_streams``),
+so both engines give them the same values and counters.
 ``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run
-``_scalar_crw``, as do the runner's narrow blocks; ``sample_tau_coal_many``
-and ``occupancy_covariances`` are views over the runner's derived blocks
-(``runner._task_values`` at one thread), at a master seed drawn from the
-caller's generator.
+``_scalar_crw`` on one ``BufferedDraws``; ``sample_tau_coal_many`` and
+``occupancy_covariances`` are views over the runner's derived blocks at a
+master seed drawn from the caller's generator.
 
 The exact subset and (k+1)-walker oracles step with one sparse kernel,
 ``_ring_kernel``, built with no loop from (state, occupied site) pairs.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
 
 import numpy as np
 
@@ -75,70 +75,122 @@ def _state_dtype(n: int) -> type:
     return np.int16 if n < 1 << 15 else np.int32
 
 
-def _leading_uniforms(rngs: list, width: int, rows: int) -> np.ndarray:
-    """``width`` uniforms from each block's generator, laid end to end and
-    cut to ``rows``: row j takes entry j, as in ``_BlockDraws``."""
-    return np.concatenate([rng.random(width) for rng in rngs])[:rows]
+# a block's variate kinds in seeding order: the leading uniforms (a tracked
+# label; the voter's two uniform vertices), clock, slot, thinning, neighbour
+LEAD, EXPO, SLOT, THIN, NBR = range(5)
+# a scalar block draws about this many variates of a kind at a time
+_WINDOW_CELLS = 1 << 16
+
+
+def _kind_streams(rng: np.random.Generator) -> list:
+    """A block's one generator per variate kind, seeded by five draws of
+    its generator ``rng``.  At iteration i, row r of a block of ``width``
+    rows reads entry i * width + r of each kind's stream (its j-th leading
+    uniform is entry j * width + r).  A ring is one iteration and reads one
+    variate of each kind it uses, a rejected ring its neighbour variate
+    too, so a row's variates depend neither on the other rows nor on the
+    engine, ``_BlockDraws`` (lockstep) or ``_scalar_rows`` (scalar)."""
+    return [np.random.Generator(np.random.PCG64(seed))
+            for seed in rng.integers(1 << 63, size=5).tolist()]
+
+
+def _buffered(rng: np.random.Generator, block: int) -> tuple:
+    """The five kinds' callables on one ``BufferedDraws``: the clock reads
+    its exponentials, every other kind its uniforms in call order."""
+    draws = BufferedDraws(rng, block)
+    return draws.u01, draws.expo, draws.u01, draws.u01, draws.u01
 
 
 class _BlockDraws:
     """A lockstep iteration's variates for rows in blocks of ``width``,
-    block k drawing from ``rngs[k]``: one exponential and ``kinds``
-    uniforms per row.  Each block draws ``width`` variates of each kind in
-    turn into its slice of that kind's buffer, so row j = k * width + r
-    takes entry j of each buffer: the variate that block k's draw of
-    ``width`` puts at entry r.  Only the blocks that hold a live row draw."""
+    block k drawing ``width`` of each kind (an exponential, then slot,
+    neighbour and thinning uniforms) from the kind streams of ``rngs[k]``
+    into its slice of that kind's buffer.  Only blocks with a live row draw."""
 
-    def __init__(self, rngs: list, width: int, kinds: int):
-        self.rngs = rngs
+    def __init__(self, rngs: list, width: int):
+        self.width = width
+        self.streams = [_kind_streams(rng) for rng in rngs]
         self.e = np.empty(len(rngs) * width)
-        self.u = np.empty((kinds, len(rngs) * width))
+        self.u = np.empty((3, len(rngs) * width))
         cuts = [slice(k * width, (k + 1) * width) for k in range(len(rngs))]
-        self.e_parts = [self.e[cut] for cut in cuts]
-        # a draw of (kinds, width) fills one kind after another, so a lone
-        # block fills the whole buffer in one call
-        self.u_parts = [[self.u]] if len(rngs) == 1 else [list(self.u[:, cut]) for cut in cuts]
+        self.e_parts = [(s[EXPO], self.e[cut]) for s, cut in zip(self.streams, cuts)]
+        self.u_parts = [[(s[kind], self.u[i, cut]) for i, kind in enumerate((SLOT, NBR, THIN))]
+                        for s, cut in zip(self.streams, cuts)]
         self.starts = np.arange(len(rngs) + 1) * width
         self.active = range(len(rngs))
+
+    def lead(self, rows: int) -> np.ndarray:
+        """The first leading uniform of each of the first ``rows`` rows."""
+        return np.concatenate([s[LEAD].random(self.width) for s in self.streams])[:rows]
 
     def keep(self, live: np.ndarray) -> None:
         """From now on only the blocks holding a row of ``live``, which is
         sorted, draw."""
-        if len(self.rngs) > 1:
+        if len(self.streams) > 1:
             self.active = np.flatnonzero(np.diff(np.searchsorted(live, self.starts))).tolist()
 
     def expo(self, live: np.ndarray) -> np.ndarray:
         """The live rows' exponentials, aligned with ``live``."""
         for k in self.active:
-            self.rngs[k].standard_exponential(out=self.e_parts[k])
+            stream, out = self.e_parts[k]
+            stream.standard_exponential(out=out)
         return self.e if live.size == self.e.size else self.e[live]
 
-    def uniforms(self, live: np.ndarray) -> np.ndarray:
-        """The live rows' uniforms, (kinds, live)."""
+    def uniforms(self, live: np.ndarray, kinds: int) -> np.ndarray:
+        """The live rows' first ``kinds`` uniforms, (kinds, live)."""
         for k in self.active:
-            for part in self.u_parts[k]:
-                self.rngs[k].random(out=part)
+            for stream, out in self.u_parts[k][:kinds]:
+                stream.random(out=out)
+        u = self.u[:kinds]
         # take() gathers columns several times faster than u[:, live]
-        return self.u if live.size == self.u.shape[1] else self.u.take(live, axis=1)
+        return u if live.size == u.shape[1] else u.take(live, axis=1)
+
+
+def _scalar_rows(rngs: list, width: int, rows: int, start) -> list:
+    """The records of ``rows`` rows in blocks of ``width``, block k drawing
+    from ``rngs[k]``, each run by the scalar routine ``start(draws,
+    window)``.  A block's rows run interleaved, ``window`` rings at a time,
+    so each kind's variates for a window are drawn once, (window, width),
+    and row r reads column r as a list; only the last window is kept."""
+    window = max(1, _WINDOW_CELLS // width)
+    recs = []
+    for first, rng in zip(range(0, rows, width), rngs):
+        streams = _kind_streams(rng)
+        fills = [s.standard_exponential if kind == EXPO else s.random
+                 for kind, s in enumerate(streams)]
+        drawn = {}
+
+        def column(kind, r, fills=fills, drawn=drawn):
+            for c in count():
+                if drawn.get(kind, (-1,))[0] != c:
+                    drawn[kind] = c, fills[kind]((window, width))
+                yield drawn[kind][1][:, r].tolist()
+
+        lead = fills[LEAD]((2, width))
+        runs = [start((iter(lead[:, r].tolist()).__next__,
+                       *(chain.from_iterable(column(kind, r)).__next__
+                         for kind in (EXPO, SLOT, THIN, NBR))), window)
+                for r in range(min(width, rows - first))]
+        done = [None] * len(runs)
+        while None in done:
+            done = [rec if rec is not None else next(run) for rec, run in zip(done, runs)]
+        recs += done
+    return recs
 
 
 def _lockstep_crw(
     flat: FlatGraph,
-    rngs: list,
+    draws: _BlockDraws,
     rows: int,
     grid: list,
     labels: np.ndarray | None = None,
     sites=None,
     to_one: bool = False,
-    width: int | None = None,
 ) -> dict:
     """``rows`` independent coalescing-walk trajectories from every site
-    occupied, all advanced in lockstep.
+    occupied, all advanced in lockstep, one ring per row per iteration.
 
-    Each iteration gives every live row one ring of its clock at rate
-    r_max * m; on irregular graphs the ring is kept with probability
-    rate(x) / r_max, which is exact for the occupancy process.  At each
-    grid time the kernel records the cluster count ``xi`` (rows, grid); with
+    At each grid time the kernel records the cluster count ``xi`` (rows, grid); with
     ``labels`` of shape (rows, d), the sizes of the clusters holding those
     initial sites (rows, grid, d); with ``sites``, their occupation
     indicators (rows, grid, sites).  With ``to_one`` the grid is ignored and
@@ -152,25 +204,15 @@ def _lockstep_crw(
     y's; when y was occupied the slot is dropped and the last slot fills
     its hole.  Labels are followed by site, so no union-find is needed.
 
-    The rows run in blocks of ``width`` rows (``rows`` when None), one
-    generator of ``rngs`` per block, and only the last block may be short:
-    row j = k * width + r belongs to block k.  On each iteration every block
-    that still has live rows draws ``width`` variates of each kind from its
-    own generator, and row j takes entry j of the blocks' draws laid end to
-    end, that is entry r of its block's draws.  A row's variates therefore
-    depend neither on the other rows nor on the other blocks: a block
-    holding only the first rows of a wider block reproduces them exactly,
-    and a pass of several blocks gives each block's rows and counters as a
-    call on that block alone would.
+    The rows read ``draws``, a ``_BlockDraws``, so a row's values depend
+    only on its block's streams: a pass of blocks gives each block's rows
+    and counters as the block alone, or ``_scalar_crw``, would.
 
-    The state arrays ``loc``, ``size`` and ``nbr`` and the label sites hold
-    values in 0..n, so they are stored as ``_state_dtype(n)`` (int16 below
-    2^15 vertices), which halves the memory traffic of the gathers and
-    scatters; index arithmetic (row offset plus slot or site) is done in
-    int64.  The draws and picks are the same at any state type.
+    The state arrays ``loc``, ``size`` and ``nbr`` and the label sites are
+    stored as ``_state_dtype(n)``, which halves the memory traffic of the
+    gathers and scatters; index arithmetic is done in int64.
     """
     n = flat.n
-    width = rows if width is None else width
     state = _state_dtype(n)
     off = np.asarray(flat.off[:-1], dtype=np.int64)
     deg = np.asarray(flat.deg, dtype=np.int64)
@@ -178,7 +220,7 @@ def _lockstep_crw(
     nbr = np.asarray(flat.nbr + [0], dtype=state)
     keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
     # regular graphs keep every ring, so they need no thinning variate
-    draws = _BlockDraws(rngs, width, 2 if keep is None else 3)
+    kinds = 2 if keep is None else 3
     ngrid = 0 if to_one else len(grid)
     # the grid padded with a time never reached
     gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
@@ -238,7 +280,7 @@ def _lockstep_crw(
                     break
                 draws.keep(live)
         clock = t_next
-        u = draws.uniforms(live)
+        u = draws.uniforms(live, kinds)
         bi = b + (u[0] * m).astype(np.int64)
         xs = loc[bi]
         # gathers run faster on an intp index than on a 16-bit one
@@ -278,34 +320,33 @@ def _lockstep_crw(
 
 def _scalar_crw(
     flat: FlatGraph,
-    draws: BufferedDraws,
+    draws: tuple,
     grid: list,
     labels=None,
     sites=None,
     to_one: bool = False,
-) -> dict:
-    """One coalescing-walk trajectory from every site occupied, drawing from
-    ``draws``: ``_lockstep_crw``'s record for one row.
-
-    Records at each grid time the cluster count ``xi`` (grid); with
-    ``labels``, a list of initial sites, the sizes of the clusters holding
-    them (grid, labels); with ``sites``, their occupation indicators (grid,
-    sites).  With ``to_one`` the grid is ignored and ``tau`` is the time one
-    cluster is left; the graph must then be connected.  Also returns the
-    kept rings (``events``) and the rejected ones
-    (``thinning_rejections``).
+    window: int = 0,
+):
+    """One coalescing-walk trajectory from every site occupied: a generator
+    that yields ``_lockstep_crw``'s record for one row (``labels`` a list,
+    the grid axis first), after a None before every ring c * ``window``,
+    c >= 1, when ``window`` is set.  ``draws`` holds one zero-argument
+    callable per variate kind, in ``_kind_streams``' order; the leading one
+    goes unread.
 
     Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
     site back to its slot (-1 when empty).  A ring comes after Exp / (r_max
     * m), picks a uniform slot, its site x, then on an irregular graph is
-    kept with probability rate(x) / r_max, then picks a neighbour y of x.
-    When y is occupied the cluster at x joins it and the last slot fills
-    the hole; each label follows its cluster's slot.
+    kept when a uniform u < rate(x) / r_max, then picks a neighbour y of x
+    (a rejected ring reads that variate too).  When y is occupied the
+    cluster at x joins it and the last slot fills the hole; each label
+    follows its cluster's slot.
     """
-    n, r_max, rate = flat.n, flat.r_max, flat.rate
+    n, r_max = flat.n, flat.r_max
     off, nbr, deg = flat.off, flat.nbr, flat.deg
     thin = not flat.regular
-    expo, u01 = draws.expo, draws.u01
+    keep = [r / r_max for r in flat.rate] if thin else None
+    _, expo, slot, thin_u, nbr_u = draws
     inf = float("inf")
     m = n
     loc = list(range(n))
@@ -333,12 +374,16 @@ def _scalar_crw(
     clock = 0.0
     gi = 0
     t_rec = gpad[0]
-    events = rejections = 0
+    rings = rejections = 0
+    pause = window or -1
     while True:
         if m == still:
             # no ring left changes what is recorded: the state holds
             t_next = inf
         else:
+            if rings == pause:
+                yield None
+                pause += window
             t_next = clock + expo() / (r_max * m)
         if t_rec < t_next:
             while t_rec < t_next:
@@ -354,13 +399,14 @@ def _scalar_crw(
         if t_next == inf:
             break
         clock = t_next
-        i = int(u01() * m)
+        rings += 1
+        i = int(slot() * m)
         x = loc[i]
-        if thin and u01() * r_max >= rate[x]:
+        if thin and thin_u() >= keep[x]:
+            nbr_u()
             rejections += 1
             continue
-        y = nbr[off[x] + int(u01() * deg[x])]
-        events += 1
+        y = nbr[off[x] + int(nbr_u() * deg[x])]
         j = at_site[y]
         at_site[x] = -1
         if j < 0:
@@ -379,9 +425,9 @@ def _scalar_crw(
                 track = [i if s == m else s for s in track]
     if to_one:
         out["tau"] = clock
-    out["events"] = events
+    out["events"] = rings - rejections
     out["thinning_rejections"] = rejections
-    return out
+    yield out
 
 
 def simulate_crw(
@@ -407,15 +453,15 @@ def simulate_crw(
     if site_list is not None:
         site_list = [check_vertex(v, g.n, f"site_list[{j}]") for j, v in enumerate(site_list)]
     flat = flat_graph(g, convention)
-    draws = BufferedDraws(rng, block=1024)
+    draws = _buffered(rng, 1024)
     labels = sites = None
     if track == "tracked_cluster":
         # the tracked particle comes first from the replicate stream so
         # density and cluster observables share one trajectory without bias
-        labels = [int(draws.u01() * flat.n)]
+        labels = [int(draws[LEAD]() * flat.n)]
     elif track == "occupancy":
         sites = range(flat.n) if site_list is None else site_list
-    rec = _scalar_crw(flat, draws, grid, labels, sites)
+    rec = next(_scalar_crw(flat, draws, grid, labels, sites))
     out = {"t": np.array(grid), "xi_size": rec["xi"], "events": rec["events"],
            "thinning_rejections": rec["thinning_rejections"]}
     if labels is not None:
@@ -453,8 +499,8 @@ def estimate_density(
     reps = check_count(reps, 2)
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
-    draws = BufferedDraws(rng, block=1 << 16)
-    xi = np.array([_scalar_crw(flat, draws, grid)["xi"] for _ in range(reps)],
+    draws = _buffered(rng, 1 << 16)
+    xi = np.array([next(_scalar_crw(flat, draws, grid))["xi"] for _ in range(reps)],
                   dtype=float)
     mean_xi = xi.mean(axis=0)
     var_xi = xi.var(axis=0, ddof=1)
@@ -647,7 +693,7 @@ def sample_tau_coal(
     if g.n == 1:
         return 0.0
     flat = flat_graph(g, convention)
-    return _scalar_crw(flat, BufferedDraws(rng, block=1024), [], to_one=True)["tau"]
+    return next(_scalar_crw(flat, _buffered(rng, 1024), [], to_one=True))["tau"]
 
 
 def sample_tau_coal_many(

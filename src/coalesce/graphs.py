@@ -382,13 +382,15 @@ def torus_graph(d: int, L: int) -> Graph:
 
 
 def hypercube_graph(d: int) -> Graph:
+    """d-dimensional hypercube on the bit strings 0..2^d - 1."""
     if d < 1:
         raise ParameterOutOfRange("hypercube needs d >= 1")
     n = 1 << d
-    edges = [
-        (v, v ^ (1 << j)) for v in range(n) for j in range(d) if v < v ^ (1 << j)
-    ]
-    return Graph.from_edges(n, edges, family=("hypercube", d))
+    # each vertex to its neighbour across every axis, each edge once
+    v = np.repeat(np.arange(n), d)
+    w = v ^ np.tile(1 << np.arange(d), n)
+    up = v < w
+    return Graph.from_edges(n, np.column_stack((v[up], w[up])), family=("hypercube", d))
 
 
 # the vertex-transitive families: builder and parameter count

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from itertools import chain
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ParameterOutOfRange
 
 __all__ = [
     "format_cell", "rows_to_csv", "block_csv", "write_csv", "write_csv_chunks",
-    "sha256_text", "write_json", "read_text",
+    "sha256_text", "write_json", "read_text", "make_dir",
 ]
 
 # the %-conversion that matches format_cell for a numpy dtype kind
@@ -99,6 +100,15 @@ def read_text(path) -> str:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ParameterOutOfRange(f"{path}: cannot read: {reason}") from None
+
+
+def make_dir(path) -> None:
+    """Make the output directory ``path``; a path that cannot be one raises
+    ParameterOutOfRange naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ParameterOutOfRange(f"{path}: cannot make directory: {exc.strerror or exc}") from None
 
 
 def write_json(path, payload) -> None:

@@ -1,21 +1,18 @@
-"""Experiment execution: block-seeded lockstep replicates.
+"""Experiment execution: block-seeded replicates.
 
 A task's replicates run in fixed-size blocks whose size depends only on the
 vertex count.  Block k draws from one generator derived from
-(master_seed, task label, k), and the lockstep kernels draw each
-iteration's variates at the nominal block size, row r of a block taking
-entry r.  A chunk's blocks run together as one lockstep pass, one
-generator per block, in passes of at most ``_BLOCK_CELLS`` state cells, so
-on graphs of 512 vertices or more a pass holds one block.  A replicate's
-row therefore depends only on its index: rows are identical whatever the
-worker count (worker chunks are whole blocks), extending ``replicates``
-keeps the earlier rows, and adding tasks to a config never perturbs the
-streams of existing ones.  On large graphs the blocks are too narrow for
-lockstep iterations to pay, and a block's replicates run one after another
-on the scalar routines (``crw._scalar_crw``, ``voter._voter_once``),
-drawing in turn from the block's stream, which keeps the same guarantees;
-their records are stacked into the lockstep kernels' record, so ``_pass``
-builds a pass's values one way for both paths.  Rows are assembled
+(master_seed, task label, k), which seeds its variate streams
+(``crw._kind_streams``).  A chunk's blocks run together as one pass, of at
+most ``_BLOCK_CELLS`` state cells (one block from 512 vertices).  A
+replicate's row therefore depends only on its index: rows are identical
+whatever the worker count (worker chunks are whole blocks), extending
+``replicates`` keeps the earlier rows, and adding tasks to a config never
+perturbs the streams of existing ones.  A block runs on the lockstep
+kernels or, when too narrow for lockstep iterations to pay (on large
+graphs), on the scalar routines, whose records ``_pass`` stacks into the
+kernels' one; both engines give the same rows and counters, so
+``_SCALAR_BELOW`` is a choice of speed alone.  Rows are assembled
 replicate-major, time-minor.
 
 ``threads`` counts the calling process: a task's blocks are cut into about
@@ -46,11 +43,12 @@ import numpy as np
 from . import __version__
 from ._flat import check_count, check_grid
 from .config import _TASK_KINDS, ExperimentConfig, build_graph, check_sites, load_config
-from .crw import _check_connected, _leading_uniforms, _lockstep_crw, _scalar_crw, flat_graph
+from .crw import (LEAD, _BlockDraws, _check_connected, _lockstep_crw, _scalar_crw,
+                  _scalar_rows, flat_graph)
 from .errors import TaskError
 from .graphs import Graph
-from .io import block_csv, sha256_text, write_csv_chunks, write_json
-from .seeding import BufferedDraws, derive_rng
+from .io import block_csv, make_dir, sha256_text, write_csv_chunks, write_json
+from .seeding import derive_rng
 from .voter import _lockstep_voter, _voter_once
 
 __all__ = [
@@ -63,9 +61,10 @@ _BLOCK_CAP = 1024
 # and on large graphs a block holds about this many state cells, the most
 # a lockstep pass of several blocks holds on small ones
 _BLOCK_CELLS = 1 << 19
-# a block narrower than this runs on the scalar engines: a lockstep
-# iteration costs tens of microseconds whatever its width, and in tau_coal
-# the slowest rows run on alone once the others have coalesced
+# a block narrower than this runs on the scalar engines, which give the
+# same rows: a lockstep iteration costs tens of microseconds whatever its
+# width, and in tau_coal the slowest rows run on alone once the others have
+# coalesced
 _SCALAR_BELOW = {kind: 64 if kind == "tau_coal" else 16 for kind in _TASK_KINDS}
 
 
@@ -99,51 +98,37 @@ def _pass(flat, task, grid, rngs, count, width):
     """``count`` replicates in blocks of ``width``, block k drawing from
     ``rngs[k]`` and only the last block short: their values, shaped
     (replicate, time, column) or one coalescence time per replicate, and
-    the kernels' record, its counters summed over the blocks.  Each
-    block's rows are those of a pass over that block alone.  The columns
-    are the task's CSV columns, except that ``nhat`` also carries opinion
-    0's cluster size, which its CSV leaves out."""
+    the kernels' record, counters summed; each block's rows are those of
+    the block alone, on either engine.  The columns are the task's CSV
+    columns, and ``nhat`` also opinion 0's cluster size."""
     kind = task["task"]
     sites = (task.get("sites") or range(flat.n)) if kind == "occupancy" else None
+    to_one, track = kind == "tau_coal", kind == "tracked_cluster"
     if width < _SCALAR_BELOW[kind]:
-        rec = _scalar_block(flat, kind, grid, sites, rngs, count, width)
+        def start(draws, window):
+            if kind == "nhat":
+                return _voter_once(flat, draws, grid, window)
+            # the tracked particle is the row's leading uniform
+            labels = [int(draws[LEAD]() * flat.n)] if track else None
+            return _scalar_crw(flat, draws, grid, labels, sites, to_one, window)
+
+        # the rows' records stacked into the lockstep kernels' record
+        recs = _scalar_rows(rngs, width, count, start)
+        rec = {key: sum(r[key] for r in recs) if key in ("events", "thinning_rejections")
+               else np.stack([r[key] for r in recs]) for key in recs[0]}
+    elif kind == "nhat":
+        rec = _lockstep_voter(flat, _BlockDraws(rngs, width), count, grid)
     else:
-        rec = _lockstep_block(flat, kind, grid, sites, rngs, count, width)
-    if kind == "tau_coal":
+        draws = _BlockDraws(rngs, width)
+        labels = (draws.lead(count) * flat.n).astype(int)[:, None] if track else None
+        rec = _lockstep_crw(flat, draws, count, grid, labels, sites, to_one)
+    if to_one:
         return rec["tau"], rec
     if kind == "nhat":
         return np.stack([rec["nhat"], rec["n_0"]], axis=2), rec
     # xi, then the tracked cluster's size or the occupation indicators
     extra = [rec[k] for k in ("sizes", "occ") if k in rec]
     return np.concatenate([rec["xi"][..., None], *extra], axis=2), rec
-
-
-def _scalar_block(flat, kind, grid, sites, rngs, count, width):
-    """The blocks' replicates one after another on the scalar routines, a
-    block's drawing in turn from its stream, stacked into the lockstep
-    kernels' record: arrays key by key, counters summed."""
-    recs = []
-    for start, rng in zip(range(0, count, width), rngs):
-        draws = BufferedDraws(rng, block=4096)
-        for _ in range(min(width, count - start)):
-            if kind == "nhat":
-                recs.append(_voter_once(flat, draws, grid))
-                continue
-            # the tracked particle comes first from the replicate's draws
-            labels = [int(draws.u01() * flat.n)] if kind == "tracked_cluster" else None
-            recs.append(_scalar_crw(flat, draws, grid, labels, sites, kind == "tau_coal"))
-    return {key: sum(r[key] for r in recs) if key in ("events", "thinning_rejections")
-            else np.stack([r[key] for r in recs]) for key in recs[0]}
-
-
-def _lockstep_block(flat, kind, grid, sites, rngs, count, width):
-    if kind == "nhat":
-        return _lockstep_voter(flat, rngs, count, grid, width)
-    labels = None
-    if kind == "tracked_cluster":
-        # the tracked particle comes first from each block's stream
-        labels = (_leading_uniforms(rngs, width, count) * flat.n).astype(int)[:, None]
-    return _lockstep_crw(flat, rngs, count, grid, labels, sites, kind == "tau_coal", width)
 
 
 def _csv_values(task, vals):
@@ -350,7 +335,7 @@ def run_experiment(config, threads: int | None = None, out_dir=None) -> dict:
         config = load_config(config)
     threads = resolve_threads(threads)
     out = out_dir if out_dir is not None else config.outputs
-    os.makedirs(out, exist_ok=True)
+    make_dir(out)
     graph = build_graph(config.graph, config.master_seed)
     check_sites(config.tasks, graph.n)
     config_digest = sha256_text(json.dumps(config.as_dict(), sort_keys=True))

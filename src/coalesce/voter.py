@@ -3,20 +3,17 @@ cluster sizes to coalescing-walk quantities.
 
 The forward engine plays every directed-edge ring, so it is exact pathwise
 and is what all duality gap checks run on.  ``simulate_voter`` plays one
-trajectory on the scalar engine; the experiment runner plays blocks of
-replicates in lockstep, recording the uniform vertex's cluster size and
-opinion 0's cluster size, and ``duality_gap`` is a view over the runner's
-derived blocks (``runner._task_values`` at one thread), at a master seed
-drawn from the caller's generator.  For large graphs the opinion
-cluster of a uniform vertex can be sampled through the ancestral coalescing
-system instead (equal in law), which is the only practical route at
-thousands of vertices.  The ancestral sampler runs its trajectories in
-lockstep, one ring per trajectory per numpy iteration, in as few equal
-blocks as a byte budget on the kernel's 16-bit (32-bit from 2^15 vertices)
-state allows, and follows each tracked label's site through moves and
-merges, reading its cluster size from the kernel's per-site sizes, instead
-of keeping a union-find.  Both lockstep kernels keep their per-site and
-per-slot state in ``crw._state_dtype(n)``.
+trajectory on the scalar engine; the runner plays blocks of replicates,
+recording the uniform vertex's and opinion 0's cluster sizes, on the
+lockstep kernel (``_lockstep_voter``) or the scalar one (``_voter_once``),
+which read the one stream layout of ``crw._kind_streams`` and give the
+same rows.  ``duality_gap`` is a view over the runner's derived blocks at
+a master seed drawn from the caller's generator.  For large graphs the
+opinion cluster of a uniform vertex can be sampled through the ancestral
+coalescing system instead (equal in law), which is the only practical
+route at thousands of vertices: the sampler runs ``crw._lockstep_crw`` in
+as few equal blocks as a byte budget on its state allows and reads each
+tracked label's cluster size from the kernel's per-site sizes.
 """
 
 from __future__ import annotations
@@ -26,9 +23,8 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_count, check_grid
-from .crw import _BlockDraws, _leading_uniforms, _lockstep_crw, _state_dtype, flat_graph
+from .crw import _BlockDraws, _buffered, _lockstep_crw, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
-from .seeding import BufferedDraws
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
 from .graphs import Graph
 
@@ -61,26 +57,22 @@ def _ancestral_blocks(n: int, trajectories: int) -> list[int]:
     return [base + 1] * extra + [base] * (count - extra)
 
 
-def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
-    """Forward voter run; returns per-grid cluster sizes.
-
-    Records, at each grid time: the cluster sizes of one uniform vertex's
-    current opinion, of a second independent uniform vertex's initial
-    opinion and of opinion 0 (``n_0``; 0 when extinct), and the number of
-    opinions left.  Also counts the rings played (``events``); no ring is
-    thinned away.
+def _voter_once(flat: FlatGraph, draws: tuple, grid: list, window: int = 0):
+    """Forward voter run, drawing and pausing as ``crw._scalar_crw`` does;
+    its record holds, at each grid time, the cluster sizes of one uniform
+    vertex's current opinion, of a second one's initial opinion (the first
+    and second leading uniforms) and of opinion 0 (``n_0``; 0 when
+    extinct), and the number of opinions left, with the rings played
+    (``events``); no ring is thinned away.
     """
-    n = flat.n
+    lead, expo, slot, _, nbr_u = draws
+    n, off, nbr, deg = flat.n, flat.off, flat.nbr, flat.deg
     opinion = list(range(n))
     counts = [1] * n  # live voters per initial opinion
-    cum = []
-    acc = 0.0
-    for r in flat.rate:
-        acc += r
-        cum.append(acc)
-    total = acc
-    u_hat = int(draws.u01() * n)
-    u_init = int(draws.u01() * n)
+    cum = np.cumsum(flat.rate).tolist()
+    total = cum[-1]
+    u_hat = int(lead() * n)
+    u_init = int(lead() * n)
     ngrid = len(grid)
     nhat = np.empty(ngrid, dtype=np.int64)
     n_init = np.empty(ngrid, dtype=np.int64)
@@ -90,9 +82,13 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
     clock = 0.0
     events = 0
     gi = 0
+    pause = window or -1
     while gi < ngrid:
+        if events == pause:
+            yield None
+            pause += window
         # with no edges nothing ever rings: the state is frozen
-        t_next = clock + draws.expo() / total if total > 0.0 else float("inf")
+        t_next = clock + expo() / total if total > 0.0 else float("inf")
         while gi < ngrid and grid[gi] < t_next:
             nhat[gi] = counts[opinion[u_hat]]
             n_init[gi] = counts[u_init]
@@ -103,8 +99,8 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
             break
         clock = t_next
         events += 1
-        x = bisect_right(cum, draws.u01() * total)
-        y = flat.neighbor(x, draws.u01())
+        x = bisect_right(cum, slot() * total)
+        y = nbr[off[x] + int(nbr_u() * deg[x])]
         ox, oy = opinion[x], opinion[y]
         if ox != oy:
             counts[oy] -= 1
@@ -112,35 +108,21 @@ def _voter_once(flat: FlatGraph, draws: BufferedDraws, grid: list) -> dict:
                 alive -= 1
             counts[ox] += 1
             opinion[y] = ox
-    return {
-        "nhat": nhat,
-        "n_init": n_init,
-        "n_distinct": n_distinct,
-        "n_0": n_0,
-        "events": events,
-        "thinning_rejections": 0,
-    }
+    yield {"nhat": nhat, "n_init": n_init, "n_distinct": n_distinct, "n_0": n_0,
+           "events": events, "thinning_rejections": 0}
 
 
-def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: int) -> dict:
+def _lockstep_voter(flat: FlatGraph, draws: _BlockDraws, rows: int, grid: list) -> dict:
     """``rows`` forward voter trajectories advanced in lockstep, one ring per
     row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
     of a uniform vertex's current opinion, and ``n_0`` (rows, grid), opinion
     0's cluster size, as ``_voter_once`` does.
 
-    The rows run in blocks of ``width`` rows, one generator of ``rngs`` per
-    block, only the last block short.  The uniform vertex of row j = k *
-    width + r is entry r of ``width`` uniforms drawn first from block k's
-    generator.  On each iteration every block that still has live rows draws
-    ``width`` variates of each kind from its own generator, and row j takes
-    entry r of its block's draws, so a row depends neither on the other rows
-    nor on the other blocks, as in ``crw._lockstep_crw``.
-
-    The ring source x is picked in proportion to its rate by a search on the
-    cumulative rates, then a neighbor y of x adopts the opinion of x.
-    Also returns the ring count (``events``); no ring is thinned away.
-    ``opinion``, ``counts`` and ``nbr`` hold values in 0..n and are stored
-    as ``_state_dtype(n)``, as in ``crw._lockstep_crw``.
+    The rows read ``draws`` as in ``crw._lockstep_crw``.  The ring source
+    x is picked in proportion to its rate by a search on the cumulative
+    rates, then a neighbor y of x adopts the opinion of x.  Also returns
+    the ring count (``events``); no ring is thinned away.  The state is
+    stored as ``_state_dtype(n)``.
     """
     n = flat.n
     state = _state_dtype(n)
@@ -157,8 +139,7 @@ def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: i
     opinion = np.tile(np.arange(n, dtype=state), rows)
     counts = np.ones(rows * n, dtype=state)
     # per live row, kept aligned with `live`; with an empty grid no row runs
-    u_hat = (_leading_uniforms(rngs, width, rows) * n).astype(np.int64)
-    draws = _BlockDraws(rngs, width, 2)
+    u_hat = (draws.lead(rows) * n).astype(np.int64)
     live = np.arange(rows if ngrid else 0)
     b = live * n
     u_hat = b + u_hat[live]
@@ -190,7 +171,7 @@ def _lockstep_voter(flat: FlatGraph, rngs: list, rows: int, grid: list, width: i
                 break
             draws.keep(live)
         clock = t_next
-        u = draws.uniforms(live)
+        u = draws.uniforms(live, 2)
         x = np.searchsorted(cum, u[0] * total, side="right")
         by = b + nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
         ox = opinion[b + x]
@@ -219,7 +200,7 @@ def simulate_voter(
     """
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
-    out = _voter_once(flat, BufferedDraws(rng, block=1024), grid)
+    out = next(_voter_once(flat, _buffered(rng, 1024), grid))
     out["t"] = np.array(grid)
     return out
 
@@ -240,7 +221,8 @@ def sample_nhat_ancestral(
     draws (correlated within a trajectory, exact in law individually).
     Trajectories run in lockstep in as few equal blocks as a 4 MB budget
     per state array allows (``_ancestral_blocks``), so the block layout,
-    and with it the stream, depends on n and on ``trajectories``.
+    and with it the stream, depends on n and on ``trajectories``.  Each
+    block draws its labels, then its ring streams' seeds, from ``rng``.
     """
     trajectories = check_count(trajectories, 1, "trajectories")
     draws_per_trajectory = check_count(draws_per_trajectory, 1, "draws_per_trajectory")
@@ -252,7 +234,7 @@ def sample_nhat_ancestral(
         # labels are independent of the dynamics, so drawing them first
         # gives the same law as picking them at time t
         labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
-        rec = _lockstep_crw(flat, [rng], block, [t], labels)
+        rec = _lockstep_crw(flat, _BlockDraws([rng], block), block, [t], labels)
         out[start:start + block] = rec["sizes"][:, 0]
         start += block
     return out.reshape(-1)

@@ -13,7 +13,7 @@ import pytest
 from conftest import KINDS, LOLLIPOP, stubbed_paper_suite
 
 import coalesce
-from coalesce import runner, verify
+from coalesce import cli, runner, verify
 from coalesce.cli import main
 from coalesce.config import load_config, validate_config
 from coalesce.errors import ConfigError, NotConnected, ParameterOutOfRange, TaskError
@@ -257,14 +257,14 @@ class TestGoldenDigests:
     picks or state updates shows here, at one worker and at two."""
 
     CYCLE8 = {
-        "density": "5f7c4a7567233962ea604aa587c4e34f37ce58782e36460d4bb0d812e842d621",
-        "tracked_cluster": "fbbb52f8711a5dbac5eca7dc69c336a97cee0f0d6b9f181af5ecd4b3053d04e4",
-        "occupancy": "b3460ecefb27f21542afe114b4b8c38f2d3b45aa52393b56fc971b3de3b6dee5",
-        "nhat": "7d1af52d8a4535b5ab072891e9b7770a0dc0bb67f788a1a4170b8bea7bc253cc",
-        "tau_coal": "cb64ea00a68b3fb18d6630bc2a08da335ccdad95997faf667822a7f611fe2bf1",
+        "density": "3c2c90d63aeb23eddc2b5eaa97da811b0e07036705a3e76f330550a1a9f8299d",
+        "tracked_cluster": "aac7338ed33bb52b06a0f5514e093baf8bdfcfd605e60d5eae63ec974751053f",
+        "occupancy": "cad3bb195e43d32edf1ce1d3e96d2ab42cc4e4296281e7634b49fc048d75ddbe",
+        "nhat": "d3da0d07f14bc9cb151ae8382ecd64f051f979263c928fc9c96837e8855c4fa9",
+        "tau_coal": "f94d1bb32d365f9d837624cb7ccbda322eaf7ba95b24a4be49ecdabab7a18c04",
     }
     # one lockstep density block of 30 rows at width 524 on torus(3, 10)
-    TORUS = "c18bee51da844528d2d9d691e3d175ef831e3311e022493e5468b1d31110f865"
+    TORUS = "15d7ede0d5246153ad8361f74bc0b44365633f744bbc071e670f308c03d75143"
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cycle8_every_task(self, tmp_path, threads):
@@ -285,16 +285,14 @@ class TestGoldenDigests:
 
 
 class TestBlockStreams:
-    """A replicate's rows depend only on its index, on the lockstep kernels
-    and on the scalar engines alike.  With 16-row blocks, 40 replicates are
-    two full blocks plus a remainder."""
+    """A replicate's rows depend only on its index.  With 16-row blocks, 40
+    replicates are two full blocks plus a remainder.  The blocks run on the
+    lockstep kernels; ``test_lockstep.TestOneLayout`` shows that the scalar
+    engines give the same values and counters."""
 
-    @pytest.fixture(autouse=True, params=["lockstep", "scalar"])
-    def path(self, request, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def blocks_of_16(self, monkeypatch):
         monkeypatch.setattr(runner, "_BLOCK_CAP", 16)
-        if request.param == "scalar":
-            monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 17))
-        return request.param
 
     @staticmethod
     def run(tmp_path, name, kind, replicates, threads=1, graph=None):
@@ -337,7 +335,7 @@ class TestBlockStreams:
         assert digests[1] == digests[2]
         assert len(pools) == 1
 
-    def test_manifest_counters(self, tmp_path, path):
+    def test_manifest_counters(self, tmp_path):
         res, _ = self.run(tmp_path, "c", "tau_coal", 40)
         # every replicate needs n - 1 merges, and regular rates thin nothing
         assert res["events"] >= 7 * 40 and res["thinning_rejections"] == 0
@@ -350,7 +348,7 @@ class TestBlockStreams:
         for kind in ("density", "tau_coal"):
             res, _ = self.run(tmp_path, "l" + kind, kind, 40, graph=lollipop)
             assert res["events"] > 0
-            # both paths keep a picked source with probability rate / r_max
+            # a picked source is kept with probability rate / r_max
             assert res["thinning_rejections"] > 0
 
     @pytest.mark.parametrize(
@@ -612,6 +610,31 @@ class TestUnreadableInputs:
         path = UNREADABLE[case](tmp_path)
         with pytest.raises(ConfigError, match=f"^<file>: {re.escape(str(path))}: "):
             load_config(path)
+
+
+class TestOutputPaths:
+    """An output directory that is a file, or lies under one, fails with one
+    line naming the path, not with a raw traceback."""
+
+    def test_simulate_out_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("x")
+        assert main(["simulate", "--task", "density", "--family", "cycle", "--params", "4",
+                     "--reps", "2", "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot make directory: ")
+        assert err.count("\n") == 1 and path.read_text() == "x"
+
+    def test_verify_out_under_a_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "taken"
+        path.write_text("x")
+        # the path is checked before the suite runs
+        ran = []
+        monkeypatch.setattr(cli, "exact_suite", ran.append)
+        assert main(["verify", "exact", "--out", str(path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path / 'x'}: cannot make directory: ")
+        assert err.count("\n") == 1 and ran == []
 
 
 def test_one_list_of_task_kinds():

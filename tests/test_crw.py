@@ -36,7 +36,7 @@ from coalesce.chains import translation_group
 from coalesce.meeting import _survival, _two_walkers, pairwise_meeting_times
 from coalesce import crw, runner
 from coalesce.runner import run_task
-from coalesce.seeding import BufferedDraws, derive_rng
+from coalesce.seeding import derive_rng
 from coalesce.stats import jackknife_cov
 from coalesce.voter import duality_gap
 
@@ -108,9 +108,9 @@ class TestSimulate:
         # every site a label and an occupancy site: the clusters' sizes sum
         # to n, so the sum over labels of 1 / size counts the clusters
         flat = flat_graph(cycle_graph(9), "per_edge_unit")
-        draws = BufferedDraws(derive_rng(2, "cons", 0))
+        draws = crw._buffered(derive_rng(2, "cons", 0), 16384)
         grid = np.linspace(0.0, 4.0, 40).tolist()
-        rec = _scalar_crw(flat, draws, grid, labels=range(9), sites=range(9))
+        rec = next(_scalar_crw(flat, draws, grid, labels=range(9), sites=range(9)))
         inv = (1.0 / rec["sizes"]).sum(axis=1)
         np.testing.assert_allclose(inv, rec["xi"], rtol=1e-12)
         assert (rec["occ"].sum(axis=1) == rec["xi"]).all()
@@ -409,8 +409,9 @@ class TestBlockPath:
                 raise LookupError(name)
             return run
 
-        monkeypatch.setattr(runner, "_scalar_block", taken("scalar"))
-        monkeypatch.setattr(runner, "_lockstep_block", taken("lockstep"))
+        # the scalar path starts its rows, the lockstep one its block draws
+        monkeypatch.setattr(runner, "_scalar_rows", taken("scalar"))
+        monkeypatch.setattr(runner, "_BlockDraws", taken("lockstep"))
         flat = flat_graph(cycle_graph(8), "per_edge_unit")
         for kind in KINDS:
             floor = 64 if kind == "tau_coal" else 16
@@ -426,21 +427,23 @@ class TestBlockPath:
 class TestRunnerLaws:
     """Every task against an exact oracle, |z| <= 4.5: the irregular lollipop
     takes the thinning path, total-unit cycle(9) the regular one.  Small
-    graphs run on the lockstep kernels; the scalar engines, which large
-    graphs run on, are forced for the second pass."""
+    graphs run on the lockstep kernels, and ``test_lockstep.TestOneLayout``
+    shows that the scalar engines, which large graphs run on, give the same
+    rows.  The edge cases, which take branches of their own in each
+    engine, run on both."""
 
-    @pytest.fixture(autouse=True, params=["lockstep", "scalar"])
+    @pytest.fixture(params=["lockstep", "scalar"])
     def path(self, request, monkeypatch):
         if request.param == "scalar":
             monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
         return request.param
 
     @pytest.mark.parametrize("case", ["lollipop", "cycle9_total_unit"])
-    def test_tasks_against_oracles(self, path, case):
-        checks_pass(21, f"runner_{path}_{case}")
+    def test_tasks_against_oracles(self, case):
+        checks_pass(21, f"runner_lockstep_{case}")
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_single_vertex(self, kind):
+    def test_single_vertex(self, kind, path):
         header, rows, tally = run_task(Graph.from_edges(1, []), "per_edge_unit",
                                        {"task": kind}, [0.0, 1.0], 5, 3)
         expected = {"density": (1,), "tracked_cluster": (1, 1), "occupancy": (1, 1),
@@ -452,7 +455,7 @@ class TestRunnerLaws:
         assert tally["events"] == 0 and tally["blocks"] == 1
 
     @pytest.mark.parametrize("kind", KINDS[:4])
-    def test_edgeless_graph_holds_state(self, kind):
+    def test_edgeless_graph_holds_state(self, kind, path):
         rows = run_task(Graph.from_edges(3, []), "per_edge_unit", {"task": kind},
                         [0.0, 5.0], 4, 3)[1]
         expected = {"density": (3,), "tracked_cluster": (3, 1),
@@ -460,14 +463,14 @@ class TestRunnerLaws:
         assert rows == [(r, t, *expected) for r in range(4) for t in (0.0, 5.0)]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_zero_replicates(self, kind):
+    def test_zero_replicates(self, kind, path):
         header, rows, tally = run_task(cycle_graph(8), "per_edge_unit", {"task": kind},
                                        [1.0], 0, 3)
         assert rows == []
         assert tally == {"events": 0, "thinning_rejections": 0, "blocks": 0}
 
     @pytest.mark.parametrize("kind", KINDS[:4])
-    def test_empty_grid_gives_no_rows(self, kind):
+    def test_empty_grid_gives_no_rows(self, kind, path):
         # nothing to record, so no trajectory may run on without end
         header, rows, tally = run_task(cycle_graph(8), "per_edge_unit", {"task": kind},
                                        [], 5, 3)

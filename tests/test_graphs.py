@@ -382,6 +382,13 @@ class TestTransitiveFamilies:
         g = make_transitive("hypercube", 3)
         assert g.n == 8 and g.edge_total == 12 and (g.degrees == 3).all()
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_hypercube_equals_loop(self, d):
+        # the vectorized builder against the loop it replaced
+        n = 1 << d
+        edges = [(v, v ^ (1 << j)) for v in range(n) for j in range(d) if v < v ^ (1 << j)]
+        assert hypercube_graph(d) == Graph.from_edges(n, edges, family=("hypercube", d))
+
     def test_bad_parameters(self):
         for family, params in [("cycle", (2,)), ("torus", (0, 5)), ("complete", (1,)),
                                ("nonsense", (3,))]:

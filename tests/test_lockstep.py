@@ -1,6 +1,6 @@
-"""The lockstep coalescing-walk kernel and the runner's scalar blocks: their
-outputs pinned by digest, and a row-at-a-time reference replay of the
-kernel's semantics."""
+"""The lockstep coalescing-walk kernel and the scalar engine: their outputs
+pinned by digest, a row-at-a-time reference replay of the kernel's
+semantics, and the runner's blocks equal on the two engines."""
 
 import hashlib
 
@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from conftest import KINDS, LOLLIPOP
 
-from coalesce import runner
+from coalesce import crw, runner
 from coalesce.crw import (
+    EXPO,
+    NBR,
+    SLOT,
+    THIN,
+    _BlockDraws,
+    _kind_streams,
     _lockstep_crw,
     estimate_density,
     flat_graph,
@@ -51,13 +57,13 @@ def lollipop_call(mode: str) -> dict:
     rng = derive_rng(41, "lockstep-pin", 0)
     rows, width = 37, 64
     if mode == "to_one":
-        return _lockstep_crw(flat, [rng], rows, [], to_one=True, width=width)
+        return _lockstep_crw(flat, _BlockDraws([rng], width), rows, [], to_one=True)
     labels = sites = None
     if mode == "labels":
         labels = rng.integers(0, LOLLIPOP.n, size=(rows, 3))
     else:
         sites = [0, 3, 4, 6]
-    return _lockstep_crw(flat, [rng], rows, GRID, labels, sites, width=width)
+    return _lockstep_crw(flat, _BlockDraws([rng], width), rows, GRID, labels, sites)
 
 
 def api_call(case: str, call: str) -> dict:
@@ -75,44 +81,20 @@ def api_call(case: str, call: str) -> dict:
 
 
 class TestPinnedDigests:
-    """Outputs of the ancestral sampler, of the kernel in each mode, of the
-    runner's scalar blocks and of the scalar engine's public entry points,
-    as sha256 digests: a change to any draw, pick or state update shows
-    here.  The runner's CSV digests in ``test_cli`` pin the block paths."""
+    """Outputs of the ancestral sampler, of the kernel in each mode and of
+    the scalar engine's public entry points, as sha256 digests: a change to
+    any draw, pick or state update shows here.  The runner's CSV digests in
+    ``test_cli`` pin the block paths, and ``TestOneLayout`` ties the
+    runner's scalar blocks to them."""
 
     ANCESTRAL = {
-        "torus36": "4156ef678d572ce6e1502c5282d444bed571857f3ba32aa428d35a4742fcdf7d",
-        "lollipop": "6bc6693a7cf4c5389b26963ddb594d76e402a90c36a3078e0a69311dcc660aac",
+        "torus36": "6fe3bd455eb10cf40745a3f823bc6766a08e7a3ab7aa6afe1c62c03c3eeab5b1",
+        "lollipop": "9d84b986fe7dae755c96b641d6f06439b15502d4f077bfca183e141b201c1577",
     }
     KERNEL = {
-        "labels": "a7c0dd0e3dd82cfb32d327707c7003e41fa9fd5eb9c7f7fc4076fdee13d3bf5b",
-        "sites": "2431c1eff1ccb4633b5d20b7d2515574d5a1633b6107354c3e1747017faf034a",
-        "to_one": "83df96372061724f4888b2eb53fce05ba892985dd27476ac3a6a0cdb29603542",
-    }
-
-    # the runner's scalar blocks, 40 replicates on GRID
-    SCALAR = {
-        "cycle9_total_unit": {
-            "density": "46c402731c50846b8fa9ee6852fcc8226c84f7e548d769ffdb9701d38862690f",
-            "tracked_cluster": "9be6b426ce2c0b91910ca5cdc4ea3e824d37c07676f3672f706031cd857503d7",
-            "occupancy": "eaf405e5f165c611ba8cecd0015d015eeb97c5942f9989cfeca78e2a4ebcda24",
-            "nhat": "adda59c0d8b7196dbc49cacbdfbebd02b519aa0e93c2c77bee3e58e58793db68",
-            "tau_coal": "596c7af6b9c7cb36e039a82d7fc7c17fdbae6a0c0fcfc823d531eda599fbb47b",
-        },
-        "torus33": {
-            "density": "30ee662898854f85c6c49774c6d359406e8783e3b183de9bdcfbd0febd78cf37",
-            "tracked_cluster": "bd11ab29d3ccdd147d8954a56ac29d8879f6f71ce4d2a42daad5129ad863196d",
-            "occupancy": "3a7d7547efc1adac54ebb6a26252e34b28f5e460757f3292cabfa86c6390abed",
-            "nhat": "48baa61f93f8fa1d8f4561ec200eb2da4e16f3a5c3ac4d00e52ace2669f60e0f",
-            "tau_coal": "e49415df247f3fe8646faf682738d8903c9dd30c7838300b198a622440139d45",
-        },
-        "lollipop": {
-            "density": "c72ad02172a353d39747bd735502467144d8a0f399149eef85c5049d835edfa4",
-            "tracked_cluster": "23305e55b9026e0cc1b840477c321b4d7f33f9b238f4c9d7ac0ea1bf119676ae",
-            "occupancy": "c2b3f81b053429fb640cb356935da9154c281add6e87248f2373c36195605cea",
-            "nhat": "77c00762f4007b10db646302762a7f10bdd3f1e3c6224c483777df78f8686da8",
-            "tau_coal": "41e47f48ba8f3df545508b961f6aca7781a3d83769823462255582b9bdf064b6",
-        },
+        "labels": "4a57f82dbda73966c6795812e77be4ce0b4fcc4d24fe5def09f87b7ef8e00879",
+        "sites": "b4ea7118aa2a1527bd39e2579a74dc94032f07910ed72505c675a089b1c727f8",
+        "to_one": "6ec81e2eec3b4b4cebf4985e610c8be178e0c8a228b7d51911c724da5246cd0e",
     }
 
     # the scalar engine's public entry points, as ``api_call`` runs them
@@ -125,11 +107,11 @@ class TestPinnedDigests:
             "estimate_density": "d82c77a39768eba7314957c8e44e8021796e4f38957424a4cb9af6b9d8d1c282",
         },
         "lollipop": {
-            "density": "79abf7dd3f361541083558f5fa8189b7916a4a24ece977934025a9bbbc0a4fb3",
-            "tracked_cluster": "21149157436ca79133f67ac7752e4f5664e0ad2a2ea15375fb976959d87e3a6f",
-            "occupancy": "c05e609b610db62e69a7915b6bc716f3ccd3cab93058b08c9cd6e190af51c116",
-            "sample_tau_coal": "b260b8b73ed3e828f19a39a5728cb995b78848eff893a8c1ba1c55ce3a18233e",
-            "estimate_density": "d9cd2d963aa95786ed4714f538d6a914a28cdbf0500d76348a1dc1d0274b4c19",
+            "density": "8de445a46ec46d66cbfdab5f16cdaaada761fc4e04223b2dbfafef2921f07daa",
+            "tracked_cluster": "5b7e2e0b230c0025d8fb96c14619e4927a6cf6cc40a6159d667de191e6c4530b",
+            "occupancy": "6607576b3700af3a48c0b0ce61f2fd1b40eb473c5d3263db5b5809c3d644cc25",
+            "sample_tau_coal": "84f3c60b1fc215021e2f708244570c5947bc71eea9fb81987ed5fd6331f395a8",
+            "estimate_density": "2431911d9bb8d04086cbac15b26fd59be9792075440a4e2d0e406ae20938bfdd",
         },
     }
 
@@ -144,16 +126,6 @@ class TestPinnedDigests:
     def test_kernel_on_lollipop(self, mode):
         assert digest(lollipop_call(mode)) == self.KERNEL[mode]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("case", list(SCALAR_CASES))
-    def test_scalar_blocks(self, case, kind, monkeypatch):
-        # every block runs on the scalar engines, as large graphs' do
-        monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
-        g, convention = SCALAR_CASES[case]
-        _, rows, tally = run_task(g, convention, {"task": kind}, GRID, 40, 43)
-        out = {"rows": np.asarray(rows, dtype=float), **tally}
-        assert digest(out) == self.SCALAR[case][kind]
-
     @pytest.mark.parametrize("call", API_CALLS)
     @pytest.mark.parametrize("case", list(API))
     def test_scalar_api(self, case, call):
@@ -161,17 +133,21 @@ class TestPinnedDigests:
 
 
 class _Stream:
-    """The kernel's draws, made lazily in its call order: iteration k takes
-    one width-wide exponential, then ``kinds`` width-wide uniforms."""
+    """A block's draws in the kernel's layout, made lazily: iteration k
+    takes one width-wide exponential and one width-wide uniform of each of
+    ``kinds`` kinds (slot, neighbour, thinning), each kind from its own
+    stream of ``_kind_streams``."""
 
     def __init__(self, rng, width, kinds):
-        self.rng, self.width, self.kinds = rng, width, kinds
+        streams = _kind_streams(rng)
+        self.expo, self.kinds = streams[EXPO], [streams[k] for k in (SLOT, NBR, THIN)[:kinds]]
+        self.width = width
         self.e, self.u = [], []
 
     def at(self, k):
         while len(self.e) <= k:
-            self.e.append(self.rng.standard_exponential(self.width))
-            self.u.append(self.rng.random((self.kinds, self.width)))
+            self.e.append(self.expo.standard_exponential(self.width))
+            self.u.append(np.array([s.random(self.width) for s in self.kinds]))
         return self.e[k], self.u[k]
 
 
@@ -180,7 +156,7 @@ def replay(flat, rngs, rows, grid, labels=None, sites=None, to_one=False, width=
 
     Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
     site back to its slot.  Row k * width + r takes entry r of every draw
-    of block k, from ``rngs[k]``.  A ring picks a uniform slot, its site x
+    of block k, from the kind streams of ``rngs[k]``.  A ring picks a uniform slot, its site x
     and a neighbour y of x; on an irregular graph it is kept with
     probability rate(x) / r_max.  If y is occupied the cluster at x joins
     it, and the last slot fills the hole; each label follows its cluster's
@@ -269,7 +245,7 @@ class TestReferenceReplay:
             return [derive_rng(42, "replay", k) for k in range(blocks)]
 
         gens = rngs()
-        got = _lockstep_crw(flat, gens, rows, *args, width=width)
+        got = _lockstep_crw(flat, _BlockDraws(gens, width), rows, *args)
         ref = replay(flat, rngs(), rows, *args, width=width)
         assert got.keys() == ref.keys()
         for key in ref:
@@ -278,15 +254,14 @@ class TestReferenceReplay:
         if g is LOLLIPOP:
             assert ref["thinning_rejections"] > 0
         # each block alone gives its rows and counters, and leaves its
-        # generator where the pass did: a block whose rows are done stops
-        # drawing
+        # generator where the pass did: it draws only its kinds' seeds
         counts = {"events": 0, "thinning_rejections": 0}
         for k, gen in enumerate(gens):
             part = slice(k * width, min(k * width + width, rows))
             alone = derive_rng(42, "replay", k)
             block_args = args if labels is None else (GRID, labels[part], sites, False)
-            one = _lockstep_crw(flat, [alone], part.stop - part.start, *block_args,
-                                width=width)
+            one = _lockstep_crw(flat, _BlockDraws([alone], width), part.stop - part.start,
+                                *block_args)
             for key in one:
                 if key in counts:
                     counts[key] += one[key]
@@ -366,3 +341,45 @@ class TestGroupedPass:
             3 * width)
         assert got == passes and tally["blocks"] == 3
         assert [start for start, _ in blocks] == [0, width, 2 * width]
+
+
+# the cases of TestOneLayout: graph, convention, grid and block width
+ONE_LAYOUT = {
+    **{case: (g, convention, GRID, 16) for case, (g, convention) in SCALAR_CASES.items()},
+    # past 2^15 vertices the runner's blocks are 13 rows wide
+    "cycle40000": (cycle_graph(40_000), "per_edge_unit", [0.01, 0.02],
+                   runner.block_rows(40_000)),
+}
+
+
+class TestOneLayout:
+    """The scalar and lockstep engines read a block's variates in one
+    layout, so ``_pass`` gives equal values and counters on either, for
+    every task: on a pass of three blocks, the last one short, with the
+    scalar rows interleaved in windows longer than any row and in windows
+    of three rings.  Coalescence on cycle(40000) takes of order n^2 time,
+    so that graph runs the four grid tasks."""
+
+    @pytest.mark.parametrize("window", ["long", "short"])
+    @pytest.mark.parametrize("case, kind", [
+        (case, kind) for case in ONE_LAYOUT for kind in KINDS
+        if (case, kind) != ("cycle40000", "tau_coal")])
+    def test_scalar_equals_lockstep(self, case, kind, window, monkeypatch):
+        g, convention, grid, width = ONE_LAYOUT[case]
+        if window == "short":
+            monkeypatch.setattr(crw, "_WINDOW_CELLS", 3 * width)
+        flat = flat_graph(g, convention)
+        rows = 2 * width + 4
+        out = {}
+        for path, floor in (("scalar", 1 << 20), ("lockstep", 0)):
+            monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, floor))
+            rngs = [derive_rng(46, "one-layout", k) for k in range(3)]
+            out[path] = runner._pass(flat, {"task": kind}, grid, rngs, rows, width)
+        (vals, rec), (ref, ref_rec) = out["scalar"], out["lockstep"]
+        assert vals.shape[0] == rows
+        np.testing.assert_array_equal(vals, ref)
+        for key in ("events", "thinning_rejections"):
+            assert rec[key] == ref_rec[key], key
+        assert rec["events"] > 0
+        if g is LOLLIPOP and kind != "nhat":
+            assert rec["thinning_rejections"] > 0

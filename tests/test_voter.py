@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import KINDS, checks_pass
+from conftest import checks_pass
 
 from coalesce.chains import build_generator
 from coalesce import runner, voter
 from coalesce.crw import (
+    _BlockDraws,
     _state_dtype,
     exact_occupancy_density,
     flat_graph,
@@ -99,7 +100,8 @@ class TestLockstepVoterSurvival:
         # occupied at t in the coalescing walk from every site
         times, rows = [0.3, 1.0, 2.5], 20_000
         rec = voter._lockstep_voter(flat_graph(C6, "per_edge_unit"),
-                                    [derive_rng(65, "survival", 0)], rows, times, rows)
+                                    _BlockDraws([derive_rng(65, "survival", 0)], rows), rows,
+                                    times)
         exact = exact_occupancy_density(build_generator(C6), times)[:, 0]
         for i, p in enumerate(exact):
             hat = (rec["n_0"][:, i] > 0).mean()
@@ -108,12 +110,8 @@ class TestLockstepVoterSurvival:
 
 class TestOpinionZeroColumn:
     """The runner's nhat values carry, beside the CSV's nhat, opinion 0's
-    cluster size, on the lockstep and the scalar paths alike."""
-
-    @pytest.fixture(autouse=True, params=["lockstep", "scalar"])
-    def path(self, request, monkeypatch):
-        if request.param == "scalar":
-            monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, 1 << 20))
+    cluster size; ``test_lockstep.TestOneLayout`` shows the scalar path
+    gives the same values."""
 
     @staticmethod
     def values(g, times, reps, seed):
@@ -253,7 +251,8 @@ class TestAncestralBlocks:
     def test_voter_kernel_past_int16_range(self):
         n = 40_000
         flat = flat_graph(cycle_graph(n), "per_edge_unit")
-        nhat = voter._lockstep_voter(flat, [derive_rng(15, "voter", 0)], 2, [0.05], 2)["nhat"]
+        draws = _BlockDraws([derive_rng(15, "voter", 0)], 2)
+        nhat = voter._lockstep_voter(flat, draws, 2, [0.05])["nhat"]
         assert nhat.shape == (2, 1) and nhat.min() >= 1 and nhat.max() <= n
 
 
