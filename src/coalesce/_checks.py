@@ -9,13 +9,12 @@ of their suite, named ``<check>/<quantity>``, and
 ``tools/calibrate_bands.py`` runs any check on fresh seeds.  The acceptance
 tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
 rows at scale 1 on one thread, and C3 reads the ``duality_cycle6`` sampler
-of ``verify statistical`` at 20 000 replicates.  ``_values`` and the views
-in ``crw`` and ``voter`` read the runner's derived blocks, which read their
-variates in one stream layout whichever engine runs them, so a runner law
-is checked once, on the lockstep kernels (``runner_lockstep_*``); of the
-runner's tasks, only the density has a loop of its own, ``estimate_density``.  Only
-the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10) is
-``mf310_A1`` (the unit test's Monte Carlo alpha) and
+of ``verify statistical`` at 20 000 replicates.  ``_values`` and every
+view in ``crw`` and ``voter``, ``estimate_density`` too, read the runner's
+derived blocks, which read one stream layout on either engine, so a runner
+law is checked once, on the lockstep kernels (``runner_lockstep_*``).
+Only the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10)
+is ``mf310_A1`` (the unit test's Monte Carlo alpha) and
 ``paper_torus310/ratio_A1`` (the exact alpha), with two bands.
 
 Checks that read one sample share a draw, run once per seed.  A one-stream
@@ -36,7 +35,7 @@ import numpy as np
 from . import runner
 from .config import _TASK_KINDS
 from .chains import MarkovChain, build_generator, spectrum
-from .crw import (_subset_distribution, estimate_density, exact_k_particle_law,
+from .crw import (_density, _subset_distribution, estimate_density, exact_k_particle_law,
                   exact_occupancy_density, occupancy_covariances, sample_tau_coal_many)
 from .graphs import (DegreeDistribution, Graph, complete_graph, cycle_graph, path_graph,
                      sample_configuration_model, torus_graph)
@@ -186,17 +185,6 @@ def _values(graph, task, times, reps, seed, threads, pool, convention="per_edge_
     """A runner task's values, as ``runner._task_values`` stacks them."""
     return runner._task_values(graph, convention, {"task": task}, times, reps, seed,
                                threads, pool)[2]
-
-
-def _density_stats(graph, convention, times, reps, seed, threads, pool):
-    """Per grid time, the runner's density and its standard error."""
-    vals = _values(graph, "density", times, reps, seed, threads, pool, convention)
-    # a contiguous row per grid time, so each mean and std sums in replicate order
-    xi = vals[..., 0].T.astype(float, order="C")
-    return {
-        t: (x.mean() / graph.n, x.std(ddof=1) / graph.n / np.sqrt(len(x)))
-        for t, x in zip(times, xi)
-    }
 
 
 def _reps(floor, full):
@@ -465,11 +453,9 @@ def _occupancy_vs_exact(name, graph):
     oracle against the occupancy floor 1 / (1 + d_max t)."""
     def draw(seed, scale, threads, pool):
         g = graph()
-        stats = _density_stats(g, "per_edge_unit", _TIMES, _REPS_20K(scale), seed, threads,
-                               pool)
+        est = _density(g, "per_edge_unit", _TIMES, _REPS_20K(scale), seed, threads, pool)
         out = {}
-        for t, exact in zip(_TIMES, _subset_density(g, _TIMES)):
-            p_hat, se = stats[t]
+        for t, exact, p_hat, se in zip(_TIMES, _subset_density(g, _TIMES), est.p_hat, est.stderr):
             out[f"mc_vs_exact_{name}/z_t{t}"] = Sample(abs(p_hat - exact) / se, 1.0)
             out[f"occupancy_floor_{name}/t{t}"] = Sample(exact - 1.0 / (1.0 + g.d_max * t), 0.0)
         return out
@@ -547,8 +533,8 @@ def _reversal(seed, scale, threads, pool):
 def _paper_cycle(seed, scale, threads, pool):
     """One-dimensional ring: inverse square-root law, unit total rate."""
     g, t = cycle_graph(100_000), 200.0
-    p_hat, se = _density_stats(g, "total_unit", [t], max(4, int(10 * scale)), seed,
-                               threads, pool)[t]
+    est = _density(g, "total_unit", [t], max(4, int(10 * scale)), seed, threads, pool)
+    p_hat, se = est.p_hat[0], est.stderr[0]
     pred = bg_prediction(1, t)
     # the density the estimator targets: t = 200 is far below n^2
     return {"paper_cycle1e5_d1/ratio_bg": _ratio(p_hat, se, pred),
@@ -560,8 +546,8 @@ def _paper_torus(seed, scale, threads, pool):
     """Three-dimensional torus: mean-field forms and the lattice law."""
     g, c, m_eig = _torus310()
     t, n = 15.0, g.n
-    p_hat, se = _density_stats(g, "per_edge_unit", [t], max(40, int(200 * scale)), seed,
-                               threads, pool)[t]
+    est = _density(g, "per_edge_unit", [t], max(40, int(200 * scale)), seed, threads, pool)
+    p_hat, se = est.p_hat[0], est.stderr[0]
     # exact, on the torus's n-state difference walk
     alpha_t = alpha_survival(c, 0, t)
     preds = mean_field_predictions(n, t, m_eig, alpha_t["value"])
@@ -590,8 +576,8 @@ def _paper_cm3(seed, scale, threads, pool):
     g = sample_configuration_model(DegreeDistribution.delta(3), 20_000,
                                    derive_rng(seed, "paper-cm-graph", 0), require_connected=True)
     t, alpha = 50.0, alpha_regular_tree(3)
-    p_hat, se = _density_stats(g, "per_edge_unit", [t], max(8, int(24 * scale)), seed,
-                               threads, pool)[t]
+    est = _density(g, "per_edge_unit", [t], max(8, int(24 * scale)), seed, threads, pool)
+    p_hat, se = est.p_hat[0], est.stderr[0]
     # 800 pairs put sigma near a third of the band.  A pair needs about 4e4
     # events on average; a budget of 50 n / r_min (3.3e5 on a graph with no
     # degree-1 vertex) censored a pair on 2 of 20 fresh seeds

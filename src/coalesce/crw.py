@@ -14,10 +14,10 @@ plain Python; the two-walker routine ``_flat.walk_pairs`` runs each walker
 at r_max the same way, a rejected ring being a stay.  A runner block's
 rows read one stream per variate kind in one layout (``_kind_streams``),
 so both engines give them the same values and counters.
-``simulate_crw``, ``sample_tau_coal`` and ``estimate_density`` run
-``_scalar_crw`` on one ``BufferedDraws``; ``sample_tau_coal_many`` and
-``occupancy_covariances`` are views over the runner's derived blocks at a
-master seed drawn from the caller's generator.
+``simulate_crw`` and ``sample_tau_coal`` give row 0 of a one-row block on
+the caller's generator (``_one_row``); ``estimate_density``,
+``sample_tau_coal_many`` and ``occupancy_covariances`` are views over the
+runner's derived blocks at a master seed drawn from the caller's generator.
 
 The exact subset and (k+1)-walker oracles step with one sparse kernel,
 ``_ring_kernel``, built with no loop from (state, occupied site) pairs.
@@ -41,7 +41,6 @@ from .errors import (
     TooLargeForExact,
 )
 from .graphs import Graph, is_connected
-from .seeding import BufferedDraws
 from .stats import jackknife_cov
 
 __all__ = [
@@ -83,22 +82,24 @@ _WINDOW_CELLS = 1 << 16
 
 
 def _kind_streams(rng: np.random.Generator) -> list:
-    """A block's one generator per variate kind, seeded by five draws of
-    its generator ``rng``.  At iteration i, row r of a block of ``width``
-    rows reads entry i * width + r of each kind's stream (its j-th leading
-    uniform is entry j * width + r).  A ring is one iteration and reads one
-    variate of each kind it uses, a rejected ring its neighbour variate
-    too, so a row's variates depend neither on the other rows nor on the
-    engine, ``_BlockDraws`` (lockstep) or ``_scalar_rows`` (scalar)."""
-    return [np.random.Generator(np.random.PCG64(seed))
+    """A block's draw call per variate kind (exponentials for the clock,
+    else uniforms), each on a generator seeded by one of five draws of
+    ``rng``.  At iteration i, row r of a block of ``width`` rows reads entry
+    i * width + r of each kind's stream (its j-th leading uniform is entry
+    j * width + r).  A ring is one iteration and reads one variate of each
+    kind it uses, a rejected ring its neighbour variate too, so a row's
+    variates depend neither on the other rows nor on the engine,
+    ``_BlockDraws`` (lockstep) or ``_scalar_rows`` (scalar)."""
+    gens = [np.random.Generator(np.random.PCG64(seed))
             for seed in rng.integers(1 << 63, size=5).tolist()]
+    return [g.standard_exponential if kind == EXPO else g.random for kind, g in enumerate(gens)]
 
 
-def _buffered(rng: np.random.Generator, block: int) -> tuple:
-    """The five kinds' callables on one ``BufferedDraws``: the clock reads
-    its exponentials, every other kind its uniforms in call order."""
-    draws = BufferedDraws(rng, block)
-    return draws.u01, draws.expo, draws.u01, draws.u01, draws.u01
+def _one_row(rng: np.random.Generator) -> list:
+    """Row 0 of ``runner._pass`` on ``[rng]`` at width 1: per variate kind, a
+    callable reading its stream in chunks of 256, which numpy draws as one."""
+    return [chain.from_iterable(iter(lambda fill=fill: fill(256).tolist(), None)).__next__
+            for fill in _kind_streams(rng)]
 
 
 class _BlockDraws:
@@ -121,7 +122,7 @@ class _BlockDraws:
 
     def lead(self, rows: int) -> np.ndarray:
         """The first leading uniform of each of the first ``rows`` rows."""
-        return np.concatenate([s[LEAD].random(self.width) for s in self.streams])[:rows]
+        return np.concatenate([s[LEAD](self.width) for s in self.streams])[:rows]
 
     def keep(self, live: np.ndarray) -> None:
         """From now on only the blocks holding a row of ``live``, which is
@@ -132,15 +133,15 @@ class _BlockDraws:
     def expo(self, live: np.ndarray) -> np.ndarray:
         """The live rows' exponentials, aligned with ``live``."""
         for k in self.active:
-            stream, out = self.e_parts[k]
-            stream.standard_exponential(out=out)
+            fill, out = self.e_parts[k]
+            fill(out=out)
         return self.e if live.size == self.e.size else self.e[live]
 
     def uniforms(self, live: np.ndarray, kinds: int) -> np.ndarray:
         """The live rows' first ``kinds`` uniforms, (kinds, live)."""
         for k in self.active:
-            for stream, out in self.u_parts[k][:kinds]:
-                stream.random(out=out)
+            for fill, out in self.u_parts[k][:kinds]:
+                fill(out=out)
         u = self.u[:kinds]
         # take() gathers columns several times faster than u[:, live]
         return u if live.size == u.shape[1] else u.take(live, axis=1)
@@ -155,9 +156,7 @@ def _scalar_rows(rngs: list, width: int, rows: int, start) -> list:
     window = max(1, _WINDOW_CELLS // width)
     recs = []
     for first, rng in zip(range(0, rows, width), rngs):
-        streams = _kind_streams(rng)
-        fills = [s.standard_exponential if kind == EXPO else s.random
-                 for kind, s in enumerate(streams)]
+        fills = _kind_streams(rng)
         drawn = {}
 
         def column(kind, r, fills=fills, drawn=drawn):
@@ -453,7 +452,7 @@ def simulate_crw(
     if site_list is not None:
         site_list = [check_vertex(v, g.n, f"site_list[{j}]") for j, v in enumerate(site_list)]
     flat = flat_graph(g, convention)
-    draws = _buffered(rng, 1024)
+    draws = _one_row(rng)
     labels = sites = None
     if track == "tracked_cluster":
         # the tracked particle comes first from the replicate stream so
@@ -493,17 +492,22 @@ def estimate_density(
     convention: str = "per_edge_unit",
 ) -> DensityEstimate:
     """Monte Carlo density estimate with the negative-association variance
-    diagnostic Var(|occupied|) <= E|occupied| checked per grid time.  The
-    replicates run one after another on the scalar engine, sharing one
-    buffered stream."""
+    diagnostic Var(|occupied|) <= E|occupied| checked per grid time: the
+    runner's ``density`` blocks at a master seed drawn from ``rng``."""
     reps = check_count(reps, 2)
     grid = check_grid(t_grid)
-    flat = flat_graph(g, convention)
-    draws = _buffered(rng, 1 << 16)
-    xi = np.array([next(_scalar_crw(flat, draws, grid))["xi"] for _ in range(reps)],
-                  dtype=float)
-    mean_xi = xi.mean(axis=0)
-    var_xi = xi.var(axis=0, ddof=1)
+    return _density(g, convention, grid, reps, int(rng.integers(1 << 63)))
+
+
+def _density(g, convention, grid, reps, seed, threads=1, pool=None) -> DensityEstimate:
+    """``estimate_density`` at master seed ``seed``, run as ``_task_values`` runs it."""
+    from .runner import _task_values
+
+    vals = _task_values(g, convention, {"task": "density"}, grid, reps, seed, threads, pool)[2]
+    # a contiguous row per grid time, so each sum runs in replicate order
+    xi = vals[..., 0].T.astype(float, order="C")
+    mean_xi = np.array([x.mean() for x in xi])
+    var_xi = np.array([x.var(ddof=1) for x in xi])
     slack = 1.0 + 4.0 * np.sqrt(2.0 / (reps - 1))
     return DensityEstimate(
         t_grid=np.asarray(grid),
@@ -693,7 +697,7 @@ def sample_tau_coal(
     if g.n == 1:
         return 0.0
     flat = flat_graph(g, convention)
-    return next(_scalar_crw(flat, _buffered(rng, 1024), [], to_one=True))["tau"]
+    return next(_scalar_crw(flat, _one_row(rng), [], to_one=True))["tau"]
 
 
 def sample_tau_coal_many(

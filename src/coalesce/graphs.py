@@ -25,7 +25,7 @@ from .errors import (
     TooLargeForExact,
     ZeroMean,
 )
-from .io import read_text
+from .io import open_out, read_text
 
 __all__ = [
     "DegreeDistribution",
@@ -440,7 +440,7 @@ def vertex_expansion_exact(g: Graph) -> float:
 def write_graph(g: Graph, path) -> None:
     """Version-tagged text format, exact round-trip."""
     lines = g.edge_list()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_out(path) as fh:
         fh.write(f"crwgraph v1 {g.n} {len(lines)}\n")
         for u, v, m in lines:
             fh.write(f"{u} {v} {m}\n")

@@ -20,7 +20,7 @@ from .errors import ParameterOutOfRange
 
 __all__ = [
     "format_cell", "rows_to_csv", "block_csv", "write_csv", "write_csv_chunks",
-    "sha256_text", "write_json", "read_text", "make_dir",
+    "sha256_text", "write_json", "read_text", "make_dir", "open_out",
 ]
 
 # the %-conversion that matches format_cell for a numpy dtype kind
@@ -79,7 +79,7 @@ def write_csv_chunks(path, header, chunks) -> str:
     """Write the header, then each text chunk in turn (each holding whole
     CRLF-terminated lines); return the sha256 digest of the bytes."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with open_out(path, "wb") as fh:
         for text in chain([",".join(header) + "\r\n"], chunks):
             data = text.encode("utf-8")
             digest.update(data)
@@ -111,7 +111,16 @@ def make_dir(path) -> None:
         raise ParameterOutOfRange(f"{path}: cannot make directory: {exc.strerror or exc}") from None
 
 
+def open_out(path, mode="w"):
+    """``path`` opened for writing, in UTF-8 unless binary; a path that
+    cannot be written raises ParameterOutOfRange naming it."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise ParameterOutOfRange(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

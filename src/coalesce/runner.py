@@ -24,9 +24,9 @@ task's chunks are queued before the calling process runs a task's last
 chunk.  The chunks return as finished CSV text, which the calling process
 writes and hashes in block order.
 
-``sample_tau_coal_many``, ``occupancy_covariances`` and ``duality_gap``
-read the same blocks through ``_task_values`` at one thread, at a master
-seed they draw from the caller's generator.
+``estimate_density``, ``sample_tau_coal_many``, ``occupancy_covariances``
+and ``duality_gap`` read the same blocks through ``_task_values`` at one
+thread, at a master seed they draw from the caller's generator.
 """
 
 from __future__ import annotations

@@ -2,14 +2,15 @@
 cluster sizes to coalescing-walk quantities.
 
 The forward engine plays every directed-edge ring, so it is exact pathwise
-and is what all duality gap checks run on.  ``simulate_voter`` plays one
-trajectory on the scalar engine; the runner plays blocks of replicates,
-recording the uniform vertex's and opinion 0's cluster sizes, on the
-lockstep kernel (``_lockstep_voter``) or the scalar one (``_voter_once``),
-which read the one stream layout of ``crw._kind_streams`` and give the
-same rows.  ``duality_gap`` is a view over the runner's derived blocks at
-a master seed drawn from the caller's generator.  For large graphs the
-opinion cluster of a uniform vertex can be sampled through the ancestral
+and is what all duality gap checks run on.  The runner plays blocks of
+replicates, recording the uniform vertex's and opinion 0's cluster sizes,
+on the lockstep kernel (``_lockstep_voter``) or the scalar one
+(``_voter_once``), which read the one stream layout of
+``crw._kind_streams`` and give the same rows; ``simulate_voter``'s are
+row 0 of a one-row block on the caller's generator (``crw._one_row``).
+``duality_gap`` is a view over the runner's derived blocks at a master
+seed drawn from the caller's generator.  For large graphs the opinion
+cluster of a uniform vertex can be sampled through the ancestral
 coalescing system instead (equal in law), which is the only practical
 route at thousands of vertices: the sampler runs ``crw._lockstep_crw`` in
 as few equal blocks as a byte budget on its state allows and reads each
@@ -23,7 +24,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_count, check_grid
-from .crw import _BlockDraws, _buffered, _lockstep_crw, _state_dtype, flat_graph
+from .crw import _BlockDraws, _lockstep_crw, _one_row, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
 from .graphs import Graph
@@ -200,7 +201,7 @@ def simulate_voter(
     """
     grid = check_grid(t_grid)
     flat = flat_graph(g, convention)
-    out = next(_voter_once(flat, _buffered(rng, 1024), grid))
+    out = next(_voter_once(flat, _one_row(rng), grid))
     out["t"] = np.array(grid)
     return out
 

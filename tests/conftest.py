@@ -1,13 +1,14 @@
 import math
 import sys
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from coalesce import _checks, _flat, chains, verify
+from coalesce import _checks, _flat, chains, runner, verify
 from coalesce._checks import IRREGULAR_RATES, _lollipop, run_checks  # noqa: F401
 from coalesce.config import _TASK_KINDS as KINDS  # noqa: F401
 from coalesce.chains import _jump_kernel, build_generator, uniformize
@@ -25,6 +26,13 @@ def checks_pass(seed, *names):
     for name, o in out.items():
         assert o.ok, (name, o)
     return out
+
+
+def task_values(g, task, times, reps, rng, convention="per_edge_unit"):
+    """A runner task's values, as ``runner._task_values`` stacks them, at a
+    master seed drawn from ``rng`` as the rng-taking views draw it."""
+    return runner._task_values(g, convention, {"task": task}, times, reps,
+                               int(rng.integers(1 << 63)))[2]
 
 
 def dense(csr, n):
@@ -207,8 +215,8 @@ def stubbed_paper_suite(monkeypatch, density=lambda g: 0.01, se=0.001, meet=(1.0
     stubbed: each density estimate is ``density(graph)`` with standard error
     ``se``, the configuration model is cycle(30), alpha_t is 3.8, psi_3 is
     0.66, and the pairs' mean meeting time and censored count are ``meet``."""
-    monkeypatch.setattr(_checks, "_density_stats",
-                        lambda g, conv, times, *a: {t: (density(g), se) for t in times})
+    monkeypatch.setattr(_checks, "_density", lambda g, conv, times, *a: SimpleNamespace(
+        p_hat=[density(g)] * len(times), stderr=[se] * len(times)))
     monkeypatch.setattr(_checks, "psi_d", lambda d: 0.66)
     monkeypatch.setattr(_checks, "alpha_survival", lambda *a, **k: {"value": 3.8, "stderr": 0.01})
     monkeypatch.setattr(_checks, "sample_configuration_model", lambda *a, **k: cycle_graph(30))

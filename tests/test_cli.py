@@ -613,8 +613,9 @@ class TestUnreadableInputs:
 
 
 class TestOutputPaths:
-    """An output directory that is a file, or lies under one, fails with one
-    line naming the path, not with a raw traceback."""
+    """An output directory that is a file, or lies under one, and an output
+    file that is a directory fail with one line naming the path, not with a
+    raw traceback."""
 
     def test_simulate_out_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
@@ -635,6 +636,13 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path / 'x'}: cannot make directory: ")
         assert err.count("\n") == 1 and ran == []
+
+    @pytest.mark.parametrize("argv", [["exact", "spectrum"], ["gen"]],
+                             ids=["exact_spectrum", "gen"])
+    def test_out_file_is_a_directory(self, tmp_path, capsys, argv):
+        assert main([*argv, "--family", "cycle", "--params", "4", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: cannot write: ") and err.count("\n") == 1
 
 
 def test_one_list_of_task_kinds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (IRREGULAR_RATES, KINDS, LOLLIPOP, checks_pass, difference_generator,
                       generator_survival, k_particle_reference, pair_generator,
-                      subset_kernel_reference)
+                      subset_kernel_reference, task_values)
 
 from coalesce.chains import MarkovChain, build_generator, poisson_weights, spectrum, uniformize
 from coalesce.crw import (
@@ -108,7 +108,7 @@ class TestSimulate:
         # every site a label and an occupancy site: the clusters' sizes sum
         # to n, so the sum over labels of 1 / size counts the clusters
         flat = flat_graph(cycle_graph(9), "per_edge_unit")
-        draws = crw._buffered(derive_rng(2, "cons", 0), 16384)
+        draws = crw._one_row(derive_rng(2, "cons", 0))
         grid = np.linspace(0.0, 4.0, 40).tolist()
         rec = next(_scalar_crw(flat, draws, grid, labels=range(9), sites=range(9)))
         inv = (1.0 / rec["sizes"]).sum(axis=1)
@@ -191,14 +191,8 @@ class TestKParticle:
 
     def test_moment_identity_against_tracked_cluster(self, cycle4_chain):
         # mean tracked-cluster count equals n * P(two uniform walkers coalesce)
-        rng = derive_rng(10, "kp", 0)
-        samples = np.array(
-            [
-                simulate_crw(C4, [0.7], rng, track="tracked_cluster")["N"][0]
-                for _ in range(20_000)
-            ],
-            dtype=float,
-        )
+        samples = task_values(C4, "tracked_cluster", [0.7], 20_000,
+                              derive_rng(10, "kp", 0))[:, 0, 1].astype(float)
         target = exact_k_particle_law(cycle4_chain, 1, 0.7)["e_ntk"]
         assert abs(samples.mean() - target) <= 4.0 * samples.std(ddof=1) / np.sqrt(len(samples))
 

@@ -1,6 +1,7 @@
 """The lockstep coalescing-walk kernel and the scalar engine: their outputs
 pinned by digest, a row-at-a-time reference replay of the kernel's
-semantics, and the runner's blocks equal on the two engines."""
+semantics, the runner's blocks equal on the two engines, and the
+rng-taking calls equal to a one-row block."""
 
 import hashlib
 
@@ -25,7 +26,7 @@ from coalesce.crw import (
 from coalesce.graphs import cycle_graph, torus_graph
 from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
-from coalesce.voter import sample_nhat_ancestral
+from coalesce.voter import sample_nhat_ancestral, simulate_voter
 
 GRID = [0.1, 0.5, 1.5, 4.0]
 # graphs for the scalar engines, with their convention: two regular ones,
@@ -35,7 +36,8 @@ SCALAR_CASES = {
     "torus33": (torus_graph(3, 3), "per_edge_unit"),
     "lollipop": (LOLLIPOP, "per_edge_unit"),
 }
-# the public entry points of the scalar engine
+# the rng-taking entry points: the scalar engine's on one row, and the
+# density view
 API_CALLS = ["density", "tracked_cluster", "occupancy", "sample_tau_coal",
              "estimate_density"]
 
@@ -82,10 +84,10 @@ def api_call(case: str, call: str) -> dict:
 
 class TestPinnedDigests:
     """Outputs of the ancestral sampler, of the kernel in each mode and of
-    the scalar engine's public entry points, as sha256 digests: a change to
-    any draw, pick or state update shows here.  The runner's CSV digests in
-    ``test_cli`` pin the block paths, and ``TestOneLayout`` ties the
-    runner's scalar blocks to them."""
+    the rng-taking entry points, as sha256 digests: a change to any draw,
+    pick or state update shows here.  The runner's CSV digests in
+    ``test_cli`` pin the block paths, ``TestOneLayout`` ties the runner's
+    scalar blocks to them, and ``TestOneRow`` the one-row calls."""
 
     ANCESTRAL = {
         "torus36": "6fe3bd455eb10cf40745a3f823bc6766a08e7a3ab7aa6afe1c62c03c3eeab5b1",
@@ -97,21 +99,21 @@ class TestPinnedDigests:
         "to_one": "6ec81e2eec3b4b4cebf4985e610c8be178e0c8a228b7d51911c724da5246cd0e",
     }
 
-    # the scalar engine's public entry points, as ``api_call`` runs them
+    # the rng-taking entry points, as ``api_call`` runs them
     API = {
         "cycle9_total_unit": {
-            "density": "0af190bec0bc597a425d5aa9f190f45bd5453ba653c524d45e576bb1df23ad90",
-            "tracked_cluster": "8c4eb0ac9ae472be5a54aa947b8c10f60037191de3f227587f632ac7bd720261",
-            "occupancy": "ea3334712551c2a89391882fc275d00c8d45dc72ec12f31dfa5360cd1900dae6",
-            "sample_tau_coal": "997c5c7b81ce6753f597979e67f8d131be2d7f87e26c5c07a1719c5c08a73e18",
-            "estimate_density": "d82c77a39768eba7314957c8e44e8021796e4f38957424a4cb9af6b9d8d1c282",
+            "density": "01ea98793823f01ce38cece956992f3b17ec898559e3ebea3470cb811c428a01",
+            "tracked_cluster": "7bfc3a86cc4b91a73c2f9200e7baa09ffebfcc51a1c2600208a0f9481687532c",
+            "occupancy": "ed04ec77d63fc9b12451941d8970b3c50ab03697bcb6bc916c95e3f8a70f298b",
+            "sample_tau_coal": "e5fbbe6cf2fa91d5f0b9747ee232ba00b5f42df0097c1e2b1d07e83ac35955f6",
+            "estimate_density": "f5aa965b5875da5d1fc9640a6f91b11551bdf877d63e97d52abdc632eea79cd5",
         },
         "lollipop": {
-            "density": "8de445a46ec46d66cbfdab5f16cdaaada761fc4e04223b2dbfafef2921f07daa",
-            "tracked_cluster": "5b7e2e0b230c0025d8fb96c14619e4927a6cf6cc40a6159d667de191e6c4530b",
-            "occupancy": "6607576b3700af3a48c0b0ce61f2fd1b40eb473c5d3263db5b5809c3d644cc25",
-            "sample_tau_coal": "84f3c60b1fc215021e2f708244570c5947bc71eea9fb81987ed5fd6331f395a8",
-            "estimate_density": "2431911d9bb8d04086cbac15b26fd59be9792075440a4e2d0e406ae20938bfdd",
+            "density": "8772bca05732321bcfeff43e74809996f297781b78c4b8c3e3a5249d9e397e64",
+            "tracked_cluster": "10aa9b114be2d8f9a606bf5650a28d5e4c81cfe061b6c377b9cfbc54090048ca",
+            "occupancy": "9b0387965663600523510bacd1ddc4908bf2b29aac57a7ca8661bf6e139b4c35",
+            "sample_tau_coal": "7f463bc59545267cb3ce23bb126a8dc9cb2d0a29895806994350715011c43a34",
+            "estimate_density": "e73182f151ae527ff40e340455a1001aa03ab570c53b9398e666ea57fddc2b72",
         },
     }
 
@@ -146,8 +148,8 @@ class _Stream:
 
     def at(self, k):
         while len(self.e) <= k:
-            self.e.append(self.expo.standard_exponential(self.width))
-            self.u.append(np.array([s.random(self.width) for s in self.kinds]))
+            self.e.append(self.expo(self.width))
+            self.u.append(np.array([draw(self.width) for draw in self.kinds]))
         return self.e[k], self.u[k]
 
 
@@ -383,3 +385,44 @@ class TestOneLayout:
         assert rec["events"] > 0
         if g is LOLLIPOP and kind != "nhat":
             assert rec["thinning_rejections"] > 0
+
+
+class TestOneRow:
+    """``simulate_crw`` (every track), ``sample_tau_coal`` and
+    ``simulate_voter`` read row 0 of a one-row block drawing from the
+    caller's generator: each call's values and counters equal ``_pass`` on
+    ``[rng]`` at width 1, on either engine, and leave the generator where
+    the pass does."""
+
+    @staticmethod
+    def call(g, convention, kind, rng):
+        """The call's values in ``_pass``'s columns for one replicate, and
+        its counters where it returns them."""
+        if kind == "tau_coal":
+            return np.array([sample_tau_coal(g, rng, convention)]), {}
+        if kind == "nhat":
+            out = simulate_voter(g, GRID, rng, convention)
+            cols = [out["nhat"], out["n_0"]]
+        else:
+            out = simulate_crw(g, GRID, rng, kind, convention=convention)
+            cols = [out["xi_size"], *(out[k] for k in ("N", "occ") if k in out)]
+        counts = {k: out[k] for k in ("events", "thinning_rejections")}
+        return np.column_stack(cols)[None], counts
+
+    @pytest.mark.parametrize("path", ["scalar", "lockstep"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", list(SCALAR_CASES))
+    def test_call_equals_one_row_pass(self, case, kind, path, monkeypatch):
+        g, convention = SCALAR_CASES[case]
+        monkeypatch.setattr(runner, "_SCALAR_BELOW",
+                            dict.fromkeys(KINDS, 1 << 20 if path == "scalar" else 0))
+        flat = flat_graph(g, convention)
+        grid = [] if kind == "tau_coal" else GRID
+        for seed in range(5):
+            rng, ref_rng = (derive_rng(47, "one-row", seed) for _ in range(2))
+            vals, counts = self.call(g, convention, kind, rng)
+            ref, rec = runner._pass(flat, {"task": kind}, grid, [ref_rng], 1, 1)
+            np.testing.assert_array_equal(vals, ref)
+            for key, val in counts.items():
+                assert val == rec[key], key
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

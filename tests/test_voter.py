@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import checks_pass
+from conftest import checks_pass, task_values
 
 from coalesce.chains import build_generator
 from coalesce import runner, voter
@@ -9,7 +9,6 @@ from coalesce.crw import (
     _state_dtype,
     exact_occupancy_density,
     flat_graph,
-    simulate_crw,
 )
 from coalesce.errors import EmptySamples, ParameterOutOfRange
 from coalesce.graphs import Graph, cycle_graph, path_graph
@@ -51,13 +50,9 @@ class TestSimulateVoter:
         assert rec["n_0"].tolist() == [1, 1, 1]
 
     def test_k2_agreement_probability(self):
-        rng = derive_rng(1, "voter", 0)
         t = 0.4
-        hits = sum(
-            simulate_voter(path_graph(2), [t], rng)["nhat"][0] == 2
-            for _ in range(20_000)
-        )
-        p = hits / 20_000
+        nhat = task_values(path_graph(2), "nhat", [t], 20_000, derive_rng(1, "voter", 0))
+        p = (nhat[:, 0, 0] == 2).mean()
         expected = 1 - np.exp(-2 * t)
         assert abs(p - expected) <= 4 * np.sqrt(expected * (1 - expected) / 20_000)
 
@@ -84,12 +79,9 @@ class TestDualityGap:
 
     def test_two_path_hand_identity(self):
         # E(1/nhat) = exp(-2t) + (1 - exp(-2t))/2 = (1 + exp(-2t))/2, the density
-        rng = derive_rng(5, "dual", 0)
         t = 0.7
-        inv = np.array(
-            [1.0 / simulate_voter(path_graph(2), [t], rng)["nhat"][0]
-             for _ in range(20_000)]
-        )
+        inv = 1.0 / task_values(path_graph(2), "nhat", [t], 20_000,
+                                derive_rng(5, "dual", 0))[:, 0, 0]
         target = (1 + np.exp(-2 * t)) / 2
         assert abs(inv.mean() - target) <= 4 * inv.std(ddof=1) / np.sqrt(len(inv))
 
@@ -159,10 +151,7 @@ def spy_blocks(monkeypatch):
 class TestAncestralSampler:
     def test_matches_forward_law(self):
         t = 1.0
-        fwd_rng = derive_rng(6, "anc", 0)
-        fwd = np.array(
-            [simulate_voter(C6, [t], fwd_rng)["nhat"][0] for _ in range(10_000)]
-        )
+        fwd = task_values(C6, "nhat", [t], 10_000, derive_rng(6, "anc", 0))[:, 0, 0]
         anc = sample_nhat_ancestral(C6, t, 10_000, derive_rng(6, "anc", 1))
         assert ks_distance_two_sample(fwd, anc) <= 1.63 * np.sqrt(2 / 10_000) + 0.01
 
@@ -269,20 +258,12 @@ class TestSizeBiasIdentity:
             assert abs(row["diff"]) <= 4.0 * row["se"]
 
     def test_inverse_cluster_tail_identity(self):
-        # mean(1/N 1[N >= M]) = P(n_init >= M) for M in {2, 3}
-        rng = derive_rng(9, "tail", 0)
+        # mean(1/N 1[N >= M]) = P(n_init >= M) for M in {2, 3}, where opinion
+        # 0's cluster size has the law of n_init on the transitive cycle
         reps = 20_000
-        n_init = np.empty(reps, dtype=int)
-        for r in range(reps):
-            n_init[r] = simulate_voter(C6, [1.0], rng)["n_init"][0]
-        rng2 = derive_rng(9, "tail", 1)
-        ncrw = np.array(
-            [
-                simulate_crw(C6, [1.0], rng2, track="tracked_cluster")["N"][0]
-                for _ in range(reps)
-            ],
-            dtype=float,
-        )
+        n_init = task_values(C6, "nhat", [1.0], reps, derive_rng(9, "tail", 0))[:, 0, 1]
+        ncrw = task_values(C6, "tracked_cluster", [1.0], reps,
+                           derive_rng(9, "tail", 1))[:, 0, 1].astype(float)
         for m in (2, 3):
             lhs_samples = (1.0 / ncrw) * (ncrw >= m)
             rhs_samples = (n_init >= m).astype(float)

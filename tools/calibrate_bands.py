@@ -12,7 +12,8 @@ no seed anywhere.
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 20 --only psi_d3,paper_cm3/two_meet_over_n_alpha
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 10 --only paper_cycle1e5_d1/ratio_bg
 
-The last, C5's cycle(10^5) row, costs about 35 s a seed.
+The last, C5's cycle(10^5) row, costs about 21 s a seed on one core of a
+2-core machine (Python 3.11, numpy 2.4).
 
 Nominal rates: ``z`` bands allow erfc(z / sqrt 2), and a test that takes
 the largest of k such z values at most k times that; one-sided bounds on a
