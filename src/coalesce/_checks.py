@@ -10,9 +10,10 @@ of their suite, named ``<check>/<quantity>``, and
 tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
 rows at scale 1 on one thread, and C3 reads the ``duality_cycle6`` sampler
 of ``verify statistical`` at 20 000 replicates.  ``_values`` and every
-view in ``crw`` and ``voter``, ``estimate_density`` too, read the runner's
-derived blocks, which read one stream layout on either engine, so a runner
-law is checked once, on the lockstep kernels (``runner_lockstep_*``).
+view in ``crw`` and ``voter``, ``estimate_density`` and the ancestral
+sampler too, read the runner's derived blocks, which read one stream
+layout on either engine, so a runner law is checked once, on the lockstep
+kernels (``runner_lockstep_*``).
 Only the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10)
 is ``mf310_A1`` (the unit test's Monte Carlo alpha) and
 ``paper_torus310/ratio_A1`` (the exact alpha), with two bands.

@@ -375,6 +375,13 @@ def check_count(value, least: int = 1, name: str = "reps") -> int:
     return int(value)
 
 
+def check_scale(value) -> float:
+    """A replicate scale: a positive finite real, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ParameterOutOfRange(f"scale must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def check_vertex(value, n: int, name: str) -> int:
     """A vertex of an n-vertex graph: an integer, not a boolean, in
     0..n - 1.  Errors name the field ``name``."""

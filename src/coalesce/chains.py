@@ -13,7 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class MarkovChain:
 
     ``csr`` is ``(indptr, indices, data)`` in ``Graph.csr``'s layout, with
     the positive rates r(x, y) as data; ``row_rates`` holds each r(x),
-    summed once in stored order.  convention is "per_edge_unit" (rate =
+    the correctly rounded sum of its row.  convention is "per_edge_unit" (rate =
     edge multiplicity), "total_unit" (each row rescaled to total rate 1;
     regular graphs only), or "custom".
     """
@@ -89,8 +89,9 @@ class MarkovChain:
             raise ParameterOutOfRange("rates must be exactly symmetric")
         if not _connected(n, rows, cols.astype(np.intp)):
             raise NotConnected("rate graph is not irreducible")
-        # float64 also with no entries, where bincount returns int64
-        row_rates = np.bincount(rows, weights=data, minlength=n).astype(float)
+        # correctly rounded row sums, so six fl(1/6) make exactly 1
+        ptr, vals = indptr.tolist(), data.tolist()
+        row_rates = np.array([fsum(vals[a:b]) for a, b in zip(ptr, ptr[1:])], dtype=float)
         for a in (*csr, row_rates):
             a.setflags(write=False)
         object.__setattr__(self, "csr", csr)

@@ -7,6 +7,7 @@ import os
 import sys
 
 from . import __version__
+from ._flat import check_scale
 from .chains import build_generator, spectrum, transition_matrix
 from .config import _TASK_KINDS, validate_config
 from .crw import exact_occupancy_density
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_flag("--threads", _threads), metavar="N",
                    help=_THREADS_HELP)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_flag("--scale", lambda s: check_scale(float(s))), default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
     return parser

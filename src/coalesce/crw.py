@@ -8,8 +8,8 @@ cluster, at x; on irregular graphs it is kept when a uniform u <
 rate(x) / r_max, and a rejected ring changes nothing but the
 ``thinning_rejections`` count.  This is exact for the occupancy process and
 orders of magnitude faster at low density.  The lockstep kernel
-``_lockstep_crw`` gives every trajectory of a pass of blocks one ring per
-numpy iteration; the scalar routine ``_scalar_crw`` runs one trajectory in
+``_lockstep_crw``, run by ``runner._pass`` alone, gives every trajectory of
+a pass of blocks one ring per numpy iteration; ``_scalar_crw`` runs one in
 plain Python; the two-walker routine ``_flat.walk_pairs`` runs each walker
 at r_max the same way, a rejected ring being a stay.  A runner block's
 rows read one stream per variate kind in one layout (``_kind_streams``),
@@ -74,8 +74,8 @@ def _state_dtype(n: int) -> type:
     return np.int16 if n < 1 << 15 else np.int32
 
 
-# a block's variate kinds in seeding order: the leading uniforms (a tracked
-# label; the voter's two uniform vertices), clock, slot, thinning, neighbour
+# a block's variate kinds in seeding order: the leading uniforms (the tracked
+# labels; the voter's two uniform vertices), clock, slot, thinning, neighbour
 LEAD, EXPO, SLOT, THIN, NBR = range(5)
 # a scalar block draws about this many variates of a kind at a time
 _WINDOW_CELLS = 1 << 16
@@ -120,9 +120,9 @@ class _BlockDraws:
         self.starts = np.arange(len(rngs) + 1) * width
         self.active = range(len(rngs))
 
-    def lead(self, rows: int) -> np.ndarray:
-        """The first leading uniform of each of the first ``rows`` rows."""
-        return np.concatenate([s[LEAD](self.width) for s in self.streams])[:rows]
+    def lead(self, rows: int, count: int = 1) -> np.ndarray:
+        """The first ``rows`` rows' first ``count`` leading uniforms, (rows, count)."""
+        return np.concatenate([s[LEAD]((count, self.width)) for s in self.streams], 1)[:, :rows].T
 
     def keep(self, live: np.ndarray) -> None:
         """From now on only the blocks holding a row of ``live``, which is
@@ -135,7 +135,8 @@ class _BlockDraws:
         for k in self.active:
             fill, out = self.e_parts[k]
             fill(out=out)
-        return self.e if live.size == self.e.size else self.e[live]
+        # live rows that are a prefix take a slice, not a gather
+        return self.e[:live.size] if live[-1] == live.size - 1 else self.e[live]
 
     def uniforms(self, live: np.ndarray, kinds: int) -> np.ndarray:
         """The live rows' first ``kinds`` uniforms, (kinds, live)."""
@@ -144,7 +145,7 @@ class _BlockDraws:
                 fill(out=out)
         u = self.u[:kinds]
         # take() gathers columns several times faster than u[:, live]
-        return u if live.size == u.shape[1] else u.take(live, axis=1)
+        return u[:, :live.size] if live[-1] == live.size - 1 else u.take(live, axis=1)
 
 
 def _scalar_rows(rngs: list, width: int, rows: int, start) -> list:
@@ -152,23 +153,25 @@ def _scalar_rows(rngs: list, width: int, rows: int, start) -> list:
     from ``rngs[k]``, each run by the scalar routine ``start(draws,
     window)``.  A block's rows run interleaved, ``window`` rings at a time,
     so each kind's variates for a window are drawn once, (window, width),
-    and row r reads column r as a list; only the last window is kept."""
+    and row r reads column r as a list; only the last window is kept, and
+    every window of leading uniforms, which rows read before any ring."""
     window = max(1, _WINDOW_CELLS // width)
     recs = []
     for first, rng in zip(range(0, rows, width), rngs):
         fills = _kind_streams(rng)
-        drawn = {}
+        drawn = [[] for _ in fills]
 
         def column(kind, r, fills=fills, drawn=drawn):
+            chunks = drawn[kind]
             for c in count():
-                if drawn.get(kind, (-1,))[0] != c:
-                    drawn[kind] = c, fills[kind]((window, width))
-                yield drawn[kind][1][:, r].tolist()
+                if c == len(chunks):
+                    if kind != LEAD and chunks:
+                        chunks[-1] = None
+                    chunks.append(fills[kind]((window, width)))
+                yield chunks[c][:, r].tolist()
 
-        lead = fills[LEAD]((2, width))
-        runs = [start((iter(lead[:, r].tolist()).__next__,
-                       *(chain.from_iterable(column(kind, r)).__next__
-                         for kind in (EXPO, SLOT, THIN, NBR))), window)
+        runs = [start(tuple(chain.from_iterable(column(kind, r)).__next__
+                            for kind in range(len(fills))), window)
                 for r in range(min(width, rows - first))]
         done = [None] * len(runs)
         while None in done:

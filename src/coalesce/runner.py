@@ -3,8 +3,8 @@
 A task's replicates run in fixed-size blocks whose size depends only on the
 vertex count.  Block k draws from one generator derived from
 (master_seed, task label, k), which seeds its variate streams
-(``crw._kind_streams``).  A chunk's blocks run together as one pass, of at
-most ``_BLOCK_CELLS`` state cells (one block from 512 vertices).  A
+(``crw._kind_streams``).  A chunk's blocks run together in passes of at
+most ``_PASS_BYTES`` per state array (four blocks from 512 vertices).  A
 replicate's row therefore depends only on its index: rows are identical
 whatever the worker count (worker chunks are whole blocks), extending
 ``replicates`` keeps the earlier rows, and adding tasks to a config never
@@ -24,9 +24,10 @@ task's chunks are queued before the calling process runs a task's last
 chunk.  The chunks return as finished CSV text, which the calling process
 writes and hashes in block order.
 
-``estimate_density``, ``sample_tau_coal_many``, ``occupancy_covariances``
-and ``duality_gap`` read the same blocks through ``_task_values`` at one
-thread, at a master seed they draw from the caller's generator.
+``estimate_density``, ``sample_tau_coal_many``, ``occupancy_covariances``,
+``duality_gap`` and ``sample_nhat_ancestral`` read the same blocks through
+``_task_values`` at one thread, at a master seed they draw from the
+caller's generator.  ``_pass`` is the one caller of the lockstep kernels.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import __version__
 from ._flat import check_count, check_grid
 from .config import _TASK_KINDS, ExperimentConfig, build_graph, check_sites, load_config
 from .crw import (LEAD, _BlockDraws, _check_connected, _lockstep_crw, _scalar_crw,
-                  _scalar_rows, flat_graph)
+                  _scalar_rows, _state_dtype, flat_graph)
 from .errors import TaskError
 from .graphs import Graph
 from .io import block_csv, make_dir, sha256_text, write_csv_chunks, write_json
@@ -58,9 +59,12 @@ __all__ = [
 # wider blocks buy little speed on small graphs, and every iteration draws
 # the full width, however few replicates a run asks for
 _BLOCK_CAP = 1024
-# and on large graphs a block holds about this many state cells, the most
-# a lockstep pass of several blocks holds on small ones
+# and on large graphs a block holds about this many state cells; the width
+# fixes a block's streams, so both are kept fixed
 _BLOCK_CELLS = 1 << 19
+# the most bytes per state array, and per per-row array, of a lockstep
+# pass of blocks, where wide passes pay
+_PASS_BYTES = 1 << 22
 # a block narrower than this runs on the scalar engines, which give the
 # same rows: a lockstep iteration costs tens of microseconds whatever its
 # width, and in tau_coal the slowest rows run on alone once the others have
@@ -88,9 +92,9 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def _task_label(task: dict) -> str:
-    # the replicate count is excluded so extending a run keeps the
-    # streams of already-computed replicates
-    core = {k: v for k, v in task.items() if k != "replicates"}
+    # without the replicate count, extending a run keeps the earlier rows,
+    # and without the tracked label count, label 0 is the one-label task's
+    core = {k: v for k, v in task.items() if k not in ("replicates", "labels")}
     return "task:" + json.dumps(core, sort_keys=True)
 
 
@@ -100,16 +104,18 @@ def _pass(flat, task, grid, rngs, count, width):
     (replicate, time, column) or one coalescence time per replicate, and
     the kernels' record, counters summed; each block's rows are those of
     the block alone, on either engine.  The columns are the task's CSV
-    columns, and ``nhat`` also opinion 0's cluster size."""
+    columns, ``nhat`` also opinion 0's cluster size, and ``tracked_cluster``
+    the sizes of ``task["labels"]`` (default 1) tracked clusters."""
     kind = task["task"]
     sites = (task.get("sites") or range(flat.n)) if kind == "occupancy" else None
-    to_one, track = kind == "tau_coal", kind == "tracked_cluster"
+    to_one = kind == "tau_coal"
+    tracked = task.get("labels", 1) if kind == "tracked_cluster" else 0
     if width < _SCALAR_BELOW[kind]:
         def start(draws, window):
             if kind == "nhat":
                 return _voter_once(flat, draws, grid, window)
-            # the tracked particle is the row's leading uniform
-            labels = [int(draws[LEAD]() * flat.n)] if track else None
+            # the tracked particles are the row's leading uniforms
+            labels = [int(draws[LEAD]() * flat.n) for _ in range(tracked)] if tracked else None
             return _scalar_crw(flat, draws, grid, labels, sites, to_one, window)
 
         # the rows' records stacked into the lockstep kernels' record
@@ -120,7 +126,7 @@ def _pass(flat, task, grid, rngs, count, width):
         rec = _lockstep_voter(flat, _BlockDraws(rngs, width), count, grid)
     else:
         draws = _BlockDraws(rngs, width)
-        labels = (draws.lead(count) * flat.n).astype(int)[:, None] if track else None
+        labels = (draws.lead(count, tracked) * flat.n).astype(int) if tracked else None
         rec = _lockstep_crw(flat, draws, count, grid, labels, sites, to_one)
     if to_one:
         return rec["tau"], rec
@@ -152,11 +158,12 @@ def _rows(start, grid, vals):
 
 def _chunk_worker(args):
     """A chunk's blocks as (first replicate, values) and its counters.  The
-    blocks run together in passes of at most ``_BLOCK_CELLS`` state cells,
-    one generator per block, so a pass holds one block where a block alone
-    fills that budget."""
+    blocks run together in passes of at most ``_PASS_BYTES`` per state
+    array, one generator per block, so a pass holds one block where a
+    block alone fills that budget."""
     flat, task, grid, label, master_seed, reps, width, first, stop = args
-    per_pass = max(1, _BLOCK_CELLS // (width * flat.n))
+    cell = np.dtype(_state_dtype(flat.n)).itemsize
+    per_pass = max(1, _PASS_BYTES // (width * max(flat.n * cell, 8)))
     blocks = []
     tally = Counter()
     for lo in range(first, stop, per_pass):
@@ -257,9 +264,10 @@ def task_header(task: dict, graph: Graph) -> list[str]:
     raise TaskError(kind, "unknown task kind")
 
 
-def _task_chunks(graph, convention, task, times, replicates, master_seed, threads):
+def _task_chunks(graph, convention, task, times, replicates, master_seed, threads,
+                 per_process=2):
     """A task's header, time grid, row count and chunk arguments: about
-    two chunks of whole blocks per process."""
+    ``per_process`` chunks of whole blocks per process."""
     header = task_header(task, graph)
     label = _task_label(task)
     grid = check_grid(task.get("times", times))
@@ -272,7 +280,7 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
     flat = flat_graph(graph, convention)
     width = block_rows(graph.n)
     nblocks = -(-reps // width)
-    per_chunk = max(1, -(-nblocks // (2 * threads)))
+    per_chunk = max(1, -(-nblocks // (per_process * threads)))
     args_list = [
         (flat, task, grid, label, master_seed, reps, width, first,
          min(first + per_chunk, nblocks))
@@ -284,10 +292,11 @@ def _task_chunks(graph, convention, task, times, replicates, master_seed, thread
 def _task_values(graph, convention, task, times, replicates, master_seed,
                  threads=1, pool=None):
     """One task's header, time grid, values (every replicate's, stacked as
-    ``_pass`` shapes them) and counters, as ``run_task`` describes them."""
+    ``_pass`` shapes them) and counters, as ``run_task`` describes them.
+    Every value is kept, so at one thread the task runs as one chunk."""
     check_count(threads, 1, "threads")
     header, grid, _, args_list = _task_chunks(
-        graph, convention, task, times, replicates, master_seed, threads
+        graph, convention, task, times, replicates, master_seed, threads, min(threads, 2)
     )
     tally = _tally()
     with (worker_pool(threads) if pool is None else nullcontext(pool)) as pool:

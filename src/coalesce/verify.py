@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._flat import check_count
+from ._flat import check_count, check_scale
 from .chains import (
     MarkovChain,
     build_generator,
@@ -192,6 +192,7 @@ def statistical_suite(
     """Sigma-band Monte Carlo checks against exact oracles: the table's
     statistical checks, one row each."""
     check_count(threads, 1, "threads")
+    scale = check_scale(scale)
     with worker_pool(threads) as pool:
         rows, ok, _ = _suite("statistical", seed, threads, scale, pool)
     return rows, ok
@@ -201,6 +202,7 @@ def paper_suite(seed: int = 0, threads: int = 1, scale: float = 1.0) -> tuple[li
     """Measured t * density against the predictions; ratio bands mirror the
     desk-scale acceptance windows."""
     check_count(threads, 1, "threads")
+    scale = check_scale(scale)
     with worker_pool(threads) as pool:
         return _suite("paper", seed, threads, scale, pool)
 

@@ -8,13 +8,12 @@ on the lockstep kernel (``_lockstep_voter``) or the scalar one
 (``_voter_once``), which read the one stream layout of
 ``crw._kind_streams`` and give the same rows; ``simulate_voter``'s are
 row 0 of a one-row block on the caller's generator (``crw._one_row``).
-``duality_gap`` is a view over the runner's derived blocks at a master
-seed drawn from the caller's generator.  For large graphs the opinion
-cluster of a uniform vertex can be sampled through the ancestral
-coalescing system instead (equal in law), which is the only practical
-route at thousands of vertices: the sampler runs ``crw._lockstep_crw`` in
-as few equal blocks as a byte budget on its state allows and reads each
-tracked label's cluster size from the kernel's per-site sizes.
+For large graphs the opinion cluster of a uniform vertex can be sampled
+through the ancestral coalescing system instead (equal in law), the only
+practical route at thousands of vertices.  ``sample_nhat_ancestral`` and
+``duality_gap`` are views over the runner's derived blocks at a master
+seed drawn from the caller's generator, the sampler's ``tracked_cluster``
+rows each tracking several labels.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._flat import FlatGraph, check_count, check_grid
-from .crw import _BlockDraws, _lockstep_crw, _one_row, _state_dtype, flat_graph
+from .crw import _one_row, _state_dtype, flat_graph
 from .errors import EmptySamples, ParameterOutOfRange
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
 from .graphs import Graph
@@ -39,24 +38,6 @@ __all__ = [
     "gamma22_cdf",
     "size_bias_histogram",
 ]
-
-# bytes per lockstep state array in an ancestral block: a numpy iteration
-# costs tens of microseconds whatever its width, so wide blocks pay.  The
-# rule and the block layout are kept fixed: the layout fixes the draws, so
-# changing it would change the ancestral stream
-_ANCESTRAL_STATE_BYTES = 1 << 22
-
-
-def _ancestral_blocks(n: int, trajectories: int) -> list[int]:
-    """Rows of each ancestral block: as few blocks as keep every state
-    array, and every per-row array, within ``_ANCESTRAL_STATE_BYTES``,
-    with the trajectories split as evenly as they go."""
-    cells = _ANCESTRAL_STATE_BYTES // np.dtype(_state_dtype(n)).itemsize
-    cap = max(1, min(cells // n, _ANCESTRAL_STATE_BYTES // 8))
-    count = -(-trajectories // cap)
-    base, extra = divmod(trajectories, count)
-    return [base + 1] * extra + [base] * (count - extra)
-
 
 def _voter_once(flat: FlatGraph, draws: tuple, grid: list, window: int = 0):
     """Forward voter run, drawing and pausing as ``crw._scalar_crw`` does;
@@ -113,7 +94,7 @@ def _voter_once(flat: FlatGraph, draws: tuple, grid: list, window: int = 0):
            "events": events, "thinning_rejections": 0}
 
 
-def _lockstep_voter(flat: FlatGraph, draws: _BlockDraws, rows: int, grid: list) -> dict:
+def _lockstep_voter(flat: FlatGraph, draws, rows: int, grid: list) -> dict:
     """``rows`` forward voter trajectories advanced in lockstep, one ring per
     row per numpy iteration; records ``nhat`` (rows, grid), the cluster size
     of a uniform vertex's current opinion, and ``n_0`` (rows, grid), opinion
@@ -140,7 +121,7 @@ def _lockstep_voter(flat: FlatGraph, draws: _BlockDraws, rows: int, grid: list) 
     opinion = np.tile(np.arange(n, dtype=state), rows)
     counts = np.ones(rows * n, dtype=state)
     # per live row, kept aligned with `live`; with an empty grid no row runs
-    u_hat = (draws.lead(rows) * n).astype(np.int64)
+    u_hat = (draws.lead(rows)[:, 0] * n).astype(np.int64)
     live = np.arange(rows if ngrid else 0)
     b = live * n
     u_hat = b + u_hat[live]
@@ -219,26 +200,21 @@ def sample_nhat_ancestral(
     Uses the ancestral representation: the cluster size equals, in law, the
     size of the coalescing-walk cluster containing a uniformly chosen
     initial particle.  Each trajectory yields ``draws_per_trajectory``
-    draws (correlated within a trajectory, exact in law individually).
-    Trajectories run in lockstep in as few equal blocks as a 4 MB budget
-    per state array allows (``_ancestral_blocks``), so the block layout,
-    and with it the stream, depends on n and on ``trajectories``.  Each
-    block draws its labels, then its ring streams' seeds, from ``rng``.
+    draws (correlated within a trajectory, exact in law individually), the
+    cluster sizes of as many labels drawn before the walks, which gives the
+    law of labels picked at time t.  The trajectories are the runner's
+    ``tracked_cluster`` rows at a master seed drawn from ``rng``, label 0
+    the task's own, so the first k do not depend on ``trajectories``.
     """
+    from .runner import _task_values
+
     trajectories = check_count(trajectories, 1, "trajectories")
-    draws_per_trajectory = check_count(draws_per_trajectory, 1, "draws_per_trajectory")
-    (t,) = check_grid([t], "t")
-    flat = flat_graph(g, convention)
-    out = np.empty((trajectories, draws_per_trajectory), dtype=np.int64)
-    start = 0
-    for block in _ancestral_blocks(g.n, trajectories):
-        # labels are independent of the dynamics, so drawing them first
-        # gives the same law as picking them at time t
-        labels = rng.integers(0, g.n, size=(block, draws_per_trajectory))
-        rec = _lockstep_crw(flat, _BlockDraws([rng], block), block, [t], labels)
-        out[start:start + block] = rec["sizes"][:, 0]
-        start += block
-    return out.reshape(-1)
+    labels = check_count(draws_per_trajectory, 1, "draws_per_trajectory")
+    grid = check_grid([t], "t")
+    task = {"task": "tracked_cluster", "labels": labels}
+    vals = _task_values(g, convention, task, grid, trajectories, int(rng.integers(1 << 63)))[2]
+    # the cluster count, then the tracked clusters' sizes
+    return vals[:, 0, 1:].reshape(-1)
 
 
 def duality_gap(

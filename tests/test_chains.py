@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import sys
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import dense
+from conftest import IRREGULAR_RATES, dense
 from scipy.stats import poisson
 
 from coalesce import chains
@@ -481,6 +482,23 @@ class TestCsrRates:
         c = build_generator(g, "total_unit")
         assert c.r_min == c.r_max
         assert c.r_max == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("L", [3, 5, 10])
+    def test_total_unit_torus3_rate_is_one(self, L):
+        # six fl(1/6) summed in stored order made 1 - 2^-53 on every row
+        c = build_generator(torus_graph(3, L), "total_unit")
+        assert c.r_min == c.r_max == 1.0
+
+    @pytest.mark.parametrize("case", ["irregular", "random"])
+    def test_row_rates_correctly_rounded(self, case):
+        rates = IRREGULAR_RATES
+        if case == "random":
+            # rates over six decades, so that sums in any order round
+            rng = derive_rng(17, "row-rates", 0)
+            rates = np.triu(rng.random((12, 12)) * 10.0 ** rng.uniform(-3, 3, (12, 12)), 1)
+            rates = rates + rates.T
+        c = MarkovChain.from_rates(rates)
+        assert c.row_rates.tolist() == [math.fsum(row) for row in rates]
 
     @pytest.mark.parametrize("build", [lambda: torus_graph(3, 16), cm20k],
                              ids=["torus3_16", "cm20k"])

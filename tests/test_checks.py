@@ -104,6 +104,19 @@ def test_calibration_prints_one_row(tool, capsys):
     assert [row.split()[:2] for row in rows] == [["pair_k2", "0/2"]]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--only", "pair_k2,no_such_check"], "no_such_check"),
+    (["--seeds", "0", "--only", "pair_k2"], "--seeds"),
+    (["--seeds", "-2"], "--seeds"),
+])
+def test_calibration_rejects_bad_input(tool, capsys, args, named):
+    # a KeyError and an UnboundLocalError, the first after pair_k2's draws
+    with pytest.raises(SystemExit) as stop:
+        tool.main(args)
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2 and named in err.splitlines()[-1] and out == ""
+
+
 def test_calibration_exact_value(tool, capsys):
     # sigma 0 is an exact value: it fails on every seed or on none
     tool.main(["--seeds", "2", "--only", "mf36_exact_alpha"])

@@ -72,6 +72,13 @@ class TestConfigValidation:
             validate_config(cfg)
         assert "tasks[0]" in str(err.value)
 
+    def test_tracked_label_count_is_not_a_field(self, tmp_path):
+        # runner._pass reads "labels" for the ancestral sampler alone
+        cfg = minimal_config(tmp_path, tasks=[{"task": "tracked_cluster", "labels": 2}])
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "tasks[0].labels"
+
     def test_unsorted_times_rejected(self, tmp_path):
         cfg = minimal_config(tmp_path)
         cfg["times"] = [1.0, 0.5]
@@ -535,6 +542,10 @@ class TestCliCommands:
           "--threads", "0"], "--threads"),
         # experiment takes no --out: the bad value stops parsing first
         (["experiment", "config.json", "--threads", "-1"], "--threads"),
+        # nan and inf died in the checks' replicate counts; 0 and -1 ran
+        # every check at its replicate floor
+        *((["verify", suite, "--scale", scale], "--scale")
+          for suite in ("statistical", "paper") for scale in ("nan", "inf", "0", "-1", "x")),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, args, flag):
         assert main(args + ["--out", str(tmp_path / "out")]) == 2
@@ -815,6 +826,14 @@ class TestThreadsChecked:
                                threads=threads)
             else:
                 getattr(verify, entry)(1, threads=threads)
+
+
+class TestScaleChecked:
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("entry", ["statistical_suite", "paper_suite"])
+    def test_bad_scale_rejected(self, entry, scale):
+        with pytest.raises(ParameterOutOfRange, match="^scale must"):
+            getattr(verify, entry)(1, scale=scale)
 
 
 class TestThreadsEnv:

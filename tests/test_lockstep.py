@@ -90,8 +90,8 @@ class TestPinnedDigests:
     scalar blocks to them, and ``TestOneRow`` the one-row calls."""
 
     ANCESTRAL = {
-        "torus36": "6fe3bd455eb10cf40745a3f823bc6766a08e7a3ab7aa6afe1c62c03c3eeab5b1",
-        "lollipop": "9d84b986fe7dae755c96b641d6f06439b15502d4f077bfca183e141b201c1577",
+        "torus36": "49fe0284928a85bb34524c311bca7efcf39bf57b26fd36181c3970293678162b",
+        "lollipop": "224d38f17db5b70cf64a8e01faa4007e0538f39380755a4c111891e0ab3f26c9",
     }
     KERNEL = {
         "labels": "4a57f82dbda73966c6795812e77be4ce0b4fcc4d24fe5def09f87b7ef8e00879",
@@ -334,8 +334,9 @@ class TestGroupedPass:
 
     @pytest.mark.parametrize("n, passes", [(256, [2, 1]), (512, [1, 1, 1])])
     def test_pass_holds_block_cells(self, n, passes, monkeypatch):
-        # a pass holds at most _BLOCK_CELLS state cells: one 1024-row block
-        # from 512 vertices
+        # a pass holds at most _PASS_BYTES per state array: at 1 MB, 2^19
+        # 16-bit cells, one 1024-row block from 512 vertices
+        monkeypatch.setattr(runner, "_PASS_BYTES", 1 << 20)
         width = runner.block_rows(n)
         assert width == 1024
         _, (blocks, tally), got = self.spied_chunk(
@@ -357,16 +358,16 @@ ONE_LAYOUT = {
 class TestOneLayout:
     """The scalar and lockstep engines read a block's variates in one
     layout, so ``_pass`` gives equal values and counters on either, for
-    every task: on a pass of three blocks, the last one short, with the
-    scalar rows interleaved in windows longer than any row and in windows
-    of three rings.  Coalescence on cycle(40000) takes of order n^2 time,
-    so that graph runs the four grid tasks."""
+    every task and for ``tracked_cluster`` with several labels: on a pass
+    of three blocks, the last one short, with the scalar rows interleaved
+    in windows longer than any row and in windows of three rings.
+    Coalescence on cycle(40000) takes of order n^2 time, so that graph runs
+    the four grid tasks."""
 
-    @pytest.mark.parametrize("window", ["long", "short"])
-    @pytest.mark.parametrize("case, kind", [
-        (case, kind) for case in ONE_LAYOUT for kind in KINDS
-        if (case, kind) != ("cycle40000", "tau_coal")])
-    def test_scalar_equals_lockstep(self, case, kind, window, monkeypatch):
+    @staticmethod
+    def compare(case, task, window, monkeypatch):
+        """``_pass``'s values on the scalar engine, checked equal to the
+        lockstep engine's, values and counters."""
         g, convention, grid, width = ONE_LAYOUT[case]
         if window == "short":
             monkeypatch.setattr(crw, "_WINDOW_CELLS", 3 * width)
@@ -376,15 +377,32 @@ class TestOneLayout:
         for path, floor in (("scalar", 1 << 20), ("lockstep", 0)):
             monkeypatch.setattr(runner, "_SCALAR_BELOW", dict.fromkeys(KINDS, floor))
             rngs = [derive_rng(46, "one-layout", k) for k in range(3)]
-            out[path] = runner._pass(flat, {"task": kind}, grid, rngs, rows, width)
+            out[path] = runner._pass(flat, task, grid, rngs, rows, width)
         (vals, rec), (ref, ref_rec) = out["scalar"], out["lockstep"]
         assert vals.shape[0] == rows
         np.testing.assert_array_equal(vals, ref)
         for key in ("events", "thinning_rejections"):
             assert rec[key] == ref_rec[key], key
         assert rec["events"] > 0
-        if g is LOLLIPOP and kind != "nhat":
+        if g is LOLLIPOP and task["task"] != "nhat":
             assert rec["thinning_rejections"] > 0
+        return vals
+
+    @pytest.mark.parametrize("window", ["long", "short"])
+    @pytest.mark.parametrize("case, kind", [
+        (case, kind) for case in ONE_LAYOUT for kind in KINDS
+        if (case, kind) != ("cycle40000", "tau_coal")])
+    def test_scalar_equals_lockstep(self, case, kind, window, monkeypatch):
+        self.compare(case, {"task": kind}, window, monkeypatch)
+
+    @pytest.mark.parametrize("labels", [3, 4])
+    @pytest.mark.parametrize("case", list(SCALAR_CASES))
+    def test_tracked_labels(self, case, labels, monkeypatch):
+        # in windows of three rings, four labels read two windows of
+        # leading uniforms before the first ring
+        task = {"task": "tracked_cluster", "labels": labels}
+        vals = self.compare(case, task, "short", monkeypatch)
+        assert vals.shape[1:] == (len(GRID), 1 + labels)
 
 
 class TestOneRow:

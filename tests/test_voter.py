@@ -11,7 +11,7 @@ from coalesce.crw import (
     flat_graph,
 )
 from coalesce.errors import EmptySamples, ParameterOutOfRange
-from coalesce.graphs import Graph, cycle_graph, path_graph
+from coalesce.graphs import Graph, cycle_graph, path_graph, torus_graph
 from coalesce.seeding import derive_rng
 from coalesce.stats import ks_distance_two_sample
 from coalesce.voter import (
@@ -135,19 +135,6 @@ class TestOpinionZeroColumn:
             assert abs(col.mean() - 1.0) <= 4.5 * col.std(ddof=1) / np.sqrt(len(col))
 
 
-def spy_blocks(monkeypatch):
-    """Records the rows of every kernel call the ancestral sampler makes."""
-    rows = []
-    kernel = voter._lockstep_crw
-
-    def counted(flat, rngs, block, grid, labels):
-        rows.append(block)
-        return kernel(flat, rngs, block, grid, labels)
-
-    monkeypatch.setattr(voter, "_lockstep_crw", counted)
-    return rows
-
-
 class TestAncestralSampler:
     def test_matches_forward_law(self):
         t = 1.0
@@ -188,50 +175,71 @@ class TestAncestralExactMoments:
     def test_first_two_moments(self, case):
         checks_pass(12, f"anc_{case}_k1", f"anc_{case}_k2")
 
-    def test_same_seed_same_samples(self, monkeypatch, lollipop):
-        rows = spy_blocks(monkeypatch)
-        # the default budget runs the 700 trajectories as one block;
-        # 2 * 7 * 50 bytes (50 rows of 16-bit state on the lollipop), as 14
-        for budget, blocks in [(None, [700]), (2 * 7 * 50, [50] * 14)]:
-            if budget is not None:
-                monkeypatch.setattr(voter, "_ANCESTRAL_STATE_BYTES", budget)
-            rows.clear()
-            a = sample_nhat_ancestral(lollipop, 0.8, 700, derive_rng(13, "anc", 0),
-                                      draws_per_trajectory=2)
-            b = sample_nhat_ancestral(lollipop, 0.8, 700, derive_rng(13, "anc", 0),
-                                      draws_per_trajectory=2)
-            assert rows == blocks * 2
-            np.testing.assert_array_equal(a, b)
+
+# C7's graph, on which 1100 trajectories are blocks of 524, 524 and 52 rows
+T310 = torus_graph(3, 10)
+
+
+def t310_sample(trajectories, labels):
+    """``labels`` ancestral draws per trajectory on torus(3, 10) at t = 1,
+    one row per trajectory."""
+    out = sample_nhat_ancestral(T310, 1.0, trajectories, derive_rng(16, "anc-view", 0),
+                                draws_per_trajectory=labels)
+    return out.reshape(trajectories, labels)
+
+
+class TestAncestralView:
+    """The sampler is a view over the runner's ``tracked_cluster`` blocks at
+    one master seed drawn from the caller's generator; row r's label j is
+    entry j * width + r of its block's leading uniforms."""
+
+    def test_one_label_is_the_task_column(self):
+        rng, ref = derive_rng(16, "anc-view", 0), derive_rng(16, "anc-view", 0)
+        out = sample_nhat_ancestral(T310, 1.0, 1100, rng)
+        master = int(ref.integers(1 << 63))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        vals = runner._task_values(T310, "per_edge_unit", {"task": "tracked_cluster"},
+                                   [1.0], 1100, master)[2]
+        np.testing.assert_array_equal(out, vals[:, 0, 1])
+
+    @pytest.mark.parametrize("labels", [2, 3])
+    def test_label_zero_is_the_one_label_draw(self, labels):
+        np.testing.assert_array_equal(t310_sample(1100, labels)[:, 0],
+                                      t310_sample(1100, 1)[:, 0])
+
+    def test_prefix_stable_across_blocks(self):
+        # the first 600 trajectories end past the first block
+        assert runner.block_rows(T310.n) == 524
+        np.testing.assert_array_equal(t310_sample(600, 2), t310_sample(1100, 2)[:600])
+
+    def test_pass_budget_changes_no_draw(self, monkeypatch):
+        run_pass, passes = runner._pass, []
+
+        def spy(flat, task, grid, rngs, count, width):
+            passes.append(len(rngs))
+            return run_pass(flat, task, grid, rngs, count, width)
+
+        monkeypatch.setattr(runner, "_pass", spy)
+        ref = t310_sample(1100, 2)
+        # a byte budget below one block runs each block as a pass of its own
+        monkeypatch.setattr(runner, "_PASS_BYTES", 1)
+        got = t310_sample(1100, 2)
+        assert passes == [3, 1, 1, 1]
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestAncestralBlocks:
-    """The sampler runs in as few equal blocks as the state budget allows,
-    on the narrowest state type that holds n."""
+    """The kernels keep their state in the narrowest integer type that
+    holds n."""
 
     def test_state_dtype(self):
         assert _state_dtype(1) is np.int16
         assert _state_dtype((1 << 15) - 1) is np.int16
         assert _state_dtype(1 << 15) is np.int32
 
-    def test_default_budget(self):
-        # the shape of C7 and of the benchmark on torus(3, 10)
-        assert voter._ancestral_blocks(1000, 1500) == [1500]
-        assert voter._ancestral_blocks(1000, 10_000) == [2000] * 5
-        assert voter._ancestral_blocks(7, 40_000) == [40_000]
-
-    def test_one_over_capacity_splits_in_two(self, monkeypatch):
-        # 2 bytes per cell on cycle(9): 11 rows fit in 198 bytes
-        monkeypatch.setattr(voter, "_ANCESTRAL_STATE_BYTES", 2 * 9 * 11)
-        assert voter._ancestral_blocks(9, 11) == [11]
-        assert voter._ancestral_blocks(9, 13) == [7, 6]
-        rows = spy_blocks(monkeypatch)
-        out = sample_nhat_ancestral(cycle_graph(9), 1.0, 12, derive_rng(14, "anc", 0),
-                                    draws_per_trajectory=3)
-        assert rows == [6, 6]
-        assert out.shape == (36,) and out.min() >= 1 and out.max() <= 9
-
     def test_past_int16_range(self):
-        # vertex labels above 2^15 - 1 would wrap in 16-bit state
+        # vertex labels above 2^15 - 1 would wrap in 16-bit state; the
+        # 13-row blocks run on the scalar engine
         n = 40_000
         out = sample_nhat_ancestral(cycle_graph(n), 0.05, 2, derive_rng(15, "anc", 0),
                                     draws_per_trajectory=4)

@@ -80,6 +80,11 @@ def main(argv=None):
     ap.add_argument("--only", default="", help="comma-separated check names")
     args = ap.parse_args(argv)
     names = [n for n in args.only.split(",") if n] or list(CHECKS)
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        ap.error(f"--only: no check named {', '.join(unknown)}")
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
     print(f"{'check':32} {'fails':>7} {'rate':>7} {'nominal':>12} {'mean':>10} "
           f"{'mean se':>10} {'censored':>8} {'secs':>7}")
     # checks that read one draw share it on each seed
