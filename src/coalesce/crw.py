@@ -606,8 +606,9 @@ def _subset_distribution(c: MarkovChain, t, start=None) -> np.ndarray:
 def exact_occupancy_density(c: MarkovChain, t) -> np.ndarray:
     """Exact per-vertex occupation probability at time t, or one row per
     time for a list of times."""
-    occ_t = _subset_occupancy(c.n).T
+    # the law first: it checks the vertex cap before the 2^n - 1 rows exist
     laws = _subset_distribution(c, t)
+    occ_t = _subset_occupancy(c.n).T
     if laws.ndim == 1:
         return occ_t @ laws
     return np.array([occ_t @ mu for mu in laws])

@@ -196,9 +196,7 @@ def _check_reps(reps, what):
 
 
 # double steps per escape-walk chunk, and cells (walk x double step) per
-# draw.  ``rows`` below still divides the cells by the (2d)^2 pair count, as
-# when each draw was also counted per pair: it is kept for stream identity,
-# so that a seed gives the same psi_hat as before
+# slab of walks drawn at once
 _PSI_CHUNK = 128
 _PSI_CELLS = 1 << 17
 
@@ -230,12 +228,21 @@ def estimate_psi_d(
 
     A walk is back at the origin only after an even number of steps, so the
     live walks advance by double steps, one of (2d)^2 direction pairs, in
-    chunks of ``_PSI_CHUNK``, drawn ``_PSI_CELLS`` cells at a time.  A walk
-    is kept as the packed lattice code of its position (``_lattice_code``,
-    one int64 word for d = 3 up to horizons past 10^5), each double step
-    adds the code of its displacement, and the walk is back exactly when
-    every word of the running code is 0.  A chunk is drawn in full and cut
-    at the horizon, so two horizons share their draws up to the shorter one.
+    chunks of ``_PSI_CHUNK``, a slab of ``_PSI_CELLS`` cells at a time.  A
+    walk is kept as the packed lattice code of its position
+    (``_lattice_code``, one int64 word for d = 3 up to horizons past 10^5),
+    each double step adds the code of its displacement, and the walk is back
+    exactly when every word of the running code is 0.
+
+    Each double step is one word of raw generator bits: a byte while
+    (2d)^2 <= 256, otherwise the narrowest wider word that holds the pairs.
+    Every word at or above the largest multiple of (2d)^2 the word holds is
+    redrawn, in place and in order, so the pairs are exactly uniform (4
+    bytes in 256 at d = 3), and one take from a table over the accepted
+    word values maps each word to its pair's code.  A slab is held
+    step-major, one row per double step, so the running codes are row sums.
+    A chunk is drawn in full and cut at the horizon, so two horizons share
+    their draws up to the shorter one.
     """
     d = _dimension(d)
     check_count(horizon_steps, 0, "horizon_steps")
@@ -246,24 +253,51 @@ def estimate_psi_d(
     pair = (unit[:, None, :] + unit[None, :, :]).reshape(-1, d)
     npair = pair.shape[0]
     pair_code = _lattice_code(d, int(horizon_steps))[1] @ pair.T
-    pair_dtype = np.min_scalar_type(npair - 1)
+    code_words = pair_code.shape[0]
+    word = np.min_scalar_type(npair - 1)
+    accept = (1 << 8 * word.itemsize) // npair * npair
+    # past 16 bits a table over every accepted word would not fit: such
+    # words are folded onto their pair before the take
+    wide = word.itemsize > 2
+    table = pair_code if wide else pair_code[:, np.arange(accept) % npair]
+
+    def draw(n):
+        return rng.bit_generator.random_raw(-(-n * word.itemsize // 8)).view(word)[:n]
+
     # one column per live walk: the code of its position
-    code = np.zeros((pair_code.shape[0], reps), dtype=np.int64)
-    rows = max(1, _PSI_CELLS // max(_PSI_CHUNK, npair))
+    code = np.zeros((code_words, reps), dtype=np.int64)
+    rows = _PSI_CELLS // _PSI_CHUNK
+    index = np.empty(_PSI_CELLS, dtype=np.intp)
+    running = np.empty(code_words * _PSI_CELLS, dtype=np.int64)
     done = 0
     while done < horizon_steps // 2 and code.shape[1]:
         span = min(_PSI_CHUNK, horizon_steps // 2 - done)
         keep = []
         for lo in range(0, code.shape[1], rows):
             c = code[:, lo:lo + rows]
-            moves = rng.integers(0, npair, (c.shape[1], _PSI_CHUNK), dtype=pair_dtype)
-            run = pair_code[:, moves]
-            run[:, :, 0] += c
+            cells = _PSI_CHUNK * c.shape[1]
+            moves = draw(cells)
+            redo = np.flatnonzero(moves >= accept)
+            while redo.size:
+                moves[redo] = draw(redo.size)
+                redo = redo[moves[redo] >= accept]
+            if wide:
+                moves %= npair
+            idx = index[:cells].reshape(_PSI_CHUNK, -1)
+            np.copyto(idx, moves.reshape(idx.shape))
+            run = running[:code_words * cells].reshape(code_words, _PSI_CHUNK, -1)
+            table.take(idx, axis=1, out=run, mode="clip")
             # the code of the position after each double step
-            np.cumsum(run, axis=2, out=run)
-            back = (run[:, :, :span] == 0).all(axis=0).any(axis=1)
-            c[:] = run[:, :, -1]
-            keep.append(~back)
+            prev, *later = run.swapaxes(0, 1)
+            prev += c
+            for row in later:
+                row += prev
+                prev = row
+            back = run[:, :span] == 0
+            for k in range(1, code_words):
+                back[0] &= back[k]
+            c[:] = prev
+            keep.append(~back[0].any(axis=0))
         code = code[:, np.concatenate(keep)]
         done += span
     psi = code.shape[1] / reps

@@ -159,7 +159,13 @@ class TestExactOccupancy:
     def test_mc_agrees(self):
         checks_pass(8, "occupancy_mc_agrees")
 
-    def test_too_large(self):
+    def test_too_large(self, monkeypatch):
+        # the cap comes first: the (2^n - 1) x n occupancy rows of
+        # torus(3, 3) asked for 27 GiB before it was checked
+        def built(n):
+            raise AssertionError(f"occupancy rows built for n = {n}")
+
+        monkeypatch.setattr(crw, "_subset_occupancy", built)
         with pytest.raises(TooLargeForExact):
             exact_occupancy_density(build_generator(cycle_graph(13)), 1.0)
 

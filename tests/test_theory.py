@@ -164,11 +164,15 @@ class TestPsiEstimate:
         res = estimate_psi_d(d, h, reps, derive_rng(13, "psi-law", d * 100 + h))
         assert abs(res["psi_hat"] - exact) <= 4.5 * np.sqrt(exact * (1 - exact) / reps)
 
-    def test_high_dimension_first_double_step(self):
-        # (2d)^2 = 6400 direction pairs; back at step 2 with probability 1/80
-        reps = 40_000
-        res = estimate_psi_d(40, 2, reps, derive_rng(14, "psi40", 0))
-        assert abs(res["psi_hat"] - 79 / 80) <= 4.5 * np.sqrt(79 / 80 ** 2 / reps)
+    @pytest.mark.parametrize("d", [1, 3, 6, 8, 9, 40, 129])
+    def test_first_double_step(self, d):
+        # back at step 2 with probability 1/(2d).  The (2d)^2 pairs are drawn
+        # as bytes with no redraw (d = 1, 8), bytes with redraws (3, 6),
+        # 16-bit words (9, 40; two code words at 40) and 32-bit words folded
+        # onto their pair (129)
+        reps, p = 40_000, 1 / (2 * d)
+        res = estimate_psi_d(d, 2, reps, derive_rng(14, f"psi{d}", 0))
+        assert abs(res["psi_hat"] - (1 - p)) <= 4.5 * np.sqrt(p * (1 - p) / reps)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nearby_horizons_share_draws(self, seed):
@@ -223,28 +227,34 @@ class TestPsiEstimate:
     def test_d3_value_full_scale(self):
         res = estimate_psi_d(3, 100_000, 100_000, derive_rng(3, "psi3full", 0))
         assert abs(res["psi_hat"] - 0.659) <= 0.01
+        # the value the estimator targets at its horizon, exactly
+        assert abs(res["psi_hat"] - psi_d_horizon(3, 100_000)) <= 4.5 * res["stderr"]
 
     def test_no_reps_rejected(self):
         with pytest.raises(EmptySamples):
             estimate_psi_d(3, 100, 0, derive_rng(0, "psi", 0))
 
     # estimate_psi_d(d, h, reps, derive_rng(17, "psi-pin", 10_000 d + h)) as
-    # the pseudo-random 64-bit displacement code gave it, before the packed
-    # lattice code; 2047 and 2048 straddle no field width, 2046 and 2047 do
-    @pytest.mark.parametrize("d, h, reps, psi_hat, stderr", [
-        (1, 1600, 2000, 0.017, 0.002890588175441116),
-        (2, 300, 2000, 0.351, 0.010672370870617268),
-        (3, 6, 2000, 0.7755, 0.00933005225065755),
-        (3, 7, 2000, 0.766, 0.00946688966873492),
-        (3, 2000, 2000, 0.6655, 0.010550112558641259),
-        (4, 500, 2000, 0.813, 0.00871868682772813),
-        (40, 2, 2000, 0.9885, 0.0023840878758971907),
-        (3, 2046, 1000, 0.682, 0.014726710426975875),
-        (3, 2047, 1000, 0.671, 0.014857960829131297),
-        (3, 2048, 1000, 0.686, 0.01467664811869522),
-        (7, 61, 3000, 0.915, 0.005091659847240386),
-        (5, 129, 1500, 0.882, 0.00832970587716037),
-    ])
+    # the rejection-sampled move words give it, from version 0.6.0; 2047 and
+    # 2048 straddle no field width, 2046 and 2047 do.  The ids leave out the
+    # values, so a stream change re-pins them under the same ids
+    PINNED = [
+        (1, 1600, 2000, 0.0175, 0.002932042803234632),
+        (2, 300, 2000, 0.3575, 0.01071666342664544),
+        (3, 6, 2000, 0.7615, 0.009529369076701774),
+        (3, 7, 2000, 0.753, 0.009643417444039223),
+        (3, 2000, 2000, 0.6755, 0.010468995892634595),
+        (4, 500, 2000, 0.807, 0.008824709626950906),
+        (40, 2, 2000, 0.987, 0.0025328837320335107),
+        (3, 2046, 1000, 0.677, 0.014787528529135624),
+        (3, 2047, 1000, 0.673, 0.014834790190629592),
+        (3, 2048, 1000, 0.66, 0.014979986648859203),
+        (7, 61, 3000, 0.909, 0.00525099990478004),
+        (5, 129, 1500, 0.8726666666666667, 0.008606956703951965),
+    ]
+
+    @pytest.mark.parametrize("d, h, reps, psi_hat, stderr", PINNED,
+                             ids=[f"{d}-{h}-{reps}" for d, h, reps, *_ in PINNED])
     def test_pinned_results(self, d, h, reps, psi_hat, stderr):
         res = estimate_psi_d(d, h, reps, derive_rng(17, "psi-pin", 10_000 * d + h))
         assert res == {"psi_hat": psi_hat, "stderr": stderr, "upper_biased": True,
