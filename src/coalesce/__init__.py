@@ -1,14 +1,13 @@
 """Simulation and exact-oracle laboratory for coalescing random walks and
 the dual voter model on finite graphs."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .graphs import (  # noqa: F401
     DegreeDistribution,
     Graph,
     size_biased,
     sample_configuration_model,
-    sample_ugt,
     make_transitive,
     is_connected,
     vertex_expansion_exact,
@@ -18,20 +17,16 @@ from .graphs import (  # noqa: F401
 from .chains import (  # noqa: F401
     MarkovChain,
     Spectrum,
-    ReturnProfile,
     build_generator,
     product_chain,
     transition_matrix,
     spectrum,
-    return_integrals,
 )
 from .meeting import (  # noqa: F401
     MeetingProfile,
-    ExitMeasure,
     pairwise_meeting_times,
     mean_meeting_time,
     alpha_survival,
-    exit_measure,
     kac_residual,
     aldous_brown_check,
     eigentime_residual,
@@ -46,14 +41,12 @@ from .crw import (  # noqa: F401
     exact_k_particle_law,
     sample_tau_coal,
     sample_tau_coal_many,
-    pair_covariance,
     occupancy_covariances,
 )
 from .voter import (  # noqa: F401
     simulate_voter,
     sample_nhat_ancestral,
     duality_gap,
-    normalized_moments,
     gamma_ks,
     gamma22_cdf,
     size_bias_histogram,

@@ -29,13 +29,11 @@ from .graphs import _TRANSITIVE, Graph, _connected, _entry_rows, make_transitive
 __all__ = [
     "MarkovChain",
     "Spectrum",
-    "ReturnProfile",
     "build_generator",
     "product_chain",
     "translation_group",
     "transition_matrix",
     "spectrum",
-    "return_integrals",
     "poisson_weights",
     "uniformize",
 ]
@@ -186,14 +184,6 @@ class Spectrum:
     def eigentime_sum(self) -> float:
         """Sum of inverse nonzero eigenvalues."""
         return float(np.sum(1.0 / self.eigenvalues[1:]))
-
-
-@dataclass(frozen=True)
-class ReturnProfile:
-    t: float
-    M_t: float
-    m_t: float
-    H_t: float
 
 
 def build_generator(g: Graph, convention: str = "per_edge_unit") -> MarkovChain:
@@ -462,30 +452,3 @@ def _return_integral(c: MarkovChain):
         return v2 @ terms
 
     return integral_to
-
-
-def return_integrals(c: MarkovChain, t: float) -> ReturnProfile:
-    """Extremes of the diagonal heat-kernel integral and its ratio profile.
-
-    M_t and m_t are the max / min over states of the integral of p_s(x,x)
-    over [0, t], in closed form from the spectral decomposition.  H_t is the
-    grid maximum over s in (t_rel/2, 2t) of the max/min ratio of the same
-    integral up to s.
-    """
-    if c.n > _DENSE_CAP:
-        raise TooLargeForExact("return integrals need the dense path")
-    [t] = check_grid([t], "t")
-    if t <= 0.0:
-        raise ParameterOutOfRange("t must be positive")
-    integral_to = _return_integral(c)
-    integ = integral_to(t)
-    big, small = float(integ.max()), float(integ.min())
-
-    t_rel = spectrum(c).t_rel
-    lo, hi = t_rel / 2.0, 2.0 * t
-    h_t = 1.0
-    if hi > lo:
-        for s in np.linspace(lo * 1.0000001, hi, 129):
-            integ = integral_to(s)
-            h_t = max(h_t, float(integ.max() / integ.min()))
-    return ReturnProfile(t=t, M_t=big, m_t=small, H_t=h_t)

@@ -52,7 +52,6 @@ __all__ = [
     "exact_k_particle_law",
     "sample_tau_coal",
     "sample_tau_coal_many",
-    "pair_covariance",
     "occupancy_covariances",
 ]
 
@@ -736,8 +735,9 @@ def occupancy_covariances(
     reps = check_count(reps, 2)
     pairs = [(check_vertex(a, g.n, f"pairs[{i}]"), check_vertex(b, g.n, f"pairs[{i}]"))
              for i, (a, b) in enumerate(pairs)]
-    if any(a == b for a, b in pairs):
-        raise SameVertex("covariance needs two distinct vertices")
+    for i, (a, b) in enumerate(pairs):
+        if a == b:
+            raise SameVertex(f"pairs[{i}] must be two distinct vertices")
     sites = sorted({v for p in pairs for v in p})
     pos = {v: i for i, v in enumerate(sites)}
     grid = check_grid(t_grid)
@@ -750,18 +750,3 @@ def occupancy_covariances(
         for a, b in pairs
         for ti, t in enumerate(grid)
     }
-
-
-def pair_covariance(
-    g: Graph,
-    x: int,
-    y: int,
-    t: float,
-    reps: int,
-    rng: np.random.Generator,
-    convention: str = "per_edge_unit",
-) -> dict:
-    """Occupation-indicator covariance for one pair at one time."""
-    return occupancy_covariances(g, [(x, y)], [t], reps, rng, convention)[
-        ((int(x), int(y)), float(t))
-    ]

@@ -1,5 +1,5 @@
-"""Graph construction: configuration model, truncated unimodular trees,
-and deterministic transitive families.
+"""Graph construction: configuration model and deterministic transitive
+families.
 
 All graphs are finite undirected multigraphs, stored only as CSR
 (compressed sparse row) arrays: row offsets, neighbours and multiplicities,
@@ -32,7 +32,6 @@ __all__ = [
     "Graph",
     "size_biased",
     "sample_configuration_model",
-    "sample_ugt",
     "make_transitive",
     "cycle_graph",
     "torus_graph",
@@ -321,32 +320,6 @@ def sample_configuration_model(
     )
 
 
-def sample_ugt(
-    D: DegreeDistribution, depth: int, rng: np.random.Generator
-) -> Graph:
-    """Rooted tree cut at ``depth``: root offspring ~ D, interior offspring
-    from the size-biased law, leaves at the cut depth."""
-    if depth < 0:
-        raise ParameterOutOfRange("depth must be >= 0")
-    edges: list[tuple[int, int]] = []
-    if depth == 0:
-        return Graph.from_edges(1, edges, root=0)
-    Dstar = size_biased(D)
-    next_id = 1
-    frontier = [(0, 0)]  # (vertex, depth)
-    while frontier:
-        v, d = frontier.pop()
-        if d >= depth:
-            continue
-        law = D if v == 0 else Dstar
-        k = int(law.sample(1, rng)[0])
-        for _ in range(k):
-            edges.append((v, next_id))
-            frontier.append((next_id, d + 1))
-            next_id += 1
-    return Graph.from_edges(next_id, edges, root=0)
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRange("cycle needs n >= 3")
@@ -362,9 +335,24 @@ def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, edges, family=None)
 
 
+# offsets and neighbours are int32, so no graph has more CSR entries
+_MAX_ENTRIES = (1 << 31) - 1
+
+
+def _check_size(family: str, params: tuple, n: int, degree: int) -> None:
+    """Refuse a family graph of n vertices with ``degree`` CSR entries each,
+    before any array or list is built, when int32 offsets and neighbours
+    cannot index it."""
+    if n > _MAX_ENTRIES or n * degree > _MAX_ENTRIES:
+        raise ParameterOutOfRange(
+            f"{family}({', '.join(map(str, params))}) has more than {_MAX_ENTRIES} "
+            "vertices or CSR entries")
+
+
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise ParameterOutOfRange("complete graph needs n >= 2")
+    _check_size("complete", (n,), int(n), int(n) - 1)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph.from_edges(n, edges, family=("complete", n))
 
@@ -373,6 +361,8 @@ def torus_graph(d: int, L: int) -> Graph:
     """d-dimensional discrete torus of side L, lexicographic labeling."""
     if d < 1 or L < 3:
         raise ParameterOutOfRange("torus needs d >= 1 and L >= 3")
+    # L^d is past the limit by 32 axes, so a huge d costs no big power
+    _check_size("torus", (d, L), int(L) ** min(int(d), 32), 2 * int(d))
     n = L**d
     v = np.arange(n)
     # each vertex to its neighbour one step up along the axis of stride s
@@ -385,6 +375,7 @@ def hypercube_graph(d: int) -> Graph:
     """d-dimensional hypercube on the bit strings 0..2^d - 1."""
     if d < 1:
         raise ParameterOutOfRange("hypercube needs d >= 1")
+    _check_size("hypercube", (d,), 1 << min(int(d), 32), int(d))
     n = 1 << d
     # each vertex to its neighbour across every axis, each edge once
     v = np.repeat(np.arange(n), d)

@@ -47,11 +47,9 @@ from .graphs import Graph, is_connected
 
 __all__ = [
     "MeetingProfile",
-    "ExitMeasure",
     "pairwise_meeting_times",
     "mean_meeting_time",
     "alpha_survival",
-    "exit_measure",
     "kac_residual",
     "aldous_brown_check",
     "eigentime_residual",
@@ -251,26 +249,6 @@ def alpha_survival(
             "events": events, "thinned": thinned}
 
 
-@dataclass(frozen=True, eq=False)
-class ExitMeasure:
-    A: tuple
-    weights: np.ndarray
-    Q_A: float
-
-
-def exit_measure(c: MarkovChain, A) -> ExitMeasure:
-    """Stationary exit law from A onto its complement, with the exit flow."""
-    mask = _subset_mask(c.n, A)
-    pi = 1.0 / c.n
-    rows, cols, rates = c.entries()
-    out = mask[rows] & ~mask[cols]
-    flow = pi * rates[out].sum()
-    # the rate into each state of the complement, summed in row order
-    weights = pi * np.bincount(cols[out], rates[out], c.n) / flow
-    A = tuple(int(a) for a in np.flatnonzero(mask))
-    return ExitMeasure(A=A, weights=weights, Q_A=float(flow))
-
-
 def _subset_mask(n: int, A) -> np.ndarray:
     A = check_subset(A, n, "A")
     if not A or len(A) >= n:
@@ -284,10 +262,16 @@ def kac_residual(c: MarkovChain, A) -> float:
     """Defect of the stationary flow identity
     pi(A^c) = Q(A, A^c) * E_{exit law}(T_A); zero for exact arithmetic."""
     mask = _subset_mask(c.n, A)
-    em = exit_measure(c, A)
+    pi = 1.0 / c.n
+    rows, cols, rates = c.entries()
+    out = mask[rows] & ~mask[cols]
+    flow = pi * rates[out].sum()
+    # the stationary exit law onto A^c: the rate into each state of the
+    # complement, summed in row order
+    weights = pi * np.bincount(cols[out], rates[out], c.n) / flow
     h = _hitting_times(c.generator().dot, mask)[0]
     lhs = 1.0 - mask.sum() / c.n
-    rhs = em.Q_A * float(em.weights @ h)
+    rhs = float(flow) * float(weights @ h)
     return abs(lhs - rhs)
 
 

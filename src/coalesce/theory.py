@@ -247,13 +247,14 @@ def estimate_psi_d(
     d = _dimension(d)
     check_count(horizon_steps, 0, "horizon_steps")
     _check_reps(reps, "walk")
-    # direction 2j + s moves axis j by 2s - 1; pair 2d * f + g is f then g
+    # direction 2j + s moves axis j by 2s - 1; pair 2d * f + g is f then g,
+    # and its code is the sum of the two directions' codes
     unit = np.zeros((2 * d, d), dtype=np.int64)
     unit[np.arange(2 * d), np.arange(2 * d) >> 1] = np.tile([-1, 1], d)
-    pair = (unit[:, None, :] + unit[None, :, :]).reshape(-1, d)
-    npair = pair.shape[0]
-    pair_code = _lattice_code(d, int(horizon_steps))[1] @ pair.T
-    code_words = pair_code.shape[0]
+    u = _lattice_code(d, int(horizon_steps))[1] @ unit.T
+    code_words = u.shape[0]
+    pair_code = (u[:, :, None] + u[:, None, :]).reshape(code_words, -1)
+    npair = pair_code.shape[1]
     word = np.min_scalar_type(npair - 1)
     accept = (1 << 8 * word.itemsize) // npair * npair
     # past 16 bits a table over every accepted word would not fit: such

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._flat import FlatGraph, check_count, check_grid
 from .crw import _one_row, _state_dtype, flat_graph
-from .errors import EmptySamples, ParameterOutOfRange
+from .errors import EmptySamples
 from .stats import ks_distance_two_sample, ks_distance_vs_cdf
 from .graphs import Graph
 
@@ -33,7 +33,6 @@ __all__ = [
     "sample_nhat_ancestral",
     "duality_gap",
     "duality_statistics",
-    "normalized_moments",
     "gamma_ks",
     "gamma22_cdf",
     "size_bias_histogram",
@@ -277,31 +276,6 @@ def duality_statistics(nhat, ncrw, xi, n: int) -> dict:
         "abs_gap_Pt_vs_invNt": abs(xi.mean() / n - inv_n.mean()),
         "se_Pt_vs_invNt": float(se),
     }
-
-
-def normalized_moments(samples, kmax: int, rng=None, resamples: int = 500) -> dict:
-    """Moments of X / mean(X) for k = 1..kmax with bootstrap intervals."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptySamples("no samples")
-    if x.mean() <= 0.0:
-        raise ParameterOutOfRange("samples need a positive mean")
-    norm = x / x.mean()
-    moments = [float(np.mean(norm**k)) for k in range(1, kmax + 1)]
-    cis = None
-    if rng is not None:
-        boot = np.empty((resamples, kmax))
-        nsz = len(x)
-        for b in range(resamples):
-            idx = rng.integers(0, nsz, nsz)
-            xb = x[idx]
-            nb = xb / xb.mean()
-            boot[b] = [np.mean(nb**k) for k in range(1, kmax + 1)]
-        cis = [
-            (float(np.quantile(boot[:, k], 0.025)), float(np.quantile(boot[:, k], 0.975)))
-            for k in range(kmax)
-        ]
-    return {"m": moments, "ci95": cis}
 
 
 def gamma22_cdf(x):

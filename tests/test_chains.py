@@ -19,7 +19,6 @@ from coalesce.chains import (
     build_generator,
     poisson_weights,
     product_chain,
-    return_integrals,
     spectrum,
     transition_matrix,
     translation_group,
@@ -404,34 +403,29 @@ class TestSpectrum:
 
 
 class TestReturnIntegrals:
-    def test_transitive_flat_profile(self, cycle4_chain):
-        prof = return_integrals(cycle4_chain, 1.0)
-        assert prof.M_t == pytest.approx(prof.m_t, abs=1e-9)
-        assert prof.H_t == pytest.approx(1.0, abs=1e-9)
+    """``_return_integral``: each state's integral of its return probability,
+    which ``verify exact``'s ``meeting_integral`` row reads."""
 
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, 0.0])
-    def test_bad_time_rejected(self, k2_chain, t):
-        # nan used to give a profile of nans
-        with pytest.raises(ParameterOutOfRange, match="^t must"):
-            return_integrals(k2_chain, t)
+    def test_transitive_flat_profile(self, cycle4_chain):
+        integ = chains._return_integral(cycle4_chain)(1.0)
+        assert integ.max() == pytest.approx(integ.min(), abs=1e-9)
 
     def test_two_path_value(self, k2_chain):
-        prof = return_integrals(k2_chain, 1.0)
-        assert prof.M_t == pytest.approx(0.5 + (1 - np.exp(-2)) / 4, abs=1e-8)
+        integ = chains._return_integral(k2_chain)(1.0)
+        assert integ.max() == pytest.approx(0.5 + (1 - np.exp(-2)) / 4, abs=1e-8)
 
     def test_short_time_slope(self, k2_chain):
         t = 1e-4
-        prof = return_integrals(k2_chain, t)
-        assert prof.M_t / t == pytest.approx(1.0, abs=1e-3)
-        assert prof.M_t <= t
+        big = chains._return_integral(k2_chain)(t).max()
+        assert big / t == pytest.approx(1.0, abs=1e-3)
+        assert big <= t
 
     def test_monotone_in_t(self, torus33_chain):
-        values = [return_integrals(torus33_chain, t).M_t for t in (0.5, 1.0, 2.0)]
+        integral_to = chains._return_integral(torus33_chain)
+        integ = [integral_to(t) for t in (0.5, 1.0, 2.0)]
+        values = [i.max() for i in integ]
         assert values == sorted(values)
-        assert all(
-            return_integrals(torus33_chain, t).m_t <= v
-            for t, v in zip((0.5, 1.0, 2.0), values)
-        )
+        assert all(i.min() <= v for i, v in zip(integ, values))
 
 
 class TestPoincare:

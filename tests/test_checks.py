@@ -1,5 +1,6 @@
 """The shared table of banded checks: its names, the verify suites built
-from it, the tests that read it, and the calibration tool that runs it."""
+from it, the tests that read it, and the calibration tool that runs it;
+and the package's public names, each read by some code."""
 
 import ast
 import importlib.util
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from coalesce import verify
 from coalesce._checks import CHECKS, TABLE, run_checks
 
 TESTS = Path(__file__).parent
+ROOT = TESTS.parent
 
 
 def suite_names(suite):
@@ -91,7 +94,7 @@ def test_table_builds_no_graph_or_chain_at_import():
 @pytest.fixture(scope="module")
 def tool():
     spec = importlib.util.spec_from_file_location(
-        "calibrate_bands", TESTS.parent / "tools" / "calibrate_bands.py")
+        "calibrate_bands", ROOT / "tools" / "calibrate_bands.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -124,3 +127,59 @@ def test_calibration_exact_value(tool, capsys):
     assert row.split()[:4] == ["mf36_exact_alpha", "0/2", "0.000", "0.0e+00"]
     band = CHECKS["mf36_exact_alpha"].band
     assert tool.nominal(band, 1.0, [1.3, 1.3], 0.0) == "1.0e+00"
+
+
+def test_calibration_one_seed_warns_nothing(tool, capsys):
+    # c7_ks has no standard error, and one seed has no spread to stand in
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tool.main(["--seeds", "1", "--only", "c7_ks"])
+    [row] = capsys.readouterr().out.splitlines()[1:]
+    assert row.split()[0] == "c7_ks" and row.split()[5] == "nan"
+
+
+def names_read(tree):
+    """Every name that a module's code reads outside the name's own
+    definition: ``Name`` and ``Attribute`` nodes, and string literals such
+    as perfbench's ``WRAPPED`` table holds, but not docstrings or
+    ``__all__`` entries."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        if isinstance(node, ast.Name):
+            key = node.id
+        elif isinstance(node, ast.Attribute):
+            key = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            key = node.value
+        else:
+            key = None
+        if key is not None and key not in inside:
+            read.add(key)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    # the package, the benchmark and the tools read a public name, or the
+    # acceptance tests do (C10's exact half, exact_occupancy_cov); a name
+    # that only its own unit tests call is not part of the surface
+    package = ROOT / "src" / "coalesce"
+    init = ast.parse((package / "__init__.py").read_text())
+    public = {alias.asname or alias.name for node in ast.walk(init)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    files = [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "tools").glob("*.py"), TESTS / "test_acceptance.py"]
+    read = set().union(*(names_read(ast.parse(path.read_text())) for path in files
+                         if path.name != "__init__.py"))
+    assert len(public) >= 50 and public <= read, sorted(public - read)

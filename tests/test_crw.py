@@ -17,7 +17,6 @@ from coalesce.crw import (
     exact_occupancy_density,
     flat_graph,
     occupancy_covariances,
-    pair_covariance,
     sample_tau_coal,
     sample_tau_coal_many,
     simulate_crw,
@@ -385,17 +384,11 @@ class TestTauCoal:
 
 class TestPairCovariance:
     def test_time_zero_exact(self):
-        res = pair_covariance(cycle_graph(6), 0, 1, 0.0, 200, derive_rng(13, "cov", 0))
-        assert res["cov_hat"] == 0.0
-        assert res["stderr"] == 0.0
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(SameVertex):
-            pair_covariance(cycle_graph(6), 2, 2, 1.0, 100, derive_rng(0, "cov", 0))
-
-    def test_adjacent_pair_not_positive(self):
-        res = pair_covariance(cycle_graph(6), 0, 1, 1.0, 20_000, derive_rng(14, "cov", 0))
-        assert res["cov_hat"] <= 3.0 * res["stderr"]
+        # every site is occupied at t = 0, so the covariance is exactly 0
+        res = occupancy_covariances(cycle_graph(6), [(0, 1)], [0.0], 200,
+                                    derive_rng(13, "cov", 0))
+        assert res[((0, 1), 0.0)]["cov_hat"] == 0.0
+        assert res[((0, 1), 0.0)]["stderr"] == 0.0
 
 
 # runner tasks on the lockstep kernels
@@ -519,6 +512,7 @@ class TestOnePath:
     @pytest.mark.parametrize("case", list(ONE_PATH))
     def test_occupancy(self, case):
         g, convention, times, reps = ONE_PATH[case]
+        times = [0.0, *times]
         pairs = [(0, 1), (g.n - 1, 2)]
         rng = derive_rng(62, case, 0)
         res = occupancy_covariances(g, pairs, times, reps, rng, convention)
@@ -532,6 +526,8 @@ class TestOnePath:
             for i, t in enumerate(times):
                 assert res[((a, b), t)] == jackknife_cov(vals[:, i, col[a]],
                                                          vals[:, i, col[b]])
+            # every site is occupied at t = 0
+            assert res[((a, b), 0.0)]["cov_hat"] == res[((a, b), 0.0)]["stderr"] == 0.0
 
     @pytest.mark.parametrize("case", list(ONE_PATH))
     def test_duality_sides(self, case):
@@ -606,9 +602,10 @@ class TestEstimatorInputs:
         call_estimator(name, np.int64(LEAST_REPS[name]))
 
     @pytest.mark.parametrize("pair", [(0, 99), (0, -1), (6, 0), (-7, 1), (0.7, 1),
-                                      (True, 2), ("0", 1)])
+                                      (True, 2), ("0", 1), (4, 4)])
     def test_bad_pair_sites(self, pair):
-        with pytest.raises(ParameterOutOfRange, match=r"^pairs\[1\]"):
+        error = SameVertex if pair == (4, 4) else ParameterOutOfRange
+        with pytest.raises(error, match=r"^pairs\[1\]"):
             occupancy_covariances(C6, [(2, 3), pair], [1.0], 100,
                                   derive_rng(0, "inputs", 1))
 

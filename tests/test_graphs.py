@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import dense
 
+from coalesce import graphs
 from coalesce._flat import FlatGraph
 from coalesce.errors import (
     InfeasibleDegreeSequence,
@@ -24,7 +29,6 @@ from coalesce.graphs import (
     path_graph,
     read_graph,
     sample_configuration_model,
-    sample_ugt,
     size_biased,
     torus_graph,
     vertex_expansion_exact,
@@ -297,10 +301,8 @@ class TestFromEdgesAssembly:
         for g in (cycle_graph(7), path_graph(5), complete_graph(6), torus_graph(3, 4),
                   torus_graph(1, 5), hypercube_graph(4), make_transitive("torus", 2, 3)):
             assert g.n > 1
-        sample_ugt(D34, 4, derive_rng(0, "ugt-ref", 0))
-        sample_ugt(D3, 0, derive_rng(0, "ugt-ref", 1))
         sample_configuration_model(D34, 50, derive_rng(0, "cm-ref", 0))
-        assert len(calls) == 10 and all(calls)
+        assert len(calls) == 8 and all(calls)
 
 
 CM_CASES = [
@@ -347,25 +349,6 @@ class TestConfigurationModelAssembly:
         assert got == reference_configuration_model(D, 20_000, rng, require_connected=True)[0]
 
 
-class TestUgt:
-    def test_depth_zero(self):
-        g = sample_ugt(D3, 0, derive_rng(0, "ugt", 0))
-        assert g.n == 1 and g.edge_total == 0
-
-    @pytest.mark.parametrize("depth,expected", [(1, 4), (2, 10), (4, 46)])
-    def test_delta3_counts(self, depth, expected):
-        g = sample_ugt(D3, depth, derive_rng(1, "ugt", depth))
-        assert g.n == 1 + 3 * (2**depth - 1) == expected
-        assert g.root == 0
-
-    def test_root_degree_law(self):
-        rng = derive_rng(2, "ugt", 0)
-        root_degs = [sample_ugt(D34, 1, rng).degrees[0] for _ in range(300)]
-        assert set(root_degs) <= {3, 4}
-        frac = np.mean([d == 3 for d in root_degs])
-        assert abs(frac - 0.5) <= 4 * np.sqrt(0.25 / 300)
-
-
 class TestTransitiveFamilies:
     def test_cycle4(self):
         g = make_transitive("cycle", 4)
@@ -409,6 +392,46 @@ class TestTransitiveFamilies:
         p = np.array([perm(v) for v in range(g.n)])
         assert np.array_equal(r[np.ix_(p, p)], r)
         assert (g.degrees == g.degrees[0]).all()
+
+
+# a child process capped at 1 GiB of address space builds one family graph
+# and prints the ParameterOutOfRange it raises
+CAPPED_BUILD = """
+import resource, sys
+from coalesce import graphs
+from coalesce.errors import ParameterOutOfRange
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+try:
+    getattr(graphs, sys.argv[1] + "_graph")(*map(int, sys.argv[2:]))
+except ParameterOutOfRange as e:
+    print(e)
+"""
+
+
+class TestFamilySize:
+    """The family builders refuse graphs whose int32 CSR arrays would
+    overflow before they build anything.  Each case runs in a capped child,
+    so a builder that starts allocating fails fast there instead."""
+
+    @pytest.mark.parametrize("family, params", [("torus", (40, 40)), ("hypercube", (40,)),
+                                                ("complete", (100_000,))])
+    def test_oversized_refused(self, family, params):
+        src = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", CAPPED_BUILD, family, *map(str, params)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout == (f"{family}({', '.join(map(str, params))}) has more than "
+                               "2147483647 vertices or CSR entries\n")
+
+    def test_largest_entries_accepted(self, monkeypatch):
+        # the bound is on the entries of the graph asked for: torus(2, 4)
+        # has 64, so a limit of 64 still builds it and 63 refuses it
+        monkeypatch.setattr(graphs, "_MAX_ENTRIES", 64)
+        assert torus_graph(2, 4).csr[1].size == 64
+        monkeypatch.setattr(graphs, "_MAX_ENTRIES", 63)
+        with pytest.raises(ParameterOutOfRange, match=r"^torus\(2, 4\)"):
+            torus_graph(2, 4)
 
 
 class TestConnectivity:

@@ -40,7 +40,6 @@ from coalesce.meeting import (
     aldous_brown_check,
     alpha_survival,
     eigentime_residual,
-    exit_measure,
     kac_residual,
     mc_pair_meeting,
     mean_meeting_time,
@@ -573,19 +572,21 @@ class TestDenseReferences:
 
     @pytest.mark.parametrize("name", ["int9", "cycle4_pair", "lollipop", "irregular5"])
     def test_exit_measure(self, name):
+        # kac_residual against the residual of the dense exit flow and law
         c, r = CSR_CASES[name]
         for size in range(1, c.n):
             for A in itertools.islice(itertools.combinations(range(c.n), size), 40):
-                em = exit_measure(c, A)
                 flow, weights = parent_exit_measure(r, A)
+                mask = np.isin(np.arange(c.n), A)
+                h = meeting._hitting_times(c.generator().dot, mask)[0]
+                want = abs(1.0 - mask.sum() / c.n - float(flow) * float(weights @ h))
                 if name == "irregular5":
                     # the flow adds the stored rates in row order, the dense
                     # block sum in numpy's order: non-integer rates can move
-                    # by an ulp (2 of the 30 subsets here)
-                    assert em.Q_A == pytest.approx(flow, rel=1e-15, abs=0.0)
-                    assert np.allclose(em.weights, weights, rtol=1e-15, atol=0.0)
+                    # it by an ulp
+                    assert kac_residual(c, A) == pytest.approx(want, rel=0.0, abs=1e-15)
                 else:
-                    assert em.Q_A == flow and np.array_equal(em.weights, weights)
+                    assert kac_residual(c, A) == want
 
     @pytest.mark.parametrize("name", list(CSR_CASES))
     def test_chain_pick_table(self, name, monkeypatch):
@@ -616,46 +617,26 @@ class TestDenseReferences:
 
 
 class TestExitMeasure:
-    def test_singleton_is_jump_law(self, cycle4_chain):
-        em = exit_measure(cycle4_chain, [2])
-        expected = dense(cycle4_chain.csr, 4)[2] / cycle4_chain.row_rates[2]
-        assert np.allclose(em.weights, expected, atol=1e-12)
-
-    def test_k2(self, k2_chain):
-        em = exit_measure(k2_chain, [0])
-        assert np.allclose(em.weights, [0.0, 1.0], atol=1e-15)
-
-    def test_random_subsets_normalized(self):
-        c = build_generator(cycle_graph(8))
-        rng = derive_rng(1, "exit", 0)
-        for _ in range(10):
-            size = int(rng.integers(1, 8))
-            A = rng.choice(8, size=size, replace=False)
-            em = exit_measure(c, A)
-            assert abs(em.weights.sum() - 1.0) <= 1e-12
+    """The subsets ``kac_residual`` takes its exit law from."""
 
     def test_bad_subset(self, cycle4_chain):
         with pytest.raises(BadSubset):
-            exit_measure(cycle4_chain, [])
+            kac_residual(cycle4_chain, [])
         with pytest.raises(BadSubset):
-            exit_measure(cycle4_chain, [0, 1, 2, 3])
+            kac_residual(cycle4_chain, [0, 1, 2, 3])
 
     @pytest.mark.parametrize("A", [[0.5], [True], [np.True_], [1, 4], [-1], [1, "2"]])
     def test_bad_members(self, cycle4_chain, A):
         # a member is a state: an integer, not a boolean, in range
         with pytest.raises(BadSubset, match="^A must"):
-            exit_measure(cycle4_chain, A)
-        with pytest.raises(BadSubset, match="^A must"):
             kac_residual(cycle4_chain, A)
 
     def test_numpy_members_accepted(self, cycle4_chain):
-        assert exit_measure(cycle4_chain, np.array([2])).A == (2,)
+        assert kac_residual(cycle4_chain, np.array([2])) == kac_residual(cycle4_chain, [2])
 
 
 class TestKac:
     def test_k2_hand_values(self, k2_chain):
-        em = exit_measure(k2_chain, [0])
-        assert em.Q_A == pytest.approx(0.5, abs=1e-15)
         assert kac_residual(k2_chain, [0]) <= 1e-12
 
     def test_random_chains(self):

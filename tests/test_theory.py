@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -173,6 +174,17 @@ class TestPsiEstimate:
         reps, p = 40_000, 1 / (2 * d)
         res = estimate_psi_d(d, 2, reps, derive_rng(14, f"psi{d}", 0))
         assert abs(res["psi_hat"] - (1 - p)) <= 4.5 * np.sqrt(p * (1 - p) / reps)
+
+    def test_high_dimension_peak_memory(self):
+        # the 66 564 direction pairs at d = 129 need only their codes, one
+        # entry a pair per code word, not a d-vector of displacements each
+        tracemalloc.start()
+        try:
+            estimate_psi_d(129, 2, 100, derive_rng(14, "psi-peak", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 << 20
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nearby_horizons_share_draws(self, seed):

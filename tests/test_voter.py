@@ -18,7 +18,6 @@ from coalesce.voter import (
     duality_gap,
     gamma22_cdf,
     gamma_ks,
-    normalized_moments,
     sample_nhat_ancestral,
     simulate_voter,
     size_bias_histogram,
@@ -280,29 +279,6 @@ class TestSizeBiasIdentity:
                 lhs_samples.var(ddof=1) / reps + rhs_samples.var(ddof=1) / reps
             )
             assert abs(diff) <= 4.0 * se
-
-
-class TestNormalizedMoments:
-    def test_constant_samples(self):
-        res = normalized_moments(np.full(100, 3.7), 4)
-        assert res["m"] == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-12)
-
-    def test_synthetic_gamma(self):
-        rng = derive_rng(10, "gam", 0)
-        x = rng.gamma(2.0, 0.5, size=100_000)
-        res = normalized_moments(x, 3, rng=rng)
-        assert res["m"][1] == pytest.approx(1.5, abs=0.02)
-        assert res["m"][2] == pytest.approx(3.0, abs=0.12)
-        lo2, hi2 = res["ci95"][1]
-        assert lo2 <= 1.5 <= hi2
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySamples):
-            normalized_moments([], 2)
-
-    def test_nonpositive_mean_rejected(self):
-        with pytest.raises(ParameterOutOfRange):
-            normalized_moments([0.0, 0.0], 2)
 
 
 class TestGammaKs:

@@ -100,8 +100,9 @@ def main(argv=None):
             ses.append(out.sigma)
         se_bar = float(np.mean(ses))
         if math.isnan(se_bar):
-            # no standard error per run: the spread over the seeds
-            se_bar = float(np.std(values, ddof=1))
+            # no standard error per run: the spread over the seeds, which
+            # one seed does not have
+            se_bar = float(np.std(values, ddof=1)) if args.seeds > 1 else math.nan
         rate = nominal(out.band, out.reference, values, se_bar)
         print(f"{name:32} {fails:>3}/{args.seeds:<3} {fails / args.seeds:7.3f} {rate:>12} "
               f"{np.mean(values):10.5g} {se_bar:10.3g} {censored:>8} "
