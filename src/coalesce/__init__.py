@@ -1,7 +1,7 @@
 """Simulation and exact-oracle laboratory for coalescing random walks and
 the dual voter model on finite graphs."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .graphs import (  # noqa: F401
     DegreeDistribution,
@@ -41,7 +41,6 @@ from .crw import (  # noqa: F401
     exact_k_particle_law,
     sample_tau_coal,
     sample_tau_coal_many,
-    occupancy_covariances,
 )
 from .voter import (  # noqa: F401
     simulate_voter,

@@ -7,15 +7,17 @@ with a band.  The acceptance and unit tests run their checks at their fixed
 seeds, ``verify statistical`` and ``verify paper`` make a row of each check
 of their suite, named ``<check>/<quantity>``, and
 ``tools/calibrate_bands.py`` runs any check on fresh seeds.  The acceptance
-tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own
-rows at scale 1 on one thread, and C3 reads the ``duality_cycle6`` sampler
-of ``verify statistical`` at 20 000 replicates.  ``_values`` and every
-view in ``crw`` and ``voter``, ``estimate_density`` and the ancestral
-sampler too, read the runner's derived blocks, which read one stream
-layout on either engine, so a runner law is checked once, on the lockstep
-kernels (``runner_lockstep_*``).
-Only the torus A1 pair still samples twice: P_hat over A1 on torus(3, 10)
-is ``mf310_A1`` (the unit test's Monte Carlo alpha) and
+tests C2-C10 read the table; C5, C6 and C8 read ``verify paper``'s own rows
+at scale 1 on one thread, C2, C4 and C10 read ``verify statistical``'s rows
+at scale 5 (100 000 replicates), and C3 reads its ``duality_cycle6`` sampler
+at 20 000 replicates.  The unit tests of the density against the subset
+chain read the ``mc_vs_exact_*`` rows at scale 1, and ``complete4_ks`` reads
+the K8 row's sampler on K4.  ``_values`` and every view in ``crw`` and
+``voter``, ``estimate_density`` and the ancestral sampler too, read the
+runner's derived blocks, which read one stream layout on either engine, so a
+runner law is checked once, on the lockstep kernels (``runner_lockstep_*``).
+The torus A1 pair alone samples one statistic twice: P_hat over A1 on
+torus(3, 10) is ``mf310_A1`` (the unit test's Monte Carlo alpha) and
 ``paper_torus310/ratio_A1`` (the exact alpha), with two bands.
 
 Checks that read one sample share a draw, run once per seed.  A one-stream
@@ -37,7 +39,7 @@ from . import runner
 from .config import _TASK_KINDS
 from .chains import MarkovChain, build_generator, spectrum
 from .crw import (_density, _subset_distribution, estimate_density, exact_k_particle_law,
-                  exact_occupancy_density, occupancy_covariances, sample_tau_coal_many)
+                  exact_occupancy_density, sample_tau_coal_many)
 from .graphs import (DegreeDistribution, Graph, complete_graph, cycle_graph, path_graph,
                      sample_configuration_model, torus_graph)
 from .meeting import alpha_survival, mc_pair_meeting, mean_meeting_time
@@ -202,26 +204,12 @@ def _ratio(p_hat, se, prediction):
     return Sample(p_hat / prediction, se / prediction)
 
 
-def _subset_density(graph, times):
-    """The density at each time, from the subset chain."""
-    return exact_occupancy_density(build_generator(graph), times)[:, 0]
-
-
-def _kingman(taus, ref, n):
-    """|z| of the mean coalescence time on K_n against 1 - 1/n, and the KS
-    distance from the Kingman stage sampler."""
-    se = taus.std(ddof=1) / np.sqrt(len(taus))
-    return abs(taus.mean() - (1.0 - 1.0 / n)) / se, ks_distance_two_sample(taus, ref)
-
-
 def _z(x, reference):
     x = np.asarray(x, dtype=float)
     return (x.mean() - reference) / (x.std(ddof=1) / math.sqrt(len(x)))
 
 
 _TIMES = [0.5, 1.0, 2.0]
-# the two-vertex path's density, (1 + e^{-2t}) / 2
-_TWO_PATH = (1 + np.exp(-2 * np.asarray(_TIMES))) / 2
 _PAIRS6 = [(v, (v + 1) % 6) for v in range(6)] + [(v, (v + 2) % 6) for v in range(6)]
 _RATIO_10 = Band("band", 0.10)
 _RATIO_20 = Band("band", 0.20)
@@ -309,31 +297,7 @@ def _c7(seed, *_):
     return out
 
 
-# -- the density, coalescence-time and occupancy estimators ----------------
-
-def _density_z(reps, *cases):
-    """The largest |z| of ``estimate_density`` at times 0.5, 1 and 2 over
-    the (stream label, graph, exact density) cases, where no exact density
-    means the subset chain's."""
-    def draw(seed, *_):
-        zs = []
-        for label, graph, exact in cases:
-            g = graph()
-            est = estimate_density(g, _TIMES, reps, derive_rng(seed, label, 0))
-            exact = _subset_density(g, _TIMES) if exact is None else exact
-            zs.extend(np.abs(est.p_hat - exact) / est.stderr)
-        return Sample(max(zs), 1.0)
-    return draw
-
-
-def _c4(seed, *_):
-    """C4: 100 000 coalescence times on K8 against the Kingman stage sampler."""
-    taus = sample_tau_coal_many(complete_graph(8), 100_000, derive_rng(seed, "c4", 0))
-    ref = kingman_tau_coal(8, 0.5, 100_000, derive_rng(seed, "c4-ref", 0))["samples"]
-    z, ks = _kingman(taus, ref, 8)
-    return {"c4_mean": Sample(z, 1.0, notes={"mean": taus.mean()}),
-            "c4_ks": Sample(ks, math.nan)}
-
+# -- the density and coalescence-time estimators ---------------------------
 
 def _c9(seed, *_):
     """C9: the largest standardized reversal-identity residual, 100 000
@@ -348,13 +312,6 @@ def _c9(seed, *_):
                                              derive_rng(seed, f"c9-{name}-{k}-{t}", 0))
             worst = max(worst, res["residual"])
     return Sample(worst, 1.0)
-
-
-def _c10(seed, *_):
-    """C10: cov / stderr of every pair at both times, 100 000 replicates."""
-    res = occupancy_covariances(cycle_graph(6), _PAIRS6, [0.5, 1.0], 100_000,
-                                derive_rng(seed, "c10", 0))
-    return Sample(max(r["cov_hat"] / r["stderr"] for r in res.values()), 1.0)
 
 
 def _monotone(seed, *_):
@@ -372,14 +329,6 @@ def _cycle3_tau(seed, *_):
     taus = sample_tau_coal_many(cycle_graph(3), 20_000, derive_rng(seed, "kp", 0))
     p = float((taus <= 0.5).mean())
     return Sample(p, math.sqrt(p * (1 - p) / len(taus)))
-
-
-def _complete4(seed, *_):
-    """TestKingman::test_complete4_law_match: 50 000 coalescence times on
-    K4 against the Kingman stage sampler."""
-    taus = sample_tau_coal_many(complete_graph(4), 50_000, derive_rng(seed, "king", 0))
-    ref = kingman_tau_coal(4, 0.5, 50_000, derive_rng(seed, "king", 1))["samples"]
-    return Sample(_kingman(taus, ref, 4)[1], math.nan)
 
 
 def _mf310(seed, *_):
@@ -455,8 +404,10 @@ def _occupancy_vs_exact(name, graph):
     def draw(seed, scale, threads, pool):
         g = graph()
         est = _density(g, "per_edge_unit", _TIMES, _REPS_20K(scale), seed, threads, pool)
+        # the density at each time, from the subset chain
+        dens = exact_occupancy_density(build_generator(g), _TIMES)[:, 0]
         out = {}
-        for t, exact, p_hat, se in zip(_TIMES, _subset_density(g, _TIMES), est.p_hat, est.stderr):
+        for t, exact, p_hat, se in zip(_TIMES, dens, est.p_hat, est.stderr):
             out[f"mc_vs_exact_{name}/z_t{t}"] = Sample(abs(p_hat - exact) / se, 1.0)
             out[f"occupancy_floor_{name}/t{t}"] = Sample(exact - 1.0 / (1.0 + g.d_max * t), 0.0)
         return out
@@ -497,14 +448,24 @@ _DUALITY_CYCLE6 = _duality(_DUALITY_REPS, ("duality_cycle6/ks_nhat_vs_N",
                                            "duality_cycle6/z_Pt_vs_invN"))
 
 
-def _kingman_k8(seed, scale, threads, pool):
-    """Complete-graph coalescence against the exponential-stage sampler."""
-    reps = _REPS_20K(scale)
-    taus = _values(complete_graph(8), "tau_coal", [], reps, seed, threads, pool)
-    ref = kingman_tau_coal(8, 0.5, reps, derive_rng(seed, "verify-kingman-ref", 0))
-    z, ks = _kingman(taus, ref["samples"], 8)
-    return {"kingman_K8/z_mean": Sample(z, 1.0),
-            "kingman_K8/ks_two_sample": Sample(ks, math.nan)}
+def _kingman(n, reps, names):
+    """Coalescence on K_n from ``reps(scale)`` replicates of the runner's
+    tau_coal blocks against as many draws of the exponential-stage sampler,
+    under ``names``: their two-sample KS distance, then the |z| of the mean
+    coalescence time against 1 - 1/n."""
+    def draw(seed, scale, threads, pool):
+        r = reps(scale)
+        taus = _values(complete_graph(n), "tau_coal", [], r, seed, threads, pool)
+        ref = kingman_tau_coal(n, 0.5, r, derive_rng(seed, "verify-kingman-ref", 0))
+        mean, se = taus.mean(), taus.std(ddof=1) / np.sqrt(len(taus))
+        return dict(zip(names, (Sample(ks_distance_two_sample(taus, ref["samples"]), math.nan),
+                                Sample(abs(mean - (1.0 - 1.0 / n)) / se, 1.0,
+                                       notes={"mean": mean}))))
+    return draw
+
+
+_KINGMAN_K4 = _kingman(4, lambda scale: 50_000, ("complete4_ks",))
+_KINGMAN_K8 = _kingman(8, _REPS_20K, ("kingman_K8/ks_two_sample", "kingman_K8/z_mean"))
 
 
 def _arratia(seed, scale, threads, pool):
@@ -616,23 +577,15 @@ TABLE = [
     Check("c7_m2", _c7, Band("band", 0.1), 1.5),
     Check("c7_m3", _c7, Band("band", 0.5), 3.0),
     Check("c7_ks", _c7, Band("band", 0.025), 0.025),
-    # tests/test_acceptance.py; C2 takes both graphs' density against the
-    # subset chain, and C5, C6 and C8 read verify paper's rows
-    Check("c2_density", _density_z(100_000, ("c2-path2", _path2, None),
-                                   ("c2-cycle4", _cycle4, None)), Band("<=", 4.0, count=6)),
+    # tests/test_acceptance.py; C2, C4 and C10 read verify statistical's
+    # rows, and C5, C6 and C8 verify paper's
     Check("c3_ks", _C3, Band("ks", 0.02, sizes=(20_000, 20_000))),
     Check("c3_invN", _C3, Band("<=", 4.0)),
     Check("c3_bins", _C3, Band("<=", 4.0, count=4)),
-    Check("c4_mean", _c4, Band("<=", 4.0)),
-    Check("c4_ks", _c4, Band("ks", 0.02, sizes=(100_000, 100_000))),
     Check("c9_reversal", _c9, Band("<=", 3.0, count=6)),
-    Check("c10_cov", _c10, _ARRATIA),
-    # tests/test_crw.py
-    Check("density_two_path", _density_z(20_000, ("dens", _path2, _TWO_PATH)),
-          Band("<=", 4.0, count=3)),
+    # tests/test_crw.py, whose density checks against the subset chain read
+    # verify statistical's rows
     Check("density_monotone", _monotone, Band("<=", 4.0, count=4, one_sided=True)),
-    Check("occupancy_mc_agrees", _density_z(20_000, ("occ", _cycle4, None)),
-          Band("<=", 4.0, count=3)),
     Check("kparticle_cycle3", _cycle3_tau, Band("z", 3.0),
           cache(lambda: exact_k_particle_law(build_generator(cycle_graph(3)), 2, 0.5,
                                              "distinct")["p_coal"])),
@@ -642,7 +595,7 @@ TABLE = [
     Check("mf310_A1", _mf310, _MF310, _MF310_CENTRE),
     Check("mf310_A2", _mf310, _MF310, _MF310_CENTRE),
     Check("mf36_exact_alpha", _mf36, _RATIO_20, 1.0),
-    Check("complete4_ks", _complete4, Band("ks", 0.02, sizes=(50_000, 50_000))),
+    Check("complete4_ks", _KINGMAN_K4, Band("ks", 0.02, sizes=(50_000, 50_000))),
     # tests/test_voter.py::TestDualityGap
     Check("dual_ks", _dual_cycle4, Band("ks", 0.02, sizes=(20_000, 20_000))),
     Check("dual_survival", _dual_cycle4, Band("<=", 4.0)),
@@ -653,8 +606,8 @@ TABLE = [
     Check("duality_cycle6/ks_nhat_vs_N", _DUALITY_CYCLE6, _ks_band(_DUALITY_REPS),
           suite="statistical"),
     Check("duality_cycle6/z_Pt_vs_invN", _DUALITY_CYCLE6, _DENSITY_Z, suite="statistical"),
-    Check("kingman_K8/z_mean", _kingman_k8, _DENSITY_Z, suite="statistical"),
-    Check("kingman_K8/ks_two_sample", _kingman_k8, _ks_band(_REPS_20K), suite="statistical"),
+    Check("kingman_K8/z_mean", _KINGMAN_K8, _DENSITY_Z, suite="statistical"),
+    Check("kingman_K8/ks_two_sample", _KINGMAN_K8, _ks_band(_REPS_20K), suite="statistical"),
     Check("arratia_cycle6/max_z", _arratia, _ARRATIA, suite="statistical"),
     Check("reversal_K2/residual", _reversal, Band("<=", 3.0), suite="statistical"),
     # verify paper, in row order

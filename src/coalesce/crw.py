@@ -15,9 +15,9 @@ at r_max the same way, a rejected ring being a stay.  A runner block's
 rows read one stream per variate kind in one layout (``_kind_streams``),
 so both engines give them the same values and counters.
 ``simulate_crw`` and ``sample_tau_coal`` give row 0 of a one-row block on
-the caller's generator (``_one_row``); ``estimate_density``,
-``sample_tau_coal_many`` and ``occupancy_covariances`` are views over the
-runner's derived blocks at a master seed drawn from the caller's generator.
+the caller's generator (``_one_row``); ``estimate_density`` and
+``sample_tau_coal_many`` are views over the runner's derived blocks at a
+master seed drawn from the caller's generator.
 
 The exact subset and (k+1)-walker oracles step with one sparse kernel,
 ``_ring_kernel``, built with no loop from (state, occupied site) pairs.
@@ -41,7 +41,6 @@ from .errors import (
     TooLargeForExact,
 )
 from .graphs import Graph, is_connected
-from .stats import jackknife_cov
 
 __all__ = [
     "DensityEstimate",
@@ -52,7 +51,6 @@ __all__ = [
     "exact_k_particle_law",
     "sample_tau_coal",
     "sample_tau_coal_many",
-    "occupancy_covariances",
 ]
 
 _SUBSET_CAP = 12
@@ -63,7 +61,7 @@ _SUBSET_TOL = 1e-10
 @lru_cache(maxsize=32)
 def flat_graph(g: Graph, convention: str) -> FlatGraph:
     """Cached flat adjacency.  Graph is frozen and compares by value; its
-    hash reads only n, the entry count, root and family, not the arrays."""
+    hash reads only n, the entry count and family, not the arrays."""
     return FlatGraph(g, convention)
 
 
@@ -716,37 +714,3 @@ def sample_tau_coal_many(
     reps = check_count(reps)
     seed = int(rng.integers(1 << 63))
     return _task_values(g, convention, {"task": "tau_coal"}, [], reps, seed)[2]
-
-
-def occupancy_covariances(
-    g: Graph,
-    pairs,
-    t_grid,
-    reps: int,
-    rng: np.random.Generator,
-    convention: str = "per_edge_unit",
-) -> dict:
-    """Sample covariance of occupation indicators for several vertex pairs,
-    sharing one batch of trajectories; jackknife standard errors.  The
-    trajectories are the runner's ``occupancy`` blocks on the pairs' sites,
-    at a master seed drawn from ``rng``."""
-    from .runner import _task_values
-
-    reps = check_count(reps, 2)
-    pairs = [(check_vertex(a, g.n, f"pairs[{i}]"), check_vertex(b, g.n, f"pairs[{i}]"))
-             for i, (a, b) in enumerate(pairs)]
-    for i, (a, b) in enumerate(pairs):
-        if a == b:
-            raise SameVertex(f"pairs[{i}] must be two distinct vertices")
-    sites = sorted({v for p in pairs for v in p})
-    pos = {v: i for i, v in enumerate(sites)}
-    grid = check_grid(t_grid)
-    task = {"task": "occupancy", "sites": sites}
-    vals = _task_values(g, convention, task, grid, reps, int(rng.integers(1 << 63)))[2]
-    # the indicators follow the cluster count
-    ind = vals[..., 1:]
-    return {
-        ((a, b), t): jackknife_cov(ind[:, ti, pos[a]], ind[:, ti, pos[b]])
-        for a, b in pairs
-        for ti, t in enumerate(grid)
-    }

@@ -134,14 +134,13 @@ class Graph:
     multiplicities int64.  No entry is a self-loop, and an edge (u, v, m)
     appears from both endpoints.  ``family`` tags deterministic built-ins,
     e.g. ("cycle", 4), and implies vertex transitivity for the named
-    families.  Graphs compare by value (``n``, ``root``, ``family`` and the
-    three arrays); the hash reads only ``n``, the entry count, ``root`` and
-    ``family``, so it costs nothing per entry.
+    families.  Graphs compare by value (``n``, ``family`` and the three
+    arrays); the hash reads only ``n``, the entry count and ``family``, so
+    it costs nothing per entry.
     """
 
     n: int
     csr: tuple
-    root: int | None = None
     family: tuple | None = None
 
     def __post_init__(self):
@@ -158,14 +157,14 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return ((self.n, self.root, self.family) == (other.n, other.root, other.family)
+        return ((self.n, self.family) == (other.n, other.family)
                 and all(np.array_equal(a, b) for a, b in zip(self.csr, other.csr)))
 
     def __hash__(self):
-        return hash((self.n, len(self.csr[1]), self.root, self.family))
+        return hash((self.n, len(self.csr[1]), self.family))
 
     @classmethod
-    def from_edges(cls, n, edges, root=None, family=None) -> "Graph":
+    def from_edges(cls, n, edges, family=None) -> "Graph":
         """Build from (u, v) or (u, v, multiplicity) rows: an iterable of
         tuples, or an integer array of two or three columns.
 
@@ -202,7 +201,7 @@ class Graph:
         off = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         # made in the types Graph keeps, so no copies are added at the peak
         csr = (off.astype(np.int32), dst[order].astype(np.int32), np.tile(mult, 2)[order])
-        return cls(n=n, csr=csr, root=root, family=family)
+        return cls(n=n, csr=csr, family=family)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -320,21 +319,6 @@ def sample_configuration_model(
     )
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ParameterOutOfRange("cycle needs n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges, family=("cycle", n))
-
-
-def path_graph(n: int) -> Graph:
-    """Simple path; the 2-path is the smallest connected test chain."""
-    if n < 2:
-        raise ParameterOutOfRange("path needs n >= 2")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Graph.from_edges(n, edges, family=None)
-
-
 # offsets and neighbours are int32, so no graph has more CSR entries
 _MAX_ENTRIES = (1 << 31) - 1
 
@@ -347,6 +331,23 @@ def _check_size(family: str, params: tuple, n: int, degree: int) -> None:
         raise ParameterOutOfRange(
             f"{family}({', '.join(map(str, params))}) has more than {_MAX_ENTRIES} "
             "vertices or CSR entries")
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ParameterOutOfRange("cycle needs n >= 3")
+    _check_size("cycle", (n,), int(n), 2)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.from_edges(n, edges, family=("cycle", n))
+
+
+def path_graph(n: int) -> Graph:
+    """Simple path; the 2-path is the smallest connected test chain."""
+    if n < 2:
+        raise ParameterOutOfRange("path needs n >= 2")
+    _check_size("path", (n,), int(n), 2)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return Graph.from_edges(n, edges, family=None)
 
 
 def complete_graph(n: int) -> Graph:

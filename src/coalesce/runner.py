@@ -24,8 +24,8 @@ task's chunks are queued before the calling process runs a task's last
 chunk.  The chunks return as finished CSV text, which the calling process
 writes and hashes in block order.
 
-``estimate_density``, ``sample_tau_coal_many``, ``occupancy_covariances``,
-``duality_gap`` and ``sample_nhat_ancestral`` read the same blocks through
+``estimate_density``, ``sample_tau_coal_many``, ``duality_gap`` and
+``sample_nhat_ancestral`` read the same blocks through
 ``_task_values`` at one thread, at a master seed they draw from the
 caller's generator.  ``_pass`` is the one caller of the lockstep kernels.
 """

@@ -16,7 +16,6 @@ from coalesce.crw import (
     exact_occupancy_cov,
     exact_occupancy_density,
     flat_graph,
-    occupancy_covariances,
     sample_tau_coal,
     sample_tau_coal_many,
     simulate_crw,
@@ -36,7 +35,6 @@ from coalesce.meeting import _survival, _two_walkers, pairwise_meeting_times
 from coalesce import crw, runner
 from coalesce.runner import run_task
 from coalesce.seeding import derive_rng
-from coalesce.stats import jackknife_cov
 from coalesce.voter import duality_gap
 
 P2 = path_graph(2)
@@ -127,7 +125,10 @@ class TestDensity:
             estimate_density(C4, [0.5, float("nan")], 50, derive_rng(4, "dens", 0))
 
     def test_two_path_against_oracle(self):
-        checks_pass(5, "density_two_path")
+        # verify statistical's rows at 20 000 replicates, against the subset
+        # chain, which test_two_path_closed_form checks against (1 + e^{-2t}) / 2
+        checks_pass(5, "mc_vs_exact_path2/z_t0.5", "mc_vs_exact_path2/z_t1.0",
+                    "mc_vs_exact_path2/z_t2.0")
 
     def test_single_survivor_regime(self):
         est = estimate_density(complete_graph(8), [50.0], 500, derive_rng(6, "dens", 0))
@@ -156,7 +157,8 @@ class TestExactOccupancy:
         assert (dens >= 1.0 / (1.0 + 2.0 * t)).all()
 
     def test_mc_agrees(self):
-        checks_pass(8, "occupancy_mc_agrees")
+        checks_pass(8, "mc_vs_exact_cycle4/z_t0.5", "mc_vs_exact_cycle4/z_t1.0",
+                    "mc_vs_exact_cycle4/z_t2.0")
 
     def test_too_large(self, monkeypatch):
         # the cap comes first: the (2^n - 1) x n occupancy rows of
@@ -382,15 +384,6 @@ class TestTauCoal:
         assert abs(taus.mean() - 0.75) <= 4.0 * se
 
 
-class TestPairCovariance:
-    def test_time_zero_exact(self):
-        # every site is occupied at t = 0, so the covariance is exactly 0
-        res = occupancy_covariances(cycle_graph(6), [(0, 1)], [0.0], 200,
-                                    derive_rng(13, "cov", 0))
-        assert res[((0, 1), 0.0)]["cov_hat"] == 0.0
-        assert res[((0, 1), 0.0)]["stderr"] == 0.0
-
-
 # runner tasks on the lockstep kernels
 
 
@@ -482,10 +475,10 @@ ONE_PATH = {
 
 
 class TestOnePath:
-    """``sample_tau_coal_many``, ``occupancy_covariances`` and
-    ``duality_gap`` are views over the runner's derived blocks: each draws
-    one master seed from the caller's generator, and its values equal
-    ``runner._task_values``' at that seed, bit for bit."""
+    """``sample_tau_coal_many`` and ``duality_gap`` are views over the
+    runner's derived blocks: each draws one master seed from the caller's
+    generator, and its values equal ``runner._task_values``' at that seed,
+    bit for bit."""
 
     @staticmethod
     def master(seed, case):
@@ -510,26 +503,6 @@ class TestOnePath:
         assert np.array_equal(taus, self.values(case, {"task": "tau_coal"}, [], master))
 
     @pytest.mark.parametrize("case", list(ONE_PATH))
-    def test_occupancy(self, case):
-        g, convention, times, reps = ONE_PATH[case]
-        times = [0.0, *times]
-        pairs = [(0, 1), (g.n - 1, 2)]
-        rng = derive_rng(62, case, 0)
-        res = occupancy_covariances(g, pairs, times, reps, rng, convention)
-        master, state = self.master(62, case)
-        assert rng.bit_generator.state == state
-        sites = [0, 1, 2, g.n - 1]
-        vals = self.values(case, {"task": "occupancy", "sites": sites}, times, master)
-        # the indicators follow the cluster count, in site order
-        col = {v: 1 + i for i, v in enumerate(sites)}
-        for a, b in pairs:
-            for i, t in enumerate(times):
-                assert res[((a, b), t)] == jackknife_cov(vals[:, i, col[a]],
-                                                         vals[:, i, col[b]])
-            # every site is occupied at t = 0
-            assert res[((a, b), 0.0)]["cov_hat"] == res[((a, b), 0.0)]["stderr"] == 0.0
-
-    @pytest.mark.parametrize("case", list(ONE_PATH))
     def test_duality_sides(self, case):
         g, convention, times, reps = ONE_PATH[case]
         t = times[-1]
@@ -551,10 +524,7 @@ class TestOnePath:
         # block k draws from (master seed, task label, k) whatever came
         # before it, on a pass of lockstep blocks or on scalar blocks
         g, convention, times, reps = ONE_PATH[case]
-        task = {"task": "occupancy", "sites": [0, 1]}
-        res = occupancy_covariances(g, [(0, 1)], times, reps, derive_rng(64, case, 0),
-                                    convention)
-        master, _ = self.master(64, case)
+        task, master = {"task": "occupancy", "sites": [0, 1]}, 64
         flat, width = flat_graph(g, convention), runner.block_rows(g.n)
         label = runner._task_label(task)
         vals = np.concatenate([
@@ -563,14 +533,12 @@ class TestOnePath:
             for k, start in enumerate(range(0, reps, width))
         ])
         assert len(vals) == reps and reps > 2 * width
-        for i, t in enumerate(times):
-            assert res[((0, 1), t)] == jackknife_cov(vals[:, i, 1], vals[:, i, 2])
+        assert np.array_equal(vals, self.values(case, task, times, master))
 
 
 C6 = cycle_graph(6)
 # the smallest valid replicate count of each estimator
-LEAST_REPS = {"estimate_density": 2, "sample_tau_coal_many": 1,
-              "occupancy_covariances": 2, "duality_gap": 2}
+LEAST_REPS = {"estimate_density": 2, "sample_tau_coal_many": 1, "duality_gap": 2}
 
 
 def call_estimator(name, reps):
@@ -579,14 +547,12 @@ def call_estimator(name, reps):
         return estimate_density(C6, [1.0], reps, rng)
     if name == "sample_tau_coal_many":
         return sample_tau_coal_many(C6, reps, rng)
-    if name == "occupancy_covariances":
-        return occupancy_covariances(C6, [(0, 1)], [1.0], reps, rng)
     return duality_gap(C6, 1.0, reps, rng)
 
 
 class TestEstimatorInputs:
-    """Bad replicate counts and sites fail with ParameterOutOfRange naming
-    the field, not with a raw error or a nan."""
+    """Bad replicate counts fail with ParameterOutOfRange naming the field,
+    not with a raw error or a nan."""
 
     @pytest.mark.parametrize("reps", [0, 1, -1, 2.5, True, "10"])
     @pytest.mark.parametrize("name", list(LEAST_REPS))
@@ -600,14 +566,6 @@ class TestEstimatorInputs:
     @pytest.mark.parametrize("name", list(LEAST_REPS))
     def test_numpy_integer_reps(self, name):
         call_estimator(name, np.int64(LEAST_REPS[name]))
-
-    @pytest.mark.parametrize("pair", [(0, 99), (0, -1), (6, 0), (-7, 1), (0.7, 1),
-                                      (True, 2), ("0", 1), (4, 4)])
-    def test_bad_pair_sites(self, pair):
-        error = SameVertex if pair == (4, 4) else ParameterOutOfRange
-        with pytest.raises(error, match=r"^pairs\[1\]"):
-            occupancy_covariances(C6, [(2, 3), pair], [1.0], 100,
-                                  derive_rng(0, "inputs", 1))
 
 
 class TestOracleInputs:

@@ -169,7 +169,7 @@ def reference_edges(n, edges):
     return sorted((u, v, m) for (u, v), m in mult.items())
 
 
-def reference_from_edges(n, edges, root=None, family=None):
+def reference_from_edges(n, edges, family=None):
     """Graph.from_edges with its CSR arrays laid out by a loop over the
     reference edges."""
     adj = [[] for _ in range(n)]
@@ -183,7 +183,7 @@ def reference_from_edges(n, edges, root=None, family=None):
             mults.append(m)
         off.append(len(nbr))
     csr = tuple(np.array(x, dtype=np.int64) for x in (off, nbr, mults))
-    return Graph(n=n, csr=csr, root=root, family=family)
+    return Graph(n=n, csr=csr, family=family)
 
 
 def reference_multiplicities(g):
@@ -251,8 +251,8 @@ class TestFromEdgesAssembly:
             "array2", "array3"])
     def test_matches_reference(self, edges):
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
-        got = Graph.from_edges(5, rows, root=2, family=("test", 5))
-        assert got == reference_from_edges(5, rows, root=2, family=("test", 5))
+        got = Graph.from_edges(5, rows, family=("test", 5))
+        assert got == reference_from_edges(5, rows, family=("test", 5))
         assert got.edge_list() == reference_edges(5, rows)
         assert all(type(x) is int for e in got.edge_list() for x in e)
         assert np.array_equal(dense(got.csr, got.n), reference_multiplicities(got))
@@ -291,10 +291,10 @@ class TestFromEdgesAssembly:
         calls = []
         original = Graph.from_edges.__func__
 
-        def spy(cls, n, edges, root=None, family=None):
+        def spy(cls, n, edges, family=None):
             edges = edges if isinstance(edges, np.ndarray) else list(edges)
-            got = original(cls, n, edges, root=root, family=family)
-            calls.append(got == reference_from_edges(n, edges, root=root, family=family))
+            got = original(cls, n, edges, family=family)
+            calls.append(got == reference_from_edges(n, edges, family=family))
             return got
 
         monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
@@ -414,7 +414,9 @@ class TestFamilySize:
     so a builder that starts allocating fails fast there instead."""
 
     @pytest.mark.parametrize("family, params", [("torus", (40, 40)), ("hypercube", (40,)),
-                                                ("complete", (100_000,))])
+                                                ("complete", (100_000,)),
+                                                ("cycle", (3_000_000_000,)),
+                                                ("path", (3_000_000_000,))])
     def test_oversized_refused(self, family, params):
         src = str(Path(__file__).parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", CAPPED_BUILD, family, *map(str, params)],
@@ -537,11 +539,10 @@ class TestArrayDegreesAndConnectivity:
     def test_equality_reads_every_field(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert g == Graph.from_edges(4, [(2, 3), (1, 0)])
-        # the same n, entry count, root and family: equal hashes, unequal graphs
+        # the same n, entry count and family: equal hashes, unequal graphs
         other = Graph.from_edges(4, [(0, 2), (1, 3)])
         assert hash(other) == hash(g) and other != g
         assert g != Graph.from_edges(4, [(0, 1, 2), (2, 3)])
-        assert g != Graph.from_edges(4, [(0, 1), (2, 3)], root=0)
         assert g != Graph.from_edges(4, [(0, 1), (2, 3)], family=("test", 4))
         assert g != Graph.from_edges(5, [(0, 1), (2, 3)])
         assert g.__eq__(g.csr) is NotImplemented

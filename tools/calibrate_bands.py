@@ -1,12 +1,13 @@
 """Empirical failure rates of the banded checks over fresh seeds.
 
 Runs checks of the shared table in ``coalesce._checks`` (the acceptance
-tests C2-C10, the unit tests' sigma bands on the two-walker, escape-walk,
-ancestral-sampler, density, coalescence-time, occupancy and duality
+tests C3, C7 and C9, the unit tests' sigma bands on the two-walker,
+escape-walk, ancestral-sampler, density, coalescence-time and duality
 estimators, and the ``verify statistical`` and ``verify paper`` rows at
-scale 1) on K master seeds that no test uses, and prints how often each
-failed next to the rate its band nominally allows.  It changes no band and
-no seed anywhere.
+scale 1, which C2, C4 and C10 read at scale 5 and C5, C6 and C8 at scale 1)
+on K master seeds that no test uses, and prints how often each failed next
+to the rate its band nominally allows.  It changes no band and no seed
+anywhere.
 
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 20
     PYTHONPATH=src python tools/calibrate_bands.py --seeds 20 --only psi_d3,paper_cm3/two_meet_over_n_alpha
