@@ -1,7 +1,7 @@
 """Simulation and exact-oracle laboratory for coalescing random walks and
 the dual voter model on finite graphs."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .graphs import (  # noqa: F401
     DegreeDistribution,

@@ -9,8 +9,8 @@ of its walk and thins: a walk is given to it as ``(r_max, pick)``, where
 to y with probability r(v, y) / r_max and otherwise staying at v.
 ``graph_pick`` (a padded slot table of a ``FlatGraph``), ``chain_pick``
 (Walker alias tables of a weighted chain) and the forest of lazily grown
-trees in ``theory`` provide one.  ``chain_walk`` is the scalar pick of a
-chain, for the one-walk-at-a-time loops.
+trees in ``theory`` provide one.  ``theory``'s branching-integral
+estimator moves its walker families on ``chain_pick`` too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from bisect import bisect_right
 
 import numpy as np
 
@@ -50,20 +49,6 @@ class FlatGraph:
         self.r_max = max(self.rate)
         self.r_min = min(self.rate)
         self.regular = len(set(self.rate)) == 1
-
-
-def chain_walk(c):
-    """Rate list and neighbor pick of a chain's weighted jump law: target y
-    with probability r_{x,y} / r(x), by bisection on cumulative rates."""
-    indptr, cols, data = c.csr
-    targets = [row.tolist() for row in np.split(cols, indptr[1:-1])]
-    cums = [row.cumsum().tolist() for row in np.split(data, indptr[1:-1])]
-
-    def neighbor(x, u):
-        row = cums[x]
-        return targets[x][bisect_right(row, u * row[-1])]
-
-    return c.row_rates.tolist(), neighbor
 
 
 # outcomes of walk_pairs

@@ -47,7 +47,7 @@ def _threads(text: str) -> int:
 
 
 _THREADS_HELP = ("processes to run on: this one and N - 1 pool workers "
-                 "(default: COALESCE_THREADS, else 1)")
+                 "(default: 1)")
 
 
 def _parse_degrees(text: str) -> DegreeDistribution:

@@ -354,7 +354,8 @@ def mc_pair_meeting(
         raise NotConnected("walkers on different components never meet")
     flat = FlatGraph(g, convention)
     if horizon_events is None:
-        horizon_events = int(200 * g.n * flat.r_max / flat.r_min**2)
+        # r_min = 0 only on one vertex, where every pair starts met
+        horizon_events = int(200 * g.n * flat.r_max / flat.r_min**2) if flat.r_min else 1
     r_max, pick = graph_pick(flat)
     s1 = 0.0
     s2 = 0.0

@@ -78,17 +78,8 @@ def block_rows(n: int) -> int:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """An explicit value, which must be an integer >= 1, else the
-    COALESCE_THREADS variable, else 1."""
-    if threads is not None:
-        return check_count(threads, 1, "threads")
-    env = os.environ.get("COALESCE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """An explicit value, which must be an integer >= 1, else 1."""
+    return 1 if threads is None else check_count(threads, 1, "threads")
 
 
 def _task_label(task: dict) -> str:

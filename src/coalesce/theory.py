@@ -5,7 +5,8 @@ the escape-probability constant, walker-pair estimation of the tree
 avoidance constant, the exponential-stage sampler for the complete-graph
 coalescence law, and a Monte Carlo evaluator for the branching-structure
 integral that the k-walker coalescence probability reduces to under time
-reversal.
+reversal, which runs its replicates in lockstep on the uniformized chain
+pick ``_flat.chain_pick``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb, factorial, sqrt, pi, log
 
 import numpy as np
 
-from ._flat import KILLED, MEET, TIME, chain_walk, check_count, check_grid, walk_pairs
+from ._flat import KILLED, MEET, TIME, chain_pick, check_count, check_grid, walk_pairs
 from .chains import MarkovChain
 from .crw import exact_k_particle_law
 from .errors import (
@@ -30,7 +31,6 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .graphs import DegreeDistribution, size_biased
-from .seeding import BufferedDraws
 
 __all__ = [
     "Prediction",
@@ -440,6 +440,8 @@ def estimate_alpha_D(
     counts the uniformized events the pairs used and ``thinned`` the stays
     among them (none on delta(d)).
     """
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+        raise ParameterOutOfRange(f"depth must be an integer, got {depth!r}")
     if depth < 3:
         raise DegenerateDepth("depth ball must have radius >= 3")
     [t_horizon] = check_grid([t_horizon], "t_horizon")
@@ -525,74 +527,86 @@ def branching_integral_mc(
 ) -> dict:
     """Monte Carlo value of the summed branching-structure integral.
 
-    Each sample draws ordered branch times uniformly on the simplex (sorted
-    uniforms), a branching pattern uniformly (importance weight k!), grows
-    the walker family with each newborn placed at a random neighbor of its
-    parent, and scores the product of parent jump rates if no two walkers
-    ever share a vertex on their common lifetime.  The estimator is
-    t^k * mean(score), unbiased for the pattern-summed integral.
+    Each replicate draws a uniform first walker, ordered branch times
+    uniformly on the simplex (sorted uniforms on [0, t]) and a branching
+    pattern uniformly (importance weight k!), and grows the walker family
+    with each newborn placed by one jump from its parent.  It scores if no
+    two walkers ever share a vertex on their common lifetime.
+
+    The walks are uniformized at the chain's largest rate r_max, on
+    ``_flat.chain_pick``: a family of b walkers rings at rate b r_max, and
+    a ring moves a uniform walker to y with probability r(x, y) / r_max or
+    leaves it in place.  A newborn is placed by the same pick from its
+    parent, so one that stays lands on its parent and scores 0: each birth
+    weighs r_max where the integral weighs r(parent), with the same
+    expectation.  The estimator is (t r_max)^k times the surviving
+    fraction, unbiased for the pattern-summed integral.
+
+    The replicates run in lockstep, ``_BRANCH_BLOCK`` rows at a time.
+    Each iteration draws one exponential, which sets a live row's next
+    ring, and two uniforms, the mover and its pick, for every live row: a
+    row whose next birth comes by its ring is born into, one whose ring is
+    past t retires as a survivor, and the rest move a walker.  A landing on
+    another walker of the family retires the row.
     """
     if check_count(k, 1, "k") > 3:
         raise KTooLarge("branching Monte Carlo supported for 1 <= k <= 3")
     [t] = check_grid([t], "t")
     reps = check_count(reps)
-    if t == 0.0:
+    # with no time or no jumps every newborn lands on its parent
+    if t == 0.0 or c.r_max == 0.0:
         return {"estimate": 0.0, "stderr": 0.0}
-    patterns = enumerate_patterns(k)
-    row_rates, neighbor = chain_walk(c)
-    draws = BufferedDraws(rng, block=1 << 16)
-    n = c.n
-    s1 = s2 = 0.0
-    for _ in range(reps):
-        ts = sorted(draws.u01() * t for _ in range(k))
-        pattern = patterns[int(draws.u01() * len(patterns))]
-        score = _branching_score(n, row_rates, neighbor, ts, pattern, t, draws)
-        s1 += score
-        s2 += score * score
-    mean = s1 / reps
-    var = max(0.0, s2 / reps - mean * mean)
-    scale = t**k
-    return {"estimate": scale * mean, "stderr": scale * sqrt(var / reps)}
+    r_max, pick = chain_pick(c)
+    parents = np.array(enumerate_patterns(k))
+    survivors = sum(_branching_survivors(c.n, r_max, pick, parents, t,
+                                         min(_BRANCH_BLOCK, reps - lo), rng)
+                    for lo in range(0, reps, _BRANCH_BLOCK))
+    p = survivors / reps
+    scale = (t * r_max) ** k
+    return {"estimate": scale * p, "stderr": scale * sqrt(p * (1.0 - p) / reps)}
 
 
-def _branching_score(n, row_rates, neighbor, ts, pattern, t, draws) -> float:
-    pos = [int(draws.u01() * n)]
-    weight = 1.0
-    clock = 0.0
-    next_birth = 0
-    k = len(ts)
-    while True:
-        total = 0.0
-        for p in pos:
-            total += row_rates[p]
-        t_jump = clock + draws.expo() / total
-        while next_birth < k and ts[next_birth] <= min(t_jump, t):
-            clock = ts[next_birth]
-            parent = pos[pattern[next_birth + 1]]
-            weight *= row_rates[parent]
-            born = neighbor(parent, draws.u01())
-            if born in pos:
-                return 0.0
-            pos.append(born)
-            next_birth += 1
-            total = 0.0
-            for p in pos:
-                total += row_rates[p]
-            t_jump = clock + draws.expo() / total
-        if t_jump > t:
-            return weight
-        clock = t_jump
-        u = draws.u01() * total
-        acc = 0.0
-        for i, p in enumerate(pos):
-            acc += row_rates[p]
-            if u < acc:
-                break
-        new = neighbor(pos[i], draws.u01())
-        for j, q in enumerate(pos):
-            if j != i and q == new:
-                return 0.0
-        pos[i] = new
+# replicates per lockstep block of the branching estimator: at up to 250
+# bytes a row a block peaks near 4 MB, whatever the replicate count; blocks
+# of 2^15 to 2^17 rows ran no faster
+_BRANCH_BLOCK = 1 << 14
+
+
+def _branching_survivors(n, r_max, pick, parents, t, size, rng) -> int:
+    """Surviving replicates among ``size``, run in lockstep: row i holds
+    walker positions (-1 until born), the k sorted birth times padded with
+    +inf, a pattern (the index of a row of ``parents``, whose entry j is
+    walker j's parent), the number b of walkers born and the clock."""
+    k = parents.shape[1] - 1
+    pos = np.full((size, k + 1), -1, dtype=np.int64)
+    pos[:, 0] = rng.random(size) * n
+    births = np.full((size, k + 1), np.inf)
+    births[:, :k] = np.sort(rng.random((size, k)) * t, axis=1)
+    pattern = (rng.random(size) * parents.shape[0]).astype(np.int64)
+    born = np.ones(size, dtype=np.int64)
+    clock = np.zeros(size)
+    survivors = 0
+    while size:
+        rows = np.arange(size)
+        ring = clock + rng.standard_exponential(size) / (born * r_max)
+        due = births[rows, born - 1]
+        birth = due <= ring
+        u = rng.random((2, size))
+        # a birth places walker b from its parent, a ring moves a uniform one
+        mover = np.where(birth, born, (u[0] * born).astype(np.int64))
+        source = np.where(birth, parents[pattern, np.minimum(born, k)], mover)
+        new = pick(pos[rows, source], u[1:], np.empty((1, size), dtype=np.int64))[0]
+        hit = pos == new[:, None]
+        hit[rows, mover] = False
+        pos[rows, mover] = new
+        born += birth
+        clock = np.where(birth, due, ring)
+        done = ~birth & (ring > t)
+        survivors += int(np.count_nonzero(done))
+        go = ~(done | hit.any(axis=1))
+        pos, births, pattern, born, clock = pos[go], births[go], pattern[go], born[go], clock[go]
+        size = pos.shape[0]
+    return survivors
 
 
 def reversal_identity_residual(

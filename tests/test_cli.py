@@ -834,16 +834,3 @@ class TestScaleChecked:
     def test_bad_scale_rejected(self, entry, scale):
         with pytest.raises(ParameterOutOfRange, match="^scale must"):
             getattr(verify, entry)(1, scale=scale)
-
-
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch):
-        from coalesce.runner import resolve_threads
-
-        monkeypatch.setenv("COALESCE_THREADS", "5")
-        assert resolve_threads(None) == 5
-        assert resolve_threads(3) == 3
-        monkeypatch.setenv("COALESCE_THREADS", "junk")
-        assert resolve_threads(None) == 1
-        monkeypatch.delenv("COALESCE_THREADS")
-        assert resolve_threads(None) == 1

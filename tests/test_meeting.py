@@ -754,6 +754,11 @@ class TestMcPairMeeting:
         with pytest.raises(NotConnected):
             mc_pair_meeting(Graph.from_edges(n, edges), 10, derive_rng(0, "pairmc", 2))
 
+    def test_one_vertex(self):
+        # the default budget divided by r_min = 0; both walkers start met
+        res = mc_pair_meeting(Graph.from_edges(1, []), 10, derive_rng(0, "pairmc", 7))
+        assert (res["mean"], res["stderr"], res["finished"]) == (0.0, 0.0, 10)
+
     def test_k2_mean(self):
         checks_pass((4, "pairmc", 0), "pair_k2")
 

@@ -6,10 +6,10 @@ import pytest
 
 from math import comb
 
-from conftest import checks_pass
+from conftest import IRREGULAR_RATES, checks_pass
 
 from coalesce import _flat, theory
-from coalesce.chains import build_generator
+from coalesce.chains import MarkovChain, build_generator
 from coalesce.errors import (
     DegenerateDepth,
     EmptySamples,
@@ -18,7 +18,7 @@ from coalesce.errors import (
     NonpositiveTime,
     ParameterOutOfRange,
 )
-from coalesce.graphs import DegreeDistribution, cycle_graph, size_biased
+from coalesce.graphs import DegreeDistribution, Graph, cycle_graph, size_biased
 from coalesce.seeding import derive_rng
 from coalesce.theory import (
     alpha_regular_tree,
@@ -459,6 +459,12 @@ class TestAlphaD:
         with pytest.raises(DegenerateDepth):
             estimate_alpha_D(D3, 0, 10.0, 100, derive_rng(0, "alphaD", 0))
 
+    @pytest.mark.parametrize("depth", [5.5, "7", True])
+    def test_depth_must_be_integer(self, depth):
+        # 5.5 ran as depth 6, and "7" ended in a raw TypeError
+        with pytest.raises(ParameterOutOfRange, match="^depth must"):
+            estimate_alpha_D(D3, depth, 10.0, 100, derive_rng(0, "alphaD", 0))
+
     def test_regular_tree_closed_form(self):
         assert alpha_regular_tree(3) == 1.5
         assert alpha_regular_tree(4) == pytest.approx(8.0 / 3.0, rel=1e-15)
@@ -569,9 +575,26 @@ class TestReversalIdentity:
         res = reversal_identity_residual(c, 2, 0.5, 50_000, derive_rng(12, "rv", 0))
         assert res["residual"] <= 3.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_irregular_rates(self, k):
+        # unequal row rates: a newborn stays on its parent with probability
+        # 1 - r(parent) / r_max, so each birth weighs r_max; scoring births
+        # at the mean rate read residuals of 140 to 200 here
+        c = MarkovChain.from_rates(IRREGULAR_RATES)
+        res = reversal_identity_residual(c, k, 0.5, 100_000, derive_rng(13, "rv", k))
+        assert res["residual"] <= 4.0
+
     def test_zero_time(self, k2_chain):
         res = reversal_identity_residual(k2_chain, 1, 0.0, 100, derive_rng(0, "rv", 0))
         assert res["residual"] == 0.0
+
+    def test_one_state_chain(self):
+        # r_max = 0: every newborn lands on its parent.  Both divided by zero
+        one = build_generator(Graph.from_edges(1, []))
+        res = branching_integral_mc(one, 2, 1.0, 100, derive_rng(0, "br", 0))
+        assert (res["estimate"], res["stderr"]) == (0.0, 0.0)
+        with pytest.raises(ParameterOutOfRange, match="more walkers than vertices"):
+            reversal_identity_residual(one, 1, 1.0, 100, derive_rng(0, "rv", 0))
 
     @pytest.mark.parametrize("reps", [1, 0, 2.5])
     def test_needs_two_replicates(self, k2_chain, reps):
