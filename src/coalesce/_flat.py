@@ -26,9 +26,11 @@ from .graphs import Graph
 
 
 class FlatGraph:
-    """Graph unpacked into plain lists for tight loops."""
+    """Graph unpacked into plain lists for tight loops.  Every walk on it
+    thins by one rule: a ring at x takes slot floor(u * width) of x, width
+    the largest degree, and a slot past deg[x] is a stay."""
 
-    __slots__ = ("n", "off", "nbr", "deg", "rate", "r_max", "r_min", "regular")
+    __slots__ = ("n", "off", "nbr", "deg", "width", "rate", "r_max", "r_min", "regular")
 
     def __init__(self, g: Graph, convention: str = "per_edge_unit"):
         self.n = g.n
@@ -38,6 +40,7 @@ class FlatGraph:
         self.off = slots.tolist()
         self.nbr = np.repeat(nbr, mult).tolist()
         self.deg = np.diff(slots).tolist()
+        self.width = max(self.deg)
         if convention == "per_edge_unit":
             self.rate = [float(d) for d in self.deg]
         elif convention == "total_unit":
@@ -84,17 +87,16 @@ def graph_pick(flat: FlatGraph):
     """Uniformized walk of a flat graph: ``(r_max, pick)``.
 
     A padded slot table holds each vertex's multiplicity-expanded neighbor
-    list in its first r(x) of r_max columns and x itself in the rest (the
-    thinned stays; none on a regular graph).  ``pick(v, u, out)`` advances
-    walkers from the vertices v (shape (L,)) one step per row of the uniform
-    variates u (shape (K, L)) and writes their positions into the int64
-    array out (u's shape), which it returns; u is used as scratch.  A step
-    takes slot floor(u * width), so it moves to y with probability
-    r(x, y) / r_max and stays with probability 1 - r(x) / r_max.  The
-    table has n * max-degree entries, built without a loop over vertices.
+    list in its first deg[x] of ``flat.width`` columns and x itself in the
+    rest (the thinned stays; none on a regular graph).  ``pick(v, u, out)``
+    advances walkers from the vertices v (shape (L,)) one step per row of
+    the uniform variates u (shape (K, L)) and writes their positions into
+    the int64 array out (u's shape), which it returns; u is used as
+    scratch.  A step takes slot floor(u * width), the rule of every walk
+    (``FlatGraph``).  The table has n * width entries, built without a
+    loop over vertices.
     """
-    n = flat.n
-    width = max(flat.deg, default=1)
+    n, width = flat.n, flat.width
     deg = np.asarray(flat.deg, dtype=np.int64)
     rows = np.repeat(np.arange(n, dtype=np.int64), deg)
     slot = np.arange(rows.size) - np.asarray(flat.off[:-1], dtype=np.int64)[rows]

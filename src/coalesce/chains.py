@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _DENSE_CAP = 4096
+# Poisson terms of one uniformization: lam * t up to about 4 * 10^6
+_TERM_CAP = 1 << 22
 # bytes of one transition_matrix column panel: an L2-sized dense operand
 _PANEL_BYTES = 1 << 19
 _EIG_ZERO = 1e-10
@@ -292,7 +294,9 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     The quantile and the pmf are the ``scipy.special`` expressions that
     ``scipy.stats.poisson`` evaluates, so the weights are the same bits
     without the slow ``scipy.stats`` import.  Every uniformization takes
-    its weights here, so ``tol`` is checked here: a number in (0, 1).
+    its weights here, so ``tol`` is checked here: a number in (0, 1).  A
+    lam_t that needs more than ``_TERM_CAP`` terms, or whose quantile is
+    not a number (past about 10^12), is refused before any array is built.
     """
     _check_tol(tol)
     if lam_t <= 0.0:
@@ -306,6 +310,10 @@ def poisson_weights(lam_t: float, tol: float) -> np.ndarray:
     below = max(k - 1.0, 0.0)
     if pdtr(below, lam_t) >= q:
         k = below
+    # a NaN quantile fails the comparison too
+    if not k + 3 <= _TERM_CAP:
+        raise TooLargeForExact(
+            f"uniformization at lam*t = {lam_t:g} needs more than {_TERM_CAP} Poisson terms")
     ks = np.arange(int(k) + 3)
     return np.exp(xlogy(ks, lam_t) - gammaln(ks + 1) - lam_t)
 

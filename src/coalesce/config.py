@@ -154,8 +154,13 @@ def _validate_task(task: dict, path: str):
         raise ConfigError(f"{path}.replicates", "must be >= 1")
     if "times" in task:
         _check_times(task["times"], f"{path}.times")
+    seen = set()
     for i, v in enumerate(task.get("sites", [])):
         _check_type(v, "int", f"{path}.sites[{i}]")
+        # one column per site: a repeat would write two columns of one name
+        if v in seen:
+            raise ConfigError(f"{path}.sites[{i}]", f"site {v} repeated")
+        seen.add(v)
 
 
 def _check_times(times: list, path: str) -> list:

@@ -3,17 +3,18 @@
 The Monte Carlo engines realize the directed-edge ring representation from
 every site occupied.  Rings whose source is unoccupied change nothing, so
 each trajectory's clock runs only over its m clusters, and every engine
-thins by one rule: a ring comes at rate r_max * m and picks a uniform
-cluster, at x; on irregular graphs it is kept when a uniform u <
-rate(x) / r_max, and a rejected ring changes nothing but the
+thins by the one rule of ``_flat``: a ring comes at rate r_max * m and
+picks a uniform cluster, at x, then slot floor(u * width) of x, where
+``FlatGraph.width`` is the largest degree.  On an irregular graph a slot
+past deg[x] is a stay, which changes nothing but the
 ``thinning_rejections`` count.  This is exact for the occupancy process and
 orders of magnitude faster at low density.  The lockstep kernel
 ``_lockstep_crw``, run by ``runner._pass`` alone, gives every trajectory of
 a pass of blocks one ring per numpy iteration; ``_scalar_crw`` runs one in
-plain Python; the two-walker routine ``_flat.walk_pairs`` runs each walker
-at r_max the same way, a rejected ring being a stay.  A runner block's
-rows read one stream per variate kind in one layout (``_kind_streams``),
-so both engines give them the same values and counters.
+plain Python; the two-walker routine ``_flat.walk_pairs`` moves each walker
+by the same slot rule.  A runner block's rows read one stream per variate
+kind in one layout (``_kind_streams``), so both engines give them the same
+values and counters.
 ``simulate_crw`` and ``sample_tau_coal`` give row 0 of a one-row block on
 the caller's generator (``_one_row``); ``estimate_density`` and
 ``sample_tau_coal_many`` are views over the runner's derived blocks at a
@@ -71,9 +72,9 @@ def _state_dtype(n: int) -> type:
     return np.int16 if n < 1 << 15 else np.int32
 
 
-# a block's variate kinds in seeding order: the leading uniforms (the tracked
-# labels; the voter's two uniform vertices), clock, slot, thinning, neighbour
-LEAD, EXPO, SLOT, THIN, NBR = range(5)
+# the variate kind of each block stream in seeding order: leading uniforms
+# (the tracked labels; the voter's two uniform vertices), clock, slot, neighbour
+LEAD, EXPO, SLOT, NBR = range(4)
 # a scalar block draws about this many variates of a kind at a time
 _WINDOW_CELLS = 1 << 16
 
@@ -81,14 +82,16 @@ _WINDOW_CELLS = 1 << 16
 def _kind_streams(rng: np.random.Generator) -> list:
     """A block's draw call per variate kind (exponentials for the clock,
     else uniforms), each on a generator seeded by one of five draws of
-    ``rng``.  At iteration i, row r of a block of ``width`` rows reads entry
-    i * width + r of each kind's stream (its j-th leading uniform is entry
-    j * width + r).  A ring is one iteration and reads one variate of each
-    kind it uses, a rejected ring its neighbour variate too, so a row's
+    ``rng``, the fourth going unused.  At iteration i, row r of a block of
+    ``width`` rows reads entry i * width + r of each kind's stream (its
+    j-th leading uniform is entry j * width + r).  A ring, a stay too, is
+    one iteration and reads one variate of each kind it uses, so a row's
     variates depend neither on the other rows nor on the engine,
     ``_BlockDraws`` (lockstep) or ``_scalar_rows`` (scalar)."""
+    # the fourth seed fed a thinning stream that no ring reads now; it is
+    # still drawn, so every other kind has the seed it had
     gens = [np.random.Generator(np.random.PCG64(seed))
-            for seed in rng.integers(1 << 63, size=5).tolist()]
+            for seed in rng.integers(1 << 63, size=5)[[0, 1, 2, 4]].tolist()]
     return [g.standard_exponential if kind == EXPO else g.random for kind, g in enumerate(gens)]
 
 
@@ -101,18 +104,18 @@ def _one_row(rng: np.random.Generator) -> list:
 
 class _BlockDraws:
     """A lockstep iteration's variates for rows in blocks of ``width``,
-    block k drawing ``width`` of each kind (an exponential, then slot,
-    neighbour and thinning uniforms) from the kind streams of ``rngs[k]``
-    into its slice of that kind's buffer.  Only blocks with a live row draw."""
+    block k drawing ``width`` of each kind (an exponential, then slot and
+    neighbour uniforms) from the kind streams of ``rngs[k]`` into its slice
+    of that kind's buffer.  Only blocks with a live row draw."""
 
     def __init__(self, rngs: list, width: int):
         self.width = width
         self.streams = [_kind_streams(rng) for rng in rngs]
         self.e = np.empty(len(rngs) * width)
-        self.u = np.empty((3, len(rngs) * width))
+        self.u = np.empty((2, len(rngs) * width))
         cuts = [slice(k * width, (k + 1) * width) for k in range(len(rngs))]
         self.e_parts = [(s[EXPO], self.e[cut]) for s, cut in zip(self.streams, cuts)]
-        self.u_parts = [[(s[kind], self.u[i, cut]) for i, kind in enumerate((SLOT, NBR, THIN))]
+        self.u_parts = [[(s[kind], self.u[i, cut]) for i, kind in enumerate((SLOT, NBR))]
                         for s, cut in zip(self.streams, cuts)]
         self.starts = np.arange(len(rngs) + 1) * width
         self.active = range(len(rngs))
@@ -121,7 +124,7 @@ class _BlockDraws:
         """The first ``rows`` rows' first ``count`` leading uniforms, (rows, count)."""
         return np.concatenate([s[LEAD]((count, self.width)) for s in self.streams], 1)[:, :rows].T
 
-    def keep(self, live: np.ndarray) -> None:
+    def narrow(self, live: np.ndarray) -> None:
         """From now on only the blocks holding a row of ``live``, which is
         sorted, draw."""
         if len(self.streams) > 1:
@@ -135,14 +138,13 @@ class _BlockDraws:
         # live rows that are a prefix take a slice, not a gather
         return self.e[:live.size] if live[-1] == live.size - 1 else self.e[live]
 
-    def uniforms(self, live: np.ndarray, kinds: int) -> np.ndarray:
-        """The live rows' first ``kinds`` uniforms, (kinds, live)."""
+    def uniforms(self, live: np.ndarray) -> np.ndarray:
+        """The live rows' slot and neighbour uniforms, (2, live)."""
         for k in self.active:
-            for fill, out in self.u_parts[k][:kinds]:
+            for fill, out in self.u_parts[k]:
                 fill(out=out)
-        u = self.u[:kinds]
         # take() gathers columns several times faster than u[:, live]
-        return u[:, :live.size] if live[-1] == live.size - 1 else u.take(live, axis=1)
+        return self.u[:, :live.size] if live[-1] == live.size - 1 else self.u.take(live, axis=1)
 
 
 def _scalar_rows(rngs: list, width: int, rows: int, start) -> list:
@@ -194,14 +196,15 @@ def _lockstep_crw(
     initial sites (rows, grid, d); with ``sites``, their occupation
     indicators (rows, grid, sites).  With ``to_one`` the grid is ignored and
     ``tau`` holds the time one cluster is left; the graph must then be
-    connected.  Also returns the kept rings (``events``) and the rejected
-    ones (``thinning_rejections``).
+    connected.  Also returns the rings that moved a cluster (``events``)
+    and the stays (``thinning_rejections``).
 
-    A row keeps its m clusters as a slot list ``loc`` (slot -> site), from
+    A row holds its m clusters as a slot list ``loc`` (slot -> site), from
     which a ring picks a uniform slot, and their sizes by site in ``size``
-    (0 at an empty site).  A ring from x to y empties x and adds its size to
-    y's; when y was occupied the slot is dropped and the last slot fills
-    its hole.  Labels are followed by site, so no union-find is needed.
+    (0 at an empty site).  A ring from x to y, or a stay (y = x), empties x
+    and adds its size to y's; when y was occupied the slot is dropped and
+    the last slot fills its hole.  Labels are followed by site, so no
+    union-find is needed.
 
     The rows read ``draws``, a ``_BlockDraws``, so a row's values depend
     only on its block's streams: a pass of blocks gives each block's rows
@@ -215,11 +218,8 @@ def _lockstep_crw(
     state = _state_dtype(n)
     off = np.asarray(flat.off[:-1], dtype=np.int64)
     deg = np.asarray(flat.deg, dtype=np.int64)
-    # the pad keeps the pick in range at an isolated x, whose ring is rejected
-    nbr = np.asarray(flat.nbr + [0], dtype=state)
-    keep = None if flat.regular else np.asarray(flat.rate) / flat.r_max
-    # regular graphs keep every ring, so they need no thinning variate
-    kinds = 2 if keep is None else 3
+    # the pad holds every slot of every x in range; one past deg[x] is a stay
+    nbr = np.asarray(flat.nbr + [0] * flat.width, dtype=state)
     ngrid = 0 if to_one else len(grid)
     # the grid padded with a time never reached
     gpad = np.append(np.asarray(grid if ngrid else [], dtype=float), np.inf)
@@ -277,29 +277,26 @@ def _lockstep_crw(
                     tsite = tsite[:, ok]
                 if not live.size:
                     break
-                draws.keep(live)
+                draws.narrow(live)
         clock = t_next
-        u = draws.uniforms(live, kinds)
+        u = draws.uniforms(live)
         bi = b + (u[0] * m).astype(np.int64)
         xs = loc[bi]
         # gathers run faster on an intp index than on a 16-bit one
         x = xs.astype(np.intp)
-        y = nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
-        bx = b + x
-        sx = size[bx]
-        if keep is None:
-            by = b + y
-            sy = size[by]
-        else:
-            # a rejected ring moves x onto itself: it empties x, then puts
-            # back its own size, and merges nothing
-            kept = u[2] < keep[x]
-            y = np.where(kept, y, xs)
-            by = b + y
-            sy = np.where(kept, size[by], 0)
-            rejected += live.size - int(kept.sum())
+        j = (u[1] * flat.width).astype(np.int64)
+        y = nbr[off[x] + j]
+        if not flat.regular:
+            stay = j >= deg[x]
+            np.copyto(y, xs, where=stay)
+            rejected += int(np.count_nonzero(stay))
         rings += live.size
+        bx = b + x
+        by = b + y
+        sx = size[bx]
+        # x is emptied first: a stay puts back its own size, merging nothing
         size[bx] = 0
+        sy = size[by]
         size[by] = sx + sy
         loc[bi] = y
         # rows whose y was occupied merged: slot m - 1 fills the hole at i
@@ -335,17 +332,14 @@ def _scalar_crw(
 
     Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
     site back to its slot (-1 when empty).  A ring comes after Exp / (r_max
-    * m), picks a uniform slot, its site x, then on an irregular graph is
-    kept when a uniform u < rate(x) / r_max, then picks a neighbour y of x
-    (a rejected ring reads that variate too).  When y is occupied the
-    cluster at x joins it and the last slot fills the hole; each label
-    follows its cluster's slot.
+    * m), picks a uniform slot, its site x, then slot j = floor(u * width)
+    of x: the neighbour y in it, or a stay when j >= deg[x].  When y is
+    occupied the cluster at x joins it and the last slot fills the hole;
+    each label follows its cluster's slot.
     """
-    n, r_max = flat.n, flat.r_max
+    n, r_max, width = flat.n, flat.r_max, flat.width
     off, nbr, deg = flat.off, flat.nbr, flat.deg
-    thin = not flat.regular
-    keep = [r / r_max for r in flat.rate] if thin else None
-    _, expo, slot, thin_u, nbr_u = draws
+    _, expo, slot, nbr_u = draws
     inf = float("inf")
     m = n
     loc = list(range(n))
@@ -401,11 +395,11 @@ def _scalar_crw(
         rings += 1
         i = int(slot() * m)
         x = loc[i]
-        if thin and thin_u() >= keep[x]:
-            nbr_u()
+        j = int(nbr_u() * width)
+        if j >= deg[x]:
             rejections += 1
             continue
-        y = nbr[off[x] + int(nbr_u() * deg[x])]
+        y = nbr[off[x] + j]
         j = at_site[y]
         at_site[x] = -1
         if j < 0:
@@ -443,8 +437,8 @@ def simulate_crw(
     track selects the observables: "density" records the occupied-site
     count, "tracked_cluster" additionally follows the cluster of one
     uniformly chosen initial particle, "occupancy" records indicators for
-    ``site_list`` (all sites when None).  Also returns the kept rings
-    (``events``) and the rejected ones (``thinning_rejections``).
+    ``site_list`` (all sites when None).  Also returns the rings that
+    moved a cluster (``events``) and the stays (``thinning_rejections``).
     """
     grid = check_grid(t_grid)
     if track not in ("density", "tracked_cluster", "occupancy"):

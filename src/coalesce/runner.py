@@ -11,7 +11,9 @@ whatever the worker count (worker chunks are whole blocks), extending
 perturbs the streams of existing ones.  A block runs on the lockstep
 kernels or, when too narrow for lockstep iterations to pay (on large
 graphs), on the scalar routines, whose records ``_pass`` stacks into the
-kernels' one; both engines give the same rows and counters, so
+kernels' one.  Both engines read the same variates and move a walk by the
+one slot rule of ``_flat`` (slot floor(u * ``FlatGraph.width``), a stay
+past the ring's degree), so they give the same rows and counters, and
 ``_SCALAR_BELOW`` is a choice of speed alone.  Rows are assembled
 replicate-major, time-minor.
 
@@ -308,7 +310,8 @@ def run_task(
     pool=None,
 ) -> tuple[list[str], list[tuple], dict]:
     """All rows for one task, replicate-major, and the kernels' counters:
-    kept rings (``events``), ``thinning_rejections`` and ``blocks``.  The
+    the rings that moved a cluster (``events``), the stays
+    (``thinning_rejections``) and ``blocks``.  The
     chunks run on ``threads`` processes, this one and ``threads - 1``
     workers: those of ``pool`` when one is given, else of a pool of their
     own.  A given ``pool`` must come from ``worker_pool(threads)`` with the

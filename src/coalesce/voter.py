@@ -8,6 +8,9 @@ on the lockstep kernel (``_lockstep_voter``) or the scalar one
 (``_voter_once``), which read the one stream layout of
 ``crw._kind_streams`` and give the same rows; ``simulate_voter``'s are
 row 0 of a one-row block on the caller's generator (``crw._one_row``).
+A ring's source is picked in proportion to its rate, by a search on the
+cumulative rates, so no ring is a stay: the voter reads its slot uniform
+for that pick, not for the slot rule of the walks (``_flat``).
 For large graphs the opinion cluster of a uniform vertex can be sampled
 through the ancestral coalescing system instead (equal in law), the only
 practical route at thousands of vertices.  ``sample_nhat_ancestral`` and
@@ -46,7 +49,7 @@ def _voter_once(flat: FlatGraph, draws: tuple, grid: list, window: int = 0):
     extinct), and the number of opinions left, with the rings played
     (``events``); no ring is thinned away.
     """
-    lead, expo, slot, _, nbr_u = draws
+    lead, expo, slot, nbr_u = draws
     n, off, nbr, deg = flat.n, flat.off, flat.nbr, flat.deg
     opinion = list(range(n))
     counts = [1] * n  # live voters per initial opinion
@@ -150,9 +153,9 @@ def _lockstep_voter(flat: FlatGraph, draws, rows: int, grid: list) -> dict:
                 live[ok], b[ok], u_hat[ok], g[ok], t_rec[ok], t_next[ok])
             if not live.size:
                 break
-            draws.keep(live)
+            draws.narrow(live)
         clock = t_next
-        u = draws.uniforms(live, 2)
+        u = draws.uniforms(live)
         x = np.searchsorted(cum, u[0] * total, side="right")
         by = b + nbr[off[x] + (u[1] * deg[x]).astype(np.int64)]
         ox = opinion[b + x]

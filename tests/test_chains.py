@@ -1,11 +1,13 @@
 import math
 import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +271,19 @@ class TestTransitionPanels:
         assert set(threading.enumerate()) == before
 
 
+SRC = str(Path(__file__).parents[1] / "src")
+CAPPED_WEIGHTS = """
+import resource
+from coalesce.chains import poisson_weights
+from coalesce.errors import TooLargeForExact
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+try:
+    poisson_weights(1e9, 1e-12)
+except TooLargeForExact as e:
+    print(e)
+"""
+
+
 class TestPoissonWeights:
     """The weights are the bits scipy.stats.poisson gives, length included,
     so every uniformization oracle keeps its values."""
@@ -293,6 +308,29 @@ class TestPoissonWeights:
         rng = derive_rng(9, "poisson-weights", 0)
         for lam_t, tol in zip(10 ** rng.uniform(-6, 4.5, 400), 10 ** rng.uniform(-16, -6, 400)):
             self.assert_same(float(lam_t), float(tol))
+
+    @pytest.mark.parametrize("lam_t", [1e12, 1e308, math.inf, math.nan])
+    def test_nan_quantile_refused(self, lam_t):
+        # scipy's quantile is NaN at these lam_t, which int() refused raw
+        with pytest.raises(TooLargeForExact, match=r"^uniformization at lam\*t = "):
+            poisson_weights(lam_t, 1e-12)
+
+    def test_term_cap(self, monkeypatch):
+        # the cap counts the terms returned: as many are still accepted
+        terms = poisson_weights(3e4, 1e-12).size
+        monkeypatch.setattr(chains, "_TERM_CAP", terms)
+        assert poisson_weights(3e4, 1e-12).size == terms
+        monkeypatch.setattr(chains, "_TERM_CAP", terms - 1)
+        with pytest.raises(TooLargeForExact, match=f"more than {terms - 1} Poisson terms"):
+            poisson_weights(3e4, 1e-12)
+
+    def test_many_terms_refused_before_allocating(self):
+        # 10^9 terms would be 8 GB of doubles; the child is capped at 1 GiB,
+        # so an array asked for fails there fast instead
+        proc = subprocess.run([sys.executable, "-c", CAPPED_WEIGHTS], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith("uniformization at lam*t = 1e+09 needs more than ")
 
 
 def _connected(rates):

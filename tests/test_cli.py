@@ -113,6 +113,19 @@ class TestConfigValidation:
             run_experiment(cfg)
         assert err.value.path == "tasks[0].sites[1]"
 
+    def test_repeated_site_names_field(self, tmp_path, capsys):
+        # a repeat used to write the header replicate,t,xi_size,occ_1,occ_1
+        cfg = minimal_config(tmp_path, tasks=[{"task": "occupancy", "sites": [0, 3, 0]}])
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "tasks[0].sites[2]"
+        out = tmp_path / "sim"
+        assert main(["simulate", "--task", "occupancy", "--family", "cycle", "--params", "8",
+                     "--sites", "1,1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tasks[0].sites[1]: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("degrees,path", [
         ([[3]], "graph.cm.degrees[0]"),
         ([[3, 0.5], ["a", 0.5]], "graph.cm.degrees[1]"),
@@ -489,6 +502,14 @@ class TestCliCommands:
         assert main(args) == 0
         preview = capsys.readouterr().out.splitlines()
         assert preview == out.read_text().splitlines()
+
+    def test_exact_huge_time_is_error(self, tmp_path, capsys):
+        # lam * t past any Poisson term count: a NaN quantile, which ended
+        # in a raw ValueError
+        args = ["exact", "occupancy", "--family", "cycle", "--params", "4", "--t", "1e308"]
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: uniformization at lam*t = ") and err.count("\n") == 1
 
     def test_gen_cm(self, tmp_path):
         gpath = str(tmp_path / "cm.crwgraph")

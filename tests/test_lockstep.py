@@ -14,7 +14,6 @@ from coalesce.crw import (
     EXPO,
     NBR,
     SLOT,
-    THIN,
     _BlockDraws,
     _kind_streams,
     _lockstep_crw,
@@ -53,16 +52,22 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
-def lollipop_call(mode: str) -> dict:
-    """37 rows at width 64 on the lollipop in one of the kernel's modes."""
-    flat = flat_graph(LOLLIPOP, "per_edge_unit")
+# the graphs of the kernel digests: the lollipop thins, torus(3,3) is regular
+KERNEL_CASES = {"lollipop": LOLLIPOP, "torus33": torus_graph(3, 3)}
+
+
+def kernel_call(case: str, mode: str) -> dict:
+    """37 rows at width 64 on one of ``KERNEL_CASES`` in one of the
+    kernel's modes."""
+    g = KERNEL_CASES[case]
+    flat = flat_graph(g, "per_edge_unit")
     rng = derive_rng(41, "lockstep-pin", 0)
     rows, width = 37, 64
     if mode == "to_one":
         return _lockstep_crw(flat, _BlockDraws([rng], width), rows, [], to_one=True)
     labels = sites = None
     if mode == "labels":
-        labels = rng.integers(0, LOLLIPOP.n, size=(rows, 3))
+        labels = rng.integers(0, g.n, size=(rows, 3))
     else:
         sites = [0, 3, 4, 6]
     return _lockstep_crw(flat, _BlockDraws([rng], width), rows, GRID, labels, sites)
@@ -91,12 +96,20 @@ class TestPinnedDigests:
 
     ANCESTRAL = {
         "torus36": "49fe0284928a85bb34524c311bca7efcf39bf57b26fd36181c3970293678162b",
-        "lollipop": "224d38f17db5b70cf64a8e01faa4007e0538f39380755a4c111891e0ab3f26c9",
+        "lollipop": "58df00f53583ccc9151033a23ed2e9e66c02d05961008c4549fb7ee7feb75152",
     }
+    # the kernel in each mode, as ``kernel_call`` runs it
     KERNEL = {
-        "labels": "4a57f82dbda73966c6795812e77be4ce0b4fcc4d24fe5def09f87b7ef8e00879",
-        "sites": "b4ea7118aa2a1527bd39e2579a74dc94032f07910ed72505c675a089b1c727f8",
-        "to_one": "6ec81e2eec3b4b4cebf4985e610c8be178e0c8a228b7d51911c724da5246cd0e",
+        "lollipop": {
+            "labels": "ccc112d3ff339108674fe762eb15e094028185dd9335dcb7ef150c7a5dde97a1",
+            "sites": "71a08eb32490e0606faea09d1ba3fa2d5266cc447d2368384baf227ec2492f27",
+            "to_one": "d0a4eb11406cd90f5a835340fa83cfec29c8762f484f5466d897a72e355f28b6",
+        },
+        "torus33": {
+            "labels": "1d6f76b6d8550817db4bdb64d9805c25fbaab9401535d8ec0974c9566e88e5c2",
+            "sites": "fb34d75c0afe7849909bf0b62d14a153ada55e49a214962032c16adfd9fca85f",
+            "to_one": "3e590e76e4273ed2354ea74aaa10eae643317a8bce9ac6bd826279dc75730ca4",
+        },
     }
 
     # the rng-taking entry points, as ``api_call`` runs them
@@ -109,11 +122,11 @@ class TestPinnedDigests:
             "estimate_density": "f5aa965b5875da5d1fc9640a6f91b11551bdf877d63e97d52abdc632eea79cd5",
         },
         "lollipop": {
-            "density": "8772bca05732321bcfeff43e74809996f297781b78c4b8c3e3a5249d9e397e64",
-            "tracked_cluster": "10aa9b114be2d8f9a606bf5650a28d5e4c81cfe061b6c377b9cfbc54090048ca",
-            "occupancy": "9b0387965663600523510bacd1ddc4908bf2b29aac57a7ca8661bf6e139b4c35",
-            "sample_tau_coal": "7f463bc59545267cb3ce23bb126a8dc9cb2d0a29895806994350715011c43a34",
-            "estimate_density": "e73182f151ae527ff40e340455a1001aa03ab570c53b9398e666ea57fddc2b72",
+            "density": "292467decd6a6217883a2df64f01e1184913f35016cf9d3ee866031ed3957b37",
+            "tracked_cluster": "5083730e979cbe33ba5472cc4ca5480a6853071cc3fde88eb8d93d96d46787c8",
+            "occupancy": "6da9ec12b8f92ebf7607ed108c002e9455f36567d44715f8e59499d8ecb0c4b0",
+            "sample_tau_coal": "504bff76d975f87d5f7fd09442ec1a4b9e153e403b33f37a4cd64968e8358022",
+            "estimate_density": "bbbabd255a0833c7522a531c2293d7ba5caa528de67503f22033b56e443b4953",
         },
     }
 
@@ -126,7 +139,11 @@ class TestPinnedDigests:
 
     @pytest.mark.parametrize("mode", ["labels", "sites", "to_one"])
     def test_kernel_on_lollipop(self, mode):
-        assert digest(lollipop_call(mode)) == self.KERNEL[mode]
+        assert digest(kernel_call("lollipop", mode)) == self.KERNEL["lollipop"][mode]
+
+    @pytest.mark.parametrize("mode", ["labels", "sites", "to_one"])
+    def test_kernel_on_torus33(self, mode):
+        assert digest(kernel_call("torus33", mode)) == self.KERNEL["torus33"][mode]
 
     @pytest.mark.parametrize("call", API_CALLS)
     @pytest.mark.parametrize("case", list(API))
@@ -136,13 +153,12 @@ class TestPinnedDigests:
 
 class _Stream:
     """A block's draws in the kernel's layout, made lazily: iteration k
-    takes one width-wide exponential and one width-wide uniform of each of
-    ``kinds`` kinds (slot, neighbour, thinning), each kind from its own
-    stream of ``_kind_streams``."""
+    takes one width-wide exponential and one width-wide slot and neighbour
+    uniform, each kind from its own stream of ``_kind_streams``."""
 
-    def __init__(self, rng, width, kinds):
+    def __init__(self, rng, width):
         streams = _kind_streams(rng)
-        self.expo, self.kinds = streams[EXPO], [streams[k] for k in (SLOT, NBR, THIN)[:kinds]]
+        self.expo, self.kinds = streams[EXPO], [streams[SLOT], streams[NBR]]
         self.width = width
         self.e, self.u = [], []
 
@@ -158,16 +174,17 @@ def replay(flat, rngs, rows, grid, labels=None, sites=None, to_one=False, width=
 
     Slot i holds one cluster, at site loc[i] with size[i]; at_site maps a
     site back to its slot.  Row k * width + r takes entry r of every draw
-    of block k, from the kind streams of ``rngs[k]``.  A ring picks a uniform slot, its site x
-    and a neighbour y of x; on an irregular graph it is kept with
-    probability rate(x) / r_max.  If y is occupied the cluster at x joins
-    it, and the last slot fills the hole; each label follows its cluster's
-    slot.  A row with no ring left that changes what it records stops its
-    clock.
+    of block k, from the kind streams of ``rngs[k]``.  A ring picks a
+    uniform slot, its site x, and slot j of x's neighbour list, of as many
+    slots as the largest degree: j past deg[x] is a stay, and slot j
+    otherwise holds the neighbour y.  If y is occupied the cluster at x
+    joins it, and the last slot fills the hole; each label follows its
+    cluster's slot.  A row with no ring left that changes what it records
+    stops its clock.
     """
     width = rows if width is None else width
-    n, r_max = flat.n, flat.r_max
-    streams = [_Stream(rng, width, 2 if flat.regular else 3) for rng in rngs]
+    n, r_max, slots = flat.n, flat.r_max, max(flat.deg)
+    streams = [_Stream(rng, width) for rng in rngs]
     ngrid = 0 if to_one else len(grid)
     frozen_at_one = sites is None and not to_one
     out = {"xi": np.empty((rows, ngrid), dtype=np.int64)}
@@ -202,10 +219,11 @@ def replay(flat, rngs, rows, grid, labels=None, sites=None, to_one=False, width=
             rings += 1
             i = int(u[0, r] * m)
             x = loc[i]
-            if not flat.regular and not u[2, r] < flat.rate[x] / r_max:
+            j = int(u[1, r] * slots)
+            if j >= flat.deg[x]:
                 rejected += 1
                 continue
-            y = flat.nbr[flat.off[x] + int(u[1, r] * flat.deg[x])]
+            y = flat.nbr[flat.off[x] + j]
             j = at_site[y]
             at_site[x] = -1
             if j < 0:
