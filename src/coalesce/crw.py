@@ -12,7 +12,7 @@ orders of magnitude faster at low density.  The lockstep kernel
 ``_lockstep_crw``, run by ``runner._pass`` alone, gives every trajectory of
 a pass of blocks one ring per numpy iteration; ``_scalar_crw`` runs one in
 plain Python; the two-walker routine ``_flat.walk_pairs`` moves each walker
-by the same slot rule.  A runner block's rows read one stream per variate
+on a graph by the same rule.  A runner block's rows read one stream per variate
 kind in one layout (``_kind_streams``), so both engines give them the same
 values and counters.
 ``simulate_crw`` and ``sample_tau_coal`` give row 0 of a one-row block on
